@@ -723,6 +723,118 @@ let v1_tests =
             r.Engine.moved);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Decision pinning: per-arrival decisions of two seeded contended churn
+   streams (departures, cancellations, reconfiguration and rounding on,
+   no global deadline), recorded from the batched speculative engine.
+   Deciding each arrival once, in event order, must reproduce them bit
+   for bit: with no global deadline every evaluation sees the same
+   committed state, prices and slice. *)
+
+(* (request, admitted, rung, t_start, t_end, moved) per arrival. *)
+let golden_15 =
+  [
+    (0, true, "exact", 0x1.8133b39c7043p-3, 0x1.2f7c0064d39a6p+0, []);
+    (1, true, "exact", 0x1.22329fe8bcff8p-1, 0x1.195ce3fc08619p+1, []);
+    (2, true, "exact", 0x1.8b6ea5772796cp-1, 0x1.8216b30e87193p+0, []);
+    (3, true, "exact", 0x1.8216b30e8719p+0, 0x1.d9013b84a9b78p+0, []);
+    (4, true, "rounded", 0x1.8216b30e8718ap+0, 0x1.1b92e909480abp+2, []);
+    (5, true, "exact", 0x1.195ce3fc08618p+1, 0x1.7582e59adec4cp+1, []);
+    (6, true, "migrated", 0x1.7015691cfd4ebp+1, 0x1.5c0441926c87p+2, [5]);
+    (7, false, "greedy", nan, nan, []);
+    (8, false, "greedy", nan, nan, []);
+    (9, false, "greedy", nan, nan, []);
+    (10, false, "greedy", nan, nan, []);
+    (11, false, "greedy", nan, nan, []);
+    (12, true, "rounded", 0x1.7015691cfd4ebp+1, 0x1.fd2b09a83f1dcp+1, []);
+    (13, false, "greedy", nan, nan, []);
+    (14, true, "exact", 0x1.fd2b09a83f1dep+1, 0x1.68dffde9003cp+2, []);
+    (15, false, "exact", nan, nan, []);
+    (16, false, "exact", nan, nan, []);
+    (17, true, "rounded", 0x1.1b92e909480abp+2, 0x1.9224e80322073p+2, []);
+    (18, true, "exact", 0x1.1b92e909480a8p+2, 0x1.571453e96e15p+2, []);
+    (19, true, "exact", 0x1.1b92e909480a9p+2, 0x1.6341912784452p+2, []);
+  ]
+
+let golden_13 =
+  [
+    (0, true, "exact", 0x1.76ce4f120176fp-2, 0x1.0128490240d02p+0, []);
+    (1, true, "exact", 0x1.0128490240dp+0, 0x1.b7e75cf6a1d1ap+1, []);
+    (2, true, "rounded", 0x1.6eab2bf400d4ap-1, 0x1.24f0e3a2343a3p+1, []);
+    (3, false, "greedy", nan, nan, []);
+    (4, true, "exact", 0x1.39f035fd6482cp+0, 0x1.da87414680242p+0, []);
+    (5, true, "exact", 0x1.5573a1e0fb7cap+0, 0x1.0be0b63ce1416p+1, []);
+    (6, false, "exact", nan, nan, []);
+    (7, true, "exact", 0x1.0be0b63ce1415p+1, 0x1.774bd0df3c23cp+2, []);
+    (8, true, "rounded", 0x1.0be0b63ce1414p+1, 0x1.3715022308754p+1, []);
+    (9, false, "exact", nan, nan, []);
+    (10, true, "exact", 0x1.2a78d32e85342p+1, 0x1.d5518f79d384cp+1, []);
+    (11, true, "exact", 0x1.4a015d0c5ec04p+1, 0x1.f2ddf53d1ab3p+1, []);
+    (12, true, "exact", 0x1.d5518f79d384cp+1, 0x1.3e7f7ae3d3329p+2, []);
+    (13, true, "greedy", 0x1.f2ddf53d1ab3p+1, 0x1.55093dbfc2c84p+2, []);
+    (14, false, "exact", nan, nan, []);
+    (15, true, "exact", 0x1.3e7f7ae3d332ap+2, 0x1.f47e65365125ap+2, []);
+    (16, true, "exact", 0x1.63a2d6b40da9ep+2, 0x1.914249af7577cp+2, []);
+    (17, false, "exact", nan, nan, []);
+    (18, true, "exact", 0x1.774bd0df3c23cp+2, 0x1.c038bb1cf544ep+2, []);
+    (19, false, "exact", nan, nan, []);
+  ]
+
+let churn_stream ~seed ~slice =
+  let p =
+    {
+      Tvnep.Scenario.scaled with
+      num_requests = 20;
+      arrival_rate = 4.0;
+      weibull_scale = 1.5;
+      flexibility = 1.0;
+    }
+  in
+  let inst = Tvnep.Scenario.generate (Workload.Rng.create seed) p in
+  let events =
+    Service.Event.with_cancellations
+      (Workload.Rng.create 9L)
+      ~prob:0.3 inst
+      (Service.Event.arrivals inst)
+  in
+  let config =
+    Engine.Config.make ~slice ~exact_fraction:0.3 ~departures:true
+      ~reconfigure:true ~rounding:true ()
+  in
+  Engine.serve ~config ~events inst
+
+let golden_tests =
+  let pinned name ~seed ~slice golden =
+    Alcotest.test_case name `Quick (fun () ->
+        let s = churn_stream ~seed ~slice in
+        let show (req, admitted, rung, t_start, t_end, moved) =
+          Printf.sprintf "%d %b %s %h %h [%s]" req admitted rung t_start
+            t_end
+            (String.concat ";" (List.map string_of_int moved))
+        in
+        let got =
+          Array.to_list s.Engine.records
+          |> List.filter (fun (r : Engine.record) ->
+                 r.Engine.event = Service.Event.Arrival)
+          |> List.map (fun (r : Engine.record) ->
+                 show
+                   ( r.Engine.request,
+                     r.Engine.admitted,
+                     Engine.rung_to_string r.Engine.rung,
+                     r.Engine.t_start,
+                     r.Engine.t_end,
+                     r.Engine.moved ))
+        in
+        Alcotest.(check (list string))
+          "per-arrival decisions" (List.map show golden) got)
+  in
+  [
+    pinned "churn stream 15 decisions are pinned" ~seed:15L ~slice:1e-3
+      golden_15;
+    pinned "churn stream 13 decisions are pinned" ~seed:13L ~slice:5e-4
+      golden_13;
+  ]
+
 let suite =
   [
     ("service.solver-run", budget_tests);
@@ -734,4 +846,5 @@ let suite =
     ("service.pricing", pricing_tests);
     ("service.streams", stream_tests);
     ("service.rounding", rounding_tests);
+    ("service.golden", golden_tests);
   ]
