@@ -35,7 +35,8 @@ bench-bnb: build
 # Online service gate: serves one churn stream (arrivals + departures)
 # at jobs 1, 2 and 4 on the deterministic work clock.  Fails if any
 # decision, rung, schedule, migration, tick count or the revenue
-# differs across jobs levels, if fewer than 30% of the arrivals depart
+# differs across jobs levels, if any run re-evaluates an arrival
+# (Stats.service_reevals > 0), if fewer than 30% of the arrivals depart
 # inside the stream, if ignoring departures does not strictly lose
 # admissions and revenue, if any rung (exact, greedy, budget, and
 # priced on the dedicated pricing run) never fired, if the rounding

@@ -5,9 +5,11 @@
    run *fails* (exit 1) when:
 
    - any per-event decision, rung, committed schedule, migration, tick
-     count or the total revenue differs between jobs levels — the
-     deterministic event-merge contract of Service.Engine asserted on a
-     real churn stream;
+     count or the total revenue differs between jobs levels — the engine
+     accepts [jobs] but decides every arrival once, in event order, so
+     the levels must agree exactly;
+   - any run re-evaluated an arrival ([Stats.service_reevals] > 0) —
+     each arrival is evaluated exactly once;
    - the stream shows too little churn (< 30% of arrivals departing
      inside the stream) — capacity must be reclaimed for the lifecycle
      to mean anything;
@@ -355,6 +357,23 @@ let run ?json_path () =
     rounded_chains;
   Statsutil.Table.print table;
   let base = List.hd runs in
+  (* Evaluated-once gate: no run may discard and redo an arrival's
+     evaluation. *)
+  List.iter
+    (fun (label, r) ->
+      let n = r.summary.Service.Engine.stats.Runtime.Stats.service_reevals in
+      if n <> 0 then begin
+        Printf.eprintf
+          "SERVICE RE-EVALUATION: %s re-evaluated %d arrivals (must be 0)\n"
+          label n;
+        exit 1
+      end)
+    (List.map (fun r -> (Printf.sprintf "jobs=%d" r.jobs, r)) runs
+    @ [ ("no-dep", ignored); ("priced", pricing);
+        ("exact-chain", exact_chain); ("greedy-chain", greedy_chain) ]
+    @ List.map
+        (fun r -> (Printf.sprintf "rounded j=%d" r.jobs, r))
+        rounded_chains);
   (* Hard determinism gate: every jobs level must reproduce jobs=1's
      decisions, rungs, schedules, migrations, ticks and revenue
      exactly. *)

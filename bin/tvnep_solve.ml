@@ -3,7 +3,7 @@
      tvnep_solve generate -o day.tvnep --requests 5 --flexibility 2
      tvnep_solve solve day.tvnep --model csigma --objective access
      tvnep_solve greedy day.tvnep
-     tvnep_solve serve --seed 1 --jobs 4
+     tvnep_solve serve --seed 1 --events
      tvnep_solve show day.tvnep *)
 
 open Cmdliner
@@ -51,9 +51,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Worker domains (default 1 = solve in the calling domain; 0 = \
-              autodetect the core count).  Both the branch-and-bound and \
-              the admission service are deterministic: any value returns \
-              identical results — jobs only trades wall-clock time.")
+              autodetect the core count).  The branch-and-bound is \
+              deterministic: any value returns identical results — jobs \
+              only trades wall-clock time.")
 
 let no_cuts_arg =
   Arg.(
@@ -311,11 +311,6 @@ let serve_cmd =
           ~doc:"Share of each slice the exact solve may spend before the \
                 greedy fallback takes over.")
   in
-  let batch_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "batch" ] ~docv:"N" ~doc:"Arrivals admitted per batch.")
-  in
   let global_limit_arg =
     Arg.(
       value & opt float infinity
@@ -328,7 +323,7 @@ let serve_cmd =
       value & flag
       & info [ "wall-clock" ]
           ~doc:"Use the wall clock instead of the deterministic work clock \
-                (results then depend on machine speed and --jobs).")
+                (results then depend on machine speed).")
   in
   let events_arg =
     Arg.(
@@ -385,9 +380,9 @@ let serve_cmd =
       & info [ "price-floor" ] ~docv:"F"
           ~doc:"Baseline resource price per demand-hour under --pricing.")
   in
-  let run file seed requests slice exact_fraction batch time_limit jobs
-      wall_clock events cancel_prob reconfigure move_cost rounding pricing
-      price_floor verbose json profile =
+  let run file seed requests slice exact_fraction time_limit wall_clock events
+      cancel_prob reconfigure move_cost rounding pricing price_floor verbose
+      json profile =
     setup_logs verbose;
     let inst =
       match file with
@@ -399,9 +394,7 @@ let serve_cmd =
     in
     let prof = Option.map (fun _ -> Runtime.Span.create ()) profile in
     let config =
-      Service.Engine.Config.make ~slice ~exact_fraction ~batch_size:batch
-        ~time_limit
-        ~jobs:(if jobs = 0 then Domain.recommended_domain_count () else jobs)
+      Service.Engine.Config.make ~slice ~exact_fraction ~time_limit
         ~deterministic:
           (if wall_clock then None else Some Service.Engine.default_work_rate)
         ~departures:events ~reconfigure:(reconfigure > 0)
@@ -429,9 +422,8 @@ let serve_cmd =
         s.Service.Engine.events
         (s.Service.Engine.accepted + s.Service.Engine.denied);
       Printf.printf
-        "  %-8s %9s  %-9s %-8s %-9s %10s %10s %12s %6s\n"
-        "request" "time" "event" "decision" "rung" "t_start" "revenue" "ticks"
-        "re";
+        "  %-8s %9s  %-9s %-8s %-9s %10s %10s %12s\n"
+        "request" "time" "event" "decision" "rung" "t_start" "revenue" "ticks";
       Array.iter
         (fun (r : Service.Engine.record) ->
           let decision =
@@ -440,7 +432,7 @@ let serve_cmd =
             | Service.Event.Arrival ->
               if r.Service.Engine.admitted then "admit" else "deny"
           in
-          Printf.printf "  %-8s %9.3f  %-9s %-8s %-9s %10s %10g %12d %6s\n"
+          Printf.printf "  %-8s %9.3f  %-9s %-8s %-9s %10s %10g %12d\n"
             r.Service.Engine.name r.Service.Engine.time
             (Service.Event.kind_to_string r.Service.Engine.event)
             decision
@@ -448,8 +440,7 @@ let serve_cmd =
             (if Float.is_finite r.Service.Engine.t_start then
                Printf.sprintf "%.3f" r.Service.Engine.t_start
              else "-")
-            r.Service.Engine.revenue r.Service.Engine.ticks
-            (if r.Service.Engine.reevaluated then "yes" else ""))
+            r.Service.Engine.revenue r.Service.Engine.ticks)
         s.Service.Engine.records;
       Printf.printf
         "summary: %d/%d admitted (%.0f%%), revenue %g | rungs: %d exact, %d \
@@ -488,10 +479,9 @@ let serve_cmd =
              denial) and validator-gated departures")
     Term.(
       const run $ file_opt_arg $ seed_arg $ requests_arg $ slice_arg
-      $ exact_fraction_arg $ batch_arg $ global_limit_arg $ jobs_arg
-      $ wall_clock_arg $ events_arg $ cancel_prob_arg $ reconfigure_arg
-      $ move_cost_arg $ rounding_arg $ pricing_arg $ price_floor_arg
-      $ verbose_arg $ json_arg $ profile_arg)
+      $ exact_fraction_arg $ global_limit_arg $ wall_clock_arg $ events_arg
+      $ cancel_prob_arg $ reconfigure_arg $ move_cost_arg $ rounding_arg
+      $ pricing_arg $ price_floor_arg $ verbose_arg $ json_arg $ profile_arg)
 
 (* ---- explain ------------------------------------------------------------ *)
 

@@ -2,10 +2,9 @@
 
     A registry is a bag of named instruments that instrumented layers
     update as they run and that merges across domains the same way
-    {!Stats.merge} does — the branch-and-bound's per-node registries and
-    the admission service's per-arrival registries are folded back into
-    the solve's registry in deterministic merge order, so the aggregated
-    values are identical at every [jobs] level.
+    {!Stats.merge} does — the branch-and-bound's per-node registries are
+    folded back into the solve's registry in deterministic merge order,
+    so the aggregated values are identical at every [jobs] level.
 
     Three instrument kinds, in disjoint namespaces:
 

@@ -12,13 +12,12 @@
     from the existing work clock, so a profiled solve makes exactly the
     same decisions — and reports exactly the same tick totals — as an
     unprofiled one.  Parallel layers (the branch-and-bound's node
-    batches, the admission service's arrival batches) give each task a
-    {e child} recorder alongside its {!Budget.fork}; at merge time the
-    child is {!graft}ed into the parent at the parent's current tick
-    count, in the same fixed order the forks {!Budget.join} — so the
-    merged timeline tiles exactly and the exported spans (names, tick
-    stamps, ordering; everything but the worker-domain tag) are
-    byte-identical at every [jobs] level.
+    batches) give each task a {e child} recorder alongside its
+    {!Budget.fork}; at merge time the child is {!graft}ed into the
+    parent at the parent's current tick count, in the same fixed order
+    the forks {!Budget.join} — so the merged timeline tiles exactly and
+    the exported spans (names, tick stamps, ordering; everything but the
+    worker-domain tag) are byte-identical at every [jobs] level.
 
     Recorders are not domain-safe: a recorder is written by one domain
     at a time (a child recorder by the worker evaluating its task, the

@@ -52,9 +52,12 @@ type t = {
   mutable service_denied : int;      (** arrivals denied admission *)
   mutable service_fallbacks : int;   (** decisions that fell past the exact
                                          rung to the greedy heuristic *)
-  mutable service_reevals : int;     (** speculative batch results discarded
-                                         and re-evaluated after an earlier
-                                         commit changed the substrate state *)
+  mutable service_reevals : int;
+      (** always 0: the service decides each arrival once, in event
+          order.  It counted discarded speculative evaluations when
+          arrivals were evaluated in batches; the field stays so stats
+          documents and the benchmark's [service.reevals] metric keep
+          their shape. *)
   (* phase durations, budget-clock seconds *)
   mutable greedy_time : float;
   mutable build_time : float;        (** MIP formulation build *)

@@ -25,8 +25,7 @@ type event =
       ticks : int;     (** work ticks billed to this request's slice *)
     }
       (** emitted by the online embedding service at commit/deny time, in
-          arrival order (on the merging domain, so sinks need not be
-          domain-safe) *)
+          arrival order, on the calling domain *)
 
 type sink = elapsed:float -> event -> unit
 (** [elapsed] is {!Budget.elapsed} of the solve's budget at emission. *)

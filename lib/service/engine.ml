@@ -3,7 +3,6 @@ module Rstats = Runtime.Stats
 module Span = Runtime.Span
 module Metrics = Runtime.Metrics
 module Trace = Runtime.Trace
-module Pool = Runtime.Pool
 module Instance = Tvnep.Instance
 module Request = Tvnep.Request
 module Solution = Tvnep.Solution
@@ -45,7 +44,6 @@ type record = {
   t_start : float;
   t_end : float;
   ticks : int;
-  reevaluated : bool;
   moved : int list;
 }
 
@@ -91,8 +89,6 @@ module Config = struct
     exact_fraction : float;
     time_limit : float;
     deterministic : float option;
-    batch_size : int;
-    jobs : int;
     departures : bool;
     reconfigure : bool;
     reconfigure_limit : int;
@@ -107,16 +103,14 @@ module Config = struct
   let make ?(kind = Solver.Csigma) ?(use_cuts = true) ?(pairwise_cuts = true)
       ?(mip = Mip.Branch_bound.default_params) ?(slice = 0.5)
       ?(exact_fraction = 0.7) ?(time_limit = infinity)
-      ?(deterministic = Some default_work_rate) ?(batch_size = 4) ?(jobs = 1)
-      ?(departures = true) ?(reconfigure = false) ?(reconfigure_limit = 2)
+      ?(deterministic = Some default_work_rate) ?(jobs = 1) ?(departures = true)
+      ?(reconfigure = false) ?(reconfigure_limit = 2)
       ?(move_cost = 0.1) ?(rounding = false) ?(pricing = false)
       ?(price = Pricing.default_params) ?trace ?prof () =
     if slice <= 0.0 || not (Float.is_finite slice) then
       invalid_arg "Engine.Config.make: non-positive slice";
     if exact_fraction < 0.0 || exact_fraction > 1.0 then
       invalid_arg "Engine.Config.make: exact_fraction outside [0, 1]";
-    if batch_size < 1 then
-      invalid_arg "Engine.Config.make: non-positive batch_size";
     if jobs < 1 then invalid_arg "Engine.Config.make: non-positive jobs";
     if time_limit <= 0.0 then
       invalid_arg "Engine.Config.make: non-positive time_limit";
@@ -133,8 +127,6 @@ module Config = struct
       exact_fraction;
       time_limit;
       deterministic;
-      batch_size;
-      jobs;
       departures;
       reconfigure;
       reconfigure_limit;
@@ -149,12 +141,12 @@ module Config = struct
   let default = make ()
 end
 
-(* A speculative decision for one arrival, computed against a snapshot of
-   the committed state.  [p_solution] is the full proposed committed
-   state on the original instance (snapshot assignments with the
-   participants' re-optimized flows and the arrival's schedule), already
-   validated — applying it is a plain array replacement.  [p_moved] lists
-   the committed requests whose start the proposal migrates. *)
+(* The decision for one arrival, computed against the committed state.
+   [p_solution] is the full proposed committed state on the original
+   instance (committed assignments with the participants' re-optimized
+   flows and the arrival's schedule), already validated — applying it is
+   a plain array replacement.  [p_moved] lists the committed requests
+   whose start the proposal migrates. *)
 type proposal = {
   p_admit : bool;
   p_rung : rung;
@@ -163,10 +155,9 @@ type proposal = {
   p_solution : Solution.t option;
   p_priced_cost : float;
   p_moved : int list;
-  p_stats : Runtime.Stats.t;
 }
 
-let deny ~pstats ?exact ?greedy ?(priced_cost = nan) rung =
+let deny ?exact ?greedy ?(priced_cost = nan) rung =
   {
     p_admit = false;
     p_rung = rung;
@@ -175,18 +166,16 @@ let deny ~pstats ?exact ?greedy ?(priced_cost = nan) rung =
     p_solution = None;
     p_priced_cost = priced_cost;
     p_moved = [];
-    p_stats = pstats;
   }
 
-(* Evaluate one arrival against the committed snapshot on a private
-   budget fork.  Pure speculation: no shared state is written, so batch
-   members may run concurrently; the merge loop decides what commits.
-   [now] is the arrival's event time; [prices] is a snapshot of the
-   pricing state when the pricing policy is on. *)
+(* Evaluate one arrival against the committed state on its slice
+   [budget].  Reads the state and writes only [stats] (solver counters);
+   the serve loop decides what commits.  [now] is the arrival's event
+   time; [prices] is the pricing state when the pricing policy is on. *)
 let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
-    committed req ~now ~prices ~fork ~fprof =
-  let pstats = Rstats.create () in
-  Span.with_ fprof fork "arrival" @@ fun () ->
+    committed req ~now ~prices ~budget ~stats =
+  let prof = cfg.Config.prof in
+  Span.with_ prof budget "arrival" @@ fun () ->
   try
     let r = Instance.request inst req in
     (* The evaluation instance: every committed request — window narrowed
@@ -243,7 +232,7 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
     let gate (sol : Solution.t) =
       if sol.Solution.assignments.(cand_pos).Solution.accepted then begin
         let lifted = lift sol in
-        Span.with_ fprof fork "validate" @@ fun () ->
+        Span.with_ prof budget "validate" @@ fun () ->
         match Validator.check inst lifted with
         | Ok () -> Some lifted
         | Error _ -> None
@@ -272,7 +261,6 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
         p_solution = Some lifted;
         p_priced_cost = cost;
         p_moved = moved;
-        p_stats = pstats;
       }
     in
     (* Reconfiguration rung: a bounded set of committed requests that have
@@ -285,7 +273,7 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
       if
         (not cfg.Config.reconfigure)
         || cfg.Config.reconfigure_limit = 0
-        || B.remaining fork <= 0.0
+        || B.remaining budget <= 0.0
       then None
       else begin
         let movable =
@@ -301,12 +289,8 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
                 (assignments.(b).Solution.t_start, b))
             movable
         in
-        let movable, _ =
-          let rec take k acc = function
-            | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
-            | rest -> (List.rev acc, rest)
-          in
-          take cfg.Config.reconfigure_limit [] movable
+        let movable =
+          List.filteri (fun k _ -> k < cfg.Config.reconfigure_limit) movable
         in
         if movable = [] then None
         else begin
@@ -341,8 +325,9 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
           let rbudget =
             B.sub
               ~time_limit:
-                (cfg.Config.exact_fraction *. Float.max 0.0 (B.remaining fork))
-              fork
+                (cfg.Config.exact_fraction
+                *. Float.max 0.0 (B.remaining budget))
+              budget
           in
           let mip =
             {
@@ -353,7 +338,7 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
             }
           in
           let ro =
-            Span.with_ fprof fork "reconfigure" @@ fun () ->
+            Span.with_ prof budget "reconfigure" @@ fun () ->
             Solver.run ev2
               (Solver.Options.make ~method_:Solver.Exact
                  ~kind:cfg.Config.kind ~use_cuts:cfg.Config.use_cuts
@@ -365,9 +350,9 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
                         weight = cfg.Config.move_cost;
                         reference = List.rev !reference;
                       })
-                 ?prof:fprof ())
+                 ?prof ())
           in
-          Rstats.merge ~into:pstats ro.Solver.stats;
+          Rstats.merge ~into:stats ro.Solver.stats;
           match (ro.Solver.status, ro.Solver.solution) with
           | (Solver.Optimal | Solver.Feasible), Some sol -> (
             match gate sol with
@@ -385,7 +370,7 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
               | Ok cost ->
                 Some (admit ~rung:Migrated ?exact ~moved lifted cost)
               | Error cost ->
-                Some (deny ~pstats ?exact ~priced_cost:cost Priced))
+                Some (deny ?exact ~priced_cost:cost Priced))
             | None -> None)
           | _ -> None
         end
@@ -396,12 +381,12 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
        integral schedules, and round with bounded repair
        ([Solver.Rounded]).  Runs between exact and greedy when the exact
        rung was inconclusive.  The rounding seed is a function of the
-       request index alone — independent of batch shape or worker
-       domain, so decisions stay jobs-invariant.  The rung gets half of
-       whatever remains of the slice, leaving the other half for the
-       greedy fallback when rounding produces nothing. *)
+       request index alone, so a decision does not depend on what was
+       evaluated before it.  The rung gets half of whatever remains of
+       the slice, leaving the other half for the greedy fallback when
+       rounding produces nothing. *)
     let attempt_rounded ~exact () =
-      if (not cfg.Config.rounding) || B.remaining fork <= 0.0 then None
+      if (not cfg.Config.rounding) || B.remaining budget <= 0.0 then None
       else begin
         let mip =
           {
@@ -412,7 +397,7 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
           }
         in
         let rbudget =
-          B.sub ~time_limit:(0.5 *. Float.max 0.0 (B.remaining fork)) fork
+          B.sub ~time_limit:(0.5 *. Float.max 0.0 (B.remaining budget)) budget
         in
         let rounding =
           {
@@ -421,28 +406,28 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
           }
         in
         match
-          Span.with_ fprof fork "rounded" @@ fun () ->
+          Span.with_ prof budget "rounded" @@ fun () ->
           Solver.run ev
             (Solver.Options.make ~method_:Solver.Rounded ~kind:cfg.Config.kind
                ~use_cuts:cfg.Config.use_cuts
                ~pairwise_cuts:cfg.Config.pairwise_cuts ~mip ~budget:rbudget
-               ~pinned ~rounding ?prof:fprof ())
+               ~pinned ~rounding ?prof ())
         with
         | exception Invalid_argument _ -> None
         | ro -> (
-          Rstats.merge ~into:pstats ro.Solver.stats;
+          Rstats.merge ~into:stats ro.Solver.stats;
           if ro.Solver.status = Solver.Infeasible then
             (* The LP relaxation of the pinned instance is infeasible, so
                no completion can admit the arrival: a proven denial,
                cheaper than the exact rung's. *)
-            Some (deny ~pstats ?exact Rounded)
+            Some (deny ?exact Rounded)
           else
             match Option.bind ro.Solver.solution gate with
             | Some lifted -> (
               match price_check lifted with
               | Ok cost -> Some (admit ~rung:Rounded ?exact lifted cost)
               | Error cost ->
-                Some (deny ~pstats ?exact ~priced_cost:cost Priced))
+                Some (deny ?exact ~priced_cost:cost Priced))
             | None -> None)
       end
     in
@@ -456,17 +441,17 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
       }
     in
     let exact_budget =
-      B.sub ~time_limit:(cfg.Config.exact_fraction *. cfg.Config.slice) fork
+      B.sub ~time_limit:(cfg.Config.exact_fraction *. cfg.Config.slice) budget
     in
     let xo =
-      Span.with_ fprof fork "exact" @@ fun () ->
+      Span.with_ prof budget "exact" @@ fun () ->
       Solver.run ev
         (Solver.Options.make ~method_:Solver.Exact ~kind:cfg.Config.kind
            ~use_cuts:cfg.Config.use_cuts
            ~pairwise_cuts:cfg.Config.pairwise_cuts ~mip ~budget:exact_budget
-           ~pinned ?prof:fprof ())
+           ~pinned ?prof ())
     in
-    Rstats.merge ~into:pstats xo.Solver.stats;
+    Rstats.merge ~into:stats xo.Solver.stats;
     let exact = Some xo.Solver.status in
     let exact_admission =
       match (xo.Solver.status, xo.Solver.solution) with
@@ -477,7 +462,7 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
     | Some lifted -> (
       match price_check lifted with
       | Ok cost -> admit ~rung:Exact ?exact lifted cost
-      | Error cost -> deny ~pstats ?exact ~priced_cost:cost Priced)
+      | Error cost -> deny ?exact ~priced_cost:cost Priced)
     | None ->
       if
         (* A proved optimum that rejects the arrival is a proven denial:
@@ -489,7 +474,7 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
       then
         match attempt_reconfigure ~exact () with
         | Some p -> p
-        | None -> deny ~pstats ?exact Exact
+        | None -> deny ?exact Exact
       else begin
         (* Between exact and greedy: the randomized-rounding rung (when
            configured) gets the first shot at an inconclusive exact
@@ -497,9 +482,9 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
         match attempt_rounded ~exact () with
         | Some p -> p
         | None ->
-          if B.remaining fork <= 0.0 then
+          if B.remaining budget <= 0.0 then
             (* Slice gone before the fallback could run. *)
-            deny ~pstats ?exact Budget
+            deny ?exact Budget
           else begin
             (* Greedy fallback on the rest of the slice.  The heuristic
                raises when even the committed preplacements cannot be
@@ -507,22 +492,22 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
                that only happens when the slice dies under its
                feasibility LP, so treat it as budget exhaustion. *)
             match
-              Span.with_ fprof fork "greedy" @@ fun () ->
+              Span.with_ prof budget "greedy" @@ fun () ->
               Solver.run ev
-                (Solver.Options.make ~method_:Solver.Greedy ~budget:fork
-                   ~pinned ?prof:fprof ())
+                (Solver.Options.make ~method_:Solver.Greedy ~budget
+                   ~pinned ?prof ())
             with
             | exception Invalid_argument _ ->
-              deny ~pstats ?exact ~greedy:Solver.Budget_exhausted Budget
+              deny ?exact ~greedy:Solver.Budget_exhausted Budget
             | go -> (
-              Rstats.merge ~into:pstats go.Solver.stats;
+              Rstats.merge ~into:stats go.Solver.stats;
               let greedy = Some go.Solver.status in
               match Option.bind go.Solver.solution gate with
               | Some lifted -> (
                 match price_check lifted with
                 | Ok cost -> admit ~rung:Greedy ?exact ?greedy lifted cost
                 | Error cost ->
-                  deny ~pstats ?exact ?greedy ~priced_cost:cost Priced)
+                  deny ?exact ?greedy ~priced_cost:cost Priced)
               | None ->
                 (* Final rung: denial — by the heuristic's verdict, or
                    because the slice died under it. *)
@@ -530,18 +515,14 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
                   if go.Solver.status = Solver.Budget_exhausted then Budget
                   else Greedy
                 in
-                deny ~pstats ?exact ?greedy rung)
+                deny ?exact ?greedy rung)
           end
       end
   with _ ->
     (* Defensive: an unexpected solver failure denies the arrival instead
        of taking the whole stream down.  Deterministic — the same state
-       fails the same way at any jobs level. *)
-    deny ~pstats ~greedy:Solver.Failed Greedy
-
-let rec take k acc = function
-  | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
-  | rest -> (List.rev acc, rest)
+       fails the same way every time. *)
+    deny ~greedy:Solver.Failed Greedy
 
 (* Nearest-rank percentile of a sorted array. *)
 let percentile p sorted =
@@ -589,7 +570,6 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
     Array.init k (fun i -> Solution.rejected (Instance.request inst i))
   in
   let committed = ref [] in
-  let version = ref 0 in
   let records = ref [] in
   (* Lifecycle state alongside the assignments: the rung that admitted
      each committed request (reported again by its departure record) and
@@ -628,7 +608,6 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
     assignments.(req) <- Solution.rejected (Instance.request inst req);
     committed := List.filter (fun i -> i <> req) !committed;
     release_at.(req) <- None;
-    incr version;
     reprice ();
     records :=
       {
@@ -645,14 +624,13 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
         t_start = released.Solution.t_start;
         t_end = released.Solution.t_end;
         ticks = 0;
-        reevaluated = false;
         moved = [];
       }
       :: !records
   in
   (* Endogenous departures: every committed request whose interval has
      closed by [now] releases, ordered by (departure time, request) so
-     the merge stream stays total-ordered and jobs-invariant. *)
+     the record stream stays total-ordered. *)
   let process_due now =
     let due =
       List.filter_map
@@ -664,217 +642,97 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
     in
     List.iter (fun (t, i) -> release ~time:t i) (List.sort compare due)
   in
-  let pool =
-    if config.Config.jobs > 1 then Some (Pool.create ~jobs:config.Config.jobs)
-    else None
-  in
-  let dead_proposal () = deny ~pstats:(Rstats.create ()) Budget in
-  Fun.protect
-    ~finally:(fun () -> match pool with Some p -> Pool.shutdown p | None -> ())
-    (fun () ->
-      let process_batch batch =
-        let snapshot_committed = !committed in
-        let snapshot_version = !version in
-        let snapshot_prices = Option.map Pricing.copy price_state in
-        (* Fork one slice per arrival in the batch, sequentially, before
-           any evaluation: every fork snapshots the same batch-start
-           clock, so deadlines do not depend on scheduling.  Departures
-           carry no fork — they are merge-time state transitions. *)
-        let tasks =
-          Array.of_list
-            (List.map
-               (fun (ev : Event.t) ->
-                 if ev.Event.kind = Event.Departure then (ev, None)
-                 else if B.remaining global <= 0.0 then (ev, None)
-                 else
-                   let fork =
-                     B.fork (B.sub ~time_limit:config.Config.slice global)
-                   in
-                   (* One child recorder per slice, rebased to the fork's
-                      private clock; grafted back at merge time. *)
-                   let fprof =
-                     match config.Config.prof with
-                     | None -> None
-                     | Some _ -> Some (Span.create ~base:(B.ticks fork) ())
-                   in
-                   (ev, Some (fork, B.ticks fork, fprof)))
-               batch)
+  (* One pass over the stream, in event order: release whatever departed
+     by the event's time, then apply the event.  Each arrival is decided
+     once, against the live committed state and prices, on a slice of the
+     global budget; spans and ticks land directly on the global clock. *)
+  List.iter
+    (fun (ev : Event.t) ->
+      let req = ev.Event.request in
+      let r = Instance.request inst req in
+      process_due ev.Event.time;
+      match ev.Event.kind with
+      | Event.Departure ->
+        (* Exogenous departure (cancellation): release if the request
+           still holds capacity; a departure for a denied or
+           already-departed request is a no-op. *)
+        if config.Config.departures && assignments.(req).Solution.accepted then
+          release ~time:ev.Event.time req
+      | Event.Arrival ->
+        let ticks0 = B.ticks global in
+        let proposal =
+          if B.remaining global <= 0.0 then deny Budget
+          else
+            evaluate config inst assignments !committed req ~now:ev.Event.time
+              ~prices:price_state
+              ~budget:(B.sub ~time_limit:config.Config.slice global)
+              ~stats
         in
-        let eval ~worker ((ev : Event.t), f) =
-          match f with
-          | None -> None
-          | Some (fork, _, fprof) ->
-            Option.iter (fun r -> Span.set_domain r worker) fprof;
-            Some
-              (evaluate config inst assignments snapshot_committed
-                 ev.Event.request ~now:ev.Event.time ~prices:snapshot_prices
-                 ~fork ~fprof)
-        in
-        let proposals =
-          match pool with
-          | Some p when Array.length tasks > 1 ->
-            Pool.run p (fun ~worker t -> eval ~worker t) tasks
-          | _ -> Array.map (eval ~worker:0) tasks
-        in
-        (* Deterministic merge in event order: release whatever departed
-           by each event's time, join each fork back into the global
-           budget, then commit or deny.  A speculative result computed
-           before an earlier commit or release changed the state is stale
-           — discard it and re-evaluate against the current state. *)
-        Array.iteri
-          (fun i ((ev : Event.t), f) ->
-            let req = ev.Event.request in
-            let r = Instance.request inst req in
-            process_due ev.Event.time;
-            match ev.Event.kind with
-            | Event.Departure ->
-              (* Exogenous departure (cancellation): release if the
-                 request still holds capacity; a departure for a denied
-                 or already-departed request is a no-op. *)
-              if config.Config.departures && assignments.(req).Solution.accepted
-              then release ~time:ev.Event.time req
-            | Event.Arrival ->
-              let proposal, ticks, reevaluated =
-                match f with
-                | None -> (dead_proposal (), 0, false)
-                | Some (fork, ft0, fprof) ->
-                  (* Graft the slice's spans onto the global timeline at
-                     the pre-join tick count, so the merged trace tiles
-                     exactly and is identical at any jobs level. *)
-                  (match (config.Config.prof, fprof) with
-                  | Some into, Some child ->
-                    Span.graft ~into ~at:(B.ticks global) child
-                  | _ -> ());
-                  B.join ~into:global fork;
-                  let spec_ticks = B.ticks fork - ft0 in
-                  if snapshot_version = !version then
-                    (Option.get proposals.(i), spec_ticks, false)
-                  else begin
-                    stats.Rstats.service_reevals <-
-                      stats.Rstats.service_reevals + 1;
-                    if B.remaining global <= 0.0 then
-                      (dead_proposal (), spec_ticks, true)
-                    else begin
-                      let fork2 =
-                        B.fork (B.sub ~time_limit:config.Config.slice global)
-                      in
-                      let ft2 = B.ticks fork2 in
-                      let fprof2 =
-                        match config.Config.prof with
-                        | None -> None
-                        | Some _ -> Some (Span.create ~base:(B.ticks fork2) ())
-                      in
-                      let p =
-                        evaluate config inst assignments !committed req
-                          ~now:ev.Event.time
-                          ~prices:(Option.map Pricing.copy price_state)
-                          ~fork:fork2 ~fprof:fprof2
-                      in
-                      (match (config.Config.prof, fprof2) with
-                      | Some into, Some child ->
-                        Span.graft ~into ~at:(B.ticks global) child
-                      | _ -> ());
-                      B.join ~into:global fork2;
-                      (p, spec_ticks + (B.ticks fork2 - ft2), true)
-                    end
-                  end
-              in
-              Rstats.merge ~into:stats proposal.p_stats;
-              if proposal.p_greedy <> None then
-                stats.Rstats.service_fallbacks <-
-                  stats.Rstats.service_fallbacks + 1;
-              if proposal.p_admit then begin
-                let sol = Option.get proposal.p_solution in
-                Array.blit sol.Solution.assignments 0 assignments 0 k;
-                committed := !committed @ [ req ];
-                admit_rung.(req) <- proposal.p_rung;
-                if config.Config.departures then begin
-                  release_at.(req) <- Some assignments.(req).Solution.t_end;
-                  (* Migrations move schedules — their departures move
-                     with them. *)
-                  List.iter
-                    (fun j ->
-                      release_at.(j) <- Some assignments.(j).Solution.t_end)
-                    proposal.p_moved
-                end;
-                incr version;
-                reprice ();
-                stats.Rstats.service_admitted <-
-                  stats.Rstats.service_admitted + 1;
-                match on_commit with
-                | Some f -> f req (current_solution ())
-                | None -> ()
-              end
-              else
-                stats.Rstats.service_denied <- stats.Rstats.service_denied + 1;
-              (match config.Config.prof with
-              | Some into ->
-                let m = Span.metrics into in
-                Metrics.incr m
-                  (if proposal.p_admit then "service.admitted"
-                   else "service.denied");
-                Metrics.incr m ("service.rung." ^ rung_to_string proposal.p_rung);
-                if reevaluated then Metrics.incr m "service.reevals";
-                Metrics.observe m "service.arrival_ticks" (float_of_int ticks)
-              | None -> ());
-              Trace.emit config.Config.trace global
-                (Trace.Service_decision
-                   {
-                     request = req;
-                     admitted = proposal.p_admit;
-                     level = rung_to_string proposal.p_rung;
-                     ticks;
-                   });
-              records :=
-                {
-                  request = req;
-                  name = r.Request.name;
-                  time = ev.Event.time;
-                  event = Event.Arrival;
-                  admitted = proposal.p_admit;
-                  rung = proposal.p_rung;
-                  exact_status = proposal.p_exact;
-                  greedy_status = proposal.p_greedy;
-                  revenue =
-                    (if proposal.p_admit then
-                       r.Request.duration *. Request.total_node_demand r
-                     else 0.0);
-                  priced_cost = proposal.p_priced_cost;
-                  t_start =
-                    (if proposal.p_admit then assignments.(req).Solution.t_start
-                     else nan);
-                  t_end =
-                    (if proposal.p_admit then assignments.(req).Solution.t_end
-                     else nan);
-                  ticks;
-                  reevaluated;
-                  moved = proposal.p_moved;
-                }
-                :: !records)
-          tasks
-      in
-      (* Adaptive batching, the branch-and-bound treatment applied to the
-         speculative stream: a batch whose speculation all held (no stale
-         re-evaluation) doubles the next one, up to [8 × batch_size], so
-         fork and worker wake-up overhead amortizes on accept-sparse
-         streams; any staleness resets to the configured size, since
-         commits invalidate the speculation of everything queued behind
-         them.  The growth depends only on the re-evaluation history,
-         which is deterministic, so decisions stay jobs-invariant. *)
-      let rec drive cur = function
-        | [] -> ()
-        | remaining ->
-          let batch, rest = take cur [] remaining in
-          let stale0 = stats.Rstats.service_reevals in
-          process_batch batch;
-          let next =
-            if stats.Rstats.service_reevals = stale0 then
-              min (2 * cur) (8 * config.Config.batch_size)
-            else config.Config.batch_size
-          in
-          drive next rest
-      in
-      drive config.Config.batch_size events);
+        let ticks = B.ticks global - ticks0 in
+        if proposal.p_greedy <> None then
+          stats.Rstats.service_fallbacks <- stats.Rstats.service_fallbacks + 1;
+        if proposal.p_admit then begin
+          let sol = Option.get proposal.p_solution in
+          Array.blit sol.Solution.assignments 0 assignments 0 k;
+          committed := !committed @ [ req ];
+          admit_rung.(req) <- proposal.p_rung;
+          if config.Config.departures then begin
+            release_at.(req) <- Some assignments.(req).Solution.t_end;
+            (* Migrations move schedules — their departures move with
+               them. *)
+            List.iter
+              (fun j -> release_at.(j) <- Some assignments.(j).Solution.t_end)
+              proposal.p_moved
+          end;
+          reprice ();
+          stats.Rstats.service_admitted <- stats.Rstats.service_admitted + 1;
+          match on_commit with
+          | Some f -> f req (current_solution ())
+          | None -> ()
+        end
+        else stats.Rstats.service_denied <- stats.Rstats.service_denied + 1;
+        (match config.Config.prof with
+        | Some into ->
+          let m = Span.metrics into in
+          Metrics.incr m
+            (if proposal.p_admit then "service.admitted" else "service.denied");
+          Metrics.incr m ("service.rung." ^ rung_to_string proposal.p_rung);
+          Metrics.observe m "service.arrival_ticks" (float_of_int ticks)
+        | None -> ());
+        Trace.emit config.Config.trace global
+          (Trace.Service_decision
+             {
+               request = req;
+               admitted = proposal.p_admit;
+               level = rung_to_string proposal.p_rung;
+               ticks;
+             });
+        records :=
+          {
+            request = req;
+            name = r.Request.name;
+            time = ev.Event.time;
+            event = Event.Arrival;
+            admitted = proposal.p_admit;
+            rung = proposal.p_rung;
+            exact_status = proposal.p_exact;
+            greedy_status = proposal.p_greedy;
+            revenue =
+              (if proposal.p_admit then
+                 r.Request.duration *. Request.total_node_demand r
+               else 0.0);
+            priced_cost = proposal.p_priced_cost;
+            t_start =
+              (if proposal.p_admit then assignments.(req).Solution.t_start
+               else nan);
+            t_end =
+              (if proposal.p_admit then assignments.(req).Solution.t_end
+               else nan);
+            ticks;
+            moved = proposal.p_moved;
+          }
+          :: !records)
+    events;
   let records = Array.of_list (List.rev !records) in
   let arrivals_only =
     Array.of_list
@@ -939,55 +797,6 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Deprecated pre-[serve] surface                                     *)
-(* ------------------------------------------------------------------ *)
-
-type config = {
-  kind : Tvnep.Solver.model_kind;
-  use_cuts : bool;
-  pairwise_cuts : bool;
-  mip : Mip.Branch_bound.params;
-  slice : float;
-  exact_fraction : float;
-  time_limit : float;
-  deterministic : float option;
-  batch_size : int;
-  jobs : int;
-  trace : Runtime.Trace.sink option;
-  prof : Runtime.Span.recorder option;
-}
-
-let default_config =
-  {
-    kind = Solver.Csigma;
-    use_cuts = true;
-    pairwise_cuts = true;
-    mip = Mip.Branch_bound.default_params;
-    slice = 0.5;
-    exact_fraction = 0.7;
-    time_limit = infinity;
-    deterministic = Some default_work_rate;
-    batch_size = 4;
-    jobs = 1;
-    trace = None;
-    prof = None;
-  }
-
-let run ?(config = default_config) ?on_commit inst =
-  (* The historical arrival-only stream: every request at its window
-     opening, no departures, no reconfiguration, no pricing.  Every field
-     of the old record forwards into [Config.make]. *)
-  let c =
-    Config.make ~kind:config.kind ~use_cuts:config.use_cuts
-      ~pairwise_cuts:config.pairwise_cuts ~mip:config.mip ~slice:config.slice
-      ~exact_fraction:config.exact_fraction ~time_limit:config.time_limit
-      ~deterministic:config.deterministic ~batch_size:config.batch_size
-      ~jobs:config.jobs ~departures:false ~reconfigure:false ~pricing:false
-      ?trace:config.trace ?prof:config.prof ()
-  in
-  serve ~config:c ?on_commit inst
-
-(* ------------------------------------------------------------------ *)
 (* Versioned JSON encoding                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1026,7 +835,6 @@ let record_to_json r =
       ("t_start", json_of_float r.t_start);
       ("t_end", json_of_float r.t_end);
       ("ticks", Json.Num (float_of_int r.ticks));
-      ("reevaluated", Json.Bool r.reevaluated);
       ( "moved",
         Json.List (List.map (fun i -> Json.Num (float_of_int i)) r.moved) );
     ]
@@ -1102,7 +910,6 @@ let record_of_json doc =
     let* t_start = floatf "t_start" in
     let* t_end = floatf "t_end" in
     let* ticks = intf "ticks" in
-    let* reevaluated = boolf "reevaluated" in
     let* moved =
       match Json.member "moved" doc with
       | None -> Ok []
@@ -1132,7 +939,6 @@ let record_of_json doc =
         t_start;
         t_end;
         ticks;
-        reevaluated;
         moved;
       }
 

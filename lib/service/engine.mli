@@ -44,18 +44,17 @@
     committed state before it commits; a solution that fails validation
     falls down the chain instead of corrupting the substrate state.
 
-    Arrivals are admitted in {b batches} evaluated concurrently on a
-    {!Runtime.Pool} and merged deterministically in event order, exactly
-    like the branch-and-bound's node batches: every batch member is
-    evaluated speculatively against the batch-start state on a
-    {!Runtime.Budget.fork} of its slice; at merge time the forks join the
-    global budget in event order, departures due by each event's time are
-    released first, and a speculative result computed against a state
-    that an earlier commit or release has since changed is discarded and
-    re-evaluated sequentially.  Decisions therefore depend only on the
-    event order — never on [jobs] — and under a deterministic budget the
-    whole summary (decisions, embeddings, migrations, prices, revenue,
-    tick counts) is byte-identical at any parallelism level. *)
+    Events are processed {b once each, in event order}: departures due by
+    an event's time are released first, then the event applies.  An
+    arrival is decided by a single evaluation against the live committed
+    state and prices, on a {!Runtime.Budget.sub} of the global budget
+    limited to its slice, and is committed or denied before the next
+    event is looked at — the paper's online setting, where each request
+    is decided against the capacity already committed.  Every deadline
+    check reads the shared work clock, so under a deterministic budget
+    the whole summary (decisions, embeddings, migrations, prices,
+    revenue, tick counts) is a function of the instance, the event
+    stream and the configuration alone, byte-identical run to run. *)
 
 (** Which rung of the degradation chain decided an event. *)
 type rung =
@@ -96,9 +95,6 @@ type record = {
                               the released interval on departures *)
   t_end : float;
   ticks : int;            (** work ticks billed to this request's slice *)
-  reevaluated : bool;
-      (** the speculative batch result was discarded because an earlier
-          event in the batch changed the committed state first *)
   moved : int list;
       (** committed requests this admission migrated (reconfiguration
           rung only; empty otherwise) *)
@@ -148,9 +144,8 @@ module Config : sig
     use_cuts : bool;
     pairwise_cuts : bool;
     mip : Mip.Branch_bound.params;
-        (** inner search parameters; [jobs] is forced to 1 (parallelism
-            belongs to the batch layer) and [time_limit] is ignored in
-            favour of the slice *)
+        (** inner search parameters; [jobs] is forced to 1 and
+            [time_limit] is ignored in favour of the slice *)
     slice : float;                    (** per-request deadline, budget s *)
     exact_fraction : float;           (** share of the slice the exact rung
                                           may spend before falling back *)
@@ -160,14 +155,8 @@ module Config : sig
                                           without solving *)
     deterministic : float option;
         (** deterministic work-clock rate ([Some default_work_rate] by
-            default — required for jobs-independent byte-identical
-            output); [None] uses the wall clock *)
-    batch_size : int;
-        (** {e initial} events evaluated speculatively per batch; batches
-            whose speculation all held double the next one (up to
-            [8 × batch_size]), any stale re-evaluation resets it —
-            deterministic, so decisions stay jobs-invariant *)
-    jobs : int;                       (** worker domains for the batch *)
+            default — required for byte-identical output run to run);
+            [None] uses the wall clock *)
     departures : bool;
         (** process departures: endogenous releases at each committed
             [t_end] plus explicit [Departure] events.  [false] reproduces
@@ -184,26 +173,20 @@ module Config : sig
     rounding : bool;
         (** enable the LP-rounding rung between exact and greedy; the
             rung runs on half of the slice's remaining budget with a
-            per-request deterministic seed, so decisions stay
-            jobs-invariant *)
+            per-request deterministic seed *)
     pricing : bool;                   (** enable the pricing policy *)
     price : Pricing.params;
     trace : Runtime.Trace.sink option;
         (** receives a {!Runtime.Trace.Service_decision} per arrival, in
-            event order, on the merging domain *)
+            event order *)
     prof : Runtime.Span.recorder option;
-        (** optional span recorder: each slice records an ["arrival"]
+        (** optional span recorder: each arrival records an ["arrival"]
             span (its width is exactly the record's [ticks]) with
             ["exact"]/["reconfigure"]/["rounded"]/["greedy"]/["validate"]
-            children
-            and the full solver span tree below them, recorded on a
-            per-slice child recorder tagged with the evaluating worker's
-            domain and grafted back onto the global timeline at merge
-            time, in event order.  Everything except the domain tag is
-            independent of [jobs].  Metrics accumulate
-            [service.admitted] / [service.denied] / [service.rung.*] /
-            [service.reevals] counters and a [service.arrival_ticks]
-            histogram. *)
+            children and the full solver span tree below them, directly
+            on the global timeline, in event order.  Metrics accumulate
+            [service.admitted] / [service.denied] / [service.rung.*]
+            counters and a [service.arrival_ticks] histogram. *)
   }
 
   val make :
@@ -215,7 +198,6 @@ module Config : sig
     ?exact_fraction:float ->
     ?time_limit:float ->
     ?deterministic:float option ->
-    ?batch_size:int ->
     ?jobs:int ->
     ?departures:bool ->
     ?reconfigure:bool ->
@@ -229,13 +211,17 @@ module Config : sig
     unit ->
     t
   (** Defaults: cΣ with all cuts, 0.5 s slices (70% exact), no global
-      limit, deterministic clock, batches of 4, [jobs = 1], departures
-      {e on}, reconfiguration off ([reconfigure_limit = 2],
-      [move_cost = 0.1] when enabled), rounding off, pricing off
-      ({!Pricing.default_params} when enabled).
+      limit, deterministic clock, departures {e on}, reconfiguration off
+      ([reconfigure_limit = 2], [move_cost = 0.1] when enabled), rounding
+      off, pricing off ({!Pricing.default_params} when enabled).
+
+      [jobs] is accepted for compatibility with existing callers and
+      validated, but otherwise ignored: the engine decides arrivals one
+      at a time, in event order, on the calling domain.
+
       @raise Invalid_argument for a non-positive or non-finite [slice],
-      an [exact_fraction] outside [0, 1], a [batch_size]/[jobs] below 1,
-      a non-positive [time_limit], a negative [reconfigure_limit], or a
+      an [exact_fraction] outside [0, 1], a [jobs] below 1, a
+      non-positive [time_limit], a negative [reconfigure_limit], or a
       negative/non-finite [move_cost]. *)
 
   val default : t
@@ -251,7 +237,7 @@ val serve :
 (** Serve an event stream against the instance.  [events] defaults to
     {!Event.arrivals} (one arrival per request at its window opening) and
     is {!Event.normalize}d; [on_commit] is called after each admission
-    (on the merging domain, in commit order) with the request index and
+    (in commit order) with the request index and
     the full committed solution so far — the validator-gating property
     test hooks in here.
 
@@ -265,51 +251,12 @@ val serve :
     @raise Failure when a validator-gated release fails — an engine
     invariant violation, not an input error. *)
 
-(** {2 Deprecated pre-[serve] surface}
-
-    The arrival-only entry points, kept as thin wrappers over
-    {!Config.make} + {!serve} (departures, reconfiguration and pricing
-    all off).  Equivalence with the new surface is tested. *)
-
-type config = {
-  kind : Tvnep.Solver.model_kind;
-  use_cuts : bool;
-  pairwise_cuts : bool;
-  mip : Mip.Branch_bound.params;
-  slice : float;
-  exact_fraction : float;
-  time_limit : float;
-  deterministic : float option;
-  batch_size : int;
-  jobs : int;
-  trace : Runtime.Trace.sink option;
-  prof : Runtime.Span.recorder option;
-}
-[@@deprecated "use Engine.Config.make"]
-
-(* The wrappers below necessarily mention the deprecated [config] type;
-   silence the alert for the rest of this interface (the [@@deprecated]
-   marks still fire at external use sites). *)
-[@@@alert "-deprecated"]
-
-val default_config : config
-  [@@deprecated "use Engine.Config.default"]
-(** The same defaults as {!Config.default}, minus the lifecycle. *)
-
-val run :
-  ?config:config ->
-  ?on_commit:(int -> Tvnep.Solution.t -> unit) ->
-  Tvnep.Instance.t ->
-  summary
-  [@@deprecated "use Engine.serve"]
-(** [serve] over the arrival-only stream with departures, reconfiguration
-    and pricing disabled; forwards every configuration field. *)
-
 (** {2 Versioned JSON encoding} (["schema_version"] = 2)
 
     Decoders accept version-1 documents: their ["arrival"] field becomes
     [time], the event kind defaults to [Arrival], and the lifecycle
-    fields ([priced_cost], [moved]) default to [nan] / [[]]. *)
+    fields ([priced_cost], [moved]) default to [nan] / [[]].  The
+    ["reevaluated"] flag older documents carry is ignored. *)
 
 val record_to_json : record -> Statsutil.Json.t
 val record_of_json : Statsutil.Json.t -> (record, string) result

@@ -30,13 +30,6 @@ let create inst params =
     link_prices = Array.make (Substrate.num_links sub) params.floor;
   }
 
-let copy t =
-  {
-    t with
-    node_prices = Array.copy t.node_prices;
-    link_prices = Array.copy t.link_prices;
-  }
-
 (* Time-integrated utilization of every resource under the committed
    solution: Σ demand·(t⁻ − t⁺) / (capacity·horizon).  Piecewise-constant
    allocations make the integral exact. *)

@@ -7,10 +7,10 @@
     denies the arrival when its revenue does not cover the priced cost —
     an optional policy replacing binary accept/deny.
 
-    Prices are plain state owned by the engine's merge loop: they change
+    Prices are plain state owned by the engine's serve loop: they change
     only when the committed solution changes (commit, migration,
-    release), so speculative evaluations price against a snapshot and the
-    engine's staleness machinery keeps decisions jobs-invariant. *)
+    release), and each arrival is priced against the prices current at
+    its event. *)
 
 type params = private {
   beta : float;  (** smoothing step in (0, 1]: weight of the new target *)
@@ -32,9 +32,6 @@ type t
 
 val create : Tvnep.Instance.t -> params -> t
 (** All prices start at [floor]. *)
-
-val copy : t -> t
-(** Independent snapshot (used by speculative forks). *)
 
 val update : t -> Tvnep.Instance.t -> Tvnep.Solution.t -> unit
 (** Recompute every resource's time-integrated utilization

@@ -336,7 +336,6 @@ let config_tests =
             Engine.Config.make ~exact_fraction:(-0.1) ());
         rejects "exact_fraction 1.5" (fun () ->
             Engine.Config.make ~exact_fraction:1.5 ());
-        rejects "batch_size 0" (fun () -> Engine.Config.make ~batch_size:0 ());
         rejects "jobs 0" (fun () -> Engine.Config.make ~jobs:0 ());
         rejects "time_limit 0" (fun () ->
             Engine.Config.make ~time_limit:0.0 ());
@@ -347,7 +346,7 @@ let config_tests =
         (* The boundary values are legal. *)
         ignore (Engine.Config.make ~exact_fraction:0.0 ());
         ignore (Engine.Config.make ~exact_fraction:1.0 ());
-        ignore (Engine.Config.make ~batch_size:1 ~jobs:1 ()));
+        ignore (Engine.Config.make ~jobs:1 ()));
     Alcotest.test_case "forced requests reach the exact solve" `Quick
       (fun () ->
         let inst =
@@ -568,17 +567,19 @@ let pricing_tests =
           && Array.length cheap.Engine.link_prices = 1));
   ]
 
+(* The mixed churn stream: 100 requests, half of them cancelled early. *)
+let churn_events inst =
+  Service.Event.with_cancellations
+    (Workload.Rng.create 9L)
+    ~prob:0.5 inst
+    (Service.Event.arrivals inst)
+
 let stream_tests =
   [
     Alcotest.test_case "a mixed churn stream is byte-identical across jobs"
       `Slow (fun () ->
         let inst = scenario ~k:100 3L in
-        let events =
-          Service.Event.with_cancellations
-            (Workload.Rng.create 9L)
-            ~prob:0.5 inst
-            (Service.Event.arrivals inst)
-        in
+        let events = churn_events inst in
         let serve jobs =
           Engine.serve
             ~config:(tight_config ~jobs ~departures:true ())
@@ -604,6 +605,45 @@ let stream_tests =
           s4.Engine.total_ticks;
         Alcotest.(check bool) "final state valid" true
           (Tvnep.Validator.is_feasible inst s1.Engine.solution));
+    Alcotest.test_case "each arrival of the churn stream is evaluated once"
+      `Slow (fun () ->
+        let inst = scenario ~k:100 3L in
+        let events = churn_events inst in
+        let prof = Runtime.Span.create () in
+        let config =
+          Engine.Config.make ~slice:1e-4 ~exact_fraction:0.05 ~departures:true
+            ~prof ()
+        in
+        let s = Engine.serve ~config ~events inst in
+        let arrivals =
+          List.filter
+            (fun (e : Service.Event.t) -> e.kind = Service.Event.Arrival)
+            events
+        in
+        let arrival_spans =
+          List.filter
+            (fun (sp : Runtime.Span.span) -> sp.Runtime.Span.name = "arrival")
+            (Runtime.Span.spans prof)
+        in
+        Alcotest.(check int) "one arrival span per Arrival event"
+          (List.length arrivals)
+          (List.length arrival_spans);
+        Alcotest.(check int) "no re-evaluations" 0
+          s.Engine.stats.Runtime.Stats.service_reevals;
+        (* Each span is the arrival's whole evaluation: its width is the
+           record's tick count. *)
+        let arrival_ticks =
+          Array.to_list s.Engine.records
+          |> List.filter (fun (r : Engine.record) ->
+                 r.Engine.event = Service.Event.Arrival)
+          |> List.map (fun (r : Engine.record) -> r.Engine.ticks)
+        in
+        Alcotest.(check (list int))
+          "span widths are the records' ticks" arrival_ticks
+          (List.map
+             (fun (sp : Runtime.Span.span) ->
+               sp.Runtime.Span.t1 - sp.Runtime.Span.t0)
+             arrival_spans));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -640,8 +680,8 @@ let rounding_tests =
         Alcotest.(check bool) "final state valid" true
           (Tvnep.Validator.is_feasible inst s1.Engine.solution);
         (* Jobs-invariance with the rung on: per-request seeds are a
-           function of the request index alone, so speculative forks draw
-           the same streams at any parallelism level. *)
+           function of the request index alone, and the engine accepts
+           but ignores [jobs]. *)
         let s4 = serve 4 in
         Alcotest.(check int) "same record count" s1.Engine.events
           s4.Engine.events;

@@ -147,40 +147,5 @@ let suite =
             | None -> Alcotest.fail "run Hybrid returned no hybrid detail");
             Alcotest.(check (float 1e-9))
               "runtime" o.Solver.runtime hs.Tvnep.Hybrid.runtime);
-        Alcotest.test_case "Engine.run == serve (lifecycle off)" `Quick
-          (fun () ->
-            (* The deprecated arrival-only entry point must forward every
-               configuration field to Config.make + serve; a dropped
-               field shows up as a record or tick mismatch on this
-               non-default config. *)
-            let module Engine = Service.Engine in
-            let inst = scenario ~k:5 ~flex:1.5 17L in
-            let s_old =
-              Engine.run
-                ~config:
-                  {
-                    Engine.default_config with
-                    slice = 2e-4;
-                    exact_fraction = 0.1;
-                    batch_size = 2;
-                    jobs = 2;
-                  }
-                inst
-            in
-            let s_new =
-              Engine.serve
-                ~config:
-                  (Engine.Config.make ~slice:2e-4 ~exact_fraction:0.1
-                     ~batch_size:2 ~jobs:2 ~departures:false ())
-                inst
-            in
-            Alcotest.(check int) "same records" 0
-              (Stdlib.compare s_old.Engine.records s_new.Engine.records);
-            Alcotest.(check (float 0.0)) "same revenue" s_old.Engine.revenue
-              s_new.Engine.revenue;
-            Alcotest.(check int) "same ticks" s_old.Engine.total_ticks
-              s_new.Engine.total_ticks;
-            Alcotest.(check int) "same events" s_old.Engine.events
-              s_new.Engine.events);
       ] );
   ]
