@@ -104,7 +104,6 @@ type state = {
   params : params;
   budget : Budget.t;  (* shared solve budget: deadline + iteration cap *)
   stats : Rstats.t;
-  sink : Runtime.Trace.sink option;
   prof : Span.recorder option;
   ptk : prof_ticks;
   (* scratch buffers *)
@@ -279,7 +278,6 @@ let equation_residual st =
    recomputes basic values from the nonbasic ones. *)
 let full_refactorize st =
   st.stats.Rstats.refactorizations <- st.stats.Rstats.refactorizations + 1;
-  Runtime.Trace.emit st.sink st.budget Runtime.Trace.Simplex_refactor;
   Basis.factorize st.rep (fun pos f -> col_iter st st.basis.(pos) f);
   st.pivots_since_refactor <- 0;
   tick_factor st (Basis.solve_cost st.rep);
@@ -1192,8 +1190,7 @@ let extract st status =
     final_basis;
   }
 
-let solve ?(params = default_params) ?budget ?stats ?trace ?prof ?lb ?ub ?warm
-    sf =
+let solve ?(params = default_params) ?budget ?stats ?prof ?lb ?ub ?warm sf =
   let budget = budget_of_params ?budget params in
   let stats = match stats with Some s -> s | None -> Rstats.create () in
   stats.Rstats.lp_solves <- stats.Rstats.lp_solves + 1;
@@ -1246,7 +1243,6 @@ let solve ?(params = default_params) ?budget ?stats ?trace ?prof ?lb ?ub ?warm
       params;
       budget;
       stats;
-      sink = trace;
       prof;
       ptk = fresh_ptk ();
       w = Array.make m 0.0;
@@ -1292,9 +1288,9 @@ let solve ?(params = default_params) ?budget ?stats ?trace ?prof ?lb ?ub ?warm
     emit_prof_leaves st;
     res
 
-let solve_model ?params ?budget ?stats ?trace ?prof m =
+let solve_model ?params ?budget ?stats ?prof m =
   let sf = Std_form.of_model m in
-  solve ?params ?budget ?stats ?trace ?prof sf
+  solve ?params ?budget ?stats ?prof sf
 
 (* --- persistent sessions ----------------------------------------------- *)
 
@@ -1309,7 +1305,7 @@ let create_session ?(params = default_params) sf =
 
 let session_std_form session = session.s_sf
 
-let fresh_state sf params budget stats sink prof lb ub =
+let fresh_state sf params budget stats prof lb ub =
   let m = sf.Std_form.n_rows in
   let n_total = Std_form.n_total sf in
   {
@@ -1332,7 +1328,6 @@ let fresh_state sf params budget stats sink prof lb ub =
     params;
     budget;
     stats;
-    sink;
     prof;
     ptk = fresh_ptk ();
     w = Array.make m 0.0;
@@ -1462,7 +1457,7 @@ let session_add_columns session ?budget ?stats cols =
     sf'
   end
 
-let session_solve session ?time_limit ?budget ?stats ?trace ?prof ?warm
+let session_solve session ?time_limit ?budget ?stats ?prof ?warm
     ?(primal = false) ~lb ~ub () =
   let sf = session.s_sf in
   let n_total = Std_form.n_total sf in
@@ -1494,7 +1489,7 @@ let session_solve session ?time_limit ?budget ?stats ?trace ?prof ?warm
     res
   in
   let cold_solve () =
-    let st = fresh_state sf params budget stats trace prof lb ub in
+    let st = fresh_state sf params budget stats prof lb ub in
     repair_crossed_bounds st;
     session.s_state <- Some st;
     let status =
@@ -1508,7 +1503,7 @@ let session_solve session ?time_limit ?budget ?stats ?trace ?prof ?warm
     finish st status
   in
   if !crossed then begin
-    let st = fresh_state sf params budget stats trace prof lb ub in
+    let st = fresh_state sf params budget stats prof lb ub in
     extract st Infeasible
   end
   else
@@ -1524,7 +1519,7 @@ let session_solve session ?time_limit ?budget ?stats ?trace ?prof ?warm
       let st =
         match session.s_state with
         | None ->
-          let st = fresh_state sf params budget stats trace prof lb ub in
+          let st = fresh_state sf params budget stats prof lb ub in
           repair_crossed_bounds st;
           st
         | Some st ->
@@ -1533,7 +1528,7 @@ let session_solve session ?time_limit ?budget ?stats ?trace ?prof ?warm
           st.degenerate_run <- 0;
           st.cand_n <- 0;
           reset_ptk st.ptk;
-          let st = { st with params; budget; stats; sink = trace; prof } in
+          let st = { st with params; budget; stats; prof } in
           rebound_state st lb ub;
           st
       in
@@ -1565,7 +1560,7 @@ let session_solve session ?time_limit ?budget ?stats ?trace ?prof ?warm
         st.bland <- false;
         st.degenerate_run <- 0;
         reset_ptk st.ptk;
-        let st = { st with params; budget; stats; sink = trace; prof } in
+        let st = { st with params; budget; stats; prof } in
         session.s_state <- Some st;
         rebound_state st lb ub;
         reset_devex st;

@@ -78,7 +78,6 @@ val solve :
   ?params:params ->
   ?budget:Runtime.Budget.t ->
   ?stats:Runtime.Stats.t ->
-  ?trace:Runtime.Trace.sink ->
   ?prof:Runtime.Span.recorder ->
   ?lb:float array ->
   ?ub:float array ->
@@ -96,7 +95,7 @@ val solve :
     pivot ticks the budget clock (deterministic time advances per pivot).
     Without it a private budget is derived from [params.time_limit].
     [?stats] accumulates pivots, refactorizations and LP-solve counts into
-    the caller's counters; [?trace] receives refactorization events.
+    the caller's counters.
 
     [?prof] records one ["lp"] span per solve with a
     factorize/ftran/btran/pricing leaf breakdown of the ticks the solve
@@ -107,7 +106,6 @@ val solve_model :
   ?params:params ->
   ?budget:Runtime.Budget.t ->
   ?stats:Runtime.Stats.t ->
-  ?trace:Runtime.Trace.sink ->
   ?prof:Runtime.Span.recorder ->
   Model.t ->
   result
@@ -155,7 +153,6 @@ val session_solve :
   ?time_limit:float ->
   ?budget:Runtime.Budget.t ->
   ?stats:Runtime.Stats.t ->
-  ?trace:Runtime.Trace.sink ->
   ?prof:Runtime.Span.recorder ->
   ?warm:basis ->
   ?primal:bool ->
@@ -167,7 +164,7 @@ val session_solve :
     [Std_form.n_total]).  Falls back to a cold start internally whenever
     the carried basis is unusable; the result is always as authoritative
     as a fresh {!solve}.  [?budget] takes precedence over [?time_limit];
-    [?stats]/[?trace]/[?prof] as in {!solve}.
+    [?stats]/[?prof] as in {!solve}.
 
     Without [?warm] the re-solve warm-starts from whatever basis the
     session's {e previous} solve left behind — fastest when consecutive

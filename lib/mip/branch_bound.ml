@@ -3,7 +3,6 @@ let src = Logs.Src.create "mip" ~doc:"branch and bound"
 module Log = (val Logs.src_log src : Logs.LOG)
 module Budget = Runtime.Budget
 module Rstats = Runtime.Stats
-module Trace = Runtime.Trace
 module Pool = Runtime.Pool
 module Span = Runtime.Span
 module Metrics = Runtime.Metrics
@@ -118,11 +117,10 @@ type search = {
   budget : Budget.t;
   search_origin : float;  (* budget elapsed when this search started *)
   stats : Rstats.t;
-  sink : Trace.sink option;
   prof : Span.recorder option;
-  mutable emitted_bound : float;
-      (* last global dual bound reported (internal sense); tracks
-         improvements for the [Bb_bound] trace event *)
+  mutable counted_bound : float;
+      (* last global dual bound counted in [stats.bound_updates]
+         (internal sense) *)
   root_lb : float array;  (* full column space *)
   root_ub : float array;
   wlb : float array array;  (* per-worker bound scratch, resident across *)
@@ -186,7 +184,6 @@ let accept_incumbent s (x : float array) obj =
     s.incumbent_obj <- obj;
     s.incumbent_x <- Some x;
     s.stats.Rstats.incumbents <- s.stats.Rstats.incumbents + 1;
-    Trace.emit s.sink s.budget (Trace.Bb_incumbent { objective = obj });
     Log.debug (fun m -> m "new incumbent: internal obj %g" obj)
   end
 
@@ -248,8 +245,6 @@ let select_batch s k =
          s.nodes <- s.nodes + 1;
          s.stats.Rstats.bb_nodes <- s.stats.Rstats.bb_nodes + 1;
          Budget.tick s.budget;
-         Trace.emit s.sink s.budget
-           (Trace.Bb_node { nodes = s.nodes; bound = node.parent_bound });
          if
            s.nodes > s.params.node_limit
            || Budget.nodes_exhausted s.budget s.nodes
@@ -282,8 +277,8 @@ type eval =
    form, propagator, root bounds, params), bills work to a private budget
    fork and a private stats record, and — when warm-starting — installs
    the node's own parent basis rather than whatever the worker's session
-   held.  No trace sink: sinks are not domain-safe, and the merge emits
-   every search-level event in order. *)
+   held.  Search-level counters (incumbents, bound updates) are left to
+   the merge, which applies them in node-index order. *)
 let eval_node s ~worker ~fork ~fstats ~fprof node =
   Option.iter (fun r -> Span.set_domain r worker) fprof;
   Span.with_ fprof fork "eval" @@ fun () ->
@@ -464,10 +459,9 @@ let run_round s dispatch =
       s.pending_bound <- suffix_min.(i + 1);
       log_progress s;
       let bound = global_bound s s.pending_bound in
-      if bound > s.emitted_bound +. 1e-12 && bound < infinity then begin
-        s.emitted_bound <- bound;
-        s.stats.Rstats.bound_updates <- s.stats.Rstats.bound_updates + 1;
-        Trace.emit s.sink s.budget (Trace.Bb_bound { bound })
+      if bound > s.counted_bound +. 1e-12 && bound < infinity then begin
+        s.counted_bound <- bound;
+        s.stats.Rstats.bound_updates <- s.stats.Rstats.bound_updates + 1
       end;
       let gap =
         gap_of
@@ -481,8 +475,7 @@ let run_round s dispatch =
     done
   end
 
-let solve_form ?(params = default_params) ?initial ?budget ?stats ?trace ?prof
-    sf =
+let solve_form ?(params = default_params) ?initial ?budget ?stats ?prof sf =
   let budget =
     match budget with
     | Some b -> b
@@ -518,9 +511,8 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?trace ?prof
       budget;
       search_origin = Budget.elapsed budget;
       stats;
-      sink = trace;
       prof;
-      emitted_bound = neg_infinity;
+      counted_bound = neg_infinity;
       root_lb = Array.append (Array.sub sf.Lp.Std_form.lb 0 n_total) [||];
       root_ub = Array.append (Array.sub sf.Lp.Std_form.ub 0 n_total) [||];
       wlb = Array.init jobs (fun _ -> Array.make n_total 0.0);
@@ -539,8 +531,6 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?trace ?prof
     s.incumbent_obj <- structural_objective sf x;
     s.incumbent_x <- Some (Array.copy x);
     s.stats.Rstats.incumbents <- s.stats.Rstats.incumbents + 1;
-    Trace.emit s.sink s.budget
-      (Trace.Bb_incumbent { objective = s.incumbent_obj });
     Log.info (fun m -> m "seeded incumbent: internal obj %g" s.incumbent_obj)
   | Some _ ->
     Log.warn (fun m -> m "seed incumbent rejected (infeasible or fractional)")
@@ -594,6 +584,6 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?trace ?prof
     stats;
   }
 
-let solve ?params ?initial ?budget ?stats ?trace ?prof m =
-  solve_form ?params ?initial ?budget ?stats ?trace ?prof
+let solve ?params ?initial ?budget ?stats ?prof m =
+  solve_form ?params ?initial ?budget ?stats ?prof
     (Lp.Std_form.of_model m)

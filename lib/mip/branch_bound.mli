@@ -14,12 +14,9 @@
     conditions) happen on the calling domain, and each node LP warm-starts
     from its own parent basis on a private budget fork, the entire search
     — status, objective, best bound, node count, work-clock ticks — is
-    identical at every [jobs] level (see DESIGN.md §7).
-
-    Node-LP simplex trace events are not forwarded under this scheme
-    (trace sinks are not domain-safe); the search-level [Bb_node] /
-    [Bb_incumbent] / [Bb_bound] events are emitted, in deterministic
-    order, at any [jobs] level. *)
+    identical at every [jobs] level (see DESIGN.md §7).  So are the
+    search counters ([bb_nodes], [incumbents], [bound_updates] in
+    {!Runtime.Stats}): the calling domain updates them in merge order. *)
 
 type status =
   | Optimal        (** search exhausted; incumbent proved optimal *)
@@ -87,7 +84,6 @@ val solve_form :
   ?initial:float array ->
   ?budget:Runtime.Budget.t ->
   ?stats:Runtime.Stats.t ->
-  ?trace:Runtime.Trace.sink ->
   ?prof:Runtime.Span.recorder ->
   Lp.Std_form.t ->
   result
@@ -100,8 +96,8 @@ val solve_form :
     caps govern the whole search {e including} every node LP (which bill
     pivots against the same clock).  Without it a private budget is
     derived from [params.time_limit]/[params.node_limit].  [?stats]
-    accumulates node/incumbent/LP counters into the caller's record;
-    [?trace] receives node, incumbent and bound-update events.
+    accumulates node/incumbent/bound-update/LP counters into the caller's
+    record.
 
     [?prof] records per-round ["select"]/["eval"]/["merge"] spans.  Each
     node is evaluated under its own child recorder (spans tagged with the
@@ -115,7 +111,6 @@ val solve :
   ?initial:float array ->
   ?budget:Runtime.Budget.t ->
   ?stats:Runtime.Stats.t ->
-  ?trace:Runtime.Trace.sink ->
   ?prof:Runtime.Span.recorder ->
   Lp.Model.t ->
   result

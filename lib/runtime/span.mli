@@ -4,9 +4,9 @@
     records the budget's {e work-clock tick} count at entry and exit
     (via {!Budget.ticks} of the budget the instrumented layer already
     bills its work to), an optional wall-clock time, the domain id of
-    the worker that ran it, and its nesting depth.  Like {!Trace},
-    instrumentation sites take a [recorder option] and cost one [match]
-    when profiling is off, so spans stay compiled into the hot loops.
+    the worker that ran it, and its nesting depth.  Instrumentation
+    sites take a [recorder option] and cost one [match] when profiling
+    is off, so spans stay compiled into the hot loops.
 
     {b Determinism.}  Spans never read their own clock: tick stamps come
     from the existing work clock, so a profiled solve makes exactly the

@@ -103,8 +103,6 @@ let merge ~into s =
   into.search_time <- into.search_time +. s.search_time;
   into.service_time <- into.service_time +. s.service_time
 
-let add = merge
-
 let to_string s =
   let base =
     Printf.sprintf

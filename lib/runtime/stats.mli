@@ -73,8 +73,5 @@ val merge : into:t -> t -> unit
     aggregate per-solve stats in the bench harness and to fold per-worker
     records back into the caller's after a parallel batch. *)
 
-val add : into:t -> t -> unit
-(** Alias of {!merge} (historical name). *)
-
 val to_string : t -> string
 (** One-line human-readable rendering (used by the CLI). *)

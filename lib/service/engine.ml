@@ -2,7 +2,6 @@ module B = Runtime.Budget
 module Rstats = Runtime.Stats
 module Span = Runtime.Span
 module Metrics = Runtime.Metrics
-module Trace = Runtime.Trace
 module Instance = Tvnep.Instance
 module Request = Tvnep.Request
 module Solution = Tvnep.Solution
@@ -96,7 +95,6 @@ module Config = struct
     rounding : bool;
     pricing : bool;
     price : Pricing.params;
-    trace : Runtime.Trace.sink option;
     prof : Runtime.Span.recorder option;
   }
 
@@ -106,7 +104,7 @@ module Config = struct
       ?(deterministic = Some default_work_rate) ?(jobs = 1) ?(departures = true)
       ?(reconfigure = false) ?(reconfigure_limit = 2)
       ?(move_cost = 0.1) ?(rounding = false) ?(pricing = false)
-      ?(price = Pricing.default_params) ?trace ?prof () =
+      ?(price = Pricing.default_params) ?prof () =
     if slice <= 0.0 || not (Float.is_finite slice) then
       invalid_arg "Engine.Config.make: non-positive slice";
     if exact_fraction < 0.0 || exact_fraction > 1.0 then
@@ -134,7 +132,6 @@ module Config = struct
       rounding;
       pricing;
       price;
-      trace;
       prof;
     }
 
@@ -699,14 +696,6 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
           Metrics.incr m ("service.rung." ^ rung_to_string proposal.p_rung);
           Metrics.observe m "service.arrival_ticks" (float_of_int ticks)
         | None -> ());
-        Trace.emit config.Config.trace global
-          (Trace.Service_decision
-             {
-               request = req;
-               admitted = proposal.p_admit;
-               level = rung_to_string proposal.p_rung;
-               ticks;
-             });
         records :=
           {
             request = req;

@@ -176,9 +176,6 @@ module Config : sig
             per-request deterministic seed *)
     pricing : bool;                   (** enable the pricing policy *)
     price : Pricing.params;
-    trace : Runtime.Trace.sink option;
-        (** receives a {!Runtime.Trace.Service_decision} per arrival, in
-            event order *)
     prof : Runtime.Span.recorder option;
         (** optional span recorder: each arrival records an ["arrival"]
             span (its width is exactly the record's [ticks]) with
@@ -206,7 +203,6 @@ module Config : sig
     ?rounding:bool ->
     ?pricing:bool ->
     ?price:Pricing.params ->
-    ?trace:Runtime.Trace.sink ->
     ?prof:Runtime.Span.recorder ->
     unit ->
     t

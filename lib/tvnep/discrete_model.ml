@@ -141,7 +141,7 @@ let build ?(options = default_options) inst =
   { model; inst; n_slots; embeddings; start_slot }
 
 let solve ?(options = default_options) ?(mip = Mip.Branch_bound.default_params)
-    ?budget ?stats ?trace inst =
+    ?budget ?stats inst =
   let ticks0 =
     match budget with Some b -> Runtime.Budget.ticks b | None -> 0
   in
@@ -159,7 +159,7 @@ let solve ?(options = default_options) ?(mip = Mip.Branch_bound.default_params)
   in
   Lp.Model.set_objective dm.model Lp.Model.Maximize (Lp.Expr.sum terms);
   let result =
-    Mip.Branch_bound.solve ~params:mip ?budget ?stats ?trace dm.model
+    Mip.Branch_bound.solve ~params:mip ?budget ?stats dm.model
   in
   let solution =
     match result.Mip.Branch_bound.incumbent with

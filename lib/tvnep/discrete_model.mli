@@ -41,9 +41,8 @@ val solve :
   ?mip:Mip.Branch_bound.params ->
   ?budget:Runtime.Budget.t ->
   ?stats:Runtime.Stats.t ->
-  ?trace:Runtime.Trace.sink ->
   Instance.t ->
   Solver.outcome
 (** Builds, applies the access-control objective and optimizes; decodes
     starts back to continuous times (slot index × width).  [?budget] /
-    [?stats] / [?trace] thread through to {!Mip.Branch_bound.solve}. *)
+    [?stats] thread through to {!Mip.Branch_bound.solve}. *)

@@ -188,7 +188,7 @@ let try_schedule ?lp_params ?budget ?stats ?prof inst participants =
       None
   end
 
-let run ?lp_params ?budget ?stats ?trace ?prof ?(preplaced = []) inst =
+let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
   if not (Instance.has_fixed_mappings inst) then
     invalid_arg "Greedy.run: fixed node mappings required";
   let budget = match budget with Some b -> b | None -> Budget.create () in
@@ -268,8 +268,6 @@ let run ?lp_params ?budget ?stats ?trace ?prof ?(preplaced = []) inst =
             with
             | Some flows_of ->
               placed := true;
-              Runtime.Trace.emit trace budget
-                (Runtime.Trace.Greedy_admit { request = req; start = s });
               (* Link allocations of previously accepted requests are
                  recomputed (the paper does the same every iteration). *)
               List.iter (fun a -> a.a_flows <- flows_of a.a_req) !accepted;
@@ -282,8 +280,6 @@ let run ?lp_params ?budget ?stats ?trace ?prof ?(preplaced = []) inst =
     order;
   List.iter
     (fun a ->
-      let r = Instance.request inst a.a_req in
-      ignore r;
       let mapping =
         match Instance.node_mapping inst a.a_req with
         | Some m -> m
@@ -308,5 +304,3 @@ let run ?lp_params ?budget ?stats ?trace ?prof ?(preplaced = []) inst =
     rstats.Rstats.greedy_accepted + List.length !accepted;
   ( solution,
     { lp_solves = !lp_solves; candidates_tried = !candidates_tried; runtime } )
-
-let solve = run

@@ -25,7 +25,6 @@ val run :
   ?lp_params:Lp.Simplex.params ->
   ?budget:Runtime.Budget.t ->
   ?stats:Runtime.Stats.t ->
-  ?trace:Runtime.Trace.sink ->
   ?prof:Runtime.Span.recorder ->
   ?preplaced:(int * float) list ->
   Instance.t ->
@@ -37,28 +36,15 @@ val run :
     so greedy time composes with any exact search run on the same budget.
     [?stats] accumulates [greedy_lp_solves] / [greedy_candidates] /
     [greedy_accepted] / [greedy_time] (plus the usual simplex counters)
-    into the caller's record; [?trace] receives a
-    {!Runtime.Trace.Greedy_admit} event per accepted request; [?prof]
-    records one ["lp"] span (with its category leaves) per probe LP.
+    into the caller's record; [?prof] records one ["lp"] span (with its
+    category leaves) per probe LP.
 
     [?preplaced] pre-accepts the given (request index, start time) pairs
     before the greedy scan begins — the "heavy hitters" of the paper's
     conclusion, scheduled by a rigorous optimization, around which the
-    remaining requests are admitted greedily (see {!Hybrid}).  Their link
-    flows are re-optimized together with every later admission.
+    remaining requests are admitted greedily (the [Hybrid] method of
+    {!Solver.run}).  Their link flows are re-optimized together with
+    every later admission.
     @raise Invalid_argument when the instance has no fixed node mappings,
     a pre-placement is out of range or outside its request's window, or
     the pre-placements are jointly infeasible. *)
-
-val solve :
-  ?lp_params:Lp.Simplex.params ->
-  ?budget:Runtime.Budget.t ->
-  ?stats:Runtime.Stats.t ->
-  ?trace:Runtime.Trace.sink ->
-  ?prof:Runtime.Span.recorder ->
-  ?preplaced:(int * float) list ->
-  Instance.t ->
-  Solution.t * stats
-[@@deprecated "use Solver.run with ~method_:Greedy (or Greedy.run)"]
-(** Alias of {!run}, kept for source compatibility with the pre-service
-    API. *)

@@ -59,7 +59,6 @@ let status_of_string = function
 module Budget = Runtime.Budget
 module Rng = Workload.Rng
 module Rstats = Runtime.Stats
-module Trace = Runtime.Trace
 module Span = Runtime.Span
 
 module Options = struct
@@ -78,7 +77,6 @@ module Options = struct
     rounding : Rounding.params;
     mip : Mip.Branch_bound.params;
     budget : Runtime.Budget.t option;
-    trace : Runtime.Trace.sink option;
     prof : Runtime.Span.recorder option;
   }
 
@@ -89,7 +87,7 @@ module Options = struct
       ?(flow_form = Arc)
       ?(colgen = Colgen_model.default_params)
       ?(rounding = Rounding.default_params)
-      ?(mip = Mip.Branch_bound.default_params) ?budget ?trace ?prof () =
+      ?(mip = Mip.Branch_bound.default_params) ?budget ?prof () =
     if heavy_fraction < 0.0 || heavy_fraction > 1.0 then
       invalid_arg "Solver.Options.make: heavy_fraction outside [0, 1]";
     Rounding.check_params rounding;
@@ -108,7 +106,6 @@ module Options = struct
       rounding;
       mip;
       budget;
-      trace;
       prof;
     }
 
@@ -146,6 +143,31 @@ type outcome = {
 }
 
 and hybrid_detail = { heavy : int list; heavy_outcome : outcome }
+
+(* The outcome of a solve that produced nothing — also, verbatim, the
+   outcome of one whose budget was already exhausted when [run] was
+   entered (the admission service's fallback chain depends on that clean
+   status).  Every method builds its outcome by updating this record;
+   [run] stamps the runtime and ticks. *)
+let blank method_used stats =
+  {
+    status = Budget_exhausted;
+    method_used;
+    mip_status = None;
+    solution = None;
+    objective = None;
+    bound = nan;
+    gap = infinity;
+    runtime = 0.0;
+    ticks = 0;
+    nodes = 0;
+    lp_iterations = 0;
+    model_vars = 0;
+    model_rows = 0;
+    hybrid = None;
+    colgen = None;
+    stats;
+  }
 
 (* One budget per solve: either the caller's, or a private one derived
    from the MIP parameters.  Everything below — model build, greedy
@@ -197,61 +219,165 @@ let validate_forced inst pinned forced =
         invalid_arg "Solver.run: request both pinned and forced")
     forced
 
-let build ?budget inst (o : Options.t) =
-  let fm =
-    match o.Options.kind with
-    | Delta -> Delta_model.build inst
-    | Sigma -> Sigma_model.build inst
-    | Csigma ->
-      Csigma_model.build
-        ~options:
-          {
-            Csigma_model.use_cuts = o.Options.use_cuts;
-            pairwise_cuts = o.Options.pairwise_cuts;
-            relax_integrality = false;
-          }
-        ?prof:o.Options.prof ?budget inst
+(* ------------------------------------------------------------------ *)
+(* The relaxation handle                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* What every LP-based method works over: the arc-flow formulation, or
+   the path-form restricted master grown by column generation
+   ({!Colgen_model}, the Mijumbi et al. path-generation master).  The
+   functions below are the only places the two forms differ; the
+   methods compose over them.  [converged] tracks whether pricing proved
+   that no column can enter, across every generation pass so far. *)
+type relaxation =
+  | Arc_form of Formulation.t
+  | Path_form of { cg : Colgen_model.t; mutable converged : bool }
+
+let formulation = function
+  | Arc_form fm -> fm
+  | Path_form p -> Colgen_model.formulation p.cg
+
+(* The one model build: the formulation (in path form, the restricted
+   master inside a cΣ formulation), the objective, then the pins and
+   forced acceptances.  Rows recorded for pricing keep their indices —
+   objective and pin edits only append rows or touch bounds. *)
+let build_relaxation ?budget inst (o : Options.t) =
+  let csigma =
+    {
+      Csigma_model.use_cuts = o.Options.use_cuts;
+      pairwise_cuts = o.Options.pairwise_cuts;
+      relax_integrality = false;
+    }
   in
+  let prof = o.Options.prof in
+  let r =
+    match (o.Options.flow_form, o.Options.kind) with
+    | Arc, Delta -> Arc_form (Delta_model.build inst)
+    | Arc, Sigma -> Arc_form (Sigma_model.build inst)
+    | Arc, Csigma ->
+      Arc_form (Csigma_model.build ~options:csigma ?prof ?budget inst)
+    | Path, Csigma ->
+      let cg =
+        Colgen_model.build ~options:csigma ~params:o.Options.colgen ?prof
+          ?budget inst
+      in
+      Path_form { cg; converged = false }
+    | Path, (Delta | Sigma) ->
+      invalid_arg "Solver.run: flow_form Path requires the csigma model"
+  in
+  let fm = formulation r in
   let extras = Objective.apply fm o.Options.objective in
+  let fix v x = Lp.Model.fix_var fm.Formulation.model v x in
+  let accept req = fix fm.Formulation.embeddings.(req).Embedding.x_r 1.0 in
   (* Pinned requests: accepted, at exactly the given start.  The duration
      equality rows tie the end variable, and the event-mapping binaries
      are free to realize any ordering consistent with the fixed time. *)
   List.iter
     (fun (req, start) ->
-      Lp.Model.fix_var fm.Formulation.model
-        fm.Formulation.embeddings.(req).Embedding.x_r 1.0;
-      Lp.Model.fix_var fm.Formulation.model fm.Formulation.t_start.(req) start)
+      accept req;
+      fix fm.Formulation.t_start.(req) start)
     o.Options.pinned;
-  List.iter
-    (fun req ->
-      Lp.Model.fix_var fm.Formulation.model
-        fm.Formulation.embeddings.(req).Embedding.x_r 1.0)
-    o.Options.forced;
-  (fm, extras)
+  List.iter accept o.Options.forced;
+  (r, extras)
 
-(* An outcome for a solve that never started: the caller's budget was
-   already exhausted when [run] was entered.  The fallback chain of the
-   admission service depends on getting this clean status instead of a
-   partial solve against a dead clock. *)
-let exhausted_outcome ~method_used stats =
-  {
-    status = Budget_exhausted;
-    method_used;
-    mip_status = None;
-    solution = None;
-    objective = None;
-    bound = nan;
-    gap = infinity;
-    runtime = 0.0;
-    ticks = 0;
-    nodes = 0;
-    lp_iterations = 0;
-    model_vars = 0;
-    model_rows = 0;
-    hybrid = None;
-    colgen = None;
-    stats;
-  }
+let build ?budget inst (o : Options.t) =
+  let r, extras =
+    build_relaxation ?budget inst { o with Options.flow_form = Arc }
+  in
+  (formulation r, extras)
+
+(* The build as a phase of its own. *)
+let relax inst (o : Options.t) ~budget =
+  Span.with_ o.Options.prof budget "build" @@ fun () ->
+  fst (build_relaxation ~budget inst o)
+
+let generate cg (o : Options.t) ~budget ~stats ?fixed () =
+  let mip = o.Options.mip in
+  Span.with_ o.Options.prof budget "colgen" @@ fun () ->
+  Colgen_model.generate ~jobs:mip.Mip.Branch_bound.jobs
+    ~lp_params:mip.Mip.Branch_bound.lp_params ~stats ?prof:o.Options.prof
+    ?fixed ~budget cg
+
+(* The root LP relaxation.  In path form that is the master after root
+   column generation. *)
+let root_lp r (o : Options.t) ~budget ~stats =
+  match r with
+  | Arc_form fm ->
+    Lp.Simplex.solve_model ~budget ~stats ?prof:o.Options.prof
+      fm.Formulation.model
+  | Path_form p ->
+    let gen = generate p.cg o ~budget ~stats () in
+    p.converged <- gen.Colgen_model.converged;
+    gen.Colgen_model.lp
+
+(* The form branch-and-bound searches.  In path form root generation
+   runs first, so every node inherits the root's columns. *)
+let search_form r o ~budget ~stats =
+  match r with
+  | Arc_form fm -> Lp.Std_form.of_model fm.Formulation.model
+  | Path_form p ->
+    ignore (root_lp r o ~budget ~stats);
+    Colgen_model.std_form p.cg
+
+(* Branch-and-price-lite ([colgen.price_at_nodes], path form only):
+   re-price against the incumbent-fixed master and return the enlarged
+   form when new columns entered. *)
+let reprice r (o : Options.t) ~budget ~stats x =
+  match r with
+  | Path_form p
+    when o.Options.colgen.Colgen_model.price_at_nodes
+         && Budget.remaining budget > 0.0 ->
+    let gen = generate p.cg o ~budget ~stats ~fixed:x () in
+    p.converged <- p.converged && gen.Colgen_model.converged;
+    if gen.Colgen_model.generated = 0 then None else Some gen.Colgen_model.sf
+  | _ -> None
+
+(* Greedy seeding lifts the heuristic's per-arc flows into the model's
+   variables; the path master's column space cannot express them. *)
+let seed_lift = function
+  | Arc_form fm -> Some fm.Formulation.lift
+  | Path_form _ -> None
+
+let extract r ~objective value_of =
+  match r with
+  | Arc_form fm -> Formulation.extract_solution fm ~objective value_of
+  | Path_form p -> Colgen_model.extract_solution p.cg ~objective value_of
+
+(* In path form the enlarged form, not the seed model: generated columns
+   count. *)
+let size = function
+  | Arc_form fm ->
+    (Lp.Model.num_vars fm.Formulation.model,
+     Lp.Model.num_constrs fm.Formulation.model)
+  | Path_form p ->
+    let sf = Colgen_model.std_form p.cg in
+    (sf.Lp.Std_form.n_struct, sf.Lp.Std_form.n_rows)
+
+(* An unconverged restricted master under-estimates the full LP: its
+   optimum is not a valid dual bound for the MIP. *)
+let bound_valid = function Arc_form _ -> true | Path_form p -> p.converged
+
+let colgen_stats = function
+  | Arc_form _ -> None
+  | Path_form p ->
+    Some
+      {
+        columns_generated = Colgen_model.columns_generated p.cg;
+        pricing_rounds = Colgen_model.pricing_rounds p.cg;
+        master_flow_columns = Colgen_model.flow_columns p.cg;
+        arc_flow_columns = Colgen_model.arc_flow_columns p.cg;
+        colgen_converged = p.converged;
+      }
+
+(* An outcome carrying the relaxation's model size and colgen counters. *)
+let relaxed_outcome method_used r stats =
+  let model_vars, model_rows = size r in
+  { (blank method_used stats) with
+    model_vars; model_rows; colgen = colgen_stats r }
+
+(* ------------------------------------------------------------------ *)
+(* Methods                                                            *)
+(* ------------------------------------------------------------------ *)
 
 let status_of_mip mip_status ~has_incumbent =
   match (mip_status : Mip.Branch_bound.status) with
@@ -262,17 +388,22 @@ let status_of_mip mip_status ~has_incumbent =
     if has_incumbent then Feasible else Budget_exhausted
   | Mip.Branch_bound.Numerical_failure -> Failed
 
-let run_exact inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
-  let sink = o.Options.trace in
+(* Build, then account the build (measured from the solve's start). *)
+let build_phase inst o ~budget ~stats ~t0 =
+  let r = relax inst o ~budget in
+  stats.Rstats.build_time <-
+    stats.Rstats.build_time +. (Budget.elapsed budget -. t0);
+  r
+
+(* Build, optional greedy seeding, branch-and-bound.  In path form the
+   search runs over the root-generated columns, and with
+   [colgen.price_at_nodes] once more after re-pricing (seeded with the
+   previous incumbent, zero-extended on the new columns — still
+   feasible); the proved bound is then for the MIP over the generated
+   columns. *)
+let run_exact inst (o : Options.t) ~budget ~stats ~t0 =
   let prof = o.Options.prof in
-  Trace.emit sink budget (Trace.Phase_start "build");
-  let fm, _extras =
-    Span.with_ prof budget "build" @@ fun () -> build ~budget inst o
-  in
-  let build_time = Budget.elapsed budget -. t0 in
-  stats.Rstats.build_time <- stats.Rstats.build_time +. build_time;
-  Trace.emit sink budget (Trace.Phase_end ("build", build_time));
-  let model = fm.Formulation.model in
+  let r = build_phase inst o ~budget ~stats ~t0 in
   (* Optional greedy seeding (the combination the paper's conclusion
      proposes): lift the heuristic solution into this model's variables as
      the initial incumbent.  Only meaningful under access control; the MIP
@@ -280,334 +411,112 @@ let run_exact inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
      on the shared budget, so its time counts against the deadline and
      shows up in both [outcome.runtime] and [stats.greedy_time]. *)
   let initial =
-    if
-      o.Options.seed_with_greedy
-      && o.Options.objective = Objective.Access_control
-      && Instance.has_fixed_mappings inst
-    then begin
+    match seed_lift r with
+    | Some lift
+      when o.Options.seed_with_greedy
+           && o.Options.objective = Objective.Access_control
+           && Instance.has_fixed_mappings inst -> (
       Span.with_ prof budget "greedy" @@ fun () ->
-      Trace.emit sink budget (Trace.Phase_start "greedy");
       match
-        Greedy.run ~budget ~stats ?trace:sink ?prof
-          ~preplaced:o.Options.pinned inst
+        Greedy.run ~budget ~stats ?prof ~preplaced:o.Options.pinned inst
       with
-      | greedy_sol, gstats ->
-        Trace.emit sink budget
-          (Trace.Phase_end ("greedy", gstats.Greedy.runtime));
-        Some (fm.Formulation.lift greedy_sol)
+      | greedy_sol, _ -> Some (lift greedy_sol)
       | exception Invalid_argument _ ->
         (* e.g. pinned set jointly infeasible for the heuristic — the MIP
            will discover infeasibility itself. *)
-        Trace.emit sink budget (Trace.Phase_end ("greedy", 0.0));
-        None
-    end
-    else None
+        None)
+    | _ -> None
   in
-  Trace.emit sink budget (Trace.Phase_start "search");
+  let search sf initial =
+    let result =
+      Span.with_ prof budget "search" @@ fun () ->
+      Mip.Branch_bound.solve_form ~params:o.Options.mip ?initial ~budget
+        ~stats ?prof sf
+    in
+    stats.Rstats.search_time <-
+      stats.Rstats.search_time +. result.Mip.Branch_bound.solve_time;
+    result
+  in
+  let result = search (search_form r o ~budget ~stats) initial in
   let result =
-    Span.with_ prof budget "search" @@ fun () ->
-    Mip.Branch_bound.solve ~params:o.Options.mip ?initial ~budget ~stats
-      ?trace:sink ?prof model
-  in
-  stats.Rstats.search_time <-
-    stats.Rstats.search_time +. result.Mip.Branch_bound.solve_time;
-  Trace.emit sink budget
-    (Trace.Phase_end ("search", result.Mip.Branch_bound.solve_time));
-  let solution =
     match result.Mip.Branch_bound.incumbent with
-    | None -> None
-    | Some x ->
-      let value_of id = x.(id) in
-      let objective =
-        match result.Mip.Branch_bound.objective with Some o -> o | None -> nan
-      in
-      Some (Formulation.extract_solution fm ~objective value_of)
+    | None -> result
+    | Some x -> (
+      match reprice r o ~budget ~stats x with
+      | None -> result
+      | Some sf ->
+        let pad = sf.Lp.Std_form.n_struct - Array.length x in
+        search sf (Some (Array.append x (Array.make pad 0.0))))
+  in
+  let objective = result.Mip.Branch_bound.objective in
+  let solution =
+    Option.map
+      (fun x ->
+        extract r ~objective:(Option.value objective ~default:nan)
+          (fun id -> x.(id)))
+      result.Mip.Branch_bound.incumbent
   in
   {
+    (relaxed_outcome Exact r stats) with
     status =
       status_of_mip result.Mip.Branch_bound.status
         ~has_incumbent:(solution <> None);
-    method_used = Exact;
     mip_status = Some result.Mip.Branch_bound.status;
     solution;
-    objective = result.Mip.Branch_bound.objective;
+    objective;
     bound = result.Mip.Branch_bound.best_bound;
     gap = result.Mip.Branch_bound.gap;
-    (* One-clock accounting: the elapsed delta on the shared budget covers
-       build + greedy seeding + search, not just the B&B loop. *)
-    runtime = Budget.elapsed budget -. t0;
-    ticks = Budget.ticks budget - ticks0;
     nodes = result.Mip.Branch_bound.nodes;
     lp_iterations = result.Mip.Branch_bound.lp_iterations;
-    model_vars = Lp.Model.num_vars model;
-    model_rows = Lp.Model.num_constrs model;
-    hybrid = None;
-    colgen = None;
-    stats;
   }
 
-let run_lp_only inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
-  let sink = o.Options.trace in
-  let prof = o.Options.prof in
-  Trace.emit sink budget (Trace.Phase_start "build");
-  let fm, _extras =
-    Span.with_ prof budget "build" @@ fun () -> build ~budget inst o
-  in
-  let build_time = Budget.elapsed budget -. t0 in
-  stats.Rstats.build_time <- stats.Rstats.build_time +. build_time;
-  Trace.emit sink budget (Trace.Phase_end ("build", build_time));
-  let result =
-    Lp.Simplex.solve_model ~budget ~stats ?trace:sink ?prof
-      fm.Formulation.model
-  in
+(* The root LP relaxation.  [Optimal] only when its value is the full LP
+   relaxation's: always in arc form, and in path form when generation
+   converged — a round-cap/tailing-off exit yields the restricted
+   master's optimum, reported as [Feasible]. *)
+let run_lp_only inst (o : Options.t) ~budget ~stats ~t0 =
+  let r = build_phase inst o ~budget ~stats ~t0 in
+  let lp = root_lp r o ~budget ~stats in
   let status, objective =
-    match result.Lp.Simplex.status with
-    | Lp.Simplex.Optimal -> (Optimal, Some result.Lp.Simplex.objective)
+    match lp.Lp.Simplex.status with
+    | Lp.Simplex.Optimal ->
+      ( (if bound_valid r then Optimal else Feasible),
+        Some lp.Lp.Simplex.objective )
     | Lp.Simplex.Infeasible -> (Infeasible, None)
     | Lp.Simplex.Unbounded -> (Unbounded, None)
     | Lp.Simplex.Iter_limit | Lp.Simplex.Time_limit -> (Budget_exhausted, None)
     | Lp.Simplex.Numerical_failure -> (Failed, None)
   in
   {
+    (relaxed_outcome Lp_only r stats) with
     status;
-    method_used = Lp_only;
-    mip_status = None;
-    solution = None;
     objective;
-    bound =
-      (match objective with Some v -> v | None -> nan);
-    gap = (match status with Optimal -> 0.0 | _ -> infinity);
-    runtime = Budget.elapsed budget -. t0;
-    ticks = Budget.ticks budget - ticks0;
-    nodes = 0;
-    lp_iterations = result.Lp.Simplex.iterations;
-    model_vars = Lp.Model.num_vars fm.Formulation.model;
-    model_rows = Lp.Model.num_constrs fm.Formulation.model;
-    hybrid = None;
-    colgen = None;
-    stats;
+    bound = Option.value objective ~default:nan;
+    gap = (if status = Optimal then 0.0 else infinity);
+    lp_iterations = stats.Rstats.simplex_iterations;
   }
 
-let run_greedy inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
+(* The heuristic proves no bound; [Feasible] unless the clock died
+   mid-scan (a partial scan may have skipped admissible requests). *)
+let heuristic_status budget =
+  if Budget.remaining budget <= 0.0 then Budget_exhausted else Feasible
+
+let run_greedy inst (o : Options.t) ~budget ~stats =
   if not (Instance.has_fixed_mappings inst) then
     invalid_arg "Solver.run: Greedy requires fixed node mappings";
   if o.Options.forced <> [] then
     invalid_arg "Solver.run: forced requests are not supported with Greedy";
-  let sink = o.Options.trace in
   let prof = o.Options.prof in
-  Trace.emit sink budget (Trace.Phase_start "greedy");
-  let solution, gstats =
+  let solution, _ =
     Span.with_ prof budget "greedy" @@ fun () ->
-    Greedy.run ~budget ~stats ?trace:sink ?prof ~preplaced:o.Options.pinned
-      inst
+    Greedy.run ~budget ~stats ?prof ~preplaced:o.Options.pinned inst
   in
-  Trace.emit sink budget (Trace.Phase_end ("greedy", gstats.Greedy.runtime));
   {
-    (* The heuristic proves no bound; [Feasible] unless the clock died
-       mid-scan (a partial scan may have skipped admissible requests). *)
-    status =
-      (if Budget.remaining budget <= 0.0 then Budget_exhausted else Feasible);
-    method_used = Greedy;
-    mip_status = None;
+    (blank Greedy stats) with
+    status = heuristic_status budget;
     solution = Some solution;
     objective = Some solution.Solution.objective;
-    bound = nan;
-    gap = infinity;
-    runtime = Budget.elapsed budget -. t0;
-    ticks = Budget.ticks budget - ticks0;
-    nodes = 0;
     lp_iterations = stats.Rstats.simplex_iterations;
-    model_vars = 0;
-    model_rows = 0;
-    hybrid = None;
-    colgen = None;
-    stats;
-  }
-
-(* --- path-form (column generation) dispatch ------------------------- *)
-
-let colgen_stats_of cg ~converged =
-  Some
-    {
-      columns_generated = Colgen_model.columns_generated cg;
-      pricing_rounds = Colgen_model.pricing_rounds cg;
-      master_flow_columns = Colgen_model.flow_columns cg;
-      arc_flow_columns = Colgen_model.arc_flow_columns cg;
-      colgen_converged = converged;
-    }
-
-(* Path-form counterpart of [build]: the restricted master replaces the
-   arc-flow embeddings, everything downstream (objective, pins) is
-   applied the same way.  Rows recorded for pricing keep their indices —
-   objective/pin edits only append rows or touch bounds. *)
-let build_path ?budget inst (o : Options.t) =
-  if o.Options.kind <> Csigma then
-    invalid_arg "Solver.run: flow_form Path requires the csigma model";
-  let cg =
-    Colgen_model.build
-      ~options:
-        {
-          Csigma_model.use_cuts = o.Options.use_cuts;
-          pairwise_cuts = o.Options.pairwise_cuts;
-          relax_integrality = false;
-        }
-      ~params:o.Options.colgen ?prof:o.Options.prof ?budget inst
-  in
-  let fm = Colgen_model.formulation cg in
-  let extras = Objective.apply fm o.Options.objective in
-  List.iter
-    (fun (req, start) ->
-      Lp.Model.fix_var fm.Formulation.model
-        fm.Formulation.embeddings.(req).Embedding.x_r 1.0;
-      Lp.Model.fix_var fm.Formulation.model fm.Formulation.t_start.(req) start)
-    o.Options.pinned;
-  List.iter
-    (fun req ->
-      Lp.Model.fix_var fm.Formulation.model
-        fm.Formulation.embeddings.(req).Embedding.x_r 1.0)
-    o.Options.forced;
-  (cg, extras)
-
-let colgen_build_phase inst (o : Options.t) ~budget ~stats ~t0 =
-  let sink = o.Options.trace in
-  let prof = o.Options.prof in
-  Trace.emit sink budget (Trace.Phase_start "build");
-  let cg, _extras =
-    Span.with_ prof budget "build" @@ fun () -> build_path ~budget inst o
-  in
-  let build_time = Budget.elapsed budget -. t0 in
-  stats.Rstats.build_time <- stats.Rstats.build_time +. build_time;
-  Trace.emit sink budget (Trace.Phase_end ("build", build_time));
-  cg
-
-let colgen_generate_phase cg (o : Options.t) ~budget ~stats ?fixed () =
-  let sink = o.Options.trace in
-  let prof = o.Options.prof in
-  Trace.emit sink budget (Trace.Phase_start "colgen");
-  let t_cg = Budget.elapsed budget in
-  let gen =
-    Span.with_ prof budget "colgen" @@ fun () ->
-    Colgen_model.generate ~jobs:o.Options.mip.Mip.Branch_bound.jobs
-      ~lp_params:o.Options.mip.Mip.Branch_bound.lp_params ~stats ?prof ?fixed
-      ~budget cg
-  in
-  Trace.emit sink budget
-    (Trace.Phase_end ("colgen", Budget.elapsed budget -. t_cg));
-  gen
-
-(* Exact solve over the path master: root column generation on the LP
-   relaxation, then branch-and-bound on the enlarged standard form —
-   every node inherits the root's columns.  With [colgen.price_at_nodes]
-   a branch-and-price-lite second pass re-prices against the
-   incumbent-fixed master LP and re-runs the search once when new
-   columns enter (seeded with the previous incumbent, zero-extended on
-   the new columns — still feasible).  Note the proved bound is for the
-   MIP over the generated columns; at the root LP it coincides with the
-   full arc-form bound once generation converged. *)
-let run_exact_path inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
-  let sink = o.Options.trace in
-  let prof = o.Options.prof in
-  let cg = colgen_build_phase inst o ~budget ~stats ~t0 in
-  let root = colgen_generate_phase cg o ~budget ~stats () in
-  let converged = ref root.Colgen_model.converged in
-  let search sf initial =
-    Trace.emit sink budget (Trace.Phase_start "search");
-    let result =
-      Span.with_ prof budget "search" @@ fun () ->
-      Mip.Branch_bound.solve_form ~params:o.Options.mip ?initial ~budget
-        ~stats ?trace:sink ?prof sf
-    in
-    stats.Rstats.search_time <-
-      stats.Rstats.search_time +. result.Mip.Branch_bound.solve_time;
-    Trace.emit sink budget
-      (Trace.Phase_end ("search", result.Mip.Branch_bound.solve_time));
-    result
-  in
-  let result = search root.Colgen_model.sf None in
-  let result =
-    match result.Mip.Branch_bound.incumbent with
-    | Some x
-      when o.Options.colgen.Colgen_model.price_at_nodes
-           && Budget.remaining budget > 0.0 ->
-      let re = colgen_generate_phase cg o ~budget ~stats ~fixed:x () in
-      converged := !converged && re.Colgen_model.converged;
-      if re.Colgen_model.generated = 0 then result
-      else begin
-        let pad =
-          re.Colgen_model.sf.Lp.Std_form.n_struct - Array.length x
-        in
-        search re.Colgen_model.sf (Some (Array.append x (Array.make pad 0.0)))
-      end
-    | _ -> result
-  in
-  let sf = Colgen_model.std_form cg in
-  let solution =
-    match result.Mip.Branch_bound.incumbent with
-    | None -> None
-    | Some x ->
-      let value_of id = x.(id) in
-      let objective =
-        match result.Mip.Branch_bound.objective with Some o -> o | None -> nan
-      in
-      Some (Colgen_model.extract_solution cg ~objective value_of)
-  in
-  {
-    status =
-      status_of_mip result.Mip.Branch_bound.status
-        ~has_incumbent:(solution <> None);
-    method_used = Exact;
-    mip_status = Some result.Mip.Branch_bound.status;
-    solution;
-    objective = result.Mip.Branch_bound.objective;
-    bound = result.Mip.Branch_bound.best_bound;
-    gap = result.Mip.Branch_bound.gap;
-    runtime = Budget.elapsed budget -. t0;
-    ticks = Budget.ticks budget - ticks0;
-    nodes = result.Mip.Branch_bound.nodes;
-    lp_iterations = result.Mip.Branch_bound.lp_iterations;
-    (* The enlarged form, not the seed model: generated columns count. *)
-    model_vars = sf.Lp.Std_form.n_struct;
-    model_rows = sf.Lp.Std_form.n_rows;
-    hybrid = None;
-    colgen = colgen_stats_of cg ~converged:!converged;
-    stats;
-  }
-
-(* Root LP of the path master.  [Optimal] only when generation converged
-   (no column prices in) — that is when the value equals the full LP
-   relaxation; a round-cap/tailing-off exit yields the restricted
-   master's optimum, reported as [Feasible]. *)
-let run_lp_path inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
-  let cg = colgen_build_phase inst o ~budget ~stats ~t0 in
-  let root = colgen_generate_phase cg o ~budget ~stats () in
-  let result = root.Colgen_model.lp in
-  let status, objective =
-    match result.Lp.Simplex.status with
-    | Lp.Simplex.Optimal ->
-      ( (if root.Colgen_model.converged then Optimal else Feasible),
-        Some result.Lp.Simplex.objective )
-    | Lp.Simplex.Infeasible -> (Infeasible, None)
-    | Lp.Simplex.Unbounded -> (Unbounded, None)
-    | Lp.Simplex.Iter_limit | Lp.Simplex.Time_limit -> (Budget_exhausted, None)
-    | Lp.Simplex.Numerical_failure -> (Failed, None)
-  in
-  {
-    status;
-    method_used = Lp_only;
-    mip_status = None;
-    solution = None;
-    objective;
-    bound = (match objective with Some v -> v | None -> nan);
-    gap = (match status with Optimal -> 0.0 | _ -> infinity);
-    runtime = Budget.elapsed budget -. t0;
-    ticks = Budget.ticks budget - ticks0;
-    nodes = 0;
-    lp_iterations = stats.Rstats.simplex_iterations;
-    model_vars = root.Colgen_model.sf.Lp.Std_form.n_struct;
-    model_rows = root.Colgen_model.sf.Lp.Std_form.n_rows;
-    hybrid = None;
-    colgen = colgen_stats_of cg ~converged:root.Colgen_model.converged;
-    stats;
   }
 
 (* --- randomized rounding (Rost–Schmid approximation line) ----------- *)
@@ -624,68 +533,27 @@ let run_lp_path inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
    a floor.  The LP optimum is a valid dual bound for the MIP (arc form,
    or a converged path master), so the outcome reports a genuine gap —
    unlike [Greedy], which proves nothing. *)
-let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
+let run_rounded inst (o : Options.t) ~budget ~stats =
   if not (Instance.has_fixed_mappings inst) then
     invalid_arg "Solver.run: Rounded requires fixed node mappings";
   if o.Options.forced <> [] then
     invalid_arg "Solver.run: forced requests are not supported with Rounded";
-  let sink = o.Options.trace in
   let prof = o.Options.prof in
   let params = o.Options.rounding in
   (* Phase 1: the LP relaxation.  The model is built with integrality
      marks (warm-path sharing with the exact solve), which the simplex
      ignores — exactly how [Lp_only] obtains the relaxation. *)
-  Trace.emit sink budget (Trace.Phase_start "lp_relax");
-  let t_lp = Budget.elapsed budget in
-  let fm, lp_status, lp_objective, value, lp_bound_valid, colgen, model_vars,
-      model_rows =
+  let r, lp =
     Span.with_ prof budget "lp_relax" @@ fun () ->
-    match o.Options.flow_form with
-    | Arc ->
-      let fm, _extras = build ~budget inst o in
-      let result =
-        Lp.Simplex.solve_model ~budget ~stats ?trace:sink ?prof
-          fm.Formulation.model
-      in
-      ( fm,
-        result.Lp.Simplex.status,
-        result.Lp.Simplex.objective,
-        (fun id -> result.Lp.Simplex.x.(id)),
-        true,
-        None,
-        Lp.Model.num_vars fm.Formulation.model,
-        Lp.Model.num_constrs fm.Formulation.model )
-    | Path ->
-      let cg, _extras = build_path ~budget inst o in
-      let root =
-        Colgen_model.generate ~jobs:o.Options.mip.Mip.Branch_bound.jobs
-          ~lp_params:o.Options.mip.Mip.Branch_bound.lp_params ~stats ?prof
-          ~budget cg
-      in
-      let result = root.Colgen_model.lp in
-      ( Colgen_model.formulation cg,
-        result.Lp.Simplex.status,
-        result.Lp.Simplex.objective,
-        (fun id -> result.Lp.Simplex.x.(id)),
-        (* An unconverged restricted master under-estimates the full LP:
-           not a valid dual bound for the MIP. *)
-        root.Colgen_model.converged,
-        colgen_stats_of cg ~converged:root.Colgen_model.converged,
-        root.Colgen_model.sf.Lp.Std_form.n_struct,
-        root.Colgen_model.sf.Lp.Std_form.n_rows )
+    let r = relax inst o ~budget in
+    (r, root_lp r o ~budget ~stats)
   in
-  Trace.emit sink budget
-    (Trace.Phase_end ("lp_relax", Budget.elapsed budget -. t_lp));
   let finish ~status ~bound solution =
     {
+      (relaxed_outcome Rounded r stats) with
       status;
-      method_used = Rounded;
-      mip_status = None;
       solution;
-      objective =
-        (match solution with
-        | Some s -> Some s.Solution.objective
-        | None -> None);
+      objective = Option.map (fun s -> s.Solution.objective) solution;
       bound;
       gap =
         (match solution with
@@ -694,29 +562,18 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
           if diff <= 1e-12 then 0.0
           else diff /. Float.max 1e-10 (Float.abs s.Solution.objective)
         | _ -> infinity);
-      runtime = Budget.elapsed budget -. t0;
-      ticks = Budget.ticks budget - ticks0;
-      nodes = 0;
       lp_iterations = stats.Rstats.simplex_iterations;
-      model_vars;
-      model_rows;
-      hybrid = None;
-      colgen;
-      stats;
     }
-  in
-  let feasible_status () =
-    if Budget.remaining budget <= 0.0 then Budget_exhausted else Feasible
   in
   (* Plain greedy, no rounding guidance: the exhaustion fall-through. *)
   let greedy_fallback ~bound () =
     stats.Rstats.rounding_fallbacks <- stats.Rstats.rounding_fallbacks + 1;
     match
       Span.with_ prof budget "greedy" @@ fun () ->
-      Greedy.run ~budget ~stats ?trace:sink ?prof ~preplaced:o.Options.pinned
-        inst
+      Greedy.run ~budget ~stats ?prof ~preplaced:o.Options.pinned inst
     with
-    | solution, _gstats -> finish ~status:(feasible_status ()) ~bound (Some solution)
+    | solution, _ ->
+      finish ~status:(heuristic_status budget) ~bound (Some solution)
     | exception Invalid_argument _ ->
       (* Pinned set jointly infeasible for the heuristic (possible when
          the clock died under its feasibility LPs). *)
@@ -725,7 +582,7 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
           (if Budget.remaining budget <= 0.0 then Budget_exhausted else Failed)
         ~bound None
   in
-  match lp_status with
+  match lp.Lp.Simplex.status with
   | Lp.Simplex.Infeasible ->
     (* The relaxation is infeasible, hence so is the MIP: a proven
        denial, reported as such so the service chain can stop here. *)
@@ -739,12 +596,13 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
       finish ~status:Budget_exhausted ~bound:nan None
     else greedy_fallback ~bound:nan ()
   | Lp.Simplex.Optimal ->
-    let bound = if lp_bound_valid then lp_objective else nan in
+    let bound = if bound_valid r then lp.Lp.Simplex.objective else nan in
     (* Phase 2: read the convex combination off the fractional point. *)
     let decomp =
       Span.with_ prof budget "decompose" @@ fun () ->
       let skip r = List.mem_assoc r o.Options.pinned in
-      Rounding.decompose ~eps:params.Rounding.eps ~skip inst fm ~value
+      Rounding.decompose ~eps:params.Rounding.eps ~skip inst (formulation r)
+        ~value:(fun id -> lp.Lp.Simplex.x.(id))
     in
     stats.Rstats.rounding_candidates <-
       stats.Rstats.rounding_candidates + Rounding.num_candidates decomp;
@@ -757,47 +615,31 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
       if Budget.remaining budget <= 0.0 then None
       else
         match
-          Greedy.run ~budget ~stats ?trace:sink ?prof
+          Greedy.run ~budget ~stats ?prof
             ~preplaced:(o.Options.pinned @ chosen) inst
         with
-        | solution, _gstats -> Some solution
+        | solution, _ -> Some solution
         | exception Invalid_argument _ -> None
     in
-    let first =
-      Trace.emit sink budget (Trace.Phase_start "round");
-      let t_round = Budget.elapsed budget in
-      let r =
+    let rounded =
+      match
         Span.with_ prof budget "round" @@ fun () ->
         Rounding.round ~rng ~max_repairs:0 ~stats decomp ~realize
-      in
-      Trace.emit sink budget
-        (Trace.Phase_end ("round", Budget.elapsed budget -. t_round));
-      r
-    in
-    let rounded =
-      match first with
-      | Some _ -> first
+      with
+      | Some _ as first -> first
+      | None when params.Rounding.max_repairs = 0 -> None
       | None ->
-        if params.Rounding.max_repairs = 0 then None
-        else begin
-          Trace.emit sink budget (Trace.Phase_start "repair");
-          let t_rep = Budget.elapsed budget in
-          (* The first retry is a repair too; [Rounding.round] only
-             counts the retries between its own attempts. *)
-          stats.Rstats.rounding_repairs <- stats.Rstats.rounding_repairs + 1;
-          let r =
-            Span.with_ prof budget "repair" @@ fun () ->
-            Rounding.round ~rng
-              ~max_repairs:(params.Rounding.max_repairs - 1)
-              ~stats decomp ~realize
-          in
-          Trace.emit sink budget
-            (Trace.Phase_end ("repair", Budget.elapsed budget -. t_rep));
-          r
-        end
+        (* The first retry is a repair too; [Rounding.round] only counts
+           the retries between its own attempts. *)
+        stats.Rstats.rounding_repairs <- stats.Rstats.rounding_repairs + 1;
+        Span.with_ prof budget "repair" @@ fun () ->
+        Rounding.round ~rng
+          ~max_repairs:(params.Rounding.max_repairs - 1)
+          ~stats decomp ~realize
     in
     (match rounded with
-    | Some solution -> finish ~status:(feasible_status ()) ~bound (Some solution)
+    | Some solution ->
+      finish ~status:(heuristic_status budget) ~bound (Some solution)
     | None ->
       if Budget.remaining budget <= 0.0 then
         finish ~status:Budget_exhausted ~bound None
@@ -816,27 +658,34 @@ let rec run inst (o : Options.t) =
   let t0 = Budget.elapsed budget in
   (* A dead budget cannot pay for a model build, let alone a search:
      return the clean exhaustion outcome the fallback chain expects. *)
-  if Budget.remaining budget <= 0.0 then
-    exhausted_outcome ~method_used:o.Options.method_ stats
+  if Budget.remaining budget <= 0.0 then blank o.Options.method_ stats
   else
     (* The root span opens at the same point [ticks0] was read, so its
        width is exactly [outcome.ticks] — which makes the phase tree's
        self-tick total equal the solve's total work ticks. *)
-    Span.with_ o.Options.prof budget "solve" @@ fun () ->
-    match (o.Options.method_, o.Options.flow_form) with
-    | Exact, Arc -> run_exact inst o ~budget ~stats ~ticks0 ~t0
-    | Exact, Path -> run_exact_path inst o ~budget ~stats ~ticks0 ~t0
-    | Lp_only, Arc -> run_lp_only inst o ~budget ~stats ~ticks0 ~t0
-    | Lp_only, Path -> run_lp_path inst o ~budget ~stats ~ticks0 ~t0
-    | Greedy, _ -> run_greedy inst o ~budget ~stats ~ticks0 ~t0
-    | Rounded, _ -> run_rounded inst o ~budget ~stats ~ticks0 ~t0
-    | Hybrid, _ -> run_hybrid inst o ~budget ~stats ~ticks0 ~t0
+    let outcome =
+      Span.with_ o.Options.prof budget "solve" @@ fun () ->
+      match o.Options.method_ with
+      | Exact -> run_exact inst o ~budget ~stats ~t0
+      | Lp_only -> run_lp_only inst o ~budget ~stats ~t0
+      | Greedy -> run_greedy inst o ~budget ~stats
+      | Rounded -> run_rounded inst o ~budget ~stats
+      | Hybrid -> run_hybrid inst o ~budget ~stats
+    in
+    (* One-clock accounting: the elapsed delta on the shared budget
+       covers every phase — build, seeding, search, a hybrid's two
+       passes — never a sum of independent spans. *)
+    {
+      outcome with
+      runtime = Budget.elapsed budget -. t0;
+      ticks = Budget.ticks budget - ticks0;
+    }
 
 (* The heavy-hitter split of the paper's conclusion: rank requests by
    revenue (duration × total node demand), solve the top fraction exactly
    on a nested sub-budget, then admit the rest greedily around the fixed
    heavy schedule, re-optimizing all link flows jointly. *)
-and run_hybrid inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
+and run_hybrid inst (o : Options.t) ~budget ~stats =
   if not (Instance.has_fixed_mappings inst) then
     invalid_arg "Solver.run: Hybrid requires fixed node mappings";
   if o.Options.pinned <> [] then
@@ -867,22 +716,12 @@ and run_hybrid inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
     if heavy = [] then
       (* Nothing heavy: a degenerate, trivially-optimal outcome. *)
       {
+        (blank Exact (Rstats.create ())) with
         status = Optimal;
-        method_used = Exact;
         mip_status = Some Mip.Branch_bound.Optimal;
-        solution = None;
         objective = Some 0.0;
         bound = 0.0;
         gap = 0.0;
-        runtime = 0.0;
-        ticks = 0;
-        nodes = 0;
-        lp_iterations = 0;
-        model_vars = 0;
-        model_rows = 0;
-        hybrid = None;
-        colgen = None;
-        stats = Rstats.create ();
       }
     else
       (* The exact pass gets [mip.time_limit] of whatever remains on the
@@ -898,7 +737,7 @@ and run_hybrid inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
            ~budget:
              (Budget.sub ~time_limit:o.Options.mip.Mip.Branch_bound.time_limit
                 budget)
-           ?trace:o.Options.trace ?prof:o.Options.prof ())
+           ?prof:o.Options.prof ())
   in
   Rstats.merge ~into:stats heavy_outcome.stats;
   (* Fix the schedules the exact pass chose.  Heavy requests it rejected
@@ -913,31 +752,22 @@ and run_hybrid inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
              if a.Solution.accepted then Some (req, a.Solution.t_start)
              else None)
   in
-  let solution, _gstats =
+  let solution, _ =
     Span.with_ o.Options.prof budget "greedy" @@ fun () ->
-    Greedy.run ~budget ~stats ?trace:o.Options.trace ?prof:o.Options.prof
-      ~preplaced inst
+    Greedy.run ~budget ~stats ?prof:o.Options.prof ~preplaced inst
   in
   {
-    status =
-      (if Budget.remaining budget <= 0.0 then Budget_exhausted else Feasible);
-    method_used = Hybrid;
+    (blank Hybrid stats) with
+    status = heuristic_status budget;
     mip_status = heavy_outcome.mip_status;
     solution = Some solution;
     objective = Some solution.Solution.objective;
-    bound = nan;
-    gap = infinity;
-    (* One clock for both passes: the combined runtime is an elapsed delta
-       on the shared budget, never the sum of two independent spans. *)
-    runtime = Budget.elapsed budget -. t0;
-    ticks = Budget.ticks budget - ticks0;
     nodes = heavy_outcome.nodes;
     lp_iterations = stats.Rstats.simplex_iterations;
     model_vars = heavy_outcome.model_vars;
     model_rows = heavy_outcome.model_rows;
     hybrid = Some { heavy; heavy_outcome };
     colgen = heavy_outcome.colgen;
-    stats;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1371,47 +1201,3 @@ let rec outcome_of_json doc =
         colgen;
         stats;
       }
-
-(* ------------------------------------------------------------------ *)
-(* Deprecated pre-[run] surface                                       *)
-(* ------------------------------------------------------------------ *)
-
-type options = {
-  kind : model_kind;
-  objective : Objective.t;
-  use_cuts : bool;
-  pairwise_cuts : bool;
-  seed_with_greedy : bool;
-  mip : Mip.Branch_bound.params;
-  budget : Runtime.Budget.t option;
-  trace : Runtime.Trace.sink option;
-}
-
-let default_options =
-  {
-    kind = Csigma;
-    objective = Objective.Access_control;
-    use_cuts = true;
-    pairwise_cuts = true;
-    seed_with_greedy = false;
-    mip = Mip.Branch_bound.default_params;
-    budget = None;
-    trace = None;
-  }
-
-let options_to_new (o : options) =
-  Options.make ~kind:o.kind ~objective:o.objective ~use_cuts:o.use_cuts
-    ~pairwise_cuts:o.pairwise_cuts ~seed_with_greedy:o.seed_with_greedy
-    ~mip:o.mip ?budget:o.budget ?trace:o.trace ()
-
-let solve inst o = run inst (options_to_new o)
-
-let solve_lp_relaxation inst o =
-  let o' = options_to_new o in
-  (* Derive the budget exactly as [run] does: without this, a caller
-     relying on [mip.time_limit]/[node_limit] (no explicit budget) got an
-     unlimited LP solve here while every other entry point honoured the
-     limits. *)
-  let budget = budget_of_options o' in
-  let fm, _ = build inst o' in
-  Lp.Simplex.solve_model ~budget ?trace:o.trace fm.Formulation.model

@@ -11,9 +11,15 @@
 
     Options are built with the {!Options.make} smart constructor (the
     record is private), so adding a knob is not a breaking change for
-    callers.  The old entry points ([solve], [solve_lp_relaxation],
-    {!Greedy.solve}, {!Hybrid.solve}) survive as thin deprecated
-    wrappers. *)
+    callers.
+
+    Every LP-based method composes over one relaxation of the model,
+    selected by {!Options.t.flow_form}: the arc-flow formulation or the
+    path-form restricted master.  Each method therefore has one code
+    path per relaxation, and each phase is timed one way — as a
+    {!Runtime.Span} when a recorder is attached, with the
+    [build_time]/[search_time]/[greedy_time] totals in {!outcome.stats}
+    that the outcome JSON carries. *)
 
 type model_kind = Delta | Sigma | Csigma
 
@@ -40,9 +46,9 @@ type flow_form =
               paper's formulation *)
   | Path  (** column generation: a path-based restricted master grown by
               shortest-path pricing ({!Colgen_model}).  Requires the cΣ
-              model and fixed node mappings; applies to [Exact] and
-              [Lp_only] (and the hybrid's exact pass).  [Greedy] ignores
-              it. *)
+              model and fixed node mappings; applies to [Exact],
+              [Lp_only] and [Rounded] (and the hybrid's exact pass).
+              [Greedy] ignores it. *)
 
 val flow_form_to_string : flow_form -> string
 val flow_form_of_string : string -> flow_form option
@@ -107,10 +113,6 @@ module Options : sig
             against this single clock, so time limits compose.  A budget
             that is {e already exhausted} yields a clean
             [Budget_exhausted] outcome without building the model. *)
-    trace : Runtime.Trace.sink option;
-        (** optional event sink: phase enter/exit, simplex
-            refactorizations, B&B node / incumbent / bound updates,
-            greedy admissions *)
     prof : Runtime.Span.recorder option;
         (** optional span recorder: the solve records a root ["solve"]
             span (width exactly [outcome.ticks]) with
@@ -136,14 +138,13 @@ module Options : sig
     ?rounding:Rounding.params ->
     ?mip:Mip.Branch_bound.params ->
     ?budget:Runtime.Budget.t ->
-    ?trace:Runtime.Trace.sink ->
     ?prof:Runtime.Span.recorder ->
     unit ->
     t
   (** Defaults: [Exact] cΣ, access control, all cuts, no seeding,
       [heavy_fraction = 0.3], nothing pinned, [Arc] flow form with
       {!Colgen_model.default_params}, {!Rounding.default_params},
-      default MIP parameters, a private budget, no trace, no profiling.
+      default MIP parameters, a private budget, no profiling.
       @raise Invalid_argument for a [heavy_fraction] outside [0, 1] or
       rounding parameters rejected by {!Rounding.check_params}. *)
 
@@ -253,9 +254,11 @@ val build :
   Instance.t ->
   Options.t ->
   Formulation.t * Objective.extras
-(** The assembled MIP without solving it (for inspection/tests); applies
-    [pinned] by fixing acceptance and start variables.  [?budget] only
-    timestamps the build spans when the options carry a profiler. *)
+(** The assembled arc-form MIP without solving it (for inspection/tests),
+    built exactly as [run] builds it: objective applied, [pinned]
+    requests' acceptance and start variables fixed, [forced] requests'
+    acceptance fixed.  [?budget] only timestamps the build spans when the
+    options carry a profiler. *)
 
 (** {2 Versioned JSON encoding}
 
@@ -263,7 +266,7 @@ val build :
     document carrying ["schema_version"] — the encoding used by
     [tvnep_solve --json] and the bench result files.  Non-finite numbers
     are encoded as strings (["inf"], ["nan"]) so decoding round-trips
-    exactly.  Trace sinks are not representable and are omitted. *)
+    exactly. *)
 
 val schema_version : int
 
@@ -273,34 +276,3 @@ val stats_to_json : Runtime.Stats.t -> Statsutil.Json.t
 val stats_of_json : Statsutil.Json.t -> (Runtime.Stats.t, string) result
 val solution_to_json : Solution.t -> Statsutil.Json.t
 val solution_of_json : Statsutil.Json.t -> (Solution.t, string) result
-
-(** {2 Deprecated pre-[run] surface} *)
-
-type options = {
-  kind : model_kind;
-  objective : Objective.t;
-  use_cuts : bool;
-  pairwise_cuts : bool;
-  seed_with_greedy : bool;
-  mip : Mip.Branch_bound.params;
-  budget : Runtime.Budget.t option;
-  trace : Runtime.Trace.sink option;
-}
-[@@deprecated "use Solver.Options.make"]
-
-(* The wrappers below necessarily mention the deprecated [options] type;
-   silence the alert for the rest of this interface only (their own
-   [@@deprecated] marks still fire at external use sites). *)
-[@@@alert "-deprecated"]
-
-val default_options : options
-  [@@deprecated "use Solver.Options.default"]
-
-val solve : Instance.t -> options -> outcome
-  [@@deprecated "use Solver.run"]
-(** [run] with [method_ = Exact]. *)
-
-val solve_lp_relaxation : Instance.t -> options -> Lp.Simplex.result
-  [@@deprecated "use Solver.run with ~method_:Lp_only"]
-(** Root LP relaxation only — kept for its raw {!Lp.Simplex.result}
-    shape; [run] reports the same solve as an {!outcome}. *)

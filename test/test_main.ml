@@ -6,5 +6,5 @@ let () =
    @ Test_workload.suite @ Test_tvnep_types.suite @ Test_depgraph.suite
    @ Test_models.suite @ Test_greedy.suite @ Test_scenario.suite
    @ Test_extensions.suite @ Test_presolve.suite @ Test_runtime.suite
-   @ Test_service.suite @ Test_span.suite @ Test_wrappers.suite
-   @ Test_colgen.suite @ Test_rounding.suite)
+   @ Test_service.suite @ Test_span.suite
+   @ Test_colgen.suite @ Test_rounding.suite @ Test_golden.suite)

@@ -297,23 +297,43 @@ let accounting_tests =
            >= s.Runtime.Stats.greedy_time +. s.Runtime.Stats.build_time
               +. s.Runtime.Stats.search_time -. 1e-9));
     Alcotest.test_case "trace sees the phases in order" `Slow (fun () ->
+        (* The phases are the depth-1 spans under the root [solve]. *)
         let inst = scenario_instance 3L in
-        let sink, collected = Runtime.Trace.collector () in
+        let prof = Runtime.Span.create () in
         let o =
           Tvnep.Solver.run inst
             (Tvnep.Solver.Options.make ~seed_with_greedy:true
                ~budget:(Budget.create ~deterministic:1000.0 ())
-               ~trace:sink ())
+               ~prof ())
         in
         ignore o;
         let phases =
           List.filter_map
-            (function
-              | _, Runtime.Trace.Phase_start name -> Some name | _ -> None)
-            (collected ())
+            (fun (s : Runtime.Span.span) ->
+              if s.Runtime.Span.depth = 1 then Some s.Runtime.Span.name
+              else None)
+            (Runtime.Span.spans prof)
         in
         Alcotest.(check (list string)) "build, greedy, search"
           [ "build"; "greedy"; "search" ] phases);
+    Alcotest.test_case "without a budget, run honours mip.time_limit" `Quick
+      (fun () ->
+        (* No [~budget]: the solve derives its clock from the MIP
+           parameters, so a zero time limit is already exhausted on
+           entry — for the LP relaxation as much as for the search. *)
+        let inst = scenario_instance 3L in
+        let mip = { Mip.Branch_bound.default_params with time_limit = 0.0 } in
+        List.iter
+          (fun method_ ->
+            let o =
+              Tvnep.Solver.run inst
+                (Tvnep.Solver.Options.make ~method_ ~mip ())
+            in
+            let label = Tvnep.Solver.method_to_string method_ in
+            Alcotest.(check string) (label ^ " status") "budget_exhausted"
+              (Tvnep.Solver.status_to_string o.Tvnep.Solver.status);
+            Alcotest.(check int) (label ^ " ticks") 0 o.Tvnep.Solver.ticks)
+          [ Tvnep.Solver.Exact; Tvnep.Solver.Lp_only ]);
     Alcotest.test_case "hybrid combines both passes on one clock" `Slow
       (fun () ->
         let inst = scenario_instance 3L in
