@@ -17,9 +17,12 @@ bench-smoke: build
 	  --no-ablations --no-micro --no-bnb --no-service --no-profile \
 	  --no-colgen
 
-# Deterministic simplex micro bench; writes BENCH_simplex.json (per-case
-# iterations, pivots, work-clock ticks, wall time) and exits nonzero when
-# the emitted file fails validation, so CI catches a malformed bench file.
+# Deterministic simplex micro bench on the default simplex path
+# (Forrest–Tomlin basis, devex partial pricing); writes BENCH_simplex.json
+# (per-case iterations, pivots, work-clock ticks, wall time, node-LP
+# basis-update telemetry).  Exits nonzero when the reach-based sparse
+# solves lose their 2x floor over the dense scans or the emitted file
+# fails validation, so CI catches a malformed bench file.
 bench-micro: build
 	dune exec bench/main.exe -- --no-figures --no-ablations --no-bnb \
 	  --no-service --no-profile --no-colgen
@@ -33,18 +36,18 @@ bench-bnb: build
 	  --no-service --no-profile --no-colgen
 
 # Online service gate: serves one churn stream (arrivals + departures)
-# at jobs 1, 2 and 4 on the deterministic work clock.  Fails if any
-# decision, rung, schedule, migration, tick count or the revenue
-# differs across jobs levels, if any run re-evaluates an arrival
+# once per configuration on the deterministic work clock (the engine
+# decides each arrival once, in event order, so there is no jobs level
+# to sweep).  Fails if any run re-evaluates an arrival
 # (Stats.service_reevals > 0), if fewer than 30% of the arrivals depart
 # inside the stream, if ignoring departures does not strictly lose
 # admissions and revenue, if any rung (exact, greedy, budget, and
 # priced on the dedicated pricing run) never fired, if the rounding
 # ablation regresses (the Rounded chain must decide arrivals at the
-# rounded rung, admit >= the greedy-only chain, spend <= the exact
-# chain's ticks, and be byte-identical at jobs 1/2/4), or if any run's
-# committed state fails the validator; writes BENCH_service.json
-# (schema tvnep-bench-service/4, validated after writing — documents
+# rounded rung, admit >= the greedy-only chain and spend <= the exact
+# chain's ticks), or if any run's committed state fails the validator;
+# writes BENCH_service.json (schema tvnep-bench-service/5, validated
+# after writing — documents
 # without the rounding comparison are rejected).
 bench-service: build
 	dune exec bench/main.exe -- --no-figures --no-ablations --no-micro \
@@ -62,9 +65,9 @@ bench-profile: build
 # Column-generation gate: the path-form restricted master vs the arc-form
 # LP on a ~10x substrate (9x10 grid, 8-vlink requests), deterministic
 # work clock.  Fails unless the converged master matches the arc LP
-# objective, costs strictly fewer work ticks, keeps its flow columns
-# <= 20% of the arc form's, and is byte-identical at jobs 1 and 4;
-# writes and validates BENCH_colgen.json.
+# objective, costs strictly fewer work ticks and keeps its flow columns
+# <= 20% of the arc form's; pricing is serial, so both forms solve once
+# at jobs 1.  Writes and validates BENCH_colgen.json.
 bench-colgen: build
 	dune exec bench/main.exe -- --no-figures --no-ablations --no-micro \
 	  --no-bnb --no-service --no-profile

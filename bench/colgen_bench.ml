@@ -12,13 +12,11 @@
    - work: the colgen solve must cost strictly fewer deterministic work
      ticks than the arc-form solve;
    - size: flow-carrying master columns must stay <= 20% of the arc
-     form's flow-variable count;
-   - determinism: the path-form outcome must be byte-identical (as its
-     versioned JSON document) at jobs = 1 and jobs = 4.
+     form's flow-variable count.
 
-   Results land in BENCH_colgen.json (validated after writing). *)
-
-let jobs_levels = [ 1; 4 ]
+   Both forms solve at jobs = 1: pricing is serial, so the path form has
+   no parallel code to exercise.  Results land in BENCH_colgen.json
+   (validated after writing). *)
 
 (* Maximum allowed master-to-arc flow-column ratio. *)
 let max_column_ratio = 0.20
@@ -37,7 +35,6 @@ let bench_instance () =
 
 type run = {
   flow_form : string;
-  jobs : int;
   status : string;
   objective : float;  (* nan = none *)
   ticks : int;
@@ -49,12 +46,11 @@ type run = {
   arc_flow_columns : int;     (* -1 for the arc form *)
   wall_s : float;
   gc_minor_words : float;
-  json : string;  (* the outcome's versioned JSON document *)
 }
 
-let solve_at ~inst ~time_limit ~flow_form jobs =
+let solve_at ~inst ~time_limit ~flow_form =
   let mip =
-    { Mip.Branch_bound.default_params with time_limit; jobs; log_every = 0 }
+    { Mip.Branch_bound.default_params with time_limit; jobs = 1; log_every = 0 }
   in
   let budget =
     Runtime.Budget.create ~deterministic:Figures.work_rate ~time_limit ()
@@ -72,7 +68,6 @@ let solve_at ~inst ~time_limit ~flow_form jobs =
   let stat f = match cg with Some c -> f c | None -> -1 in
   {
     flow_form = Tvnep.Solver.flow_form_to_string flow_form;
-    jobs;
     status = Tvnep.Solver.status_to_string o.Tvnep.Solver.status;
     objective = Option.value o.Tvnep.Solver.objective ~default:Float.nan;
     ticks = o.Tvnep.Solver.ticks;
@@ -84,21 +79,19 @@ let solve_at ~inst ~time_limit ~flow_form jobs =
     arc_flow_columns = stat (fun c -> c.Tvnep.Solver.arc_flow_columns);
     wall_s;
     gc_minor_words;
-    json = Statsutil.Json.to_string (Tvnep.Solver.outcome_to_json o);
   }
 
 let json_of_runs runs =
   let open Statsutil.Json in
   Obj
     [
-      ("schema", Str "tvnep-bench-colgen/2");
-      ("schema_version", Num 2.0);
+      ("schema", Str "tvnep-bench-colgen/3");
+      ("schema_version", Num 3.0);
       ( "clock",
         Str
           (Printf.sprintf
              "deterministic work ticks (%.0e ticks = 1 budget second)"
              Figures.work_rate) );
-      ("path_identical_across_jobs", Bool true);
       ( "runs",
         List
           (List.map
@@ -106,7 +99,6 @@ let json_of_runs runs =
                Obj
                  [
                    ("flow_form", Str r.flow_form);
-                   ("jobs", Num (float_of_int r.jobs));
                    ("status", Str r.status);
                    ("objective", Num r.objective);
                    ("ticks", Num (float_of_int r.ticks));
@@ -131,7 +123,7 @@ let validate_json_string s =
   | Error msg -> Error ("not valid JSON: " ^ msg)
   | Ok doc -> (
     match (member "schema" doc, member "schema_version" doc) with
-    | Some (Str "tvnep-bench-colgen/2"), Some (Num 2.0) -> (
+    | Some (Str "tvnep-bench-colgen/3"), Some (Num 3.0) -> (
       match Option.bind (member "runs" doc) to_list with
       | None | Some [] -> Error "missing or empty \"runs\" list"
       | Some runs ->
@@ -146,7 +138,7 @@ let validate_json_string s =
                 && (match member "status" r with
                    | Some (Str _) -> true
                    | _ -> false)
-                && num "jobs" && num "objective" && num "ticks"
+                && num "objective" && num "ticks"
                 && num "lp_iterations" && num "model_vars"
                 && num "columns_generated" && num "pricing_rounds"
                 && num "master_flow_columns" && num "arc_flow_columns"
@@ -177,17 +169,12 @@ let run ?json_path ?(time_limit = 120.0) () =
     "\n== Column-generation benchmark (9x10 grid, 8-vlink requests, \
      deterministic work clock) ==\n";
   let inst = bench_instance () in
-  let arc = solve_at ~inst ~time_limit ~flow_form:Tvnep.Solver.Arc 1 in
-  let paths =
-    List.map
-      (fun jobs -> solve_at ~inst ~time_limit ~flow_form:Tvnep.Solver.Path jobs)
-      jobs_levels
-  in
-  let path = List.hd paths in
+  let arc = solve_at ~inst ~time_limit ~flow_form:Tvnep.Solver.Arc in
+  let path = solve_at ~inst ~time_limit ~flow_form:Tvnep.Solver.Path in
   let table =
     Statsutil.Table.create
       ~headers:
-        [ "form"; "jobs"; "status"; "objective"; "LP iters"; "ticks";
+        [ "form"; "status"; "objective"; "LP iters"; "ticks";
           "flow cols"; "gen"; "rounds"; "wall" ]
   in
   List.iter
@@ -195,7 +182,6 @@ let run ?json_path ?(time_limit = 120.0) () =
       Statsutil.Table.add_row table
         [
           r.flow_form;
-          string_of_int r.jobs;
           r.status;
           Printf.sprintf "%g" r.objective;
           string_of_int r.lp_iterations;
@@ -209,7 +195,7 @@ let run ?json_path ?(time_limit = 120.0) () =
            else "-");
           Printf.sprintf "%.3f s" r.wall_s;
         ])
-    (arc :: paths);
+    [ arc; path ];
   Statsutil.Table.print table;
   (* Gate 1: both LPs solved to proved optimality (for the path form that
      means pricing converged — Feasible would be a round-cap exit). *)
@@ -220,7 +206,7 @@ let run ?json_path ?(time_limit = 120.0) () =
           r.flow_form r.status;
         exit 1
       end)
-    (arc :: paths);
+    [ arc; path ];
   (* Gate 2: objective agreement — flow decomposition made observable. *)
   let tol = 1e-6 *. Float.max 1.0 (Float.abs arc.objective) in
   if Float.abs (arc.objective -. path.objective) > tol then begin
@@ -250,25 +236,14 @@ let run ?json_path ?(time_limit = 120.0) () =
       path.arc_flow_columns;
     exit 1
   end;
-  (* Gate 5: the parallel pricing fan-out must not leak into the result —
-     the full versioned JSON document is compared byte for byte. *)
-  List.iter
-    (fun r ->
-      if r.json <> path.json then begin
-        Printf.eprintf
-          "COLGEN GATE: jobs=%d path-form outcome differs from jobs=%d\n"
-          r.jobs path.jobs;
-        exit 1
-      end)
-    paths;
   Printf.printf
     "colgen gate: objective %g matches arc form, %d vs %d ticks (%.2fx), \
-     %d/%d flow columns (%.0f%% of arc), jobs levels byte-identical\n"
+     %d/%d flow columns (%.0f%% of arc)\n"
     path.objective path.ticks arc.ticks
     (float_of_int arc.ticks /. Float.max 1.0 (float_of_int path.ticks))
     path.master_flow_columns path.arc_flow_columns
     (100.0 *. float_of_int path.master_flow_columns
     /. Float.max 1.0 (float_of_int path.arc_flow_columns));
   match json_path with
-  | Some path -> emit_json ~path (arc :: paths)
+  | Some json_path -> emit_json ~path:json_path [ arc; path ]
   | None -> ()

@@ -106,24 +106,12 @@ let cold_lp_case () =
   { name; iterations; pivots; ticks; wall_s = Unix.gettimeofday () -. t0;
     gc_minor_words = Gc.minor_words () -. gw0; per_rep_ticks = per_rep }
 
-(* One re-solve of the plunge trajectory: the work billed plus the
-   solver's verdict, so two parameterizations can be checked for
-   semantic agreement re-solve by re-solve. *)
-type resolve_obs = {
-  ro_pivots : int;
-  ro_ticks : int;
-  ro_status : Lp.Simplex.status;
-  ro_objective : float;
-}
-
 (* The LP hot path of every TVNEP figure: branch-and-bound re-solves of
    the cΣ node LPs.  A persistent session re-optimizes under a
    deterministic sequence of integer-bound fixings that mimics plunging
    (fix a handful of binaries, re-solve after each, back off, repeat), and
-   each re-solve's work-clock ticks are recorded.  Parameterized by the
-   simplex params so the update-form and eta-form representations can run
-   the identical bound trajectory for the A/B gate. *)
-let node_lp_runs params =
+   each re-solve's pivots and work-clock ticks are recorded. *)
+let node_lp_runs () =
   let inst = bench_instance () in
   let fm = Tvnep.Csigma_model.build inst in
   ignore (Tvnep.Objective.apply fm Tvnep.Objective.Access_control);
@@ -137,7 +125,7 @@ let node_lp_runs params =
       (List.init sf.Lp.Std_form.n_struct (fun j -> j))
   in
   let int_cols = Array.of_list int_cols in
-  let session = Lp.Simplex.create_session ~params sf in
+  let session = Lp.Simplex.create_session sf in
   let budget = Runtime.Budget.create ~deterministic:1.0 () in
   let stats = Runtime.Stats.create () in
   (* Root solve primes the session's basis; not part of the measurement. *)
@@ -156,15 +144,11 @@ let node_lp_runs params =
     if Workload.Rng.bool rng then ub.(j) <- lb.(j) else lb.(j) <- ub.(j);
     let pivots0 = stats.Runtime.Stats.simplex_iterations in
     let ticks0 = Runtime.Budget.ticks budget in
-    let r = Lp.Simplex.session_solve session ~budget ~stats ~lb ~ub () in
     (* Infeasible children are normal; what matters is the work billed. *)
+    ignore (Lp.Simplex.session_solve session ~budget ~stats ~lb ~ub ());
     runs :=
-      {
-        ro_pivots = stats.Runtime.Stats.simplex_iterations - pivots0;
-        ro_ticks = Runtime.Budget.ticks budget - ticks0;
-        ro_status = r.Lp.Simplex.status;
-        ro_objective = r.Lp.Simplex.objective;
-      }
+      ( stats.Runtime.Stats.simplex_iterations - pivots0,
+        Runtime.Budget.ticks budget - ticks0 )
       :: !runs
   done;
   (List.rev !runs, stats)
@@ -172,10 +156,9 @@ let node_lp_runs params =
 let node_lp_case () =
   let gw0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let runs, stats = node_lp_runs Lp.Simplex.default_params in
+  let runs, stats = node_lp_runs () in
   let name, iterations, pivots, ticks, per_rep =
-    case_of_runs "node-lp-resolve-csigma-k4"
-      (List.map (fun o -> (o.ro_pivots, o.ro_ticks)) runs)
+    case_of_runs "node-lp-resolve-csigma-k4" runs
   in
   ( { name; iterations; pivots; ticks; wall_s = Unix.gettimeofday () -. t0;
       gc_minor_words = Gc.minor_words () -. gw0; per_rep_ticks = per_rep },
@@ -275,66 +258,11 @@ let kernel_ab_case () =
     ftran_dense_us = median_us (fun b -> Slu.ftran_in_place f ~work b);
   }
 
-(* --- update-form vs eta-form A/B gate ---------------------------------- *)
-
-(* The ISSUE 8 acceptance bar: on the *real* node-LP re-solve sequence
-   (same instance, same plunge trajectory, same devex pricing), the
-   Forrest–Tomlin update representation must beat the product-form eta
-   file it replaced by >= [update_ab_floor] on median work-clock ticks
-   per warm re-solve.  Ticks are deterministic, so this gate is immune to
-   host noise; every re-solve pair is also checked for status and
-   objective agreement at 1e-9, so the gate pins the semantics too. *)
-let update_ab_floor = 1.5
-
-type update_ab = {
-  update_ticks_median : float;  (* Forrest–Tomlin (Updatable_lu) *)
-  eta_ticks_median : float;     (* product-form eta file (Factored_lu) *)
-  update_ticks_total : int;
-  eta_ticks_total : int;
-}
-
-let update_ab_case () =
-  let upd_runs, _ =
-    node_lp_runs
-      { Lp.Simplex.default_params with
-        factorization = Lp.Basis.Updatable_lu }
-  in
-  let eta_runs, _ =
-    node_lp_runs
-      { Lp.Simplex.default_params with factorization = Lp.Basis.Factored_lu }
-  in
-  List.iteri
-    (fun i (u, e) ->
-      let tol = 1e-9 *. Float.max 1.0 (Float.abs e.ro_objective) in
-      if
-        u.ro_status <> e.ro_status
-        || (u.ro_status = Lp.Simplex.Optimal
-           && Float.abs (u.ro_objective -. e.ro_objective) > tol)
-      then begin
-        Printf.eprintf
-          "UPDATE AB MISMATCH: re-solve %d: update-form obj %.12g vs \
-           eta-form obj %.12g\n"
-          i u.ro_objective e.ro_objective;
-        exit 1
-      end)
-    (List.combine upd_runs eta_runs);
-  let med runs =
-    Statsutil.Stats.median
-      (List.map (fun o -> float_of_int o.ro_ticks) runs)
-  in
-  let total runs = List.fold_left (fun acc o -> acc + o.ro_ticks) 0 runs in
-  {
-    update_ticks_median = med upd_runs;
-    eta_ticks_median = med eta_runs;
-    update_ticks_total = total upd_runs;
-    eta_ticks_total = total eta_runs;
-  }
-
-let json_of_cases cases ab uab (stats : Runtime.Stats.t) =
+let json_of_cases cases ab (stats : Runtime.Stats.t) =
   let open Statsutil.Json in
   Obj
     [
-      ("schema", Str "tvnep-bench-simplex/3");
+      ("schema", Str "tvnep-bench-simplex/4");
       ("clock", Str "deterministic work ticks (1 tick = 1 work unit)");
       ( "cases",
         List
@@ -361,15 +289,6 @@ let json_of_cases cases ab uab (stats : Runtime.Stats.t) =
             ("ftran_dense_us", Num ab.ftran_dense_us);
             ("floor", Num kernel_ab_floor);
           ] );
-      ( "update_ab",
-        Obj
-          [
-            ("update_ticks_median", Num uab.update_ticks_median);
-            ("eta_ticks_median", Num uab.eta_ticks_median);
-            ("update_ticks_total", Num (float_of_int uab.update_ticks_total));
-            ("eta_ticks_total", Num (float_of_int uab.eta_ticks_total));
-            ("floor", Num update_ab_floor);
-          ] );
       ( "telemetry",
         Obj
           [
@@ -394,7 +313,7 @@ let validate_json_string s =
   | Error msg -> Error ("not valid JSON: " ^ msg)
   | Ok doc -> (
     match member "schema" doc with
-    | Some (Str "tvnep-bench-simplex/3") -> (
+    | Some (Str "tvnep-bench-simplex/4") -> (
       match Option.bind (member "cases" doc) to_list with
       | None | Some [] -> Error "missing or empty \"cases\" list"
       | Some cases -> (
@@ -424,18 +343,14 @@ let validate_json_string s =
             [ "btran_reach_us"; "btran_dense_us"; "ftran_reach_us";
               "ftran_dense_us"; "floor" ]
             (fun () ->
-              require_obj "update_ab"
-                [ "update_ticks_median"; "eta_ticks_median";
-                  "update_ticks_total"; "eta_ticks_total"; "floor" ]
-                (fun () ->
-                  require_obj "telemetry"
-                    [ "basis_updates"; "spike_fill"; "refactor_fill";
-                      "refactor_drift"; "refactor_forced" ]
-                    (fun () -> Ok (List.length cases))))))
+              require_obj "telemetry"
+                [ "basis_updates"; "spike_fill"; "refactor_fill";
+                  "refactor_drift"; "refactor_forced" ]
+                (fun () -> Ok (List.length cases)))))
     | _ -> Error "missing or unexpected \"schema\"")
 
-let emit_json ~path cases ab uab stats =
-  let doc = json_of_cases cases ab uab stats in
+let emit_json ~path cases ab stats =
+  let doc = json_of_cases cases ab stats in
   let oc = open_out path in
   output_string oc (Statsutil.Json.to_string doc);
   close_out oc;
@@ -492,17 +407,6 @@ let run ?json_path () =
   else
     Printf.printf "kernel A/B gate: >= %.1fx floor passed\n" kernel_ab_floor;
   Printf.printf
-    "\n== Update-form vs eta-form A/B (node-LP re-solve sequence) ==\n";
-  let uab = update_ab_case () in
-  let upd_speedup =
-    uab.eta_ticks_median /. Float.max 1e-9 uab.update_ticks_median
-  in
-  Printf.printf
-    "median ticks/re-solve: Forrest–Tomlin %.0f vs eta-file %.0f (%.2fx); \
-     totals %d vs %d\n"
-    uab.update_ticks_median uab.eta_ticks_median upd_speedup
-    uab.update_ticks_total uab.eta_ticks_total;
-  Printf.printf
     "update telemetry: %d updates, %d spike fill, refactors: %d fill / %d \
      drift / %d forced\n"
     node_stats.Runtime.Stats.basis_updates
@@ -510,17 +414,8 @@ let run ?json_path () =
     node_stats.Runtime.Stats.refactor_fill
     node_stats.Runtime.Stats.refactor_drift
     node_stats.Runtime.Stats.refactor_forced;
-  if upd_speedup < update_ab_floor then begin
-    Printf.eprintf
-      "UPDATE AB REGRESSION: update-form median ticks per re-solve is only \
-       %.2fx the eta-form's (floor %.2fx)\n"
-      upd_speedup update_ab_floor;
-    exit 1
-  end
-  else
-    Printf.printf "update A/B gate: >= %.2fx floor passed\n" update_ab_floor;
   (match json_path with
-  | Some path -> emit_json ~path cases ab uab node_stats
+  | Some path -> emit_json ~path cases ab node_stats
   | None -> ());
   Printf.printf "\n== Microbenchmarks (Bechamel, monotonic clock) ==\n";
   let ols =

@@ -697,7 +697,6 @@ module Sparse = struct
     mutable unnz : int;         (* current off-diagonal entries of U *)
     mutable nnz0 : int;         (* nnz(L)+nnz(U)+n at the last refresh *)
     mutable updates : int;      (* updates applied since the last refresh *)
-    mutable fill_in : int;      (* entries added by those updates *)
     mutable stale : bool;       (* a rejected update left U inconsistent *)
   }
 
@@ -708,7 +707,6 @@ module Sparse = struct
 
   let ft_updates f = f.updates
   let ft_eta_nnz f = f.reta_nnz
-  let ft_fill f = f.fill_in
 
   (* Current factor size relative to the fresh factorization: the fill
      signal that drives the refactorization policy. *)
@@ -752,7 +750,6 @@ module Sparse = struct
     f.unnz <- Array.length base.u_idx;
     f.nnz0 <- nnz base;
     f.updates <- 0;
-    f.fill_in <- 0;
     f.stale <- false
 
   let ft_of_factors base =
@@ -778,7 +775,6 @@ module Sparse = struct
         unnz = 0;
         nnz0 = 0;
         updates = 0;
-        fill_in = 0;
         stale = false;
       }
     in
@@ -1214,7 +1210,6 @@ module Sparse = struct
       f.upos.(t) <- n - 1;
       work := !work + (n - 1 - pt);
       f.updates <- f.updates + 1;
-      f.fill_in <- f.fill_in + !added + !msup;
       ft_clear_spike f;
       Some { upd_work = !work; upd_added = !added + !msup }
     end
@@ -1226,12 +1221,3 @@ let determinant f =
     acc := !acc *. Dense_matrix.get f.lu i i
   done;
   !acc
-
-let condition_estimate f =
-  let mx = ref 0.0 and mn = ref infinity in
-  for i = 0 to f.n - 1 do
-    let d = Float.abs (Dense_matrix.get f.lu i i) in
-    if d > !mx then mx := d;
-    if d < !mn then mn := d
-  done;
-  if !mn = 0.0 then infinity else !mx /. !mn

@@ -1,8 +1,9 @@
-(** Dense LU factorization with partial pivoting.
+(** Dense LU factorization with partial pivoting, and the sparse
+    updatable factors the simplex runs on ({!Sparse}).
 
-    Used to (re)factorize the simplex basis periodically, bounding the
-    numerical drift of the product-form inverse updates, and to solve
-    general small dense systems in tests. *)
+    The dense factorization builds the explicit inverse of the dense
+    test-reference basis ({!Lp.Basis.Dense_inverse}) and solves general
+    small dense systems in tests. *)
 
 type t
 (** An LU factorization [P·A = L·U] of a square matrix. *)
@@ -32,8 +33,8 @@ val inverse : t -> Dense_matrix.t
     Left-looking column LU over an abstract column accessor, kept {e as
     factors} (never expanded to an inverse).  This is the simplex basis
     workhorse: FTRAN/BTRAN run in O(nnz(L)+nnz(U)) against the factors,
-    and the product-form eta file on top of them lives in
-    {!Lp.Basis}. *)
+    and {!Sparse.ft_update} absorbs each simplex pivot into them in place
+    (Forrest–Tomlin); {!Lp.Basis} wraps them for the simplex. *)
 
 module Sparse : sig
   type t
@@ -108,7 +109,7 @@ module Sparse : sig
 
       In-place sparse LU update for a basis column swap: instead of
       appending a product-form eta whose cost every later solve pays,
-      the spike [v = (etas ∘ L)⁻¹ a_q] is eliminated against [U] — the
+      the spike [v = (row etas ∘ L)⁻¹ a_q] is eliminated against [U] — the
       replaced factor column logically moves to the end of the
       triangular order, its row is emptied by one {e row eta}
       [E = I − e_t·mᵀ] of elimination multipliers, and the spike becomes
@@ -146,10 +147,6 @@ module Sparse : sig
   val ft_eta_nnz : ft -> int
   (** Row-eta multiplier entries accumulated since the last refresh. *)
 
-  val ft_fill : ft -> int
-  (** Entries added by updates since the last refresh (spike fill plus
-      eta multipliers) — the fill telemetry counter. *)
-
   val ft_fill_ratio : ft -> float
   (** [ft_nnz] relative to the fresh factorization's nnz: the fill
       signal driving the refactorization policy. *)
@@ -175,6 +172,3 @@ end
 
 val determinant : t -> float
 
-val condition_estimate : t -> float
-(** Cheap lower bound on the 1-norm condition number (ratio of extreme
-    |U| diagonal entries); used to decide when to refactorize. *)

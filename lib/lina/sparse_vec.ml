@@ -24,27 +24,6 @@ let of_assoc pairs =
     value = Array.of_list (List.map snd merged);
   }
 
-let of_dense ?(skip = -1) dense =
-  let n = Array.length dense in
-  (* The zero test is inlined ([Tol.is_zero] is a cross-module call whose
-     float argument would be boxed on every probe): this runs once per
-     simplex pivot over the full eta column. *)
-  let eps = Tol.eps in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    if i <> skip && Float.abs dense.(i) > eps then incr count
-  done;
-  let idx = Array.make !count 0 and value = Array.make !count 0.0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if i <> skip && Float.abs dense.(i) > eps then begin
-      idx.(!k) <- i;
-      value.(!k) <- dense.(i);
-      incr k
-    end
-  done;
-  { idx; value }
-
 let to_assoc v = Array.to_list (Array.map2 (fun i x -> (i, x)) v.idx v.value)
 
 let nnz v = Array.length v.idx

@@ -11,11 +11,6 @@ val of_assoc : (int * float) list -> t
     indices are summed, entries that cancel (within {!Tol.eps}) are
     dropped.  @raise Invalid_argument on a negative index. *)
 
-val of_dense : ?skip:int -> float array -> t
-(** Gathers the non-near-zero entries of a dense vector in one pass;
-    [?skip] omits that index (used to split an eta column from its pivot
-    entry). *)
-
 val to_assoc : t -> (int * float) list
 
 val nnz : t -> int

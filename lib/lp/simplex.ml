@@ -29,10 +29,8 @@ type params = {
   dual_feas_tol : float;
   primal_feas_tol : float;
   factorization : Basis.kind;
-  eta_limit : int;
   fill_limit : float;
   partial_pricing : bool;
-  devex : bool;
 }
 
 let default_params =
@@ -43,10 +41,8 @@ let default_params =
     dual_feas_tol = 1e-7;
     primal_feas_tol = Lina.Tol.feas;
     factorization = Basis.Updatable_lu;
-    eta_limit = 64;
     fill_limit = 3.0;
     partial_pricing = true;
-    devex = true;
   }
 
 type result = {
@@ -96,7 +92,7 @@ type state = {
   vstat : vstat array;
   basis : int array;
   art_sign : float array;
-  rep : Basis.t;  (* basis representation: LU factors + etas, or dense B⁻¹ *)
+  rep : Basis.t;  (* basis representation: FT-updated LU, or dense B⁻¹ *)
   mutable pivots_since_refactor : int;
   mutable iterations : int;
   mutable bland : bool;
@@ -255,7 +251,8 @@ let nonbasic_rhs st =
   rhs
 
 (* Recomputes basic values through the current representation (factors
-   plus eta file): cheap drift control between full refactorizations. *)
+   plus absorbed updates): cheap drift control between full
+   refactorizations. *)
 let recompute_basics st =
   let rhs = nonbasic_rhs st in
   tick_ftran st (Basis.ftran_in_place st.rep rhs);
@@ -274,7 +271,7 @@ let equation_residual st =
   done;
   Lina.Vec.nrm_inf r
 
-(* Refactorizes the basis from scratch (discarding the eta file) and
+(* Refactorizes the basis from scratch (discarding absorbed updates) and
    recomputes basic values from the nonbasic ones. *)
 let full_refactorize st =
   st.stats.Rstats.refactorizations <- st.stats.Rstats.refactorizations + 1;
@@ -305,22 +302,19 @@ let refactorize st =
   end
 
 (* Post-pivot refactorization policy, driven by measured representation
-   growth rather than a fixed pivot count: the eta file's cap for the
-   product-form representation (every solve pays for the whole file), the
-   measured fill ratio for the Forrest–Tomlin representation (solve cost
-   only grows with actual spike/multiplier fill, so updates keep going
-   while the factors stay lean); both get the periodic residual-drift
-   check every [refactor_every] pivots. *)
+   growth rather than a fixed pivot count: the Forrest–Tomlin factors are
+   refactorized when their fill ratio passes [fill_limit] (solve cost only
+   grows with actual spike/multiplier fill, so updates keep going while
+   the factors stay lean; the dense reference never refactorizes for
+   fill), and every [refactor_every] pivots the residual-drift check
+   runs. *)
 let after_basis_update st =
   st.pivots_since_refactor <- st.pivots_since_refactor + 1;
   try
-    let fill_bound =
-      match Basis.kind st.rep with
-      | Basis.Factored_lu -> Basis.eta_count st.rep >= st.params.eta_limit
-      | Basis.Updatable_lu -> Basis.fill_ratio st.rep > st.params.fill_limit
-      | Basis.Dense_inverse -> false
-    in
-    if fill_bound then begin
+    if
+      Basis.kind st.rep = Basis.Updatable_lu
+      && Basis.fill_ratio st.rep > st.params.fill_limit
+    then begin
       st.stats.Rstats.refactor_fill <- st.stats.Rstats.refactor_fill + 1;
       st.ptk.pf_rfill <- st.ptk.pf_rfill + 1;
       full_refactorize st
@@ -346,8 +340,7 @@ let commit_pivot st ~r =
       st.ptk.pf_updates <- st.ptk.pf_updates + 1;
       st.ptk.pf_spike_fill <- st.ptk.pf_spike_fill + added;
       tick_factor st work
-    | Basis.Dense_inverse | Basis.Factored_lu ->
-      st.stats.Rstats.eta_entries <- st.stats.Rstats.eta_entries + added);
+    | Basis.Dense_inverse -> ());
     after_basis_update st
   | Basis.Rejected -> (
     st.stats.Rstats.refactor_forced <- st.stats.Rstats.refactor_forced + 1;
@@ -371,7 +364,7 @@ let compute_duals st =
 (* Returns [Some (j, dir)] for the entering column and its direction of
    movement (+1 increase, -1 decrease), or [None] at (phase) optimality.
 
-   Dantzig pricing over a candidate list: a full sweep picks the global
+   Devex pricing over a candidate list: a full sweep picks the global
    winner and restocks the list with the strongest columns; subsequent
    iterations re-price only the survivors (most stay attractive for
    several pivots), and the next sweep runs when the list dries up — so
@@ -409,15 +402,11 @@ let price st =
     !best
   end
   else begin
-    (* Devex scoring d²/γ_j approximates the steepest-edge criterion;
-       Dantzig |d| remains the A/B reference.  Eligibility already
-       requires |d| beyond the dual tolerance, so the devex floor of 0
-       admits exactly the Dantzig-eligible columns. *)
-    let devex = st.params.devex in
-    let score_of j d =
-      if devex then d *. d /. Float.max 1.0 st.refw.(j) else Float.abs d
-    in
-    let best = ref None and best_score = ref (if devex then 0.0 else tol) in
+    (* Devex scoring d²/γ_j approximates the steepest-edge criterion.
+       Eligibility already requires |d| beyond the dual tolerance, so the
+       score floor of 0 admits every eligible column. *)
+    let score_of j d = d *. d /. Float.max 1.0 st.refw.(j) in
+    let best = ref None and best_score = ref 0.0 in
     let take j d dir =
       let score = score_of j d in
       if score > !best_score then begin
@@ -590,10 +579,10 @@ let pivot_row_scatter st ws rho =
    Returns [true] when it ran: the pivot row ρ it computes doubles as
    the incremental dual update y ← y + (d_q/α_q)·ρ (the same textbook
    step the dual simplex applies), so the caller can skip the per-pivot
-   BTRAN of c_B.  [false] (devex off, Bland active, or a sub-tolerance
+   BTRAN of c_B.  [false] (Bland active, or a sub-tolerance
    α_q) means the duals were not maintained and must be recomputed. *)
 let devex_primal_update st ~q ~r =
-  if st.params.devex && not st.bland then begin
+  if not st.bland then begin
     let alpha_q = st.w.(r) in
     if Float.abs alpha_q > Lina.Tol.pivot then begin
       let gq = Float.max 1.0 st.refw.(q) in
@@ -994,9 +983,8 @@ let dual_optimize st =
     (* Leaving variable: the basic with the worst bound violation, scored
        through the dual devex reference framework (violation²/δ_i — the
        row analogue of the primal's d²/γ_j) unless Bland's rule is
-       active; the plain violation is the A/B reference. *)
+       active, which takes the plain violation. *)
     let r = ref (-1) and best_sc = ref 0.0 and too_high = ref false in
-    let dual_devex = st.params.devex in
     for i = 0 to st.m - 1 do
       let bj = st.basis.(i) in
       let below = st.lb.(bj) -. st.xval.(bj)
@@ -1004,7 +992,7 @@ let dual_optimize st =
       let viol = Float.max below above in
       if viol > tol then begin
         let sc =
-          if dual_devex && not !bland then
+          if not !bland then
             viol *. viol /. Float.max 1.0 st.drefw.(i)
           else viol
         in
@@ -1092,7 +1080,7 @@ let dual_optimize st =
            w = B⁻¹a_q, δ_i ← max(δ_i, (w_i/w_r)²·δ_r), leaving row to
            max(δ_r/w_r², 1); unit-framework restart on overflow.  The
            O(m) sweep rides the iteration's existing max(1,m) charge. *)
-        if dual_devex && not !bland then begin
+        if not !bland then begin
           let dr = Float.max 1.0 st.drefw.(r) in
           let overflow = ref false in
           for i = 0 to st.m - 1 do

@@ -4,26 +4,21 @@
     [min cᵀx  s.t.  A·x = 0,  lb <= x <= ub].  The basis is kept in a
     {!Basis} representation — by default sparse LU factors updated in
     place by a Forrest–Tomlin update per pivot ({!Basis.Updatable_lu}),
-    so FTRAN/BTRAN stay O(nnz(factors)) with no grow-forever eta file;
-    the product-form eta representation ({!Basis.Factored_lu}) and the
-    dense explicit inverse ({!Basis.Dense_inverse}) remain available as
-    A/B reference paths.  Refactorization is driven by measured
-    representation growth — the eta file reaching [eta_limit] (factored)
-    or the fill ratio exceeding [fill_limit] (updatable) — plus the
-    periodic residual check (every [refactor_every] pivots) for drift,
-    and immediately when an update is rejected (singular spike).  Phase 1
-    minimizes the sum of artificial variables introduced only on rows
-    whose logical variable cannot start feasibly.
+    so FTRAN/BTRAN stay O(nnz(factors)); the dense explicit inverse
+    ({!Basis.Dense_inverse}) remains as the test reference.
+    Refactorization is driven by measured representation growth — the
+    fill ratio exceeding [fill_limit] — plus the periodic residual check
+    (every [refactor_every] pivots) for drift, and immediately when an
+    update is rejected (singular spike).  Phase 1 minimizes the sum of
+    artificial variables introduced only on rows whose logical variable
+    cannot start feasibly.
 
-    Pricing: devex reference-framework scoring by default ([devex]) —
-    d²/γ_j in the primal entering choice, violation²/δ_i in the dual
-    leaving choice, weights restarted from the unit framework each solve
-    — over a candidate list refreshed by periodic full sweeps
-    ([partial_pricing], on by default; optimality is only ever declared
-    by a full sweep), with an automatic switch to Bland's full-scan rule
-    after a run of degenerate pivots.  [devex = false] falls back to
-    Dantzig (largest reduced cost / largest violation), kept as the A/B
-    reference. *)
+    Pricing: devex reference-framework scoring — d²/γ_j in the primal
+    entering choice, violation²/δ_i in the dual leaving choice, weights
+    restarted from the unit framework each solve — over a candidate list
+    refreshed by periodic full sweeps ([partial_pricing], on by default;
+    optimality is only ever declared by a full sweep), with an automatic
+    switch to Bland's full-scan rule after a run of degenerate pivots. *)
 
 type status =
   | Optimal
@@ -49,14 +44,10 @@ type params = {
   dual_feas_tol : float;    (** reduced-cost tolerance *)
   primal_feas_tol : float;  (** bound-violation tolerance *)
   factorization : Basis.kind;  (** basis representation (default updatable) *)
-  eta_limit : int;          (** eta columns before a forced refactorization
-                                ({!Basis.Factored_lu} only) *)
   fill_limit : float;       (** factor-size growth ratio before a forced
                                 refactorization ({!Basis.Updatable_lu}
                                 only; fresh factorization = 1.0) *)
   partial_pricing : bool;   (** candidate-list pricing (default on) *)
-  devex : bool;             (** devex reference-framework pricing (default
-                                on); [false] = Dantzig, the A/B reference *)
 }
 
 val default_params : params

@@ -4,7 +4,6 @@ type t = {
   mutable lp_solves : int;
   mutable ftran_nnz : int;
   mutable btran_nnz : int;
-  mutable eta_entries : int;
   mutable basis_updates : int;
   mutable spike_fill : int;
   mutable refactor_fill : int;
@@ -40,7 +39,6 @@ let create () =
     lp_solves = 0;
     ftran_nnz = 0;
     btran_nnz = 0;
-    eta_entries = 0;
     basis_updates = 0;
     spike_fill = 0;
     refactor_fill = 0;
@@ -75,7 +73,6 @@ let merge ~into s =
   into.lp_solves <- into.lp_solves + s.lp_solves;
   into.ftran_nnz <- into.ftran_nnz + s.ftran_nnz;
   into.btran_nnz <- into.btran_nnz + s.btran_nnz;
-  into.eta_entries <- into.eta_entries + s.eta_entries;
   into.basis_updates <- into.basis_updates + s.basis_updates;
   into.spike_fill <- into.spike_fill + s.spike_fill;
   into.refactor_fill <- into.refactor_fill + s.refactor_fill;
@@ -107,17 +104,17 @@ let to_string s =
   let base =
     Printf.sprintf
       "%d LP solves, %d simplex iters, %d refactorizations (%d fill, %d \
-       drift, %d forced) | basis: %d ftran nnz, %d btran nnz, %d eta \
-       entries, %d FT updates, %d spike fill | pricing: %d list hits, %d \
-       sweeps | %d nodes, %d incumbents, %d bound updates | greedy: %d \
-       LPs, %d candidates, %d accepted | phases: greedy %.3fs, build \
-       %.3fs, search %.3fs"
+       drift, %d forced) | basis: %d ftran nnz, %d btran nnz, %d FT \
+       updates, %d spike fill | pricing: %d list hits, %d sweeps | %d \
+       nodes, %d incumbents, %d bound updates | greedy: %d LPs, %d \
+       candidates, %d accepted | phases: greedy %.3fs, build %.3fs, \
+       search %.3fs"
       s.lp_solves s.simplex_iterations s.refactorizations s.refactor_fill
       s.refactor_drift s.refactor_forced s.ftran_nnz s.btran_nnz
-      s.eta_entries s.basis_updates s.spike_fill s.pricing_hits
-      s.pricing_sweeps s.bb_nodes s.incumbents s.bound_updates
-      s.greedy_lp_solves s.greedy_candidates s.greedy_accepted s.greedy_time
-      s.build_time s.search_time
+      s.basis_updates s.spike_fill s.pricing_hits s.pricing_sweeps
+      s.bb_nodes s.incumbents s.bound_updates s.greedy_lp_solves
+      s.greedy_candidates s.greedy_accepted s.greedy_time s.build_time
+      s.search_time
   in
   let base =
     if s.rounding_attempts = 0 then base

@@ -16,12 +16,11 @@ type t = {
   mutable lp_solves : int;           (** LP (re-)solves started *)
   mutable ftran_nnz : int;           (** nonzeros of FTRAN results *)
   mutable btran_nnz : int;           (** nonzeros of BTRAN results *)
-  mutable eta_entries : int;         (** product-form eta entries appended *)
   mutable basis_updates : int;       (** Forrest–Tomlin updates absorbed *)
   mutable spike_fill : int;          (** factor entries added by FT updates
                                          (spike fill + row-eta multipliers) *)
   mutable refactor_fill : int;       (** refactorizations forced by fill
-                                         growth (eta cap / fill ratio) *)
+                                         growth (fill ratio) *)
   mutable refactor_drift : int;      (** refactorizations triggered by the
                                          periodic residual-drift check *)
   mutable refactor_forced : int;     (** refactorizations forced by a

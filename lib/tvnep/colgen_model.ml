@@ -288,24 +288,21 @@ type gen_result = {
   converged : bool;
 }
 
-let generate ?(jobs = 1) ?lp_params ?stats ?prof ?fixed ~budget t =
+let generate ?lp_params ?stats ?prof ?fixed ~budget t =
   let s = session_of t lp_params in
   let sub = t.inst.Instance.substrate in
   let g = Substrate.graph sub in
   let n_nodes = Substrate.num_nodes sub in
   let n_edges = Graphs.Digraph.num_edges g in
-  let n_cm = Array.length t.cm_req in
   let eps = 1e-7 in
   (* Deterministic pricing cost: one array-scan Dijkstra is O(n² + E). *)
   let price_cost = (n_nodes * n_nodes) + n_edges in
-  let tasks = Array.init n_cm Fun.id in
   let rounds0 = t.rounds and gen0 = t.generated in
   let converged = ref false in
   let last_obj = ref nan and tail = ref 0 in
   let continue_ = ref true in
   let first_solve = ref true in
   let result = ref None in
-  Runtime.Pool.with_pool ~jobs:(max 1 jobs) @@ fun pool ->
   while !continue_ do
     let sf = Lp.Simplex.session_std_form s in
     let lb, ub = bounds_for ?fixed sf in
@@ -341,33 +338,23 @@ let generate ?(jobs = 1) ?lp_params ?stats ?prof ?fixed ~budget t =
         let y_int i = factor *. duals.(i) in
         let verdicts =
           Span.with_ prof budget "price" @@ fun () ->
-          (* PR-3 discipline: one fork per task created up front, joined
-             in input order — tick totals are jobs-invariant. *)
-          let forks = Array.init n_cm (fun _ -> Budget.fork budget) in
-          let out =
-            Runtime.Pool.run pool
-              (fun ~worker:_ cm ->
-                let req = t.cm_req.(cm) in
-                let demand = t.cm_demand.(cm) in
-                let rows = t.coup_row.(req) in
-                let arc_cost ls =
-                  Float.max 0.0 (-.demand *. y_int rows.(ls))
-                in
-                let c =
-                  {
-                    Paths.Pricer.src = t.cm_src.(cm);
-                    dst = t.cm_dst.(cm);
-                    arc_cost;
-                    threshold = y_int t.conv_row.(cm);
-                  }
-                in
-                let v = Paths.Pricer.price g c in
-                Budget.tick ~n:price_cost forks.(cm);
-                v)
-              tasks
-          in
-          Array.iter (fun f -> Budget.join ~into:budget f) forks;
-          out
+          Array.mapi
+            (fun cm req ->
+              let demand = t.cm_demand.(cm) in
+              let rows = t.coup_row.(req) in
+              let arc_cost ls = Float.max 0.0 (-.demand *. y_int rows.(ls)) in
+              let c =
+                {
+                  Paths.Pricer.src = t.cm_src.(cm);
+                  dst = t.cm_dst.(cm);
+                  arc_cost;
+                  threshold = y_int t.conv_row.(cm);
+                }
+              in
+              let v = Paths.Pricer.price g c in
+              Budget.tick ~n:price_cost budget;
+              v)
+            t.cm_req
         in
         (* Deterministic column batch: commodity order, deduplicated
            against every column already in the master. *)

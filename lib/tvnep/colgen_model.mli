@@ -76,7 +76,6 @@ type gen_result = {
 }
 
 val generate :
-  ?jobs:int ->
   ?lp_params:Lp.Simplex.params ->
   ?stats:Runtime.Stats.t ->
   ?prof:Runtime.Span.recorder ->
@@ -90,11 +89,9 @@ val generate :
     prices in, the objective tails off, [max_rounds] is hit, or the
     budget dies.
 
-    [?jobs] fans the per-commodity Dijkstras out on a {!Runtime.Pool};
-    each task ticks a private {!Runtime.Budget.fork} joined in commodity
-    order, so tick totals — and everything derived from them — are
-    independent of the worker count.  [?prof] records ["master"],
-    ["price"] and ["add_col"] spans per round.
+    Pricing runs one Dijkstra per commodity, in commodity order, each
+    billed to [budget] at its deterministic O(n² + E) cost.  [?prof]
+    records ["master"], ["price"] and ["add_col"] spans per round.
 
     [?fixed] pins the integer structurals to the (rounded) given point
     before solving — the reprice pass of branch-and-price-lite, where

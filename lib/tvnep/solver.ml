@@ -292,11 +292,9 @@ let relax inst (o : Options.t) ~budget =
   fst (build_relaxation ~budget inst o)
 
 let generate cg (o : Options.t) ~budget ~stats ?fixed () =
-  let mip = o.Options.mip in
   Span.with_ o.Options.prof budget "colgen" @@ fun () ->
-  Colgen_model.generate ~jobs:mip.Mip.Branch_bound.jobs
-    ~lp_params:mip.Mip.Branch_bound.lp_params ~stats ?prof:o.Options.prof
-    ?fixed ~budget cg
+  Colgen_model.generate ~lp_params:o.Options.mip.Mip.Branch_bound.lp_params
+    ~stats ?prof:o.Options.prof ?fixed ~budget cg
 
 (* The root LP relaxation.  In path form that is the master after root
    column generation. *)
@@ -821,7 +819,6 @@ let stats_to_json (s : Rstats.t) =
       ("lp_solves", i s.Rstats.lp_solves);
       ("ftran_nnz", i s.Rstats.ftran_nnz);
       ("btran_nnz", i s.Rstats.btran_nnz);
-      ("eta_entries", i s.Rstats.eta_entries);
       ("basis_updates", i s.Rstats.basis_updates);
       ("spike_fill", i s.Rstats.spike_fill);
       ("refactor_fill", i s.Rstats.refactor_fill);
@@ -881,7 +878,6 @@ let stats_of_json doc =
     let* () = geti "lp_solves" (fun n -> s.Rstats.lp_solves <- n) in
     let* () = geti "ftran_nnz" (fun n -> s.Rstats.ftran_nnz <- n) in
     let* () = geti "btran_nnz" (fun n -> s.Rstats.btran_nnz <- n) in
-    let* () = geti "eta_entries" (fun n -> s.Rstats.eta_entries <- n) in
     let* () = geti "basis_updates" (fun n -> s.Rstats.basis_updates <- n) in
     let* () = geti "spike_fill" (fun n -> s.Rstats.spike_fill <- n) in
     let* () = geti "refactor_fill" (fun n -> s.Rstats.refactor_fill <- n) in

@@ -123,58 +123,57 @@ let run_case c inst =
     digest = Digest.to_hex (Digest.string (json ^ "\n" ^ spans));
   }
 
-(* (case, seed) -> status, objective, ticks, digest; recorded before the
-   solver's arc/path pipelines were folded onto one relaxation handle. *)
+(* (case, seed) -> status, objective, ticks, digest. *)
 let golden =
   [
     ( ("exact/arc", 11L),
-      ("optimal", "51.795098621649423", 249739, "15d848449e8cc97bd15432e759932004") );
+      ("optimal", "51.795098621649423", 249739, "0dd94ad87bcdbd03c32007f68c5f7dad") );
     ( ("exact/arc", 23L),
-      ("optimal", "56.494575488042329", 1305260, "a2fccb64e29b1843fac5b9571f6c6194") );
+      ("optimal", "56.494575488042329", 1305260, "b1310b899dca356a1b8d4d5208bf539e") );
     ( ("exact/path", 11L),
-      ("optimal", "51.795098621649423", 976992, "dd06b2b047b5c98f2d0e23a17a6909ae") );
+      ("optimal", "51.795098621649423", 976992, "e85e679b93412468296d35aebe7b2b04") );
     ( ("exact/path", 23L),
-      ("optimal", "56.494575488042329", 1365018, "93be5114195106fc489abefc8c7596cc") );
+      ("optimal", "56.494575488042329", 1365018, "8996b4eeb9d2ad3923d6d98f952d092a") );
     ( ("lp_only/arc", 11L),
-      ("optimal", "51.795098621649423", 197548, "28f1f404ccd12846190f1fd8b60638b1") );
+      ("optimal", "51.795098621649423", 197548, "55a215fe8e886b0db24bbd91b431a865") );
     ( ("lp_only/arc", 23L),
-      ("optimal", "67.107501332570635", 240128, "ed5d09fc0395c430d7bc1ea951ef33e0") );
+      ("optimal", "67.107501332570635", 240128, "d3b55f29b1bcc3e7af560c0c7b2faf56") );
     ( ("lp_only/path", 11L),
-      ("optimal", "51.795098621649423", 234132, "9dd561f1071e168e7587e49ef8ec98aa") );
+      ("optimal", "51.795098621649423", 234132, "349a16e27f3aefb216435a12106a1649") );
     ( ("lp_only/path", 23L),
-      ("optimal", "67.107501332570635", 291601, "3f7f9e8e99b0870e4d036759e632de59") );
+      ("optimal", "67.107501332570635", 291601, "448cd0a0688bf16d442154ba1ed6e533") );
     ( ("rounded/arc", 11L),
-      ("feasible", "51.795098621649423", 261689, "7a3e31e69357adfedc15f623a6d31d66") );
+      ("feasible", "51.795098621649423", 261689, "022037836bef32907db1d71a8d89e0ab") );
     ( ("rounded/arc", 23L),
-      ("feasible", "56.494575488042329", 277805, "c6de97bb7c24552a74ca91d2a3999a43") );
+      ("feasible", "56.494575488042329", 277805, "5f798a56bf4360d6983b488e4136865c") );
     ( ("rounded/path", 11L),
-      ("feasible", "51.795098621649423", 298273, "7817bf1cf05385c2e5adf61cbb1e4775") );
+      ("feasible", "51.795098621649423", 298273, "5d308c64f6326d50b818f3f2f85dc859") );
     ( ("rounded/path", 23L),
-      ("feasible", "56.494575488042329", 324527, "57562e0e849eb38a12a93659460a5c20") );
+      ("feasible", "56.494575488042329", 324527, "a54db61d06f4347fa86dea04bb278287") );
     ( ("hybrid/arc", 11L),
-      ("feasible", "35.868844969447004", 21244, "00f01aadb4e5bf9898810d0667aff082") );
+      ("feasible", "35.868844969447004", 21244, "c23201642115092f2aa05748a92f4263") );
     ( ("hybrid/arc", 23L),
-      ("feasible", "56.494575488042329", 62308, "c3daff9cd05f9fc17ef7163616793147") );
+      ("feasible", "56.494575488042329", 62308, "60256d83b08507a91c714051ca9b82ad") );
     ( ("hybrid/path", 11L),
-      ("feasible", "35.868844969447004", 31238, "78eeb06716c5416f2fce72b13f1d392b") );
+      ("feasible", "35.868844969447004", 31238, "41f273f02f1066be781ed82b2b1558f0") );
     ( ("hybrid/path", 23L),
-      ("feasible", "56.494575488042329", 71271, "3158744b9419cab485978a0a28069e4e") );
+      ("feasible", "56.494575488042329", 71271, "d1f95c924791f5a769fa5a367ea1a955") );
     ( ("greedy", 11L),
-      ("feasible", "51.795098621649423", 64141, "25cee91c421c3a453c1856a783ba0a98") );
+      ("feasible", "51.795098621649423", 64141, "b93d627df34249942a7475521d4c38a0") );
     ( ("greedy", 23L),
-      ("feasible", "39.777074300504594", 57446, "f6aa5b224c6e6509c3328c8c7a968507") );
+      ("feasible", "39.777074300504594", 57446, "d1c56c00da3333d3a15d39e798af5aac") );
     ( ("exact/arc pinned+forced", 11L),
-      ("optimal", "51.795098621649423", 458549, "11f65b3ea08477b9f6d69369469c7ea7") );
+      ("optimal", "51.795098621649423", 458549, "0929246e65c833885f3f91d63a3fef1a") );
     ( ("exact/arc pinned+forced", 23L),
-      ("optimal", "39.777074300504594", 645544, "33dc9948b858d47afce5e388fa987e99") );
+      ("optimal", "39.777074300504594", 645544, "b94543dbee8a3aabcd4a597b04895f2b") );
     ( ("exact/path pinned+forced", 11L),
-      ("optimal", "51.795098621649423", 599518, "e09c6b568233380fd7425f1e1a3a1883") );
+      ("optimal", "51.795098621649423", 599518, "aef31be8040ab802bd83da67497c7038") );
     ( ("exact/path pinned+forced", 23L),
-      ("optimal", "39.777074300504594", 560826, "113185f156ff1684b9baa64fd1ff31d1") );
+      ("optimal", "39.777074300504594", 560826, "333a7bc24dfeb5f94a10371b5882a921") );
     ( ("exact exhausted on entry", 11L),
-      ("budget_exhausted", "none", 0, "899dcee48ae1b0cd3288ba4d55cbcb31") );
+      ("budget_exhausted", "none", 0, "544b47a333f94c6058adaf8c1981b4a1") );
     ( ("exact exhausted on entry", 23L),
-      ("budget_exhausted", "none", 0, "899dcee48ae1b0cd3288ba4d55cbcb31") );
+      ("budget_exhausted", "none", 0, "544b47a333f94c6058adaf8c1981b4a1") );
   ]
 
 let check_case c =

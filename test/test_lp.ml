@@ -349,15 +349,16 @@ let session_properties =
            !ok));
   ]
 
-(* Basis representations: the factored-LU path (with its eta file and
-   candidate-list pricing) must be numerically interchangeable with the
-   explicit dense inverse it replaced. *)
+(* Basis representations: the Forrest–Tomlin-updated sparse LU must be
+   numerically interchangeable with the explicit dense inverse, the test
+   reference. *)
 
 let basis_tests =
   [
-    Alcotest.test_case "FTRAN/BTRAN round-trip through a long eta file"
-      `Quick (fun () ->
-        let rng = Workload.Rng.create 2024L in
+    Alcotest.test_case
+      "FTRAN/BTRAN round-trip through Forrest–Tomlin updates" `Quick
+      (fun () ->
+        let rng = Workload.Rng.create 2025L in
         let m = 25 in
         (* Random sparse, diagonally dominant starting basis; [cols] is
            kept as the ground-truth B so we can multiply solves back. *)
@@ -372,98 +373,14 @@ let basis_tests =
               c.(pos) <- c.(pos) +. 4.0;
               c)
         in
-        let rep = Lp.Basis.create Lp.Basis.Factored_lu m in
-        Lp.Basis.factorize rep (fun pos f ->
-            Array.iteri (fun i v -> if v <> 0.0 then f i v) cols.(pos));
-        let mul_b x =
-          let y = Array.make m 0.0 in
-          Array.iteri
-            (fun pos c ->
-              let xp = x.(pos) in
-              if xp <> 0.0 then
-                Array.iteri (fun i v -> y.(i) <- y.(i) +. (v *. xp)) c)
-            cols;
-          y
-        in
-        let mul_bt y =
-          Array.map
-            (fun c ->
-              let acc = ref 0.0 in
-              Array.iteri (fun i v -> acc := !acc +. (v *. y.(i))) c;
-              !acc)
-            cols
-        in
-        let check_roundtrip tag =
-          let b =
-            Array.init m (fun _ -> Workload.Rng.float_range rng (-2.0) 2.0)
-          in
-          let x = Array.copy b in
-          ignore (Lp.Basis.ftran_in_place rep x : int);
-          Array.iteri
-            (fun i v ->
-              Alcotest.(check (float 1e-5)) (tag ^ ": B.(ftran b) = b")
-                b.(i) v)
-            (mul_b x);
-          let c =
-            Array.init m (fun _ -> Workload.Rng.float_range rng (-2.0) 2.0)
-          in
-          let y = Array.copy c in
-          ignore (Lp.Basis.btran_in_place rep y : int);
-          Array.iteri
-            (fun pos v ->
-              Alcotest.(check (float 1e-5)) (tag ^ ": Bt.(btran c) = c")
-                c.(pos) v)
-            (mul_bt y)
-        in
-        check_roundtrip "fresh factorization";
-        (* 40 pivots, each appending a product-form eta; Basis never
-           refactorizes on its own, so the full eta file stays live. *)
-        let w = Array.make m 0.0 in
-        let pivots = ref 0 in
-        while !pivots < 40 do
-          let a =
-            Array.init m (fun _ ->
-                if Workload.Rng.int rng 100 < 30 then
-                  Workload.Rng.float_range rng (-2.0) 2.0
-                else 0.0)
-          in
-          Array.fill w 0 m 0.0;
-          ignore
-            (Lp.Basis.ftran_col rep
-               (fun f -> Array.iteri (fun i v -> if v <> 0.0 then f i v) a)
-               w
-              : int);
-          let r = Workload.Rng.int rng m in
-          if Float.abs w.(r) > 1e-3 then begin
-            ignore (Lp.Basis.update rep ~r ~w);
-            cols.(r) <- a;
-            incr pivots;
-            if !pivots mod 8 = 0 then
-              check_roundtrip (Printf.sprintf "after %d pivots" !pivots)
-          end
-        done;
-        Alcotest.(check int) "eta file length" 40
-          (Lp.Basis.eta_count rep);
-        check_roundtrip "after 40 pivots");
-    Alcotest.test_case
-      "FTRAN/BTRAN round-trip through Forrest–Tomlin updates" `Quick
-      (fun () ->
-        let rng = Workload.Rng.create 2025L in
-        let m = 25 in
-        let cols =
-          Array.init m (fun pos ->
-              let c =
-                Array.init m (fun _ ->
-                    if Workload.Rng.int rng 100 < 25 then
-                      Workload.Rng.float_range rng (-1.0) 1.0
-                    else 0.0)
-              in
-              c.(pos) <- c.(pos) +. 4.0;
-              c)
+        let factorize rep =
+          Lp.Basis.factorize rep (fun pos f ->
+              Array.iteri (fun i v -> if v <> 0.0 then f i v) cols.(pos))
         in
         let rep = Lp.Basis.create Lp.Basis.Updatable_lu m in
-        Lp.Basis.factorize rep (fun pos f ->
-            Array.iteri (fun i v -> if v <> 0.0 then f i v) cols.(pos));
+        let dense = Lp.Basis.create Lp.Basis.Dense_inverse m in
+        factorize rep;
+        factorize dense;
         let mul_b x =
           let y = Array.make m 0.0 in
           Array.iteri
@@ -482,12 +399,25 @@ let basis_tests =
               !acc)
             cols
         in
+        (* Each solve must reproduce its right-hand side through the
+           ground-truth B and agree with the dense inverse, which is
+           updated in lockstep. *)
         let check_roundtrip tag =
+          let solve_both name solve rhs =
+            let x = Array.copy rhs and xd = Array.copy rhs in
+            ignore (solve rep x : int);
+            ignore (solve dense xd : int);
+            Array.iteri
+              (fun i v ->
+                Alcotest.(check (float 1e-6))
+                  (Printf.sprintf "%s: %s agrees with dense" tag name) v x.(i))
+              xd;
+            x
+          in
           let b =
             Array.init m (fun _ -> Workload.Rng.float_range rng (-2.0) 2.0)
           in
-          let x = Array.copy b in
-          ignore (Lp.Basis.ftran_in_place rep x : int);
+          let x = solve_both "ftran" Lp.Basis.ftran_in_place b in
           Array.iteri
             (fun i v ->
               Alcotest.(check (float 1e-5)) (tag ^ ": B.(ftran b) = b")
@@ -496,8 +426,7 @@ let basis_tests =
           let c =
             Array.init m (fun _ -> Workload.Rng.float_range rng (-2.0) 2.0)
           in
-          let y = Array.copy c in
-          ignore (Lp.Basis.btran_in_place rep y : int);
+          let y = solve_both "btran" Lp.Basis.btran_in_place c in
           Array.iteri
             (fun pos v ->
               Alcotest.(check (float 1e-5)) (tag ^ ": Bt.(btran c) = c")
@@ -507,7 +436,7 @@ let basis_tests =
         check_roundtrip "fresh factorization";
         (* 40 pivots absorbed in place; a Rejected update mirrors the
            simplex policy — refactorize from the already-swapped basis. *)
-        let w = Array.make m 0.0 in
+        let w = Array.make m 0.0 and wd = Array.make m 0.0 in
         let pivots = ref 0 and rejections = ref 0 in
         while !pivots < 40 do
           let a =
@@ -516,45 +445,48 @@ let basis_tests =
                   Workload.Rng.float_range rng (-2.0) 2.0
                 else 0.0)
           in
-          Array.fill w 0 m 0.0;
-          ignore
-            (Lp.Basis.ftran_col rep
-               (fun f -> Array.iteri (fun i v -> if v <> 0.0 then f i v) a)
-               w
-              : int);
+          let ftran rep w =
+            Array.fill w 0 m 0.0;
+            ignore
+              (Lp.Basis.ftran_col rep
+                 (fun f -> Array.iteri (fun i v -> if v <> 0.0 then f i v) a)
+                 w
+                : int)
+          in
+          ftran rep w;
+          ftran dense wd;
           let r = Workload.Rng.int rng m in
           if Float.abs w.(r) > 1e-3 then begin
             cols.(r) <- a;
+            ignore (Lp.Basis.update dense ~r ~w:wd : Lp.Basis.update_result);
             (match Lp.Basis.update rep ~r ~w with
             | Lp.Basis.Applied { work; added } ->
               Alcotest.(check bool) "positive update work" true (work > 0);
               Alcotest.(check bool) "non-negative fill" true (added >= 0)
             | Lp.Basis.Rejected ->
               incr rejections;
-              Lp.Basis.factorize rep (fun pos f ->
-                  Array.iteri
-                    (fun i v -> if v <> 0.0 then f i v)
-                    cols.(pos)));
+              factorize rep);
             incr pivots;
             if !pivots mod 8 = 0 then
               check_roundtrip (Printf.sprintf "after %d pivots" !pivots)
           end
         done;
-        Alcotest.(check int) "no eta file on the update form" 0
-          (Lp.Basis.eta_count rep);
         (* A refactorization (after a rejection) resets the update count,
            so only the rejection-free run pins it exactly. *)
         if !rejections = 0 then
           Alcotest.(check int) "all 40 pivots absorbed as updates" 40
             (Lp.Basis.update_count rep);
+        Alcotest.(check int) "the dense reference absorbs no updates" 0
+          (Lp.Basis.update_count dense);
         Alcotest.(check bool) "fill ratio meaningful" true
           (Lp.Basis.fill_ratio rep > 0.0);
         check_roundtrip "after 40 pivots");
     Alcotest.test_case "update telemetry reaches solve stats" `Quick
       (fun () ->
         (* One mid-sized LP under each representation: the update form
-           reports FT updates and no eta entries, the eta form the
-           reverse — the counters the bench telemetry is built on. *)
+           reports FT updates and their fill, the dense reference none —
+           the counters the bench telemetry is built on — and both reach
+           the same optimum. *)
         let rng = Workload.Rng.create 404L in
         let model, _, _ = random_lp rng ~n:8 ~m_rows:8 in
         let run kind =
@@ -566,18 +498,17 @@ let basis_tests =
           let r = Lp.Simplex.solve ~params ~stats (Lp.Std_form.of_model model) in
           Alcotest.(check bool) "solved" true
             (r.Lp.Simplex.status = Lp.Simplex.Optimal);
-          stats
+          (r.Lp.Simplex.objective, stats)
         in
-        let upd = run Lp.Basis.Updatable_lu in
-        let eta = run Lp.Basis.Factored_lu in
-        Alcotest.(check int) "update form appends no etas" 0
-          upd.Runtime.Stats.eta_entries;
+        let upd_obj, upd = run Lp.Basis.Updatable_lu in
+        let dense_obj, dense = run Lp.Basis.Dense_inverse in
+        Alcotest.(check (float 1e-6)) "same optimum" dense_obj upd_obj;
         Alcotest.(check bool) "update form counts updates" true
           (upd.Runtime.Stats.basis_updates > 0);
-        Alcotest.(check int) "eta form counts no updates" 0
-          eta.Runtime.Stats.basis_updates;
-        Alcotest.(check bool) "eta form appends etas" true
-          (eta.Runtime.Stats.eta_entries > 0));
+        Alcotest.(check int) "dense reference counts no updates" 0
+          dense.Runtime.Stats.basis_updates;
+        Alcotest.(check int) "dense reference records no fill" 0
+          dense.Runtime.Stats.spike_fill);
   ]
 
 let basis_properties =
@@ -602,34 +533,15 @@ let basis_properties =
   in
   let dflt = Lp.Simplex.default_params in
   [
-    agree "dense-inverse and factored paths agree on random LPs" 40 77
-      { dflt with
-        Lp.Simplex.factorization = Lp.Basis.Dense_inverse;
-        partial_pricing = false }
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Factored_lu };
-    agree "tiny eta limit forces refactorizations without changing optima"
-      30 911
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Factored_lu }
-      { dflt with
-        Lp.Simplex.factorization = Lp.Basis.Factored_lu;
-        eta_limit = 2;
-        refactor_every = 5 };
-    agree "partial pricing finds the same optimum as full Dantzig sweeps"
-      30 424
+    agree "partial pricing finds the same optimum as full sweeps" 30 424
       { dflt with Lp.Simplex.partial_pricing = false }
       dflt;
-    agree "Forrest–Tomlin updates agree with the eta-file path" 40 551
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Factored_lu }
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Updatable_lu };
     agree "Forrest–Tomlin updates agree with the dense inverse" 30 662
       { dflt with Lp.Simplex.factorization = Lp.Basis.Dense_inverse }
       { dflt with Lp.Simplex.factorization = Lp.Basis.Updatable_lu };
     agree "tiny fill limit forces refactorizations without changing optima"
       30 733 dflt
       { dflt with Lp.Simplex.fill_limit = 1.01; refactor_every = 3 };
-    agree "devex and Dantzig pricing find the same optimum" 40 844
-      { dflt with Lp.Simplex.devex = false }
-      dflt;
     agree
       "drift checks on every pivot do not change optima (regression)"
       30 955 dflt

@@ -294,34 +294,50 @@ let unit_tests =
           Alcotest.(check int) "fallbacks survive"
             outcome.Solver.stats.Rstats.rounding_fallbacks
             back.Solver.stats.Rstats.rounding_fallbacks);
-    Alcotest.test_case "old stats documents (no rounding_*) still decode"
+    Alcotest.test_case
+      "old stats documents (no rounding_*; with eta_entries) still decode"
       `Quick (fun () ->
         let s = Rstats.create () in
         s.Rstats.simplex_iterations <- 17;
         s.Rstats.greedy_accepted <- 3;
         s.Rstats.rounding_attempts <- 9;
-        let doc = Solver.stats_to_json s in
-        let stripped =
-          match doc with
-          | Statsutil.Json.Obj fields ->
-            Statsutil.Json.Obj
-              (List.filter
-                 (fun (name, _) ->
-                   not
-                     (String.length name >= 9
-                     && String.sub name 0 9 = "rounding_"))
-                 fields)
+        let fields =
+          match Solver.stats_to_json s with
+          | Statsutil.Json.Obj fields -> fields
           | _ -> Alcotest.fail "stats encode as an object"
         in
-        match Solver.stats_of_json stripped with
-        | Error e -> Alcotest.fail e
-        | Ok back ->
-          Alcotest.(check int) "known counters survive" 17
-            back.Rstats.simplex_iterations;
-          Alcotest.(check int) "greedy counter survives" 3
-            back.Rstats.greedy_accepted;
-          Alcotest.(check int) "absent rounding counters default to zero" 0
-            back.Rstats.rounding_attempts);
+        (* Documents written before the rounding counters existed, and
+           documents that still carry the retired product-form
+           [eta_entries] counter. *)
+        let no_rounding =
+          List.filter
+            (fun (name, _) ->
+              not
+                (String.length name >= 9 && String.sub name 0 9 = "rounding_"))
+            fields
+        in
+        let with_eta = ("eta_entries", Statsutil.Json.Num 42.0) :: fields in
+        List.iter
+          (fun (label, doc, rounding) ->
+            match Solver.stats_of_json (Statsutil.Json.Obj doc) with
+            | Error e -> Alcotest.failf "%s: %s" label e
+            | Ok back ->
+              Alcotest.(check int) (label ^ ": known counters survive") 17
+                back.Rstats.simplex_iterations;
+              Alcotest.(check int) (label ^ ": greedy counter survives") 3
+                back.Rstats.greedy_accepted;
+              Alcotest.(check int) (label ^ ": rounding counter") rounding
+                back.Rstats.rounding_attempts;
+              Alcotest.(check string) (label ^ ": re-encodes without it")
+                (Statsutil.Json.to_string (Solver.stats_to_json back))
+                (Statsutil.Json.to_string
+                   (Solver.stats_to_json
+                      (let t = Rstats.create () in
+                       t.Rstats.simplex_iterations <- 17;
+                       t.Rstats.greedy_accepted <- 3;
+                       t.Rstats.rounding_attempts <- rounding;
+                       t))))
+          [ ("no rounding_*", no_rounding, 0); ("eta_entries", with_eta, 9) ]);
   ]
 
 let suite = [ ("rounding", unit_tests) ]
