@@ -13,8 +13,8 @@ type t = private {
 }
 
 module Builder : sig
-  (** Mutable triplet accumulator.  Duplicate (row, col) entries are summed
-      at {!finish} time. *)
+  (** Mutable triplet accumulator.  Triplets are kept in insertion order
+      in fixed-size chunks, so adding never copies. *)
 
   type b
 
@@ -26,6 +26,12 @@ module Builder : sig
       @raise Invalid_argument when out of bounds. *)
 
   val finish : b -> t
+  (** Assembles the matrix in O(nnz + rows + cols) time with two stable
+      counting sorts.  Contract: duplicate (row, col) entries are summed
+      left to right starting from the {e most recently added} one
+      ([((v_n +. v_(n-1)) +. ...) +. v_1]), and a sum that
+      [Tol.is_zero] accepts is dropped.  Rows are ascending within each
+      column. *)
 end
 
 val rows : t -> int
@@ -39,9 +45,6 @@ val to_dense : t -> float array array
 
 val get : t -> int -> int -> float
 (** [get m i j]; binary search within column [j]. *)
-
-val column : t -> int -> Sparse_vec.t
-(** Column [j] as a sparse vector over row indices. *)
 
 val iter_col : t -> int -> (int -> float -> unit) -> unit
 (** [iter_col m j f] applies [f row value] over the stored entries of
@@ -58,5 +61,7 @@ val col_dot : t -> int -> float array -> float
     the reduced-cost kernel of the simplex pricing loop. *)
 
 val transpose : t -> t
+(** Direct counting transpose in O(nnz + rows + cols) time; it allocates
+    only the result.  Values are copied unchanged. *)
 
 val pp : Format.formatter -> t -> unit

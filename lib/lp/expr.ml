@@ -40,6 +40,7 @@ let sum es = List.fold_left add zero es
 let coeff e v = match Imap.find_opt v e.terms with Some c -> c | None -> 0.0
 let constant e = e.const
 let terms e = Imap.bindings e.terms
+let iter_terms f e = Imap.iter f e.terms
 let num_terms e = Imap.cardinal e.terms
 
 let eval e value_of =

@@ -36,6 +36,10 @@ val constant : t -> float
 val terms : t -> (int * float) list
 (** Non-zero terms in increasing variable order. *)
 
+val iter_terms : (int -> float -> unit) -> t -> unit
+(** [iter_terms f e] applies [f v c] to the terms of {!terms}, in the same
+    order, without building the list. *)
+
 val num_terms : t -> int
 
 val eval : t -> (int -> float) -> float

@@ -1184,13 +1184,14 @@ let solve ?(params = default_params) ?budget ?stats ?prof ?lb ?ub ?warm sf =
   stats.Rstats.lp_solves <- stats.Rstats.lp_solves + 1;
   let m = sf.Std_form.n_rows in
   let n_total = Std_form.n_total sf in
+  (* [Array.append] below copies, so the chosen array is not mutated. *)
   let pick_bounds default override =
     match override with
-    | None -> Array.copy default
+    | None -> default
     | Some o ->
       if Array.length o <> n_total then
         invalid_arg "Simplex.solve: bound override length";
-      Array.copy o
+      o
   in
   let lb_full = Array.append (pick_bounds sf.Std_form.lb lb) (Array.make m 0.0) in
   let ub_full = Array.append (pick_bounds sf.Std_form.ub ub) (Array.make m 0.0) in
@@ -1217,7 +1218,7 @@ let solve ?(params = default_params) ?budget ?stats ?prof ?lb ?ub ?warm sf =
       n_total;
       lb = lb_full;
       ub = ub_full;
-      cost = Array.append (Array.copy sf.Std_form.cost) (Array.make m 0.0);
+      cost = Array.append sf.Std_form.cost (Array.make m 0.0);
       real_cost;
       xval = Array.make (n_total + m) 0.0;
       vstat = Array.make (n_total + m) At_lower;
@@ -1300,9 +1301,9 @@ let fresh_state sf params budget stats prof lb ub =
     sf;
     m;
     n_total;
-    lb = Array.append (Array.copy lb) (Array.make m 0.0);
-    ub = Array.append (Array.copy ub) (Array.make m 0.0);
-    cost = Array.append (Array.copy sf.Std_form.cost) (Array.make m 0.0);
+    lb = Array.append lb (Array.make m 0.0);
+    ub = Array.append ub (Array.make m 0.0);
+    cost = Array.append sf.Std_form.cost (Array.make m 0.0);
     real_cost = Array.copy sf.Std_form.cost;
     xval = Array.make (n_total + m) 0.0;
     vstat = Array.make (n_total + m) At_lower;

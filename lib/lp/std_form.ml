@@ -14,23 +14,24 @@ type t = {
 
 let of_model m =
   let n = Model.num_vars m in
-  let rows = Model.rows m in
-  let nr = List.length rows in
+  let nr = Model.num_constrs m in
   let total = n + nr in
   let b = Lina.Csc.Builder.create ~rows:nr ~cols:total in
+  let lb = Array.make total 0.0 and ub = Array.make total 0.0 in
+  let row_names = Array.make nr "" in
   List.iteri
     (fun i (r : Model.row) ->
-      List.iter
-        (fun (v, c) -> Lina.Csc.Builder.add b ~row:i ~col:v c)
-        (Expr.terms r.expr);
-      Lina.Csc.Builder.add b ~row:i ~col:(n + i) (-1.0))
-    rows;
+      Expr.iter_terms (fun v c -> Lina.Csc.Builder.add b ~row:i ~col:v c) r.expr;
+      Lina.Csc.Builder.add b ~row:i ~col:(n + i) (-1.0);
+      lb.(n + i) <- r.lo;
+      ub.(n + i) <- r.hi;
+      row_names.(i) <- r.row_name)
+    (Model.rows m);
   let a = Lina.Csc.Builder.finish b in
   let sense, obj = Model.objective m in
   let obj_factor = match sense with Model.Minimize -> 1.0 | Model.Maximize -> -1.0 in
   let cost = Array.make total 0.0 in
-  List.iter (fun (v, c) -> cost.(v) <- obj_factor *. c) (Expr.terms obj);
-  let lb = Array.make total 0.0 and ub = Array.make total 0.0 in
+  Expr.iter_terms (fun v c -> cost.(v) <- obj_factor *. c) obj;
   let integer = Array.make n false in
   let var_names = Array.make n "" in
   for v = 0 to n - 1 do
@@ -42,13 +43,6 @@ let of_model m =
     | Model.Integer | Model.Binary -> integer.(v) <- true
     | Model.Continuous -> ())
   done;
-  let row_names = Array.make nr "" in
-  List.iteri
-    (fun i (r : Model.row) ->
-      lb.(n + i) <- r.lo;
-      ub.(n + i) <- r.hi;
-      row_names.(i) <- r.row_name)
-    rows;
   {
     n_struct = n;
     n_rows = nr;

@@ -1,24 +1,40 @@
 type t = {
   sf : Lp.Std_form.t;
-  (* Row-wise structural view: for every row the (column, coeff) pairs,
-     logical columns excluded (their bounds are the row ranges). *)
-  row_cols : int array array;
-  row_coefs : float array array;
+  (* Row-wise structural view in CSR form: row [i]'s (column, coeff)
+     pairs sit at [row_ptr.(i) .. row_ptr.(i+1)-1], columns descending.
+     Logical columns are excluded (their bounds are the row ranges). *)
+  row_ptr : int array;
+  row_col : int array;
+  row_coef : float array;
 }
 
 let prepare sf =
   let n_struct = sf.Lp.Std_form.n_struct in
   let n_rows = sf.Lp.Std_form.n_rows in
-  let acc = Array.make n_rows [] in
-  for j = 0 to n_struct - 1 do
-    Lina.Csc.iter_col sf.Lp.Std_form.a j (fun i v ->
-        acc.(i) <- (j, v) :: acc.(i))
+  let a = sf.Lp.Std_form.a in
+  let row_ptr = Array.make (n_rows + 1) 0 in
+  for k = 0 to a.Lina.Csc.col_ptr.(n_struct) - 1 do
+    let i = a.Lina.Csc.row_idx.(k) in
+    row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
   done;
-  {
-    sf;
-    row_cols = Array.map (fun l -> Array.of_list (List.map fst l)) acc;
-    row_coefs = Array.map (fun l -> Array.of_list (List.map snd l)) acc;
-  }
+  for i = 1 to n_rows do
+    row_ptr.(i) <- row_ptr.(i) + row_ptr.(i - 1)
+  done;
+  let nnz = row_ptr.(n_rows) in
+  let row_col = Array.make nnz 0 and row_coef = Array.create_float nnz in
+  (* Fill every row from its end while columns ascend, which leaves the
+     columns of each row in descending order. *)
+  let fill = Array.sub row_ptr 1 n_rows in
+  for j = 0 to n_struct - 1 do
+    for k = a.Lina.Csc.col_ptr.(j) to a.Lina.Csc.col_ptr.(j + 1) - 1 do
+      let i = a.Lina.Csc.row_idx.(k) in
+      let q = fill.(i) - 1 in
+      row_col.(q) <- j;
+      row_coef.(q) <- a.Lina.Csc.value.(k);
+      fill.(i) <- q
+    done
+  done;
+  { sf; row_ptr; row_col; row_coef }
 
 type outcome = Infeasible_node | Tightened of int
 
@@ -26,10 +42,41 @@ exception Dead
 
 let tol = 1e-7
 
+(* Candidate bound updates for column [j]: rounded for integer columns,
+   snapped onto the other side when round-off pushes them a few ulps
+   past it (instead of creating a micro-crossing), applied when they
+   tighten.  [true] when the bound moved.  Inlined, so the candidate
+   stays unboxed and a round allocates nothing. *)
+let[@inline] tighten_ub lb ub j integer new_ub =
+  let new_ub = if integer then Float.floor (new_ub +. 1e-6) else new_ub in
+  let new_ub =
+    if new_ub < lb.(j) && lb.(j) -. new_ub <= tol then lb.(j) else new_ub
+  in
+  if new_ub < ub.(j) -. 1e-9 then begin
+    ub.(j) <- new_ub;
+    if lb.(j) > ub.(j) +. tol then raise Dead;
+    true
+  end
+  else false
+
+let[@inline] tighten_lb lb ub j integer new_lb =
+  let new_lb = if integer then Float.ceil (new_lb -. 1e-6) else new_lb in
+  let new_lb =
+    if new_lb > ub.(j) && new_lb -. ub.(j) <= tol then ub.(j) else new_lb
+  in
+  if new_lb > lb.(j) +. 1e-9 then begin
+    lb.(j) <- new_lb;
+    if lb.(j) > ub.(j) +. tol then raise Dead;
+    true
+  end
+  else false
+
 let run ?(max_rounds = 10) p ~lb ~ub =
   let sf = p.sf in
   let n_struct = sf.Lp.Std_form.n_struct in
   let n_rows = sf.Lp.Std_form.n_rows in
+  let is_integer = sf.Lp.Std_form.integer in
+  let row_ptr = p.row_ptr and row_col = p.row_col and row_coef = p.row_coef in
   let changes = ref 0 in
   let round_changes = ref 1 in
   let rounds = ref 0 in
@@ -42,12 +89,12 @@ let run ?(max_rounds = 10) p ~lb ~ub =
       round_changes := 0;
       incr rounds;
       for i = 0 to n_rows - 1 do
-        let cols = p.row_cols.(i) and coefs = p.row_coefs.(i) in
+        let first = row_ptr.(i) and last = row_ptr.(i + 1) - 1 in
         let lo = lb.(n_struct + i) and hi = ub.(n_struct + i) in
         (* Minimal and maximal row activity under current bounds. *)
         let minact = ref 0.0 and maxact = ref 0.0 in
-        for k = 0 to Array.length cols - 1 do
-          let j = cols.(k) and a = coefs.(k) in
+        for k = first to last do
+          let j = row_col.(k) and a = row_coef.(k) in
           if a > 0.0 then begin
             minact := !minact +. (a *. lb.(j));
             maxact := !maxact +. (a *. ub.(j))
@@ -63,60 +110,33 @@ let run ?(max_rounds = 10) p ~lb ~ub =
         if !minact > hi +. (tol *. scale) || !maxact < lo -. (tol *. scale)
         then raise Dead;
         (* Per-column tightening from the residual activities. *)
-        for k = 0 to Array.length cols - 1 do
-          let j = cols.(k) and a = coefs.(k) in
-          let integer = sf.Lp.Std_form.integer.(j) in
-          let apply_ub new_ub =
-            let new_ub =
-              if integer then Float.floor (new_ub +. 1e-6) else new_ub
-            in
-            (* Round-off can push a valid bound a few ulps past the other
-               side; snap instead of creating a micro-crossing. *)
-            let new_ub =
-              if new_ub < lb.(j) && lb.(j) -. new_ub <= tol then lb.(j)
-              else new_ub
-            in
-            if new_ub < ub.(j) -. 1e-9 then begin
-              ub.(j) <- new_ub;
-              incr changes;
-              incr round_changes;
-              if lb.(j) > ub.(j) +. tol then raise Dead
-            end
-          in
-          let apply_lb new_lb =
-            let new_lb =
-              if integer then Float.ceil (new_lb -. 1e-6) else new_lb
-            in
-            let new_lb =
-              if new_lb > ub.(j) && new_lb -. ub.(j) <= tol then ub.(j)
-              else new_lb
-            in
-            if new_lb > lb.(j) +. 1e-9 then begin
-              lb.(j) <- new_lb;
-              incr changes;
-              incr round_changes;
-              if lb.(j) > ub.(j) +. tol then raise Dead
-            end
-          in
+        for k = first to last do
+          let j = row_col.(k) and a = row_coef.(k) in
+          let integer = is_integer.(j) in
           if a > 0.0 then begin
             (* a·x_j <= hi - (minact - a·lb_j) *)
             let rest_min = !minact -. (a *. lb.(j)) in
-            if hi < infinity && rest_min > neg_infinity then
-              apply_ub ((hi -. rest_min) /. a);
+            if hi < infinity && rest_min > neg_infinity
+               && tighten_ub lb ub j integer ((hi -. rest_min) /. a)
+            then incr round_changes;
             let rest_max = !maxact -. (a *. ub.(j)) in
-            if lo > neg_infinity && rest_max < infinity then
-              apply_lb ((lo -. rest_max) /. a)
+            if lo > neg_infinity && rest_max < infinity
+               && tighten_lb lb ub j integer ((lo -. rest_max) /. a)
+            then incr round_changes
           end
           else begin
             let rest_min = !minact -. (a *. ub.(j)) in
-            if hi < infinity && rest_min > neg_infinity then
-              apply_lb ((hi -. rest_min) /. a);
+            if hi < infinity && rest_min > neg_infinity
+               && tighten_lb lb ub j integer ((hi -. rest_min) /. a)
+            then incr round_changes;
             let rest_max = !maxact -. (a *. lb.(j)) in
-            if lo > neg_infinity && rest_max < infinity then
-              apply_ub ((lo -. rest_max) /. a)
+            if lo > neg_infinity && rest_max < infinity
+               && tighten_ub lb ub j integer ((lo -. rest_max) /. a)
+            then incr round_changes
           end
         done
-      done
+      done;
+      changes := !changes + !round_changes
     done;
     Tightened !changes
   with Dead -> Infeasible_node

@@ -101,6 +101,135 @@ let csc_tests =
             Lina.Csc.Builder.add b ~row:1 ~col:0 1.0));
   ]
 
+(* Oracle: the list-and-sort triplet assembly the counting-sort builder
+   replaced, kept verbatim apart from taking its triplets as an
+   insertion-ordered list.  Returns [(col_ptr, row_idx, value)]. *)
+let oracle_finish ~cols triplets =
+  let entries = List.rev_map (fun (r, c, v) -> (c, r, v)) triplets in
+  let sorted =
+    List.sort
+      (fun (c1, r1, _) (c2, r2, _) ->
+        match compare c1 c2 with 0 -> compare r1 r2 | c -> c)
+      entries
+  in
+  let rec merge acc = function
+    | [] -> List.rev acc
+    | (c, r, v) :: rest ->
+      let rec take v = function
+        | (c', r', w) :: tl when c' = c && r' = r -> take (v +. w) tl
+        | tl -> (v, tl)
+      in
+      let v, rest = take v rest in
+      if Lina.Tol.is_zero v then merge acc rest else merge ((c, r, v) :: acc) rest
+  in
+  let merged = merge [] sorted in
+  let nnz = List.length merged in
+  let col_ptr = Array.make (cols + 1) 0 in
+  let row_idx = Array.make nnz 0 in
+  let value = Array.make nnz 0.0 in
+  List.iteri
+    (fun k (c, r, v) ->
+      row_idx.(k) <- r;
+      value.(k) <- v;
+      col_ptr.(c + 1) <- col_ptr.(c + 1) + 1)
+    merged;
+  for c = 1 to cols do
+    col_ptr.(c) <- col_ptr.(c) + col_ptr.(c - 1)
+  done;
+  (col_ptr, row_idx, value)
+
+let build ~rows ~cols triplets =
+  let b = Lina.Csc.Builder.create ~rows ~cols in
+  List.iter (fun (r, c, v) -> Lina.Csc.Builder.add b ~row:r ~col:c v) triplets;
+  Lina.Csc.Builder.finish b
+
+(* Structural equality with floats compared bit for bit. *)
+let same_csc (m : Lina.Csc.t) (col_ptr, row_idx, value) =
+  m.Lina.Csc.col_ptr = col_ptr
+  && m.Lina.Csc.row_idx = row_idx
+  && Array.map Int64.bits_of_float m.Lina.Csc.value
+     = Array.map Int64.bits_of_float value
+
+(* A triplet stream over a small (possibly empty) shape whose entries
+   collide often: duplicates that only sum to the same bits in one order,
+   exact cancellations, sub-tolerance residues and untouched rows and
+   columns.  Every fourth stream is long enough to span several of the
+   builder's storage chunks. *)
+let random_triplets seed =
+  let rng = Workload.Rng.create (Int64.of_int (seed + 101)) in
+  let rows = Workload.Rng.int rng 7 and cols = Workload.Rng.int rng 7 in
+  let n =
+    if rows = 0 || cols = 0 then 0
+    else if Workload.Rng.int rng 4 = 0 then Workload.Rng.int rng 1500
+    else Workload.Rng.int rng 60
+  in
+  let values = [| 0.1; 0.2; 0.3; -0.3; 1e-10; -1e-10; 3e-10; 1.0; -1.0 |] in
+  let acc = ref [] in
+  for _ = 1 to n do
+    let r = Workload.Rng.int rng rows and c = Workload.Rng.int rng cols in
+    match Workload.Rng.int rng 4 with
+    | 0 -> acc := (r, c, Workload.Rng.float_range rng (-5.0) 5.0) :: !acc
+    | 1 ->
+      let v = Workload.Rng.float_range rng (-5.0) 5.0 in
+      acc := (r, c, -.v) :: (r, c, v) :: !acc
+    | _ -> acc := (r, c, Workload.Rng.pick rng values) :: !acc
+  done;
+  (rows, cols, List.rev !acc)
+
+let csc_properties =
+  let rand () = Random.State.make [| 20141 |] in
+  let oracle_transpose (m : Lina.Csc.t) =
+    let acc = ref [] in
+    for j = 0 to Lina.Csc.cols m - 1 do
+      Lina.Csc.iter_col m j (fun i v -> acc := (j, i, v) :: !acc)
+    done;
+    oracle_finish ~cols:(Lina.Csc.rows m) (List.rev !acc)
+  in
+  [
+    QCheck_alcotest.to_alcotest ~rand:(rand ())
+      (QCheck2.Test.make ~name:"builder matches the list-and-sort oracle"
+         ~count:400 QCheck2.Gen.(int_bound 1_000_000)
+         (fun seed ->
+           let rows, cols, triplets = random_triplets seed in
+           let m = build ~rows ~cols triplets in
+           Lina.Csc.rows m = rows && Lina.Csc.cols m = cols
+           && same_csc m (oracle_finish ~cols triplets)));
+    QCheck_alcotest.to_alcotest ~rand:(rand ())
+      (QCheck2.Test.make
+         ~name:"transpose matches the oracle and is an involution" ~count:400
+         QCheck2.Gen.(int_bound 1_000_000)
+         (fun seed ->
+           let rows, cols, triplets = random_triplets seed in
+           let m = build ~rows ~cols triplets in
+           let t = Lina.Csc.transpose m in
+           let tt = Lina.Csc.transpose t in
+           Lina.Csc.rows t = cols && Lina.Csc.cols t = rows
+           && same_csc t (oracle_transpose m)
+           && Lina.Csc.rows tt = rows && Lina.Csc.cols tt = cols
+           && same_csc tt (m.Lina.Csc.col_ptr, m.Lina.Csc.row_idx,
+                           m.Lina.Csc.value)));
+  ]
+
+let csc_alloc_tests =
+  [
+    Alcotest.test_case "transpose allocates only its result" `Quick (fun () ->
+        let rng = Workload.Rng.create 7L in
+        let rows = 300 and cols = 500 in
+        let b = Lina.Csc.Builder.create ~rows ~cols in
+        for _ = 1 to 4000 do
+          Lina.Csc.Builder.add b ~row:(Workload.Rng.int rng rows)
+            ~col:(Workload.Rng.int rng cols)
+            (Workload.Rng.float_range rng 1.0 2.0)
+        done;
+        let m = Lina.Csc.Builder.finish b in
+        let words =
+          Gc_probe.allocated_words (fun () -> ignore (Lina.Csc.transpose m : Lina.Csc.t))
+        in
+        let limit = (2 * Lina.Csc.nnz m) + rows + cols + 16 in
+        if words > float_of_int limit then
+          Alcotest.failf "transpose allocated %.0f words (limit %d)" words limit);
+  ]
+
 let random_matrix rng n =
   Lina.Dense_matrix.of_rows
     (Array.init n (fun _ ->
@@ -455,7 +584,7 @@ let suite =
   [
     ("lina.vec", vec_tests);
     ("lina.sparse_vec", sparse_vec_tests);
-    ("lina.csc", csc_tests);
+    ("lina.csc", csc_tests @ csc_properties @ csc_alloc_tests);
     ("lina.lu", lu_tests @ lu_properties);
     ("lina.lu.reach", reach_properties);
     ("lina.lu.ft", ft_tests @ ft_properties);

@@ -326,6 +326,229 @@ let propagate_tests =
             opt);
   ]
 
+(* Oracle: the closure-based row view and propagation loop that the
+   allocation-free [Propagate] replaced, kept verbatim. *)
+module Old_propagate = struct
+  type t = {
+    sf : Lp.Std_form.t;
+    row_cols : int array array;
+    row_coefs : float array array;
+  }
+
+  let prepare sf =
+    let n_struct = sf.Lp.Std_form.n_struct in
+    let n_rows = sf.Lp.Std_form.n_rows in
+    let acc = Array.make n_rows [] in
+    for j = 0 to n_struct - 1 do
+      Lina.Csc.iter_col sf.Lp.Std_form.a j (fun i v ->
+          acc.(i) <- (j, v) :: acc.(i))
+    done;
+    {
+      sf;
+      row_cols = Array.map (fun l -> Array.of_list (List.map fst l)) acc;
+      row_coefs = Array.map (fun l -> Array.of_list (List.map snd l)) acc;
+    }
+
+  exception Dead
+
+  let tol = 1e-7
+
+  let run ?(max_rounds = 10) p ~lb ~ub =
+    let sf = p.sf in
+    let n_struct = sf.Lp.Std_form.n_struct in
+    let n_rows = sf.Lp.Std_form.n_rows in
+    let changes = ref 0 in
+    let round_changes = ref 1 in
+    let rounds = ref 0 in
+    try
+      for j = 0 to n_struct - 1 do
+        if lb.(j) > ub.(j) +. tol then raise Dead
+      done;
+      while !round_changes > 0 && !rounds < max_rounds do
+        round_changes := 0;
+        incr rounds;
+        for i = 0 to n_rows - 1 do
+          let cols = p.row_cols.(i) and coefs = p.row_coefs.(i) in
+          let lo = lb.(n_struct + i) and hi = ub.(n_struct + i) in
+          let minact = ref 0.0 and maxact = ref 0.0 in
+          for k = 0 to Array.length cols - 1 do
+            let j = cols.(k) and a = coefs.(k) in
+            if a > 0.0 then begin
+              minact := !minact +. (a *. lb.(j));
+              maxact := !maxact +. (a *. ub.(j))
+            end
+            else begin
+              minact := !minact +. (a *. ub.(j));
+              maxact := !maxact +. (a *. lb.(j))
+            end
+          done;
+          let scale =
+            Float.max 1.0 (Float.max (Float.abs lo) (Float.abs hi))
+          in
+          if !minact > hi +. (tol *. scale) || !maxact < lo -. (tol *. scale)
+          then raise Dead;
+          for k = 0 to Array.length cols - 1 do
+            let j = cols.(k) and a = coefs.(k) in
+            let integer = sf.Lp.Std_form.integer.(j) in
+            let apply_ub new_ub =
+              let new_ub =
+                if integer then Float.floor (new_ub +. 1e-6) else new_ub
+              in
+              let new_ub =
+                if new_ub < lb.(j) && lb.(j) -. new_ub <= tol then lb.(j)
+                else new_ub
+              in
+              if new_ub < ub.(j) -. 1e-9 then begin
+                ub.(j) <- new_ub;
+                incr changes;
+                incr round_changes;
+                if lb.(j) > ub.(j) +. tol then raise Dead
+              end
+            in
+            let apply_lb new_lb =
+              let new_lb =
+                if integer then Float.ceil (new_lb -. 1e-6) else new_lb
+              in
+              let new_lb =
+                if new_lb > ub.(j) && new_lb -. ub.(j) <= tol then ub.(j)
+                else new_lb
+              in
+              if new_lb > lb.(j) +. 1e-9 then begin
+                lb.(j) <- new_lb;
+                incr changes;
+                incr round_changes;
+                if lb.(j) > ub.(j) +. tol then raise Dead
+              end
+            in
+            if a > 0.0 then begin
+              let rest_min = !minact -. (a *. lb.(j)) in
+              if hi < infinity && rest_min > neg_infinity then
+                apply_ub ((hi -. rest_min) /. a);
+              let rest_max = !maxact -. (a *. ub.(j)) in
+              if lo > neg_infinity && rest_max < infinity then
+                apply_lb ((lo -. rest_max) /. a)
+            end
+            else begin
+              let rest_min = !minact -. (a *. ub.(j)) in
+              if hi < infinity && rest_min > neg_infinity then
+                apply_lb ((hi -. rest_min) /. a);
+              let rest_max = !maxact -. (a *. lb.(j)) in
+              if lo > neg_infinity && rest_max < infinity then
+                apply_ub ((lo -. rest_max) /. a)
+            end
+          done
+        done
+      done;
+      Some !changes
+    with Dead -> None
+end
+
+(* A small mixed binary/continuous model (rows of every sense, some
+   unbounded columns) and a random branching box over its columns. *)
+let random_propagation_case seed =
+  let rng = Workload.Rng.create (Int64.of_int (seed + 313)) in
+  let m = Lp.Model.create () in
+  let n = 1 + Workload.Rng.int rng 6 in
+  let vars =
+    Array.init n (fun j ->
+        if Workload.Rng.bool rng then
+          Lp.Model.add_var m ~kind:Lp.Model.Binary (Printf.sprintf "b%d" j)
+        else
+          let lb = -.float_of_int (Workload.Rng.int rng 3) in
+          let ub =
+            if Workload.Rng.int rng 4 = 0 then infinity
+            else Workload.Rng.float_range rng 0.0 5.0
+          in
+          Lp.Model.add_var m ~lb ~ub (Printf.sprintf "x%d" j))
+  in
+  let coefs = [| 1.0; -1.0; 2.0; 0.5; -3.0; 0.1; 0.7 |] in
+  for _ = 1 to Workload.Rng.int rng 6 do
+    let e =
+      Array.fold_left
+        (fun e (x : Lp.Model.var) ->
+          if Workload.Rng.int rng 3 = 0 then e
+          else Lp.Expr.add e (Lp.Expr.var ~coeff:(Workload.Rng.pick rng coefs)
+                                (x :> int)))
+        Lp.Expr.zero vars
+    in
+    let rhs = Workload.Rng.float_range rng (-2.0) 4.0 in
+    match Workload.Rng.int rng 4 with
+    | 0 -> Lp.Model.add_le m e rhs
+    | 1 -> Lp.Model.add_ge m e rhs
+    | 2 -> Lp.Model.add_eq m e (Float.round rhs)
+    | _ -> Lp.Model.add_range m ~lo:(rhs -. 1.5) ~hi:rhs e
+  done;
+  let sf = Lp.Std_form.of_model m in
+  let total = Lp.Std_form.n_total sf in
+  let lb = Array.sub sf.Lp.Std_form.lb 0 total in
+  let ub = Array.sub sf.Lp.Std_form.ub 0 total in
+  for j = 0 to n - 1 do
+    match Workload.Rng.int rng 4 with
+    | 0 when sf.Lp.Std_form.integer.(j) ->
+      let side = float_of_int (Workload.Rng.int rng 2) in
+      lb.(j) <- side;
+      ub.(j) <- side
+    | 1 -> lb.(j) <- lb.(j) +. Workload.Rng.float_range rng 0.0 1.0
+    | 2 -> ub.(j) <- Float.min ub.(j) (Workload.Rng.float_range rng 0.0 2.0)
+    | _ -> ()
+  done;
+  (sf, lb, ub)
+
+let same_bits a b =
+  Array.map Int64.bits_of_float a = Array.map Int64.bits_of_float b
+
+let propagate_properties =
+  [
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 4242 |])
+      (QCheck2.Test.make
+         ~name:"propagation matches the closure-based oracle" ~count:500
+         QCheck2.Gen.(int_bound 1_000_000)
+         (fun seed ->
+           let sf, lb, ub = random_propagation_case seed in
+           let lb' = Array.copy lb and ub' = Array.copy ub in
+           let got =
+             match Mip.Propagate.run (Mip.Propagate.prepare sf) ~lb ~ub with
+             | Mip.Propagate.Infeasible_node -> None
+             | Mip.Propagate.Tightened c -> Some c
+           in
+           let want =
+             Old_propagate.run (Old_propagate.prepare sf) ~lb:lb' ~ub:ub'
+           in
+           got = want && same_bits lb lb' && same_bits ub ub'));
+  ]
+
+let propagate_alloc_tests =
+  [
+    Alcotest.test_case "run allocates under 1 KB on a c\xce\xa3 form" `Quick
+      (fun () ->
+        let rng = Workload.Rng.create 5L in
+        let inst =
+          Tvnep.Scenario.generate rng
+            { Tvnep.Scenario.scaled with num_requests = 4; flexibility = 1.0 }
+        in
+        let fm = Tvnep.Csigma_model.build inst in
+        ignore (Tvnep.Objective.apply fm Tvnep.Objective.Access_control);
+        let sf = Lp.Std_form.of_model fm.Tvnep.Formulation.model in
+        let p = Mip.Propagate.prepare sf in
+        let total = Lp.Std_form.n_total sf in
+        let lb = Array.sub sf.Lp.Std_form.lb 0 total in
+        let ub = Array.sub sf.Lp.Std_form.ub 0 total in
+        (* Branch the first binary up so the rounds do real work. *)
+        let j = ref 0 in
+        while not sf.Lp.Std_form.integer.(!j) do incr j done;
+        lb.(!j) <- 1.0;
+        let outcome = ref (Mip.Propagate.Tightened 0) in
+        let bytes =
+          Gc_probe.allocated_bytes (fun () ->
+              outcome := Mip.Propagate.run p ~lb ~ub)
+        in
+        (match !outcome with
+        | Mip.Propagate.Tightened c when c > 0 -> ()
+        | _ -> Alcotest.fail "the branching should tighten bounds");
+        if bytes >= 1024.0 then
+          Alcotest.failf "Propagate.run allocated %.0f bytes" bytes);
+  ]
+
 (* Warm dual-simplex sessions are now the default for node LP re-solves.
    The search may take a different pivot path than cold re-solving every
    node from scratch, but on the seed TVNEP scenarios both must prove the
@@ -481,7 +704,8 @@ let suite =
   [
     ("mip.heap", heap_tests @ heap_properties);
     ("mip.branch_bound", bb_tests @ bb_properties);
-    ("mip.propagate", propagate_tests);
+    ("mip.propagate",
+     propagate_tests @ propagate_properties @ propagate_alloc_tests);
     ("mip.warm_sessions", warm_session_tests);
     ("mip.parallel", parallel_tests);
   ]
