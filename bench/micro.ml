@@ -41,14 +41,30 @@ let bench_instance () =
   Tvnep.Scenario.generate rng
     { Tvnep.Scenario.scaled with num_requests = 4; flexibility = 1.0 }
 
+(* The node-LP bench instance's optimal basis, as the dimension and the
+   column accessor [Lina.Lu.Sparse.factorize] takes. *)
+let node_basis () =
+  let inst = bench_instance () in
+  let fm = Tvnep.Csigma_model.build inst in
+  ignore (Tvnep.Objective.apply fm Tvnep.Objective.Access_control);
+  let sf = Lp.Std_form.of_model fm.Tvnep.Formulation.model in
+  let r = Lp.Simplex.solve sf in
+  assert (r.Lp.Simplex.status = Lp.Simplex.Optimal);
+  let basic = (Option.get r.Lp.Simplex.final_basis).Lp.Simplex.basic in
+  ( sf.Lp.Std_form.n_rows,
+    fun pos g -> Lina.Csc.iter_col sf.Lp.Std_form.a basic.(pos) g )
+
 let tests () =
   let lu60 = lu_input 60 in
+  let n, col = node_basis () in
   let lp = small_lp () in
   let inst = bench_instance () in
   let grid = Graphs.Generators.grid ~rows:4 ~cols:5 in
   [
     Test.make ~name:"lu-factorize-60x60"
       (Staged.stage (fun () -> ignore (Lina.Lu.factorize lu60)));
+    Test.make ~name:"lu-sparse-factorize-node-basis"
+      (Staged.stage (fun () -> ignore (Lina.Lu.Sparse.factorize ~n ~col)));
     Test.make ~name:"simplex-30v-20r"
       (Staged.stage (fun () -> ignore (Lp.Simplex.solve lp)));
     Test.make ~name:"floyd-warshall-grid-4x5"
@@ -188,18 +204,8 @@ type kernel_ab = {
 
 let kernel_ab_case () =
   let module Slu = Lina.Lu.Sparse in
-  let inst = bench_instance () in
-  let fm = Tvnep.Csigma_model.build inst in
-  ignore (Tvnep.Objective.apply fm Tvnep.Objective.Access_control);
-  let sf = Lp.Std_form.of_model fm.Tvnep.Formulation.model in
-  let r = Lp.Simplex.solve sf in
-  assert (r.Lp.Simplex.status = Lp.Simplex.Optimal);
-  let basic = (Option.get r.Lp.Simplex.final_basis).Lp.Simplex.basic in
-  let n = sf.Lp.Std_form.n_rows in
-  let f =
-    Slu.factorize ~n ~col:(fun pos g ->
-        Lina.Csc.iter_col sf.Lp.Std_form.a basic.(pos) g)
-  in
+  let n, col = node_basis () in
+  let f = Slu.factorize ~n ~col in
   let scratch = Slu.scratch n in
   let b = Array.make n 0.0
   and c = Array.make n 0.0

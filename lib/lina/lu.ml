@@ -244,45 +244,125 @@ module Sparse = struct
     g.g_val.(g.g_len) <- v;
     g.g_len <- g.g_len + 1
 
-  let factorize ~n ~col =
-    (* Static column order: ascending nonzero count, index as tie-break. *)
-    let counts = Array.make n 0 in
+  (* Static column order: ascending nonzero count, ties in index order.
+     A stable counting sort on the count gives exactly the permutation
+     of a comparison sort by [(count, index)], in O(n + max count). *)
+  let count_order counts =
+    let n = Array.length counts in
+    let maxc = ref 0 in
     for j = 0 to n - 1 do
-      col j (fun _ _ -> counts.(j) <- counts.(j) + 1)
+      if counts.(j) > !maxc then maxc := counts.(j)
     done;
-    let q = Array.init n (fun j -> j) in
-    Array.sort
-      (fun a b ->
-        match compare counts.(a) counts.(b) with 0 -> compare a b | c -> c)
-      q;
+    let start = Array.make (!maxc + 2) 0 in
+    for j = 0 to n - 1 do
+      start.(counts.(j) + 1) <- start.(counts.(j) + 1) + 1
+    done;
+    for c = 1 to !maxc + 1 do
+      start.(c) <- start.(c) + start.(c - 1)
+    done;
+    let q = Array.make n 0 in
+    for j = 0 to n - 1 do
+      let c = counts.(j) in
+      q.(start.(c)) <- j;
+      start.(c) <- start.(c) + 1
+    done;
+    q
+
+  (* Reaches up to this length are sorted in place by insertion; longer
+     ones go through [Array.sort] on a copy. *)
+  let insertion_cutoff = 32
+
+  let sort_prefix a len =
+    if len <= insertion_cutoff then
+      for t = 1 to len - 1 do
+        let v = a.(t) in
+        let s = ref (t - 1) in
+        while !s >= 0 && a.(!s) > v do
+          a.(!s + 1) <- a.(!s);
+          decr s
+        done;
+        a.(!s + 1) <- v
+      done
+    else begin
+      let c = Array.sub a 0 len in
+      Array.sort Int.compare c;
+      Array.blit c 0 a 0 len
+    end
+
+  let factorize ~n ~col =
+    (* The column being counted or factorized; the closures below are
+       built once, so the per-column work allocates nothing. *)
+    let cur = ref 0 in
+    let counts = Array.make n 0 in
+    let count _ _ = counts.(!cur) <- counts.(!cur) + 1 in
+    for j = 0 to n - 1 do
+      cur := j;
+      col j count
+    done;
+    let q = count_order counts in
     let p = Array.make n (-1) in
     let pinv = Array.make n (-1) in  (* original row -> factor row *)
     let x = Array.make n 0.0 in      (* dense accumulator, original rows *)
     let mark = Array.make n (-1) in
     let touched = Array.make n 0 in
+    let ntouch = ref 0 in
+    (* [counts] is dead once [q] is built; it becomes the stamp of the
+       step that last reached each factor column. *)
+    let cmark = counts in
+    Array.fill cmark 0 n (-1);
+    let reach = Array.make n 0 in
+    let nreach = ref 0 in
+    let touch i =
+      if mark.(i) <> !cur then begin
+        mark.(i) <- !cur;
+        touched.(!ntouch) <- i;
+        incr ntouch
+      end
+    in
+    let visit kf =
+      if kf >= 0 && cmark.(kf) <> !cur then begin
+        cmark.(kf) <- !cur;
+        reach.(!nreach) <- kf;
+        incr nreach
+      end
+    in
+    let scatter i v =
+      touch i;
+      visit pinv.(i);
+      x.(i) <- x.(i) +. v
+    in
     let lg = grow_make () and ug = grow_make () in
     let l_ptr = Array.make (n + 1) 0 in
     let u_ptr = Array.make (n + 1) 0 in
     let u_diag = Array.make n 0.0 in
     for jf = 0 to n - 1 do
-      let jorig = q.(jf) in
-      let ntouch = ref 0 in
-      let touch i =
-        if mark.(i) <> jf then begin
-          mark.(i) <- jf;
-          touched.(!ntouch) <- i;
-          incr ntouch
-        end
-      in
-      col jorig (fun i v ->
-          touch i;
-          x.(i) <- x.(i) +. v);
-      (* Forward-eliminate with the columns already factored, in factor
-         order; x.(p.(kf)) is final once step kf is reached, so the U
-         entries can be harvested on the fly. *)
-      for kf = 0 to jf - 1 do
-        let pr = p.(kf) in
-        let ukj = x.(pr) in
+      cur := jf;
+      ntouch := 0;
+      nreach := 0;
+      col q.(jf) scatter;
+      (* Symbolic reach: the factor columns that can update this one are
+         those whose pivot row is in the column's pattern, closed under
+         L (its row indices are still original rows, so [pinv] maps an
+         entry to the column it pivots).  The reach array doubles as the
+         work queue. *)
+      let head = ref 0 in
+      while !head < !nreach do
+        let kf = reach.(!head) in
+        incr head;
+        for e = l_ptr.(kf) to l_ptr.(kf + 1) - 1 do
+          visit pinv.(lg.g_idx.(e))
+        done
+      done;
+      (* Eliminate in ascending factor order — every L edge runs from a
+         lower to a higher column, so this is topological, and it is the
+         order a scan over all earlier columns would use: each x.(i)
+         sees its updates in the same order, bit for bit.  x.(p.(kf)) is
+         final once step kf is reached, so the U entries are harvested on
+         the fly. *)
+      sort_prefix reach !nreach;
+      for t = 0 to !nreach - 1 do
+        let kf = reach.(t) in
+        let ukj = x.(p.(kf)) in
         if ukj <> 0.0 then begin
           grow_push ug kf ukj;
           for e = l_ptr.(kf) to l_ptr.(kf + 1) - 1 do
@@ -344,7 +424,7 @@ module Sparse = struct
       u_diag;
       p;
       q;
-      pinv = Array.copy pinv;
+      pinv;
       qinv = inverse_perm q;
       lr_ptr;
       lr_idx;

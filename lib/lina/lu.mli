@@ -45,7 +45,16 @@ module Sparse : sig
   val factorize : n:int -> col:(int -> (int -> float -> unit) -> unit) -> t
   (** [factorize ~n ~col] factorizes the [n]×[n] matrix whose column [j]
       is enumerated by [col j f] as [f row value] calls (duplicates are
-      summed).  @raise Singular when no acceptable pivot exists. *)
+      summed).  @raise Singular when no acceptable pivot exists.
+
+      Cost: O(n + nnz + flops + Σ reach·log reach), where nnz counts the
+      input entries and the factors, flops the elimination updates, and
+      reach, per column, the earlier factor columns that its pattern
+      reaches through L.  The column order is a stable counting sort on
+      the nonzero count.  Each column is eliminated against its reach
+      in ascending factor order, the order of a scan over every earlier
+      column, so each entry receives its updates in the same sequence
+      and the factors are bit-identical to that scan's. *)
 
   val of_diagonal : float array -> t
   (** Trivial factorization of [diag d] — the simplex cold-start basis of
