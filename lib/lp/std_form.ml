@@ -8,8 +8,6 @@ type t = {
   obj_const : float;
   obj_factor : float;
   integer : bool array;
-  var_names : string array;
-  row_names : string array;
 }
 
 let of_model m =
@@ -18,14 +16,12 @@ let of_model m =
   let total = n + nr in
   let b = Lina.Csc.Builder.create ~rows:nr ~cols:total in
   let lb = Array.make total 0.0 and ub = Array.make total 0.0 in
-  let row_names = Array.make nr "" in
   List.iteri
     (fun i (r : Model.row) ->
       Expr.iter_terms (fun v c -> Lina.Csc.Builder.add b ~row:i ~col:v c) r.expr;
       Lina.Csc.Builder.add b ~row:i ~col:(n + i) (-1.0);
       lb.(n + i) <- r.lo;
-      ub.(n + i) <- r.hi;
-      row_names.(i) <- r.row_name)
+      ub.(n + i) <- r.hi)
     (Model.rows m);
   let a = Lina.Csc.Builder.finish b in
   let sense, obj = Model.objective m in
@@ -33,12 +29,10 @@ let of_model m =
   let cost = Array.make total 0.0 in
   Expr.iter_terms (fun v c -> cost.(v) <- obj_factor *. c) obj;
   let integer = Array.make n false in
-  let var_names = Array.make n "" in
   for v = 0 to n - 1 do
     let hv = Model.var_of_id m v in
     lb.(v) <- Model.var_lb m hv;
     ub.(v) <- Model.var_ub m hv;
-    var_names.(v) <- Model.var_name m hv;
     (match Model.var_kind m hv with
     | Model.Integer | Model.Binary -> integer.(v) <- true
     | Model.Continuous -> ())
@@ -53,8 +47,6 @@ let of_model m =
     obj_const = Expr.constant obj;
     obj_factor;
     integer;
-    var_names;
-    row_names;
   }
 
 let n_total sf = sf.n_struct + sf.n_rows
@@ -118,11 +110,7 @@ let append_columns sf cols =
     let integer =
       Array.init n' (fun j -> if j < n then sf.integer.(j) else false)
     in
-    let var_names =
-      Array.init n' (fun j ->
-          if j < n then sf.var_names.(j) else carr.(j - n).col_name)
-    in
-    { sf with n_struct = n'; a; cost; lb; ub; integer; var_names }
+    { sf with n_struct = n'; a; cost; lb; ub; integer }
   end
 
 let user_objective sf internal = (sf.obj_factor *. internal) +. sf.obj_const

@@ -19,9 +19,7 @@ type t = {
   ub : float array;
   obj_const : float;
   obj_factor : float;  (** +1 for minimize, -1 for maximize *)
-  integer : bool array;      (** length [n_struct] *)
-  var_names : string array;  (** length [n_struct] *)
-  row_names : string array;
+  integer : bool array;  (** length [n_struct] *)
 }
 
 val of_model : Model.t -> t

@@ -87,6 +87,231 @@ let unit_tests =
           (Tvnep.Validator.is_feasible flexible sol_flex));
   ]
 
+(* Verbatim copy of the feasibility-LP assembly [Greedy] used before it
+   built the standard form directly: every row and the objective go
+   through [Lp.Model] / [Lp.Expr] and [Lp.Std_form.of_model].  The
+   differential tests below hold [Greedy.flow_lp] to it bit for bit. *)
+module Reference = struct
+  open Tvnep
+
+  let overlaps s1 e1 s2 e2 = s1 < e2 -. 1e-12 && s2 < e1 -. 1e-12
+
+  let states_of intervals =
+    let pts =
+      List.concat_map (fun (s, e) -> [ s; e ]) intervals
+      |> List.sort_uniq compare
+    in
+    let rec pair = function
+      | a :: (b :: _ as rest) -> (a, b) :: pair rest
+      | [ _ ] | [] -> []
+    in
+    pair pts
+
+  let flow_lp inst participants =
+    let sub = inst.Instance.substrate in
+    let sgraph = Substrate.graph sub in
+    let n_sub = Substrate.num_nodes sub in
+    let n_slinks = Substrate.num_links sub in
+    let intervals = List.map (fun (_, s, e) -> (s, e)) participants in
+    let states = states_of intervals in
+    let active_sets =
+      List.map
+        (fun (lo, hi) ->
+          List.filter_map
+            (fun (req, s, e) -> if overlaps s e lo hi then Some req else None)
+            participants)
+        states
+    in
+    let model = Lp.Model.create ~name:"greedy-lp" () in
+    let flows = Hashtbl.create 16 in
+    List.iter
+      (fun (req, _, _) ->
+        let r = Instance.request inst req in
+        let mapping =
+          match Instance.node_mapping inst req with
+          | Some m -> m
+          | None -> assert false
+        in
+        let x_e =
+          Array.init (Request.num_vlinks r) (fun lv ->
+              Array.init n_slinks (fun ls ->
+                  Lp.Model.add_var model ~lb:0.0 ~ub:1.0
+                    (Printf.sprintf "f_%d_%d_%d" req lv ls)))
+        in
+        Hashtbl.replace flows req x_e;
+        List.iter
+          (fun (lv : Graphs.Digraph.edge) ->
+            for s = 0 to n_sub - 1 do
+              let sum_over edges =
+                Lp.Expr.sum
+                  (List.map
+                     (fun (e : Graphs.Digraph.edge) ->
+                       Lp.Expr.var ((x_e.(lv.id).(e.id) : Lp.Model.var) :> int))
+                     edges)
+              in
+              let balance =
+                Lp.Expr.sub
+                  (sum_over (Graphs.Digraph.out_edges sgraph s))
+                  (sum_over (Graphs.Digraph.in_edges sgraph s))
+              in
+              let rhs =
+                (if mapping.(lv.src) = s then 1.0 else 0.0)
+                -. (if mapping.(lv.dst) = s then 1.0 else 0.0)
+              in
+              Lp.Model.add_eq model balance rhs
+            done)
+          (Graphs.Digraph.edges r.Request.graph))
+      participants;
+    List.iter
+      (fun active ->
+        for ls = 0 to n_slinks - 1 do
+          let load =
+            Lp.Expr.sum
+              (List.concat_map
+                 (fun req ->
+                   let r = Instance.request inst req in
+                   let x_e = Hashtbl.find flows req in
+                   List.init (Request.num_vlinks r) (fun lv ->
+                       Lp.Expr.var
+                         ~coeff:r.Request.link_demand.(lv)
+                         ((x_e.(lv).(ls) : Lp.Model.var) :> int)))
+                 active)
+          in
+          if Lp.Expr.num_terms load > 0 then
+            Lp.Model.add_le model load (Substrate.link_cap sub ls)
+        done)
+      active_sets;
+    let total =
+      Hashtbl.fold
+        (fun _ x_e acc ->
+          Array.fold_left
+            (fun acc row ->
+              Array.fold_left
+                (fun acc (v : Lp.Model.var) ->
+                  Lp.Expr.add_term acc (v :> int) 1.0)
+                acc row)
+            acc x_e)
+        flows Lp.Expr.zero
+    in
+    Lp.Model.set_objective model Lp.Model.Minimize total;
+    Lp.Std_form.of_model model
+end
+
+let bits a = Array.map Int64.bits_of_float a
+
+let check_flow_lp label inst participants =
+  let want = Reference.flow_lp inst participants in
+  let got = Tvnep.Greedy.flow_lp inst participants in
+  let ints what f = Alcotest.(check (array int)) (label ^ " " ^ what) (f want) (f got) in
+  let floats what f =
+    Alcotest.(check (array int64)) (label ^ " " ^ what) (bits (f want)) (bits (f got))
+  in
+  Alcotest.(check int) (label ^ " n_struct") want.Lp.Std_form.n_struct
+    got.Lp.Std_form.n_struct;
+  Alcotest.(check int) (label ^ " n_rows") want.Lp.Std_form.n_rows
+    got.Lp.Std_form.n_rows;
+  ints "col_ptr" (fun sf -> sf.Lp.Std_form.a.Lina.Csc.col_ptr);
+  ints "row_idx" (fun sf -> sf.Lp.Std_form.a.Lina.Csc.row_idx);
+  floats "value" (fun sf -> sf.Lp.Std_form.a.Lina.Csc.value);
+  floats "lb" (fun sf -> sf.Lp.Std_form.lb);
+  floats "ub" (fun sf -> sf.Lp.Std_form.ub);
+  floats "cost" (fun sf -> sf.Lp.Std_form.cost);
+  Alcotest.(check (array bool)) (label ^ " integer") want.Lp.Std_form.integer
+    got.Lp.Std_form.integer;
+  Alcotest.(check int64) (label ^ " obj_const")
+    (Int64.bits_of_float want.Lp.Std_form.obj_const)
+    (Int64.bits_of_float got.Lp.Std_form.obj_const);
+  Alcotest.(check int64) (label ^ " obj_factor")
+    (Int64.bits_of_float want.Lp.Std_form.obj_factor)
+    (Int64.bits_of_float got.Lp.Std_form.obj_factor)
+
+(* Three 2-link stars on a 2x3 grid: [a] has one zero-demand link, [z]
+   demands nothing (and maps both links' ends onto one host), [b] loads
+   both links. *)
+let zero_demand_instance () =
+  let g = Graphs.Generators.grid ~rows:2 ~cols:3 in
+  let substrate = Tvnep.Substrate.uniform g ~node_cap:10.0 ~link_cap:2.0 in
+  let rg = Graphs.Generators.star ~leaves:2 ~orientation:Graphs.Generators.From_center in
+  let mk name link_demand =
+    Tvnep.Request.make ~name ~graph:rg ~node_demand:[| 0.5; 0.5; 0.5 |]
+      ~link_demand ~duration:1.0 ~start_min:0.0 ~end_max:4.0
+  in
+  Tvnep.Instance.make
+    ~node_mappings:[| [| 0; 1; 2 |]; [| 3; 4; 4 |]; [| 5; 0; 3 |] |]
+    ~substrate
+    ~requests:[| mk "a" [| 1.5; 0.0 |]; mk "z" [| 0.0; 0.0 |]; mk "b" [| 0.7; 1.2 |] |]
+    ~horizon:4.0 ()
+
+(* Every request once, in a seeded order, each at a seeded start inside its
+   window; the prefixes of this list are probe-shaped participant sets. *)
+let seeded_participants inst seed =
+  let rng = Workload.Rng.create seed in
+  let order = Array.init (Tvnep.Instance.num_requests inst) (fun i -> i) in
+  Workload.Rng.shuffle rng order;
+  List.map
+    (fun req ->
+      let r = Tvnep.Instance.request inst req in
+      let lo = r.Tvnep.Request.start_min and hi = Tvnep.Request.latest_start r in
+      let s = if hi > lo then Workload.Rng.float_range rng lo hi else lo in
+      (req, s, s +. r.Tvnep.Request.duration))
+    (Array.to_list order)
+
+let rec prefixes = function
+  | [] -> []
+  | x :: rest -> [ x ] :: List.map (fun p -> x :: p) (prefixes rest)
+
+let flow_lp_tests =
+  [
+    Alcotest.test_case "hand-built participant sets" `Quick (fun () ->
+        let inst = zero_demand_instance () in
+        List.iter
+          (fun (label, participants) -> check_flow_lp label inst participants)
+          [
+            ("single participant", [ (0, 0.0, 1.0) ]);
+            ("single zero-demand participant", [ (1, 0.0, 1.0) ]);
+            ("state with no active request", [ (0, 0.0, 1.0); (2, 2.0, 3.0) ]);
+            ("zero-demand state", [ (1, 0.0, 1.0); (0, 0.5, 1.5) ]);
+            ( "several participants",
+              [ (2, 0.0, 1.0); (0, 0.5, 1.5); (1, 0.2, 1.2) ] );
+            ( "several participants, reversed",
+              [ (1, 0.2, 1.2); (0, 0.5, 1.5); (2, 0.0, 1.0) ] );
+          ]);
+    Alcotest.test_case "seeded scaled scenarios" `Quick (fun () ->
+        List.iter
+          (fun seed ->
+            let inst = scenario ~k:6 ~flex:2.0 seed in
+            List.iter
+              (fun participants ->
+                check_flow_lp
+                  (Printf.sprintf "seed %Ld, %d participants" seed
+                     (List.length participants))
+                  inst participants)
+              (prefixes (seeded_participants inst (Int64.add seed 100L))))
+          [ 3L; 17L; 41L ]);
+    Alcotest.test_case "preplaced-only sets" `Quick (fun () ->
+        (* The participant list [Greedy.run ~preplaced] solves before its
+           scan: every pre-placement in caller order, none a candidate. *)
+        let inst = scenario ~k:5 ~flex:1.0 29L in
+        let preplaced =
+          List.map
+            (fun req ->
+              (req, (Tvnep.Instance.request inst req).Tvnep.Request.start_min))
+            [ 4; 1; 3 ]
+        in
+        check_flow_lp "preplaced" inst
+          (List.map
+             (fun (req, s) ->
+               (req, s, s +. (Tvnep.Instance.request inst req).Tvnep.Request.duration))
+             preplaced));
+    Alcotest.test_case "paper-size 4x5 grid" `Quick (fun () ->
+        let rng = Workload.Rng.create 4242L in
+        let inst =
+          Tvnep.Scenario.generate rng
+            { Tvnep.Scenario.paper with num_requests = 8; flexibility = 1.0 }
+        in
+        check_flow_lp "paper grid" inst (seeded_participants inst 7L));
+  ]
+
 let properties =
   [
     QCheck_alcotest.to_alcotest
@@ -141,4 +366,8 @@ let properties =
              (Array.init (Tvnep.Instance.num_requests inst) (fun i -> i))));
   ]
 
-let suite = [ ("tvnep.greedy", unit_tests @ properties) ]
+let suite =
+  [
+    ("tvnep.greedy", unit_tests @ properties);
+    ("tvnep.greedy.flow_lp", flow_lp_tests);
+  ]
