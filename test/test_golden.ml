@@ -127,9 +127,9 @@ let run_case c inst =
 let golden =
   [
     ( ("exact/arc", 11L),
-      ("optimal", "51.795098621649423", 249739, "0dd94ad87bcdbd03c32007f68c5f7dad") );
+      ("optimal", "51.795098621649423", 249739, "f6e1f70a86dfa60e9baa446aaa25e22f") );
     ( ("exact/arc", 23L),
-      ("optimal", "56.494575488042329", 1305260, "b1310b899dca356a1b8d4d5208bf539e") );
+      ("optimal", "56.494575488042329", 1305260, "0708088231d2f194a76b2ce235a9d525") );
     ( ("exact/path", 11L),
       ("optimal", "51.795098621649423", 976992, "e85e679b93412468296d35aebe7b2b04") );
     ( ("exact/path", 23L),
@@ -143,25 +143,25 @@ let golden =
     ( ("lp_only/path", 23L),
       ("optimal", "67.107501332570635", 291601, "448cd0a0688bf16d442154ba1ed6e533") );
     ( ("rounded/arc", 11L),
-      ("feasible", "51.795098621649423", 261689, "022037836bef32907db1d71a8d89e0ab") );
+      ("feasible", "51.795098621649423", 261689, "6ff242fcd53fc69ff1c0072a12c9b7f3") );
     ( ("rounded/arc", 23L),
-      ("feasible", "56.494575488042329", 277805, "5f798a56bf4360d6983b488e4136865c") );
+      ("feasible", "56.494575488042329", 277805, "a418a581fefa43c15bebe06cf59cb81f") );
     ( ("rounded/path", 11L),
-      ("feasible", "51.795098621649423", 298273, "5d308c64f6326d50b818f3f2f85dc859") );
+      ("feasible", "51.795098621649423", 298273, "b80af4105e52fdf3fd1cde0195b32133") );
     ( ("rounded/path", 23L),
-      ("feasible", "56.494575488042329", 324527, "a54db61d06f4347fa86dea04bb278287") );
+      ("feasible", "56.494575488042329", 324527, "08fdb54312a9d71d9bfadf687f303d83") );
     ( ("hybrid/arc", 11L),
-      ("feasible", "35.868844969447004", 21244, "c23201642115092f2aa05748a92f4263") );
+      ("feasible", "35.868844969447004", 21244, "94d95bad71c0dccac5e877fb71e47f5d") );
     ( ("hybrid/arc", 23L),
-      ("feasible", "56.494575488042329", 62308, "60256d83b08507a91c714051ca9b82ad") );
+      ("feasible", "56.494575488042329", 62308, "a937e1cc87f495410297fe13fecef152") );
     ( ("hybrid/path", 11L),
-      ("feasible", "35.868844969447004", 31238, "41f273f02f1066be781ed82b2b1558f0") );
+      ("feasible", "35.868844969447004", 31238, "68f03e583eb7e1fefd45e7cd23128f2b") );
     ( ("hybrid/path", 23L),
-      ("feasible", "56.494575488042329", 71271, "d1f95c924791f5a769fa5a367ea1a955") );
+      ("feasible", "56.494575488042329", 71271, "2cbd7952db0fb34ee2e76099060f9e89") );
     ( ("greedy", 11L),
-      ("feasible", "51.795098621649423", 64141, "b93d627df34249942a7475521d4c38a0") );
+      ("feasible", "51.795098621649423", 64141, "e7eb9fd8b63780399bf0c4e7fd733611") );
     ( ("greedy", 23L),
-      ("feasible", "39.777074300504594", 57446, "d1c56c00da3333d3a15d39e798af5aac") );
+      ("feasible", "39.777074300504594", 57446, "622cc6322329a4788b303add26ff4a2c") );
     ( ("exact/arc pinned+forced", 11L),
       ("optimal", "51.795098621649423", 458549, "0929246e65c833885f3f91d63a3fef1a") );
     ( ("exact/arc pinned+forced", 23L),
