@@ -33,7 +33,7 @@ type t = {
   mutable incumbents : int;          (** incumbent improvements (any source) *)
   mutable bound_updates : int;       (** global dual bound improvements *)
   (* tvnep *)
-  mutable greedy_lp_solves : int;    (** feasibility LPs of the greedy *)
+  mutable greedy_lp_solves : int;    (** feasibility LPs the greedy solved *)
   mutable greedy_candidates : int;   (** candidate start times probed *)
   mutable greedy_accepted : int;     (** requests the greedy admitted *)
   (* randomized rounding (LP-decomposition rung) *)
