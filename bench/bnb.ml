@@ -197,21 +197,6 @@ let validate_json_string s =
       | _ -> Error "\"identical_across_jobs\" is not true")
     | _ -> Error "missing or unexpected \"schema\"")
 
-let emit_json ~path runs =
-  let doc = json_of_runs runs in
-  let oc = open_out path in
-  output_string oc (Statsutil.Json.to_string doc);
-  close_out oc;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  match validate_json_string s with
-  | Ok n -> Printf.printf "wrote %s (%d runs, validated)\n" path n
-  | Error msg ->
-    Printf.eprintf "BENCH JSON INVALID (%s): %s\n" path msg;
-    exit 1
-
 let run ?json_path ?(time_limit = 30.0) () =
   Printf.printf
     "\n== Branch-and-bound parallel benchmark (deterministic work clock) ==\n";
@@ -297,4 +282,8 @@ let run ?json_path ?(time_limit = 30.0) () =
   | _ ->
     Printf.printf
       "speedup floor skipped: host reports %d core(s) (< 4 needed)\n" cores);
-  match json_path with Some path -> emit_json ~path runs | None -> ()
+  match json_path with
+  | Some path ->
+    Bench_json.emit ~path ~noun:"runs" ~validate:validate_json_string
+      (json_of_runs runs)
+  | None -> ()

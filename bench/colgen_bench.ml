@@ -149,21 +149,6 @@ let validate_json_string s =
         else Error "a run is missing a required field")
     | _ -> Error "missing or unexpected \"schema\"/\"schema_version\"")
 
-let emit_json ~path runs =
-  let doc = json_of_runs runs in
-  let oc = open_out path in
-  output_string oc (Statsutil.Json.to_string doc);
-  close_out oc;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  match validate_json_string s with
-  | Ok n -> Printf.printf "wrote %s (%d runs, validated)\n" path n
-  | Error msg ->
-    Printf.eprintf "BENCH JSON INVALID (%s): %s\n" path msg;
-    exit 1
-
 let run ?json_path ?(time_limit = 120.0) () =
   Printf.printf
     "\n== Column-generation benchmark (9x10 grid, 8-vlink requests, \
@@ -245,5 +230,7 @@ let run ?json_path ?(time_limit = 120.0) () =
     (100.0 *. float_of_int path.master_flow_columns
     /. Float.max 1.0 (float_of_int path.arc_flow_columns));
   match json_path with
-  | Some json_path -> emit_json ~path:json_path [ arc; path ]
+  | Some json_path ->
+    Bench_json.emit ~path:json_path ~noun:"runs"
+      ~validate:validate_json_string (json_of_runs [ arc; path ])
   | None -> ()

@@ -355,22 +355,6 @@ let validate_json_string s =
                 (fun () -> Ok (List.length cases)))))
     | _ -> Error "missing or unexpected \"schema\"")
 
-let emit_json ~path cases ab stats =
-  let doc = json_of_cases cases ab stats in
-  let oc = open_out path in
-  output_string oc (Statsutil.Json.to_string doc);
-  close_out oc;
-  (* Re-read and validate what we just wrote. *)
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  match validate_json_string s with
-  | Ok n -> Printf.printf "wrote %s (%d cases, validated)\n" path n
-  | Error msg ->
-    Printf.eprintf "BENCH JSON INVALID (%s): %s\n" path msg;
-    exit 1
-
 let run ?json_path () =
   Printf.printf "\n== Simplex benchmark (deterministic work clock) ==\n";
   let cases, node_stats = sim_cases () in
@@ -421,7 +405,9 @@ let run ?json_path () =
     node_stats.Runtime.Stats.refactor_drift
     node_stats.Runtime.Stats.refactor_forced;
   (match json_path with
-  | Some path -> emit_json ~path cases ab node_stats
+  | Some path ->
+    Bench_json.emit ~path ~noun:"cases" ~validate:validate_json_string
+      (json_of_cases cases ab node_stats)
   | None -> ());
   Printf.printf "\n== Microbenchmarks (Bechamel, monotonic clock) ==\n";
   let ols =

@@ -229,25 +229,6 @@ let validate_json_string s =
           | None -> Error "missing \"comparison\"")))
     | _ -> Error "missing or unexpected \"schema\"")
 
-let emit_json ~path lifecycle ~ignored ~pricing ~exact_chain ~greedy_chain
-    ~rounded_chain =
-  let doc =
-    json_of_runs lifecycle ~ignored ~pricing ~exact_chain ~greedy_chain
-      ~rounded_chain
-  in
-  let oc = open_out path in
-  output_string oc (Statsutil.Json.to_string doc);
-  close_out oc;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  match validate_json_string s with
-  | Ok n -> Printf.printf "wrote %s (%d runs, validated)\n" path n
-  | Error msg ->
-    Printf.eprintf "BENCH JSON INVALID (%s): %s\n" path msg;
-    exit 1
-
 let check_final_state ~label inst (s : Service.Engine.summary) =
   match Tvnep.Validator.check inst s.Service.Engine.solution with
   | Ok () -> ()
@@ -422,6 +403,7 @@ let run ?json_path () =
   List.iter (fun (label, r) -> check_final_state ~label inst r.summary) runs;
   match json_path with
   | Some path ->
-    emit_json ~path lifecycle ~ignored ~pricing ~exact_chain ~greedy_chain
-      ~rounded_chain
+    Bench_json.emit ~path ~noun:"runs" ~validate:validate_json_string
+      (json_of_runs lifecycle ~ignored ~pricing ~exact_chain ~greedy_chain
+         ~rounded_chain)
   | None -> ()

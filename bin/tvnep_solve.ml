@@ -562,12 +562,8 @@ let explain_cmd =
       List.iter
         (fun (d, t) -> Printf.printf "  domain %d: %d ticks\n" d t)
         per);
-    let metrics = Runtime.Metrics.to_string (Runtime.Span.metrics prof) in
-    if metrics <> "" then begin
-      Printf.printf "\nmetrics:\n";
-      String.split_on_char '\n' metrics
-      |> List.iter (fun l -> if l <> "" then Printf.printf "  %s\n" l)
-    end;
+    Printf.printf "\ncounters:  %s\n"
+      (Runtime.Stats.to_string o.Tvnep.Solver.stats);
     (* The accounting invariant the profiler is built around: per-phase
        self ticks partition the solve's work ticks exactly. *)
     let self = Runtime.Span.sum_self tree in

@@ -61,19 +61,13 @@ type result = {
    end they partition the ticks the solve billed; the profiler turns them
    into factorize/ftran/btran/pricing leaf spans under the "lp" span
    (one leaf per category per solve — per-call spans would add millions
-   of spans to a branch-and-bound run). *)
+   of spans to a branch-and-bound run).  Ticks only: basis-update and
+   refactorization counts have one home, the solve's [Runtime.Stats]. *)
 type prof_ticks = {
   mutable pf_factor : int;
   mutable pf_ftran : int;
   mutable pf_btran : int;
   mutable pf_pricing : int;
-  (* per-solve basis-update telemetry, mirrored into "lp.*" metrics when a
-     recorder is attached *)
-  mutable pf_updates : int;
-  mutable pf_spike_fill : int;
-  mutable pf_rfill : int;
-  mutable pf_rdrift : int;
-  mutable pf_rforced : int;
 }
 
 (* Internal solver state.  Columns 0 .. n_total-1 are the structural and
@@ -145,23 +139,13 @@ let fresh_ptk () =
     pf_ftran = 0;
     pf_btran = 0;
     pf_pricing = 0;
-    pf_updates = 0;
-    pf_spike_fill = 0;
-    pf_rfill = 0;
-    pf_rdrift = 0;
-    pf_rforced = 0;
   }
 
 let reset_ptk p =
   p.pf_factor <- 0;
   p.pf_ftran <- 0;
   p.pf_btran <- 0;
-  p.pf_pricing <- 0;
-  p.pf_updates <- 0;
-  p.pf_spike_fill <- 0;
-  p.pf_rfill <- 0;
-  p.pf_rdrift <- 0;
-  p.pf_rforced <- 0
+  p.pf_pricing <- 0
 
 (* Category-tagged clock charges: same [Budget.tick] as before, plus the
    per-category accumulator the profiler reads at solve end. *)
@@ -188,7 +172,7 @@ let tick_pricing st n =
 let emit_prof_leaves st =
   match st.prof with
   | None -> ()
-  | Some rec_ ->
+  | Some _ ->
     let p = st.ptk in
     let tot = p.pf_factor + p.pf_ftran + p.pf_btran + p.pf_pricing in
     let cur = ref (Budget.ticks st.budget - tot) in
@@ -201,16 +185,7 @@ let emit_prof_leaves st =
     leaf "factorize" p.pf_factor;
     leaf "ftran" p.pf_ftran;
     leaf "btran" p.pf_btran;
-    leaf "pricing" p.pf_pricing;
-    (* Basis-update telemetry: counters in the recorder's metrics
-       registry, merged deterministically across domains like the rest. *)
-    let mt = Span.metrics rec_ in
-    let c name n = if n > 0 then Runtime.Metrics.incr ~by:n mt name in
-    c "lp.basis_updates" p.pf_updates;
-    c "lp.spike_fill" p.pf_spike_fill;
-    c "lp.refactor_fill" p.pf_rfill;
-    c "lp.refactor_drift" p.pf_rdrift;
-    c "lp.refactor_forced" p.pf_rforced
+    leaf "pricing" p.pf_pricing
 
 (* --- column access -------------------------------------------------- *)
 
@@ -297,7 +272,6 @@ let refactorize st =
   done;
   if equation_residual st > 1e-7 *. !scale then begin
     st.stats.Rstats.refactor_drift <- st.stats.Rstats.refactor_drift + 1;
-    st.ptk.pf_rdrift <- st.ptk.pf_rdrift + 1;
     full_refactorize st
   end
 
@@ -316,7 +290,6 @@ let after_basis_update st =
       && Basis.fill_ratio st.rep > st.params.fill_limit
     then begin
       st.stats.Rstats.refactor_fill <- st.stats.Rstats.refactor_fill + 1;
-      st.ptk.pf_rfill <- st.ptk.pf_rfill + 1;
       full_refactorize st
     end
     else if st.pivots_since_refactor >= st.params.refactor_every then
@@ -337,14 +310,11 @@ let commit_pivot st ~r =
     | Basis.Updatable_lu ->
       st.stats.Rstats.basis_updates <- st.stats.Rstats.basis_updates + 1;
       st.stats.Rstats.spike_fill <- st.stats.Rstats.spike_fill + added;
-      st.ptk.pf_updates <- st.ptk.pf_updates + 1;
-      st.ptk.pf_spike_fill <- st.ptk.pf_spike_fill + added;
       tick_factor st work
     | Basis.Dense_inverse -> ());
     after_basis_update st
   | Basis.Rejected -> (
     st.stats.Rstats.refactor_forced <- st.stats.Rstats.refactor_forced + 1;
-    st.ptk.pf_rforced <- st.ptk.pf_rforced + 1;
     try full_refactorize st
     with Lina.Lu.Singular _ -> raise (Solver_stop Numerical_failure))
 

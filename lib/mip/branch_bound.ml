@@ -5,7 +5,6 @@ module Budget = Runtime.Budget
 module Rstats = Runtime.Stats
 module Pool = Runtime.Pool
 module Span = Runtime.Span
-module Metrics = Runtime.Metrics
 
 type status =
   | Optimal
@@ -431,13 +430,7 @@ let run_round s dispatch =
     for i = 0 to n - 1 do
       (match (s.prof, fprofs.(i)) with
       | Some into, Some child ->
-        Span.graft ~into ~at:(Budget.ticks s.budget) child;
-        let m = Span.metrics into in
-        Metrics.incr m "bb.nodes_evaluated";
-        (match evals.(i) with
-        | Lp_result r ->
-          Metrics.observe m "bb.node_lp_iters" (float_of_int r.iterations)
-        | Prop_infeasible -> Metrics.incr m "bb.prop_infeasible")
+        Span.graft ~into ~at:(Budget.ticks s.budget) child
       | _ -> ());
       Budget.join ~into:s.budget forks.(i);
       Rstats.merge ~into:s.stats fstats.(i);

@@ -103,8 +103,8 @@ val solve_form :
     node is evaluated under its own child recorder (spans tagged with the
     evaluating worker's domain id) grafted back in node-index order at
     the shared budget's pre-join tick count — so every exported tick
-    stamp and total, and the ["bb.*"] metrics, are identical at every
-    [jobs] level; only the worker-domain tags vary. *)
+    stamp and total is identical at every [jobs] level; only the
+    worker-domain tags vary. *)
 
 val solve :
   ?params:params ->

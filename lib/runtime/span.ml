@@ -28,22 +28,12 @@ type recorder = {
   mutable domain : int;
   wall : bool;
   base : int;
-  mx : Metrics.t;
 }
 
 let create ?(wall = false) ?(domain = 0) ?(base = 0) () =
-  {
-    done_ = [];
-    stack = [];
-    next_seq = 0;
-    domain;
-    wall;
-    base;
-    mx = Metrics.create ();
-  }
+  { done_ = []; stack = []; next_seq = 0; domain; wall; base }
 
 let set_domain r d = r.domain <- d
-let metrics r = r.mx
 let now_wall r = if r.wall then Unix.gettimeofday () else nan
 
 let enter prof budget name =
@@ -131,8 +121,7 @@ let graft ~into ~at child =
           seq;
         }
         :: into.done_)
-    (List.sort by_seq child.done_);
-  Metrics.merge ~into:into.mx child.mx
+    (List.sort by_seq child.done_)
 
 let spans r = List.sort by_seq r.done_
 

@@ -53,12 +53,6 @@ val set_domain : recorder -> int -> unit
 (** Tag spans recorded from now on with this worker-domain id.  Workers
     call this on their child recorder once they know their id. *)
 
-val metrics : recorder -> Metrics.t
-(** The metrics registry riding with this recorder.  {!graft} folds a
-    child's registry into the parent's ({!Metrics.merge}) in graft
-    order, so cross-domain metrics aggregate as deterministically as the
-    spans do. *)
-
 val enter : recorder option -> Budget.t -> string -> unit
 (** Open a span.  No-op on [None]. *)
 
@@ -89,9 +83,8 @@ val graft : into:recorder -> at:int -> recorder -> unit
     recorded work lands at tick [at] of the parent timeline — pass the
     parent budget's tick count {e before} the matching {!Budget.join}),
     deepening each span under [into]'s currently open spans, and
-    renumbering [seq] so graft order is preserved.  The child's
-    {!metrics} are merged into [into]'s.  The child must be balanced
-    (no open spans).
+    renumbering [seq] so graft order is preserved.  The child must be
+    balanced (no open spans).
 
     @raise Invalid_argument when the child still has open spans. *)
 

@@ -67,38 +67,115 @@ let create () =
     service_time = 0.0;
   }
 
+module Json = Statsutil.Json
+
+(* The one field table: [merge], [to_json] and [of_json] walk it, so a
+   counter's name, and its place in the encoded object, are written once.
+   The order is the JSON member order. *)
+type field =
+  | Int of string * (t -> int) * (t -> int -> unit)
+  | Float of string * (t -> float) * (t -> float -> unit)
+
+let fields =
+  [
+    Int ("simplex_iterations", (fun s -> s.simplex_iterations),
+      fun s v -> s.simplex_iterations <- v);
+    Int ("refactorizations", (fun s -> s.refactorizations),
+      fun s v -> s.refactorizations <- v);
+    Int ("lp_solves", (fun s -> s.lp_solves), fun s v -> s.lp_solves <- v);
+    Int ("ftran_nnz", (fun s -> s.ftran_nnz), fun s v -> s.ftran_nnz <- v);
+    Int ("btran_nnz", (fun s -> s.btran_nnz), fun s v -> s.btran_nnz <- v);
+    Int ("basis_updates", (fun s -> s.basis_updates),
+      fun s v -> s.basis_updates <- v);
+    Int ("spike_fill", (fun s -> s.spike_fill), fun s v -> s.spike_fill <- v);
+    Int ("refactor_fill", (fun s -> s.refactor_fill),
+      fun s v -> s.refactor_fill <- v);
+    Int ("refactor_drift", (fun s -> s.refactor_drift),
+      fun s v -> s.refactor_drift <- v);
+    Int ("refactor_forced", (fun s -> s.refactor_forced),
+      fun s v -> s.refactor_forced <- v);
+    Int ("pricing_hits", (fun s -> s.pricing_hits),
+      fun s v -> s.pricing_hits <- v);
+    Int ("pricing_sweeps", (fun s -> s.pricing_sweeps),
+      fun s v -> s.pricing_sweeps <- v);
+    Int ("bb_nodes", (fun s -> s.bb_nodes), fun s v -> s.bb_nodes <- v);
+    Int ("incumbents", (fun s -> s.incumbents), fun s v -> s.incumbents <- v);
+    Int ("bound_updates", (fun s -> s.bound_updates),
+      fun s v -> s.bound_updates <- v);
+    Int ("greedy_lp_solves", (fun s -> s.greedy_lp_solves),
+      fun s v -> s.greedy_lp_solves <- v);
+    Int ("greedy_candidates", (fun s -> s.greedy_candidates),
+      fun s v -> s.greedy_candidates <- v);
+    Int ("greedy_accepted", (fun s -> s.greedy_accepted),
+      fun s v -> s.greedy_accepted <- v);
+    Int ("rounding_attempts", (fun s -> s.rounding_attempts),
+      fun s v -> s.rounding_attempts <- v);
+    Int ("rounding_candidates", (fun s -> s.rounding_candidates),
+      fun s v -> s.rounding_candidates <- v);
+    Int ("rounding_repairs", (fun s -> s.rounding_repairs),
+      fun s v -> s.rounding_repairs <- v);
+    Int ("rounding_fallbacks", (fun s -> s.rounding_fallbacks),
+      fun s v -> s.rounding_fallbacks <- v);
+    Int ("service_requests", (fun s -> s.service_requests),
+      fun s v -> s.service_requests <- v);
+    Int ("service_admitted", (fun s -> s.service_admitted),
+      fun s v -> s.service_admitted <- v);
+    Int ("service_denied", (fun s -> s.service_denied),
+      fun s v -> s.service_denied <- v);
+    Int ("service_fallbacks", (fun s -> s.service_fallbacks),
+      fun s v -> s.service_fallbacks <- v);
+    Int ("service_reevals", (fun s -> s.service_reevals),
+      fun s v -> s.service_reevals <- v);
+    Float ("greedy_time", (fun s -> s.greedy_time),
+      fun s v -> s.greedy_time <- v);
+    Float ("build_time", (fun s -> s.build_time), fun s v -> s.build_time <- v);
+    Float ("search_time", (fun s -> s.search_time),
+      fun s v -> s.search_time <- v);
+    Float ("service_time", (fun s -> s.service_time),
+      fun s v -> s.service_time <- v);
+  ]
+
 let merge ~into s =
-  into.simplex_iterations <- into.simplex_iterations + s.simplex_iterations;
-  into.refactorizations <- into.refactorizations + s.refactorizations;
-  into.lp_solves <- into.lp_solves + s.lp_solves;
-  into.ftran_nnz <- into.ftran_nnz + s.ftran_nnz;
-  into.btran_nnz <- into.btran_nnz + s.btran_nnz;
-  into.basis_updates <- into.basis_updates + s.basis_updates;
-  into.spike_fill <- into.spike_fill + s.spike_fill;
-  into.refactor_fill <- into.refactor_fill + s.refactor_fill;
-  into.refactor_drift <- into.refactor_drift + s.refactor_drift;
-  into.refactor_forced <- into.refactor_forced + s.refactor_forced;
-  into.pricing_hits <- into.pricing_hits + s.pricing_hits;
-  into.pricing_sweeps <- into.pricing_sweeps + s.pricing_sweeps;
-  into.bb_nodes <- into.bb_nodes + s.bb_nodes;
-  into.incumbents <- into.incumbents + s.incumbents;
-  into.bound_updates <- into.bound_updates + s.bound_updates;
-  into.greedy_lp_solves <- into.greedy_lp_solves + s.greedy_lp_solves;
-  into.greedy_candidates <- into.greedy_candidates + s.greedy_candidates;
-  into.greedy_accepted <- into.greedy_accepted + s.greedy_accepted;
-  into.rounding_attempts <- into.rounding_attempts + s.rounding_attempts;
-  into.rounding_candidates <- into.rounding_candidates + s.rounding_candidates;
-  into.rounding_repairs <- into.rounding_repairs + s.rounding_repairs;
-  into.rounding_fallbacks <- into.rounding_fallbacks + s.rounding_fallbacks;
-  into.service_requests <- into.service_requests + s.service_requests;
-  into.service_admitted <- into.service_admitted + s.service_admitted;
-  into.service_denied <- into.service_denied + s.service_denied;
-  into.service_fallbacks <- into.service_fallbacks + s.service_fallbacks;
-  into.service_reevals <- into.service_reevals + s.service_reevals;
-  into.greedy_time <- into.greedy_time +. s.greedy_time;
-  into.build_time <- into.build_time +. s.build_time;
-  into.search_time <- into.search_time +. s.search_time;
-  into.service_time <- into.service_time +. s.service_time
+  List.iter
+    (function
+      | Int (_, get, set) -> set into (get into + get s)
+      | Float (_, get, set) -> set into (get into +. get s))
+    fields
+
+let to_json s =
+  Json.Obj
+    (List.map
+       (function
+         | Int (name, get, _) -> (name, Json.Num (float_of_int (get s)))
+         | Float (name, get, _) -> (name, Json.of_float_exact (get s)))
+       fields)
+
+let of_json doc =
+  match doc with
+  | Json.Obj _ ->
+    let s = create () in
+    let decode name f =
+      (* Tolerant on missing counters (they stay zero) and on unknown
+         members; strict on malformed ones. *)
+      match Json.member name doc with
+      | None -> Ok ()
+      | Some v -> Result.map_error (fun e -> name ^ ": " ^ e) (f v)
+    in
+    let rec go = function
+      | [] -> Ok s
+      | Int (name, _, set) :: rest ->
+        Result.bind
+          (decode name (function
+            | Json.Num n -> Ok (set s (int_of_float n))
+            | _ -> Error "expected an integer"))
+          (fun () -> go rest)
+      | Float (name, _, set) :: rest ->
+        Result.bind
+          (decode name (fun v -> Result.map (set s) (Json.to_float_exact v)))
+          (fun () -> go rest)
+    in
+    go fields
+  | _ -> Error "stats: expected an object"
 
 let to_string s =
   let base =

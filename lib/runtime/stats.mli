@@ -1,9 +1,14 @@
-(** Structured solve statistics.
+(** Structured solve statistics: the one counter registry.
 
     One mutable record is created per top-level solve and threaded through
-    every layer; each layer increments the counters it owns.  The bench
-    harness and the CLI consume this record directly instead of re-deriving
-    per-layer numbers from scattered ad-hoc counters.
+    every layer; each layer increments the counters it owns, unconditionally
+    (profiling on or off).  The bench harness and the CLI consume this
+    record directly instead of re-deriving per-layer numbers from scattered
+    ad-hoc counters; what the span recorder adds on top are phase ticks and
+    call counts ({!Span.tree_of}), not counters.
+
+    Stats owns its encoding: {!merge}, {!to_json} and {!of_json} walk one
+    field table, so each counter's name is written once.
 
     Times are phase durations measured on the solve's {!Budget} clock
     (deterministic work-seconds under a deterministic budget), recorded by
@@ -71,6 +76,17 @@ val merge : into:t -> t -> unit
 (** Fold one record into another (all fields summed).  Used both to
     aggregate per-solve stats in the bench harness and to fold per-worker
     records back into the caller's after a parallel batch. *)
+
+val to_json : t -> Statsutil.Json.t
+(** One object member per field, in declaration order: counters as
+    integers, times through {!Statsutil.Json.of_float_exact}.  This is the
+    ["stats"] member of the versioned outcome JSON. *)
+
+val of_json : Statsutil.Json.t -> (t, string) result
+(** Inverse of {!to_json}.  A missing member decodes as zero (documents
+    written before a counter existed); unknown members are ignored
+    (retired counters such as [eta_entries]); a malformed value is an
+    [Error] naming the member. *)
 
 val to_string : t -> string
 (** One-line human-readable rendering (used by the CLI). *)

@@ -1,7 +1,6 @@
 module B = Runtime.Budget
 module Rstats = Runtime.Stats
 module Span = Runtime.Span
-module Metrics = Runtime.Metrics
 module Instance = Tvnep.Instance
 module Request = Tvnep.Request
 module Solution = Tvnep.Solution
@@ -172,6 +171,16 @@ let deny ?exact ?greedy ?(priced_cost = nan) rung =
 let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
     committed req ~now ~prices ~budget ~stats =
   let prof = cfg.Config.prof in
+  (* Every rung searches serially and silently, limited only by its share
+     of the slice [budget]. *)
+  let mip =
+    {
+      cfg.Config.mip with
+      Mip.Branch_bound.time_limit = infinity;
+      jobs = 1;
+      log_every = 0;
+    }
+  in
   Span.with_ prof budget "arrival" @@ fun () ->
   try
     let r = Instance.request inst req in
@@ -326,14 +335,6 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
                 *. Float.max 0.0 (B.remaining budget))
               budget
           in
-          let mip =
-            {
-              cfg.Config.mip with
-              Mip.Branch_bound.time_limit = infinity;
-              jobs = 1;
-              log_every = 0;
-            }
-          in
           let ro =
             Span.with_ prof budget "reconfigure" @@ fun () ->
             Solver.run ev2
@@ -385,14 +386,6 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
     let attempt_rounded ~exact () =
       if (not cfg.Config.rounding) || B.remaining budget <= 0.0 then None
       else begin
-        let mip =
-          {
-            cfg.Config.mip with
-            Mip.Branch_bound.time_limit = infinity;
-            jobs = 1;
-            log_every = 0;
-          }
-        in
         let rbudget =
           B.sub ~time_limit:(0.5 *. Float.max 0.0 (B.remaining budget)) budget
         in
@@ -429,14 +422,6 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
       end
     in
     (* Rung 1: exact branch-and-bound on a fraction of the slice. *)
-    let mip =
-      {
-        cfg.Config.mip with
-        Mip.Branch_bound.time_limit = infinity;
-        jobs = 1;
-        log_every = 0;
-      }
-    in
     let exact_budget =
       B.sub ~time_limit:(cfg.Config.exact_fraction *. cfg.Config.slice) budget
     in
@@ -688,14 +673,6 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
           | None -> ()
         end
         else stats.Rstats.service_denied <- stats.Rstats.service_denied + 1;
-        (match config.Config.prof with
-        | Some into ->
-          let m = Span.metrics into in
-          Metrics.incr m
-            (if proposal.p_admit then "service.admitted" else "service.denied");
-          Metrics.incr m ("service.rung." ^ rung_to_string proposal.p_rung);
-          Metrics.observe m "service.arrival_ticks" (float_of_int ticks)
-        | None -> ());
         records :=
           {
             request = req;
@@ -791,18 +768,6 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
 
 let schema_version = 2
 
-let json_of_float f =
-  if Float.is_finite f then Json.Num f else Json.Str (string_of_float f)
-
-let float_of_json = function
-  | Json.Num n -> Ok n
-  | Json.Str s -> (
-    match float_of_string_opt s with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "bad float %S" s))
-  | Json.Null -> Ok nan
-  | _ -> Error "expected a number"
-
 let status_opt_to_json = function
   | None -> Json.Null
   | Some s -> Json.Str (Solver.status_to_string s)
@@ -813,16 +778,16 @@ let record_to_json r =
       ("schema_version", Json.Num (float_of_int schema_version));
       ("request", Json.Num (float_of_int r.request));
       ("name", Json.Str r.name);
-      ("time", json_of_float r.time);
+      ("time", Json.of_float_exact r.time);
       ("event", Json.Str (Event.kind_to_string r.event));
       ("admitted", Json.Bool r.admitted);
       ("rung", Json.Str (rung_to_string r.rung));
       ("exact_status", status_opt_to_json r.exact_status);
       ("greedy_status", status_opt_to_json r.greedy_status);
-      ("revenue", json_of_float r.revenue);
-      ("priced_cost", json_of_float r.priced_cost);
-      ("t_start", json_of_float r.t_start);
-      ("t_end", json_of_float r.t_end);
+      ("revenue", Json.of_float_exact r.revenue);
+      ("priced_cost", Json.of_float_exact r.priced_cost);
+      ("t_start", Json.of_float_exact r.t_start);
+      ("t_end", Json.of_float_exact r.t_end);
       ("ticks", Json.Num (float_of_int r.ticks));
       ( "moved",
         Json.List (List.map (fun i -> Json.Num (float_of_int i)) r.moved) );
@@ -836,7 +801,7 @@ let record_of_json doc =
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "missing field %S" name)
   in
-  let floatf name = Result.bind (fieldv name) float_of_json in
+  let floatf name = Result.bind (fieldv name) Json.to_float_exact in
   let intf name =
     match Json.member name doc with
     | Some (Json.Num n) -> Ok (int_of_float n)
@@ -894,7 +859,7 @@ let record_of_json doc =
     let* priced_cost =
       match Json.member "priced_cost" doc with
       | None -> Ok nan
-      | Some v -> float_of_json v
+      | Some v -> Json.to_float_exact v
     in
     let* t_start = floatf "t_start" in
     let* t_end = floatf "t_end" in
@@ -934,7 +899,7 @@ let record_of_json doc =
 let summary_to_json s =
   let i n = Json.Num (float_of_int n) in
   let floats a =
-    Json.List (Array.to_list (Array.map json_of_float a))
+    Json.List (Array.to_list (Array.map Json.of_float_exact a))
   in
   Json.Obj
     [
@@ -946,8 +911,8 @@ let summary_to_json s =
       ("denied", i s.denied);
       ("departed", i s.departed);
       ("migrations", i s.migrations);
-      ("acceptance_ratio", json_of_float s.acceptance_ratio);
-      ("revenue", json_of_float s.revenue);
+      ("acceptance_ratio", Json.of_float_exact s.acceptance_ratio);
+      ("revenue", Json.of_float_exact s.revenue);
       ("admitted_exact", i s.admitted_exact);
       ("admitted_rounded", i s.admitted_rounded);
       ("admitted_greedy", i s.admitted_greedy);
@@ -960,7 +925,7 @@ let summary_to_json s =
       ("ticks_p50", i s.ticks_p50);
       ("ticks_p99", i s.ticks_p99);
       ("total_ticks", i s.total_ticks);
-      ("runtime", json_of_float s.runtime);
+      ("runtime", Json.of_float_exact s.runtime);
       ("node_prices", floats s.node_prices);
       ("link_prices", floats s.link_prices);
       ("records", Json.List (Array.to_list (Array.map record_to_json s.records)));

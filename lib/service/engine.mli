@@ -181,9 +181,9 @@ module Config : sig
             span (its width is exactly the record's [ticks]) with
             ["exact"]/["reconfigure"]/["rounded"]/["greedy"]/["validate"]
             children and the full solver span tree below them, directly
-            on the global timeline, in event order.  Metrics accumulate
-            [service.admitted] / [service.denied] / [service.rung.*]
-            counters and a [service.arrival_ticks] histogram. *)
+            on the global timeline, in event order.  Admission counts
+            live in the run's {!Runtime.Stats}, per-rung counts and
+            arrival-tick percentiles in its {!summary}. *)
   }
 
   val make :

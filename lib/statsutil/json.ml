@@ -271,3 +271,18 @@ let member key = function
 let to_float = function Num x -> Some x | _ -> None
 
 let to_list = function List items -> Some items | _ -> None
+
+(* The writer renders non-finite floats as [null]; encode them as strings
+   instead so values such as [bound = nan] or [gap = inf] decode back to
+   exactly the value they were encoded from. *)
+let of_float_exact f =
+  if Float.is_finite f then Num f else Str (string_of_float f)
+
+let to_float_exact = function
+  | Num n -> Ok n
+  | Str s -> (
+    match float_of_string_opt s with
+    | Some f -> Ok f
+    | None -> Error (Printf.sprintf "bad float %S" s))
+  | Null -> Ok nan
+  | _ -> Error "expected a number"

@@ -31,3 +31,17 @@ val member : string -> t -> t option
 val to_float : t -> float option
 
 val to_list : t -> t list option
+
+(** {2 Exact float codec}
+
+    {!to_string} renders non-finite numbers as [null], which loses the
+    value.  Documents that must round-trip [inf]/[nan] exactly encode
+    floats with this pair instead. *)
+
+val of_float_exact : float -> t
+(** [Num f] for a finite [f]; a non-finite [f] becomes the string
+    [string_of_float f] (["inf"], ["-inf"], ["nan"]). *)
+
+val to_float_exact : t -> (float, string) result
+(** Inverse of {!of_float_exact}: a number, a float string, or [null]
+    (read as [nan], as older writers emitted); [Error] otherwise. *)

@@ -776,21 +776,6 @@ module Json = Statsutil.Json
 
 let schema_version = 1
 
-(* The writer renders non-finite floats as [null]; encode them as strings
-   instead so greedy/hybrid outcomes ([bound = nan], [gap = inf]) decode
-   back to exactly the value they were encoded from. *)
-let json_of_float f =
-  if Float.is_finite f then Json.Num f else Json.Str (string_of_float f)
-
-let float_of_json = function
-  | Json.Num n -> Ok n
-  | Json.Str s -> (
-    match float_of_string_opt s with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "bad float %S" s))
-  | Json.Null -> Ok nan
-  | _ -> Error "expected a number"
-
 let int_of_json = function
   | Json.Num n -> Ok (int_of_float n)
   | _ -> Error "expected an integer"
@@ -804,108 +789,11 @@ let field name doc =
 
 let float_field name doc =
   let* v = field name doc in
-  Result.map_error (fun e -> name ^ ": " ^ e) (float_of_json v)
+  Result.map_error (fun e -> name ^ ": " ^ e) (Json.to_float_exact v)
 
 let int_field name doc =
   let* v = field name doc in
   Result.map_error (fun e -> name ^ ": " ^ e) (int_of_json v)
-
-let stats_to_json (s : Rstats.t) =
-  let i n = Json.Num (float_of_int n) in
-  Json.Obj
-    [
-      ("simplex_iterations", i s.Rstats.simplex_iterations);
-      ("refactorizations", i s.Rstats.refactorizations);
-      ("lp_solves", i s.Rstats.lp_solves);
-      ("ftran_nnz", i s.Rstats.ftran_nnz);
-      ("btran_nnz", i s.Rstats.btran_nnz);
-      ("basis_updates", i s.Rstats.basis_updates);
-      ("spike_fill", i s.Rstats.spike_fill);
-      ("refactor_fill", i s.Rstats.refactor_fill);
-      ("refactor_drift", i s.Rstats.refactor_drift);
-      ("refactor_forced", i s.Rstats.refactor_forced);
-      ("pricing_hits", i s.Rstats.pricing_hits);
-      ("pricing_sweeps", i s.Rstats.pricing_sweeps);
-      ("bb_nodes", i s.Rstats.bb_nodes);
-      ("incumbents", i s.Rstats.incumbents);
-      ("bound_updates", i s.Rstats.bound_updates);
-      ("greedy_lp_solves", i s.Rstats.greedy_lp_solves);
-      ("greedy_candidates", i s.Rstats.greedy_candidates);
-      ("greedy_accepted", i s.Rstats.greedy_accepted);
-      (* Added without a schema bump, like [colgen]: decoders default
-         absent counters (old documents) to zero. *)
-      ("rounding_attempts", i s.Rstats.rounding_attempts);
-      ("rounding_candidates", i s.Rstats.rounding_candidates);
-      ("rounding_repairs", i s.Rstats.rounding_repairs);
-      ("rounding_fallbacks", i s.Rstats.rounding_fallbacks);
-      ("service_requests", i s.Rstats.service_requests);
-      ("service_admitted", i s.Rstats.service_admitted);
-      ("service_denied", i s.Rstats.service_denied);
-      ("service_fallbacks", i s.Rstats.service_fallbacks);
-      ("service_reevals", i s.Rstats.service_reevals);
-      ("greedy_time", json_of_float s.Rstats.greedy_time);
-      ("build_time", json_of_float s.Rstats.build_time);
-      ("search_time", json_of_float s.Rstats.search_time);
-      ("service_time", json_of_float s.Rstats.service_time);
-    ]
-
-let stats_of_json doc =
-  match doc with
-  | Json.Obj _ ->
-    (* Tolerant on missing counters (they default to zero), strict on
-       malformed ones. *)
-    let s = Rstats.create () in
-    let geti name set =
-      match Json.member name doc with
-      | None -> Ok ()
-      | Some v ->
-        let* n = Result.map_error (fun e -> name ^ ": " ^ e) (int_of_json v) in
-        set n;
-        Ok ()
-    in
-    let getf name set =
-      match Json.member name doc with
-      | None -> Ok ()
-      | Some v ->
-        let* x =
-          Result.map_error (fun e -> name ^ ": " ^ e) (float_of_json v)
-        in
-        set x;
-        Ok ()
-    in
-    let* () = geti "simplex_iterations" (fun n -> s.Rstats.simplex_iterations <- n) in
-    let* () = geti "refactorizations" (fun n -> s.Rstats.refactorizations <- n) in
-    let* () = geti "lp_solves" (fun n -> s.Rstats.lp_solves <- n) in
-    let* () = geti "ftran_nnz" (fun n -> s.Rstats.ftran_nnz <- n) in
-    let* () = geti "btran_nnz" (fun n -> s.Rstats.btran_nnz <- n) in
-    let* () = geti "basis_updates" (fun n -> s.Rstats.basis_updates <- n) in
-    let* () = geti "spike_fill" (fun n -> s.Rstats.spike_fill <- n) in
-    let* () = geti "refactor_fill" (fun n -> s.Rstats.refactor_fill <- n) in
-    let* () = geti "refactor_drift" (fun n -> s.Rstats.refactor_drift <- n) in
-    let* () = geti "refactor_forced" (fun n -> s.Rstats.refactor_forced <- n) in
-    let* () = geti "pricing_hits" (fun n -> s.Rstats.pricing_hits <- n) in
-    let* () = geti "pricing_sweeps" (fun n -> s.Rstats.pricing_sweeps <- n) in
-    let* () = geti "bb_nodes" (fun n -> s.Rstats.bb_nodes <- n) in
-    let* () = geti "incumbents" (fun n -> s.Rstats.incumbents <- n) in
-    let* () = geti "bound_updates" (fun n -> s.Rstats.bound_updates <- n) in
-    let* () = geti "greedy_lp_solves" (fun n -> s.Rstats.greedy_lp_solves <- n) in
-    let* () = geti "greedy_candidates" (fun n -> s.Rstats.greedy_candidates <- n) in
-    let* () = geti "greedy_accepted" (fun n -> s.Rstats.greedy_accepted <- n) in
-    let* () = geti "rounding_attempts" (fun n -> s.Rstats.rounding_attempts <- n) in
-    let* () = geti "rounding_candidates" (fun n -> s.Rstats.rounding_candidates <- n) in
-    let* () = geti "rounding_repairs" (fun n -> s.Rstats.rounding_repairs <- n) in
-    let* () = geti "rounding_fallbacks" (fun n -> s.Rstats.rounding_fallbacks <- n) in
-    let* () = geti "service_requests" (fun n -> s.Rstats.service_requests <- n) in
-    let* () = geti "service_admitted" (fun n -> s.Rstats.service_admitted <- n) in
-    let* () = geti "service_denied" (fun n -> s.Rstats.service_denied <- n) in
-    let* () = geti "service_fallbacks" (fun n -> s.Rstats.service_fallbacks <- n) in
-    let* () = geti "service_reevals" (fun n -> s.Rstats.service_reevals <- n) in
-    let* () = getf "greedy_time" (fun x -> s.Rstats.greedy_time <- x) in
-    let* () = getf "build_time" (fun x -> s.Rstats.build_time <- x) in
-    let* () = getf "search_time" (fun x -> s.Rstats.search_time <- x) in
-    let* () = getf "service_time" (fun x -> s.Rstats.service_time <- x) in
-    Ok s
-  | _ -> Error "stats: expected an object"
 
 let assignment_to_json (a : Solution.assignment) =
   Json.Obj
@@ -925,11 +813,14 @@ let assignment_to_json (a : Solution.assignment) =
                     (List.map
                        (fun (edge, flow) ->
                          Json.List
-                           [ Json.Num (float_of_int edge); json_of_float flow ])
+                           [
+                             Json.Num (float_of_int edge);
+                             Json.of_float_exact flow;
+                           ])
                        flows))
                 a.Solution.link_flows)) );
-      ("t_start", json_of_float a.Solution.t_start);
-      ("t_end", json_of_float a.Solution.t_end);
+      ("t_start", Json.of_float_exact a.Solution.t_start);
+      ("t_end", Json.of_float_exact a.Solution.t_end);
     ]
 
 let assignment_of_json doc =
@@ -971,7 +862,7 @@ let assignment_of_json doc =
                     match Json.to_list p with
                     | Some [ e; f ] ->
                       let* e = int_of_json e in
-                      let* f = float_of_json f in
+                      let* f = Json.to_float_exact f in
                       Ok ((e, f) :: acc)
                     | _ -> Error "assignment: flow pair expected")
                   pairs (Ok [])
@@ -989,7 +880,7 @@ let assignment_of_json doc =
 let solution_to_json (sol : Solution.t) =
   Json.Obj
     [
-      ("objective", json_of_float sol.Solution.objective);
+      ("objective", Json.of_float_exact sol.Solution.objective);
       ( "assignments",
         Json.List
           (Array.to_list (Array.map assignment_to_json sol.Solution.assignments))
@@ -1034,10 +925,12 @@ let rec outcome_to_json o =
         | Some s -> Json.Str (Mip.Branch_bound.status_to_string s)
         | None -> Json.Null );
       ( "objective",
-        match o.objective with Some v -> json_of_float v | None -> Json.Null );
-      ("bound", json_of_float o.bound);
-      ("gap", json_of_float o.gap);
-      ("runtime", json_of_float o.runtime);
+        match o.objective with
+        | Some v -> Json.of_float_exact v
+        | None -> Json.Null );
+      ("bound", Json.of_float_exact o.bound);
+      ("gap", Json.of_float_exact o.gap);
+      ("runtime", Json.of_float_exact o.runtime);
       ("ticks", Json.Num (float_of_int o.ticks));
       ("nodes", Json.Num (float_of_int o.nodes));
       ("lp_iterations", Json.Num (float_of_int o.lp_iterations));
@@ -1075,7 +968,7 @@ let rec outcome_to_json o =
                 Json.Num (float_of_int c.arc_flow_columns) );
               ("converged", Json.Bool c.colgen_converged);
             ] );
-      ("stats", stats_to_json o.stats);
+      ("stats", Rstats.to_json o.stats);
     ]
 
 let rec outcome_of_json doc =
@@ -1111,7 +1004,7 @@ let rec outcome_of_json doc =
     let* objective =
       match Json.member "objective" doc with
       | None | Some Json.Null -> Ok None
-      | Some v -> Result.map Option.some (float_of_json v)
+      | Some v -> Result.map Option.some (Json.to_float_exact v)
     in
     let* solution =
       match Json.member "solution" doc with
@@ -1168,7 +1061,7 @@ let rec outcome_of_json doc =
     let* stats =
       match Json.member "stats" doc with
       | None -> Ok (Rstats.create ())
-      | Some v -> stats_of_json v
+      | Some v -> Rstats.of_json v
     in
     let* bound = float_field "bound" doc in
     let* gap = float_field "gap" doc in

@@ -272,7 +272,5 @@ val schema_version : int
 
 val outcome_to_json : outcome -> Statsutil.Json.t
 val outcome_of_json : Statsutil.Json.t -> (outcome, string) result
-val stats_to_json : Runtime.Stats.t -> Statsutil.Json.t
-val stats_of_json : Statsutil.Json.t -> (Runtime.Stats.t, string) result
 val solution_to_json : Solution.t -> Statsutil.Json.t
 val solution_of_json : Statsutil.Json.t -> (Solution.t, string) result

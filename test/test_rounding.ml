@@ -297,12 +297,12 @@ let unit_tests =
     Alcotest.test_case
       "old stats documents (no rounding_*; with eta_entries) still decode"
       `Quick (fun () ->
-        let s = Rstats.create () in
-        s.Rstats.simplex_iterations <- 17;
-        s.Rstats.greedy_accepted <- 3;
-        s.Rstats.rounding_attempts <- 9;
+        let s = Stats_fixture.distinct 1 in
+        let doc = Rstats.to_json s in
+        Alcotest.(check string) "encoding as recorded" Stats_fixture.encoded
+          (Statsutil.Json.to_compact_string doc);
         let fields =
-          match Solver.stats_to_json s with
+          match doc with
           | Statsutil.Json.Obj fields -> fields
           | _ -> Alcotest.fail "stats encode as an object"
         in
@@ -317,27 +317,43 @@ let unit_tests =
             fields
         in
         let with_eta = ("eta_entries", Statsutil.Json.Num 42.0) :: fields in
+        let without_rounding =
+          {
+            (Stats_fixture.distinct 1) with
+            Rstats.rounding_attempts = 0;
+            rounding_candidates = 0;
+            rounding_repairs = 0;
+            rounding_fallbacks = 0;
+          }
+        in
         List.iter
-          (fun (label, doc, rounding) ->
-            match Solver.stats_of_json (Statsutil.Json.Obj doc) with
+          (fun (label, doc, expected) ->
+            match Rstats.of_json (Statsutil.Json.Obj doc) with
             | Error e -> Alcotest.failf "%s: %s" label e
             | Ok back ->
-              Alcotest.(check int) (label ^ ": known counters survive") 17
-                back.Rstats.simplex_iterations;
-              Alcotest.(check int) (label ^ ": greedy counter survives") 3
-                back.Rstats.greedy_accepted;
-              Alcotest.(check int) (label ^ ": rounding counter") rounding
-                back.Rstats.rounding_attempts;
+              Alcotest.check Stats_fixture.stats
+                (label ^ ": every field decodes") expected back;
               Alcotest.(check string) (label ^ ": re-encodes without it")
-                (Statsutil.Json.to_string (Solver.stats_to_json back))
-                (Statsutil.Json.to_string
-                   (Solver.stats_to_json
-                      (let t = Rstats.create () in
-                       t.Rstats.simplex_iterations <- 17;
-                       t.Rstats.greedy_accepted <- 3;
-                       t.Rstats.rounding_attempts <- rounding;
-                       t))))
-          [ ("no rounding_*", no_rounding, 0); ("eta_entries", with_eta, 9) ]);
+                (Statsutil.Json.to_string (Rstats.to_json back))
+                (Statsutil.Json.to_string (Rstats.to_json expected)))
+          [
+            ("complete", fields, s);
+            ("no rounding_*", no_rounding, without_rounding);
+            ("eta_entries", with_eta, s);
+          ];
+        (* Strict on malformed counters. *)
+        List.iter
+          (fun (label, bad) ->
+            match Rstats.of_json bad with
+            | Ok _ -> Alcotest.failf "%s: decoded" label
+            | Error _ -> ())
+          [
+            ("not an object", Statsutil.Json.List []);
+            ( "string counter",
+              Statsutil.Json.Obj [ ("bb_nodes", Statsutil.Json.Str "7") ] );
+            ( "bool time",
+              Statsutil.Json.Obj [ ("build_time", Statsutil.Json.Bool true) ] );
+          ]);
   ]
 
 let suite = [ ("rounding", unit_tests) ]

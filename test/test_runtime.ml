@@ -111,7 +111,20 @@ let stats_tests =
         let before = Runtime.Stats.to_string a in
         Runtime.Stats.merge ~into:a (Runtime.Stats.create ());
         Alcotest.(check string) "zero is neutral" before
-          (Runtime.Stats.to_string a));
+          (Runtime.Stats.to_string a);
+        (* Every field: a swapped, dropped or reordered entry of the field
+           table shows up here. *)
+        let d = Stats_fixture.distinct 1 in
+        Runtime.Stats.merge ~into:d (Stats_fixture.distinct 1);
+        Alcotest.check Stats_fixture.stats "merge doubles every field"
+          (Stats_fixture.distinct 2) d;
+        let d = Stats_fixture.distinct 1 in
+        Alcotest.(check string) "encoding as recorded" Stats_fixture.encoded
+          (Statsutil.Json.to_compact_string (Runtime.Stats.to_json d));
+        match Runtime.Stats.of_json (Runtime.Stats.to_json d) with
+        | Error e -> Alcotest.fail e
+        | Ok back ->
+          Alcotest.check Stats_fixture.stats "of_json inverts to_json" d back);
   ]
 
 (* ---- Simplex under a budget ------------------------------------------- *)

@@ -1,9 +1,8 @@
-(* Runtime.Span / Runtime.Metrics: nesting and exception balance, graft
-   rebasing, metrics merge laws, percentile correctness, export goldens,
-   and jobs-invariance of a profiled solve's exported span stream. *)
+(* Runtime.Span: nesting and exception balance, graft rebasing, export
+   goldens, jobs-invariance of a profiled solve's exported span stream,
+   and a profiled solve's counters equal to an unprofiled one's. *)
 
 module Span = Runtime.Span
-module Metrics = Runtime.Metrics
 module Budget = Runtime.Budget
 
 (* A budget whose "time" is exactly its tick count, so span stamps in
@@ -191,63 +190,6 @@ let export_tests =
                  | Error msg -> Alcotest.fail ("jsonl: " ^ msg)));
   ]
 
-let metrics_tests =
-  [
-    Alcotest.test_case "counters, gauges, histograms" `Quick (fun () ->
-        let m = Metrics.create () in
-        Metrics.incr m "c";
-        Metrics.incr ~by:4 m "c";
-        Metrics.set_gauge m "g" 2.5;
-        Metrics.set_gauge m "g" 1.0;
-        List.iter (Metrics.observe m "h") [ 3.0; 1.0; 2.0 ];
-        Alcotest.(check int) "counter" 5 (Metrics.counter m "c");
-        Alcotest.(check (option (float 0.0))) "gauge keeps last write"
-          (Some 1.0) (Metrics.gauge m "g");
-        Alcotest.(check (float 0.0)) "median" 2.0 (Metrics.quantile m "h" 0.5);
-        Alcotest.(check int) "absent counter" 0 (Metrics.counter m "nope");
-        Alcotest.(check bool) "absent histogram is nan" true
-          (Float.is_nan (Metrics.quantile m "nope" 0.5)));
-    Alcotest.test_case "nearest-rank percentiles" `Quick (fun () ->
-        let m = Metrics.create () in
-        for i = 1 to 100 do
-          Metrics.observe m "h" (float_of_int i)
-        done;
-        Alcotest.(check (float 0.0)) "p50" 50.0 (Metrics.quantile m "h" 0.5);
-        Alcotest.(check (float 0.0)) "p95" 95.0 (Metrics.quantile m "h" 0.95);
-        Alcotest.(check (float 0.0)) "p99" 99.0 (Metrics.quantile m "h" 0.99);
-        Alcotest.(check (float 0.0)) "p0 = min" 1.0 (Metrics.quantile m "h" 0.0);
-        Alcotest.(check (float 0.0)) "p100 = max" 100.0
-          (Metrics.quantile m "h" 1.0));
-    Alcotest.test_case "merge is associative" `Quick (fun () ->
-        let mk c g hs =
-          let m = Metrics.create () in
-          Metrics.incr ~by:c m "c";
-          Metrics.set_gauge m "g" g;
-          List.iter (Metrics.observe m "h") hs;
-          m
-        in
-        (* (a <- b) <- c *)
-        let left = mk 1 5.0 [ 1.0 ] in
-        Metrics.merge ~into:left (mk 2 3.0 [ 2.0; 4.0 ]);
-        Metrics.merge ~into:left (mk 4 9.0 [ 3.0 ]);
-        (* a <- (b <- c) *)
-        let bc = mk 2 3.0 [ 2.0; 4.0 ] in
-        Metrics.merge ~into:bc (mk 4 9.0 [ 3.0 ]);
-        let right = mk 1 5.0 [ 1.0 ] in
-        Metrics.merge ~into:right bc;
-        Alcotest.(check int) "counters" (Metrics.counter left "c")
-          (Metrics.counter right "c");
-        Alcotest.(check (option (float 0.0)))
-          "gauges" (Metrics.gauge left "g") (Metrics.gauge right "g");
-        Alcotest.(check (list (float 0.0)))
-          "histogram order" (Metrics.samples left "h")
-          (Metrics.samples right "h");
-        Alcotest.(check (list (float 0.0)))
-          "concatenation order preserved"
-          [ 1.0; 2.0; 4.0; 3.0 ]
-          (Metrics.samples left "h"));
-  ]
-
 (* A profiled solve exports the same span stream at any jobs level once
    the worker-domain tag — the only scheduling-dependent field — is
    zeroed; and its per-phase self ticks sum to the solve's ticks. *)
@@ -291,12 +233,46 @@ let determinism_tests =
           "self ticks partition the solve"
           o1.Tvnep.Solver.ticks
           (Span.sum_self (Span.tree_of s1)));
+    (* Counters have one home, Runtime.Stats, bumped whether or not a
+       recorder is attached: profiling must not change a single one. *)
+    Alcotest.test_case "profiling leaves the counters alone" `Slow (fun () ->
+        let solve flow_form jobs prof =
+          let inst =
+            Tvnep.Scenario.generate (Workload.Rng.create 23L)
+              { Tvnep.Scenario.scaled with num_requests = 5 }
+          in
+          let budget =
+            Budget.create ~deterministic:2e9 ~time_limit:10.0 ()
+          in
+          let mip =
+            { Mip.Branch_bound.default_params with time_limit = 10.0; jobs }
+          in
+          let o =
+            Tvnep.Solver.run inst
+              (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Exact
+                 ~flow_form ~mip ~budget ?prof ())
+          in
+          Statsutil.Json.to_string (Runtime.Stats.to_json o.Tvnep.Solver.stats)
+        in
+        List.iter
+          (fun (flow_form, jobs) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, jobs %d"
+                 (Tvnep.Solver.flow_form_to_string flow_form)
+                 jobs)
+              (solve flow_form jobs None)
+              (solve flow_form jobs (Some (Span.create ()))))
+          [
+            (Tvnep.Solver.Arc, 1);
+            (Tvnep.Solver.Arc, 4);
+            (Tvnep.Solver.Path, 1);
+            (Tvnep.Solver.Path, 4);
+          ]);
   ]
 
 let suite =
   [
     ("span", unit_tests);
     ("span exports", export_tests);
-    ("metrics", metrics_tests);
     ("span determinism", determinism_tests);
   ]
