@@ -85,7 +85,10 @@ let tests () =
    work billed to a deterministic budget clock (1 tick / "second", so
    ticks are read back directly off the budget) and pivots taken from the
    shared stats record.  [per_rep] carries the per-repetition tick deltas
-   so medians survive into the JSON. *)
+   so medians survive into the JSON.  Wall time and minor words come with
+   their per-solve forms: ticks per wall microsecond (how fast the work
+   clock runs on this host, the figure the tick billing is calibrated
+   against) and minor words per solve. *)
 type sim_case = {
   name : string;
   iterations : int;
@@ -95,6 +98,10 @@ type sim_case = {
   gc_minor_words : float;  (* minor-heap words allocated by the case *)
   per_rep_ticks : float list;
 }
+
+let ticks_per_us c = float_of_int c.ticks /. Float.max 1e-9 (c.wall_s *. 1e6)
+
+let minor_words_per_solve c = c.gc_minor_words /. float_of_int c.iterations
 
 let case_of_runs name runs =
   let iterations = List.length runs in
@@ -118,6 +125,47 @@ let cold_lp_case () =
   in
   let name, iterations, pivots, ticks, per_rep =
     case_of_runs "simplex-cold-30v-20r" runs
+  in
+  { name; iterations; pivots; ticks; wall_s = Unix.gettimeofday () -. t0;
+    gc_minor_words = Gc.minor_words () -. gw0; per_rep_ticks = per_rep }
+
+(* Cold two-phase solves of a cΣ root LP shaped like one offline-flex
+   cell (scaled generator, 8 requests, 1 h of flexibility): rows whose
+   logical cannot start feasibly get artificials, so each solve runs
+   phase 1 first, with the cold factorizations and dense-ish pivots of a
+   fresh basis. *)
+let csigma_root_sf () =
+  let p = { Tvnep.Scenario.scaled with num_requests = 8 } in
+  let inst =
+    match Tvnep.Scenario.sweep ~seed:4242L p ~flexibilities:[ 1.0 ] with
+    | [ inst ] -> inst
+    | _ -> assert false
+  in
+  let fm =
+    Tvnep.Csigma_model.build
+      ~options:
+        { Tvnep.Csigma_model.use_cuts = true; pairwise_cuts = true;
+          relax_integrality = false }
+      inst
+  in
+  ignore (Tvnep.Objective.apply fm Tvnep.Objective.Access_control);
+  Lp.Std_form.of_model fm.Tvnep.Formulation.model
+
+let cold_root_case () =
+  let sf = csigma_root_sf () in
+  let reps = 20 in
+  let gw0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let runs =
+    List.init reps (fun _ ->
+        let budget = Runtime.Budget.create ~deterministic:1.0 () in
+        let stats = Runtime.Stats.create () in
+        let r = Lp.Simplex.solve ~budget ~stats sf in
+        assert (r.Lp.Simplex.status = Lp.Simplex.Optimal);
+        (stats.Runtime.Stats.simplex_iterations, Runtime.Budget.ticks budget))
+  in
+  let name, iterations, pivots, ticks, per_rep =
+    case_of_runs "simplex-cold-csigma-root-k8" runs
   in
   { name; iterations; pivots; ticks; wall_s = Unix.gettimeofday () -. t0;
     gc_minor_words = Gc.minor_words () -. gw0; per_rep_ticks = per_rep }
@@ -182,7 +230,7 @@ let node_lp_case () =
 
 let sim_cases () =
   let node, stats = node_lp_case () in
-  ([ cold_lp_case (); node ], stats)
+  ([ cold_lp_case (); node; cold_root_case () ], stats)
 
 (* --- sparse-kernel A/B gate -------------------------------------------- *)
 
@@ -268,7 +316,7 @@ let json_of_cases cases ab (stats : Runtime.Stats.t) =
   let open Statsutil.Json in
   Obj
     [
-      ("schema", Str "tvnep-bench-simplex/4");
+      ("schema", Str "tvnep-bench-simplex/5");
       ("clock", Str "deterministic work ticks (1 tick = 1 work unit)");
       ( "cases",
         List
@@ -284,6 +332,8 @@ let json_of_cases cases ab (stats : Runtime.Stats.t) =
                      Num (Statsutil.Stats.median c.per_rep_ticks) );
                    ("wall_s", Num c.wall_s);
                    ("gc_minor_words", Num c.gc_minor_words);
+                   ("ticks_per_us", Num (ticks_per_us c));
+                   ("minor_words_per_solve", Num (minor_words_per_solve c));
                  ])
              cases) );
       ( "kernel_ab",
@@ -319,7 +369,7 @@ let validate_json_string s =
   | Error msg -> Error ("not valid JSON: " ^ msg)
   | Ok doc -> (
     match member "schema" doc with
-    | Some (Str "tvnep-bench-simplex/4") -> (
+    | Some (Str "tvnep-bench-simplex/5") -> (
       match Option.bind (member "cases" doc) to_list with
       | None | Some [] -> Error "missing or empty \"cases\" list"
       | Some cases -> (
@@ -331,7 +381,8 @@ let validate_json_string s =
                 ((match member "name" c with Some (Str _) -> true | _ -> false)
                 && num "iterations" && num "pivots" && num "ticks"
                 && num "median_ticks_per_solve" && num "wall_s"
-                && num "gc_minor_words"))
+                && num "gc_minor_words" && num "ticks_per_us"
+                && num "minor_words_per_solve"))
             cases
         in
         if bad <> [] then Error "a case is missing a required field"
@@ -362,7 +413,7 @@ let run ?json_path () =
     Statsutil.Table.create
       ~headers:
         [ "case"; "solves"; "pivots"; "ticks"; "med ticks/solve"; "wall";
-          "minor words" ]
+          "ticks/us"; "minor words"; "words/solve" ]
   in
   List.iter
     (fun c ->
@@ -374,7 +425,9 @@ let run ?json_path () =
           string_of_int c.ticks;
           Printf.sprintf "%.0f" (Statsutil.Stats.median c.per_rep_ticks);
           Printf.sprintf "%.3f s" c.wall_s;
+          Printf.sprintf "%.1f" (ticks_per_us c);
           Printf.sprintf "%.0f" c.gc_minor_words;
+          Printf.sprintf "%.0f" (minor_words_per_solve c);
         ])
     cases;
   Statsutil.Table.print table;

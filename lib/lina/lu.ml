@@ -222,27 +222,31 @@ module Sparse = struct
       ur_val = [||];
     }
 
-  (* Growable entry store for one factor. *)
+  (* Growable entry store for one factor.  Starts empty; the stores of a
+     scratch keep their capacity across refactorizations. *)
   type grow = {
     mutable g_idx : int array;
     mutable g_val : float array;
     mutable g_len : int;
   }
 
-  let grow_make () = { g_idx = Array.make 64 0; g_val = Array.make 64 0.0; g_len = 0 }
+  let grow_make () = { g_idx = [||]; g_val = [||]; g_len = 0 }
 
-  let grow_push g i v =
+  (* Appends an entry with index [i] and returns its slot; the caller
+     stores the value there (a float argument would be boxed per entry). *)
+  let grow_slot g i =
     if g.g_len = Array.length g.g_idx then begin
-      let cap = 2 * g.g_len in
+      let cap = max 64 (2 * g.g_len) in
       let idx = Array.make cap 0 and value = Array.make cap 0.0 in
       Array.blit g.g_idx 0 idx 0 g.g_len;
       Array.blit g.g_val 0 value 0 g.g_len;
       g.g_idx <- idx;
       g.g_val <- value
     end;
-    g.g_idx.(g.g_len) <- i;
-    g.g_val.(g.g_len) <- v;
-    g.g_len <- g.g_len + 1
+    let k = g.g_len in
+    g.g_idx.(k) <- i;
+    g.g_len <- k + 1;
+    k
 
   (* Static column order: ascending nonzero count, ties in index order.
      A stable counting sort on the count gives exactly the permutation
@@ -268,11 +272,29 @@ module Sparse = struct
     done;
     q
 
-  (* Reaches up to this length are sorted in place by insertion; longer
-     ones go through [Array.sort] on a copy. *)
+  (* Prefixes up to this length are sorted by insertion, longer ones by
+     an in-place heapsort; neither allocates. *)
   let insertion_cutoff = 32
 
-  let sort_prefix a len =
+  let sift_down (a : int array) start len =
+    let root = ref start and go = ref true in
+    while !go do
+      let c = (2 * !root) + 1 in
+      if c >= len then go := false
+      else begin
+        let c = if c + 1 < len && a.(c) < a.(c + 1) then c + 1 else c in
+        if a.(!root) < a.(c) then begin
+          let t = a.(!root) in
+          a.(!root) <- a.(c);
+          a.(c) <- t;
+          root := c
+        end
+        else go := false
+      end
+    done
+
+  (* Ascending sort of [a.(0 .. len-1)], distinct entries. *)
+  let sort_prefix (a : int array) len =
     if len <= insertion_cutoff then
       for t = 1 to len - 1 do
         let v = a.(t) in
@@ -284,62 +306,128 @@ module Sparse = struct
         a.(!s + 1) <- v
       done
     else begin
-      let c = Array.sub a 0 len in
-      Array.sort Int.compare c;
-      Array.blit c 0 a 0 len
+      for start = (len / 2) - 1 downto 0 do
+        sift_down a start len
+      done;
+      for last = len - 1 downto 1 do
+        let t = a.(0) in
+        a.(0) <- a.(last);
+        a.(last) <- t;
+        sift_down a 0 last
+      done
     end
 
-  let factorize ~n ~col =
-    (* The column being counted or factorized; the closures below are
-       built once, so the per-column work allocates nothing. *)
-    let cur = ref 0 in
-    let counts = Array.make n 0 in
-    let count _ _ = counts.(!cur) <- counts.(!cur) + 1 in
-    for j = 0 to n - 1 do
-      cur := j;
-      col j count
+  (* Scratch shared by the factorization and the Gilbert–Peierls solves:
+     a value workspace that is all-zero between calls, stamp marks, an
+     explicit DFS stack with resume positions, and reach buffers (one per
+     triangular phase — the second phase's DFS roots are the first
+     phase's reach, so they cannot share storage).  The factorization
+     borrows the same buffers for its counts, marks, touched rows and
+     reach, plus two growable entry stores, so a refactorization
+     allocates only the factors it returns.  One scratch per basis
+     representation; the solves never allocate.
+
+     [sr2] doubles as the support report of the Forrest–Tomlin solves:
+     after {!ft_ftran} or {!ft_btran} takes the reach path its first
+     [sup_n] entries list the result's possibly-nonzero positions in
+     ascending order ([sup_n = -1] after a dense-path solve). *)
+  type scratch = {
+    sw : float array;
+    smark : int array;
+    sstack : int array;
+    sedge : int array;
+    sr1 : int array;
+    sr2 : int array;
+    sr3 : int array;  (* eta-extension roots of the Forrest–Tomlin solves *)
+    sroots : int array;
+    mutable sstamp : int;
+    mutable sup_n : int;
+    lgrow : grow;  (* L and U entries of the factorization in progress *)
+    ugrow : grow;
+  }
+
+  let scratch n =
+    {
+      sw = Array.make n 0.0;
+      smark = Array.make n (-1);
+      sstack = Array.make n 0;
+      sedge = Array.make n 0;
+      sr1 = Array.make n 0;
+      sr2 = Array.make n 0;
+      sr3 = Array.make n 0;
+      sroots = Array.make n 0;
+      sstamp = 0;
+      sup_n = -1;
+      lgrow = grow_make ();
+      ugrow = grow_make ();
+    }
+
+  let support_len s = s.sup_n
+  let support s = s.sr2
+
+  let touch (mark : int array) (touched : int array) nt stamp i =
+    if mark.(i) <> stamp then begin
+      mark.(i) <- stamp;
+      touched.(nt) <- i;
+      nt + 1
+    end
+    else nt
+
+  let visit (cmark : int array) (reach : int array) nr stamp kf =
+    if kf >= 0 && cmark.(kf) <> stamp then begin
+      cmark.(kf) <- stamp;
+      reach.(nr) <- kf;
+      nr + 1
+    end
+    else nr
+
+  (* Left-looking elimination of the [n] columns [basic.(pos)] of
+     [[A | diag unit_sign]], [A] given by its CSC arrays with [ncols]
+     columns.  Column [j < ncols] is column [j] of [A]; column
+     [j >= ncols] is the unit column [unit_sign.(j - ncols)·e_(j - ncols)]. *)
+  let factorize_into s ~n ~ncols ~col_ptr ~row_idx ~value ~unit_sign ~basic =
+    if Array.length s.sw <> n then invalid_arg "Lu.Sparse.factorize: scratch";
+    let counts = s.sroots in
+    for pos = 0 to n - 1 do
+      let j = basic.(pos) in
+      counts.(pos) <- (if j < ncols then col_ptr.(j + 1) - col_ptr.(j) else 1)
     done;
     let q = count_order counts in
     let p = Array.make n (-1) in
     let pinv = Array.make n (-1) in  (* original row -> factor row *)
-    let x = Array.make n 0.0 in      (* dense accumulator, original rows *)
-    let mark = Array.make n (-1) in
-    let touched = Array.make n 0 in
-    let ntouch = ref 0 in
+    let x = s.sw in                  (* dense accumulator, original rows *)
+    let mark = s.sstack in
+    Array.fill mark 0 n (-1);
+    let touched = s.sedge in
     (* [counts] is dead once [q] is built; it becomes the stamp of the
        step that last reached each factor column. *)
     let cmark = counts in
     Array.fill cmark 0 n (-1);
-    let reach = Array.make n 0 in
-    let nreach = ref 0 in
-    let touch i =
-      if mark.(i) <> !cur then begin
-        mark.(i) <- !cur;
-        touched.(!ntouch) <- i;
-        incr ntouch
-      end
-    in
-    let visit kf =
-      if kf >= 0 && cmark.(kf) <> !cur then begin
-        cmark.(kf) <- !cur;
-        reach.(!nreach) <- kf;
-        incr nreach
-      end
-    in
-    let scatter i v =
-      touch i;
-      visit pinv.(i);
-      x.(i) <- x.(i) +. v
-    in
-    let lg = grow_make () and ug = grow_make () in
+    let reach = s.sr1 in
+    let lg = s.lgrow and ug = s.ugrow in
+    lg.g_len <- 0;
+    ug.g_len <- 0;
     let l_ptr = Array.make (n + 1) 0 in
     let u_ptr = Array.make (n + 1) 0 in
     let u_diag = Array.make n 0.0 in
     for jf = 0 to n - 1 do
-      cur := jf;
-      ntouch := 0;
-      nreach := 0;
-      col q.(jf) scatter;
+      let ntouch = ref 0 and nreach = ref 0 in
+      (* Scatter the column; each entry's row, if already pivotal, seeds
+         the reach with the factor column it pivots. *)
+      let j = basic.(q.(jf)) in
+      if j < ncols then
+        for e = col_ptr.(j) to col_ptr.(j + 1) - 1 do
+          let i = row_idx.(e) in
+          ntouch := touch mark touched !ntouch jf i;
+          nreach := visit cmark reach !nreach jf pinv.(i);
+          x.(i) <- x.(i) +. value.(e)
+        done
+      else begin
+        let i = j - ncols in
+        ntouch := touch mark touched !ntouch jf i;
+        nreach := visit cmark reach !nreach jf pinv.(i);
+        x.(i) <- x.(i) +. unit_sign.(i)
+      end;
       (* Symbolic reach: the factor columns that can update this one are
          those whose pivot row is in the column's pattern, closed under
          L (its row indices are still original rows, so [pinv] maps an
@@ -350,7 +438,7 @@ module Sparse = struct
         let kf = reach.(!head) in
         incr head;
         for e = l_ptr.(kf) to l_ptr.(kf + 1) - 1 do
-          visit pinv.(lg.g_idx.(e))
+          nreach := visit cmark reach !nreach jf pinv.(lg.g_idx.(e))
         done
       done;
       (* Eliminate in ascending factor order — every L edge runs from a
@@ -364,10 +452,10 @@ module Sparse = struct
         let kf = reach.(t) in
         let ukj = x.(p.(kf)) in
         if ukj <> 0.0 then begin
-          grow_push ug kf ukj;
+          ug.g_val.(grow_slot ug kf) <- ukj;
           for e = l_ptr.(kf) to l_ptr.(kf + 1) - 1 do
             let i = lg.g_idx.(e) in
-            touch i;
+            ntouch := touch mark touched !ntouch jf i;
             x.(i) <- x.(i) -. (lg.g_val.(e) *. ukj)
           done
         end
@@ -388,7 +476,13 @@ module Sparse = struct
           end
         end
       done;
-      if !piv < 0 then raise (Singular jf);
+      if !piv < 0 then begin
+        (* The workspace is shared with the solves: leave it zeroed. *)
+        for k = 0 to !ntouch - 1 do
+          x.(touched.(k)) <- 0.0
+        done;
+        raise (Singular jf)
+      end;
       let ipiv = !piv in
       p.(jf) <- ipiv;
       pinv.(ipiv) <- jf;
@@ -399,7 +493,7 @@ module Sparse = struct
         if pinv.(i) < 0 && x.(i) <> 0.0 then
           (* L entries recorded by original row; remapped once every row
              has its factor position. *)
-          grow_push lg i (x.(i) /. d);
+          lg.g_val.(grow_slot lg i) <- x.(i) /. d;
         x.(i) <- 0.0
       done;
       l_ptr.(jf + 1) <- lg.g_len
@@ -433,6 +527,34 @@ module Sparse = struct
       ur_idx;
       ur_val;
     }
+
+  let factorize_basis s (a : Csc.t) ~unit_sign basic =
+    factorize_into s ~n:(Array.length basic) ~ncols:a.Csc.cols
+      ~col_ptr:a.Csc.col_ptr ~row_idx:a.Csc.row_idx ~value:a.Csc.value
+      ~unit_sign ~basic
+
+  (* The closure-fed entry: the columns are copied into CSC arrays once
+     (entries in emission order, so duplicates sum exactly as they are
+     emitted) and factorized with a fresh scratch. *)
+  let factorize ~n ~col =
+    let col_ptr = Array.make (n + 1) 0 in
+    for j = 0 to n - 1 do
+      col j (fun _ _ -> col_ptr.(j + 1) <- col_ptr.(j + 1) + 1)
+    done;
+    for j = 0 to n - 1 do
+      col_ptr.(j + 1) <- col_ptr.(j + 1) + col_ptr.(j)
+    done;
+    let row_idx = Array.make col_ptr.(n) 0 in
+    let value = Array.make col_ptr.(n) 0.0 in
+    for j = 0 to n - 1 do
+      let at = ref col_ptr.(j) in
+      col j (fun i v ->
+          row_idx.(!at) <- i;
+          value.(!at) <- v;
+          incr at)
+    done;
+    factorize_into (scratch n) ~n ~ncols:n ~col_ptr ~row_idx ~value
+      ~unit_sign:[||] ~basic:(Array.init n (fun j -> j))
 
   (* B x = b.  [b] is indexed by original row, the result by basis
      position (the original column slot); [work] is an n-scratch.  The
@@ -489,37 +611,6 @@ module Sparse = struct
     done
 
   (* --- reach-based sparse triangular solves --------------------------- *)
-
-  (* Scratch for the Gilbert–Peierls solves: a value workspace that is
-     all-zero between calls, stamp marks, an explicit DFS stack with
-     resume positions, and two reach buffers (one per triangular phase —
-     the second phase's DFS roots are the first phase's reach, so they
-     cannot share storage).  One scratch per basis representation; the
-     kernels never allocate. *)
-  type scratch = {
-    sw : float array;
-    smark : int array;
-    sstack : int array;
-    sedge : int array;
-    sr1 : int array;
-    sr2 : int array;
-    sr3 : int array;  (* eta-extension roots of the Forrest–Tomlin solves *)
-    sroots : int array;
-    mutable sstamp : int;
-  }
-
-  let scratch n =
-    {
-      sw = Array.make n 0.0;
-      smark = Array.make n (-1);
-      sstack = Array.make n 0;
-      sedge = Array.make n 0;
-      sr1 = Array.make n 0;
-      sr2 = Array.make n 0;
-      sr3 = Array.make n 0;
-      sroots = Array.make n 0;
-      sstamp = 0;
-    }
 
   (* RHS density above which the plain dense-scan solves win: the reach
      bookkeeping only pays off while the solution stays sparse. *)
@@ -583,6 +674,7 @@ module Sparse = struct
      entries plus the O(n) support scan), which the caller bills to the
      deterministic clock. *)
   let ftran_reach f s b =
+    s.sup_n <- -1;
     let n = f.n in
     let nroots = gather_roots s b in
     if float_of_int nroots > dense_threshold *. float_of_int n then begin
@@ -643,6 +735,7 @@ module Sparse = struct
      Same index contract as {!btran_in_place}; returns the work
      performed. *)
   let btran_reach f s c =
+    s.sup_n <- -1;
     let n = f.n in
     let nroots = gather_roots s c in
     if float_of_int nroots > dense_threshold *. float_of_int n then begin
@@ -722,22 +815,38 @@ module Sparse = struct
     mutable ul_len : int;
   }
 
-  let ul_make cap =
-    let cap = max 4 cap in
-    { ul_idx = Array.make cap 0; ul_val = Array.make cap 0.0; ul_len = 0 }
+  (* Lists start empty and are allocated on their first entry; a refresh
+     keeps whatever capacity they grew to. *)
+  let ul_make () = { ul_idx = [||]; ul_val = [||]; ul_len = 0 }
 
-  let ul_push l i v =
+  (* Appends an entry with index [i] and returns its slot, where the
+     caller stores the value (as [grow_slot]). *)
+  let ul_slot l i =
     let cap = Array.length l.ul_idx in
     if l.ul_len = cap then begin
-      let idx = Array.make (2 * cap) 0 and value = Array.make (2 * cap) 0.0 in
+      let cap' = max 4 (2 * cap) in
+      let idx = Array.make cap' 0 and value = Array.make cap' 0.0 in
       Array.blit l.ul_idx 0 idx 0 cap;
       Array.blit l.ul_val 0 value 0 cap;
       l.ul_idx <- idx;
       l.ul_val <- value
     end;
-    l.ul_idx.(l.ul_len) <- i;
-    l.ul_val.(l.ul_len) <- v;
-    l.ul_len <- l.ul_len + 1
+    let k = l.ul_len in
+    l.ul_idx.(k) <- i;
+    l.ul_len <- k + 1;
+    k
+
+  (* Room for at least [cnt] entries: a refresh sizes each list to its
+     factor column or row exactly, as the updates' doubling would
+     overshoot. *)
+  let ul_reserve l cnt =
+    if Array.length l.ul_idx < cnt then begin
+      let idx = Array.make cnt 0 and value = Array.make cnt 0.0 in
+      Array.blit l.ul_idx 0 idx 0 l.ul_len;
+      Array.blit l.ul_val 0 value 0 l.ul_len;
+      l.ul_idx <- idx;
+      l.ul_val <- value
+    end
 
   (* Swap-with-last removal of the entry at index [i]; returns the number
      of entries scanned (billed to the caller's work count). *)
@@ -756,10 +865,11 @@ module Sparse = struct
     l.ul_len <- last;
     !k
 
-  (* One row eta E = I − e_t mᵀ: FTRAN subtracts m·y from y_t, BTRAN
-     subtracts y_t·m from the support. *)
-  type reta = { rt : int; re_idx : int array; re_val : float array }
-
+  (* The row-eta file: eta k is E = I − e_t mᵀ with t = [re_rt.(k)] and
+     the multipliers m at [re_ptr.(k) .. re_ptr.(k+1) - 1] of
+     [re_idx]/[re_val].  FTRAN subtracts m·y from y_t, BTRAN subtracts
+     y_t·m from the support.  Flat, growable storage kept across
+     refreshes, so recording an eta allocates nothing once warm. *)
   type ft = {
     ft_n : int;
     mutable base : t;           (* L + permutations of the last refresh *)
@@ -768,7 +878,10 @@ module Sparse = struct
     udiag : float array;
     uorder : int array;         (* triangular position -> factor index *)
     upos : int array;           (* factor index -> triangular position *)
-    mutable retas : reta array;
+    mutable re_rt : int array;
+    mutable re_ptr : int array;
+    mutable re_idx : int array;
+    mutable re_val : float array;
     mutable n_reta : int;
     mutable reta_nnz : int;
     spike : float array;        (* spike of the last FTRAN, by factor row *)
@@ -777,7 +890,10 @@ module Sparse = struct
     mutable unnz : int;         (* current off-diagonal entries of U *)
     mutable nnz0 : int;         (* nnz(L)+nnz(U)+n at the last refresh *)
     mutable updates : int;      (* updates applied since the last refresh *)
-    mutable stale : bool;       (* a rejected update left U inconsistent *)
+    mutable unusable : bool;
+        (* no factors yet, or a rejected update left U inconsistent *)
+    mutable upd_work : int;     (* work of the last accepted update *)
+    mutable upd_added : int;    (* entries it appended *)
   }
 
   let ft_dim f = f.ft_n
@@ -787,12 +903,21 @@ module Sparse = struct
 
   let ft_updates f = f.updates
   let ft_eta_nnz f = f.reta_nnz
+  let ft_update_work f = f.upd_work
+  let ft_update_added f = f.upd_added
 
   (* Current factor size relative to the fresh factorization: the fill
      signal that drives the refactorization policy. *)
   let ft_fill_ratio f =
     if f.nnz0 = 0 then 1.0
     else float_of_int (ft_nnz f) /. float_of_int f.nnz0
+
+  (* The ratio is recomputed rather than taken from [ft_fill_ratio],
+     whose float result would be boxed on every pivot. *)
+  let ft_fill_exceeds f limit =
+    (if f.nnz0 = 0 then 1.0
+     else float_of_int (ft_nnz f) /. float_of_int f.nnz0)
+    > limit
 
   let ft_clear_spike f =
     for k = 0 to f.spike_n - 1 do
@@ -815,13 +940,17 @@ module Sparse = struct
       f.upos.(j) <- j
     done;
     for j = 0 to n - 1 do
+      let l = f.uc.(j) in
+      ul_reserve l (base.u_ptr.(j + 1) - base.u_ptr.(j));
       for e = base.u_ptr.(j) to base.u_ptr.(j + 1) - 1 do
-        ul_push f.uc.(j) base.u_idx.(e) base.u_val.(e)
+        l.ul_val.(ul_slot l base.u_idx.(e)) <- base.u_val.(e)
       done
     done;
     for i = 0 to n - 1 do
+      let l = f.ur.(i) in
+      ul_reserve l (base.ur_ptr.(i + 1) - base.ur_ptr.(i));
       for e = base.ur_ptr.(i) to base.ur_ptr.(i + 1) - 1 do
-        ul_push f.ur.(i) base.ur_idx.(e) base.ur_val.(e)
+        l.ul_val.(ul_slot l base.ur_idx.(e)) <- base.ur_val.(e)
       done
     done;
     f.n_reta <- 0;
@@ -830,34 +959,39 @@ module Sparse = struct
     f.unnz <- Array.length base.u_idx;
     f.nnz0 <- nnz base;
     f.updates <- 0;
-    f.stale <- false
+    f.unusable <- false
+
+  (* Stand-in for the factors of an [ft_create]d representation. *)
+  let no_factors = of_diagonal [||]
+
+  let ft_create n =
+    {
+      ft_n = n;
+      base = no_factors;
+      uc = Array.init n (fun _ -> ul_make ());
+      ur = Array.init n (fun _ -> ul_make ());
+      udiag = Array.make n 0.0;
+      uorder = Array.make n 0;
+      upos = Array.make n 0;
+      re_rt = [||];
+      re_ptr = [| 0 |];
+      re_idx = [||];
+      re_val = [||];
+      n_reta = 0;
+      reta_nnz = 0;
+      spike = Array.make n 0.0;
+      spike_idx = Array.make n 0;
+      spike_n = -1;
+      unnz = 0;
+      nnz0 = 0;
+      updates = 0;
+      unusable = n > 0;
+      upd_work = 0;
+      upd_added = 0;
+    }
 
   let ft_of_factors base =
-    let n = base.n in
-    let f =
-      {
-        ft_n = n;
-        base;
-        uc =
-          Array.init n (fun j -> ul_make (base.u_ptr.(j + 1) - base.u_ptr.(j)));
-        ur =
-          Array.init n (fun i ->
-              ul_make (base.ur_ptr.(i + 1) - base.ur_ptr.(i)));
-        udiag = Array.make n 0.0;
-        uorder = Array.make n 0;
-        upos = Array.make n 0;
-        retas = [||];
-        n_reta = 0;
-        reta_nnz = 0;
-        spike = Array.make n 0.0;
-        spike_idx = Array.make n 0;
-        spike_n = -1;
-        unnz = 0;
-        nnz0 = 0;
-        updates = 0;
-        stale = false;
-      }
-    in
+    let f = ft_create base.n in
     ft_refresh f base;
     f
 
@@ -894,13 +1028,37 @@ module Sparse = struct
     end
 
   let ft_check_fresh f name =
-    if f.stale then
-      invalid_arg (name ^ ": stale factors after a rejected update")
+    if f.unusable then
+      invalid_arg
+        (name ^ ": no usable factors (never factorized, or stale after a \
+                 rejected update)")
+
+  (* Orders the support of a reach solve's result.  On entry
+     [sr2.(0 .. k-1)] lists the result positions the reach touched, in
+     reach order; [x] is the result (zero everywhere else).  Short lists
+     are sorted; once a sort would cost more than one ordered pass over
+     [x], the pass lists the nonzeros instead. *)
+  let finish_support s x k =
+    if k <= insertion_cutoff || k <= Array.length s.sw / 16 then begin
+      sort_prefix s.sr2 k;
+      s.sup_n <- k
+    end
+    else begin
+      let c = ref 0 in
+      for i = 0 to Array.length s.sw - 1 do
+        if x.(i) <> 0.0 then begin
+          s.sr2.(!c) <- i;
+          incr c
+        end
+      done;
+      s.sup_n <- !c
+    end
 
   (* Dense-scan FTRAN, used when the RHS support is above
      {!dense_threshold}: permute, unit-L pass, row etas in creation
      order, spike stash, U pass in triangular order. *)
   let ft_ftran_dense f s b =
+    s.sup_n <- -1;
     let n = f.ft_n in
     let base = f.base in
     let w = s.sw in
@@ -916,12 +1074,12 @@ module Sparse = struct
         done
     done;
     for k = 0 to f.n_reta - 1 do
-      let e = f.retas.(k) in
       let acc = ref 0.0 in
-      for t = 0 to Array.length e.re_idx - 1 do
-        acc := !acc +. (e.re_val.(t) *. w.(e.re_idx.(t)))
+      for t = f.re_ptr.(k) to f.re_ptr.(k + 1) - 1 do
+        acc := !acc +. (f.re_val.(t) *. w.(f.re_idx.(t)))
       done;
-      w.(e.rt) <- w.(e.rt) -. !acc
+      let rt = f.re_rt.(k) in
+      w.(rt) <- w.(rt) -. !acc
     done;
     ft_clear_spike f;
     let m = ref 0 in
@@ -955,8 +1113,9 @@ module Sparse = struct
      machinery as {!ftran_reach}, with the row-eta file applied between
      the L and U passes.  Eta targets entering the pattern become extra
      U-pass roots.  The vector entering the U solve (the spike) is
-     stashed so a following {!ft_update} can consume it.  Returns the
-     work performed. *)
+     stashed so a following {!ft_update} can consume it, and the
+     result's support is left in the scratch.  Returns the work
+     performed. *)
   let ft_ftran f s b =
     ft_check_fresh f "Lu.Sparse.ft_ftran";
     let n = f.ft_n in
@@ -989,20 +1148,20 @@ module Sparse = struct
       done;
       let nx = ref 0 in
       for k = 0 to f.n_reta - 1 do
-        let e = f.retas.(k) in
-        let sup = Array.length e.re_idx in
-        work := !work + 1 + sup;
+        let lo = f.re_ptr.(k) and hi = f.re_ptr.(k + 1) in
+        work := !work + 1 + (hi - lo);
         let acc = ref 0.0 in
-        for t = 0 to sup - 1 do
-          acc := !acc +. (e.re_val.(t) *. w.(e.re_idx.(t)))
+        for t = lo to hi - 1 do
+          acc := !acc +. (f.re_val.(t) *. w.(f.re_idx.(t)))
         done;
         if !acc <> 0.0 then begin
-          if s.smark.(e.rt) <> s.sstamp then begin
-            s.smark.(e.rt) <- s.sstamp;
-            s.sr3.(!nx) <- e.rt;
+          let rt = f.re_rt.(k) in
+          if s.smark.(rt) <> s.sstamp then begin
+            s.smark.(rt) <- s.sstamp;
+            s.sr3.(!nx) <- rt;
             incr nx
           end;
-          w.(e.rt) <- w.(e.rt) -. !acc
+          w.(rt) <- w.(rt) -. !acc
         end
       done;
       ft_clear_spike f;
@@ -1043,15 +1202,22 @@ module Sparse = struct
             w.(cj.ul_idx.(e)) <- w.(cj.ul_idx.(e)) -. (cj.ul_val.(e) *. x)
           done
       done;
-      for t = !utop to n - 1 do
+      (* Scatter out; the result positions are compacted to the front of
+         [sr2] as they are read (position t − utop never overtakes t). *)
+      let top = !utop in
+      for t = top to n - 1 do
         let j = s.sr2.(t) in
-        b.(base.q.(j)) <- w.(j);
-        w.(j) <- 0.0
+        let pos = base.q.(j) in
+        b.(pos) <- w.(j);
+        w.(j) <- 0.0;
+        s.sr2.(t - top) <- pos
       done;
+      finish_support s b (n - top);
       !work
     end
 
   let ft_btran_dense f s c =
+    s.sup_n <- -1;
     let n = f.ft_n in
     let base = f.base in
     let w = s.sw in
@@ -1068,12 +1234,11 @@ module Sparse = struct
       w.(j) <- !acc /. f.udiag.(j)
     done;
     for k = f.n_reta - 1 downto 0 do
-      let e = f.retas.(k) in
-      let yt = w.(e.rt) in
+      let yt = w.(f.re_rt.(k)) in
       if yt <> 0.0 then
-        for t = 0 to Array.length e.re_idx - 1 do
-          let i = e.re_idx.(t) in
-          w.(i) <- w.(i) -. (e.re_val.(t) *. yt)
+        for t = f.re_ptr.(k) to f.re_ptr.(k + 1) - 1 do
+          let i = f.re_idx.(t) in
+          w.(i) <- w.(i) -. (f.re_val.(t) *. yt)
         done
     done;
     for jf = n - 1 downto 0 do
@@ -1091,8 +1256,8 @@ module Sparse = struct
 
   (* Bᵀ y = c on the updated factors: Uᵀ pass over the dynamic row
      adjacency, row etas transposed in reverse creation order (targets
-     they wake become extra Lᵀ roots), then the static Lᵀ pass.  Returns
-     the work performed. *)
+     they wake become extra Lᵀ roots), then the static Lᵀ pass.  Leaves
+     the result's support in the scratch; returns the work performed. *)
   let ft_btran f s c =
     ft_check_fresh f "Lu.Sparse.ft_btran";
     let n = f.ft_n in
@@ -1126,20 +1291,19 @@ module Sparse = struct
       done;
       let nx = ref 0 in
       for k = f.n_reta - 1 downto 0 do
-        let e = f.retas.(k) in
-        let yt = w.(e.rt) in
+        let yt = w.(f.re_rt.(k)) in
         work := !work + 1;
         if yt <> 0.0 then begin
-          let sup = Array.length e.re_idx in
-          work := !work + sup;
-          for t = 0 to sup - 1 do
-            let i = e.re_idx.(t) in
+          let lo = f.re_ptr.(k) and hi = f.re_ptr.(k + 1) in
+          work := !work + (hi - lo);
+          for t = lo to hi - 1 do
+            let i = f.re_idx.(t) in
             if s.smark.(i) <> s.sstamp then begin
               s.smark.(i) <- s.sstamp;
               s.sr3.(!nx) <- i;
               incr nx
             end;
-            w.(i) <- w.(i) -. (e.re_val.(t) *. yt)
+            w.(i) <- w.(i) -. (f.re_val.(t) *. yt)
           done
         end
       done;
@@ -1160,21 +1324,60 @@ module Sparse = struct
             w.(base.lr_idx.(e)) <- w.(base.lr_idx.(e)) -. (base.lr_val.(e) *. x)
           done
       done;
-      for t = !ltop to n - 1 do
+      let top = !ltop in
+      for t = top to n - 1 do
         let i = s.sr2.(t) in
-        c.(base.p.(i)) <- w.(i);
-        w.(i) <- 0.0
+        let row = base.p.(i) in
+        c.(row) <- w.(i);
+        w.(i) <- 0.0;
+        s.sr2.(t - top) <- row
       done;
+      finish_support s c (n - top);
       !work
     end
 
-  type update_result = { upd_work : int; upd_added : int }
+  (* Appends one row eta (target [t], multipliers [w.(k)] over the
+     nonzero entries of [sr1.(mtop .. n-1)]) to the flat file. *)
+  let push_reta f s ~t ~mtop ~msup =
+    let n = f.ft_n in
+    let k = f.n_reta in
+    if k = Array.length f.re_rt then begin
+      let cap = max 8 (2 * k) in
+      let rt = Array.make cap 0 and ptr = Array.make (cap + 1) 0 in
+      Array.blit f.re_rt 0 rt 0 k;
+      Array.blit f.re_ptr 0 ptr 0 (k + 1);
+      f.re_rt <- rt;
+      f.re_ptr <- ptr
+    end;
+    let lo = f.re_ptr.(k) in
+    if lo + msup > Array.length f.re_idx then begin
+      let cap = max 64 (2 * (lo + msup)) in
+      let idx = Array.make cap 0 and value = Array.make cap 0.0 in
+      Array.blit f.re_idx 0 idx 0 lo;
+      Array.blit f.re_val 0 value 0 lo;
+      f.re_idx <- idx;
+      f.re_val <- value
+    end;
+    let at = ref lo in
+    for tt = mtop to n - 1 do
+      let i = s.sr1.(tt) in
+      if s.sw.(i) <> 0.0 then begin
+        f.re_idx.(!at) <- i;
+        f.re_val.(!at) <- s.sw.(i);
+        incr at
+      end
+    done;
+    f.re_rt.(k) <- t;
+    f.re_ptr.(k + 1) <- !at;
+    f.n_reta <- k + 1;
+    f.reta_nnz <- f.reta_nnz + msup
 
   (* Swap basis slot [r]'s factor column for the spike stashed by the
-     last {!ft_ftran}.  Returns [None] when the new diagonal would fall
+     last {!ft_ftran}.  Returns [false] when the new diagonal would fall
      below the pivot tolerance — the factors are then flagged stale and
      the caller must refactorize (the basis change itself is fine; only
-     this update form cannot represent it stably). *)
+     this update form cannot represent it stably).  An accepted update
+     leaves its work and fill in [upd_work]/[upd_added]. *)
   let ft_update f s ~r =
     ft_check_fresh f "Lu.Sparse.ft_update";
     if f.spike_n < 0 then invalid_arg "Lu.Sparse.ft_update: no spike stashed";
@@ -1225,8 +1428,8 @@ module Sparse = struct
         w.(s.sr1.(tt)) <- 0.0
       done;
       ft_clear_spike f;
-      f.stale <- true;
-      None
+      f.unusable <- true;
+      false
     end
     else begin
       (* Row t collapses to the new diagonal. *)
@@ -1241,8 +1444,9 @@ module Sparse = struct
         let i = f.spike_idx.(k) in
         if i <> t then begin
           let v = f.spike.(i) in
-          ul_push f.uc.(t) i v;
-          ul_push f.ur.(i) t v;
+          let ct = f.uc.(t) and ri = f.ur.(i) in
+          ct.ul_val.(ul_slot ct i) <- v;
+          ri.ul_val.(ul_slot ri t) <- v;
           incr added
         end
       done;
@@ -1255,25 +1459,7 @@ module Sparse = struct
         if w.(s.sr1.(tt)) <> 0.0 then incr msup
       done;
       if !msup > 0 then begin
-        let re_idx = Array.make !msup 0 and re_val = Array.make !msup 0.0 in
-        let at = ref 0 in
-        for tt = !mtop to n - 1 do
-          let k = s.sr1.(tt) in
-          if w.(k) <> 0.0 then begin
-            re_idx.(!at) <- k;
-            re_val.(!at) <- w.(k);
-            incr at
-          end
-        done;
-        if f.n_reta = Array.length f.retas then begin
-          let cap = max 8 (2 * f.n_reta) in
-          let retas = Array.make cap { rt = 0; re_idx = [||]; re_val = [||] } in
-          Array.blit f.retas 0 retas 0 f.n_reta;
-          f.retas <- retas
-        end;
-        f.retas.(f.n_reta) <- { rt = t; re_idx; re_val };
-        f.n_reta <- f.n_reta + 1;
-        f.reta_nnz <- f.reta_nnz + !msup;
+        push_reta f s ~t ~mtop:!mtop ~msup:!msup;
         work := !work + !msup
       end;
       for tt = !mtop to n - 1 do
@@ -1291,7 +1477,9 @@ module Sparse = struct
       work := !work + (n - 1 - pt);
       f.updates <- f.updates + 1;
       ft_clear_spike f;
-      Some { upd_work = !work; upd_added = !added + !msup }
+      f.upd_work <- !work;
+      f.upd_added <- !added + !msup;
+      true
     end
 end
 

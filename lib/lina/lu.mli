@@ -30,7 +30,7 @@ val inverse : t -> Dense_matrix.t
 
 (** {2 Sparse factors}
 
-    Left-looking column LU over an abstract column accessor, kept {e as
+    Left-looking column LU over CSC columns, kept {e as
     factors} (never expanded to an inverse).  This is the simplex basis
     workhorse: FTRAN/BTRAN run in O(nnz(L)+nnz(U)) against the factors,
     and {!Sparse.ft_update} absorbs each simplex pivot into them in place
@@ -42,10 +42,27 @@ module Sparse : sig
       ascending static column counts, magnitude row pivoting) pivot
       order. *)
 
-  val factorize : n:int -> col:(int -> (int -> float -> unit) -> unit) -> t
-  (** [factorize ~n ~col] factorizes the [n]×[n] matrix whose column [j]
-      is enumerated by [col j f] as [f row value] calls (duplicates are
-      summed).  @raise Singular when no acceptable pivot exists.
+  type scratch
+  (** Preallocated workspace (value buffer, stamp marks, DFS stack, reach
+      buffers, factor entry stores) shared by the factorization and the
+      reach solves.  One per basis representation: the solves never
+      allocate, and {!factorize_basis} allocates only the factors it
+      returns.  Not domain-safe: callers on parallel workers need one
+      scratch each. *)
+
+  val scratch : int -> scratch
+  (** [scratch n] builds a workspace for dimension-[n] factorizations and
+      solves. *)
+
+  val factorize_basis : scratch -> Csc.t -> unit_sign:float array -> int array -> t
+  (** [factorize_basis s a ~unit_sign basic] factorizes the square matrix
+      whose column [pos] is column [basic.(pos)] of [[a | diag unit_sign]]:
+      column [j] of [a] when [j < Csc.cols a], otherwise the unit column
+      [unit_sign.(k)·e_k] with [k = j − Csc.cols a] — the simplex basis
+      of structural, logical and artificial columns, read straight from
+      the CSC arrays.  [s] must have dimension [Array.length basic]; all
+      working storage comes from it.  @raise Singular when no acceptable
+      pivot exists ([s] is left consistent).
 
       Cost: O(n + nnz + flops + Σ reach·log reach), where nnz counts the
       input entries and the factors, flops the elimination updates, and
@@ -55,6 +72,13 @@ module Sparse : sig
       in ascending factor order, the order of a scan over every earlier
       column, so each entry receives its updates in the same sequence
       and the factors are bit-identical to that scan's. *)
+
+  val factorize : n:int -> col:(int -> (int -> float -> unit) -> unit) -> t
+  (** [factorize ~n ~col] factorizes the [n]×[n] matrix whose column [j]
+      is enumerated by [col j f] as [f row value] calls (duplicates are
+      summed in emission order), with a fresh scratch: the same factors
+      as {!factorize_basis} over the same columns.  For tests and
+      one-off factorizations. *)
 
   val of_diagonal : float array -> t
   (** Trivial factorization of [diag d] — the simplex cold-start basis of
@@ -89,15 +113,6 @@ module Sparse : sig
       dense-scan solves, whose sequential passes win once most positions
       are touched anyway. *)
 
-  type scratch
-  (** Preallocated workspace (value buffer, stamp marks, DFS stack, reach
-      buffers) for the reach solves.  One per basis representation; the
-      kernels never allocate.  Not domain-safe: callers on parallel
-      workers need one scratch each. *)
-
-  val scratch : int -> scratch
-  (** [scratch n] builds a workspace for dimension-[n] solves. *)
-
   val dense_threshold : float
   (** RHS density (support / dimension) above which {!ftran_reach} and
       {!btran_reach} switch to the dense-scan path. *)
@@ -131,9 +146,10 @@ module Sparse : sig
       refactorization plus a dynamic [U] (synchronized per-column and
       per-row entry lists) and the row-eta file. *)
 
-  type update_result = { upd_work : int; upd_added : int }
-  (** Work performed by an update and the entries it added (spike fill
-      plus eta multipliers), for clock billing and fill telemetry. *)
+  val ft_create : int -> ft
+  (** [ft_create n] allocates updatable factors of dimension [n] with no
+      factorization yet ([U] lists are allocated on their first entry):
+      every solve and update raises until {!ft_refresh} installs one. *)
 
   val ft_of_factors : t -> ft
   (** Wrap a fresh factorization for updating. *)
@@ -160,23 +176,63 @@ module Sparse : sig
   (** [ft_nnz] relative to the fresh factorization's nnz: the fill
       signal driving the refactorization policy. *)
 
+  val ft_fill_exceeds : ft -> float -> bool
+  (** [ft_fill_exceeds f limit] is [ft_fill_ratio f > limit] without
+      boxing the ratio: the per-pivot form of the policy check. *)
+
   val ft_ftran : ft -> scratch -> float array -> int
   (** [ft_ftran f s b] — {!ftran_reach} against the updated factors;
       same index contract, returns the work performed.  The vector
       entering the [U] solve (the spike of [b]'s column) is stashed so
-      an immediately following {!ft_update} can consume it. *)
+      an immediately following {!ft_update} can consume it.  Reports the
+      result's support (see {!support_len}). *)
 
   val ft_btran : ft -> scratch -> float array -> int
-  (** [ft_btran f s c] — {!btran_reach} against the updated factors. *)
+  (** [ft_btran f s c] — {!btran_reach} against the updated factors;
+      reports the result's support. *)
 
-  val ft_update : ft -> scratch -> r:int -> update_result option
+  (** {3 Result support}
+
+      When {!ft_ftran} or {!ft_btran} takes the reach path, the positions
+      its reach touched are the only ones where the result can be
+      nonzero.  The solve hands them back, so a caller can walk the
+      result in time proportional to its nonzeros instead of scanning
+      all [n] positions. *)
+
+  val support_len : scratch -> int
+  (** Length of the support of the last {!ft_ftran}/{!ft_btran} result
+      on this scratch, or [-1] when that solve ran the dense-scan path
+      (or the last operation was another solve), in which case the
+      caller scans all [n] positions.  A support lists every nonzero of
+      the result exactly once, in ascending index order (basis positions
+      after FTRAN, rows after BTRAN); it may also list positions whose
+      value cancelled to zero.  Ascending order lets a caller that walks
+      the support visit entries in the order of a full scan, so ties and
+      floating-point sums come out the same. *)
+
+  val support : scratch -> int array
+  (** The buffer whose first {!support_len} entries are that support.
+      Valid until the next solve, factorization or update on the
+      scratch. *)
+
+  val ft_update : ft -> scratch -> r:int -> bool
   (** [ft_update f s ~r] swaps basis slot [r]'s factor column for the
-      spike stashed by the last {!ft_ftran}.  Returns [None] when the
+      spike stashed by the last {!ft_ftran}.  Returns [false] when the
       updated diagonal would fall below {!Tol.pivot}: the factors are
       then flagged stale and every further operation raises until
       {!ft_refresh} — the caller refactorizes from the new basis.
+      Allocates nothing once the factor lists and the row-eta file have
+      grown to their working size.
       @raise Invalid_argument when no spike is stashed or the factors
       are stale. *)
+
+  val ft_update_work : ft -> int
+  (** Work performed by the last accepted {!ft_update}, for clock
+      billing. *)
+
+  val ft_update_added : ft -> int
+  (** Entries the last accepted {!ft_update} appended (spike fill plus
+      eta multipliers), for fill telemetry. *)
 end
 
 val determinant : t -> float

@@ -9,28 +9,33 @@ type dense = { mutable binv : Dm.t }
    (Lina.Lu.Sparse.ft_update), so there is no product-form file to pay
    on later solves — only the bounded row-eta multipliers inside. *)
 type updated = {
-  mutable ft : Slu.ft;
-  uscratch : Slu.scratch;  (* reach-solve workspace, one per representation *)
+  ft : Slu.ft;
+  uscratch : Slu.scratch;
+      (* factorization and reach-solve workspace, one per representation;
+         also carries the support of the last solve's result *)
 }
 
 type rep = Dense of dense | Updated of updated
 
-type t = { m : int; rep : rep; work : float array }
+type t = {
+  m : int;
+  rep : rep;
+  work : float array;
+  mutable upd_work : int;
+  mutable upd_added : int;
+}
 
-type update_result = Applied of { work : int; added : int } | Rejected
-
+(* No factors until the first [load_identity] or [factorize]: every
+   solver path installs one of those before its first solve, so an
+   identity built here would only be thrown away. *)
 let create kind m =
   let rep =
     match kind with
-    | Dense_inverse -> Dense { binv = Dm.identity m }
+    | Dense_inverse -> Dense { binv = Dm.create ~rows:0 ~cols:0 }
     | Updatable_lu ->
-      Updated
-        {
-          ft = Slu.ft_of_factors (Slu.of_diagonal (Array.make m 1.0));
-          uscratch = Slu.scratch m;
-        }
+      Updated { ft = Slu.ft_create m; uscratch = Slu.scratch m }
   in
-  { m; rep; work = Array.make m 0.0 }
+  { m; rep; work = Array.make m 0.0; upd_work = 0; upd_added = 0 }
 
 let kind t =
   match t.rep with Dense _ -> Dense_inverse | Updated _ -> Updatable_lu
@@ -42,6 +47,11 @@ let update_count t =
 
 let fill_ratio t =
   match t.rep with Dense _ -> 1.0 | Updated u -> Slu.ft_fill_ratio u.ft
+
+let fill_exceeds t limit =
+  match t.rep with
+  | Dense _ -> 1.0 > limit
+  | Updated u -> Slu.ft_fill_exceeds u.ft limit
 
 let solve_cost t =
   match t.rep with
@@ -56,15 +66,22 @@ let load_identity t signs =
     d.binv <- binv
   | Updated u -> Slu.ft_refresh u.ft (Slu.of_diagonal signs)
 
-let factorize t col =
+let factorize t a ~unit_sign basic =
   match t.rep with
   | Dense d ->
     let b = Dm.create ~rows:t.m ~cols:t.m in
+    let ncols = Lina.Csc.cols a in
     for pos = 0 to t.m - 1 do
-      col pos (fun i v -> Dm.set b i pos v)
+      let j = basic.(pos) in
+      if j < ncols then
+        for e = a.Lina.Csc.col_ptr.(j) to a.Lina.Csc.col_ptr.(j + 1) - 1 do
+          Dm.set b a.Lina.Csc.row_idx.(e) pos a.Lina.Csc.value.(e)
+        done
+      else Dm.set b (j - ncols) pos unit_sign.(j - ncols)
     done;
     d.binv <- Lina.Lu.inverse (Lina.Lu.factorize b)
-  | Updated u -> Slu.ft_refresh u.ft (Slu.factorize ~n:t.m ~col)
+  | Updated u ->
+    Slu.ft_refresh u.ft (Slu.factorize_basis u.uscratch a ~unit_sign basic)
 
 (* --- solves ------------------------------------------------------------ *)
 
@@ -76,13 +93,26 @@ let ftran_in_place t b =
     t.m * t.m
   | Updated u -> Slu.ft_ftran u.ft u.uscratch b
 
-let ftran_col t col w =
+let ftran_col t a ~unit_sign j w =
+  let ncols = Lina.Csc.cols a in
   match t.rep with
   | Dense d ->
-    col (fun i v -> Dm.col_axpy d.binv i v w);
+    if j < ncols then
+      for e = a.Lina.Csc.col_ptr.(j) to a.Lina.Csc.col_ptr.(j + 1) - 1 do
+        Dm.col_axpy d.binv a.Lina.Csc.row_idx.(e) a.Lina.Csc.value.(e) w
+      done
+    else Dm.col_axpy d.binv (j - ncols) unit_sign.(j - ncols) w;
     t.m * t.m
   | Updated u ->
-    col (fun i v -> w.(i) <- w.(i) +. v);
+    if j < ncols then
+      for e = a.Lina.Csc.col_ptr.(j) to a.Lina.Csc.col_ptr.(j + 1) - 1 do
+        let i = a.Lina.Csc.row_idx.(e) in
+        w.(i) <- w.(i) +. a.Lina.Csc.value.(e)
+      done
+    else begin
+      let i = j - ncols in
+      w.(i) <- w.(i) +. unit_sign.(i)
+    end;
     Slu.ft_ftran u.ft u.uscratch w
 
 let btran_in_place t c =
@@ -115,15 +145,28 @@ let unit_row t r out =
     out.(r) <- 1.0;
     btran_in_place t out
 
+let support_len t =
+  match t.rep with Dense _ -> -1 | Updated u -> Slu.support_len u.uscratch
+
+let support t =
+  match t.rep with Dense _ -> [||] | Updated u -> Slu.support u.uscratch
+
 (* --- pivot update ------------------------------------------------------ *)
 
 let update t ~r ~w =
   match t.rep with
   | Dense d ->
     Dm.pivot_update d.binv w r;
-    Applied { work = 0; added = 0 }
-  | Updated u -> (
-    match Slu.ft_update u.ft u.uscratch ~r with
-    | Some { Slu.upd_work; upd_added } ->
-      Applied { work = upd_work; added = upd_added }
-    | None -> Rejected)
+    t.upd_work <- 0;
+    t.upd_added <- 0;
+    true
+  | Updated u ->
+    Slu.ft_update u.ft u.uscratch ~r
+    && begin
+         t.upd_work <- Slu.ft_update_work u.ft;
+         t.upd_added <- Slu.ft_update_added u.ft;
+         true
+       end
+
+let update_work t = t.upd_work
+let update_added t = t.upd_added

@@ -11,7 +11,7 @@
       O(nnz(L)+nnz(U)+nnz(row etas)) where the row-eta file holds only
       elimination multipliers, not a full spike per pivot.  The caller
       refactorizes on measured fill growth ({!fill_ratio}) or residual
-      drift, and when an update is {!Rejected}.  The simplex default and
+      drift, and when an update is rejected.  The simplex default and
       the only representation any solver path selects.
     - {!Dense_inverse} — the explicit dense [B⁻¹], updated in product
       form on every pivot (O(m²) per operation).  The test reference:
@@ -21,21 +21,12 @@ type kind = Dense_inverse | Updatable_lu
 
 type t
 
-type update_result =
-  | Applied of { work : int; added : int }
-      (** The pivot is installed; [work] is the update's deterministic
-          work (for clock billing), [added] the entries it appended to
-          the factors (spike fill plus row-eta multipliers; [0] for
-          {!Dense_inverse}). *)
-  | Rejected
-      (** {!Updatable_lu} only: the spike's updated diagonal fell below
-          the pivot tolerance, so the update form cannot represent this
-          basis change stably.  The basis {e change} is fine — the
-          caller must refactorize from the new basis before the next
-          solve. *)
-
 val create : kind -> int -> t
-(** [create kind m] starts as the identity basis of dimension [m]. *)
+(** [create kind m] allocates a representation of dimension [m] —
+    O(m) words for {!Updatable_lu} — holding no basis yet: install one
+    with {!load_identity} or {!factorize} before the first solve (a
+    solve before that raises [Invalid_argument] or reads an empty
+    inverse). *)
 
 val kind : t -> kind
 
@@ -50,6 +41,10 @@ val fill_ratio : t -> float
     ({!Lina.Lu.Sparse.ft_fill_ratio}); [1.0] for {!Dense_inverse}.  The
     fill-growth signal of the refactorization policy. *)
 
+val fill_exceeds : t -> float -> bool
+(** [fill_exceeds t limit] is [fill_ratio t > limit], without boxing the
+    ratio (the check runs after every pivot). *)
+
 val solve_cost : t -> int
 (** Deterministic {e upper bound} on the work of one FTRAN or BTRAN at
     the current representation size — [m²] dense, [nnz(factors)+m]
@@ -63,19 +58,24 @@ val load_identity : t -> float array -> unit
     ±1: the cold-start basis of logical and artificial columns),
     clearing any absorbed updates. *)
 
-val factorize : t -> (int -> (int -> float -> unit) -> unit) -> unit
-(** [factorize t col] refactorizes from scratch; [col pos f] enumerates
-    the basis column at position [pos].  Clears the absorbed updates.
+val factorize : t -> Lina.Csc.t -> unit_sign:float array -> int array -> unit
+(** [factorize t a ~unit_sign basic] refactorizes from scratch the basis
+    whose column [pos] is column [basic.(pos)] of [[a | diag unit_sign]]
+    (a column of [a], or past [Csc.cols a] a signed unit column — the
+    simplex's artificials), read straight from the CSC arrays.  Clears
+    the absorbed updates.  {!Updatable_lu} reuses its scratch for all
+    working storage and allocates only the new factors.
     @raise Lina.Lu.Singular on a (numerically) singular basis. *)
 
-val ftran_col : t -> ((int -> float -> unit) -> unit) -> float array -> int
-(** [ftran_col t col w] accumulates [B⁻¹ a] into [w] (length [m],
-    caller-zeroed), where [col f] enumerates the entries of [a].  Returns
-    the work performed — reach-bounded sparse solves for {!Updatable_lu},
-    [m²] for {!Dense_inverse} — a deterministic function of the basis and
-    the RHS, suitable for clock billing.  For {!Updatable_lu} the solve
-    also stashes the column's spike, which a following {!update}
-    consumes. *)
+val ftran_col :
+  t -> Lina.Csc.t -> unit_sign:float array -> int -> float array -> int
+(** [ftran_col t a ~unit_sign j w] accumulates [B⁻¹ a_j] into [w]
+    (length [m], caller-zeroed), column [j] of [[a | diag unit_sign]] as
+    in {!factorize}.  Returns the work performed — reach-bounded sparse
+    solves for {!Updatable_lu}, [m²] for {!Dense_inverse} — a
+    deterministic function of the basis and the RHS, suitable for clock
+    billing.  For {!Updatable_lu} the solve also stashes the column's
+    spike, which a following {!update} consumes. *)
 
 val ftran_in_place : t -> float array -> int
 (** [ftran_in_place t b] overwrites the dense [b] (indexed by row) with
@@ -92,11 +92,42 @@ val unit_row : t -> int -> float array -> int
     the BTRAN of [e_r], i.e. the pivot row of the dual simplex.  Returns
     the work performed. *)
 
-val update : t -> r:int -> w:float array -> update_result
+(** {2 Result support}
+
+    {!Updatable_lu} hands back where the result of its last solve
+    ({!ftran_col}, {!ftran_in_place}, {!btran_in_place}, {!unit_row})
+    can be nonzero, per {!Lina.Lu.Sparse.support_len}, so the simplex
+    walks a pivot column or an inverse row in time proportional to its
+    nonzeros.  {!Dense_inverse} never reports one. *)
+
+val support_len : t -> int
+(** Entries of the last solve's support, ascending and listing every
+    nonzero of the result exactly once; [-1] when there is none (a
+    dense-path solve, or {!Dense_inverse}) and the caller must scan all
+    [m] positions. *)
+
+val support : t -> int array
+(** The buffer holding that support in its first {!support_len}
+    entries; overwritten by the next solve, factorization or update. *)
+
+val update : t -> r:int -> w:float array -> bool
 (** [update t ~r ~w] installs the pivot that makes column [w = B⁻¹ a_q]
     basic at position [r]: a product-form inverse patch (dense) or a
     Forrest–Tomlin in-place update (updatable — consumes the spike
     stashed by the FTRAN of the entering column, which must be the
-    representation's most recent FTRAN).
+    representation's most recent FTRAN).  Returns [false] when the
+    update is rejected ({!Updatable_lu} only): the spike's updated
+    diagonal fell below the pivot tolerance, so the update form cannot
+    represent this basis change stably.  The basis {e change} is fine —
+    the caller must refactorize from the new basis before the next
+    solve.
     @raise Invalid_argument when [|w_r|] is below {!Lina.Tol.pivot}
     (dense) or no spike is stashed (updatable). *)
+
+val update_work : t -> int
+(** Deterministic work of the last accepted {!update} (for clock
+    billing); [0] for {!Dense_inverse}. *)
+
+val update_added : t -> int
+(** Entries the last accepted {!update} appended to the factors (spike
+    fill plus row-eta multipliers); [0] for {!Dense_inverse}. *)

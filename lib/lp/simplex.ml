@@ -101,10 +101,18 @@ type state = {
   y : float array;  (* duals *)
   rho : float array;  (* inverse-row scratch (dual pivot row, expulsion) *)
   rowbuf : float array;  (* row-space scratch (RHS recompute, residual) *)
+  fout : float array;
+      (* float results of the per-column and per-pivot helpers — slot 0 a
+         column dot or reduced cost, slot 1 the ratio test's step — so
+         that no float is boxed per priced column or per pivot *)
+  mutable enter_dir : int;  (* direction of [price]'s column: 1 or -1 *)
+  mutable leave_hit : vstat;  (* bound the ratio test's leaving row hits *)
   (* partial pricing: surviving entering candidates from the last sweep *)
   cand : int array;
   cand_score : float array;
   mutable cand_n : int;
+  top_j : int array;  (* restock heap: the [max_cand] strongest columns *)
+  top_s : float array;
   mutable dualw : dual_ws option;  (* dual pricing workspace, built lazily *)
   (* devex reference-framework weights: [refw] per column (primal
      pricing), [drefw] per basis position (dual row selection).  Reset to
@@ -147,22 +155,23 @@ let reset_ptk p =
   p.pf_btran <- 0;
   p.pf_pricing <- 0
 
-(* Category-tagged clock charges: same [Budget.tick] as before, plus the
-   per-category accumulator the profiler reads at solve end. *)
+(* Category-tagged clock charges: a [Budget.charge] (the allocation-free
+   [Budget.tick ~n]) plus the per-category accumulator the profiler reads
+   at solve end. *)
 let tick_factor st n =
-  Budget.tick ~n st.budget;
+  Budget.charge st.budget n;
   st.ptk.pf_factor <- st.ptk.pf_factor + n
 
 let tick_ftran st n =
-  Budget.tick ~n st.budget;
+  Budget.charge st.budget n;
   st.ptk.pf_ftran <- st.ptk.pf_ftran + n
 
 let tick_btran st n =
-  Budget.tick ~n st.budget;
+  Budget.charge st.budget n;
   st.ptk.pf_btran <- st.ptk.pf_btran + n
 
 let tick_pricing st n =
-  Budget.tick ~n st.budget;
+  Budget.charge st.budget n;
   st.ptk.pf_pricing <- st.ptk.pf_pricing + n
 
 (* Turn the accumulated category ticks into leaf spans tiling the tail of
@@ -189,24 +198,44 @@ let emit_prof_leaves st =
 
 (* --- column access -------------------------------------------------- *)
 
-let col_iter st j f =
-  if j < st.n_total then Lina.Csc.iter_col st.sf.Std_form.a j f
-  else f (j - st.n_total) st.art_sign.(j - st.n_total)
+(* Column j is column j of the standard form's A for j < n_total, and the
+   artificial art_sign.(i)·e_i, i = j − n_total, beyond.  The loops below
+   read A's CSC arrays directly: a per-column callback would allocate a
+   closure and box every coefficient. *)
 
-let col_dot_dense st j y =
-  if j < st.n_total then Lina.Csc.col_dot st.sf.Std_form.a j y
-  else st.art_sign.(j - st.n_total) *. y.(j - st.n_total)
+(* fout.(0) <- a_j · v. *)
+let dot_col st j v =
+  if j < st.n_total then begin
+    let a = st.sf.Std_form.a in
+    let ptr = a.Lina.Csc.col_ptr
+    and ri = a.Lina.Csc.row_idx
+    and va = a.Lina.Csc.value in
+    let acc = ref 0.0 in
+    for e = ptr.(j) to ptr.(j + 1) - 1 do
+      acc := !acc +. (va.(e) *. v.(ri.(e)))
+    done;
+    st.fout.(0) <- !acc
+  end
+  else st.fout.(0) <- st.art_sign.(j - st.n_total) *. v.(j - st.n_total)
+
+(* Nonzeros of [v], the result of the representation's last solve: over
+   the support the solve reported, else by a scan of all m positions. *)
+let result_nnz st v =
+  let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
+  let nnz = ref 0 in
+  for t = 0 to (if ns >= 0 then ns else st.m) - 1 do
+    if v.(if ns >= 0 then sup.(t) else t) <> 0.0 then incr nnz
+  done;
+  !nnz
 
 (* w <- B^-1 A_j.  Bills one solve of the current representation to the
    budget clock and the result's nonzero count to the stats. *)
 let ftran st j =
   Array.fill st.w 0 st.m 0.0;
-  let work = Basis.ftran_col st.rep (fun f -> col_iter st j f) st.w in
-  let nnz = ref 0 in
-  for i = 0 to st.m - 1 do
-    if st.w.(i) <> 0.0 then incr nnz
-  done;
-  st.stats.Rstats.ftran_nnz <- st.stats.Rstats.ftran_nnz + !nnz;
+  let work =
+    Basis.ftran_col st.rep st.sf.Std_form.a ~unit_sign:st.art_sign j st.w
+  in
+  st.stats.Rstats.ftran_nnz <- st.stats.Rstats.ftran_nnz + result_nnz st st.w;
   tick_ftran st work
 
 (* --- (re)factorization ---------------------------------------------- *)
@@ -217,11 +246,22 @@ let ftran st j =
 let nonbasic_rhs st =
   let rhs = st.rowbuf in
   Array.fill rhs 0 st.m 0.0;
+  let a = st.sf.Std_form.a in
+  let ptr = a.Lina.Csc.col_ptr and ri = a.Lina.Csc.row_idx
+  and va = a.Lina.Csc.value in
   for j = 0 to st.n_total + st.m - 1 do
-    if st.vstat.(j) <> Basic && st.xval.(j) <> 0.0 then
-      col_iter st j
-        (let xj = st.xval.(j) in
-         fun i v -> rhs.(i) <- rhs.(i) -. (v *. xj))
+    if st.vstat.(j) <> Basic && st.xval.(j) <> 0.0 then begin
+      let xj = st.xval.(j) in
+      if j < st.n_total then
+        for e = ptr.(j) to ptr.(j + 1) - 1 do
+          let i = ri.(e) in
+          rhs.(i) <- rhs.(i) -. (va.(e) *. xj)
+        done
+      else begin
+        let i = j - st.n_total in
+        rhs.(i) <- rhs.(i) -. (st.art_sign.(i) *. xj)
+      end
+    end
   done;
   rhs
 
@@ -238,11 +278,22 @@ let recompute_basics st =
 let equation_residual st =
   let r = st.rowbuf in
   Array.fill r 0 st.m 0.0;
+  let a = st.sf.Std_form.a in
+  let ptr = a.Lina.Csc.col_ptr and ri = a.Lina.Csc.row_idx
+  and va = a.Lina.Csc.value in
   for j = 0 to st.n_total + st.m - 1 do
-    if st.xval.(j) <> 0.0 then
-      col_iter st j
-        (let xj = st.xval.(j) in
-         fun i v -> r.(i) <- r.(i) +. (v *. xj))
+    if st.xval.(j) <> 0.0 then begin
+      let xj = st.xval.(j) in
+      if j < st.n_total then
+        for e = ptr.(j) to ptr.(j + 1) - 1 do
+          let i = ri.(e) in
+          r.(i) <- r.(i) +. (va.(e) *. xj)
+        done
+      else begin
+        let i = j - st.n_total in
+        r.(i) <- r.(i) +. (st.art_sign.(i) *. xj)
+      end
+    end
   done;
   Lina.Vec.nrm_inf r
 
@@ -250,7 +301,7 @@ let equation_residual st =
    recomputes basic values from the nonbasic ones. *)
 let full_refactorize st =
   st.stats.Rstats.refactorizations <- st.stats.Rstats.refactorizations + 1;
-  Basis.factorize st.rep (fun pos f -> col_iter st st.basis.(pos) f);
+  Basis.factorize st.rep st.sf.Std_form.a ~unit_sign:st.art_sign st.basis;
   st.pivots_since_refactor <- 0;
   tick_factor st (Basis.solve_cost st.rep);
   let rhs = nonbasic_rhs st in
@@ -287,7 +338,7 @@ let after_basis_update st =
   try
     if
       Basis.kind st.rep = Basis.Updatable_lu
-      && Basis.fill_ratio st.rep > st.params.fill_limit
+      && Basis.fill_exceeds st.rep st.params.fill_limit
     then begin
       st.stats.Rstats.refactor_fill <- st.stats.Rstats.refactor_fill + 1;
       full_refactorize st
@@ -305,15 +356,16 @@ let commit_pivot st ~r =
     try Basis.update st.rep ~r ~w:st.w
     with Invalid_argument _ -> raise (Solver_stop Numerical_failure)
   with
-  | Basis.Applied { work; added } ->
+  | true ->
     (match Basis.kind st.rep with
     | Basis.Updatable_lu ->
       st.stats.Rstats.basis_updates <- st.stats.Rstats.basis_updates + 1;
-      st.stats.Rstats.spike_fill <- st.stats.Rstats.spike_fill + added;
-      tick_factor st work
+      st.stats.Rstats.spike_fill <-
+        st.stats.Rstats.spike_fill + Basis.update_added st.rep;
+      tick_factor st (Basis.update_work st.rep)
     | Basis.Dense_inverse -> ());
     after_basis_update st
-  | Basis.Rejected -> (
+  | false -> (
     st.stats.Rstats.refactor_forced <- st.stats.Rstats.refactor_forced + 1;
     try full_refactorize st
     with Lina.Lu.Singular _ -> raise (Solver_stop Numerical_failure))
@@ -324,15 +376,93 @@ let commit_pivot st ~r =
 let compute_duals st =
   Array.iteri (fun pos j -> st.y.(pos) <- st.cost.(j)) st.basis;
   let work = Basis.btran_in_place st.rep st.y in
-  let nnz = ref 0 in
-  for i = 0 to st.m - 1 do
-    if st.y.(i) <> 0.0 then incr nnz
-  done;
-  st.stats.Rstats.btran_nnz <- st.stats.Rstats.btran_nnz + !nnz;
+  st.stats.Rstats.btran_nnz <- st.stats.Rstats.btran_nnz + result_nnz st st.y;
   tick_btran st work
 
-(* Returns [Some (j, dir)] for the entering column and its direction of
-   movement (+1 increase, -1 decrease), or [None] at (phase) optimality.
+(* Entering direction of column [j] under the current duals — [1]
+   (increase), [-1] (decrease) or [0] (not eligible) — with its reduced
+   cost d_j left in [fout.(0)]. *)
+let entering_dir st j =
+  if st.vstat.(j) = Basic || st.lb.(j) >= st.ub.(j) then 0
+  else begin
+    let tol = st.params.dual_feas_tol in
+    dot_col st j st.y;
+    let d = st.cost.(j) -. st.fout.(0) in
+    st.fout.(0) <- d;
+    match st.vstat.(j) with
+    | At_lower -> if d < -.tol then 1 else 0
+    | At_upper -> if d > tol then -1 else 0
+    | Free_nb -> if d < -.tol then 1 else if d > tol then -1 else 0
+    | Basic -> 0
+  end
+
+(* Candidate-list size bound of a restock. *)
+let max_cand = 200
+
+(* Restock heap over [top_s]/[top_j]: [below hs hj a b] holds when entry
+   [a] ranks below entry [b] (score desc, index asc — the order is part
+   of the deterministic pivot sequence), and the root is the weakest
+   entry kept. *)
+let below (hs : float array) (hj : int array) a b =
+  hs.(a) < hs.(b) || (hs.(a) = hs.(b) && hj.(a) > hj.(b))
+
+let heap_swap (hs : float array) (hj : int array) a b =
+  let s = hs.(a) and j = hj.(a) in
+  hs.(a) <- hs.(b);
+  hj.(a) <- hj.(b);
+  hs.(b) <- s;
+  hj.(b) <- j
+
+let rec heap_up hs hj i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    if below hs hj i p then begin
+      heap_swap hs hj i p;
+      heap_up hs hj p
+    end
+  end
+
+let rec heap_down hs hj h i =
+  let l = (2 * i) + 1 in
+  let w = if l < h && below hs hj l i then l else i in
+  let w = if l + 1 < h && below hs hj (l + 1) w then l + 1 else w in
+  if w <> i then begin
+    heap_swap hs hj i w;
+    heap_down hs hj h w
+  end
+
+(* Keeps the [target] strongest of the [found] scored candidates in
+   [cand], strongest first: the prefix a full sort by (score desc, index
+   asc) would keep, selected through a bounded heap instead of a sort of
+   every eligible column. *)
+let restock st found target =
+  let hs = st.top_s and hj = st.top_j in
+  let h = ref 0 in
+  for k = 0 to found - 1 do
+    let j = st.cand.(k) and sc = st.cand_score.(k) in
+    if !h < target then begin
+      hs.(!h) <- sc;
+      hj.(!h) <- j;
+      heap_up hs hj !h;
+      incr h
+    end
+    else if sc > hs.(0) || (sc = hs.(0) && j < hj.(0)) then begin
+      hs.(0) <- sc;
+      hj.(0) <- j;
+      heap_down hs hj target 0
+    end
+  done;
+  for t = target - 1 downto 0 do
+    st.cand.(t) <- hj.(0);
+    decr h;
+    hs.(0) <- hs.(!h);
+    hj.(0) <- hj.(!h);
+    heap_down hs hj !h 0
+  done;
+  st.cand_n <- target
+
+(* Returns the entering column, its direction of movement in [enter_dir]
+   (+1 increase, -1 decrease), or [-1] at (phase) optimality.
 
    Devex pricing over a candidate list: a full sweep picks the global
    winner and restocks the list with the strongest columns; subsequent
@@ -341,146 +471,127 @@ let compute_duals st =
    optimality is only ever declared by a full sweep.  Bland's
    anti-cycling rule remains a full first-eligible-index scan. *)
 let price st =
-  let tol = st.params.dual_feas_tol in
   let ncols = st.n_total + st.m in
-  let eligible j =
-    if st.vstat.(j) = Basic || st.lb.(j) >= st.ub.(j) then None
-    else begin
-      let d = st.cost.(j) -. col_dot_dense st j st.y in
-      match st.vstat.(j) with
-      | At_lower -> if d < -.tol then Some (d, 1.0) else None
-      | At_upper -> if d > tol then Some (d, -1.0) else None
-      | Free_nb ->
-        if d < -.tol then Some (d, 1.0)
-        else if d > tol then Some (d, -1.0)
-        else None
-      | Basic -> None
-    end
-  in
   if st.bland then begin
-    let best = ref None in
-    (try
-       for j = 0 to ncols - 1 do
-         match eligible j with
-         | Some (_, dir) ->
-           best := Some (j, dir);
-           raise Exit
-         | None -> ()
-       done
-     with Exit -> ());
+    let q = ref (-1) and j = ref 0 in
+    while !q < 0 && !j < ncols do
+      let dir = entering_dir st !j in
+      if dir <> 0 then begin
+        q := !j;
+        st.enter_dir <- dir
+      end;
+      incr j
+    done;
     tick_pricing st ncols;
-    !best
+    !q
   end
   else begin
     (* Devex scoring d²/γ_j approximates the steepest-edge criterion.
        Eligibility already requires |d| beyond the dual tolerance, so the
        score floor of 0 admits every eligible column. *)
-    let score_of j d = d *. d /. Float.max 1.0 st.refw.(j) in
-    let best = ref None and best_score = ref 0.0 in
-    let take j d dir =
-      let score = score_of j d in
-      if score > !best_score then begin
-        best := Some (j, dir);
-        best_score := score
-      end
-    in
-    let partial = st.params.partial_pricing in
-    if partial && st.cand_n > 0 then begin
+    let best = ref (-1) and best_score = ref 0.0 in
+    if st.params.partial_pricing && st.cand_n > 0 then begin
       (* Re-price the surviving candidates, compacting the list. *)
       tick_pricing st st.cand_n;
       let kept = ref 0 in
       for k = 0 to st.cand_n - 1 do
         let j = st.cand.(k) in
-        match eligible j with
-        | Some (d, dir) ->
+        let dir = entering_dir st j in
+        if dir <> 0 then begin
           st.cand.(!kept) <- j;
           incr kept;
-          take j d dir
-        | None -> ()
+          let d = st.fout.(0) in
+          let score = d *. d /. Float.max 1.0 st.refw.(j) in
+          if score > !best_score then begin
+            best := j;
+            best_score := score;
+            st.enter_dir <- dir
+          end
+        end
       done;
       st.cand_n <- !kept
     end;
-    match !best with
-    | Some _ ->
+    if !best >= 0 then begin
       st.stats.Rstats.pricing_hits <- st.stats.Rstats.pricing_hits + 1;
       !best
-    | None ->
+    end
+    else begin
       (* Full sweep; every eligible column is scored for the restock. *)
       st.stats.Rstats.pricing_sweeps <- st.stats.Rstats.pricing_sweeps + 1;
       tick_pricing st ncols;
       let found = ref 0 in
       for j = 0 to ncols - 1 do
-        match eligible j with
-        | Some (d, dir) ->
+        let dir = entering_dir st j in
+        if dir <> 0 then begin
+          let d = st.fout.(0) in
+          let score = d *. d /. Float.max 1.0 st.refw.(j) in
           st.cand.(!found) <- j;
-          st.cand_score.(!found) <- score_of j d;
+          st.cand_score.(!found) <- score;
           incr found;
-          take j d dir
-        | None -> ()
+          if score > !best_score then begin
+            best := j;
+            best_score := score;
+            st.enter_dir <- dir
+          end
+        end
       done;
-      let found = !found in
-      let target = max 16 (min 200 (ncols / 8)) in
-      if found <= target then st.cand_n <- found
-      else begin
-        (* Keep the [target] strongest (score desc, index asc: the order
-           is part of the deterministic pivot sequence). *)
-        let js = Array.sub st.cand 0 found in
-        let order = Array.init found (fun i -> i) in
-        Array.sort
-          (fun a b ->
-            match compare st.cand_score.(b) st.cand_score.(a) with
-            | 0 -> compare js.(a) js.(b)
-            | c -> c)
-          order;
-        for k = 0 to target - 1 do
-          st.cand.(k) <- js.(order.(k))
-        done;
-        st.cand_n <- target
-      end;
+      let target = max 16 (min max_cand (ncols / 8)) in
+      if !found <= target then st.cand_n <- !found
+      else restock st !found target;
       !best
+    end
   end
 
 (* --- ratio test ------------------------------------------------------ *)
 
+(* Leaving row of a step along [dir] (an int, ±1) times the pivot column
+   [w], or [-1] when no basic variable bounds the step; the step length
+   goes to [fout.(1)] and the bound the leaving variable hits to
+   [leave_hit].  Walks [w]'s support in ascending order — the rows a
+   full scan would visit with a nonzero rate, in the same order. *)
 let ratio_test st dir =
+  let dir = float_of_int dir in
   let piv_tol = Lina.Tol.pivot in
   let t_best = ref infinity in
-  let leave = ref None in
+  let leave = ref (-1) and leave_hit = ref At_lower in
   let leave_piv = ref 0.0 in
-  for i = 0 to st.m - 1 do
+  let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
+  for s = 0 to (if ns >= 0 then ns else st.m) - 1 do
+    let i = if ns >= 0 then sup.(s) else s in
     let rate = -.dir *. st.w.(i) in
     if Float.abs rate > piv_tol then begin
       let bj = st.basis.(i) in
-      let t, hit =
+      let t =
         if rate < 0.0 then
           if st.lb.(bj) > neg_infinity then
-            (Float.max 0.0 ((st.xval.(bj) -. st.lb.(bj)) /. -.rate), At_lower)
-          else (infinity, At_lower)
+            Float.max 0.0 ((st.xval.(bj) -. st.lb.(bj)) /. -.rate)
+          else infinity
         else if st.ub.(bj) < infinity then
-          (Float.max 0.0 ((st.ub.(bj) -. st.xval.(bj)) /. rate), At_upper)
-        else (infinity, At_upper)
+          Float.max 0.0 ((st.ub.(bj) -. st.xval.(bj)) /. rate)
+        else infinity
       in
       if t < infinity then begin
         let better =
           if st.bland then
             t < !t_best -. 1e-12
             || (t <= !t_best +. 1e-12
-               && (match !leave with
-                  | Some (r, _, _) -> bj < st.basis.(r)
-                  | None -> true))
+               && (!leave < 0 || bj < st.basis.(!leave)))
           else
             t < !t_best -. 1e-12
             || (t <= !t_best +. 1e-12 && Float.abs st.w.(i) > Float.abs !leave_piv)
         in
         if better then begin
           t_best := Float.min t !t_best;
-          leave := Some (i, hit, Float.min t !t_best);
+          leave := i;
+          leave_hit := (if rate < 0.0 then At_lower else At_upper);
           leave_piv := st.w.(i)
         end
       end
     end
   done;
-  (!t_best, !leave)
+  st.fout.(1) <- !t_best;
+  st.leave_hit <- !leave_hit;
+  !leave
 
 (* --- dual pricing workspace ------------------------------------------ *)
 
@@ -517,7 +628,11 @@ let pivot_row_scatter st ws rho =
   let ptr = ws.d_at.Lina.Csc.col_ptr in
   let ridx = ws.d_at.Lina.Csc.row_idx in
   let rval = ws.d_at.Lina.Csc.value in
-  for i = 0 to st.m - 1 do
+  (* Rows in ascending order, over ρ's support when the BTRAN reported
+     one: the sums and the touch order of a full scan. *)
+  let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
+  for s = 0 to (if ns >= 0 then ns else st.m) - 1 do
+    let i = if ns >= 0 then sup.(s) else s in
     let ri = rho.(i) in
     if ri <> 0.0 then
       for k = ptr.(i) to ptr.(i + 1) - 1 do
@@ -558,13 +673,19 @@ let devex_primal_update st ~q ~r =
       let gq = Float.max 1.0 st.refw.(q) in
       let rho = st.rho in
       tick_pricing st (Basis.unit_row st.rep r rho);
-      (* Incremental dual step while ρ and y are both pre-pivot. *)
-      let d_q = st.cost.(q) -. col_dot_dense st q st.y in
+      (* Incremental dual step while ρ and y are both pre-pivot, over ρ's
+         support (read before the scatter below; both precede any other
+         solve). *)
+      dot_col st q st.y;
+      let d_q = st.cost.(q) -. st.fout.(0) in
       let theta = d_q /. alpha_q in
-      if theta <> 0.0 then
-        for i = 0 to st.m - 1 do
+      if theta <> 0.0 then begin
+        let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
+        for s = 0 to (if ns >= 0 then ns else st.m) - 1 do
+          let i = if ns >= 0 then sup.(s) else s in
           if rho.(i) <> 0.0 then st.y.(i) <- st.y.(i) +. (theta *. rho.(i))
-        done;
+        done
+      end;
       let ws = dual_ws st in
       let ntouch = pivot_row_scatter st ws rho in
       tick_pricing st (max 1 ntouch);
@@ -597,19 +718,7 @@ let reset_devex st =
 
 (* --- pivot application ----------------------------------------------- *)
 
-let apply_step st q dir t =
-  if t <> 0.0 then begin
-    for i = 0 to st.m - 1 do
-      let rate = -.dir *. st.w.(i) in
-      if rate <> 0.0 then begin
-        let bj = st.basis.(i) in
-        st.xval.(bj) <- st.xval.(bj) +. (rate *. t)
-      end
-    done;
-    st.xval.(q) <- st.xval.(q) +. (dir *. t)
-  end
-
-let do_pivot st q dir r hit =
+let do_pivot st q r hit =
   let duals_maintained = devex_primal_update st ~q ~r in
   let leaving = st.basis.(r) in
   (* Pin the leaving variable exactly onto its bound to stop drift. *)
@@ -620,7 +729,6 @@ let do_pivot st q dir r hit =
   st.vstat.(leaving) <- hit;
   st.basis.(r) <- q;
   st.vstat.(q) <- Basic;
-  ignore dir;
   commit_pivot st ~r;
   (* The devex update already carried y across the pivot; recompute only
      when it could not, or when a refactorization/hygiene pass rebuilt
@@ -650,7 +758,7 @@ let check_limits st =
 let count_iteration st =
   st.iterations <- st.iterations + 1;
   st.stats.Rstats.simplex_iterations <- st.stats.Rstats.simplex_iterations + 1;
-  Budget.tick ~n:(max 1 st.m) st.budget
+  Budget.charge st.budget (max 1 st.m)
 
 (* Runs simplex iterations on the current cost vector until (phase)
    optimality.  Raises [Solver_stop] on limits or numerical trouble. *)
@@ -670,16 +778,18 @@ let optimize st ~allow_unbounded =
       compute_duals st;
       anchored := true
     end;
-    match price st with
-    | None -> continue_ := false
-    | Some (q, dir) ->
+    let q = price st in
+    if q < 0 then continue_ := false
+    else begin
+      let dir = st.enter_dir in
       ftran st q;
       let t_flip =
         if st.lb.(q) > neg_infinity && st.ub.(q) < infinity then
           st.ub.(q) -. st.lb.(q)
         else infinity
       in
-      let t_leave, leave = ratio_test st dir in
+      let r = ratio_test st dir in
+      let t_leave = st.fout.(1) in
       let t = Float.min t_flip t_leave in
       if t = infinity then
         if allow_unbounded then raise (Solver_stop Unbounded)
@@ -690,7 +800,21 @@ let optimize st ~allow_unbounded =
           st.degenerate_run <- st.degenerate_run + 1;
           if st.degenerate_run > 100 + (2 * st.m) then st.bland <- true
         end;
-        apply_step st q dir t;
+        (* Step: every basic moves by −dir·w_i·t, over w's support (the
+           ratio test read it too; no solve ran since the FTRAN). *)
+        if t <> 0.0 then begin
+          let fdir = float_of_int dir in
+          let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
+          for s = 0 to (if ns >= 0 then ns else st.m) - 1 do
+            let i = if ns >= 0 then sup.(s) else s in
+            let rate = -.fdir *. st.w.(i) in
+            if rate <> 0.0 then begin
+              let bj = st.basis.(i) in
+              st.xval.(bj) <- st.xval.(bj) +. (rate *. t)
+            end
+          done;
+          st.xval.(q) <- st.xval.(q) +. (fdir *. t)
+        end;
         if t_flip <= t_leave then begin
           (* bound-to-bound flip: no basis change *)
           st.vstat.(q) <-
@@ -702,11 +826,10 @@ let optimize st ~allow_unbounded =
             | At_upper -> st.ub.(q)
             | _ -> st.lb.(q))
         end
-        else
-          match leave with
-          | Some (r, hit, _) -> do_pivot st q dir r hit
-          | None -> raise (Solver_stop Numerical_failure)
+        else if r >= 0 then do_pivot st q r st.leave_hit
+        else raise (Solver_stop Numerical_failure)
       end
+    end
   done
 
 (* --- phase 1 ---------------------------------------------------------- *)
@@ -722,7 +845,8 @@ let expel_artificials st =
       let best = ref (-1) and best_w = ref Lina.Tol.pivot in
       for j = 0 to st.n_total - 1 do
         if st.vstat.(j) <> Basic then begin
-          let wj = col_dot_dense st j rho in
+          dot_col st j rho;
+          let wj = st.fout.(0) in
           if Float.abs wj > !best_w then begin
             best := j;
             best_w := Float.abs wj
@@ -787,12 +911,17 @@ let cold_start st =
     st.vstat.(j) <- s
   done;
   (* Row activities from structural columns only. *)
-  let act = Array.make st.m 0.0 in
+  let act = st.rowbuf in
+  Array.fill act 0 st.m 0.0;
+  let a = st.sf.Std_form.a in
   for j = 0 to n_struct - 1 do
-    if st.xval.(j) <> 0.0 then
-      Lina.Csc.iter_col st.sf.Std_form.a j
-        (let xj = st.xval.(j) in
-         fun i v -> act.(i) <- act.(i) +. (v *. xj))
+    if st.xval.(j) <> 0.0 then begin
+      let xj = st.xval.(j) in
+      for e = a.Lina.Csc.col_ptr.(j) to a.Lina.Csc.col_ptr.(j + 1) - 1 do
+        let i = a.Lina.Csc.row_idx.(e) in
+        act.(i) <- act.(i) +. (a.Lina.Csc.value.(e) *. xj)
+      done
+    end
   done;
   let signs = Array.make st.m 1.0 in
   for i = 0 to st.m - 1 do
@@ -901,7 +1030,8 @@ let dual_feasible st =
   let ok = ref true in
   for j = 0 to st.n_total - 1 do
     if st.vstat.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
-      let d = st.cost.(j) -. col_dot_dense st j st.y in
+      dot_col st j st.y;
+      let d = st.cost.(j) -. st.fout.(0) in
       match st.vstat.(j) with
       | At_lower -> if d < -.tol then ok := false
       | At_upper -> if d > tol then ok := false
@@ -983,11 +1113,7 @@ let dual_optimize st =
          meeting the row are visited (rho is sparse under the factored
          basis). *)
       tick_btran st (Basis.unit_row st.rep r rho);
-      let rnnz = ref 0 in
-      for i = 0 to st.m - 1 do
-        if rho.(i) <> 0.0 then incr rnnz
-      done;
-      st.stats.Rstats.btran_nnz <- st.stats.Rstats.btran_nnz + !rnnz;
+      st.stats.Rstats.btran_nnz <- st.stats.Rstats.btran_nnz + result_nnz st rho;
       let ws = dual_ws st in
       let ntouch = pivot_row_scatter st ws rho in
       tick_pricing st (max 1 ntouch);
@@ -1006,7 +1132,8 @@ let dual_optimize st =
             | Basic -> false
           in
           if admissible then begin
-            let d = st.cost.(j) -. col_dot_dense st j st.y in
+            dot_col st j st.y;
+            let d = st.cost.(j) -. st.fout.(0) in
             let ratio = Float.max 0.0 (d /. alpha') in
             let better =
               if !bland then
@@ -1030,15 +1157,19 @@ let dual_optimize st =
       else begin
         let q = !best in
         (* Incremental dual step: θ = d_q/α_q along ρ zeroes the entering
-           reduced cost; only the rows ρ touches move, and the O(m) scan
-           rides the iteration's existing max(1,m) charge like the primal
-           update sweep below.  Must read ρ and y pre-pivot. *)
-        let d_q = st.cost.(q) -. col_dot_dense st q st.y in
+           reduced cost; only the rows ρ touches move, walked over ρ's
+           support (the FTRAN below replaces it).  Must read ρ and y
+           pre-pivot. *)
+        dot_col st q st.y;
+        let d_q = st.cost.(q) -. st.fout.(0) in
         let theta = d_q /. !best_alpha in
-        if theta <> 0.0 then
-          for i = 0 to st.m - 1 do
+        if theta <> 0.0 then begin
+          let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
+          for s = 0 to (if ns >= 0 then ns else st.m) - 1 do
+            let i = if ns >= 0 then sup.(s) else s in
             if rho.(i) <> 0.0 then st.y.(i) <- st.y.(i) +. (theta *. rho.(i))
-          done;
+          done
+        end;
         ftran st q;
         let alpha_q = st.w.(r) in
         if Float.abs alpha_q < piv_tol then raise (Solver_stop Numerical_failure);
@@ -1048,12 +1179,15 @@ let dual_optimize st =
         if Float.abs delta_q > 1e-10 then stall := 0 else incr stall;
         (* Dual devex propagation: row weights follow the pivot column
            w = B⁻¹a_q, δ_i ← max(δ_i, (w_i/w_r)²·δ_r), leaving row to
-           max(δ_r/w_r², 1); unit-framework restart on overflow.  The
-           O(m) sweep rides the iteration's existing max(1,m) charge. *)
+           max(δ_r/w_r², 1); unit-framework restart on overflow.  This
+           and the primal update walk w's support. *)
+        let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
+        let nw = if ns >= 0 then ns else st.m in
         if not !bland then begin
           let dr = Float.max 1.0 st.drefw.(r) in
           let overflow = ref false in
-          for i = 0 to st.m - 1 do
+          for s = 0 to nw - 1 do
+            let i = if ns >= 0 then sup.(s) else s in
             if i <> r && st.w.(i) <> 0.0 then begin
               let ratio = st.w.(i) /. alpha_q in
               let cand = ratio *. ratio *. dr in
@@ -1067,7 +1201,8 @@ let dual_optimize st =
         (* Primal update: x_q moves off its bound by delta_q; every basic
            moves by -w_i · delta_q (which lands the leaving variable
            exactly on its violated bound). *)
-        for i = 0 to st.m - 1 do
+        for s = 0 to nw - 1 do
+          let i = if ns >= 0 then sup.(s) else s in
           if st.w.(i) <> 0.0 then begin
             let bj = st.basis.(i) in
             st.xval.(bj) <- st.xval.(bj) -. (st.w.(i) *. delta_q)
@@ -1088,29 +1223,22 @@ let dual_optimize st =
 
 (* --- result extraction ------------------------------------------------ *)
 
-let extract st status =
-  let sf = st.sf in
+(* The result record from the primal values [xval] (column space, at
+   least [n_total] long) and the row duals [y] (internal sense). *)
+let result_of sf status ~xval ~y ~iterations ~final_basis =
   let n_struct = sf.Std_form.n_struct in
-  (* Tighten values with one final refactorization when the basis is sane. *)
-  (if status = Optimal then
-     try refactorize st with Lina.Lu.Singular _ -> ());
-  Array.blit st.real_cost 0 st.cost 0 st.n_total;
-  (* A state rejected before any basis was built (e.g. crossed bounds)
-     carries an empty basis; duals stay zero then. *)
-  if Array.for_all (fun j -> j >= 0) st.basis then compute_duals st
-  else Array.fill st.y 0 st.m 0.0;
-  let x = Array.sub st.xval 0 n_struct in
+  let x = Array.sub xval 0 n_struct in
   let internal =
     let acc = ref 0.0 in
-    for j = 0 to st.n_total - 1 do
-      acc := !acc +. (st.real_cost.(j) *. st.xval.(j))
+    for j = 0 to Std_form.n_total sf - 1 do
+      acc := !acc +. (sf.Std_form.cost.(j) *. xval.(j))
     done;
     !acc
   in
   (* Internal duals are in minimization sense; expose them in the model's
      objective sense so that a user dual is d(user obj)/d(rhs). *)
   let factor = sf.Std_form.obj_factor in
-  let duals = Array.init st.m (fun i -> factor *. st.y.(i)) in
+  let duals = Array.map (fun yi -> factor *. yi) y in
   let reduced =
     (* Lazy: the O(nnz(A)) pricing of every structural column is wasted
        work on the branch-and-bound hot path, which only reads bounds and
@@ -1119,11 +1247,28 @@ let extract st status =
        standard form. *)
     let a = sf.Std_form.a in
     let cost = sf.Std_form.cost in
-    let y = Array.copy st.y in
+    let y = Array.copy y in
     lazy
       (Array.init n_struct (fun j ->
            factor *. (cost.(j) -. Lina.Csc.col_dot a j y)))
   in
+  {
+    status;
+    x;
+    objective = Std_form.user_objective sf internal;
+    internal_objective = internal;
+    duals;
+    reduced_costs = reduced;
+    iterations;
+    final_basis;
+  }
+
+let extract st status =
+  (* Tighten values with one final refactorization when the basis is sane. *)
+  (if status = Optimal then
+     try refactorize st with Lina.Lu.Singular _ -> ());
+  Array.blit st.real_cost 0 st.cost 0 st.n_total;
+  compute_duals st;
   let final_basis =
     match status with
     | Optimal | Iter_limit | Time_limit ->
@@ -1137,132 +1282,30 @@ let extract st status =
       else None
     | Infeasible | Unbounded | Numerical_failure -> None
   in
-  {
-    status;
-    x;
-    objective = Std_form.user_objective sf internal;
-    internal_objective = internal;
-    duals;
-    reduced_costs = reduced;
-    iterations = st.iterations;
-    final_basis;
-  }
+  result_of st.sf status ~xval:st.xval ~y:st.y ~iterations:st.iterations
+    ~final_basis
 
-let solve ?(params = default_params) ?budget ?stats ?prof ?lb ?ub ?warm sf =
-  let budget = budget_of_params ?budget params in
-  let stats = match stats with Some s -> s | None -> Rstats.create () in
-  stats.Rstats.lp_solves <- stats.Rstats.lp_solves + 1;
-  let m = sf.Std_form.n_rows in
-  let n_total = Std_form.n_total sf in
-  (* [Array.append] below copies, so the chosen array is not mutated. *)
-  let pick_bounds default override =
-    match override with
-    | None -> default
-    | Some o ->
-      if Array.length o <> n_total then
-        invalid_arg "Simplex.solve: bound override length";
-      o
-  in
-  let lb_full = Array.append (pick_bounds sf.Std_form.lb lb) (Array.make m 0.0) in
-  let ub_full = Array.append (pick_bounds sf.Std_form.ub ub) (Array.make m 0.0) in
-  (* Quick infeasibility check on crossed bounds.  Crossings within the
-     feasibility tolerance (propagation round-off) are repaired by
-     collapsing the interval instead of declaring infeasibility. *)
+(* Bounds crossed by more than the feasibility tolerance: the LP is
+   infeasible before any basis exists.  Crossings within the tolerance
+   (propagation round-off) are collapsed later ([repair_crossed_bounds]). *)
+let crossed_bounds params lb ub n_total =
   let crossed = ref false in
   for j = 0 to n_total - 1 do
-    if lb_full.(j) > ub_full.(j) then begin
-      let scale = Float.max 1.0 (Float.abs lb_full.(j)) in
-      if lb_full.(j) -. ub_full.(j) <= params.primal_feas_tol *. scale then begin
-        let mid = 0.5 *. (lb_full.(j) +. ub_full.(j)) in
-        lb_full.(j) <- mid;
-        ub_full.(j) <- mid
-      end
-      else crossed := true
+    if lb.(j) > ub.(j) then begin
+      let scale = Float.max 1.0 (Float.abs lb.(j)) in
+      if lb.(j) -. ub.(j) > params.primal_feas_tol *. scale then
+        crossed := true
     end
   done;
-  let real_cost = Array.copy sf.Std_form.cost in
-  let st =
-    {
-      sf;
-      m;
-      n_total;
-      lb = lb_full;
-      ub = ub_full;
-      cost = Array.append sf.Std_form.cost (Array.make m 0.0);
-      real_cost;
-      xval = Array.make (n_total + m) 0.0;
-      vstat = Array.make (n_total + m) At_lower;
-      basis = Array.make m (-1);
-      art_sign = Array.make m 1.0;
-      rep = Basis.create params.factorization m;
-      pivots_since_refactor = 0;
-      iterations = 0;
-      bland = false;
-      degenerate_run = 0;
-      params;
-      budget;
-      stats;
-      prof;
-      ptk = fresh_ptk ();
-      w = Array.make m 0.0;
-      y = Array.make m 0.0;
-      rho = Array.make m 0.0;
-      rowbuf = Array.make m 0.0;
-      cand = Array.make (n_total + m) 0;
-      cand_score = Array.make (n_total + m) 0.0;
-      cand_n = 0;
-      dualw = None;
-      refw = Array.make (n_total + m) 1.0;
-      drefw = Array.make m 1.0;
-    }
-  in
-  if !crossed then extract st Infeasible
-  else
-    Span.with_ st.prof st.budget "lp" @@ fun () ->
-    let run () =
-      let warm_ok =
-        match warm with
-        | None -> false
-        | Some wb ->
-          install_warm_basis st wb
-          && begin
-               if dual_feasible st then begin
-                 (* Dual simplex repairs primal feasibility; the primal
-                    clean-up pass below then certifies optimality. *)
-                 dual_optimize st;
-                 true
-               end
-               else basics_primal_feasible st
-             end
-      in
-      if not warm_ok then begin
-        let any_artificial = cold_start st in
-        phase1 st ~any_artificial
-      end;
-      optimize st ~allow_unbounded:true;
-      Optimal
-    in
-    let status = try run () with Solver_stop s -> s in
-    let res = extract st status in
-    emit_prof_leaves st;
-    res
+  !crossed
 
-let solve_model ?params ?budget ?stats ?prof m =
-  let sf = Std_form.of_model m in
-  solve ?params ?budget ?stats ?prof sf
-
-(* --- persistent sessions ----------------------------------------------- *)
-
-type session = {
-  mutable s_sf : Std_form.t;  (* grows via [session_add_columns] *)
-  s_params : params;
-  mutable s_state : state option;  (* carries basis + inverse across solves *)
-}
-
-let create_session ?(params = default_params) sf =
-  { s_sf = sf; s_params = params; s_state = None }
-
-let session_std_form session = session.s_sf
+(* The answer for crossed bounds, built without a solver state: the
+   all-zero point with zero duals and no basis. *)
+let crossed_result sf =
+  let m = sf.Std_form.n_rows in
+  result_of sf Infeasible
+    ~xval:(Array.make (Std_form.n_total sf) 0.0)
+    ~y:(Array.make m 0.0) ~iterations:0 ~final_basis:None
 
 let fresh_state sf params budget stats prof lb ub =
   let m = sf.Std_form.n_rows in
@@ -1293,9 +1336,14 @@ let fresh_state sf params budget stats prof lb ub =
     y = Array.make m 0.0;
     rho = Array.make m 0.0;
     rowbuf = Array.make m 0.0;
+    fout = Array.make 2 0.0;
+    enter_dir = 1;
+    leave_hit = At_lower;
     cand = Array.make (n_total + m) 0;
     cand_score = Array.make (n_total + m) 0.0;
     cand_n = 0;
+    top_j = Array.make max_cand 0;
+    top_s = Array.make max_cand 0.0;
     dualw = None;
     refw = Array.make (n_total + m) 1.0;
     drefw = Array.make m 1.0;
@@ -1312,6 +1360,95 @@ let repair_crossed_bounds st =
       st.ub.(j) <- mid
     end
   done
+
+(* Cold two-phase solve in an allocated state.  Everything a cold start
+   reads before writing is reset first — bounds, per-solve counters,
+   artificial signs, the candidate list, the profile accumulators — so
+   the outcome is that of a freshly allocated state: a function of the
+   bounds alone. *)
+let cold_solve_in st lb ub =
+  Array.blit lb 0 st.lb 0 st.n_total;
+  Array.blit ub 0 st.ub 0 st.n_total;
+  repair_crossed_bounds st;
+  st.iterations <- 0;
+  st.bland <- false;
+  st.degenerate_run <- 0;
+  st.pivots_since_refactor <- 0;
+  Array.fill st.art_sign 0 st.m 1.0;
+  reset_ptk st.ptk;
+  try
+    let any_artificial = cold_start st in
+    phase1 st ~any_artificial;
+    optimize st ~allow_unbounded:true;
+    Optimal
+  with Solver_stop s -> s
+
+let finish st status =
+  let res = extract st status in
+  emit_prof_leaves st;
+  res
+
+let solve ?(params = default_params) ?budget ?stats ?prof ?lb ?ub ?warm sf =
+  let budget = budget_of_params ?budget params in
+  let stats = match stats with Some s -> s | None -> Rstats.create () in
+  stats.Rstats.lp_solves <- stats.Rstats.lp_solves + 1;
+  let n_total = Std_form.n_total sf in
+  (* [fresh_state] copies, so the chosen array is not mutated. *)
+  let pick_bounds default override =
+    match override with
+    | None -> default
+    | Some o ->
+      if Array.length o <> n_total then
+        invalid_arg "Simplex.solve: bound override length";
+      o
+  in
+  let lb = pick_bounds sf.Std_form.lb lb and ub = pick_bounds sf.Std_form.ub ub in
+  if crossed_bounds params lb ub n_total then crossed_result sf
+  else
+    Span.with_ prof budget "lp" @@ fun () ->
+    let st = fresh_state sf params budget stats prof lb ub in
+    repair_crossed_bounds st;
+    let run () =
+      let warm_ok =
+        match warm with
+        | None -> false
+        | Some wb ->
+          install_warm_basis st wb
+          && begin
+               if dual_feasible st then begin
+                 (* Dual simplex repairs primal feasibility; the primal
+                    clean-up pass below then certifies optimality. *)
+                 dual_optimize st;
+                 true
+               end
+               else basics_primal_feasible st
+             end
+      in
+      if not warm_ok then begin
+        let any_artificial = cold_start st in
+        phase1 st ~any_artificial
+      end;
+      optimize st ~allow_unbounded:true;
+      Optimal
+    in
+    finish st (try run () with Solver_stop s -> s)
+
+let solve_model ?params ?budget ?stats ?prof m =
+  let sf = Std_form.of_model m in
+  solve ?params ?budget ?stats ?prof sf
+
+(* --- persistent sessions ----------------------------------------------- *)
+
+type session = {
+  mutable s_sf : Std_form.t;  (* grows via [session_add_columns] *)
+  s_params : params;
+  mutable s_state : state option;  (* carries basis + inverse across solves *)
+}
+
+let create_session ?(params = default_params) sf =
+  { s_sf = sf; s_params = params; s_state = None }
+
+let session_std_form session = session.s_sf
 
 (* Mutable reset of the session state for new bounds, keeping basis, basis
    inverse and variable statuses intact. *)
@@ -1416,10 +1553,11 @@ let session_add_columns session ?budget ?stats cols =
     sf'
   end
 
-let session_solve session ?time_limit ?budget ?stats ?prof ?warm
-    ?(primal = false) ~lb ~ub () =
-  let sf = session.s_sf in
-  let n_total = Std_form.n_total sf in
+(* Validates the bound arrays, counts the solve and settles its budget
+   and stats; [true] in the last component when the bounds cross by more
+   than the tolerance (an infeasible LP, answered without a state). *)
+let session_call session ?time_limit ?budget ?stats ~lb ~ub () =
+  let n_total = Std_form.n_total session.s_sf in
   if Array.length lb <> n_total || Array.length ub <> n_total then
     invalid_arg "Simplex.session_solve: bound length";
   let params =
@@ -1430,69 +1568,63 @@ let session_solve session ?time_limit ?budget ?stats ?prof ?warm
   let budget = budget_of_params ?budget params in
   let stats = match stats with Some s -> s | None -> Rstats.create () in
   stats.Rstats.lp_solves <- stats.Rstats.lp_solves + 1;
-  (* Read-only crossed-bound scan: no defensive copies on the hot path.
-     Within-tolerance crossings are collapsed later, in place, on the
-     state's own arrays ([repair_crossed_bounds]) once the caller bounds
-     have been blitted in. *)
-  let crossed = ref false in
-  for j = 0 to n_total - 1 do
-    if lb.(j) > ub.(j) then begin
-      let scale = Float.max 1.0 (Float.abs lb.(j)) in
-      if lb.(j) -. ub.(j) > params.primal_feas_tol *. scale then
-        crossed := true
-    end
-  done;
-  let finish st status =
-    let res = extract st status in
-    emit_prof_leaves st;
-    res
-  in
-  let cold_solve () =
-    let st = fresh_state sf params budget stats prof lb ub in
+  (params, budget, stats, crossed_bounds params lb ub n_total)
+
+(* The session's one state, under this call's settings: allocated on the
+   first solve, afterwards the carried one with its per-solve counters
+   reset.  The flag is [false] on the first solve: no basis is carried
+   yet. *)
+let session_state session params budget stats prof lb ub =
+  match session.s_state with
+  | None ->
+    let st = fresh_state session.s_sf params budget stats prof lb ub in
     repair_crossed_bounds st;
     session.s_state <- Some st;
-    let status =
-      try
-        let any_artificial = cold_start st in
-        phase1 st ~any_artificial;
-        optimize st ~allow_unbounded:true;
-        Optimal
-      with Solver_stop s -> s
-    in
-    finish st status
+    (st, false)
+  | Some st ->
+    st.iterations <- 0;
+    st.bland <- false;
+    st.degenerate_run <- 0;
+    reset_ptk st.ptk;
+    let st = { st with params; budget; stats; prof } in
+    session.s_state <- Some st;
+    (st, true)
+
+let session_cold_solve session ?budget ?stats ?prof ~lb ~ub () =
+  let params, budget, stats, crossed =
+    session_call session ?budget ?stats ~lb ~ub ()
   in
-  if !crossed then begin
-    let st = fresh_state sf params budget stats prof lb ub in
-    extract st Infeasible
-  end
+  if crossed then crossed_result session.s_sf
   else
     Span.with_ prof budget "lp" @@ fun () ->
+    let st, _ = session_state session params budget stats prof lb ub in
+    finish st (cold_solve_in st lb ub)
+
+let session_solve session ?time_limit ?budget ?stats ?prof ?warm
+    ?(primal = false) ~lb ~ub () =
+  let params, budget, stats, crossed =
+    session_call session ?time_limit ?budget ?stats ~lb ~ub ()
+  in
+  if crossed then crossed_result session.s_sf
+  else
+    Span.with_ prof budget "lp" @@ fun () ->
+    let st, carried = session_state session params budget stats prof lb ub in
+    (* Every fallback restarts cold in this same state: no second state,
+       factorization workspace or transpose is built. *)
+    let cold () = finish st (cold_solve_in st lb ub) in
     match warm with
-    | Some wb -> begin
+    | Some wb ->
       (* Explicit warm basis: reuse the session's allocated state (arrays,
          factorization workspace, cached transpose) but install exactly
          [wb], so the outcome is a function of (warm basis, bounds) alone —
          independent of whatever this session solved before.  This is the
          determinism contract the parallel branch-and-bound relies on when
          nodes land on arbitrary workers. *)
-      let st =
-        match session.s_state with
-        | None ->
-          let st = fresh_state sf params budget stats prof lb ub in
-          repair_crossed_bounds st;
-          st
-        | Some st ->
-          st.iterations <- 0;
-          st.bland <- false;
-          st.degenerate_run <- 0;
-          st.cand_n <- 0;
-          reset_ptk st.ptk;
-          let st = { st with params; budget; stats; prof } in
-          rebound_state st lb ub;
-          st
-      in
-      session.s_state <- Some st;
-      if not (install_warm_basis st wb) then cold_solve ()
+      if carried then begin
+        st.cand_n <- 0;
+        rebound_state st lb ub
+      end;
+      if not (install_warm_basis st wb) then cold ()
       else begin
         let status =
           try
@@ -1507,31 +1639,23 @@ let session_solve session ?time_limit ?budget ?stats ?prof ?warm
         | Numerical_failure ->
           (* Unusable basis, drift or a bad pivot: one authoritative cold
              retry (itself a function of bounds alone). *)
-          cold_solve ()
+          cold ()
         | s -> finish st s
       end
-    end
-    | None -> (
-      match session.s_state with
-      | None -> cold_solve ()
-      | Some st ->
-        st.iterations <- 0;
-        st.bland <- false;
-        st.degenerate_run <- 0;
-        reset_ptk st.ptk;
-        let st = { st with params; budget; stats; prof } in
-        session.s_state <- Some st;
+    | None ->
+      if not carried then cold ()
+      else begin
         rebound_state st lb ub;
         reset_devex st;
         let run body =
           match (try body (); Optimal with Solver_stop s -> s) with
           | Numerical_failure ->
             (* Drift or a bad pivot: one authoritative cold retry. *)
-            cold_solve ()
+            cold ()
           | s -> finish st s
         in
         if not (Array.for_all (fun j -> j >= 0 && j < st.n_total) st.basis)
-        then cold_solve ()
+        then cold ()
         else begin
           recompute_basics st;
           (* [~primal] is the column-generation continuation: freshly
@@ -1549,5 +1673,6 @@ let session_solve session ?time_limit ?budget ?stats ?prof ?warm
             run (fun () ->
                 dual_optimize st;
                 optimize st ~allow_unbounded:true)
-          else cold_solve ()
-        end)
+          else cold ()
+        end
+      end

@@ -13,6 +13,15 @@
     artificial variables introduced only on rows whose logical variable
     cannot start feasibly.
 
+    Pivots walk the support the basis solves report
+    ({!Basis.support_len}) instead of scanning all [m] rows: the primal
+    ratio test and step, the nonzero counts, the devex dual update and
+    pivot-row scatter, and the dual simplex's dual, row-weight and primal
+    updates.  The support is ascending, so ties and floating-point sums
+    resolve exactly as a full scan would.  The column loops read the
+    standard form's CSC arrays directly and box nothing per entry, per
+    priced column or per pivot.
+
     Pricing: devex reference-framework scoring — d²/γ_j in the primal
     entering choice, violation²/δ_i in the dual leaving choice, weights
     restarted from the unit framework each solve — over a candidate list
@@ -109,7 +118,16 @@ val solve_model :
     variable bounds.  A [session] keeps the factorized basis and solution
     state alive between solves: after a bound change the previous optimal
     basis stays {e dual} feasible, so each re-solve is a handful of dual
-    simplex pivots — no O(m³) refactorization, no phase 1. *)
+    simplex pivots — no O(m³) refactorization, no phase 1.
+
+    A session owns exactly one solver state, allocated on its first
+    solve: the bound, value and status arrays, the basis representation
+    (factors plus the factorization/solve scratch) and the dual pricer's
+    Aᵀ, transposed on first need and dropped only when
+    {!session_add_columns} changes the columns.  Every later solve —
+    warm, carried or cold, including every cold fallback — runs in that
+    state.  A {!solve} outside a session builds its own state and
+    drops it. *)
 
 type session
 
@@ -139,6 +157,24 @@ val session_add_columns :
     Bound arrays passed to later [session_solve] calls must match the
     {e new} [Std_form.n_total]. *)
 
+val session_cold_solve :
+  session ->
+  ?budget:Runtime.Budget.t ->
+  ?stats:Runtime.Stats.t ->
+  ?prof:Runtime.Span.recorder ->
+  lb:float array ->
+  ub:float array ->
+  unit ->
+  result
+(** A cold two-phase solve under full-column-space bounds in the
+    session's allocated state (allocated here on the session's first
+    solve): the same result, ticks, counters and spans as a {!solve} with
+    the session's parameters and these bounds, bit for bit — the state
+    is reset of everything a cold start reads — after which the session
+    carries the new basis.  Branch-and-bound workers solve the root (and
+    any node without a warm basis) this way, so a search builds one
+    solver state, one Aᵀ and one basis representation per worker. *)
+
 val session_solve :
   session ->
   ?time_limit:float ->
@@ -156,6 +192,10 @@ val session_solve :
     the carried basis is unusable; the result is always as authoritative
     as a fresh {!solve}.  [?budget] takes precedence over [?time_limit];
     [?stats]/[?prof] as in {!solve}.
+
+    Every fallback to a cold start, including the retry after a
+    numerical failure, restarts in the session's allocated state (as
+    {!session_cold_solve} does) rather than building a fresh one.
 
     Without [?warm] the re-solve warm-starts from whatever basis the
     session's {e previous} solve left behind — fastest when consecutive

@@ -96,8 +96,8 @@ type search = {
   sessions : Lp.Simplex.session array;
       (* one persistent simplex session per worker domain: allocated
          state (factorization workspace, cached transpose) is reused
-         across that worker's node LPs, while each solve installs the
-         node's own warm basis *)
+         across every LP that worker solves, root included, while each
+         solve installs the node's own warm basis (or starts cold) *)
   params : params;
   queue : node Heap.t;
   mutable plunge : node list;
@@ -296,9 +296,9 @@ let eval_node s ~worker ~fork ~fstats ~fprof node =
       | _ ->
         (* Root node, a parent whose LP left no clean basis, or warm
            sessions disabled: a cold solve, itself a function of the
-           bounds alone. *)
-        Lp.Simplex.solve ~params:s.params.lp_params ~budget:fork
-          ~stats:fstats ?prof:fprof ~lb ~ub s.sf
+           bounds alone, in the worker's own session state. *)
+        Lp.Simplex.session_cold_solve s.sessions.(worker) ~budget:fork
+          ~stats:fstats ?prof:fprof ~lb ~ub ()
     in
     let branch =
       match r.Lp.Simplex.status with

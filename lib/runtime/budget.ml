@@ -63,10 +63,12 @@ let sub ?time_limit ?node_limit ?iter_limit t =
     iter_limit = Option.value iter_limit ~default:t.iter_limit;
   }
 
-let tick ?(n = 1) t =
+let charge t n =
   match t.clock with
   | Wall w -> ignore (Atomic.fetch_and_add w.wall_ticks n)
   | Ticks c -> ignore (Atomic.fetch_and_add c.count n)
+
+let tick ?(n = 1) t = charge t n
 
 let ticks t = clock_ticks t.clock
 

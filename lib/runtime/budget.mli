@@ -75,6 +75,11 @@ val tick : ?n:int -> t -> unit
 (** Record [n] (default 1) units of work against the clock.  Advances
     deterministic time; in wall mode it only feeds the {!ticks} counter. *)
 
+val charge : t -> int -> unit
+(** [charge t n] is [tick ~n t] without the optional argument, which
+    allocates at every call: for kernels that bill several times per
+    simplex pivot. *)
+
 val ticks : t -> int
 (** Work units recorded on the underlying clock so far. *)
 

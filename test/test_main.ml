@@ -7,4 +7,5 @@ let () =
    @ Test_models.suite @ Test_greedy.suite @ Test_scenario.suite
    @ Test_extensions.suite @ Test_presolve.suite @ Test_runtime.suite
    @ Test_service.suite @ Test_span.suite
-   @ Test_colgen.suite @ Test_rounding.suite @ Test_golden.suite)
+   @ Test_colgen.suite @ Test_rounding.suite @ Test_golden.suite
+   @ Test_lp_kernel.suite)
