@@ -288,6 +288,190 @@ let lp_strength_tests =
           (with_cuts <= without +. 1e-6));
   ]
 
+(* Fingerprints of the standard form every formulation compiles to.
+
+   Each case builds one model on a seeded scaled instance, compiles it
+   with [Lp.Std_form.of_model] (in path form, after the root column
+   generation too) and reduces the form to an MD5 of its dimensions,
+   sparse structure, the bits of every float and the integrality flags.
+   The digests were recorded before the model layer dropped its names
+   and stored its rows flat; the simplex sees exactly this form, so any
+   change to a row, a column order, a bound or a coefficient bit shows up
+   here with the case that moved. *)
+
+let std_form_digest (sf : Lp.Std_form.t) =
+  let b = Buffer.create 65536 in
+  let int i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ','
+  in
+  let float v =
+    Buffer.add_string b (Int64.to_string (Int64.bits_of_float v));
+    Buffer.add_char b ','
+  in
+  let section c = Buffer.add_char b c in
+  int sf.Lp.Std_form.n_struct;
+  int sf.Lp.Std_form.n_rows;
+  let a = sf.Lp.Std_form.a in
+  section 'P';
+  Array.iter int a.Lina.Csc.col_ptr;
+  section 'R';
+  Array.iter int a.Lina.Csc.row_idx;
+  section 'V';
+  Array.iter float a.Lina.Csc.value;
+  section 'C';
+  Array.iter float sf.Lp.Std_form.cost;
+  section 'L';
+  Array.iter float sf.Lp.Std_form.lb;
+  section 'U';
+  Array.iter float sf.Lp.Std_form.ub;
+  section 'O';
+  float sf.Lp.Std_form.obj_const;
+  float sf.Lp.Std_form.obj_factor;
+  section 'I';
+  Array.iter (fun z -> Buffer.add_char b (if z then '1' else '0'))
+    sf.Lp.Std_form.integer;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let fingerprint_instance seed =
+  Tvnep.Scenario.generate (Workload.Rng.create seed)
+    { Tvnep.Scenario.scaled with num_requests = 4; flexibility = 1.0 }
+
+let with_objective ?(objective = Tvnep.Objective.Access_control) fm =
+  ignore (Tvnep.Objective.apply fm objective);
+  Lp.Std_form.of_model fm.Tvnep.Formulation.model
+
+let with_pairwise_cuts inst (fm : Tvnep.Formulation.t) =
+  Tvnep.Formulation.add_pairwise_cuts fm.Tvnep.Formulation.model inst fm;
+  fm
+
+let csigma ~cuts inst =
+  Tvnep.Csigma_model.build
+    ~options:
+      { Tvnep.Csigma_model.use_cuts = cuts; pairwise_cuts = cuts;
+        relax_integrality = false }
+    inst
+
+(* The discrete model with the access-control objective that
+   [Discrete_model.solve] installs. *)
+let discrete_sf inst =
+  let dm = Tvnep.Discrete_model.build inst in
+  let revenue req (emb : Tvnep.Embedding.t) =
+    let r = Tvnep.Instance.request inst req in
+    Lp.Expr.var
+      ~coeff:(r.Tvnep.Request.duration *. Tvnep.Request.total_node_demand r)
+      (emb.Tvnep.Embedding.x_r :> int)
+  in
+  Lp.Model.set_objective dm.Tvnep.Discrete_model.model Lp.Model.Maximize
+    (Lp.Expr.sum
+       (Array.to_list (Array.mapi revenue dm.Tvnep.Discrete_model.embeddings)));
+  Lp.Std_form.of_model dm.Tvnep.Discrete_model.model
+
+let path_master ?(seed_paths = 2) inst =
+  let cg =
+    Tvnep.Colgen_model.build
+      ~params:{ Tvnep.Colgen_model.default_params with seed_paths }
+      inst
+  in
+  ignore
+    (Tvnep.Objective.apply (Tvnep.Colgen_model.formulation cg)
+       Tvnep.Objective.Access_control);
+  cg
+
+let move_cost inst =
+  let start req = (Tvnep.Instance.request inst req).Tvnep.Request.start_min in
+  Tvnep.Objective.Access_with_move_cost
+    { weight = 0.5; reference = [ (0, start 0); (2, start 2 +. 0.5) ] }
+
+let fingerprint_cases inst =
+  [
+    ("delta", fun () -> with_objective (Tvnep.Delta_model.build inst));
+    ( "delta+cuts",
+      fun () ->
+        with_objective (with_pairwise_cuts inst (Tvnep.Delta_model.build inst))
+    );
+    ("sigma", fun () -> with_objective (Tvnep.Sigma_model.build inst));
+    ( "sigma+cuts",
+      fun () ->
+        with_objective (with_pairwise_cuts inst (Tvnep.Sigma_model.build inst))
+    );
+    ("csigma", fun () -> with_objective (csigma ~cuts:true inst));
+    ("csigma-nocuts", fun () -> with_objective (csigma ~cuts:false inst));
+    ("discrete", fun () -> discrete_sf inst);
+    ("path", fun () -> Tvnep.Colgen_model.std_form (path_master inst));
+    ( "path-generated",
+      fun () ->
+        let cg = path_master ~seed_paths:1 inst in
+        let budget =
+          Runtime.Budget.create ~deterministic:2e9 ~time_limit:20.0 ()
+        in
+        let g = Tvnep.Colgen_model.generate ~budget cg in
+        if g.Tvnep.Colgen_model.generated = 0 then
+          Alcotest.fail "pricing generated no column";
+        g.Tvnep.Colgen_model.sf );
+  ]
+  @ List.map
+      (fun objective ->
+        ( "csigma/" ^ Tvnep.Objective.name objective,
+          fun () -> with_objective ~objective (csigma ~cuts:true inst) ))
+      [
+        Tvnep.Objective.Max_earliness;
+        Tvnep.Objective.Balance_node_load 0.5;
+        Tvnep.Objective.Disable_links;
+        Tvnep.Objective.Min_makespan;
+        move_cost inst;
+      ]
+
+let expected_fingerprints =
+  [
+    ("4242/delta", "65e5927e231082fc730ad56df02cb5a3");
+    ("4242/delta+cuts", "a1f4c86ffdafbcf81e85f74a11504f3c");
+    ("4242/sigma", "86a85d0271ce956f69581b64ffb5e577");
+    ("4242/sigma+cuts", "48709fc289ba06f678cefca1528a7bcd");
+    ("4242/csigma", "f9b3aa9599fe4bdda8390475eba6e1b1");
+    ("4242/csigma-nocuts", "ad5484a404a5e3a2d5cbff590f8605b4");
+    ("4242/discrete", "299bd8474996d3b61b7b51dfcb81a48c");
+    ("4242/path", "59623e5c44aaf3eec98240605474560c");
+    ("4242/path-generated", "43bff6fa70d1920c8bb61f5bad8a1e98");
+    ("4242/csigma/earliness", "b8c7241d60bbf2461234cca026a4b7f3");
+    ("4242/csigma/load-balance", "b85ff053a439a3698342d6baeeb8e790");
+    ("4242/csigma/disable-links", "e2feab3040340c3f3704309612d3c5d9");
+    ("4242/csigma/makespan", "77957469c53ed953b6fab08b1451cfe2");
+    ("4242/csigma/access-move-cost", "dd95339fa44ae1aa8c584d6e87a17c0e");
+    ("7/delta", "f12ebd3e5ff5f0053b8f9ddd1b5669ba");
+    ("7/delta+cuts", "84e9affb461dc1973c2ce7ba466d9753");
+    ("7/sigma", "e538bcf6952efed9e6c4fec923a8dbf8");
+    ("7/sigma+cuts", "7113e7cb4ce91f82eb4708524baf4714");
+    ("7/csigma", "8f208ec0ab7a37492356be5a224c4711");
+    ("7/csigma-nocuts", "c703ab5567cfb32c926a173ddf4118bb");
+    ("7/discrete", "96d3b9714b08ddb4997fa25c118b9e55");
+    ("7/path", "cc9877c283fc7165b3356fce40a3c35a");
+    ("7/path-generated", "87db376aa948aa3a2addc07170e76ea0");
+    ("7/csigma/earliness", "9f5b8c7a7bef19ca2b9f08bd9d1c48ab");
+    ("7/csigma/load-balance", "467808bcdaa5ec87d8192e47e151370e");
+    ("7/csigma/disable-links", "3cb8cde3fe1ffa0e9b16e56734dc9727");
+    ("7/csigma/makespan", "b8a896ea57a6b2261a858d453b34136f");
+    ("7/csigma/access-move-cost", "ad0aba3a17643768c3afbe4ba64374a0");
+  ]
+
+let fingerprint_tests =
+  [
+    Alcotest.test_case "every formulation compiles to the recorded form"
+      `Quick (fun () ->
+        List.iter
+          (fun seed ->
+            let inst = fingerprint_instance seed in
+            List.iter
+              (fun (label, sf) ->
+                let label = Printf.sprintf "%Ld/%s" seed label in
+                let got = std_form_digest (sf ()) in
+                match List.assoc_opt label expected_fingerprints with
+                | Some want -> Alcotest.(check string) label want got
+                | None -> Alcotest.failf "%s: no recorded digest" label)
+              (fingerprint_cases inst))
+          [ 4242L; 7L ]);
+  ]
+
 let suite =
   [
     ("tvnep.models.contention", contention_tests);
@@ -295,4 +479,5 @@ let suite =
     ("tvnep.models.cross", cross_model_properties);
     ("tvnep.objectives", objective_tests);
     ("tvnep.models.strength", lp_strength_tests);
+    ("lp.std_form.fingerprint", fingerprint_tests);
   ]
