@@ -16,9 +16,8 @@ let small_lp () =
   let rng = Workload.Rng.create 11L in
   let m = Lp.Model.create () in
   let vars =
-    Array.init 30 (fun i ->
-        Lp.Model.add_var m ~ub:(Workload.Rng.float_range rng 1.0 4.0)
-          (Printf.sprintf "x%d" i))
+    Array.init 30 (fun _ ->
+        Lp.Model.add_var m ~ub:(Workload.Rng.float_range rng 1.0 4.0))
   in
   for _ = 1 to 20 do
     Lp.Model.add_le m

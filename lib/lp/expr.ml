@@ -45,23 +45,3 @@ let num_terms e = Imap.cardinal e.terms
 
 let eval e value_of =
   Imap.fold (fun v c acc -> acc +. (c *. value_of v)) e.terms e.const
-
-let map_vars f e = of_terms ~const:e.const (List.map (fun (v, c) -> (f v, c)) (terms e))
-
-let pp ?(name = fun v -> Printf.sprintf "x%d" v) () ppf e =
-  let pp_term first ppf (v, c) =
-    if c >= 0.0 && not first then Format.fprintf ppf " + %g %s" c (name v)
-    else if c >= 0.0 then Format.fprintf ppf "%g %s" c (name v)
-    else Format.fprintf ppf " - %g %s" (Float.abs c) (name v)
-  in
-  let rec go first ppf = function
-    | [] -> ()
-    | t :: rest ->
-      pp_term first ppf t;
-      go false ppf rest
-  in
-  go true ppf (terms e);
-  if not (Lina.Tol.is_zero e.const) || Imap.is_empty e.terms then
-    if e.const >= 0.0 && not (Imap.is_empty e.terms) then
-      Format.fprintf ppf " + %g" e.const
-    else Format.fprintf ppf "%g" e.const

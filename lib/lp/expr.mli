@@ -1,8 +1,10 @@
 (** Linear expressions over integer variable ids.
 
     An expression is a finite map from variable id to coefficient plus a
-    constant term.  This is the currency of the modeling layer: objective
-    functions and constraint left-hand sides are expressions. *)
+    constant term.  This is the algebra the formulations compose with:
+    objective functions and constraint left-hand sides are expressions.
+    {!Model} copies a row's terms out of the map when the row is added
+    and keeps no expression per row. *)
 
 type t
 
@@ -44,9 +46,3 @@ val num_terms : t -> int
 
 val eval : t -> (int -> float) -> float
 (** [eval e value_of] substitutes variable values. *)
-
-val map_vars : (int -> int) -> t -> t
-(** Renames variables (merging coefficients on collision). *)
-
-val pp : ?name:(int -> string) -> unit -> Format.formatter -> t -> unit
-(** Pretty-printer; [~name] customizes how variable ids render. *)

@@ -2,124 +2,105 @@ type sense = Minimize | Maximize
 type var_kind = Continuous | Integer | Binary
 type var = int
 
-type var_info = {
-  v_name : string;
-  mutable v_lb : float;
-  mutable v_ub : float;
-  v_kind : var_kind;
-}
-
-type row = { row_name : string; expr : Expr.t; lo : float; hi : float }
-
+(* Variables live in parallel arrays indexed by id.  Rows are stored
+   flat, CSR style: row [i]'s terms are [t_var.(p)], [t_coeff.(p)] for
+   [p] in [row_start.(i) .. row_start.(i + 1) - 1], ascending by
+   variable, with the bounds [row_lo.(i)], [row_hi.(i)].  Every array
+   grows by doubling. *)
 type t = {
-  m_name : string;
-  mutable vars : var_info array;
+  mutable v_lb : float array;
+  mutable v_ub : float array;
+  mutable v_kind : var_kind array;
   mutable n_vars : int;
-  mutable rows_rev : row list;
+  mutable t_var : int array;
+  mutable t_coeff : float array;
+  mutable n_terms : int;
+  mutable row_start : int array;  (* [row_start.(n_rows) = n_terms] *)
+  mutable row_lo : float array;
+  mutable row_hi : float array;
   mutable n_rows : int;
   mutable obj_sense : sense;
   mutable obj : Expr.t;
 }
 
-let create ?(name = "model") () =
+let create () =
   {
-    m_name = name;
-    vars = Array.make 16 { v_name = ""; v_lb = 0.; v_ub = 0.; v_kind = Continuous };
+    v_lb = Array.make 16 0.0;
+    v_ub = Array.make 16 0.0;
+    v_kind = Array.make 16 Continuous;
     n_vars = 0;
-    rows_rev = [];
+    t_var = Array.make 64 0;
+    t_coeff = Array.make 64 0.0;
+    n_terms = 0;
+    row_start = Array.make 17 0;
+    row_lo = Array.make 16 0.0;
+    row_hi = Array.make 16 0.0;
     n_rows = 0;
     obj_sense = Minimize;
     obj = Expr.zero;
   }
 
-let name m = m.m_name
+let grow a len fill =
+  let bigger = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 bigger 0 len;
+  bigger
 
-let ensure_capacity m =
-  if m.n_vars = Array.length m.vars then begin
-    let bigger =
-      Array.make (2 * Array.length m.vars)
-        { v_name = ""; v_lb = 0.; v_ub = 0.; v_kind = Continuous }
-    in
-    Array.blit m.vars 0 bigger 0 m.n_vars;
-    m.vars <- bigger
-  end
-
-let add_var m ?(lb = 0.0) ?(ub = infinity) ?(kind = Continuous) vname =
+let add_var ?(lb = 0.0) ?(ub = infinity) ?(kind = Continuous) m =
   let lb, ub =
     match kind with
     | Binary -> (Float.max lb 0.0, Float.min ub 1.0)
     | Continuous | Integer -> (lb, ub)
   in
-  if lb > ub then invalid_arg (Printf.sprintf "Model.add_var %s: lb > ub" vname);
-  ensure_capacity m;
   let id = m.n_vars in
-  m.vars.(id) <- { v_name = vname; v_lb = lb; v_ub = ub; v_kind = kind };
+  if lb > ub then invalid_arg (Printf.sprintf "Model.add_var %d: lb > ub" id);
+  if id = Array.length m.v_lb then begin
+    m.v_lb <- grow m.v_lb id 0.0;
+    m.v_ub <- grow m.v_ub id 0.0;
+    m.v_kind <- grow m.v_kind id Continuous
+  end;
+  m.v_lb.(id) <- lb;
+  m.v_ub.(id) <- ub;
+  m.v_kind.(id) <- kind;
   m.n_vars <- id + 1;
   id
 
 let check_expr m e =
-  List.iter
-    (fun (v, _) ->
+  Expr.iter_terms
+    (fun v _ ->
       if v < 0 || v >= m.n_vars then
         invalid_arg (Printf.sprintf "Model: expression uses unknown var %d" v))
-    (Expr.terms e)
+    e
 
-let add_row m rname e lo hi =
+let push_term m v c =
+  let p = m.n_terms in
+  if p = Array.length m.t_var then begin
+    m.t_var <- grow m.t_var p 0;
+    m.t_coeff <- grow m.t_coeff p 0.0
+  end;
+  m.t_var.(p) <- v;
+  m.t_coeff.(p) <- c;
+  m.n_terms <- p + 1
+
+let add_row m e lo hi =
   check_expr m e;
   if lo > hi then invalid_arg "Model.add_range: lo > hi";
-  let c = Expr.constant e in
-  let e = Expr.add_const e (-.c) in
-  let row = { row_name = rname; expr = e; lo = lo -. c; hi = hi -. c } in
-  m.rows_rev <- row :: m.rows_rev;
-  m.n_rows <- m.n_rows + 1
-
-let auto_name m prefix = Printf.sprintf "%s%d" prefix m.n_rows
-
-let add_le m ?name e rhs =
-  let rname = match name with Some n -> n | None -> auto_name m "c" in
-  add_row m rname e neg_infinity rhs
-
-let add_ge m ?name e rhs =
-  let rname = match name with Some n -> n | None -> auto_name m "c" in
-  add_row m rname e rhs infinity
-
-let add_eq m ?name e rhs =
-  let rname = match name with Some n -> n | None -> auto_name m "c" in
-  add_row m rname e rhs rhs
-
-let add_range m ?name ~lo ~hi e =
-  let rname = match name with Some n -> n | None -> auto_name m "c" in
-  add_row m rname e lo hi
-
-let add_column m ?(lb = 0.0) ?(ub = infinity) ?(obj = 0.0) vname entries =
-  List.iter
-    (fun (i, _) ->
-      if i < 0 || i >= m.n_rows then
-        invalid_arg (Printf.sprintf "Model.add_column %s: unknown row %d" vname i))
-    entries;
-  let v = add_var m ~lb ~ub vname in
-  if entries <> [] then begin
-    (* rows_rev stores newest first: row index i sits at position
-       n_rows - 1 - i.  Splice the new coefficients in one pass. *)
-    let by_row = Hashtbl.create (List.length entries) in
-    List.iter
-      (fun (i, c) ->
-        let prev = try Hashtbl.find by_row i with Not_found -> 0.0 in
-        Hashtbl.replace by_row i (prev +. c))
-      entries;
-    let pos = ref (m.n_rows - 1) in
-    m.rows_rev <-
-      List.map
-        (fun r ->
-          let i = !pos in
-          decr pos;
-          match Hashtbl.find_opt by_row i with
-          | None -> r
-          | Some c -> { r with expr = Expr.add_term r.expr (v :> int) c })
-        m.rows_rev
+  let i = m.n_rows in
+  if i = Array.length m.row_lo then begin
+    m.row_lo <- grow m.row_lo i 0.0;
+    m.row_hi <- grow m.row_hi i 0.0;
+    m.row_start <- grow m.row_start (i + 1) 0
   end;
-  if obj <> 0.0 then m.obj <- Expr.add_term m.obj (v :> int) obj;
-  v
+  Expr.iter_terms (push_term m) e;
+  let c = Expr.constant e in
+  m.row_lo.(i) <- lo -. c;
+  m.row_hi.(i) <- hi -. c;
+  m.row_start.(i + 1) <- m.n_terms;
+  m.n_rows <- i + 1
+
+let add_le m e rhs = add_row m e neg_infinity rhs
+let add_ge m e rhs = add_row m e rhs infinity
+let add_eq m e rhs = add_row m e rhs rhs
+let add_range m ~lo ~hi e = add_row m e lo hi
 
 let set_objective m sense e =
   check_expr m e;
@@ -133,16 +114,8 @@ let check_var m v =
 
 let fix_var m v x =
   check_var m v;
-  let info = m.vars.(v) in
-  info.v_lb <- x;
-  info.v_ub <- x
-
-let set_bounds m v ~lb ~ub =
-  check_var m v;
-  if lb > ub then invalid_arg "Model.set_bounds: lb > ub";
-  let info = m.vars.(v) in
-  info.v_lb <- lb;
-  info.v_ub <- ub
+  m.v_lb.(v) <- x;
+  m.v_ub.(v) <- x
 
 let num_vars m = m.n_vars
 let num_constrs m = m.n_rows
@@ -151,55 +124,32 @@ let var_of_id m id =
   check_var m id;
   id
 
-let var_name m v =
-  check_var m v;
-  m.vars.(v).v_name
-
 let var_kind m v =
   check_var m v;
-  m.vars.(v).v_kind
+  m.v_kind.(v)
 
 let var_lb m v =
   check_var m v;
-  m.vars.(v).v_lb
+  m.v_lb.(v)
 
 let var_ub m v =
   check_var m v;
-  m.vars.(v).v_ub
+  m.v_ub.(v)
 
-let integer_vars m =
-  let acc = ref [] in
-  for v = m.n_vars - 1 downto 0 do
-    match m.vars.(v).v_kind with
-    | Integer | Binary -> acc := v :: !acc
-    | Continuous -> ()
-  done;
-  !acc
+let add_row_terms m b =
+  for i = 0 to m.n_rows - 1 do
+    for p = m.row_start.(i) to m.row_start.(i + 1) - 1 do
+      Lina.Csc.Builder.add b ~row:i ~col:m.t_var.(p) m.t_coeff.(p)
+    done
+  done
 
-let is_mip m = integer_vars m <> []
+let check_row m i =
+  if i < 0 || i >= m.n_rows then invalid_arg "Model: unknown row"
 
-let rows m = List.rev m.rows_rev
+let row_lo m i =
+  check_row m i;
+  m.row_lo.(i)
 
-let pp ppf m =
-  let vname v = var_name m v in
-  Format.fprintf ppf "@[<v>model %s: %d vars, %d rows@," m.m_name m.n_vars
-    m.n_rows;
-  let sense_str = match m.obj_sense with Minimize -> "min" | Maximize -> "max" in
-  Format.fprintf ppf "%s %a@," sense_str (Expr.pp ~name:vname ()) m.obj;
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%s: %g <= %a <= %g@," r.row_name r.lo
-        (Expr.pp ~name:vname ())
-        r.expr r.hi)
-    (rows m);
-  for v = 0 to m.n_vars - 1 do
-    let i = m.vars.(v) in
-    let kind_str =
-      match i.v_kind with
-      | Continuous -> ""
-      | Integer -> " int"
-      | Binary -> " bin"
-    in
-    Format.fprintf ppf "%s in [%g, %g]%s@," i.v_name i.v_lb i.v_ub kind_str
-  done;
-  Format.fprintf ppf "@]"
+let row_hi m i =
+  check_row m i;
+  m.row_hi.(i)

@@ -16,13 +16,12 @@ let of_model m =
   let total = n + nr in
   let b = Lina.Csc.Builder.create ~rows:nr ~cols:total in
   let lb = Array.make total 0.0 and ub = Array.make total 0.0 in
-  List.iteri
-    (fun i (r : Model.row) ->
-      Expr.iter_terms (fun v c -> Lina.Csc.Builder.add b ~row:i ~col:v c) r.expr;
-      Lina.Csc.Builder.add b ~row:i ~col:(n + i) (-1.0);
-      lb.(n + i) <- r.lo;
-      ub.(n + i) <- r.hi)
-    (Model.rows m);
+  Model.add_row_terms m b;
+  for i = 0 to nr - 1 do
+    Lina.Csc.Builder.add b ~row:i ~col:(n + i) (-1.0);
+    lb.(n + i) <- Model.row_lo m i;
+    ub.(n + i) <- Model.row_hi m i
+  done;
   let a = Lina.Csc.Builder.finish b in
   let sense, obj = Model.objective m in
   let obj_factor = match sense with Model.Minimize -> 1.0 | Model.Maximize -> -1.0 in
@@ -52,7 +51,6 @@ let of_model m =
 let n_total sf = sf.n_struct + sf.n_rows
 
 type column = {
-  col_name : string;
   col_cost : float;
   col_lb : float;
   col_ub : float;
@@ -71,17 +69,17 @@ let append_columns sf cols =
   else begin
     let n = sf.n_struct and nr = sf.n_rows in
     let carr = Array.of_list cols in
-    Array.iter
-      (fun c ->
+    Array.iteri
+      (fun idx c ->
         if c.col_lb > c.col_ub then
           invalid_arg
-            (Printf.sprintf "Std_form.append_columns %s: lb > ub" c.col_name);
+            (Printf.sprintf "Std_form.append_columns: column %d: lb > ub" (n + idx));
         List.iter
           (fun (i, _) ->
             if i < 0 || i >= nr then
               invalid_arg
-                (Printf.sprintf "Std_form.append_columns %s: unknown row %d"
-                   c.col_name i))
+                (Printf.sprintf "Std_form.append_columns: column %d: unknown row %d"
+                   (n + idx) i))
           c.col_entries)
       carr;
     let n' = n + k in

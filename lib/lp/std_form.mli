@@ -5,7 +5,9 @@
     where [x] stacks the structural variables followed by one logical
     variable per row: the row [lo <= e <= hi] becomes [e - y = 0] with
     [y ∈ [lo, hi]].  A maximization objective is negated ([obj_factor]
-    restores the user-facing value).
+    restores the user-facing value).  Compilation replays the model's
+    flat row terms ({!Model.add_row_terms}) and the logical [-1] entries
+    into one {!Lina.Csc.Builder}; columns are identified by index only.
 
     The MIP search reuses one compiled form for every node, overriding
     structural bounds per node. *)
@@ -30,7 +32,6 @@ val n_total : t -> int
 (** {2 Incremental columns (column generation)} *)
 
 type column = {
-  col_name : string;
   col_cost : float;  (** objective coefficient in the {e model's} sense *)
   col_lb : float;
   col_ub : float;

@@ -65,7 +65,6 @@ type t = {
   seen : (int * int list, unit) Hashtbl.t;
   mutable generated : int;
   mutable rounds : int;
-  mutable gen_counter : int;
 }
 
 let formulation t = t.fm
@@ -126,15 +125,11 @@ let build ?(options = Csigma_model.default_options) ?(params = default_params)
   let factory model =
     Array.init k (fun req ->
         let r = Instance.request inst req in
-        let name = r.Request.name in
         let map = Option.get (Instance.node_mapping inst req) in
         let kind =
           if relax then Lp.Model.Continuous else Lp.Model.Binary
         in
-        let x_r =
-          Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind
-            (Printf.sprintf "xR_%s" name)
-        in
+        let x_r = Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind in
         let req_cms =
           List.filter (fun cm -> cm_req.(cm) = req) (List.init n_cm Fun.id)
         in
@@ -147,9 +142,8 @@ let build ?(options = Csigma_model.default_options) ?(params = default_params)
                 0.0 req_cms
             in
             let f =
-              Array.init n_links (fun ls ->
-                  Lp.Model.add_var model ~lb:0.0 ~ub:total_demand
-                    (Printf.sprintf "f_%s_%d" name ls))
+              Array.init n_links (fun _ ->
+                  Lp.Model.add_var model ~lb:0.0 ~ub:total_demand)
             in
             n_f := !n_f + n_links;
             (* Seed columns: the k cheapest simple paths by hop count —
@@ -162,12 +156,9 @@ let build ?(options = Csigma_model.default_options) ?(params = default_params)
                     ~weight:(fun _ -> 1.0)
                     ~src:cm_src.(cm) ~dst:cm_dst.(cm) ~k:params.seed_paths
                 in
-                List.iteri
-                  (fun i (p : Paths.weighted_path) ->
-                    let v =
-                      Lp.Model.add_var model ~lb:0.0 ~ub:1.0
-                        (Printf.sprintf "yP_%s_%d_s%d" name cm_vlink.(cm) i)
-                    in
+                List.iter
+                  (fun (p : Paths.weighted_path) ->
+                    let v = Lp.Model.add_var model ~lb:0.0 ~ub:1.0 in
                     incr n_path;
                     List.iter
                       (fun ls ->
@@ -184,7 +175,6 @@ let build ?(options = Csigma_model.default_options) ?(params = default_params)
             for ls = 0 to n_links - 1 do
               coup_row.(req).(ls) <- Lp.Model.num_constrs model;
               Lp.Model.add_le model
-                ~name:(Printf.sprintf "cpl_%s_%d" name ls)
                 (Lp.Expr.of_terms
                    (((f.(ls) :> int), -1.0) :: List.rev per_link.(ls)))
                 0.0
@@ -196,7 +186,6 @@ let build ?(options = Csigma_model.default_options) ?(params = default_params)
           (fun cm ->
             conv_row.(cm) <- Lp.Model.num_constrs model;
             Lp.Model.add_eq model
-              ~name:(Printf.sprintf "cnv_%s_%d" name cm_vlink.(cm))
               (Lp.Expr.of_terms
                  (((x_r :> int), -1.0)
                  :: List.rev_map (fun (col, _) -> (col, 1.0)) paths.(cm)))
@@ -244,7 +233,6 @@ let build ?(options = Csigma_model.default_options) ?(params = default_params)
     seen;
     generated = 0;
     rounds = 0;
-    gen_counter = 0;
   }
 
 let session_of t lp_params =
@@ -378,13 +366,8 @@ let generate ?lp_params ?stats ?prof ?fixed ~budget t =
             List.map
               (fun (cm, edges) ->
                 let req = t.cm_req.(cm) in
-                let rname = (Instance.request t.inst req).Request.name in
-                let n = t.gen_counter in
-                t.gen_counter <- n + 1;
                 {
-                  Lp.Std_form.col_name =
-                    Printf.sprintf "yP_%s_%d_g%d" rname t.cm_vlink.(cm) n;
-                  col_cost = 0.0;
+                  Lp.Std_form.col_cost = 0.0;
                   col_lb = 0.0;
                   col_ub = 1.0;
                   col_entries =

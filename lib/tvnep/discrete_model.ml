@@ -38,7 +38,7 @@ let build ?(options = default_options) inst =
   let n_slots = num_slots inst options in
   let sub = inst.Instance.substrate in
   let n_nodes = Substrate.num_nodes sub and n_links = Substrate.num_links sub in
-  let model = Lp.Model.create ~name:"discrete" () in
+  let model = Lp.Model.create () in
   let embeddings =
     Formulation.add_embeddings model inst
       ~relax_integrality:options.relax_integrality
@@ -48,13 +48,9 @@ let build ?(options = default_options) inst =
   in
   let start_slot =
     Array.init k (fun req ->
-        let r = Instance.request inst req in
         Array.of_list
           (List.map
-             (fun s ->
-               ( s,
-                 Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind
-                   (Printf.sprintf "z_%s_t%d" r.Request.name s) ))
+             (fun s -> (s, Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind))
              (admissible_starts inst options req)))
   in
   (* One start slot iff embedded; a request with no admissible slot at
@@ -91,11 +87,8 @@ let build ?(options = default_options) inst =
                  else None))
       in
       if Lp.Expr.num_terms active > 0 then begin
-        let add_alloc cap alloc tag =
-          let a =
-            Lp.Model.add_var model ~lb:0.0 ~ub:cap
-              (Printf.sprintf "a_%s_t%d_%s" r.Request.name slot tag)
-          in
+        let add_alloc cap alloc =
+          let a = Lp.Model.add_var model ~lb:0.0 ~ub:cap in
           Lp.Model.add_ge model
             (Lp.Expr.sub
                (Lp.Expr.var (a :> int))
@@ -111,8 +104,7 @@ let build ?(options = default_options) inst =
               Lp.Expr.add
                 slot_node_load.(slot).(s)
                 (add_alloc (Substrate.node_cap sub s)
-                   emb.Embedding.node_alloc.(s)
-                   (Printf.sprintf "n%d" s))
+                   emb.Embedding.node_alloc.(s))
         done;
         for l = 0 to n_links - 1 do
           if Lp.Expr.num_terms emb.Embedding.link_alloc.(l) > 0 then
@@ -120,8 +112,7 @@ let build ?(options = default_options) inst =
               Lp.Expr.add
                 slot_link_load.(slot).(l)
                 (add_alloc (Substrate.link_cap sub l)
-                   emb.Embedding.link_alloc.(l)
-                   (Printf.sprintf "l%d" l))
+                   emb.Embedding.link_alloc.(l))
         done
       end
     done

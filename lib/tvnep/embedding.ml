@@ -19,7 +19,6 @@ let node_indicator inst emb ~vnode ~snode =
 
 let build model inst ~req ~relax_integrality =
   let r = Instance.request inst req in
-  let name = r.Request.name in
   let sub = inst.Instance.substrate in
   let sgraph = Substrate.graph sub in
   let n_sub = Substrate.num_nodes sub in
@@ -27,9 +26,7 @@ let build model inst ~req ~relax_integrality =
   let n_vnodes = Request.num_vnodes r in
   let n_vlinks = Request.num_vlinks r in
   let kind = if relax_integrality then Lp.Model.Continuous else Lp.Model.Binary in
-  let x_r =
-    Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind (Printf.sprintf "xR_%s" name)
-  in
+  let x_r = Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind in
   let fixed = Instance.node_mapping inst req in
   (* x_V variables only in the free-mapping case. *)
   let x_v_vars =
@@ -37,10 +34,9 @@ let build model inst ~req ~relax_integrality =
     | Some _ -> None
     | None ->
       Some
-        (Array.init n_vnodes (fun v ->
-             Array.init n_sub (fun s ->
-                 Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind
-                   (Printf.sprintf "xV_%s_%d_%d" name v s))))
+        (Array.init n_vnodes (fun _ ->
+             Array.init n_sub (fun _ ->
+                 Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind)))
   in
   let x_v_expr (v, s) =
     match (x_v_vars, fixed) with
@@ -54,23 +50,20 @@ let build model inst ~req ~relax_integrality =
   (match x_v_vars with
   | None -> ()
   | Some vars ->
-    Array.iteri
-      (fun v row ->
+    Array.iter
+      (fun row ->
         let lhs =
           Lp.Expr.sum
             (Array.to_list
                (Array.map (fun (var : Lp.Model.var) -> Lp.Expr.var (var :> int)) row))
         in
         Lp.Model.add_eq model
-          ~name:(Printf.sprintf "map_%s_%d" name v)
           (Lp.Expr.sub lhs (Lp.Expr.var (x_r :> int)))
           0.0)
       vars);
   let x_e =
-    Array.init n_vlinks (fun lv ->
-        Array.init n_slinks (fun ls ->
-            Lp.Model.add_var model ~lb:0.0 ~ub:1.0
-              (Printf.sprintf "xE_%s_%d_%d" name lv ls)))
+    Array.init n_vlinks (fun _ ->
+        Array.init n_slinks (fun _ -> Lp.Model.add_var model ~lb:0.0 ~ub:1.0))
   in
   (* Constraint (2): per virtual link, a unit splittable flow from the host
      of its tail to the host of its head. *)
@@ -93,7 +86,6 @@ let build model inst ~req ~relax_integrality =
         in
         let rhs = Lp.Expr.sub (x_v_expr (lv.src, s)) (x_v_expr (lv.dst, s)) in
         Lp.Model.add_eq model
-          ~name:(Printf.sprintf "flow_%s_%d_%d" name lv.id s)
           (Lp.Expr.sub (Lp.Expr.sub outflow inflow) rhs)
           0.0
       done)

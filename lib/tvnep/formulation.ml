@@ -22,13 +22,11 @@ let add_temporal_vars model inst ~n_events =
   let k = Instance.num_requests inst in
   let horizon = inst.Instance.horizon in
   let t_event =
-    Array.init n_events (fun i ->
-        Lp.Model.add_var model ~lb:0.0 ~ub:horizon (Printf.sprintf "tE_%d" i))
+    Array.init n_events (fun _ -> Lp.Model.add_var model ~lb:0.0 ~ub:horizon)
   in
   (* Constraint (13): weakly monotone event times. *)
   for i = 0 to n_events - 2 do
     Lp.Model.add_le model
-      ~name:(Printf.sprintf "mono_%d" i)
       (Lp.Expr.sub
          (Lp.Expr.var (t_event.(i) :> int))
          (Lp.Expr.var (t_event.(i + 1) :> int)))
@@ -41,22 +39,19 @@ let add_temporal_vars model inst ~n_events =
     Array.init k (fun req ->
         let r = Instance.request inst req in
         Lp.Model.add_var model ~lb:r.Request.start_min
-          ~ub:(Float.max r.Request.start_min (Request.latest_start r))
-          (Printf.sprintf "tS_%s" r.Request.name))
+          ~ub:(Float.max r.Request.start_min (Request.latest_start r)))
   in
   let t_end =
     Array.init k (fun req ->
         let r = Instance.request inst req in
         Lp.Model.add_var model
           ~lb:(Float.min r.Request.end_max (Request.earliest_end r))
-          ~ub:r.Request.end_max
-          (Printf.sprintf "tF_%s" r.Request.name))
+          ~ub:r.Request.end_max)
   in
   (* Constraint (18): embedded for exactly the requested duration. *)
   for req = 0 to k - 1 do
     let r = Instance.request inst req in
     Lp.Model.add_eq model
-      ~name:(Printf.sprintf "dur_%s" r.Request.name)
       (Lp.Expr.sub
          (Lp.Expr.var (t_end.(req) :> int))
          (Lp.Expr.var (t_start.(req) :> int)))
@@ -64,21 +59,16 @@ let add_temporal_vars model inst ~n_events =
   done;
   (t_event, t_start, t_end)
 
-let add_chi model inst ~prefix ~ranges ~relax_integrality =
+let add_chi model inst ~ranges ~relax_integrality =
   let kind = if relax_integrality then Lp.Model.Continuous else Lp.Model.Binary in
   Array.init (Instance.num_requests inst) (fun req ->
-      let r = Instance.request inst req in
       let lo, hi = ranges.(req) in
       let vars =
         Array.init (hi - lo + 1) (fun off ->
-            let i = lo + off in
-            ( i,
-              Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind
-                (Printf.sprintf "%s_%s_e%d" prefix r.Request.name i) ))
+            (lo + off, Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind))
       in
       (* Constraints (10)/(11): exactly one event per request endpoint. *)
       Lp.Model.add_eq model
-        ~name:(Printf.sprintf "%s_one_%s" prefix r.Request.name)
         (Lp.Expr.sum
            (Array.to_list
               (Array.map
@@ -169,12 +159,8 @@ let add_two_k_event_skeleton model inst ~relax_integrality =
   let k = Instance.num_requests inst in
   let n_events = 2 * k in
   let full_range = Array.make k (0, n_events - 1) in
-  let chi_start =
-    add_chi model inst ~prefix:"chiS" ~ranges:full_range ~relax_integrality
-  in
-  let chi_end =
-    add_chi model inst ~prefix:"chiE" ~ranges:full_range ~relax_integrality
-  in
+  let chi_start = add_chi model inst ~ranges:full_range ~relax_integrality in
+  let chi_end = add_chi model inst ~ranges:full_range ~relax_integrality in
   (* Bijectivity: exactly one endpoint (start or end of some request) is
      assigned to every event point. *)
   for i = 0 to n_events - 1 do
@@ -186,7 +172,7 @@ let add_two_k_event_skeleton model inst ~relax_integrality =
                     if j = i then Some (Lp.Expr.var ((v : Lp.Model.var) :> int))
                     else None))
     in
-    Lp.Model.add_eq model ~name:(Printf.sprintf "bij_e%d" i)
+    Lp.Model.add_eq model
       (Lp.Expr.sum (pick chi_start @ pick chi_end))
       1.0
   done;

@@ -47,7 +47,6 @@ val add_temporal_vars :
 val add_chi :
   Lp.Model.t ->
   Instance.t ->
-  prefix:string ->
   ranges:(int * int) array ->
   relax_integrality:bool ->
   (int * Lp.Model.var) array array

@@ -67,56 +67,70 @@ let bottleneck_instance () =
   Tvnep.Instance.make ~node_mappings:[| [| 0; 1 |] |] ~substrate
     ~requests:[| r |] ~horizon:3.0 ()
 
+let v (x : Lp.Model.var) = Lp.Expr.var (x :> int)
+
 let lp_column_tests =
   [
-    Alcotest.test_case "Model.add_column == Std_form.append_columns" `Quick
-      (fun () ->
-        (* max x + 2y st x + y <= 4, x <= 3 — then add z with obj 3,
-           entries in both rows.  Route one copy through the model-level
-           splice and one through the standard-form splice: identical
-           optima. *)
-        let build () =
-          let m = Lp.Model.create ~name:"cols" () in
-          let x = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 "x" in
-          let y = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 "y" in
-          Lp.Model.add_le m
-            (Lp.Expr.add (Lp.Expr.var (x :> int)) (Lp.Expr.var (y :> int)))
-            4.0;
-          Lp.Model.add_le m (Lp.Expr.var (x :> int)) 3.0;
+    Alcotest.test_case "append_columns == of_model with the column last"
+      `Quick (fun () ->
+        (* max x + 2y (+ 3z) st x + y (+ z) <= 4, x (+ z) <= 3.  Splicing
+           z into the form of the model without it must give, bit for
+           bit, the form of the model that declares z as its last
+           variable. *)
+        let build ~with_z =
+          let m = Lp.Model.create () in
+          let x = v (Lp.Model.add_var m ~lb:0.0 ~ub:10.0) in
+          let y = v (Lp.Model.add_var m ~lb:0.0 ~ub:10.0) in
+          let z =
+            if with_z then v (Lp.Model.add_var m ~lb:0.0 ~ub:10.0)
+            else Lp.Expr.zero
+          in
+          Lp.Model.add_le m (Lp.Expr.sum [ x; y; z ]) 4.0;
+          Lp.Model.add_le m (Lp.Expr.add x z) 3.0;
           Lp.Model.set_objective m Lp.Model.Maximize
-            (Lp.Expr.add (Lp.Expr.var (x :> int))
-               (Lp.Expr.scale 2.0 (Lp.Expr.var (y :> int))));
-          m
+            (Lp.Expr.sum [ x; Lp.Expr.scale 2.0 y; Lp.Expr.scale 3.0 z ]);
+          Lp.Std_form.of_model m
         in
-        let via_model = build () in
-        let _z =
-          Lp.Model.add_column via_model ~lb:0.0 ~ub:10.0 ~obj:3.0 "z"
-            [ (0, 1.0); (1, 1.0) ]
-        in
-        let a = Lp.Simplex.solve_model via_model in
-        let sf = Lp.Std_form.of_model (build ()) in
-        let sf =
-          Lp.Std_form.append_columns sf
+        let spliced =
+          Lp.Std_form.append_columns (build ~with_z:false)
             [
               {
-                Lp.Std_form.col_name = "z";
-                col_cost = 3.0;
+                Lp.Std_form.col_cost = 3.0;
                 col_lb = 0.0;
                 col_ub = 10.0;
                 col_entries = [ (0, 1.0); (1, 1.0) ];
               };
             ]
         in
-        let b = Lp.Simplex.solve sf in
-        Alcotest.(check (float 1e-9))
-          "objective" a.Lp.Simplex.objective b.Lp.Simplex.objective;
+        let declared = build ~with_z:true in
+        let ints = Alcotest.(check (array int)) in
+        let bits name a b =
+          Alcotest.(check (array int64)) name
+            (Array.map Int64.bits_of_float a)
+            (Array.map Int64.bits_of_float b)
+        in
+        let open Lp.Std_form in
+        ints "dims" [| declared.n_struct; declared.n_rows |]
+          [| spliced.n_struct; spliced.n_rows |];
+        ints "col_ptr" declared.a.Lina.Csc.col_ptr spliced.a.Lina.Csc.col_ptr;
+        ints "row_idx" declared.a.Lina.Csc.row_idx spliced.a.Lina.Csc.row_idx;
+        bits "value" declared.a.Lina.Csc.value spliced.a.Lina.Csc.value;
+        bits "cost" declared.cost spliced.cost;
+        bits "lb" declared.lb spliced.lb;
+        bits "ub" declared.ub spliced.ub;
+        bits "objective constant and factor"
+          [| declared.obj_const; declared.obj_factor |]
+          [| spliced.obj_const; spliced.obj_factor |];
+        Alcotest.(check (array bool)) "integer" declared.integer
+          spliced.integer;
         (* z enters both rows: z = 3 binds the second row, leaving y = 1
            in the first — objective 3·3 + 2·1 = 11. *)
-        Alcotest.(check (float 1e-9)) "value" 11.0 a.Lp.Simplex.objective);
+        Alcotest.(check (float 1e-9))
+          "value" 11.0 (Lp.Simplex.solve spliced).Lp.Simplex.objective);
     Alcotest.test_case "session splice reuses the basis" `Quick (fun () ->
-        let m = Lp.Model.create ~name:"warm" () in
-        let x = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 "x" in
-        let y = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 "y" in
+        let m = Lp.Model.create () in
+        let x = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 in
+        let y = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 in
         Lp.Model.add_le m
           (Lp.Expr.add (Lp.Expr.var (x :> int)) (Lp.Expr.var (y :> int)))
           4.0;
@@ -135,8 +149,7 @@ let lp_column_tests =
           Lp.Simplex.session_add_columns session
             [
               {
-                Lp.Std_form.col_name = "z";
-                col_cost = 3.0;
+                Lp.Std_form.col_cost = 3.0;
                 col_lb = 0.0;
                 col_ub = 10.0;
                 col_entries = [ (0, 1.0) ];

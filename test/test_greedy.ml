@@ -122,7 +122,7 @@ module Reference = struct
             participants)
         states
     in
-    let model = Lp.Model.create ~name:"greedy-lp" () in
+    let model = Lp.Model.create () in
     let flows = Hashtbl.create 16 in
     List.iter
       (fun (req, _, _) ->
@@ -133,10 +133,9 @@ module Reference = struct
           | None -> assert false
         in
         let x_e =
-          Array.init (Request.num_vlinks r) (fun lv ->
-              Array.init n_slinks (fun ls ->
-                  Lp.Model.add_var model ~lb:0.0 ~ub:1.0
-                    (Printf.sprintf "f_%d_%d_%d" req lv ls)))
+          Array.init (Request.num_vlinks r) (fun _ ->
+              Array.init n_slinks (fun _ ->
+                  Lp.Model.add_var model ~lb:0.0 ~ub:1.0))
         in
         Hashtbl.replace flows req x_e;
         List.iter

@@ -21,10 +21,6 @@ let expr_tests =
     Alcotest.test_case "eval" `Quick (fun () ->
         let e = Lp.Expr.of_terms ~const:0.5 [ (0, 1.0); (1, 2.0) ] in
         feq "eval" 5.5 (Lp.Expr.eval e (fun i -> float_of_int (i + 1))));
-    Alcotest.test_case "map_vars merges" `Quick (fun () ->
-        let e = Lp.Expr.of_terms [ (0, 1.0); (1, 2.0) ] in
-        let m = Lp.Expr.map_vars (fun _ -> 7) e in
-        feq "merged" 3.0 (Lp.Expr.coeff m 7));
     Alcotest.test_case "negative id rejected" `Quick (fun () ->
         Alcotest.check_raises "raise" (Invalid_argument "Expr.var: negative id")
           (fun () -> ignore (Lp.Expr.var (-1))));
@@ -34,21 +30,24 @@ let model_tests =
   [
     Alcotest.test_case "bounds and kinds" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~lb:(-1.0) ~ub:2.0 "x" in
-        let b = Lp.Model.add_var m ~kind:Lp.Model.Binary "b" in
+        let x = Lp.Model.add_var m ~lb:(-1.0) ~ub:2.0 in
+        let b = Lp.Model.add_var m ~kind:Lp.Model.Binary in
         feq "lb" (-1.0) (Lp.Model.var_lb m x);
         feq "binary ub" 1.0 (Lp.Model.var_ub m b);
-        Alcotest.(check bool) "is_mip" true (Lp.Model.is_mip m);
+        Alcotest.(check bool) "binary is integer" true
+          (Lp.Std_form.of_model m).Lp.Std_form.integer.((b :> int));
         Lp.Model.fix_var m x 0.5;
         feq "fixed" 0.5 (Lp.Model.var_ub m x));
     Alcotest.test_case "row constant folded into rhs" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m "x" in
+        let x = Lp.Model.add_var m in
         Lp.Model.add_le m (Lp.Expr.add_const (v x) 2.0) 5.0;
-        match Lp.Model.rows m with
-        | [ r ] ->
-          feq "hi" 3.0 r.Lp.Model.hi;
-          feq "const stripped" 0.0 (Lp.Expr.constant r.Lp.Model.expr)
+        let sf = Lp.Std_form.of_model m in
+        match sf.Lp.Std_form.n_rows with
+        | 1 ->
+          feq "hi" 3.0 sf.Lp.Std_form.ub.(sf.Lp.Std_form.n_struct);
+          feq "const stripped" 0.0
+            (Lp.Std_form.row_activity sf [| 0.0 |]).(0)
         | _ -> Alcotest.fail "expected one row");
     Alcotest.test_case "unknown variable rejected" `Quick (fun () ->
         let m = Lp.Model.create () in
@@ -57,7 +56,7 @@ let model_tests =
             Lp.Model.add_le m (Lp.Expr.var 4) 1.0));
     Alcotest.test_case "crossed range rejected" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m "x" in
+        let x = Lp.Model.add_var m in
         Alcotest.check_raises "raise" (Invalid_argument "Model.add_range: lo > hi")
           (fun () -> Lp.Model.add_range m ~lo:2.0 ~hi:1.0 (v x)));
   ]
@@ -71,7 +70,7 @@ let simplex_tests =
     Alcotest.test_case "textbook maximization" `Quick (fun () ->
         (* max 3x+5y st x<=4, 2y<=12, 3x+2y<=18 -> (2,6), obj 36 *)
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m "x" and y = Lp.Model.add_var m "y" in
+        let x = Lp.Model.add_var m and y = Lp.Model.add_var m in
         Lp.Model.add_le m (v x) 4.0;
         Lp.Model.add_le m (Lp.Expr.scale 2.0 (v y)) 12.0;
         Lp.Model.add_le m (Lp.Expr.add (Lp.Expr.scale 3.0 (v x)) (Lp.Expr.scale 2.0 (v y))) 18.0;
@@ -85,8 +84,8 @@ let simplex_tests =
     Alcotest.test_case "equality rows and negative bounds" `Quick (fun () ->
         (* min x + y st x + y = 1, x - y = 0.2, x,y free -> (0.6, 0.4) *)
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~lb:neg_infinity "x" in
-        let y = Lp.Model.add_var m ~lb:neg_infinity "y" in
+        let x = Lp.Model.add_var m ~lb:neg_infinity in
+        let y = Lp.Model.add_var m ~lb:neg_infinity in
         Lp.Model.add_eq m (Lp.Expr.add (v x) (v y)) 1.0;
         Lp.Model.add_eq m (Lp.Expr.sub (v x) (v y)) 0.2;
         Lp.Model.set_objective m Lp.Model.Minimize (Lp.Expr.add (v x) (v y));
@@ -96,34 +95,34 @@ let simplex_tests =
         feq "y" 0.4 r.Lp.Simplex.x.(1));
     Alcotest.test_case "range row" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m "x" in
+        let x = Lp.Model.add_var m in
         Lp.Model.add_range m ~lo:2.0 ~hi:3.0 (v x);
         Lp.Model.set_objective m Lp.Model.Minimize (v x);
         let r = Lp.Simplex.solve_model m in
         feq "min at range lo" 2.0 r.Lp.Simplex.objective);
     Alcotest.test_case "infeasible" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~ub:1.0 "x" in
+        let x = Lp.Model.add_var m ~ub:1.0 in
         Lp.Model.add_ge m (v x) 2.0;
         Lp.Model.set_objective m Lp.Model.Minimize (v x);
         let r = Lp.Simplex.solve_model m in
         Alcotest.check status "status" Lp.Simplex.Infeasible r.Lp.Simplex.status);
     Alcotest.test_case "unbounded" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m "x" in
+        let x = Lp.Model.add_var m in
         Lp.Model.set_objective m Lp.Model.Maximize (v x);
         let r = Lp.Simplex.solve_model m in
         Alcotest.check status "status" Lp.Simplex.Unbounded r.Lp.Simplex.status);
     Alcotest.test_case "objective constant offset" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~ub:1.0 "x" in
+        let x = Lp.Model.add_var m ~ub:1.0 in
         Lp.Model.set_objective m Lp.Model.Maximize (Lp.Expr.add_const (v x) 10.0);
         let r = Lp.Simplex.solve_model m in
         feq "obj includes offset" 11.0 r.Lp.Simplex.objective);
     Alcotest.test_case "degenerate LP terminates" `Quick (fun () ->
         (* Many redundant constraints through the same vertex. *)
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m "x" and y = Lp.Model.add_var m "y" in
+        let x = Lp.Model.add_var m and y = Lp.Model.add_var m in
         for _ = 1 to 12 do
           Lp.Model.add_le m (Lp.Expr.add (v x) (v y)) 1.0
         done;
@@ -136,7 +135,7 @@ let simplex_tests =
         (* max 3x+2y st x+y<=4, x+3y<=6: opt at (4,0); dual of row 1 = 3,
            row 2 slack -> dual 0. *)
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m "x" and y = Lp.Model.add_var m "y" in
+        let x = Lp.Model.add_var m and y = Lp.Model.add_var m in
         Lp.Model.add_le m (Lp.Expr.add (v x) (v y)) 4.0;
         Lp.Model.add_le m (Lp.Expr.add (v x) (Lp.Expr.scale 3.0 (v y))) 6.0;
         Lp.Model.set_objective m Lp.Model.Maximize
@@ -147,8 +146,8 @@ let simplex_tests =
     Alcotest.test_case "bound flip path" `Quick (fun () ->
         (* Boxed variables where optimum sits at upper bounds. *)
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~lb:0.0 ~ub:1.0 "x" in
-        let y = Lp.Model.add_var m ~lb:0.0 ~ub:1.0 "y" in
+        let x = Lp.Model.add_var m ~lb:0.0 ~ub:1.0 in
+        let y = Lp.Model.add_var m ~lb:0.0 ~ub:1.0 in
         Lp.Model.add_le m (Lp.Expr.add (v x) (v y)) 10.0;
         Lp.Model.set_objective m Lp.Model.Maximize (Lp.Expr.add (v x) (v y));
         let r = Lp.Simplex.solve_model m in
@@ -160,10 +159,9 @@ let simplex_tests =
 let random_lp rng ~n ~m_rows =
   let model = Lp.Model.create () in
   let vars =
-    Array.init n (fun i ->
+    Array.init n (fun _ ->
         Lp.Model.add_var model ~lb:0.0
-          ~ub:(Workload.Rng.float_range rng 0.5 4.0)
-          (Printf.sprintf "x%d" i))
+          ~ub:(Workload.Rng.float_range rng 0.5 4.0))
   in
   for _ = 1 to m_rows do
     let expr =
@@ -247,13 +245,11 @@ let simplex_properties =
                 obj = sum_j x_j rc... simpler: complementary check via
                 objective equality with dual form below. *)
              let sf = Lp.Std_form.of_model model in
-             let rows = Lp.Model.rows model in
+             let row_hi i = sf.Lp.Std_form.ub.(sf.Lp.Std_form.n_struct + i) in
              let dual_value =
                List.fold_left ( +. ) 0.0
-                 (List.mapi
-                    (fun i (row : Lp.Model.row) ->
-                      r.Lp.Simplex.duals.(i) *. row.Lp.Model.hi)
-                    rows)
+                 (List.init sf.Lp.Std_form.n_rows (fun i ->
+                      r.Lp.Simplex.duals.(i) *. row_hi i))
                +. Array.fold_left ( +. ) 0.0
                     (Array.mapi
                        (fun j (x : Lp.Model.var) ->
@@ -299,7 +295,7 @@ let session_tests =
           r3.Lp.Simplex.objective);
     Alcotest.test_case "session detects infeasible bounds" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~ub:2.0 "x" in
+        let x = Lp.Model.add_var m ~ub:2.0 in
         Lp.Model.add_ge m (v x) 1.0;
         Lp.Model.set_objective m Lp.Model.Minimize (v x);
         let sf = Lp.Std_form.of_model m in

@@ -180,8 +180,7 @@ let colgen_continuation sf =
           Lina.Csc.iter_col a j (fun i v -> entries := (i, v) :: !entries);
           Some
             {
-              Lp.Std_form.col_name = Printf.sprintf "copy%d" j;
-              col_cost =
+              Lp.Std_form.col_cost =
                 (1.5 *. sf.Lp.Std_form.obj_factor *. sf.Lp.Std_form.cost.(j))
                 +. 0.25;
               col_lb = 0.0;
@@ -201,9 +200,8 @@ let dense_inverse_solve () =
   let rng = Workload.Rng.create 11L in
   let m = Lp.Model.create () in
   let vars =
-    Array.init 30 (fun i ->
-        Lp.Model.add_var m ~ub:(Workload.Rng.float_range rng 1.0 4.0)
-          (Printf.sprintf "x%d" i))
+    Array.init 30 (fun _ ->
+        Lp.Model.add_var m ~ub:(Workload.Rng.float_range rng 1.0 4.0))
   in
   for _ = 1 to 20 do
     Lp.Model.add_le m

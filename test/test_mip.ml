@@ -84,8 +84,7 @@ let knapsack_model values weights capacity =
   let n = Array.length values in
   let m = Lp.Model.create () in
   let vars =
-    Array.init n (fun i ->
-        Lp.Model.add_var m ~kind:Lp.Model.Binary (Printf.sprintf "z%d" i))
+    Array.init n (fun _ -> Lp.Model.add_var m ~kind:Lp.Model.Binary)
   in
   Lp.Model.add_le m
     (Lp.Expr.of_terms
@@ -115,8 +114,8 @@ let bb_tests =
   [
     Alcotest.test_case "integer infeasible equality" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~ub:3.0 ~kind:Lp.Model.Integer "x" in
-        let y = Lp.Model.add_var m ~ub:3.0 ~kind:Lp.Model.Integer "y" in
+        let x = Lp.Model.add_var m ~ub:3.0 ~kind:Lp.Model.Integer in
+        let y = Lp.Model.add_var m ~ub:3.0 ~kind:Lp.Model.Integer in
         Lp.Model.add_eq m (Lp.Expr.add (v x) (v y)) 1.5;
         Lp.Model.set_objective m Lp.Model.Minimize (v x);
         let r = Mip.Branch_bound.solve m in
@@ -124,7 +123,7 @@ let bb_tests =
           r.Mip.Branch_bound.status);
     Alcotest.test_case "pure LP passes through" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~ub:2.5 "x" in
+        let x = Lp.Model.add_var m ~ub:2.5 in
         Lp.Model.set_objective m Lp.Model.Maximize (v x);
         let r = Mip.Branch_bound.solve m in
         (match r.Mip.Branch_bound.objective with
@@ -142,8 +141,8 @@ let bb_tests =
         (* max 3x + y st 2x + y <= 7.5, x <= 2.9, ints: x=2, y=3 -> 9
            (LP optimum x=2.9 is fractional, so branching is exercised) *)
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~ub:2.9 ~kind:Lp.Model.Integer "x" in
-        let y = Lp.Model.add_var m ~ub:10.0 ~kind:Lp.Model.Integer "y" in
+        let x = Lp.Model.add_var m ~ub:2.9 ~kind:Lp.Model.Integer in
+        let y = Lp.Model.add_var m ~ub:10.0 ~kind:Lp.Model.Integer in
         Lp.Model.add_le m (Lp.Expr.add (Lp.Expr.scale 2.0 (v x)) (v y)) 7.5;
         Lp.Model.set_objective m Lp.Model.Maximize
           (Lp.Expr.add (Lp.Expr.scale 3.0 (v x)) (v y));
@@ -222,9 +221,8 @@ let bb_properties =
            in
            let m = Lp.Model.create () in
            let vars =
-             Array.init n (fun i ->
-                 Lp.Model.add_var m ~ub:2.0 ~kind:Lp.Model.Integer
-                   (Printf.sprintf "x%d" i))
+             Array.init n (fun _ ->
+                 Lp.Model.add_var m ~ub:2.0 ~kind:Lp.Model.Integer)
            in
            Array.iteri
              (fun i row ->
@@ -277,8 +275,8 @@ let propagate_tests =
   [
     Alcotest.test_case "detects row infeasibility" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~ub:1.0 "x" in
-        let y = Lp.Model.add_var m ~ub:1.0 "y" in
+        let x = Lp.Model.add_var m ~ub:1.0 in
+        let y = Lp.Model.add_var m ~ub:1.0 in
         Lp.Model.add_ge m (Lp.Expr.add (v x) (v y)) 3.0;
         let sf = Lp.Std_form.of_model m in
         let p = Mip.Propagate.prepare sf in
@@ -290,9 +288,9 @@ let propagate_tests =
         | Mip.Propagate.Tightened _ -> Alcotest.fail "expected infeasible"));
     Alcotest.test_case "fixes partners in an exactly-one row" `Quick (fun () ->
         let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~kind:Lp.Model.Binary "x" in
-        let y = Lp.Model.add_var m ~kind:Lp.Model.Binary "y" in
-        let z = Lp.Model.add_var m ~kind:Lp.Model.Binary "z" in
+        let x = Lp.Model.add_var m ~kind:Lp.Model.Binary in
+        let y = Lp.Model.add_var m ~kind:Lp.Model.Binary in
+        let z = Lp.Model.add_var m ~kind:Lp.Model.Binary in
         Lp.Model.add_eq m (Lp.Expr.sum [ v x; v y; v z ]) 1.0;
         let sf = Lp.Std_form.of_model m in
         let p = Mip.Propagate.prepare sf in
@@ -450,16 +448,16 @@ let random_propagation_case seed =
   let m = Lp.Model.create () in
   let n = 1 + Workload.Rng.int rng 6 in
   let vars =
-    Array.init n (fun j ->
+    Array.init n (fun _ ->
         if Workload.Rng.bool rng then
-          Lp.Model.add_var m ~kind:Lp.Model.Binary (Printf.sprintf "b%d" j)
+          Lp.Model.add_var m ~kind:Lp.Model.Binary
         else
           let lb = -.float_of_int (Workload.Rng.int rng 3) in
           let ub =
             if Workload.Rng.int rng 4 = 0 then infinity
             else Workload.Rng.float_range rng 0.0 5.0
           in
-          Lp.Model.add_var m ~lb ~ub (Printf.sprintf "x%d" j))
+          Lp.Model.add_var m ~lb ~ub)
   in
   let coefs = [| 1.0; -1.0; 2.0; 0.5; -3.0; 0.1; 0.7 |] in
   for _ = 1 to Workload.Rng.int rng 6 do

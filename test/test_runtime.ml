@@ -134,9 +134,8 @@ let medium_lp () =
   let rng = Workload.Rng.create 11L in
   let m = Lp.Model.create () in
   let vars =
-    Array.init 30 (fun i ->
-        Lp.Model.add_var m ~ub:(Workload.Rng.float_range rng 1.0 4.0)
-          (Printf.sprintf "x%d" i))
+    Array.init 30 (fun _ ->
+        Lp.Model.add_var m ~ub:(Workload.Rng.float_range rng 1.0 4.0))
   in
   for _ = 1 to 20 do
     Lp.Model.add_le m
@@ -194,8 +193,11 @@ let simplex_tests =
    integer optimum is 21 (b + c + d). *)
 let knapsack () =
   let m = Lp.Model.create () in
-  let v name = Lp.Model.add_var m ~kind:Lp.Model.Binary name in
-  let a = v "a" and b = v "b" and c = v "c" and d = v "d" in
+  let v () = Lp.Model.add_var m ~kind:Lp.Model.Binary in
+  let a = v () in
+  let b = v () in
+  let c = v () in
+  let d = v () in
   let terms coeffs =
     Lp.Expr.of_terms
       (List.map2
