@@ -8,7 +8,7 @@
    real contended instance rather than the unit-test knapsacks.  Wall
    clock is recorded per level so the speedup trajectory lands in
    BENCH_bnb.json; on hosts with >= 4 cores a jobs=4 speedup floor is
-   enforced too. *)
+   enforced too.  Each level is one {!Record.t} labelled "jobs=N". *)
 
 let jobs_levels = [ 1; 2; 4 ]
 
@@ -66,19 +66,9 @@ let bench_form () =
 (* One solve of the fixed form at a given jobs level.  Every level gets
    its own deterministic budget (same rate, same limit), so tick counts
    are comparable and the search is limit-identical across levels. *)
-type run = {
-  jobs : int;
-  status : string;
-  objective : float;   (* nan = no incumbent *)
-  bound : float;
-  nodes : int;
-  lp_iterations : int;
-  ticks : int;
-  wall_s : float;          (* median over [timing_reps] repeats *)
-  gc_minor_words : float;  (* the merging domain's allocation, median run *)
-}
-
 let timing_reps = 3
+
+let label jobs = Printf.sprintf "jobs=%d" jobs
 
 let solve_once ~sf ~time_limit jobs =
   let params =
@@ -88,116 +78,65 @@ let solve_once ~sf ~time_limit jobs =
     Runtime.Budget.create ~deterministic:Figures.work_rate ~time_limit ()
   in
   let stats = Runtime.Stats.create () in
-  let gw0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let r = Mip.Branch_bound.solve_form ~params ~budget ~stats sf in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let r, wall_s, minor_words =
+    Record.measure (fun () ->
+        Mip.Branch_bound.solve_form ~params ~budget ~stats sf)
+  in
   ( {
-      jobs;
+      Record.label = label jobs;
       status = Mip.Branch_bound.status_to_string r.Mip.Branch_bound.status;
       objective = Option.value r.Mip.Branch_bound.objective ~default:Float.nan;
-      bound = r.Mip.Branch_bound.best_bound;
-      nodes = r.Mip.Branch_bound.nodes;
-      lp_iterations = r.Mip.Branch_bound.lp_iterations;
       ticks = Runtime.Budget.ticks budget;
       wall_s;
-      gc_minor_words = Gc.minor_words () -. gw0;
+      minor_words;
+      counters =
+        [
+          ("bound", r.Mip.Branch_bound.best_bound);
+          ("nodes", float_of_int r.Mip.Branch_bound.nodes);
+          ("lp_iterations", float_of_int r.Mip.Branch_bound.lp_iterations);
+        ];
+      detail = None;
     },
     stats )
 
 (* Median-of-[timing_reps] wall time per jobs level; all repeats must
-   agree on the determinism fingerprint (they solve the same instance on
-   the same work clock), so only the first repeat's stats are merged. *)
+   agree on the work they did (they solve the same instance on the same
+   work clock), so only the first repeat's stats are merged. *)
 let solve_at ~sf ~time_limit jobs =
   let reps =
     List.init timing_reps (fun _ -> solve_once ~sf ~time_limit jobs)
   in
   let first, stats = List.hd reps in
-  List.iter
-    (fun ((r : run), _) ->
-      if
-        (r.status, r.objective, r.bound, r.nodes, r.lp_iterations, r.ticks)
-        <> ( first.status, first.objective, first.bound, first.nodes,
-             first.lp_iterations, first.ticks )
-      then begin
-        Printf.eprintf
-          "BNB NON-REPRODUCIBLE: repeat at jobs=%d disagrees with itself\n"
-          jobs;
-        exit 1
-      end)
-    reps;
+  if not (List.for_all (fun (r, _) -> Record.same_work r first) reps) then begin
+    Printf.eprintf
+      "BNB NON-REPRODUCIBLE: repeat at jobs=%d disagrees with itself\n" jobs;
+    exit 1
+  end;
   let sorted =
-    List.sort compare (List.map (fun ((r : run), _) -> r.wall_s) reps)
+    List.sort compare (List.map (fun ((r : Record.t), _) -> r.wall_s) reps)
   in
-  let wall_s = List.nth sorted (timing_reps / 2) in
-  ( { first with wall_s },
-    stats )
+  ({ first with wall_s = List.nth sorted (timing_reps / 2) }, stats)
 
-(* The determinism fingerprint: everything but the wall clock. *)
-let fingerprint r =
-  (r.status, r.objective, r.bound, r.nodes, r.lp_iterations, r.ticks)
+(* The determinism gate: every jobs level reproduces the first level's
+   status, objective, ticks, bound, nodes and LP iterations exactly. *)
+let gates : Record.gate list =
+  [
+    ( "identical_across_jobs",
+      fun runs ->
+        let base = List.hd runs in
+        match List.filter (fun r -> not (Record.same_work r base)) runs with
+        | [] -> Ok ()
+        | bad ->
+          Error
+            (String.concat "; "
+               (List.map
+                  (fun r ->
+                    Printf.sprintf "(%s) but (%s)" (Record.to_string r)
+                      (Record.to_string base))
+                  bad)) );
+  ]
 
-let json_of_runs runs =
-  let open Statsutil.Json in
-  Obj
-    [
-      ("schema", Str "tvnep-bench-bnb/2");
-      ( "clock",
-        Str
-          (Printf.sprintf
-             "deterministic work ticks (%.0e ticks = 1 budget second)"
-             Figures.work_rate) );
-      ("identical_across_jobs", Bool true);
-      ( "runs",
-        List
-          (List.map
-             (fun r ->
-               Obj
-                 [
-                   ("jobs", Num (float_of_int r.jobs));
-                   ("status", Str r.status);
-                   ("objective", Num r.objective);
-                   ("bound", Num r.bound);
-                   ("nodes", Num (float_of_int r.nodes));
-                   ("lp_iterations", Num (float_of_int r.lp_iterations));
-                   ("ticks", Num (float_of_int r.ticks));
-                   ("wall_s", Num r.wall_s);
-                   ("gc_minor_words", Num r.gc_minor_words);
-                 ])
-             runs) );
-    ]
-
-let validate_json_string s =
-  let open Statsutil.Json in
-  match of_string s with
-  | Error msg -> Error ("not valid JSON: " ^ msg)
-  | Ok doc -> (
-    match member "schema" doc with
-    | Some (Str "tvnep-bench-bnb/2") -> (
-      match member "identical_across_jobs" doc with
-      | Some (Bool true) -> (
-        match Option.bind (member "runs" doc) to_list with
-        | None | Some [] -> Error "missing or empty \"runs\" list"
-        | Some runs ->
-          let bad =
-            List.filter
-              (fun r ->
-                let num k = Option.bind (member k r) to_float <> None in
-                not
-                  ((match member "status" r with
-                   | Some (Str _) -> true
-                   | _ -> false)
-                  && num "jobs" && num "objective" && num "bound"
-                  && num "nodes" && num "lp_iterations" && num "ticks"
-                  && num "wall_s" && num "gc_minor_words"))
-              runs
-          in
-          if bad = [] then Ok (List.length runs)
-          else Error "a run is missing a required field")
-      | _ -> Error "\"identical_across_jobs\" is not true")
-    | _ -> Error "missing or unexpected \"schema\"")
-
-let run ?json_path ?(time_limit = 30.0) () =
+let run ~json_dir ?(time_limit = 30.0) () =
   Printf.printf
     "\n== Branch-and-bound parallel benchmark (deterministic work clock) ==\n";
   let sf = bench_form () in
@@ -217,73 +156,53 @@ let run ?json_path ?(time_limit = 30.0) () =
   let table =
     Statsutil.Table.create
       ~headers:
-        [ "jobs"; "status"; "objective"; "bound"; "nodes"; "LP iters";
+        [ "run"; "status"; "objective"; "bound"; "nodes"; "LP iters";
           "ticks"; "wall"; "speedup" ]
   in
   let base = List.hd runs in
+  let speedup (r : Record.t) = base.wall_s /. Float.max 1e-9 r.wall_s in
   List.iter
-    (fun r ->
+    (fun (r : Record.t) ->
+      let c = Record.counter r in
       Statsutil.Table.add_row table
         [
-          string_of_int r.jobs;
+          r.label;
           r.status;
           Printf.sprintf "%g" r.objective;
-          Printf.sprintf "%g" r.bound;
-          string_of_int r.nodes;
-          string_of_int r.lp_iterations;
+          Printf.sprintf "%g" (c "bound");
+          Printf.sprintf "%.0f" (c "nodes");
+          Printf.sprintf "%.0f" (c "lp_iterations");
           string_of_int r.ticks;
           Printf.sprintf "%.3f s" r.wall_s;
-          Printf.sprintf "%.2fx" (base.wall_s /. Float.max 1e-9 r.wall_s);
+          Printf.sprintf "%.2fx" (speedup r);
         ])
     runs;
   Statsutil.Table.print table;
   Printf.printf "aggregate counters: %s\n" (Runtime.Stats.to_string total);
-  (* Hard determinism gate: every level must reproduce jobs=1 exactly. *)
-  let mismatches =
-    List.filter (fun r -> fingerprint r <> fingerprint base) runs
-  in
-  if mismatches <> [] then begin
-    List.iter
-      (fun r ->
-        Printf.eprintf
-          "BNB DETERMINISM VIOLATION: jobs=%d returned (%s, %g, %g, %d \
-           nodes, %d iters, %d ticks) but jobs=%d returned (%s, %g, %g, %d \
-           nodes, %d iters, %d ticks)\n"
-          r.jobs r.status r.objective r.bound r.nodes r.lp_iterations r.ticks
-          base.jobs base.status base.objective base.bound base.nodes
-          base.lp_iterations base.ticks)
-      mismatches;
-    exit 1
-  end;
-  Printf.printf "determinism: all jobs levels identical (%s, obj %g, %d \
-                 nodes, %d ticks)\n"
-    base.status base.objective base.nodes base.ticks;
-  (* Speedup floor, only meaningful with real cores to run on. *)
+  Record.enforce ~bench:"bnb" gates runs;
+  (* Speedup floor, only meaningful with real cores to run on, so it
+     stays out of the document gates. *)
   let cores = detect_cores () in
-  (match List.find_opt (fun r -> r.jobs = 4) runs with
+  (match List.find_opt (fun (r : Record.t) -> r.label = label 4) runs with
   | Some r4 when cores >= 4 ->
-    let speedup = base.wall_s /. Float.max 1e-9 r4.wall_s in
-    if speedup < min_speedup then begin
+    if speedup r4 < min_speedup then begin
       Printf.eprintf
         "BNB SPEEDUP REGRESSION: jobs=4 is %.2fx vs jobs=1 (floor %.1fx) \
          on a %d-core host; median-of-%d walls:\n"
-        speedup min_speedup cores timing_reps;
+        (speedup r4) min_speedup cores timing_reps;
       List.iter
-        (fun r ->
-          Printf.eprintf "  jobs=%d  %.3f s  (%.2fx)\n" r.jobs r.wall_s
-            (base.wall_s /. Float.max 1e-9 r.wall_s))
+        (fun (r : Record.t) ->
+          Printf.eprintf "  %s  %.3f s  (%.2fx)\n" r.label r.wall_s
+            (speedup r))
         runs;
       exit 1
     end
     else
       Printf.printf "speedup: jobs=4 runs %.2fx faster than jobs=1 (floor \
                      %.1fx)\n"
-        speedup min_speedup
+        (speedup r4) min_speedup
   | _ ->
     Printf.printf
       "speedup floor skipped: host reports %d core(s) (< 4 needed)\n" cores);
-  match json_path with
-  | Some path ->
-    Bench_json.emit ~path ~noun:"runs" ~validate:validate_json_string
-      (json_of_runs runs)
-  | None -> ()
+  Record.emit ~dir:json_dir
+    { Record.bench = "bnb"; clock = Record.work_clock Figures.work_rate; runs }

@@ -5,7 +5,7 @@
    arc flow block dwarfs the rest of the model.
 
    This is a regression gate as much as a perf tracker; the run *fails*
-   (exit 1) when any of the ISSUE's acceptance bars breaks:
+   (exit 1) when any of these bars breaks:
 
    - objective agreement: the converged master LP must equal the arc-form
      LP optimum (flow decomposition — the whole point of the method);
@@ -15,8 +15,8 @@
      form's flow-variable count.
 
    Both forms solve at jobs = 1: pricing is serial, so the path form has
-   no parallel code to exercise.  Results land in BENCH_colgen.json
-   (validated after writing). *)
+   no parallel code to exercise.  Each form is one {!Record.t} labelled
+   by its flow form; results land in BENCH_colgen.json. *)
 
 (* Maximum allowed master-to-arc flow-column ratio. *)
 let max_column_ratio = 0.20
@@ -33,21 +33,6 @@ let bench_instance () =
       flexibility = 2.0;
     }
 
-type run = {
-  flow_form : string;
-  status : string;
-  objective : float;  (* nan = none *)
-  ticks : int;
-  lp_iterations : int;
-  model_vars : int;
-  columns_generated : int;    (* -1 for the arc form *)
-  pricing_rounds : int;       (* -1 for the arc form *)
-  master_flow_columns : int;  (* -1 for the arc form *)
-  arc_flow_columns : int;     (* -1 for the arc form *)
-  wall_s : float;
-  gc_minor_words : float;
-}
-
 let solve_at ~inst ~time_limit ~flow_form =
   let mip =
     { Mip.Branch_bound.default_params with time_limit; jobs = 1; log_every = 0 }
@@ -55,107 +40,94 @@ let solve_at ~inst ~time_limit ~flow_form =
   let budget =
     Runtime.Budget.create ~deterministic:Figures.work_rate ~time_limit ()
   in
-  let gw0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let o =
-    Tvnep.Solver.run inst
-      (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Lp_only ~flow_form ~mip
-         ~budget ())
+  let o, wall_s, minor_words =
+    Record.measure (fun () ->
+        Tvnep.Solver.run inst
+          (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Lp_only ~flow_form
+             ~mip ~budget ()))
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let gc_minor_words = Gc.minor_words () -. gw0 in
-  let cg = o.Tvnep.Solver.colgen in
-  let stat f = match cg with Some c -> f c | None -> -1 in
+  let n v = float_of_int v in
+  let colgen =
+    match o.Tvnep.Solver.colgen with
+    | None -> []
+    | Some c ->
+      [
+        ("columns_generated", n c.Tvnep.Solver.columns_generated);
+        ("pricing_rounds", n c.Tvnep.Solver.pricing_rounds);
+        ("master_flow_columns", n c.Tvnep.Solver.master_flow_columns);
+        ("arc_flow_columns", n c.Tvnep.Solver.arc_flow_columns);
+      ]
+  in
   {
-    flow_form = Tvnep.Solver.flow_form_to_string flow_form;
+    Record.label = Tvnep.Solver.flow_form_to_string flow_form;
     status = Tvnep.Solver.status_to_string o.Tvnep.Solver.status;
     objective = Option.value o.Tvnep.Solver.objective ~default:Float.nan;
     ticks = o.Tvnep.Solver.ticks;
-    lp_iterations = o.Tvnep.Solver.lp_iterations;
-    model_vars = o.Tvnep.Solver.model_vars;
-    columns_generated = stat (fun c -> c.Tvnep.Solver.columns_generated);
-    pricing_rounds = stat (fun c -> c.Tvnep.Solver.pricing_rounds);
-    master_flow_columns = stat (fun c -> c.Tvnep.Solver.master_flow_columns);
-    arc_flow_columns = stat (fun c -> c.Tvnep.Solver.arc_flow_columns);
     wall_s;
-    gc_minor_words;
+    minor_words;
+    counters =
+      ("lp_iterations", n o.Tvnep.Solver.lp_iterations)
+      :: ("model_vars", n o.Tvnep.Solver.model_vars)
+      :: colgen;
+    detail = None;
   }
 
-let json_of_runs runs =
-  let open Statsutil.Json in
-  Obj
-    [
-      ("schema", Str "tvnep-bench-colgen/3");
-      ("schema_version", Num 3.0);
-      ( "clock",
-        Str
-          (Printf.sprintf
-             "deterministic work ticks (%.0e ticks = 1 budget second)"
-             Figures.work_rate) );
-      ( "runs",
-        List
-          (List.map
-             (fun r ->
-               Obj
-                 [
-                   ("flow_form", Str r.flow_form);
-                   ("status", Str r.status);
-                   ("objective", Num r.objective);
-                   ("ticks", Num (float_of_int r.ticks));
-                   ("lp_iterations", Num (float_of_int r.lp_iterations));
-                   ("model_vars", Num (float_of_int r.model_vars));
-                   ( "columns_generated",
-                     Num (float_of_int r.columns_generated) );
-                   ("pricing_rounds", Num (float_of_int r.pricing_rounds));
-                   ( "master_flow_columns",
-                     Num (float_of_int r.master_flow_columns) );
-                   ( "arc_flow_columns",
-                     Num (float_of_int r.arc_flow_columns) );
-                   ("wall_s", Num r.wall_s);
-                   ("gc_minor_words", Num r.gc_minor_words);
-                 ])
-             runs) );
-    ]
+let gates : Record.gate list =
+  let forms runs = (Record.find "arc" runs, Record.find "path" runs) in
+  [
+    (* Both LPs solved to proved optimality (for the path form that means
+       pricing converged: Feasible would be a round-cap exit). *)
+    ( "optimal",
+      fun runs ->
+        let optimal (r : Record.t) = r.status = "optimal" in
+        match List.filter (fun r -> not (optimal r)) runs with
+        | [] -> Ok ()
+        | r :: _ ->
+          Error (Printf.sprintf "%s form finished %s" r.label r.status) );
+    (* Objective agreement: flow decomposition made observable. *)
+    ( "objective_agreement",
+      fun runs ->
+        let arc, path = forms runs in
+        let tol = 1e-6 *. Float.max 1.0 (Float.abs arc.objective) in
+        if Float.abs (arc.objective -. path.objective) <= tol then Ok ()
+        else
+          Error
+            (Printf.sprintf "converged master LP %.9g, arc-form LP %.9g"
+               path.objective arc.objective) );
+    (* The whole point: fewer work ticks than the arc form. *)
+    ( "fewer_ticks",
+      fun runs ->
+        let arc, path = forms runs in
+        if path.ticks < arc.ticks then Ok ()
+        else
+          Error
+            (Printf.sprintf "colgen spent %d ticks, arc form only %d"
+               path.ticks arc.ticks) );
+    (* The master stays small. *)
+    ( "master_size",
+      fun runs ->
+        let _, path = forms runs in
+        let master = Record.counter path "master_flow_columns"
+        and arc = Record.counter path "arc_flow_columns" in
+        if master <= max_column_ratio *. arc then Ok ()
+        else
+          Error
+            (Printf.sprintf
+               "%.0f master flow columns exceed %.0f%% of the %.0f arc flow \
+                variables"
+               master (100.0 *. max_column_ratio) arc) );
+  ]
 
-let validate_json_string s =
-  let open Statsutil.Json in
-  match of_string s with
-  | Error msg -> Error ("not valid JSON: " ^ msg)
-  | Ok doc -> (
-    match (member "schema" doc, member "schema_version" doc) with
-    | Some (Str "tvnep-bench-colgen/3"), Some (Num 3.0) -> (
-      match Option.bind (member "runs" doc) to_list with
-      | None | Some [] -> Error "missing or empty \"runs\" list"
-      | Some runs ->
-        let bad =
-          List.filter
-            (fun r ->
-              let num k = Option.bind (member k r) to_float <> None in
-              not
-                ((match member "flow_form" r with
-                 | Some (Str ("arc" | "path")) -> true
-                 | _ -> false)
-                && (match member "status" r with
-                   | Some (Str _) -> true
-                   | _ -> false)
-                && num "objective" && num "ticks"
-                && num "lp_iterations" && num "model_vars"
-                && num "columns_generated" && num "pricing_rounds"
-                && num "master_flow_columns" && num "arc_flow_columns"
-                && num "wall_s" && num "gc_minor_words"))
-            runs
-        in
-        if bad = [] then Ok (List.length runs)
-        else Error "a run is missing a required field")
-    | _ -> Error "missing or unexpected \"schema\"/\"schema_version\"")
-
-let run ?json_path ?(time_limit = 120.0) () =
+let run ~json_dir ?(time_limit = 120.0) () =
   Printf.printf
     "\n== Column-generation benchmark (9x10 grid, 8-vlink requests, \
      deterministic work clock) ==\n";
   let inst = bench_instance () in
-  let arc = solve_at ~inst ~time_limit ~flow_form:Tvnep.Solver.Arc in
-  let path = solve_at ~inst ~time_limit ~flow_form:Tvnep.Solver.Path in
+  let runs =
+    List.map
+      (fun flow_form -> solve_at ~inst ~time_limit ~flow_form)
+      [ Tvnep.Solver.Arc; Tvnep.Solver.Path ]
+  in
   let table =
     Statsutil.Table.create
       ~headers:
@@ -163,74 +135,29 @@ let run ?json_path ?(time_limit = 120.0) () =
           "flow cols"; "gen"; "rounds"; "wall" ]
   in
   List.iter
-    (fun r ->
+    (fun (r : Record.t) ->
+      let c k =
+        match List.assoc_opt k r.counters with
+        | Some v -> Printf.sprintf "%.0f" v
+        | None -> "-"
+      in
       Statsutil.Table.add_row table
         [
-          r.flow_form;
+          r.label;
           r.status;
           Printf.sprintf "%g" r.objective;
-          string_of_int r.lp_iterations;
+          c "lp_iterations";
           string_of_int r.ticks;
-          (if r.master_flow_columns >= 0 then
-             Printf.sprintf "%d/%d" r.master_flow_columns r.arc_flow_columns
+          (if List.mem_assoc "master_flow_columns" r.counters then
+             c "master_flow_columns" ^ "/" ^ c "arc_flow_columns"
            else "-");
-          (if r.columns_generated >= 0 then string_of_int r.columns_generated
-           else "-");
-          (if r.pricing_rounds >= 0 then string_of_int r.pricing_rounds
-           else "-");
+          c "columns_generated";
+          c "pricing_rounds";
           Printf.sprintf "%.3f s" r.wall_s;
         ])
-    [ arc; path ];
+    runs;
   Statsutil.Table.print table;
-  (* Gate 1: both LPs solved to proved optimality (for the path form that
-     means pricing converged — Feasible would be a round-cap exit). *)
-  List.iter
-    (fun r ->
-      if r.status <> "optimal" then begin
-        Printf.eprintf "COLGEN GATE: %s form finished %s, not optimal\n"
-          r.flow_form r.status;
-        exit 1
-      end)
-    [ arc; path ];
-  (* Gate 2: objective agreement — flow decomposition made observable. *)
-  let tol = 1e-6 *. Float.max 1.0 (Float.abs arc.objective) in
-  if Float.abs (arc.objective -. path.objective) > tol then begin
-    Printf.eprintf
-      "COLGEN GATE: converged master LP (%.9g) differs from the arc-form LP \
-       (%.9g)\n"
-      path.objective arc.objective;
-    exit 1
-  end;
-  (* Gate 3: the whole point — fewer work ticks than the arc form. *)
-  if path.ticks >= arc.ticks then begin
-    Printf.eprintf
-      "COLGEN GATE: colgen spent %d ticks, arc form only %d — no win\n"
-      path.ticks arc.ticks;
-    exit 1
-  end;
-  (* Gate 4: the master stays small. *)
-  if
-    float_of_int path.master_flow_columns
-    > max_column_ratio *. float_of_int path.arc_flow_columns
-  then begin
-    Printf.eprintf
-      "COLGEN GATE: %d master flow columns exceed %.0f%% of the %d arc flow \
-       variables\n"
-      path.master_flow_columns
-      (100.0 *. max_column_ratio)
-      path.arc_flow_columns;
-    exit 1
-  end;
-  Printf.printf
-    "colgen gate: objective %g matches arc form, %d vs %d ticks (%.2fx), \
-     %d/%d flow columns (%.0f%% of arc)\n"
-    path.objective path.ticks arc.ticks
-    (float_of_int arc.ticks /. Float.max 1.0 (float_of_int path.ticks))
-    path.master_flow_columns path.arc_flow_columns
-    (100.0 *. float_of_int path.master_flow_columns
-    /. Float.max 1.0 (float_of_int path.arc_flow_columns));
-  match json_path with
-  | Some json_path ->
-    Bench_json.emit ~path:json_path ~noun:"runs"
-      ~validate:validate_json_string (json_of_runs [ arc; path ])
-  | None -> ()
+  Record.enforce ~bench:"colgen" gates runs;
+  Record.emit ~dir:json_dir
+    { Record.bench = "colgen"; clock = Record.work_clock Figures.work_rate;
+      runs }

@@ -2,9 +2,12 @@
    evaluation (Section VI) plus the ablations of DESIGN.md and a set of
    Bechamel microbenchmarks.
 
-     dune exec bench/main.exe                    # all figures + ablations + micro
+     dune exec bench/main.exe                    # every section
      dune exec bench/main.exe -- --quick         # fast smoke pass
-     dune exec bench/main.exe -- --figures 3,4   # just those figures
+     dune exec bench/main.exe -- --only figures --figures 3,4
+                                                 # just those figures
+     dune exec bench/main.exe -- --only bnb      # one gate bench, writing
+                                                 # ./BENCH_bnb.json
      dune exec bench/main.exe -- --scale paper   # the paper's full size
                                                  # (hours of compute)
    See --help for every knob. *)
@@ -98,80 +101,29 @@ let quick_arg =
         ~doc:"Small smoke configuration: 1 scenario, 3 flexibilities, 5s \
               limits.")
 
-let skip_figures_arg =
-  Arg.(value & flag & info [ "no-figures" ] ~doc:"Skip the figure harness.")
+let sections =
+  [ "figures"; "ablations"; "micro"; "bnb"; "service"; "colgen"; "profile" ]
 
-let skip_ablations_arg =
-  Arg.(value & flag & info [ "no-ablations" ] ~doc:"Skip the ablations.")
-
-let skip_micro_arg =
-  Arg.(value & flag & info [ "no-micro" ] ~doc:"Skip the microbenchmarks.")
-
-let skip_bnb_arg =
-  Arg.(
-    value & flag
-    & info [ "no-bnb" ]
-        ~doc:"Skip the parallel branch-and-bound benchmark (the jobs=1/2/4 \
-              determinism and speedup gate).")
-
-let skip_service_arg =
-  Arg.(
-    value & flag
-    & info [ "no-service" ]
-        ~doc:"Skip the online admission service benchmark (the jobs=1/4 \
-              decision-determinism and rung-coverage gate).")
-
-let skip_profile_arg =
-  Arg.(
-    value & flag
-    & info [ "no-profile" ]
-        ~doc:"Skip the profiling smoke gate (span nesting, tick \
-              attribution, export parsing and jobs=1/4 invariance on a \
-              contended c\xce\xa3 solve).")
-
-let skip_colgen_arg =
-  Arg.(
-    value & flag
-    & info [ "no-colgen" ]
-        ~doc:"Skip the column-generation benchmark (path-form restricted \
-              master vs the arc-form LP on a ~10x substrate: objective \
-              agreement, tick win, master size and jobs=1/4 byte-identity \
-              gates).")
-
-let colgen_json_arg =
+let only_arg =
   Arg.(
     value
-    & opt string "BENCH_colgen.json"
-    & info [ "colgen-json" ] ~docv:"PATH"
-        ~doc:"Where the column-generation pass writes its machine-readable \
-              benchmark (JSON; validated after writing).  Empty = don't \
-              write.")
+    & opt (list (enum (List.map (fun s -> (s, s)) sections))) sections
+    & info [ "only" ] ~docv:"SECTIONS"
+        ~doc:"Comma-separated sections to run: figures, ablations, micro \
+              (Bechamel kernels and the simplex bench), bnb (the jobs=1/2/4 \
+              branch-and-bound determinism and speedup gate), service (the \
+              churn-stream rung-coverage and rounding gates), colgen (path \
+              master vs arc LP) and profile (the span-recorder smoke gate); \
+              default all.")
 
-let bench_json_arg =
+let json_dir_arg =
   Arg.(
-    value
-    & opt string "BENCH_simplex.json"
-    & info [ "bench-json" ] ~docv:"PATH"
-        ~doc:"Where the micro pass writes its machine-readable simplex \
-              benchmark (JSON; validated after writing).  Empty = don't \
-              write.")
-
-let bnb_json_arg =
-  Arg.(
-    value
-    & opt string "BENCH_bnb.json"
-    & info [ "bnb-json" ] ~docv:"PATH"
-        ~doc:"Where the branch-and-bound pass writes its machine-readable \
-              benchmark (JSON; validated after writing).  Empty = don't \
-              write.")
-
-let service_json_arg =
-  Arg.(
-    value
-    & opt string "BENCH_service.json"
-    & info [ "service-json" ] ~docv:"PATH"
-        ~doc:"Where the service pass writes its machine-readable benchmark \
-              (JSON; validated after writing).  Empty = don't write.")
+    value & opt dir "."
+    & info [ "json-dir" ] ~docv:"DIR"
+        ~doc:"Where the micro, bnb, service and colgen sections write \
+              BENCH_<bench>.json (schema tvnep-bench/1).  Each file is \
+              checked against the one it replaces (no run may spend more \
+              than 10% more work ticks) and validated after writing.")
 
 let flex_sweep ~flex_max ~flex_step =
   let rec go acc f =
@@ -180,9 +132,7 @@ let flex_sweep ~flex_max ~flex_step =
   go [] 0.0
 
 let run figures scenarios time_limit requests flex_max flex_step scale seed
-    no_delta no_sigma no_seeding jobs wall_clock quick skip_figures
-    skip_ablations skip_micro skip_bnb skip_service skip_profile skip_colgen
-    bench_json bnb_json service_json colgen_json =
+    no_delta no_sigma no_seeding jobs wall_clock quick only json_dir =
   let open Bench_harness in
   let params =
     match scale with
@@ -213,8 +163,9 @@ let run figures scenarios time_limit requests flex_max flex_step scale seed
     cfg.Figures.scenarios params.Tvnep.Scenario.num_requests
     (List.length flexes) time_limit
     (if wall_clock then "wall" else "work");
-  if not skip_figures then Figures.run_and_print cfg figures;
-  if not skip_ablations then
+  let on section = List.mem section only in
+  if on "figures" then Figures.run_and_print cfg figures;
+  if on "ablations" then
     Ablations.run_all
       {
         Ablations.seed = cfg.Figures.seed;
@@ -225,21 +176,11 @@ let run figures scenarios time_limit requests flex_max flex_step scale seed
         jobs;
         deterministic = not wall_clock;
       };
-  if not skip_micro then
-    Micro.run
-      ?json_path:(if bench_json = "" then None else Some bench_json)
-      ();
-  if not skip_bnb then
-    Bnb.run ?json_path:(if bnb_json = "" then None else Some bnb_json) ();
-  if not skip_service then
-    Service_bench.run
-      ?json_path:(if service_json = "" then None else Some service_json)
-      ();
-  if not skip_colgen then
-    Colgen_bench.run
-      ?json_path:(if colgen_json = "" then None else Some colgen_json)
-      ();
-  if not skip_profile then Profile_gate.run ();
+  if on "micro" then Micro.run ~json_dir ();
+  if on "bnb" then Bnb.run ~json_dir ();
+  if on "service" then Service_bench.run ~json_dir ();
+  if on "colgen" then Colgen_bench.run ~json_dir ();
+  if on "profile" then Profile_gate.run ();
   0
 
 let cmd =
@@ -248,9 +189,7 @@ let cmd =
       const run $ figures_arg $ scenarios_arg $ time_limit_arg $ requests_arg
       $ flex_max_arg $ flex_step_arg $ scale_arg $ seed_arg $ no_delta_arg
       $ no_sigma_arg $ no_seeding_arg $ jobs_arg $ wall_clock_arg $ quick_arg
-      $ skip_figures_arg $ skip_ablations_arg $ skip_micro_arg $ skip_bnb_arg
-      $ skip_service_arg $ skip_profile_arg $ skip_colgen_arg $ bench_json_arg
-      $ bnb_json_arg $ service_json_arg $ colgen_json_arg)
+      $ only_arg $ json_dir_arg)
   in
   Cmd.v
     (Cmd.info "tvnep-bench"

@@ -80,53 +80,53 @@ let tests () =
 
 (* --- deterministic simplex benchmark (JSON) ---------------------------- *)
 
-(* One benchmark case: [iterations] repetitions of some solve, with the
-   work billed to a deterministic budget clock (1 tick / "second", so
+(* One benchmark case, one {!Record.t}: repetitions of some solve, with
+   the work billed to a deterministic budget clock (1 tick / "second", so
    ticks are read back directly off the budget) and pivots taken from the
-   shared stats record.  [per_rep] carries the per-repetition tick deltas
-   so medians survive into the JSON.  Wall time and minor words come with
-   their per-solve forms: ticks per wall microsecond (how fast the work
-   clock runs on this host, the figure the tick billing is calibrated
-   against) and minor words per solve. *)
-type sim_case = {
-  name : string;
-  iterations : int;
-  pivots : int;
-  ticks : int;
-  wall_s : float;
-  gc_minor_words : float;  (* minor-heap words allocated by the case *)
-  per_rep_ticks : float list;
-}
+   shared stats record.  [runs] holds one (pivots, ticks) pair per solve;
+   their median ticks survive into the JSON next to the totals. *)
+let case_record ~label ~wall_s ~minor_words runs counters =
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
+  {
+    Record.label;
+    status = "ok";
+    objective = Float.nan;
+    ticks = sum snd;
+    wall_s;
+    minor_words;
+    counters =
+      [
+        ("solves", float_of_int (List.length runs));
+        ("pivots", float_of_int (sum fst));
+        ( "median_ticks_per_solve",
+          Statsutil.Stats.median (List.map (fun (_, t) -> float_of_int t) runs)
+        );
+      ]
+      @ counters;
+    detail = None;
+  }
 
-let ticks_per_us c = float_of_int c.ticks /. Float.max 1e-9 (c.wall_s *. 1e6)
+(* How fast the work clock runs on this host (the figure the tick billing
+   is calibrated against) and the allocation per solve. *)
+let ticks_per_us (r : Record.t) =
+  float_of_int r.ticks /. Float.max 1e-9 (r.wall_s *. 1e6)
 
-let minor_words_per_solve c = c.gc_minor_words /. float_of_int c.iterations
+let minor_words_per_solve (r : Record.t) =
+  r.minor_words /. Record.counter r "solves"
 
-let case_of_runs name runs =
-  let iterations = List.length runs in
-  let pivots = List.fold_left (fun acc (p, _) -> acc + p) 0 runs in
-  let ticks = List.fold_left (fun acc (_, t) -> acc + t) 0 runs in
-  (name, iterations, pivots, ticks, List.map (fun (_, t) -> float_of_int t) runs)
-
-(* Cold solves of the fixed small LP. *)
-let cold_lp_case () =
-  let sf = small_lp () in
-  let reps = 50 in
-  let gw0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let runs =
-    List.init reps (fun _ ->
-        let budget = Runtime.Budget.create ~deterministic:1.0 () in
-        let stats = Runtime.Stats.create () in
-        let r = Lp.Simplex.solve ~budget ~stats sf in
-        assert (r.Lp.Simplex.status = Lp.Simplex.Optimal);
-        (stats.Runtime.Stats.simplex_iterations, Runtime.Budget.ticks budget))
+(* [reps] cold solves of a fixed LP. *)
+let cold_case ~label ~reps sf =
+  let runs, wall_s, minor_words =
+    Record.measure (fun () ->
+        List.init reps (fun _ ->
+            let budget = Runtime.Budget.create ~deterministic:1.0 () in
+            let stats = Runtime.Stats.create () in
+            let r = Lp.Simplex.solve ~budget ~stats sf in
+            assert (r.Lp.Simplex.status = Lp.Simplex.Optimal);
+            ( stats.Runtime.Stats.simplex_iterations,
+              Runtime.Budget.ticks budget )))
   in
-  let name, iterations, pivots, ticks, per_rep =
-    case_of_runs "simplex-cold-30v-20r" runs
-  in
-  { name; iterations; pivots; ticks; wall_s = Unix.gettimeofday () -. t0;
-    gc_minor_words = Gc.minor_words () -. gw0; per_rep_ticks = per_rep }
+  case_record ~label ~wall_s ~minor_words runs []
 
 (* Cold two-phase solves of a cΣ root LP shaped like one offline-flex
    cell (scaled generator, 8 requests, 1 h of flexibility): rows whose
@@ -149,25 +149,6 @@ let csigma_root_sf () =
   in
   ignore (Tvnep.Objective.apply fm Tvnep.Objective.Access_control);
   Lp.Std_form.of_model fm.Tvnep.Formulation.model
-
-let cold_root_case () =
-  let sf = csigma_root_sf () in
-  let reps = 20 in
-  let gw0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let runs =
-    List.init reps (fun _ ->
-        let budget = Runtime.Budget.create ~deterministic:1.0 () in
-        let stats = Runtime.Stats.create () in
-        let r = Lp.Simplex.solve ~budget ~stats sf in
-        assert (r.Lp.Simplex.status = Lp.Simplex.Optimal);
-        (stats.Runtime.Stats.simplex_iterations, Runtime.Budget.ticks budget))
-  in
-  let name, iterations, pivots, ticks, per_rep =
-    case_of_runs "simplex-cold-csigma-root-k8" runs
-  in
-  { name; iterations; pivots; ticks; wall_s = Unix.gettimeofday () -. t0;
-    gc_minor_words = Gc.minor_words () -. gw0; per_rep_ticks = per_rep }
 
 (* The LP hot path of every TVNEP figure: branch-and-bound re-solves of
    the cΣ node LPs.  A persistent session re-optimizes under a
@@ -216,24 +197,22 @@ let node_lp_runs () =
   done;
   (List.rev !runs, stats)
 
+(* The node-LP case carries the session's basis-update telemetry. *)
 let node_lp_case () =
-  let gw0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let runs, stats = node_lp_runs () in
-  let name, iterations, pivots, ticks, per_rep =
-    case_of_runs "node-lp-resolve-csigma-k4" runs
-  in
-  ( { name; iterations; pivots; ticks; wall_s = Unix.gettimeofday () -. t0;
-      gc_minor_words = Gc.minor_words () -. gw0; per_rep_ticks = per_rep },
-    stats )
-
-let sim_cases () =
-  let node, stats = node_lp_case () in
-  ([ cold_lp_case (); node; cold_root_case () ], stats)
+  let (runs, stats), wall_s, minor_words = Record.measure node_lp_runs in
+  let n v = float_of_int v in
+  case_record ~label:"node-lp-resolve-csigma-k4" ~wall_s ~minor_words runs
+    [
+      ("basis_updates", n stats.Runtime.Stats.basis_updates);
+      ("spike_fill", n stats.Runtime.Stats.spike_fill);
+      ("refactor_fill", n stats.Runtime.Stats.refactor_fill);
+      ("refactor_drift", n stats.Runtime.Stats.refactor_drift);
+      ("refactor_forced", n stats.Runtime.Stats.refactor_forced);
+    ]
 
 (* --- sparse-kernel A/B gate -------------------------------------------- *)
 
-(* The ISSUE 7 acceptance bar: on the node-LP instance's optimal factored
+(* On the node-LP instance's optimal factored
    basis, the reach-based sparse BTRAN/FTRAN must beat the dense-scan
    triangular solves they replaced by >= [kernel_ab_floor] on median
    per-solve wall, at the RHS sparsity the dual simplex actually feeds
@@ -241,13 +220,6 @@ let sim_cases () =
    run over the same factors, and every pair of solves is checked for
    agreement, so the gate also pins the semantics. *)
 let kernel_ab_floor = 2.0
-
-type kernel_ab = {
-  btran_reach_us : float;  (* median per-solve wall, microseconds *)
-  btran_dense_us : float;
-  ftran_reach_us : float;
-  ftran_dense_us : float;
-}
 
 let kernel_ab_case () =
   let module Slu = Lina.Lu.Sparse in
@@ -302,112 +274,59 @@ let kernel_ab_case () =
     (fun b -> Slu.ftran_in_place f ~work b);
   (* Warm the caches once before timing. *)
   ignore (median_us (fun b -> ignore (Slu.btran_reach f scratch b : int)));
-  {
-    btran_reach_us =
-      median_us (fun b -> ignore (Slu.btran_reach f scratch b : int));
-    btran_dense_us = median_us (fun b -> Slu.btran_in_place f ~work b);
-    ftran_reach_us =
-      median_us (fun b -> ignore (Slu.ftran_reach f scratch b : int));
-    ftran_dense_us = median_us (fun b -> Slu.ftran_in_place f ~work b);
-  }
+  let btran_reach =
+    median_us (fun b -> ignore (Slu.btran_reach f scratch b : int))
+  in
+  let btran_dense = median_us (fun b -> Slu.btran_in_place f ~work b) in
+  let ftran_reach =
+    median_us (fun b -> ignore (Slu.ftran_reach f scratch b : int))
+  in
+  let ftran_dense = median_us (fun b -> Slu.ftran_in_place f ~work b) in
+  [
+    ("btran_reach_us", btran_reach);
+    ("btran_dense_us", btran_dense);
+    ("ftran_reach_us", ftran_reach);
+    ("ftran_dense_us", ftran_dense);
+  ]
 
-let json_of_cases cases ab (stats : Runtime.Stats.t) =
-  let open Statsutil.Json in
-  Obj
-    [
-      ("schema", Str "tvnep-bench-simplex/5");
-      ("clock", Str "deterministic work ticks (1 tick = 1 work unit)");
-      ( "cases",
-        List
-          (List.map
-             (fun c ->
-               Obj
-                 [
-                   ("name", Str c.name);
-                   ("iterations", Num (float_of_int c.iterations));
-                   ("pivots", Num (float_of_int c.pivots));
-                   ("ticks", Num (float_of_int c.ticks));
-                   ( "median_ticks_per_solve",
-                     Num (Statsutil.Stats.median c.per_rep_ticks) );
-                   ("wall_s", Num c.wall_s);
-                   ("gc_minor_words", Num c.gc_minor_words);
-                   ("ticks_per_us", Num (ticks_per_us c));
-                   ("minor_words_per_solve", Num (minor_words_per_solve c));
-                 ])
-             cases) );
-      ( "kernel_ab",
-        Obj
-          [
-            ("btran_reach_us", Num ab.btran_reach_us);
-            ("btran_dense_us", Num ab.btran_dense_us);
-            ("ftran_reach_us", Num ab.ftran_reach_us);
-            ("ftran_dense_us", Num ab.ftran_dense_us);
-            ("floor", Num kernel_ab_floor);
-          ] );
-      ( "telemetry",
-        Obj
-          [
-            ( "basis_updates",
-              Num (float_of_int stats.Runtime.Stats.basis_updates) );
-            ("spike_fill", Num (float_of_int stats.Runtime.Stats.spike_fill));
-            ( "refactor_fill",
-              Num (float_of_int stats.Runtime.Stats.refactor_fill) );
-            ( "refactor_drift",
-              Num (float_of_int stats.Runtime.Stats.refactor_drift) );
-            ( "refactor_forced",
-              Num (float_of_int stats.Runtime.Stats.refactor_forced) );
-          ] );
-    ]
+(* The A/B pass as a wall-only record: median per-solve microseconds as
+   counters, no ticks. *)
+let kernel_ab_record () =
+  let counters, wall_s, minor_words = Record.measure kernel_ab_case in
+  { Record.label = "kernel-ab"; status = "ok"; objective = Float.nan;
+    ticks = 0; wall_s; minor_words; counters; detail = None }
 
-(* Structural validation of an emitted file: used right after writing (so
-   a malformed bench file fails `make check` loudly) and available to any
-   consumer tracking the numbers across PRs. *)
-let validate_json_string s =
-  let open Statsutil.Json in
-  match of_string s with
-  | Error msg -> Error ("not valid JSON: " ^ msg)
-  | Ok doc -> (
-    match member "schema" doc with
-    | Some (Str "tvnep-bench-simplex/5") -> (
-      match Option.bind (member "cases" doc) to_list with
-      | None | Some [] -> Error "missing or empty \"cases\" list"
-      | Some cases -> (
-        let bad =
-          List.filter
-            (fun c ->
-              let num k = Option.bind (member k c) to_float <> None in
-              not
-                ((match member "name" c with Some (Str _) -> true | _ -> false)
-                && num "iterations" && num "pivots" && num "ticks"
-                && num "median_ticks_per_solve" && num "wall_s"
-                && num "gc_minor_words" && num "ticks_per_us"
-                && num "minor_words_per_solve"))
-            cases
-        in
-        if bad <> [] then Error "a case is missing a required field"
+let kernel_speedups ab =
+  let speedup dense reach =
+    Record.counter ab dense /. Float.max 1e-9 (Record.counter ab reach)
+  in
+  ( speedup "btran_dense_us" "btran_reach_us",
+    speedup "ftran_dense_us" "ftran_reach_us" )
+
+let gates : Record.gate list =
+  [
+    ( "kernel_speedup",
+      fun runs ->
+        let btran, ftran = kernel_speedups (Record.find "kernel-ab" runs) in
+        if Float.min btran ftran >= kernel_ab_floor then Ok ()
         else
-          let require_obj name fields k =
-            match member name doc with
-            | Some o ->
-              let num f = Option.bind (member f o) to_float <> None in
-              if List.for_all num fields then k ()
-              else
-                Error (Printf.sprintf "%S is missing a required field" name)
-            | None -> Error (Printf.sprintf "missing %S" name)
-          in
-          require_obj "kernel_ab"
-            [ "btran_reach_us"; "btran_dense_us"; "ftran_reach_us";
-              "ftran_dense_us"; "floor" ]
-            (fun () ->
-              require_obj "telemetry"
-                [ "basis_updates"; "spike_fill"; "refactor_fill";
-                  "refactor_drift"; "refactor_forced" ]
-                (fun () -> Ok (List.length cases)))))
-    | _ -> Error "missing or unexpected \"schema\"")
+          Error
+            (Printf.sprintf
+               "median per-solve speedup %.2fx (btran) / %.2fx (ftran) under \
+                the %.1fx floor"
+               btran ftran kernel_ab_floor) );
+  ]
 
-let run ?json_path () =
+let run ~json_dir () =
   Printf.printf "\n== Simplex benchmark (deterministic work clock) ==\n";
-  let cases, node_stats = sim_cases () in
+  let cold_lp =
+    cold_case ~label:"simplex-cold-30v-20r" ~reps:50 (small_lp ())
+  in
+  let node_lp = node_lp_case () in
+  let cold_root =
+    cold_case ~label:"simplex-cold-csigma-root-k8" ~reps:20 (csigma_root_sf ())
+  in
+  let cases = [ cold_lp; node_lp; cold_root ] in
   let table =
     Statsutil.Table.create
       ~headers:
@@ -415,52 +334,45 @@ let run ?json_path () =
           "ticks/us"; "minor words"; "words/solve" ]
   in
   List.iter
-    (fun c ->
+    (fun (r : Record.t) ->
+      let c k = Printf.sprintf "%.0f" (Record.counter r k) in
       Statsutil.Table.add_row table
         [
-          c.name;
-          string_of_int c.iterations;
-          string_of_int c.pivots;
-          string_of_int c.ticks;
-          Printf.sprintf "%.0f" (Statsutil.Stats.median c.per_rep_ticks);
-          Printf.sprintf "%.3f s" c.wall_s;
-          Printf.sprintf "%.1f" (ticks_per_us c);
-          Printf.sprintf "%.0f" c.gc_minor_words;
-          Printf.sprintf "%.0f" (minor_words_per_solve c);
+          r.label;
+          c "solves";
+          c "pivots";
+          string_of_int r.ticks;
+          c "median_ticks_per_solve";
+          Printf.sprintf "%.3f s" r.wall_s;
+          Printf.sprintf "%.1f" (ticks_per_us r);
+          Printf.sprintf "%.0f" r.minor_words;
+          Printf.sprintf "%.0f" (minor_words_per_solve r);
         ])
     cases;
   Statsutil.Table.print table;
-  Printf.printf "\n== Sparse-kernel A/B (node-LP optimal basis, unit RHS) ==\n";
-  let ab = kernel_ab_case () in
-  let btran_speedup = ab.btran_dense_us /. Float.max 1e-9 ab.btran_reach_us in
-  let ftran_speedup = ab.ftran_dense_us /. Float.max 1e-9 ab.ftran_reach_us in
-  Printf.printf
-    "btran: reach %.2f us vs dense-scan %.2f us (%.2fx)\n\
-     ftran: reach %.2f us vs dense-scan %.2f us (%.2fx)\n"
-    ab.btran_reach_us ab.btran_dense_us btran_speedup ab.ftran_reach_us
-    ab.ftran_dense_us ftran_speedup;
-  if Float.min btran_speedup ftran_speedup < kernel_ab_floor then begin
-    Printf.eprintf
-      "KERNEL AB REGRESSION: median per-solve speedup %.2fx (btran) / %.2fx \
-       (ftran) under the %.1fx floor\n"
-      btran_speedup ftran_speedup kernel_ab_floor;
-    exit 1
-  end
-  else
-    Printf.printf "kernel A/B gate: >= %.1fx floor passed\n" kernel_ab_floor;
+  let c k = int_of_float (Record.counter node_lp k) in
   Printf.printf
     "update telemetry: %d updates, %d spike fill, refactors: %d fill / %d \
      drift / %d forced\n"
-    node_stats.Runtime.Stats.basis_updates
-    node_stats.Runtime.Stats.spike_fill
-    node_stats.Runtime.Stats.refactor_fill
-    node_stats.Runtime.Stats.refactor_drift
-    node_stats.Runtime.Stats.refactor_forced;
-  (match json_path with
-  | Some path ->
-    Bench_json.emit ~path ~noun:"cases" ~validate:validate_json_string
-      (json_of_cases cases ab node_stats)
-  | None -> ());
+    (c "basis_updates") (c "spike_fill") (c "refactor_fill")
+    (c "refactor_drift") (c "refactor_forced");
+  Printf.printf "\n== Sparse-kernel A/B (node-LP optimal basis, unit RHS) ==\n";
+  let ab = kernel_ab_record () in
+  let btran, ftran = kernel_speedups ab in
+  let us k = Record.counter ab k in
+  Printf.printf
+    "btran: reach %.2f us vs dense-scan %.2f us (%.2fx)\n\
+     ftran: reach %.2f us vs dense-scan %.2f us (%.2fx)\n"
+    (us "btran_reach_us") (us "btran_dense_us") btran (us "ftran_reach_us")
+    (us "ftran_dense_us") ftran;
+  let runs = cases @ [ ab ] in
+  Record.enforce ~bench:"simplex" gates runs;
+  Record.emit ~dir:json_dir
+    {
+      Record.bench = "simplex";
+      clock = "deterministic work ticks (1 tick = 1 work unit)";
+      runs;
+    };
   Printf.printf "\n== Microbenchmarks (Bechamel, monotonic clock) ==\n";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]

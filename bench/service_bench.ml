@@ -25,9 +25,10 @@
    - the final committed state of any run fails the independent
      validator.
 
-   Results land in BENCH_service.json, schema tvnep-bench-service/5
-   (validated after writing; documents without the rounding comparison
-   are rejected). *)
+   Each serve is one {!Record.t}: the revenue as its objective, the
+   stream's total ticks, the summary's counts as counters and the engine
+   summary, per-arrival records included, as its detail.  Results land
+   in BENCH_service.json. *)
 
 (* Slices sized against the 2e9 ticks/s work clock so the exact rung
    (5% of the slice) dies on the later, contended arrivals while the
@@ -70,164 +71,29 @@ let chain_config ~exact_fraction ~rounding =
   Service.Engine.Config.make ~slice:2e-3 ~exact_fraction ~rounding
     ~departures:true ()
 
-type run = {
-  summary : Service.Engine.summary;
-  wall_s : float;
-  gc_minor_words : float;
-}
-
-let serve_at inst config =
-  let gw0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let summary = Service.Engine.serve ~config inst in
-  {
-    summary;
-    wall_s = Unix.gettimeofday () -. t0;
-    gc_minor_words = Gc.minor_words () -. gw0;
-  }
-
-let comparison_json ~lifecycle ~ignored =
-  let open Statsutil.Json in
-  let s (r : run) = r.summary in
-  Obj
+(* The summary counts a run records, in document order. *)
+let summary_counters (s : Service.Engine.summary) =
+  let open Service.Engine in
+  List.map
+    (fun (k, v) -> (k, float_of_int v))
     [
-      ("lifecycle_accepted", Num (float_of_int (s lifecycle).Service.Engine.accepted));
-      ("ignored_accepted", Num (float_of_int (s ignored).Service.Engine.accepted));
-      ("lifecycle_revenue", Num (s lifecycle).Service.Engine.revenue);
-      ("ignored_revenue", Num (s ignored).Service.Engine.revenue);
-      ("departed", Num (float_of_int (s lifecycle).Service.Engine.departed));
-      ("migrations", Num (float_of_int (s lifecycle).Service.Engine.migrations));
+      ("accepted", s.accepted);
+      ("denied", s.denied);
+      ("departed", s.departed);
+      ("migrations", s.migrations);
+      ("admitted_exact", s.admitted_exact);
+      ("admitted_rounded", s.admitted_rounded);
+      ("admitted_greedy", s.admitted_greedy);
+      ("admitted_migrated", s.admitted_migrated);
+      ("denied_exact", s.denied_exact);
+      ("denied_rounded", s.denied_rounded);
+      ("denied_greedy", s.denied_greedy);
+      ("denied_budget", s.denied_budget);
+      ("denied_priced", s.denied_priced);
+      ("ticks_p50", s.ticks_p50);
+      ("ticks_p99", s.ticks_p99);
+      ("reevals", s.stats.Runtime.Stats.service_reevals);
     ]
-
-(* The rounding-ablation comparison, with the three gated quantities
-   (rounded decisions, acceptance vs greedy, ticks vs exact) spelled out
-   so the validator can re-check them from the document alone. *)
-let rounding_json ~exact_chain ~greedy_chain ~rounded_chain =
-  let open Statsutil.Json in
-  let s (r : run) = r.summary in
-  let n v = Num (float_of_int v) in
-  Obj
-    [
-      ("exact_accepted", n (s exact_chain).Service.Engine.accepted);
-      ("greedy_accepted", n (s greedy_chain).Service.Engine.accepted);
-      ("rounded_accepted", n (s rounded_chain).Service.Engine.accepted);
-      ("exact_revenue", Num (s exact_chain).Service.Engine.revenue);
-      ("greedy_revenue", Num (s greedy_chain).Service.Engine.revenue);
-      ("rounded_revenue", Num (s rounded_chain).Service.Engine.revenue);
-      ("exact_ticks", n (s exact_chain).Service.Engine.total_ticks);
-      ("greedy_ticks", n (s greedy_chain).Service.Engine.total_ticks);
-      ("rounded_ticks", n (s rounded_chain).Service.Engine.total_ticks);
-      ( "rounded_decided",
-        n
-          ((s rounded_chain).Service.Engine.admitted_rounded
-          + (s rounded_chain).Service.Engine.denied_rounded) );
-    ]
-
-let json_of_runs lifecycle ~ignored ~pricing ~exact_chain ~greedy_chain
-    ~rounded_chain =
-  let open Statsutil.Json in
-  let run_json r =
-    Obj
-      [
-        ("wall_s", Num r.wall_s);
-        ("gc_minor_words", Num r.gc_minor_words);
-        ("summary", Service.Engine.summary_to_json r.summary);
-      ]
-  in
-  Obj
-    [
-      ("schema", Str "tvnep-bench-service/5");
-      ( "clock",
-        Str
-          (Printf.sprintf
-             "deterministic work ticks (%.0e ticks = 1 budget second)"
-             Service.Engine.default_work_rate) );
-      ("comparison", comparison_json ~lifecycle ~ignored);
-      ("rounding", rounding_json ~exact_chain ~greedy_chain ~rounded_chain);
-      ("lifecycle_run", run_json lifecycle);
-      ("ignored_run", run_json ignored);
-      ("pricing_run", run_json pricing);
-      ("exact_chain_run", run_json exact_chain);
-      ("greedy_chain_run", run_json greedy_chain);
-      ("rounded_chain_run", run_json rounded_chain);
-    ]
-
-(* The six runs every document carries, each one serve of the stream. *)
-let run_names =
-  [ "lifecycle_run"; "ignored_run"; "pricing_run"; "exact_chain_run";
-    "greedy_chain_run"; "rounded_chain_run" ]
-
-let validate_json_string s =
-  let open Statsutil.Json in
-  match of_string s with
-  | Error msg -> Error ("not valid JSON: " ^ msg)
-  | Ok doc -> (
-    match member "schema" doc with
-    | Some (Str "tvnep-bench-service/5") -> (
-      let record_ok r =
-        match Service.Engine.record_of_json r with
-        | Ok _ -> true
-        | Error _ -> false
-      in
-      let run_ok r =
-        Option.bind (member "wall_s" r) to_float <> None
-        && Option.bind (member "gc_minor_words" r) to_float <> None
-        &&
-        match
-          Option.bind
-            (Option.bind (member "summary" r) (member "records"))
-            to_list
-        with
-        | Some (_ :: _ as records) -> List.for_all record_ok records
-        | _ -> false
-      in
-      let rounding_ok () =
-        (* The rounding ablation is mandatory: the document must carry
-           the comparison and its gated inequalities must hold as
-           written. *)
-        match member "rounding" doc with
-        | None -> Error "missing \"rounding\" comparison"
-        | Some c -> (
-          let f k = Option.bind (member k c) to_float in
-          match
-            ( (f "rounded_accepted", f "greedy_accepted"),
-              (f "rounded_ticks", f "exact_ticks"),
-              f "rounded_decided" )
-          with
-          | (Some ra, Some ga), (Some rt, Some et), Some rd ->
-            if rd < 1.0 then
-              Error "rounding: the rounded rung never decided an arrival"
-            else if ra < ga then
-              Error "rounding: rounded acceptance below greedy-only"
-            else if rt > et then
-              Error "rounding: rounded ticks above the exact chain"
-            else Ok ()
-          | _ -> Error "rounding: missing comparison fields")
-      in
-      match
-        List.find_opt
-          (fun name ->
-            match member name doc with Some r -> not (run_ok r) | None -> true)
-          run_names
-      with
-      | Some name ->
-        Error (Printf.sprintf "missing or invalid %s" name)
-      | None -> (
-        match rounding_ok () with
-        | Error _ as e -> e
-        | Ok () -> (
-          match member "comparison" doc with
-          | Some c -> (
-            match
-              ( Option.bind (member "lifecycle_revenue" c) to_float,
-                Option.bind (member "ignored_revenue" c) to_float )
-            with
-            | Some l, Some i when l > i -> Ok (List.length run_names)
-            | Some _, Some _ ->
-              Error "comparison: lifecycle revenue not above ignored"
-            | _ -> Error "comparison: missing revenue fields")
-          | None -> Error "missing \"comparison\"")))
-    | _ -> Error "missing or unexpected \"schema\"")
 
 let check_final_state ~label inst (s : Service.Engine.summary) =
   match Tvnep.Validator.check inst s.Service.Engine.solution with
@@ -237,27 +103,142 @@ let check_final_state ~label inst (s : Service.Engine.summary) =
       (String.concat "; " es);
     exit 1
 
-let run ?json_path () =
+(* One serve of the stream; its committed state must survive the
+   independent validator, which needs the live solution, so that check
+   runs here rather than as a document gate. *)
+let serve_at inst (label, config) =
+  let s, wall_s, minor_words =
+    Record.measure (fun () -> Service.Engine.serve ~config inst)
+  in
+  check_final_state ~label inst s;
+  {
+    Record.label;
+    status = "served";
+    objective = s.Service.Engine.revenue;
+    ticks = s.Service.Engine.total_ticks;
+    wall_s;
+    minor_words;
+    counters = summary_counters s;
+    detail = Some (Service.Engine.summary_to_json s);
+  }
+
+let gates : Record.gate list =
+  let c = Record.counter in
+  [
+    (* Evaluated once: no run may discard and redo an arrival's
+       evaluation. *)
+    ( "evaluated_once",
+      fun runs ->
+        match List.filter (fun r -> c r "reevals" <> 0.0) runs with
+        | [] -> Ok ()
+        | bad ->
+          Error
+            (String.concat ", "
+               (List.map
+                  (fun (r : Record.t) ->
+                    Printf.sprintf "%s re-evaluated %.0f arrivals" r.label
+                      (c r "reevals"))
+                  bad)) );
+    (* Churn: capacity must actually be reclaimed during the stream — at
+       least 30% of the arrivals depart before the last event. *)
+    ( "churn",
+      fun runs ->
+        let l = Record.find "lifecycle" runs in
+        let arrivals = c l "accepted" +. c l "denied" in
+        if 10.0 *. c l "departed" >= 3.0 *. arrivals then Ok ()
+        else
+          Error
+            (Printf.sprintf "only %.0f of %.0f arrivals departed (< 30%%)"
+               (c l "departed") arrivals) );
+    (* Lifecycle payoff: the same stream served without departures must do
+       strictly worse on both admissions and revenue. *)
+    ( "lifecycle_pays",
+      fun runs ->
+        let l = Record.find "lifecycle" runs
+        and i = Record.find "no-dep" runs in
+        if c l "accepted" > c i "accepted" && l.objective > i.objective then
+          Ok ()
+        else
+          Error
+            (Printf.sprintf
+               "%.0f admitted / revenue %g with releases vs %.0f / %g without"
+               (c l "accepted") l.objective (c i "accepted") i.objective) );
+    (* Coverage: the streams must exercise the whole degradation chain,
+       or the bench is no longer testing what it claims to. *)
+    ( "coverage",
+      fun runs ->
+        let l = Record.find "lifecycle" runs
+        and p = Record.find "priced" runs in
+        match
+          List.filter_map
+            (fun (what, r, k) -> if c r k = 0.0 then Some what else None)
+            [
+              ("an exact admission", l, "admitted_exact");
+              ("a greedy-fallback admission", l, "admitted_greedy");
+              ("a denial", l, "denied");
+              ("a budget-exhausted denial", l, "denied_budget");
+              ("a departure", l, "departed");
+              ("a priced denial (pricing run)", p, "denied_priced");
+            ]
+        with
+        | [] -> Ok ()
+        | missing ->
+          Error ("the stream never saw " ^ String.concat ", " missing) );
+    (* Rounding: on the deadline-free ablation the rounded rung must
+       genuinely decide arrivals and sit between the greedy-only chain's
+       acceptance and the exact-leaning chain's cost. *)
+    ( "rounding",
+      fun runs ->
+        let r = Record.find "rounded-chain" runs
+        and g = Record.find "greedy-chain" runs
+        and e = Record.find "exact-chain" runs in
+        let decided = c r "admitted_rounded" +. c r "denied_rounded" in
+        if decided < 1.0 then Error "the rounded rung never decided an arrival"
+        else if c r "accepted" < c g "accepted" then
+          Error
+            (Printf.sprintf "rounded chain admitted %.0f < greedy-only %.0f"
+               (c r "accepted") (c g "accepted"))
+        else if r.ticks > e.ticks then
+          Error
+            (Printf.sprintf "rounded chain spent %d ticks > exact chain's %d"
+               r.ticks e.ticks)
+        else Ok () );
+    (* Every run carries its per-arrival records, each one decodable. *)
+    ( "per_arrival_records",
+      fun runs ->
+        let decodes (r : Record.t) =
+          match
+            Option.bind
+              (Option.bind r.detail (Statsutil.Json.member "records"))
+              Statsutil.Json.to_list
+          with
+          | Some (_ :: _ as records) ->
+            List.for_all
+              (fun j -> Result.is_ok (Service.Engine.record_of_json j))
+              records
+          | _ -> false
+        in
+        match List.find_opt (fun r -> not (decodes r)) runs with
+        | None -> Ok ()
+        | Some r -> Error (r.label ^ " has no decodable per-arrival records")
+    );
+  ]
+
+let run ~json_dir () =
   Printf.printf
     "\n== Online service benchmark: churn stream (deterministic work clock) \
      ==\n";
   let inst = bench_instance () in
-  let lifecycle = serve_at inst (bench_config ~departures:true) in
-  let ignored = serve_at inst (bench_config ~departures:false) in
-  let pricing = serve_at inst pricing_config in
-  let exact_chain =
-    serve_at inst (chain_config ~exact_fraction:0.9 ~rounding:false)
-  in
-  let greedy_chain =
-    serve_at inst (chain_config ~exact_fraction:0.0 ~rounding:false)
-  in
-  let rounded_chain =
-    serve_at inst (chain_config ~exact_fraction:0.0 ~rounding:true)
-  in
   let runs =
-    [ ("lifecycle", lifecycle); ("no-dep", ignored); ("priced", pricing);
-      ("exact-chain", exact_chain); ("greedy-chain", greedy_chain);
-      ("rounded-chain", rounded_chain) ]
+    List.map (serve_at inst)
+      [
+        ("lifecycle", bench_config ~departures:true);
+        ("no-dep", bench_config ~departures:false);
+        ("priced", pricing_config);
+        ("exact-chain", chain_config ~exact_fraction:0.9 ~rounding:false);
+        ("greedy-chain", chain_config ~exact_fraction:0.0 ~rounding:false);
+        ("rounded-chain", chain_config ~exact_fraction:0.0 ~rounding:true);
+      ]
   in
   let table =
     Statsutil.Table.create
@@ -267,143 +248,31 @@ let run ?json_path () =
           "wall" ]
   in
   List.iter
-    (fun (label, r) ->
-      let s = r.summary in
+    (fun (r : Record.t) ->
+      let c k = Printf.sprintf "%.0f" (Record.counter r k) in
       Statsutil.Table.add_row table
         [
-          label;
-          Printf.sprintf "%d/%d" s.Service.Engine.accepted
-            (s.Service.Engine.accepted + s.Service.Engine.denied);
-          Printf.sprintf "%g" s.Service.Engine.revenue;
-          string_of_int s.Service.Engine.admitted_exact;
-          string_of_int s.Service.Engine.admitted_rounded;
-          string_of_int s.Service.Engine.admitted_greedy;
-          string_of_int s.Service.Engine.admitted_migrated;
-          string_of_int s.Service.Engine.departed;
-          string_of_int s.Service.Engine.denied;
-          string_of_int s.Service.Engine.denied_budget;
-          string_of_int s.Service.Engine.denied_priced;
-          string_of_int s.Service.Engine.total_ticks;
+          r.label;
+          Printf.sprintf "%s/%.0f" (c "accepted")
+            (Record.counter r "accepted" +. Record.counter r "denied");
+          Printf.sprintf "%g" r.objective;
+          c "admitted_exact";
+          c "admitted_rounded";
+          c "admitted_greedy";
+          c "admitted_migrated";
+          c "departed";
+          c "denied";
+          c "denied_budget";
+          c "denied_priced";
+          string_of_int r.ticks;
           Printf.sprintf "%.3f s" r.wall_s;
         ])
     runs;
   Statsutil.Table.print table;
-  (* Evaluated-once gate: no run may discard and redo an arrival's
-     evaluation. *)
-  List.iter
-    (fun (label, r) ->
-      let n = r.summary.Service.Engine.stats.Runtime.Stats.service_reevals in
-      if n <> 0 then begin
-        Printf.eprintf
-          "SERVICE RE-EVALUATION: %s re-evaluated %d arrivals (must be 0)\n"
-          label n;
-        exit 1
-      end)
-    runs;
-  let s = lifecycle.summary in
-  Printf.printf
-    "stream: %d admitted, revenue %g, %d departed, %d total ticks\n"
-    s.Service.Engine.accepted s.Service.Engine.revenue
-    s.Service.Engine.departed s.Service.Engine.total_ticks;
-  let arrivals = s.Service.Engine.accepted + s.Service.Engine.denied in
-  (* Churn gate: capacity must actually be reclaimed during the stream —
-     at least 30% of the arrivals depart before the last event. *)
-  if 10 * s.Service.Engine.departed < 3 * arrivals then begin
-    Printf.eprintf
-      "SERVICE CHURN REGRESSION: only %d of %d arrivals departed inside the \
-       stream (< 30%%)\n"
-      s.Service.Engine.departed arrivals;
-    exit 1
-  end;
-  (* Lifecycle payoff gate: the same stream served without departures
-     must do strictly worse on both admissions and revenue. *)
-  let si = ignored.summary in
-  if
-    s.Service.Engine.accepted <= si.Service.Engine.accepted
-    || s.Service.Engine.revenue <= si.Service.Engine.revenue
-  then begin
-    Printf.eprintf
-      "SERVICE LIFECYCLE REGRESSION: departures did not pay (%d/%g admitted/\
-       revenue with releases vs %d/%g without)\n"
-      s.Service.Engine.accepted s.Service.Engine.revenue
-      si.Service.Engine.accepted si.Service.Engine.revenue;
-    exit 1
-  end;
-  Printf.printf
-    "lifecycle: releases reclaimed capacity %d times and paid (%d admitted, \
-     revenue %g, vs %d / %g with departures ignored)\n"
-    s.Service.Engine.departed s.Service.Engine.accepted
-    s.Service.Engine.revenue si.Service.Engine.accepted
-    si.Service.Engine.revenue;
-  (* Coverage gate: the streams must exercise the whole degradation
-     chain, or the bench is no longer testing what it claims to. *)
-  let sp = pricing.summary in
-  let missing =
-    List.filter_map
-      (fun (label, n) -> if n = 0 then Some label else None)
-      [
-        ("an exact admission", s.Service.Engine.admitted_exact);
-        ("a greedy-fallback admission", s.Service.Engine.admitted_greedy);
-        ("a denial", s.Service.Engine.denied);
-        ("a budget-exhausted denial", s.Service.Engine.denied_budget);
-        ("a departure", s.Service.Engine.departed);
-        ("a priced denial (pricing run)", sp.Service.Engine.denied_priced);
-      ]
-  in
-  if missing <> [] then begin
-    Printf.eprintf "SERVICE COVERAGE REGRESSION: the stream never saw %s\n"
-      (String.concat ", " missing);
-    exit 1
-  end;
-  Printf.printf
-    "coverage: chain complete (%d exact, %d greedy-fallback, %d migrated \
-     admissions; %d greedy, %d budget denials; %d priced denials on the \
-     pricing run)\n"
-    s.Service.Engine.admitted_exact s.Service.Engine.admitted_greedy
-    s.Service.Engine.admitted_migrated s.Service.Engine.denied_greedy
-    s.Service.Engine.denied_budget sp.Service.Engine.denied_priced;
-  (* Rounding gates: on the deadline-free ablation the rounded rung must
-     genuinely decide arrivals and sit between the greedy-only chain's
-     acceptance and the exact-leaning chain's cost. *)
-  let sr = rounded_chain.summary
-  and se = exact_chain.summary
-  and sg = greedy_chain.summary in
-  let rounded_decided =
-    sr.Service.Engine.admitted_rounded + sr.Service.Engine.denied_rounded
-  in
-  if rounded_decided = 0 then begin
-    Printf.eprintf
-      "SERVICE ROUNDING REGRESSION: the rounded rung never decided an \
-       arrival on the churn stream\n";
-    exit 1
-  end;
-  if sr.Service.Engine.accepted < sg.Service.Engine.accepted then begin
-    Printf.eprintf
-      "SERVICE ROUNDING REGRESSION: rounded chain admitted %d < greedy-only \
-       %d\n"
-      sr.Service.Engine.accepted sg.Service.Engine.accepted;
-    exit 1
-  end;
-  if sr.Service.Engine.total_ticks > se.Service.Engine.total_ticks then begin
-    Printf.eprintf
-      "SERVICE ROUNDING REGRESSION: rounded chain spent %d ticks > exact \
-       chain's %d\n"
-      sr.Service.Engine.total_ticks se.Service.Engine.total_ticks;
-    exit 1
-  end;
-  Printf.printf
-    "rounding: %d rounded decisions (%d admitted); acceptance %d >= greedy \
-     %d, ticks %d <= exact %d (exact admits %d)\n"
-    rounded_decided sr.Service.Engine.admitted_rounded
-    sr.Service.Engine.accepted sg.Service.Engine.accepted
-    sr.Service.Engine.total_ticks se.Service.Engine.total_ticks
-    se.Service.Engine.accepted;
-  (* Every run's committed state must survive the independent
-     validator. *)
-  List.iter (fun (label, r) -> check_final_state ~label inst r.summary) runs;
-  match json_path with
-  | Some path ->
-    Bench_json.emit ~path ~noun:"runs" ~validate:validate_json_string
-      (json_of_runs lifecycle ~ignored ~pricing ~exact_chain ~greedy_chain
-         ~rounded_chain)
-  | None -> ()
+  Record.enforce ~bench:"service" gates runs;
+  Record.emit ~dir:json_dir
+    {
+      Record.bench = "service";
+      clock = Record.work_clock Service.Engine.default_work_rate;
+      runs;
+    }

@@ -93,6 +93,8 @@ let build ?(options = default_options) ?prof ?budget ?embeddings inst =
   let a_records = ref [] in
   for req = 0 to k - 1 do
     let emb = embeddings.(req) in
+    let start = Formulation.sums chi_start.(req)
+    and end_ = Formulation.sums chi_end.(req) in
     for i = 0 to n_states - 1 do
       match state_activity ranges req i with
       | `Never -> ()
@@ -106,10 +108,7 @@ let build ?(options = default_options) ?prof ?budget ?embeddings inst =
             Lp.Expr.add state_link_load.(i).(l) emb.Embedding.link_alloc.(l)
         done
       | `Maybe ->
-        let sigma =
-          Formulation.activity_expr ~chi_start:chi_start.(req)
-            ~chi_end:chi_end.(req) ~state:i
-        in
+        let sigma = Formulation.activity_expr ~start ~end_ ~state:i in
         let add_alloc_var cap alloc =
           (* a >= alloc - cap * (1 - sigma), a >= 0 *)
           let a = Lp.Model.add_var model ~lb:0.0 ~ub:cap in

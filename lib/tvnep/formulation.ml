@@ -77,19 +77,36 @@ let add_chi model inst ~ranges ~relax_integrality =
         1.0;
       vars)
 
-let cumulative_until chi i =
-  Lp.Expr.sum
-    (Array.to_list chi
-    |> List.filter_map (fun (j, v) ->
-           if j <= i then Some (Lp.Expr.var ((v : Lp.Model.var) :> int))
-           else None))
+(* The χ prefix and suffix sums of one request endpoint, built once:
+   [until.(i - lo)] is [Σ_{j<=i} χ_j] and [from.(i - lo)] is
+   [Σ_{j>=i} χ_j] over the endpoint's contiguous index range [lo, hi]. *)
+type sums = { lo : int; until : Lp.Expr.t array; from : Lp.Expr.t array }
 
-let cumulative_from chi i =
-  Lp.Expr.sum
-    (Array.to_list chi
-    |> List.filter_map (fun (j, v) ->
-           if j >= i then Some (Lp.Expr.var ((v : Lp.Model.var) :> int))
-           else None))
+let sums chi =
+  let n = Array.length chi in
+  let until = Array.make n Lp.Expr.zero and from = Array.make n Lp.Expr.zero in
+  let acc = ref Lp.Expr.zero in
+  let add i =
+    acc := Lp.Expr.add_term !acc ((snd chi.(i) : Lp.Model.var) :> int) 1.0
+  in
+  for i = 0 to n - 1 do
+    add i;
+    until.(i) <- !acc
+  done;
+  acc := Lp.Expr.zero;
+  for i = n - 1 downto 0 do
+    add i;
+    from.(i) <- !acc
+  done;
+  { lo = fst chi.(0); until; from }
+
+let cumulative_until s i =
+  let n = Array.length s.until in
+  if i < s.lo then Lp.Expr.zero else s.until.(min (i - s.lo) (n - 1))
+
+let cumulative_from s i =
+  let n = Array.length s.from in
+  if i >= s.lo + n then Lp.Expr.zero else s.from.(max (i - s.lo) 0)
 
 let chi_min chi = fst chi.(0)
 let chi_max chi = fst chi.(Array.length chi - 1)
@@ -98,6 +115,7 @@ let chi_max chi = fst chi.(Array.length chi - 1)
 let link_time_exact model ~horizon ~(t_event : Lp.Model.var array)
     ~(t_var : Lp.Model.var) ~chi =
   let lo = chi_min chi and hi = chi_max chi in
+  let chi = sums chi in
   let tv = Lp.Expr.var ((t_var : Lp.Model.var) :> int) in
   (* Indices outside [lo, hi] yield constraints implied by event-time
      monotonicity (even in the relaxation), so only the range is posted. *)
@@ -129,6 +147,7 @@ let link_time_exact model ~horizon ~(t_event : Lp.Model.var array)
 let link_time_interval model ~horizon ~(t_event : Lp.Model.var array)
     ~(t_var : Lp.Model.var) ~chi =
   let lo = chi_min chi and hi = chi_max chi in
+  let chi = sums chi in
   let tv = Lp.Expr.var ((t_var : Lp.Model.var) :> int) in
   for i = lo to hi do
     let sum = cumulative_until chi i in
@@ -152,8 +171,8 @@ let link_time_interval model ~horizon ~(t_event : Lp.Model.var array)
   done
 
 (* Σ(R, e_i): [start <= i] - [end <= i], i.e. 1 exactly while active. *)
-let activity_expr ~chi_start ~chi_end ~state =
-  Lp.Expr.sub (cumulative_until chi_start state) (cumulative_until chi_end state)
+let activity_expr ~start ~end_ ~state =
+  Lp.Expr.sub (cumulative_until start state) (cumulative_until end_ state)
 
 let add_two_k_event_skeleton model inst ~relax_integrality =
   let k = Instance.num_requests inst in
@@ -186,24 +205,25 @@ let add_two_k_event_skeleton model inst ~relax_integrality =
   done;
   (n_events, chi_start, chi_end, t_event, t_start, t_end)
 
-let chi_for_vertex fm (v : Depgraph.vertex) =
-  match v.Depgraph.kind with
-  | Depgraph.Start -> fm.chi_start.(v.Depgraph.req)
-  | Depgraph.End -> fm.chi_end.(v.Depgraph.req)
-
 let add_pairwise_cuts model inst fm =
   let cuts = Depgraph.pairwise_cuts inst in
+  let start_sums = Array.map sums fm.chi_start
+  and end_sums = Array.map sums fm.chi_end in
+  let sums_for (v : Depgraph.vertex) =
+    match v.Depgraph.kind with
+    | Depgraph.Start -> start_sums.(v.Depgraph.req)
+    | Depgraph.End -> end_sums.(v.Depgraph.req)
+  in
+  let hi s = s.lo + Array.length s.until - 1 in
   List.iter
     (fun { Depgraph.before; after; min_gap } ->
-      let chi_v = chi_for_vertex fm before and chi_w = chi_for_vertex fm after in
-      let lo_v = chi_min chi_v and hi_v = chi_max chi_v in
-      let lo_w = chi_min chi_w and hi_w = chi_max chi_w in
+      let v = sums_for before and w = sums_for after in
       (* sum_{j<=i} chi_w <= sum_{j<=i-d} chi_v, skipping indices where the
          inequality is vacuous (LHS surely 0 or RHS surely 1). *)
-      for i = max lo_w (lo_v + min_gap) to min hi_w (hi_v + min_gap - 1) do
+      for i = max w.lo (v.lo + min_gap) to min (hi w) (hi v + min_gap - 1) do
         Lp.Model.add_le model
-          (Lp.Expr.sub (cumulative_until chi_w i)
-             (cumulative_until chi_v (i - min_gap)))
+          (Lp.Expr.sub (cumulative_until w i)
+             (cumulative_until v (i - min_gap)))
           0.0
       done)
     cuts

@@ -74,13 +74,18 @@ val link_time_interval :
 (** cΣ end semantics (Constraints (16)/(17)): mapping an end onto event
     [e_i] confines it to [[t_{e_{i-1}}, t_{e_i}]]. *)
 
-val activity_expr :
-  chi_start:(int * Lp.Model.var) array ->
-  chi_end:(int * Lp.Model.var) array ->
-  state:int ->
-  Lp.Expr.t
-(** The Σ(R, e_i) macro (Table VIII, corrected form): 1 exactly on states
-    where the request is active. *)
+type sums
+(** The cumulative χ sums of one request endpoint: [Σ_{j<=i} χ_j] and
+    [Σ_{j>=i} χ_j] for every event index [i], built once. *)
+
+val sums : (int * Lp.Model.var) array -> sums
+(** The sums of a χ array as {!add_chi} returns it (one variable per
+    index of a contiguous range). *)
+
+val activity_expr : start:sums -> end_:sums -> state:int -> Lp.Expr.t
+(** The Σ(R, e_i) macro (Table VIII, corrected form) from the request's
+    start and end sums: 1 exactly on states where the request is
+    active. *)
 
 val add_two_k_event_skeleton :
   Lp.Model.t ->

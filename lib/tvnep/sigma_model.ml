@@ -22,11 +22,10 @@ let build ?(options = default_options) inst =
   let a_records = ref [] in
   for req = 0 to k - 1 do
     let emb = embeddings.(req) in
+    let start = Formulation.sums chi_start.(req)
+    and end_ = Formulation.sums chi_end.(req) in
     for i = 0 to n_states - 1 do
-      let sigma =
-        Formulation.activity_expr ~chi_start:chi_start.(req)
-          ~chi_end:chi_end.(req) ~state:i
-      in
+      let sigma = Formulation.activity_expr ~start ~end_ ~state:i in
       let add_alloc_var cap alloc =
         let a = Lp.Model.add_var model ~lb:0.0 ~ub:cap in
         Lp.Model.add_ge model
