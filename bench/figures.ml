@@ -57,8 +57,7 @@ type access_record = {
   delta : Tvnep.Solver.outcome option;
   sigma : Tvnep.Solver.outcome option;
   csigma : Tvnep.Solver.outcome;
-  greedy : Tvnep.Solution.t;
-  greedy_stats : Tvnep.Greedy.stats;
+  greedy : Tvnep.Solver.outcome;
   instance : Tvnep.Instance.t;
 }
 
@@ -82,11 +81,13 @@ let run_access_cell cfg ~scenario ~flex =
     Tvnep.Scenario.generate rng
       { cfg.params with Tvnep.Scenario.flexibility = flex }
   in
-  let greedy, greedy_stats =
-    Tvnep.Greedy.run
-      ~budget:
-        (solve_budget ~deterministic:cfg.deterministic ~time_limit:infinity ())
-      inst
+  let greedy =
+    Tvnep.Solver.run inst
+      (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Greedy
+         ~budget:
+           (solve_budget ~deterministic:cfg.deterministic
+              ~time_limit:infinity ())
+         ())
   in
   {
     scenario;
@@ -99,7 +100,6 @@ let run_access_cell cfg ~scenario ~flex =
        else None);
     csigma = solve_kind cfg Tvnep.Solver.Csigma inst;
     greedy;
-    greedy_stats;
     instance = inst;
   }
 
@@ -227,15 +227,14 @@ let fig7 cfg records =
       let rel =
         List.filter_map
           (fun r ->
-            match r.csigma.Tvnep.Solver.objective with
-            | Some opt when opt > 1e-9 ->
-              Some ((opt -. r.greedy.Tvnep.Solution.objective) /. opt)
+            match
+              (r.csigma.Tvnep.Solver.objective, r.greedy.Tvnep.Solver.objective)
+            with
+            | Some opt, Some g when opt > 1e-9 -> Some ((opt -. g) /. opt)
             | _ -> None)
           cells
       in
-      let runtimes =
-        List.map (fun r -> r.greedy_stats.Tvnep.Greedy.runtime) cells
-      in
+      let runtimes = List.map (fun r -> r.greedy.Tvnep.Solver.runtime) cells in
       Statsutil.Table.add_row table
         [ Printf.sprintf "%.1f" flex; fmt_med rel; fmt_med runtimes ])
     (by_flex cfg records (fun r -> Some r));
@@ -264,8 +263,11 @@ let fig8 cfg records =
           cells
       in
       let gacc =
-        List.map
-          (fun r -> float_of_int (Tvnep.Solution.num_accepted r.greedy))
+        List.filter_map
+          (fun r ->
+            Option.map
+              (fun s -> float_of_int (Tvnep.Solution.num_accepted s))
+              r.greedy.Tvnep.Solver.solution)
           cells
       in
       Statsutil.Table.add_row table

@@ -26,7 +26,12 @@ let () =
   let inst = Tvnep.Instance_io.load path in
   Sys.remove path;
 
-  let sol, stats = Tvnep.Greedy.run inst in
+  let greedy =
+    Tvnep.Solver.run inst
+      (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Greedy ())
+  in
+  let sol = Option.get greedy.Tvnep.Solver.solution in
+  let stats = greedy.Tvnep.Solver.stats in
   Printf.printf "greedy admission (in arrival order):\n";
   Array.iteri
     (fun i (a : Tvnep.Solution.assignment) ->
@@ -40,9 +45,9 @@ let () =
     "\n%d/%d admitted, revenue %.2f — %d LPs, %d candidate slots, %.0f ms\n"
     (Tvnep.Solution.num_accepted sol)
     (Tvnep.Instance.num_requests inst)
-    sol.Tvnep.Solution.objective stats.Tvnep.Greedy.lp_solves
-    stats.Tvnep.Greedy.candidates_tried
-    (stats.Tvnep.Greedy.runtime *. 1000.0);
+    sol.Tvnep.Solution.objective stats.Runtime.Stats.greedy_lp_solves
+    stats.Runtime.Stats.greedy_candidates
+    (greedy.Tvnep.Solver.runtime *. 1000.0);
   assert (Tvnep.Validator.is_feasible inst sol);
 
   (* How much revenue did speed cost?  Compare with the exact cΣ solve,

@@ -65,7 +65,6 @@ type result = {
   gap : float;
   nodes : int;
   lp_iterations : int;
-  solve_time : float;
   stats : Rstats.t;
 }
 
@@ -114,7 +113,6 @@ type search = {
          mid-round would let [global_bound] collapse to the incumbent
          and falsely claim a proved optimum. *)
   budget : Budget.t;
-  search_origin : float;  (* budget elapsed when this search started *)
   stats : Rstats.t;
   prof : Span.recorder option;
   mutable counted_bound : float;
@@ -502,7 +500,6 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?prof sf =
       nodes = 0;
       lp_iters = 0;
       budget;
-      search_origin = Budget.elapsed budget;
       stats;
       prof;
       counted_bound = neg_infinity;
@@ -573,7 +570,6 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?prof sf =
         ~bound:internal_bound;
     nodes = s.nodes;
     lp_iterations = s.lp_iters;
-    solve_time = Budget.elapsed budget -. s.search_origin;
     stats;
   }
 

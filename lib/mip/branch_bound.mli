@@ -67,9 +67,6 @@ type result = {
   gap : float;               (** relative gap; [infinity] with no incumbent, 0 at optimality *)
   nodes : int;
   lp_iterations : int;
-  solve_time : float;
-      (** budget-clock seconds spent inside this search (excludes any time
-          the caller already consumed on a shared budget) *)
   stats : Runtime.Stats.t;
       (** the structured counters this search accumulated into — the
           caller's record when [?stats] was passed, a fresh one otherwise *)

@@ -26,10 +26,6 @@ type t = {
   mutable service_denied : int;
   mutable service_fallbacks : int;
   mutable service_reevals : int;
-  mutable greedy_time : float;
-  mutable build_time : float;
-  mutable search_time : float;
-  mutable service_time : float;
 }
 
 let create () =
@@ -61,10 +57,6 @@ let create () =
     service_denied = 0;
     service_fallbacks = 0;
     service_reevals = 0;
-    greedy_time = 0.0;
-    build_time = 0.0;
-    search_time = 0.0;
-    service_time = 0.0;
   }
 
 module Json = Statsutil.Json
@@ -72,9 +64,7 @@ module Json = Statsutil.Json
 (* The one field table: [merge], [to_json] and [of_json] walk it, so a
    counter's name, and its place in the encoded object, are written once.
    The order is the JSON member order. *)
-type field =
-  | Int of string * (t -> int) * (t -> int -> unit)
-  | Float of string * (t -> float) * (t -> float -> unit)
+type field = Int of string * (t -> int) * (t -> int -> unit)
 
 let fields =
   [
@@ -126,28 +116,15 @@ let fields =
       fun s v -> s.service_fallbacks <- v);
     Int ("service_reevals", (fun s -> s.service_reevals),
       fun s v -> s.service_reevals <- v);
-    Float ("greedy_time", (fun s -> s.greedy_time),
-      fun s v -> s.greedy_time <- v);
-    Float ("build_time", (fun s -> s.build_time), fun s v -> s.build_time <- v);
-    Float ("search_time", (fun s -> s.search_time),
-      fun s v -> s.search_time <- v);
-    Float ("service_time", (fun s -> s.service_time),
-      fun s v -> s.service_time <- v);
   ]
 
 let merge ~into s =
-  List.iter
-    (function
-      | Int (_, get, set) -> set into (get into + get s)
-      | Float (_, get, set) -> set into (get into +. get s))
-    fields
+  List.iter (fun (Int (_, get, set)) -> set into (get into + get s)) fields
 
 let to_json s =
   Json.Obj
     (List.map
-       (function
-         | Int (name, get, _) -> (name, Json.Num (float_of_int (get s)))
-         | Float (name, get, _) -> (name, Json.of_float_exact (get s)))
+       (fun (Int (name, get, _)) -> (name, Json.Num (float_of_int (get s))))
        fields)
 
 let of_json doc =
@@ -169,10 +146,6 @@ let of_json doc =
             | Json.Num n -> Ok (set s (int_of_float n))
             | _ -> Error "expected an integer"))
           (fun () -> go rest)
-      | Float (name, _, set) :: rest ->
-        Result.bind
-          (decode name (fun v -> Result.map (set s) (Json.to_float_exact v)))
-          (fun () -> go rest)
     in
     go fields
   | _ -> Error "stats: expected an object"
@@ -184,14 +157,12 @@ let to_string s =
        drift, %d forced) | basis: %d ftran nnz, %d btran nnz, %d FT \
        updates, %d spike fill | pricing: %d list hits, %d sweeps | %d \
        nodes, %d incumbents, %d bound updates | greedy: %d LPs, %d \
-       candidates, %d accepted | phases: greedy %.3fs, build %.3fs, \
-       search %.3fs"
+       candidates, %d accepted"
       s.lp_solves s.simplex_iterations s.refactorizations s.refactor_fill
       s.refactor_drift s.refactor_forced s.ftran_nnz s.btran_nnz
       s.basis_updates s.spike_fill s.pricing_hits s.pricing_sweeps
       s.bb_nodes s.incumbents s.bound_updates s.greedy_lp_solves
-      s.greedy_candidates s.greedy_accepted s.greedy_time s.build_time
-      s.search_time
+      s.greedy_candidates s.greedy_accepted
   in
   let base =
     if s.rounding_attempts = 0 then base
@@ -207,6 +178,6 @@ let to_string s =
     base
     ^ Printf.sprintf
         " | service: %d requests, %d admitted, %d denied, %d fallbacks, %d \
-         re-evals, %.3fs"
+         re-evals"
         s.service_requests s.service_admitted s.service_denied
-        s.service_fallbacks s.service_reevals s.service_time
+        s.service_fallbacks s.service_reevals

@@ -10,9 +10,10 @@
     Stats owns its encoding: {!merge}, {!to_json} and {!of_json} walk one
     field table, so each counter's name is written once.
 
-    Times are phase durations measured on the solve's {!Budget} clock
-    (deterministic work-seconds under a deterministic budget), recorded by
-    the layer that drives the phase. *)
+    Every field is an integer count.  Stats keeps no times: a whole
+    solve's duration is one elapsed delta on its {!Budget}
+    ([Solver.outcome.runtime], [Engine.summary.runtime]), and the time of
+    each phase is read from the span tree ({!Span.tree_of}). *)
 
 type t = {
   (* lp *)
@@ -62,11 +63,6 @@ type t = {
           arrivals were evaluated in batches; the field stays so stats
           documents and the benchmark's [service.reevals] metric keep
           their shape. *)
-  (* phase durations, budget-clock seconds *)
-  mutable greedy_time : float;
-  mutable build_time : float;        (** MIP formulation build *)
-  mutable search_time : float;       (** branch-and-bound *)
-  mutable service_time : float;      (** whole service run *)
 }
 
 val create : unit -> t
@@ -78,15 +74,15 @@ val merge : into:t -> t -> unit
     records back into the caller's after a parallel batch. *)
 
 val to_json : t -> Statsutil.Json.t
-(** One object member per field, in declaration order: counters as
-    integers, times through {!Statsutil.Json.of_float_exact}.  This is the
-    ["stats"] member of the versioned outcome JSON. *)
+(** One integer object member per field, in declaration order.  This is
+    the ["stats"] member of the versioned outcome JSON. *)
 
 val of_json : Statsutil.Json.t -> (t, string) result
 (** Inverse of {!to_json}.  A missing member decodes as zero (documents
     written before a counter existed); unknown members are ignored
-    (retired counters such as [eta_entries]); a malformed value is an
-    [Error] naming the member. *)
+    (retired counters such as [eta_entries], and the four retired
+    [*_time] phase durations); a malformed value is an [Error] naming the
+    member. *)
 
 val to_string : t -> string
 (** One-line human-readable rendering (used by the CLI). *)

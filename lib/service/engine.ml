@@ -722,7 +722,6 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
   Array.sort compare tick_values;
   let runtime = B.elapsed global -. t0 in
   stats.Rstats.service_requests <- stats.Rstats.service_requests + n_arrivals;
-  stats.Rstats.service_time <- stats.Rstats.service_time +. runtime;
   {
     records;
     solution = current_solution ();

@@ -133,9 +133,17 @@ let build ?(options = default_options) inst =
 
 let solve ?(options = default_options) ?(mip = Mip.Branch_bound.default_params)
     ?budget ?stats inst =
-  let ticks0 =
-    match budget with Some b -> Runtime.Budget.ticks b | None -> 0
+  (* Without a caller's budget, the one branch-and-bound would create:
+     [runtime] and [ticks] are deltas on it, build included. *)
+  let budget =
+    match budget with
+    | Some b -> b
+    | None ->
+      Runtime.Budget.create ~time_limit:mip.Mip.Branch_bound.time_limit
+        ~node_limit:mip.Mip.Branch_bound.node_limit ()
   in
+  let ticks0 = Runtime.Budget.ticks budget in
+  let t0 = Runtime.Budget.elapsed budget in
   let dm = build ~options inst in
   (* Access-control objective, as in the continuous model comparison. *)
   let terms =
@@ -150,7 +158,7 @@ let solve ?(options = default_options) ?(mip = Mip.Branch_bound.default_params)
   in
   Lp.Model.set_objective dm.model Lp.Model.Maximize (Lp.Expr.sum terms);
   let result =
-    Mip.Branch_bound.solve ~params:mip ?budget ?stats dm.model
+    Mip.Branch_bound.solve ~params:mip ~budget ?stats dm.model
   in
   let solution =
     match result.Mip.Branch_bound.incumbent with
@@ -199,11 +207,8 @@ let solve ?(options = default_options) ?(mip = Mip.Branch_bound.default_params)
     objective = result.Mip.Branch_bound.objective;
     bound = result.Mip.Branch_bound.best_bound;
     gap = result.Mip.Branch_bound.gap;
-    runtime = result.Mip.Branch_bound.solve_time;
-    ticks =
-      (match budget with
-      | Some b -> Runtime.Budget.ticks b - ticks0
-      | None -> 0);
+    runtime = Runtime.Budget.elapsed budget -. t0;
+    ticks = Runtime.Budget.ticks budget - ticks0;
     nodes = result.Mip.Branch_bound.nodes;
     lp_iterations = result.Mip.Branch_bound.lp_iterations;
     model_vars = Lp.Model.num_vars dm.model;

@@ -45,4 +45,7 @@ val solve :
   Solver.outcome
 (** Builds, applies the access-control objective and optimizes; decodes
     starts back to continuous times (slot index × width).  [?budget] /
-    [?stats] thread through to {!Mip.Branch_bound.solve}. *)
+    [?stats] thread through to {!Mip.Branch_bound.solve}; without
+    [?budget] the solve runs on a fresh one built from [mip]'s time and
+    node limits.  The outcome's [runtime] and [ticks] are deltas on that
+    budget, model build included. *)

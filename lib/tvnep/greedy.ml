@@ -1,4 +1,4 @@
-type stats = { lp_solves : int; candidates_tried : int; runtime : float }
+type stats = { lp_solves : int; candidates_tried : int }
 
 module Budget = Runtime.Budget
 module Rstats = Runtime.Stats
@@ -218,7 +218,6 @@ let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
     invalid_arg "Greedy.run: fixed node mappings required";
   let budget = match budget with Some b -> b | None -> Budget.create () in
   let rstats = match stats with Some s -> s | None -> Rstats.create () in
-  let t0 = Budget.elapsed budget in
   let k = Instance.num_requests inst in
   let preset = List.map fst preplaced in
   let order =
@@ -319,13 +318,10 @@ let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
   let solution =
     { solution with Solution.objective = Solution.access_control_value inst solution }
   in
-  let runtime = Budget.elapsed budget -. t0 in
-  rstats.Rstats.greedy_time <- rstats.Rstats.greedy_time +. runtime;
   rstats.Rstats.greedy_accepted <-
     rstats.Rstats.greedy_accepted + List.length !accepted;
   ( solution,
     {
       lp_solves = rstats.Rstats.greedy_lp_solves - lp_solves0;
       candidates_tried = !candidates_tried;
-      runtime;
     } )

@@ -20,7 +20,6 @@ type stats = {
       (** feasibility LPs solved; a candidate that overflows a node is
           rejected without one *)
   candidates_tried : int;
-  runtime : float;       (** budget-clock seconds *)
 }
 
 val flow_lp : Instance.t -> (int * float * float) list -> Lp.Std_form.t
@@ -59,12 +58,13 @@ val run :
 (** The returned solution's [objective] is the access-control revenue.
 
     [?budget] is the shared solve budget: every probe LP bills its pivots
-    against it and [runtime] is measured as an elapsed delta on its clock,
-    so greedy time composes with any exact search run on the same budget.
-    [?stats] accumulates [greedy_lp_solves] / [greedy_candidates] /
-    [greedy_accepted] / [greedy_time] (plus the usual simplex counters)
-    into the caller's record; [?prof] records one ["lp"] span (with its
-    category leaves) per probe LP.
+    against it, so greedy time composes with any exact search run on the
+    same budget.  [?stats] accumulates [greedy_lp_solves] /
+    [greedy_candidates] / [greedy_accepted] (plus the usual simplex
+    counters) into the caller's record; [?prof] records one ["lp"] span
+    (with its category leaves) per probe LP.  The heuristic's time is read
+    from the span tree (the caller's ["greedy"] phase) or, for a whole
+    solve, from {!Solver.outcome.runtime}.
 
     [?preplaced] pre-accepts the given (request index, start time) pairs
     before the greedy scan begins — the "heavy hitters" of the paper's

@@ -386,28 +386,21 @@ let status_of_mip mip_status ~has_incumbent =
     if has_incumbent then Feasible else Budget_exhausted
   | Mip.Branch_bound.Numerical_failure -> Failed
 
-(* Build, then account the build (measured from the solve's start). *)
-let build_phase inst o ~budget ~stats ~t0 =
-  let r = relax inst o ~budget in
-  stats.Rstats.build_time <-
-    stats.Rstats.build_time +. (Budget.elapsed budget -. t0);
-  r
-
 (* Build, optional greedy seeding, branch-and-bound.  In path form the
    search runs over the root-generated columns, and with
    [colgen.price_at_nodes] once more after re-pricing (seeded with the
    previous incumbent, zero-extended on the new columns — still
    feasible); the proved bound is then for the MIP over the generated
    columns. *)
-let run_exact inst (o : Options.t) ~budget ~stats ~t0 =
+let run_exact inst (o : Options.t) ~budget ~stats =
   let prof = o.Options.prof in
-  let r = build_phase inst o ~budget ~stats ~t0 in
+  let r = relax inst o ~budget in
   (* Optional greedy seeding (the combination the paper's conclusion
      proposes): lift the heuristic solution into this model's variables as
      the initial incumbent.  Only meaningful under access control; the MIP
      layer re-verifies the point before trusting it.  The heuristic runs
      on the shared budget, so its time counts against the deadline and
-     shows up in both [outcome.runtime] and [stats.greedy_time]. *)
+     shows up in both [outcome.runtime] and the ["greedy"] phase. *)
   let initial =
     match seed_lift r with
     | Some lift
@@ -426,14 +419,9 @@ let run_exact inst (o : Options.t) ~budget ~stats ~t0 =
     | _ -> None
   in
   let search sf initial =
-    let result =
-      Span.with_ prof budget "search" @@ fun () ->
-      Mip.Branch_bound.solve_form ~params:o.Options.mip ?initial ~budget
-        ~stats ?prof sf
-    in
-    stats.Rstats.search_time <-
-      stats.Rstats.search_time +. result.Mip.Branch_bound.solve_time;
-    result
+    Span.with_ prof budget "search" @@ fun () ->
+    Mip.Branch_bound.solve_form ~params:o.Options.mip ?initial ~budget
+      ~stats ?prof sf
   in
   let result = search (search_form r o ~budget ~stats) initial in
   let result =
@@ -472,8 +460,8 @@ let run_exact inst (o : Options.t) ~budget ~stats ~t0 =
    relaxation's: always in arc form, and in path form when generation
    converged — a round-cap/tailing-off exit yields the restricted
    master's optimum, reported as [Feasible]. *)
-let run_lp_only inst (o : Options.t) ~budget ~stats ~t0 =
-  let r = build_phase inst o ~budget ~stats ~t0 in
+let run_lp_only inst (o : Options.t) ~budget ~stats =
+  let r = relax inst o ~budget in
   let lp = root_lp r o ~budget ~stats in
   let status, objective =
     match lp.Lp.Simplex.status with
@@ -664,8 +652,8 @@ let rec run inst (o : Options.t) =
     let outcome =
       Span.with_ o.Options.prof budget "solve" @@ fun () ->
       match o.Options.method_ with
-      | Exact -> run_exact inst o ~budget ~stats ~t0
-      | Lp_only -> run_lp_only inst o ~budget ~stats ~t0
+      | Exact -> run_exact inst o ~budget ~stats
+      | Lp_only -> run_lp_only inst o ~budget ~stats
       | Greedy -> run_greedy inst o ~budget ~stats
       | Rounded -> run_rounded inst o ~budget ~stats
       | Hybrid -> run_hybrid inst o ~budget ~stats

@@ -17,9 +17,9 @@
     selected by {!Options.t.flow_form}: the arc-flow formulation or the
     path-form restricted master.  Each method therefore has one code
     path per relaxation, and each phase is timed one way — as a
-    {!Runtime.Span} when a recorder is attached, with the
-    [build_time]/[search_time]/[greedy_time] totals in {!outcome.stats}
-    that the outcome JSON carries. *)
+    {!Runtime.Span} when a recorder is attached ([build], [greedy],
+    [search], ...; read through {!Runtime.Span.tree_of}).  The whole
+    solve is {!outcome.runtime}, one elapsed delta on the solve budget. *)
 
 type model_kind = Delta | Sigma | Csigma
 
@@ -207,7 +207,8 @@ type outcome = {
   stats : Runtime.Stats.t;
       (** structured counters for this solve: simplex pivots and
           refactorizations, LP solves, B&B nodes/incumbents/bound updates,
-          greedy probe counts, and per-phase times *)
+          greedy probe counts.  Counters only: per-phase times come from
+          the span tree *)
 }
 
 and hybrid_detail = {

@@ -119,6 +119,23 @@ let discrete_tests =
         match o.Tvnep.Solver.objective with
         | Some v -> feq 1e-9 "rejected" 0.0 v
         | None -> Alcotest.fail "expected an (empty) solution");
+    Alcotest.test_case "without a budget, ticks are counted" `Quick (fun () ->
+        (* No [?budget]: the solve derives one from [mip] and reads ticks
+           and runtime off it, as it does off a caller's budget. *)
+        let rng = Workload.Rng.create 43L in
+        let p = { Tvnep.Scenario.scaled with num_requests = 2; flexibility = 1.0 } in
+        let inst = Tvnep.Scenario.generate rng p in
+        let own = Tvnep.Discrete_model.solve inst in
+        let given =
+          Tvnep.Discrete_model.solve
+            ~budget:(Runtime.Budget.create ~deterministic:2e9 ())
+            inst
+        in
+        Alcotest.(check bool) "ticks > 0" true (own.Tvnep.Solver.ticks > 0);
+        Alcotest.(check int) "same ticks as on a caller's budget"
+          given.Tvnep.Solver.ticks own.Tvnep.Solver.ticks;
+        Alcotest.(check bool) "runtime > 0" true
+          (own.Tvnep.Solver.runtime > 0.0));
   ]
 
 let seeding_tests =

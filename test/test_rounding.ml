@@ -351,8 +351,9 @@ let unit_tests =
             ("not an object", Statsutil.Json.List []);
             ( "string counter",
               Statsutil.Json.Obj [ ("bb_nodes", Statsutil.Json.Str "7") ] );
-            ( "bool time",
-              Statsutil.Json.Obj [ ("build_time", Statsutil.Json.Bool true) ] );
+            ( "bool counter",
+              Statsutil.Json.Obj
+                [ ("greedy_lp_solves", Statsutil.Json.Bool true) ] );
           ]);
   ]
 
