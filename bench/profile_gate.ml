@@ -1,5 +1,7 @@
 (* Profiling smoke gate: the contended cΣ solve of the branch-and-bound
-   benchmark, run with a span recorder attached, at jobs = 1 and 4.
+   benchmark, run with a span recorder attached, at jobs = 1 and 4, then
+   the path-form root LP of the column-generation benchmark through the
+   same checks plus a check of its generation loop's phase shape.
 
    The run *fails* (exit 1) when any part of the observability contract
    breaks:
@@ -21,26 +23,39 @@ module Span = Runtime.Span
 
 let jobs_levels = [ 1; 4 ]
 
-(* Same contended instance as the branch-and-bound gate: a real search
-   tree, several rounds of node batches, so grafted per-node recorders
-   and the merged timeline are actually exercised. *)
-let bench_instance () =
-  let rng = Workload.Rng.create 23L in
-  Tvnep.Scenario.generate rng
-    { Tvnep.Scenario.scaled with num_requests = 8; flexibility = 2.0 }
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("PROFILE GATE: " ^ msg);
+      exit 1)
+    fmt
 
+(* One solve: its work fingerprint (status, objective, ticks; nodes, LP
+   iterations and generated columns as counters) and its spans. *)
 type run = {
   jobs : int;
-  status : string;
-  objective : float;  (* nan = no incumbent *)
-  nodes : int;
-  lp_iterations : int;
-  ticks : int;
+  work : Record.t;
   spans : Span.span list;
   tree : Span.tree list;
 }
 
-let solve_at ~inst ~time_limit ~profiled jobs =
+(* A gated solve: the instance, the method, and the checks on each
+   profiled run beyond the shared ones.  [what] prefixes its failure
+   messages ("" or "colgen "). *)
+type pass = {
+  title : string;
+  what : string;
+  instance : unit -> Tvnep.Instance.t;
+  options :
+    mip:Mip.Branch_bound.params ->
+    budget:Runtime.Budget.t ->
+    prof:Span.recorder option ->
+    Tvnep.Solver.Options.t;
+  check : run -> unit;
+  summary : run -> string;
+}
+
+let solve pass inst ~time_limit ~profiled jobs =
   let mip =
     { Mip.Branch_bound.default_params with time_limit; jobs; log_every = 0 }
   in
@@ -48,30 +63,42 @@ let solve_at ~inst ~time_limit ~profiled jobs =
     Runtime.Budget.create ~deterministic:Figures.work_rate ~time_limit ()
   in
   let prof = if profiled then Some (Span.create ()) else None in
-  let o =
-    Tvnep.Solver.run inst
-      (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Exact ~mip ~budget
-         ?prof ())
+  let o = Tvnep.Solver.run inst (pass.options ~mip ~budget ~prof) in
+  let spans =
+    match prof with
+    | None -> []
+    | Some r ->
+      if Span.open_spans r <> 0 then
+        fail "%srecorder left %d open span(s) at jobs=%d" pass.what
+          (Span.open_spans r) jobs;
+      Span.spans r
   in
-  (match prof with
-  | Some r when Span.open_spans r <> 0 ->
-    Printf.eprintf "PROFILE GATE: recorder left %d open span(s) at jobs=%d\n"
-      (Span.open_spans r) jobs;
-    exit 1
-  | _ -> ());
-  let spans = match prof with Some r -> Span.spans r | None -> [] in
+  let count n = float_of_int n in
   {
     jobs;
-    status = Tvnep.Solver.status_to_string o.Tvnep.Solver.status;
-    objective = Option.value o.Tvnep.Solver.objective ~default:Float.nan;
-    nodes = o.Tvnep.Solver.nodes;
-    lp_iterations = o.Tvnep.Solver.lp_iterations;
-    ticks = o.Tvnep.Solver.ticks;
+    work =
+      {
+        Record.label = Printf.sprintf "jobs=%d" jobs;
+        status = Tvnep.Solver.status_to_string o.Tvnep.Solver.status;
+        objective = Option.value o.Tvnep.Solver.objective ~default:Float.nan;
+        ticks = o.Tvnep.Solver.ticks;
+        wall_s = Float.nan;
+        minor_words = Float.nan;
+        counters =
+          [
+            ("nodes", count o.Tvnep.Solver.nodes);
+            ("lp_iterations", count o.Tvnep.Solver.lp_iterations);
+            ( "columns_generated",
+              count
+                (match o.Tvnep.Solver.colgen with
+                | Some c -> c.Tvnep.Solver.columns_generated
+                | None -> 0) );
+          ];
+        detail = None;
+      };
     spans;
     tree = Span.tree_of spans;
   }
-
-let fingerprint r = (r.status, r.objective, r.nodes, r.lp_iterations, r.ticks)
 
 (* Every span's interval must lie inside its parent's.  Spans come in
    [seq] order (parents precede children), so the innermost open ancestor
@@ -106,63 +133,79 @@ let check_exports ~jobs spans =
   (match Statsutil.Json.of_string chrome with
   | Ok _ -> ()
   | Error msg ->
-    Printf.eprintf
-      "PROFILE GATE: jobs=%d Chrome trace does not parse back: %s\n" jobs msg;
-    exit 1);
-  let jsonl = Span.to_jsonl spans in
+    fail "jobs=%d Chrome trace does not parse back: %s" jobs msg);
   List.iteri
     (fun i line ->
       if line <> "" then
         match Statsutil.Json.of_string line with
         | Ok _ -> ()
         | Error msg ->
-          Printf.eprintf
-            "PROFILE GATE: jobs=%d JSONL line %d does not parse: %s\n" jobs
-            (i + 1) msg;
-          exit 1)
-    (String.split_on_char '\n' jsonl)
+          fail "jobs=%d JSONL line %d does not parse: %s" jobs (i + 1) msg)
+    (String.split_on_char '\n' (Span.to_jsonl spans))
+
+(* The whole contract for one pass: an unprofiled baseline at jobs 1,
+   then a profiled solve per jobs level. *)
+let gate ~time_limit pass =
+  Printf.printf "\n== %s ==\n" pass.title;
+  let solve = solve pass (pass.instance ()) ~time_limit in
+  let baseline = solve ~profiled:false 1 in
+  let runs = List.map (solve ~profiled:true) jobs_levels in
+  let base = List.hd runs in
+  (* Zero perturbation: profiling must not change the solve. *)
+  if not (Record.same_work base.work baseline.work) then
+    fail "profiling perturbed the %ssolve — unprofiled (%s) vs profiled (%s)"
+      pass.what
+      (Record.to_string baseline.work)
+      (Record.to_string base.work);
+  List.iter
+    (fun r ->
+      if not (Record.same_work r.work base.work) then
+        fail "jobs=%d %ssolve differs from jobs=%d" r.jobs pass.what base.jobs;
+      if not (check_nesting r.spans) then
+        fail
+          "jobs=%d %sspans do not nest (a child interval escapes its parent)"
+          r.jobs pass.what;
+      let self = Span.sum_self r.tree in
+      if self <> r.work.Record.ticks then
+        fail
+          "jobs=%d %sper-phase self ticks (%d) do not sum to the solve's work \
+           ticks (%d)"
+          r.jobs pass.what self r.work.Record.ticks;
+      pass.check r;
+      check_exports ~jobs:r.jobs r.spans;
+      (* Jobs invariance of the exported stream, domain tags aside. *)
+      if
+        Span.to_jsonl (domainless r.spans)
+        <> Span.to_jsonl (domainless base.spans)
+      then
+        fail "jobs=%d %sexported spans differ from jobs=%d (domains zeroed)"
+          r.jobs pass.what base.jobs)
+    runs;
+  print_endline (pass.summary base);
+  print_string (Span.render_tree ~rate:Figures.work_rate base.tree)
+
+(* The contended cΣ solve of the branch-and-bound gate: a real search
+   tree, several rounds of node batches, so grafted per-node recorders
+   and the merged timeline are actually exercised. *)
+let exact_pass =
+  {
+    title = "Profiling smoke gate (contended c\xce\xa3 solve)";
+    what = "";
+    instance = Bnb.bench_instance;
+    options =
+      (fun ~mip ~budget ~prof ->
+        Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Exact ~mip ~budget
+          ?prof ());
+    check = ignore;
+    summary =
+      (fun r ->
+        Printf.sprintf
+          "profile gate: %d spans, %d ticks attributed (= solve ticks), \
+           nesting ok, exports parse, jobs levels identical"
+          (List.length r.spans) (Span.sum_self r.tree));
+  }
 
 (* --- column-generation profiling pass ------------------------------- *)
-
-(* The path-form root LP on the colgen benchmark's large instance: the
-   generation loop telescopes into per-round master / price / add_col
-   leaves under the "colgen" phase, and the per-commodity pricing
-   fan-out is the one place worker domains touch this solve — so the
-   domain-stripped export must still be byte-identical across jobs. *)
-let solve_colgen_at ~inst ~time_limit ~profiled jobs =
-  let mip =
-    { Mip.Branch_bound.default_params with time_limit; jobs; log_every = 0 }
-  in
-  let budget =
-    Runtime.Budget.create ~deterministic:Figures.work_rate ~time_limit ()
-  in
-  let prof = if profiled then Some (Span.create ()) else None in
-  let o =
-    Tvnep.Solver.run inst
-      (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Lp_only
-         ~flow_form:Tvnep.Solver.Path ~mip ~budget ?prof ())
-  in
-  (match prof with
-  | Some r when Span.open_spans r <> 0 ->
-    Printf.eprintf
-      "PROFILE GATE: colgen recorder left %d open span(s) at jobs=%d\n"
-      (Span.open_spans r) jobs;
-    exit 1
-  | _ -> ());
-  let spans = match prof with Some r -> Span.spans r | None -> [] in
-  ( {
-      jobs;
-      status = Tvnep.Solver.status_to_string o.Tvnep.Solver.status;
-      objective = Option.value o.Tvnep.Solver.objective ~default:Float.nan;
-      nodes = o.Tvnep.Solver.nodes;
-      lp_iterations = o.Tvnep.Solver.lp_iterations;
-      ticks = o.Tvnep.Solver.ticks;
-      spans;
-      tree = Span.tree_of spans;
-    },
-    match o.Tvnep.Solver.colgen with
-    | Some c -> c.Tvnep.Solver.columns_generated
-    | None -> 0 )
 
 let rec find_tree name = function
   | [] -> None
@@ -173,114 +216,60 @@ let rec find_tree name = function
       | Some _ as hit -> hit
       | None -> find_tree name rest)
 
+let generated r = int_of_float (Record.counter r.work "columns_generated")
+
 (* The generation loop's phase shape: a "colgen" phase holding "master"
    and "price" leaves (every round solves then prices) and — whenever
    columns actually entered — "add_col" splices, with one call per
    round-level occurrence telescoping into the aggregated tree. *)
-let check_colgen_tree ~jobs ~generated tree =
-  match find_tree "colgen" tree with
-  | None ->
-    Printf.eprintf "PROFILE GATE: jobs=%d has no \"colgen\" phase\n" jobs;
-    exit 1
+let check_colgen_tree r =
+  let jobs = r.jobs in
+  (* The instance is chosen to force pricing; silently passing with an
+     idle loop would gate nothing. *)
+  if generated r = 0 then fail "colgen pass generated no columns";
+  match find_tree "colgen" r.tree with
+  | None -> fail "jobs=%d has no \"colgen\" phase" jobs
   | Some cg ->
     let need name =
       match find_tree name cg.Span.children with
       | Some t -> t
-      | None ->
-        Printf.eprintf
-          "PROFILE GATE: jobs=%d \"colgen\" phase lacks a %S leaf\n" jobs name;
-        exit 1
+      | None -> fail "jobs=%d \"colgen\" phase lacks a %S leaf" jobs name
     in
     let master = need "master" and price = need "price" in
-    if generated > 0 then begin
-      let add_col = need "add_col" in
-      (* One master solve and one pricing sweep per round, plus the
-         convergence round's final solve/sweep; splices happen on the
-         non-final rounds only. *)
-      if add_col.Span.calls >= master.Span.calls then begin
-        Printf.eprintf
-          "PROFILE GATE: jobs=%d add_col ran %d times >= %d master solves\n"
-          jobs add_col.Span.calls master.Span.calls;
-        exit 1
-      end
-    end;
-    if price.Span.calls <> master.Span.calls then begin
-      Printf.eprintf
-        "PROFILE GATE: jobs=%d %d pricing sweeps do not telescope with %d \
-         master solves\n"
-        jobs price.Span.calls master.Span.calls;
-      exit 1
-    end
+    (* One master solve and one pricing sweep per round, plus the
+       convergence round's final solve/sweep; splices happen on the
+       non-final rounds only. *)
+    let add_col = need "add_col" in
+    if add_col.Span.calls >= master.Span.calls then
+      fail "jobs=%d add_col ran %d times >= %d master solves" jobs
+        add_col.Span.calls master.Span.calls;
+    if price.Span.calls <> master.Span.calls then
+      fail
+        "jobs=%d %d pricing sweeps do not telescope with %d master solves"
+        jobs price.Span.calls master.Span.calls
 
-let run_colgen ~time_limit () =
-  Printf.printf
-    "\n== Profiling gate, column-generation pass (path-form root LP) ==\n";
-  let inst = Colgen_bench.bench_instance () in
-  let baseline, _ =
-    solve_colgen_at ~inst ~time_limit ~profiled:false 1
-  in
-  let runs =
-    List.map
-      (fun jobs -> solve_colgen_at ~inst ~time_limit ~profiled:true jobs)
-      jobs_levels
-  in
-  let base, base_generated = List.hd runs in
-  if fingerprint base <> fingerprint baseline then begin
-    Printf.eprintf
-      "PROFILE GATE: profiling perturbed the colgen solve (%s, %g, %d ticks \
-       vs %s, %g, %d ticks)\n"
-      baseline.status baseline.objective baseline.ticks base.status
-      base.objective base.ticks;
-    exit 1
-  end;
-  if base_generated = 0 then begin
-    (* The instance is chosen to force pricing; silently passing with an
-       idle loop would gate nothing. *)
-    Printf.eprintf "PROFILE GATE: colgen pass generated no columns\n";
-    exit 1
-  end;
-  List.iter
-    (fun (r, generated) ->
-      if fingerprint r <> fingerprint base then begin
-        Printf.eprintf
-          "PROFILE GATE: jobs=%d colgen solve differs from jobs=%d\n" r.jobs
-          base.jobs;
-        exit 1
-      end;
-      if not (check_nesting r.spans) then begin
-        Printf.eprintf "PROFILE GATE: jobs=%d colgen spans do not nest\n"
-          r.jobs;
-        exit 1
-      end;
-      let self = Span.sum_self r.tree in
-      if self <> r.ticks then begin
-        Printf.eprintf
-          "PROFILE GATE: jobs=%d colgen self ticks (%d) do not sum to the \
-           solve's work ticks (%d)\n"
-          r.jobs self r.ticks;
-        exit 1
-      end;
-      check_colgen_tree ~jobs:r.jobs ~generated r.tree;
-      check_exports ~jobs:r.jobs r.spans)
-    runs;
-  List.iter
-    (fun (r, _) ->
-      if
-        Span.to_jsonl (domainless r.spans)
-        <> Span.to_jsonl (domainless base.spans)
-      then begin
-        Printf.eprintf
-          "PROFILE GATE: jobs=%d colgen exported spans differ from jobs=%d \
-           (domains zeroed)\n"
-          r.jobs base.jobs;
-        exit 1
-      end)
-    runs;
-  Printf.printf
-    "colgen profiling: %d spans, %d columns generated, master/price/add_col \
-     telescope, jobs levels identical\n"
-    (List.length base.spans) base_generated;
-  print_string (Span.render_tree ~rate:Figures.work_rate base.tree)
+(* The path-form root LP on the colgen benchmark's large instance: the
+   generation loop telescopes into per-round master / price / add_col
+   leaves under the "colgen" phase, and the per-commodity pricing
+   fan-out is the one place worker domains touch this solve — so the
+   domain-stripped export must still be byte-identical across jobs. *)
+let colgen_pass =
+  {
+    title = "Profiling gate, column-generation pass (path-form root LP)";
+    what = "colgen ";
+    instance = Colgen_bench.bench_instance;
+    options =
+      (fun ~mip ~budget ~prof ->
+        Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Lp_only
+          ~flow_form:Tvnep.Solver.Path ~mip ~budget ?prof ());
+    check = check_colgen_tree;
+    summary =
+      (fun r ->
+        Printf.sprintf
+          "colgen profiling: %d spans, %d columns generated, \
+           master/price/add_col telescope, jobs levels identical"
+          (List.length r.spans) (generated r));
+  }
 
 (* --- allocation pass --------------------------------------------------- *)
 
@@ -336,80 +325,17 @@ let run_alloc () =
   let per_resolve =
     (Gc.minor_words () -. !gw0) /. float_of_int measured
   in
-  if per_resolve > minor_words_per_resolve_budget then begin
-    Printf.eprintf
-      "PROFILE GATE: ALLOCATION REGRESSION: warm node-LP re-solve allocates \
-       %.0f minor words on average (budget %.0f) over %d measured re-solves\n"
+  if per_resolve > minor_words_per_resolve_budget then
+    fail
+      "ALLOCATION REGRESSION: warm node-LP re-solve allocates %.0f minor \
+       words on average (budget %.0f) over %d measured re-solves"
       per_resolve minor_words_per_resolve_budget measured;
-    exit 1
-  end;
   Printf.printf
     "allocation: %.0f minor words per warm re-solve (budget %.0f, %d \
      re-solves measured after %d warm-up)\n"
     per_resolve minor_words_per_resolve_budget measured warmup
 
 let run ?(time_limit = 30.0) () =
-  Printf.printf "\n== Profiling smoke gate (contended c\xce\xa3 solve) ==\n";
-  let inst = bench_instance () in
-  let baseline = solve_at ~inst ~time_limit ~profiled:false 1 in
-  let runs =
-    List.map (fun jobs -> solve_at ~inst ~time_limit ~profiled:true jobs)
-      jobs_levels
-  in
-  let base = List.hd runs in
-  (* Zero perturbation: profiling must not change the solve. *)
-  if fingerprint base <> fingerprint baseline then begin
-    Printf.eprintf
-      "PROFILE GATE: profiling perturbed the solve — unprofiled (%s, %g, %d \
-       nodes, %d iters, %d ticks) vs profiled (%s, %g, %d nodes, %d iters, \
-       %d ticks)\n"
-      baseline.status baseline.objective baseline.nodes baseline.lp_iterations
-      baseline.ticks base.status base.objective base.nodes base.lp_iterations
-      base.ticks;
-    exit 1
-  end;
-  List.iter
-    (fun r ->
-      if fingerprint r <> fingerprint base then begin
-        Printf.eprintf
-          "PROFILE GATE: jobs=%d solve differs from jobs=%d\n" r.jobs base.jobs;
-        exit 1
-      end;
-      if not (check_nesting r.spans) then begin
-        Printf.eprintf
-          "PROFILE GATE: jobs=%d spans do not nest (a child interval escapes \
-           its parent)\n"
-          r.jobs;
-        exit 1
-      end;
-      let self = Span.sum_self r.tree in
-      if self <> r.ticks then begin
-        Printf.eprintf
-          "PROFILE GATE: jobs=%d per-phase self ticks (%d) do not sum to the \
-           solve's work ticks (%d)\n"
-          r.jobs self r.ticks;
-        exit 1
-      end;
-      check_exports ~jobs:r.jobs r.spans)
-    runs;
-  (* Jobs invariance of the exported stream, domain tags aside. *)
-  List.iter
-    (fun r ->
-      if
-        Span.to_jsonl (domainless r.spans)
-        <> Span.to_jsonl (domainless base.spans)
-      then begin
-        Printf.eprintf
-          "PROFILE GATE: jobs=%d exported spans differ from jobs=%d (domains \
-           zeroed)\n"
-          r.jobs base.jobs;
-        exit 1
-      end)
-    runs;
-  Printf.printf
-    "profile gate: %d spans, %d ticks attributed (= solve ticks), nesting \
-     ok, exports parse, jobs levels identical\n"
-    (List.length base.spans) (Span.sum_self base.tree);
-  print_string (Span.render_tree ~rate:Figures.work_rate base.tree);
-  run_colgen ~time_limit ();
+  gate ~time_limit exact_pass;
+  gate ~time_limit colgen_pass;
   run_alloc ()
