@@ -40,8 +40,9 @@ let bench_instance () =
   Tvnep.Scenario.generate rng
     { Tvnep.Scenario.scaled with num_requests = 4; flexibility = 1.0 }
 
-(* The node-LP bench instance's optimal basis, as the dimension and the
-   column accessor [Lina.Lu.Sparse.factorize] takes. *)
+(* The node-LP bench instance's standard form and optimal basis, as
+   [Lina.Lu.Sparse.factorize_basis] takes them (every basic index is a
+   column of the form: the optimum carries no artificial). *)
 let node_basis () =
   let inst = bench_instance () in
   let fm = Tvnep.Csigma_model.build inst in
@@ -49,13 +50,14 @@ let node_basis () =
   let sf = Lp.Std_form.of_model fm.Tvnep.Formulation.model in
   let r = Lp.Simplex.solve sf in
   assert (r.Lp.Simplex.status = Lp.Simplex.Optimal);
-  let basic = (Option.get r.Lp.Simplex.final_basis).Lp.Simplex.basic in
-  ( sf.Lp.Std_form.n_rows,
-    fun pos g -> Lina.Csc.iter_col sf.Lp.Std_form.a basic.(pos) g )
+  (sf, (Option.get r.Lp.Simplex.final_basis).Lp.Simplex.basic)
 
 let tests () =
   let lu60 = lu_input 60 in
-  let n, col = node_basis () in
+  let sf, basic = node_basis () in
+  (* The simplex's refactorization path: the form's CSC arrays and one
+     scratch reused across refactorizations. *)
+  let scratch = Lina.Lu.Sparse.scratch (Array.length basic) in
   let lp = small_lp () in
   let inst = bench_instance () in
   let grid = Graphs.Generators.grid ~rows:4 ~cols:5 in
@@ -63,7 +65,10 @@ let tests () =
     Test.make ~name:"lu-factorize-60x60"
       (Staged.stage (fun () -> ignore (Lina.Lu.factorize lu60)));
     Test.make ~name:"lu-sparse-factorize-node-basis"
-      (Staged.stage (fun () -> ignore (Lina.Lu.Sparse.factorize ~n ~col)));
+      (Staged.stage (fun () ->
+           ignore
+             (Lina.Lu.Sparse.factorize_basis scratch sf.Lp.Std_form.a
+                ~unit_sign:[||] basic)));
     Test.make ~name:"simplex-30v-20r"
       (Staged.stage (fun () -> ignore (Lp.Simplex.solve lp)));
     Test.make ~name:"floyd-warshall-grid-4x5"
@@ -212,9 +217,10 @@ let node_lp_case () =
 
 (* --- sparse-kernel A/B gate -------------------------------------------- *)
 
-(* On the node-LP instance's optimal factored
-   basis, the reach-based sparse BTRAN/FTRAN must beat the dense-scan
-   triangular solves they replaced by >= [kernel_ab_floor] on median
+(* On Forrest–Tomlin factors of the node-LP instance's optimal basis
+   (fresh from a refactorization, as every simplex solve starts), the
+   reach-based [ft_btran]/[ft_ftran] must beat their dense-scan fallback
+   [ft_btran_dense]/[ft_ftran_dense] by >= [kernel_ab_floor] on median
    per-solve wall, at the RHS sparsity the dual simplex actually feeds
    them (a unit vector: one [unit_row] BTRAN per pivot).  Both kernels
    run over the same factors, and every pair of solves is checked for
@@ -223,12 +229,15 @@ let kernel_ab_floor = 2.0
 
 let kernel_ab_case () =
   let module Slu = Lina.Lu.Sparse in
-  let n, col = node_basis () in
-  let f = Slu.factorize ~n ~col in
+  let sf, basic = node_basis () in
+  let n = Array.length basic in
   let scratch = Slu.scratch n in
-  let b = Array.make n 0.0
-  and c = Array.make n 0.0
-  and work = Array.make n 0.0 in
+  let ft =
+    Slu.ft_of_factors
+      (Slu.factorize_basis scratch sf.Lp.Std_form.a ~unit_sign:[||] basic)
+  in
+  let b = Array.make n 0.0 and c = Array.make n 0.0 in
+  let run solve v = ignore (solve ft scratch v : int) in
   (* Each RHS position is solved [inner] times back to back so the
      per-solve wall rises above clock resolution; the median is over
      positions. *)
@@ -266,22 +275,14 @@ let kernel_ab_case () =
       done
     done
   in
-  check "btran"
-    (fun b -> ignore (Slu.btran_reach f scratch b : int))
-    (fun b -> Slu.btran_in_place f ~work b);
-  check "ftran"
-    (fun b -> ignore (Slu.ftran_reach f scratch b : int))
-    (fun b -> Slu.ftran_in_place f ~work b);
+  check "btran" (run Slu.ft_btran) (run Slu.ft_btran_dense);
+  check "ftran" (run Slu.ft_ftran) (run Slu.ft_ftran_dense);
   (* Warm the caches once before timing. *)
-  ignore (median_us (fun b -> ignore (Slu.btran_reach f scratch b : int)));
-  let btran_reach =
-    median_us (fun b -> ignore (Slu.btran_reach f scratch b : int))
-  in
-  let btran_dense = median_us (fun b -> Slu.btran_in_place f ~work b) in
-  let ftran_reach =
-    median_us (fun b -> ignore (Slu.ftran_reach f scratch b : int))
-  in
-  let ftran_dense = median_us (fun b -> Slu.ftran_in_place f ~work b) in
+  ignore (median_us (run Slu.ft_btran));
+  let btran_reach = median_us (run Slu.ft_btran) in
+  let btran_dense = median_us (run Slu.ft_btran_dense) in
+  let ftran_reach = median_us (run Slu.ft_ftran) in
+  let ftran_dense = median_us (run Slu.ft_ftran_dense) in
   [
     ("btran_reach_us", btran_reach);
     ("btran_dense_us", btran_dense);
@@ -356,7 +357,9 @@ let run ~json_dir () =
      drift / %d forced\n"
     (c "basis_updates") (c "spike_fill") (c "refactor_fill")
     (c "refactor_drift") (c "refactor_forced");
-  Printf.printf "\n== Sparse-kernel A/B (node-LP optimal basis, unit RHS) ==\n";
+  Printf.printf
+    "\n== Sparse-kernel A/B (Forrest–Tomlin factors of the node-LP optimal \
+     basis, unit RHS) ==\n";
   let ab = kernel_ab_record () in
   let btran, ftran = kernel_speedups ab in
   let us k = Record.counter ab k in

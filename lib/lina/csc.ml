@@ -224,10 +224,3 @@ let transpose m =
   done;
   col_ptr.(0) <- 0;
   { rows; cols; col_ptr; row_idx; value }
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>csc %dx%d nnz=%d" m.rows m.cols (nnz m);
-  for j = 0 to m.cols - 1 do
-    iter_col m j (fun i v -> Format.fprintf ppf "@ (%d,%d)=%g" i j v)
-  done;
-  Format.fprintf ppf "@]"

@@ -63,5 +63,3 @@ val col_dot : t -> int -> float array -> float
 val transpose : t -> t
 (** Direct counting transpose in O(nnz + rows + cols) time; it allocates
     only the result.  Values are copied unchanged. *)
-
-val pp : Format.formatter -> t -> unit

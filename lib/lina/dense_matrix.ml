@@ -4,13 +4,6 @@ let create ~rows ~cols =
   if rows < 0 || cols < 0 then invalid_arg "Dense_matrix.create";
   { m = rows; n = cols; data = Array.make (rows * cols) 0.0 }
 
-let identity n =
-  let a = create ~rows:n ~cols:n in
-  for i = 0 to n - 1 do
-    a.data.((i * n) + i) <- 1.0
-  done;
-  a
-
 let of_rows rows_arr =
   let m = Array.length rows_arr in
   let n = if m = 0 then 0 else Array.length rows_arr.(0) in
@@ -22,14 +15,11 @@ let of_rows rows_arr =
     rows_arr;
   a
 
-let to_rows a = Array.init a.m (fun i -> Array.sub a.data (i * a.n) a.n)
 let copy a = { a with data = Array.copy a.data }
 let rows a = a.m
 let cols a = a.n
 let get a i j = a.data.((i * a.n) + j)
 let set a i j v = a.data.((i * a.n) + j) <- v
-let row a i = Array.sub a.data (i * a.n) a.n
-let col a j = Array.init a.m (fun i -> get a i j)
 
 let mult_vec a x =
   if Array.length x <> a.n then invalid_arg "Dense_matrix.mult_vec";
@@ -41,36 +31,6 @@ let mult_vec a x =
       done;
       !acc)
 
-let mult_trans_vec a y =
-  if Array.length y <> a.m then invalid_arg "Dense_matrix.mult_trans_vec";
-  let r = Array.make a.n 0.0 in
-  for i = 0 to a.m - 1 do
-    let yi = y.(i) in
-    if yi <> 0.0 then begin
-      let base = i * a.n in
-      for j = 0 to a.n - 1 do
-        r.(j) <- r.(j) +. (a.data.(base + j) *. yi)
-      done
-    end
-  done;
-  r
-
-let mult a b =
-  if a.n <> b.m then invalid_arg "Dense_matrix.mult";
-  let c = create ~rows:a.m ~cols:b.n in
-  for i = 0 to a.m - 1 do
-    for k = 0 to a.n - 1 do
-      let aik = a.data.((i * a.n) + k) in
-      if aik <> 0.0 then begin
-        let base_b = k * b.n and base_c = i * b.n in
-        for j = 0 to b.n - 1 do
-          c.data.(base_c + j) <- c.data.(base_c + j) +. (aik *. b.data.(base_b + j))
-        done
-      end
-    done
-  done;
-  c
-
 let swap_rows a i j =
   if i <> j then
     for k = 0 to a.n - 1 do
@@ -78,20 +38,6 @@ let swap_rows a i j =
       a.data.((i * a.n) + k) <- a.data.((j * a.n) + k);
       a.data.((j * a.n) + k) <- t
     done
-
-let scale_row a i s =
-  let base = i * a.n in
-  for k = 0 to a.n - 1 do
-    a.data.(base + k) <- s *. a.data.(base + k)
-  done
-
-let row_axpy a ~src ~dst f =
-  if f <> 0.0 then begin
-    let bs = src * a.n and bd = dst * a.n in
-    for k = 0 to a.n - 1 do
-      a.data.(bd + k) <- a.data.(bd + k) +. (f *. a.data.(bs + k))
-    done
-  end
 
 let raw a = a.data
 
@@ -107,18 +53,16 @@ let pivot_update binv d r =
   let piv = d.(r) in
   if Float.abs piv < Tol.pivot then
     invalid_arg "Dense_matrix.pivot_update: pivot too small";
-  scale_row binv r (1.0 /. piv);
-  for i = 0 to m - 1 do
-    if i <> r && d.(i) <> 0.0 then row_axpy binv ~src:r ~dst:i (-.d.(i))
-  done
-
-let pp ppf a =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to a.m - 1 do
-    Format.fprintf ppf "@[<h>";
-    for j = 0 to a.n - 1 do
-      Format.fprintf ppf "%8.3g " (get a i j)
-    done;
-    Format.fprintf ppf "@]@,"
+  let n = binv.n and data = binv.data in
+  let s = 1.0 /. piv and br = r * n in
+  for k = 0 to n - 1 do
+    data.(br + k) <- s *. data.(br + k)
   done;
-  Format.fprintf ppf "@]"
+  for i = 0 to m - 1 do
+    if i <> r && d.(i) <> 0.0 then begin
+      let f = -.d.(i) and bi = i * n in
+      for k = 0 to n - 1 do
+        data.(bi + k) <- data.(bi + k) +. (f *. data.(br + k))
+      done
+    end
+  done

@@ -8,12 +8,8 @@ type t
 val create : rows:int -> cols:int -> t
 (** Zero matrix. *)
 
-val identity : int -> t
-
 val of_rows : float array array -> t
 (** @raise Invalid_argument on ragged input. *)
-
-val to_rows : t -> float array array
 
 val copy : t -> t
 
@@ -23,24 +19,9 @@ val cols : t -> int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 
-val row : t -> int -> float array
-(** Fresh copy of row [i]. *)
-
-val col : t -> int -> float array
-(** Fresh copy of column [j]. *)
-
 val mult_vec : t -> float array -> float array
 
-val mult_trans_vec : t -> float array -> float array
-
-val mult : t -> t -> t
-
 val swap_rows : t -> int -> int -> unit
-
-val scale_row : t -> int -> float -> unit
-
-val row_axpy : t -> src:int -> dst:int -> float -> unit
-(** [row_axpy m ~src ~dst a] performs [row dst <- row dst + a * row src]. *)
 
 val raw : t -> float array
 (** The underlying row-major storage (entry [(i, j)] lives at
@@ -58,5 +39,3 @@ val pivot_update : t -> float array -> int -> unit
     row [r], transforms [binv <- E · binv] where [E] is the elementary
     matrix mapping [d] to the unit vector [e_r].
     @raise Invalid_argument when [abs d.(r)] is below {!Tol.pivot}. *)
-
-val pp : Format.formatter -> t -> unit
