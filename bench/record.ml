@@ -104,13 +104,8 @@ let to_json d =
 
 let ( let* ) = Result.bind
 
-let field k o =
-  match Json.member k o with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" k)
-
 let str k o =
-  let* v = field k o in
+  let* v = Json.field k o in
   match v with
   | Json.Str s -> Ok s
   | _ -> Error (Printf.sprintf "%S is not a string" k)
@@ -125,7 +120,7 @@ let number k v =
   | _ -> Error (Printf.sprintf "%S is not a number" k)
 
 let float_field k o =
-  let* v = field k o in
+  let* v = Json.field k o in
   number k v
 
 let rec all = function
@@ -142,22 +137,20 @@ let run_of_json o =
     (let* status = str "status" o in
      let* objective = float_field "objective" o in
      let* ticks =
-       match Json.member "ticks" o with
-       | Some (Json.Num f) when Float.is_integer f -> Ok (int_of_float f)
-       | Some _ -> Error "\"ticks\" is not an integer"
-       | None -> Error "missing field \"ticks\""
+       let* v = Json.field "ticks" o in
+       Result.map_error (fun _ -> "\"ticks\" is not an integer") (Json.to_int v)
      in
      let* wall_s = float_field "wall_s" o in
      let* minor_words = float_field "minor_words" o in
      let* counters =
-       match Json.member "counters" o with
-       | Some (Json.Obj kvs) ->
+       let* v = Json.field "counters" o in
+       match v with
+       | Json.Obj kvs ->
          all
            (List.map
               (fun (k, v) -> Result.map (fun f -> (k, f)) (number k v))
               kvs)
-       | Some _ -> Error "\"counters\" is not an object"
-       | None -> Error "missing field \"counters\""
+       | _ -> Error "\"counters\" is not an object"
      in
      Ok
        {

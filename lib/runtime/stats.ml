@@ -142,9 +142,7 @@ let of_json doc =
       | [] -> Ok s
       | Int (name, _, set) :: rest ->
         Result.bind
-          (decode name (function
-            | Json.Num n -> Ok (set s (int_of_float n))
-            | _ -> Error "expected an integer"))
+          (decode name (fun v -> Result.map (set s) (Json.to_int v)))
           (fun () -> go rest)
     in
     go fields

@@ -268,7 +268,20 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
+let field key doc =
+  match member key doc with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" key)
+
 let to_float = function Num x -> Some x | _ -> None
+
+(* 2^(int_size - 1): every integral float in [-limit, limit) is an int. *)
+let int_limit = Float.ldexp 1.0 (Sys.int_size - 1)
+
+let to_int = function
+  | Num x when Float.is_integer x && x >= -.int_limit && x < int_limit ->
+    Ok (int_of_float x)
+  | _ -> Error "expected an integer"
 
 let to_list = function List items -> Some items | _ -> None
 

@@ -28,7 +28,15 @@ val member : string -> t -> t option
 (** [member k (Obj ...)] is the field [k] if present; [None] on any other
     constructor. *)
 
+val field : string -> t -> (t, string) result
+(** [field k o] is {!member} [k o], or [Error "missing field \"k\""]. *)
+
 val to_float : t -> float option
+
+val to_int : t -> (int, string) result
+(** The integer decoder: a number that is integral, finite and within
+    the range of [int]; [Error "expected an integer"] on anything else,
+    a fraction such as [3.5] or a magnitude such as [1e300] included. *)
 
 val to_list : t -> t list option
 

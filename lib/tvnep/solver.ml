@@ -764,24 +764,15 @@ module Json = Statsutil.Json
 
 let schema_version = 1
 
-let int_of_json = function
-  | Json.Num n -> Ok (int_of_float n)
-  | _ -> Error "expected an integer"
-
 let ( let* ) = Result.bind
 
-let field name doc =
-  match Json.member name doc with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
 let float_field name doc =
-  let* v = field name doc in
+  let* v = Json.field name doc in
   Result.map_error (fun e -> name ^ ": " ^ e) (Json.to_float_exact v)
 
 let int_field name doc =
-  let* v = field name doc in
-  Result.map_error (fun e -> name ^ ": " ^ e) (int_of_json v)
+  let* v = Json.field name doc in
+  Result.map_error (fun e -> name ^ ": " ^ e) (Json.to_int v)
 
 let assignment_to_json (a : Solution.assignment) =
   Json.Obj
@@ -818,13 +809,13 @@ let assignment_of_json doc =
     | _ -> Error "assignment: missing boolean \"accepted\""
   in
   let* node_map =
-    match Option.bind (field "node_map" doc |> Result.to_option) Json.to_list with
+    match Option.bind (Json.member "node_map" doc) Json.to_list with
     | Some l ->
       let* ids =
         List.fold_right
           (fun v acc ->
             let* acc = acc in
-            let* n = int_of_json v in
+            let* n = Json.to_int v in
             Ok (n :: acc))
           l (Ok [])
       in
@@ -833,7 +824,7 @@ let assignment_of_json doc =
   in
   let* link_flows =
     match
-      Option.bind (field "link_flows" doc |> Result.to_option) Json.to_list
+      Option.bind (Json.member "link_flows" doc) Json.to_list
     with
     | Some l ->
       let* flows =
@@ -849,7 +840,7 @@ let assignment_of_json doc =
                     let* acc = acc in
                     match Json.to_list p with
                     | Some [ e; f ] ->
-                      let* e = int_of_json e in
+                      let* e = Json.to_int e in
                       let* f = Json.to_float_exact f in
                       Ok ((e, f) :: acc)
                     | _ -> Error "assignment: flow pair expected")
@@ -878,7 +869,7 @@ let solution_to_json (sol : Solution.t) =
 let solution_of_json doc =
   let* objective = float_field "objective" doc in
   match
-    Option.bind (field "assignments" doc |> Result.to_option) Json.to_list
+    Option.bind (Json.member "assignments" doc) Json.to_list
   with
   | None -> Error "solution: missing \"assignments\""
   | Some l ->
@@ -1010,7 +1001,7 @@ let rec outcome_of_json doc =
             List.fold_right
               (fun v acc ->
                 let* acc = acc in
-                let* n = int_of_json v in
+                let* n = Json.to_int v in
                 Ok (n :: acc))
               l (Ok [])
         in

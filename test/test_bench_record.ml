@@ -102,6 +102,15 @@ let codec_tests =
           (with_run_fields (List.remove_assoc "ticks") d);
         rejects "a run without counters"
           (with_run_fields (List.remove_assoc "counters") d);
+        List.iter
+          (fun bad ->
+            rejects
+              (Printf.sprintf "ticks = %g" bad)
+              (with_run_fields
+                 (List.map (fun (k, v) ->
+                      if k = "ticks" then (k, Json.Num bad) else (k, v)))
+                 d))
+          [ 3.5; 1e300 ];
         rejects "a non-numeric counter"
           (with_run_fields
              (List.map (fun (k, v) ->

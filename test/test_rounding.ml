@@ -354,6 +354,10 @@ let unit_tests =
             ( "bool counter",
               Statsutil.Json.Obj
                 [ ("greedy_lp_solves", Statsutil.Json.Bool true) ] );
+            ( "fractional counter",
+              Statsutil.Json.Obj [ ("bb_nodes", Statsutil.Json.Num 3.5) ] );
+            ( "counter beyond the int range",
+              Statsutil.Json.Obj [ ("bb_nodes", Statsutil.Json.Num 1e300) ] );
           ]);
   ]
 

@@ -94,6 +94,15 @@ let budget_tests =
         raises "outside its window" [ (0, 1e9) ]);
   ]
 
+(* [doc] with its top-level [member] replaced by the number [v]. *)
+let with_member member v = function
+  | Statsutil.Json.Obj fields ->
+    Statsutil.Json.Obj
+      (List.map
+         (fun (k, x) -> if k = member then (k, Statsutil.Json.Num v) else (k, x))
+         fields)
+  | _ -> Alcotest.fail "expected a JSON object"
+
 let json_tests =
   [
     Alcotest.test_case "outcome JSON round-trips" `Quick (fun () ->
@@ -140,6 +149,31 @@ let json_tests =
         match Tvnep.Solver.outcome_of_json doc with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "version 999 was accepted");
+    Alcotest.test_case "outcomes reject fractional and out-of-range counts"
+      `Quick (fun () ->
+        let inst = scenario ~k:3 13L in
+        let o = Tvnep.Solver.run inst Tvnep.Solver.Options.default in
+        List.iter
+          (fun (member, bad) ->
+            match
+              Tvnep.Solver.outcome_of_json
+                (with_member member bad (Tvnep.Solver.outcome_to_json o))
+            with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s = %g was accepted" member bad)
+          [ ("ticks", 3.5); ("ticks", 1e300); ("nodes", 3.5); ("nodes", 1e300) ]);
+    Alcotest.test_case "service records reject fractional and out-of-range \
+                        counts" `Quick (fun () ->
+        let inst = scenario ~k:6 1L in
+        let s = Engine.serve ~config:(tight_config ()) inst in
+        let doc = Engine.record_to_json s.Engine.records.(0) in
+        List.iter
+          (fun (member, bad) ->
+            match Engine.record_of_json (with_member member bad doc) with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s = %g was accepted" member bad)
+          [ ("ticks", 3.5); ("ticks", 1e300); ("request", 3.5);
+            ("request", 1e300) ]);
     Alcotest.test_case "service records round-trip" `Quick (fun () ->
         let inst = scenario ~k:6 1L in
         let s = Engine.serve ~config:(tight_config ()) inst in
