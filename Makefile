@@ -19,9 +19,10 @@ bench-smoke: build
 # (Forrest–Tomlin basis, devex partial pricing); writes BENCH_simplex.json
 # (per-case solves, pivots, work-clock ticks, wall time, node-LP
 # basis-update telemetry, the kernel A/B timings).  Exits nonzero when the
-# reach-based sparse solves lose their 2x floor over the dense scans, a
-# case spends over 10% more ticks than the file it replaces, or the
-# emitted file fails validation.  Every BENCH_*.json uses one schema,
+# reach-based Forrest–Tomlin solves (ft_ftran/ft_btran) lose their 2x
+# floor over their dense-scan fallback (ft_ftran_dense/ft_btran_dense) on
+# the node-LP basis, a case spends over 10% more ticks than the file it
+# replaces, or the emitted file fails validation.  Every BENCH_*.json uses one schema,
 # tvnep-bench/1 (bench/record.ml); delete a file to re-baseline it.
 bench-micro: build
 	dune exec bench/main.exe -- --only micro
