@@ -5,12 +5,6 @@
 open Bechamel
 open Toolkit
 
-let lu_input n =
-  let rng = Workload.Rng.create 5L in
-  Lina.Dense_matrix.of_rows
-    (Array.init n (fun _ ->
-         Array.init n (fun _ -> Workload.Rng.float_range rng (-2.0) 2.0)))
-
 let small_lp () =
   (* A fixed 30-var, 20-row random LP. *)
   let rng = Workload.Rng.create 11L in
@@ -53,7 +47,6 @@ let node_basis () =
   (sf, (Option.get r.Lp.Simplex.final_basis).Lp.Simplex.basic)
 
 let tests () =
-  let lu60 = lu_input 60 in
   let sf, basic = node_basis () in
   (* The simplex's refactorization path: the form's CSC arrays and one
      scratch reused across refactorizations. *)
@@ -62,8 +55,6 @@ let tests () =
   let inst = bench_instance () in
   let grid = Graphs.Generators.grid ~rows:4 ~cols:5 in
   [
-    Test.make ~name:"lu-factorize-60x60"
-      (Staged.stage (fun () -> ignore (Lina.Lu.factorize lu60)));
     Test.make ~name:"lu-sparse-factorize-node-basis"
       (Staged.stage (fun () ->
            ignore

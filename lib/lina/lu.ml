@@ -1,96 +1,4 @@
-type t = {
-  n : int;
-  lu : Dense_matrix.t;  (* L below the diagonal (unit), U on and above *)
-  perm : int array;     (* row permutation: source row of factor row i *)
-}
-
 exception Singular of int
-
-(* The elimination runs on the raw row-major storage: these loops dominate
-   the solver's refactorization cost, so per-element accessor calls are
-   deliberately avoided. *)
-let factorize a =
-  let n = Dense_matrix.rows a in
-  if Dense_matrix.cols a <> n then invalid_arg "Lu.factorize: not square";
-  let lu = Dense_matrix.copy a in
-  let d = Dense_matrix.raw lu in
-  let perm = Array.init n (fun i -> i) in
-  for k = 0 to n - 1 do
-    (* Partial pivoting: largest magnitude in column k, rows k.. *)
-    let piv_row = ref k and piv_val = ref (Float.abs d.((k * n) + k)) in
-    for i = k + 1 to n - 1 do
-      let v = Float.abs d.((i * n) + k) in
-      if v > !piv_val then begin
-        piv_val := v;
-        piv_row := i
-      end
-    done;
-    if !piv_val < Tol.pivot then raise (Singular k);
-    if !piv_row <> k then begin
-      Dense_matrix.swap_rows lu k !piv_row;
-      let t = perm.(k) in
-      perm.(k) <- perm.(!piv_row);
-      perm.(!piv_row) <- t
-    end;
-    let bk = k * n in
-    let ukk = d.(bk + k) in
-    for i = k + 1 to n - 1 do
-      let bi = i * n in
-      let lik = d.(bi + k) /. ukk in
-      d.(bi + k) <- lik;
-      if lik <> 0.0 then
-        for j = k + 1 to n - 1 do
-          d.(bi + j) <- d.(bi + j) -. (lik *. d.(bk + j))
-        done
-    done
-  done;
-  { n; lu; perm }
-
-let solve_into f b y =
-  let n = f.n in
-  let d = Dense_matrix.raw f.lu in
-  (* Apply permutation, then forward substitution with unit L. *)
-  for i = 0 to n - 1 do
-    y.(i) <- b.(f.perm.(i))
-  done;
-  for i = 1 to n - 1 do
-    let bi = i * n in
-    let acc = ref y.(i) in
-    for j = 0 to i - 1 do
-      acc := !acc -. (d.(bi + j) *. y.(j))
-    done;
-    y.(i) <- !acc
-  done;
-  (* Backward substitution with U. *)
-  for i = n - 1 downto 0 do
-    let bi = i * n in
-    let acc = ref y.(i) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (d.(bi + j) *. y.(j))
-    done;
-    y.(i) <- !acc /. d.(bi + i)
-  done
-
-let solve f b =
-  if Array.length b <> f.n then invalid_arg "Lu.solve: dim";
-  let y = Array.make f.n 0.0 in
-  solve_into f b y;
-  y
-
-let inverse f =
-  let n = f.n in
-  let inv = Dense_matrix.create ~rows:n ~cols:n in
-  let raw = Dense_matrix.raw inv in
-  let e = Array.make n 0.0 and x = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    e.(j) <- 1.0;
-    solve_into f e x;
-    e.(j) <- 0.0;
-    for i = 0 to n - 1 do
-      raw.((i * n) + j) <- x.(i)
-    done
-  done;
-  inv
 
 (* --- sparse left-looking LU ------------------------------------------- *)
 

@@ -1,37 +1,17 @@
-(** Dense LU factorization with partial pivoting, and the sparse
-    updatable factors the simplex runs on ({!Sparse}).
+(** Sparse LU factors of the simplex basis ({!Sparse}) and their
+    Forrest–Tomlin updates.
 
-    The dense factorization builds the explicit inverse of the dense
-    test-reference basis ({!Lp.Basis.Dense_inverse}) and solves small
-    dense systems in tests. *)
-
-type t
-(** An LU factorization [P·A = L·U] of a square matrix. *)
+    Left-looking column LU over CSC columns, kept {e as factors} (never
+    expanded to an inverse).  A factorization ({!Sparse.t}) is static:
+    it offers no solve of its own.  Every basis solve runs on the
+    Forrest–Tomlin updatable factors built around it
+    ({!Sparse.ft_of_factors}, {!Sparse.ft_refresh}): FTRAN/BTRAN in
+    O(nnz(L)+nnz(U)+nnz(row etas)), and {!Sparse.ft_update} absorbs each
+    simplex pivot in place; {!Lp.Basis} wraps them for the simplex. *)
 
 exception Singular of int
 (** Raised (with the offending elimination step) when no pivot of
     magnitude at least {!Tol.pivot} exists. *)
-
-val factorize : Dense_matrix.t -> t
-(** @raise Singular when the matrix is (numerically) singular.
-    @raise Invalid_argument on a non-square matrix. *)
-
-val solve : t -> float array -> float array
-(** [solve lu b] returns [x] with [A x = b]. *)
-
-val inverse : t -> Dense_matrix.t
-(** Explicit inverse, column by column. *)
-
-(** {2 Sparse factors}
-
-    Left-looking column LU over CSC columns, kept {e as factors} (never
-    expanded to an inverse).  This is the simplex basis workhorse.  A
-    factorization ({!Sparse.t}) is static: it offers no solve of its
-    own.  Every basis solve runs on the Forrest–Tomlin updatable factors
-    built around it ({!Sparse.ft_of_factors}, {!Sparse.ft_refresh}):
-    FTRAN/BTRAN in O(nnz(L)+nnz(U)+nnz(row etas)), and
-    {!Sparse.ft_update} absorbs each simplex pivot in place;
-    {!Lp.Basis} wraps them for the simplex. *)
 
 module Sparse : sig
   type t

@@ -1,45 +1,31 @@
-(** Simplex basis representations.
+(** The simplex basis: sparse LU factors updated by Forrest–Tomlin.
 
     The revised simplex needs four operations against the basis matrix
-    [B] (columns of [A] indexed by basis position): FTRAN ([B x = b]),
-    BTRAN ([Bᵀ y = c]), extraction of one row of [B⁻¹], and a rank-one
-    update after a pivot.  Two representations provide them:
-
-    - {!Updatable_lu} — sparse LU factors ({!Lina.Lu.Sparse}) updated by
-      Forrest–Tomlin: each pivot is absorbed into the factors in place
-      ({!Lina.Lu.Sparse.ft_update}), so solves stay
-      O(nnz(L)+nnz(U)+nnz(row etas)) where the row-eta file holds only
-      elimination multipliers, not a full spike per pivot.  The caller
-      refactorizes on measured fill growth ({!fill_ratio}) or residual
-      drift, and when an update is rejected.  The simplex default and
-      the only representation any solver path selects.
-    - {!Dense_inverse} — the explicit dense [B⁻¹], updated in product
-      form on every pivot (O(m²) per operation).  The test reference:
-      property tests check the sparse representation against it. *)
-
-type kind = Dense_inverse | Updatable_lu
+    [B] (columns of [[A | diag unit_sign]] indexed by basis position):
+    FTRAN ([B x = b]), BTRAN ([Bᵀ y = c]), extraction of one row of
+    [B⁻¹], and a rank-one update after a pivot.  They run on sparse LU
+    factors ({!Lina.Lu.Sparse}) that absorb each pivot in place
+    ({!Lina.Lu.Sparse.ft_update}), so solves stay
+    O(nnz(L)+nnz(U)+nnz(row etas)) where the row-eta file holds only
+    elimination multipliers, not a full spike per pivot.  The caller
+    refactorizes on measured fill growth ({!fill_ratio}) or residual
+    drift, and when an update is rejected. *)
 
 type t
 
-val create : kind -> int -> t
-(** [create kind m] allocates a representation of dimension [m] —
-    O(m) words for {!Updatable_lu} — holding no basis yet: install one
-    with {!load_identity} or {!factorize} before the first solve (a
-    solve before that raises [Invalid_argument] or reads an empty
-    inverse). *)
-
-val kind : t -> kind
-
-val dim : t -> int
+val create : int -> t
+(** [create m] allocates the factors and workspace of a dimension-[m]
+    basis — O(m) words — holding no basis yet: install one with
+    {!load_identity} or {!factorize} before the first solve (a solve
+    before that raises [Invalid_argument]). *)
 
 val update_count : t -> int
-(** Forrest–Tomlin updates absorbed since the last (re)factorization;
-    always [0] for {!Dense_inverse}. *)
+(** Forrest–Tomlin updates absorbed since the last (re)factorization. *)
 
 val fill_ratio : t -> float
 (** Current factor size relative to the fresh factorization
-    ({!Lina.Lu.Sparse.ft_fill_ratio}); [1.0] for {!Dense_inverse}.  The
-    fill-growth signal of the refactorization policy. *)
+    ({!Lina.Lu.Sparse.ft_fill_ratio}).  The fill-growth signal of the
+    refactorization policy. *)
 
 val fill_exceeds : t -> float -> bool
 (** [fill_exceeds t limit] is [fill_ratio t > limit], without boxing the
@@ -47,11 +33,10 @@ val fill_exceeds : t -> float -> bool
 
 val solve_cost : t -> int
 (** Deterministic {e upper bound} on the work of one FTRAN or BTRAN at
-    the current representation size — [m²] dense, [nnz(factors)+m]
-    updatable.  Used to bill factorizations; the solve operations
-    themselves return the work they actually performed (reach-bounded
-    for the sparse representation), which is what the simplex bills to
-    the budget clock. *)
+    the current factor size — [nnz(factors)+m].  Used to bill
+    factorizations; the solve operations themselves return the
+    (reach-bounded) work they actually performed, which is what the
+    simplex bills to the budget clock. *)
 
 val load_identity : t -> float array -> unit
 (** [load_identity t signs] installs the basis [diag signs] (signs are
@@ -63,18 +48,17 @@ val factorize : t -> Lina.Csc.t -> unit_sign:float array -> int array -> unit
     whose column [pos] is column [basic.(pos)] of [[a | diag unit_sign]]
     (a column of [a], or past [Csc.cols a] a signed unit column — the
     simplex's artificials), read straight from the CSC arrays.  Clears
-    the absorbed updates.  {!Updatable_lu} reuses its scratch for all
-    working storage and allocates only the new factors.
+    the absorbed updates, reuses the scratch for all working storage and
+    allocates only the new factors.
     @raise Lina.Lu.Singular on a (numerically) singular basis. *)
 
 val ftran_col :
   t -> Lina.Csc.t -> unit_sign:float array -> int -> float array -> int
 (** [ftran_col t a ~unit_sign j w] accumulates [B⁻¹ a_j] into [w]
     (length [m], caller-zeroed), column [j] of [[a | diag unit_sign]] as
-    in {!factorize}.  Returns the work performed — reach-bounded sparse
-    solves for {!Updatable_lu}, [m²] for {!Dense_inverse} — a
-    deterministic function of the basis and the RHS, suitable for clock
-    billing.  For {!Updatable_lu} the solve also stashes the column's
+    in {!factorize}.  Returns the work performed by the reach-bounded
+    sparse solves — a deterministic function of the basis and the RHS,
+    suitable for clock billing.  The solve also stashes the column's
     spike, which a following {!update} consumes. *)
 
 val ftran_in_place : t -> float array -> int
@@ -94,40 +78,35 @@ val unit_row : t -> int -> float array -> int
 
 (** {2 Result support}
 
-    {!Updatable_lu} hands back where the result of its last solve
-    ({!ftran_col}, {!ftran_in_place}, {!btran_in_place}, {!unit_row})
-    can be nonzero, per {!Lina.Lu.Sparse.support_len}, so the simplex
-    walks a pivot column or an inverse row in time proportional to its
-    nonzeros.  {!Dense_inverse} never reports one. *)
+    The last solve ({!ftran_col}, {!ftran_in_place}, {!btran_in_place},
+    {!unit_row}) hands back where its result can be nonzero, per
+    {!Lina.Lu.Sparse.support_len}, so the simplex walks a pivot column
+    or an inverse row in time proportional to its nonzeros. *)
 
 val support_len : t -> int
 (** Entries of the last solve's support, ascending and listing every
-    nonzero of the result exactly once; [-1] when there is none (a
-    dense-path solve, or {!Dense_inverse}) and the caller must scan all
-    [m] positions. *)
+    nonzero of the result exactly once; [-1] when the solve took the
+    dense-scan path and the caller must scan all [m] positions. *)
 
 val support : t -> int array
 (** The buffer holding that support in its first {!support_len}
     entries; overwritten by the next solve, factorization or update. *)
 
-val update : t -> r:int -> w:float array -> bool
-(** [update t ~r ~w] installs the pivot that makes column [w = B⁻¹ a_q]
-    basic at position [r]: a product-form inverse patch (dense) or a
-    Forrest–Tomlin in-place update (updatable — consumes the spike
-    stashed by the FTRAN of the entering column, which must be the
-    representation's most recent FTRAN).  Returns [false] when the
-    update is rejected ({!Updatable_lu} only): the spike's updated
-    diagonal fell below the pivot tolerance, so the update form cannot
-    represent this basis change stably.  The basis {e change} is fine —
-    the caller must refactorize from the new basis before the next
-    solve.
-    @raise Invalid_argument when [|w_r|] is below {!Lina.Tol.pivot}
-    (dense) or no spike is stashed (updatable). *)
+val update : t -> r:int -> bool
+(** [update t ~r] makes the column of the last FTRAN basic at position
+    [r] by a Forrest–Tomlin in-place update: it consumes the spike
+    stashed by that FTRAN, which must be the most recent one.  Returns
+    [false] when the update is rejected: the spike's updated diagonal
+    fell below the pivot tolerance, so the update form cannot represent
+    this basis change stably.  The basis {e change} is fine — the caller
+    must refactorize from the new basis before the next solve.
+    @raise Invalid_argument when no spike is stashed or the factors are
+    stale from a rejected update. *)
 
 val update_work : t -> int
 (** Deterministic work of the last accepted {!update} (for clock
-    billing); [0] for {!Dense_inverse}. *)
+    billing). *)
 
 val update_added : t -> int
 (** Entries the last accepted {!update} appended to the factors (spike
-    fill plus row-eta multipliers); [0] for {!Dense_inverse}. *)
+    fill plus row-eta multipliers). *)

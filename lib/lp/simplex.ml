@@ -28,7 +28,6 @@ type params = {
   refactor_every : int;
   dual_feas_tol : float;
   primal_feas_tol : float;
-  factorization : Basis.kind;
   fill_limit : float;
   partial_pricing : bool;
 }
@@ -40,7 +39,6 @@ let default_params =
     refactor_every = 100;
     dual_feas_tol = 1e-7;
     primal_feas_tol = Lina.Tol.feas;
-    factorization = Basis.Updatable_lu;
     fill_limit = 3.0;
     partial_pricing = true;
   }
@@ -86,7 +84,7 @@ type state = {
   vstat : vstat array;
   basis : int array;
   art_sign : float array;
-  rep : Basis.t;  (* basis representation: FT-updated LU, or dense B⁻¹ *)
+  rep : Basis.t;  (* basis representation: FT-updated LU *)
   mutable pivots_since_refactor : int;
   mutable iterations : int;
   mutable bland : bool;
@@ -335,16 +333,12 @@ let refactorize st =
    growth rather than a fixed pivot count: the Forrest–Tomlin factors are
    refactorized when their fill ratio passes [fill_limit] (solve cost only
    grows with actual spike/multiplier fill, so updates keep going while
-   the factors stay lean; the dense reference never refactorizes for
-   fill), and every [refactor_every] pivots the residual-drift check
-   runs. *)
+   the factors stay lean), and every [refactor_every] pivots the
+   residual-drift check runs. *)
 let after_basis_update st =
   st.pivots_since_refactor <- st.pivots_since_refactor + 1;
   try
-    if
-      Basis.kind st.rep = Basis.Updatable_lu
-      && Basis.fill_exceeds st.rep st.params.fill_limit
-    then begin
+    if Basis.fill_exceeds st.rep st.params.fill_limit then begin
       st.stats.Rstats.refactor_fill <- st.stats.Rstats.refactor_fill + 1;
       full_refactorize st
     end
@@ -358,17 +352,14 @@ let after_basis_update st =
    basis both repairs the representation and absorbs the pivot. *)
 let commit_pivot st ~r =
   match
-    try Basis.update st.rep ~r ~w:st.w
+    try Basis.update st.rep ~r
     with Invalid_argument _ -> raise (Solver_stop Numerical_failure)
   with
   | true ->
-    (match Basis.kind st.rep with
-    | Basis.Updatable_lu ->
-      st.stats.Rstats.basis_updates <- st.stats.Rstats.basis_updates + 1;
-      st.stats.Rstats.spike_fill <-
-        st.stats.Rstats.spike_fill + Basis.update_added st.rep;
-      tick_factor st (Basis.update_work st.rep)
-    | Basis.Dense_inverse -> ());
+    st.stats.Rstats.basis_updates <- st.stats.Rstats.basis_updates + 1;
+    st.stats.Rstats.spike_fill <-
+      st.stats.Rstats.spike_fill + Basis.update_added st.rep;
+    tick_factor st (Basis.update_work st.rep);
     after_basis_update st
   | false -> (
     st.stats.Rstats.refactor_forced <- st.stats.Rstats.refactor_forced + 1;
@@ -755,9 +746,8 @@ let check_limits st =
    budget clock (deterministic time advances here).  Each iteration's
    clock charge is assembled from the work actually performed — a basis
    solve ticks the reach-bounded work it returns, pricing ticks the
-   columns examined —
-   so work-seconds track wall-seconds across representations and across
-   model sizes spanning orders of magnitude.  This helper bills the O(m)
+   columns examined — so work-seconds track wall-seconds across model
+   sizes spanning orders of magnitude.  This helper bills the O(m)
    remainder (ratio test, primal update) so every iteration advances the
    clock even when the solves are nearly free. *)
 let count_iteration st =
@@ -1327,7 +1317,7 @@ let fresh_state sf params budget stats prof lb ub =
     vstat = Array.make (n_total + m) At_lower;
     basis = Array.make m (-1);
     art_sign = Array.make m 1.0;
-    rep = Basis.create params.factorization m;
+    rep = Basis.create m;
     pivots_since_refactor = 0;
     iterations = 0;
     bland = false;

@@ -1,11 +1,9 @@
 (** Bounded-variable two-phase revised simplex.
 
     Solves the computational form produced by {!Std_form}:
-    [min cᵀx  s.t.  A·x = 0,  lb <= x <= ub].  The basis is kept in a
-    {!Basis} representation — by default sparse LU factors updated in
-    place by a Forrest–Tomlin update per pivot ({!Basis.Updatable_lu}),
-    so FTRAN/BTRAN stay O(nnz(factors)); the dense explicit inverse
-    ({!Basis.Dense_inverse}) remains as the test reference.
+    [min cᵀx  s.t.  A·x = 0,  lb <= x <= ub].  The basis is kept as
+    sparse LU factors updated in place by a Forrest–Tomlin update per
+    pivot ({!Basis}), so FTRAN/BTRAN stay O(nnz(factors)).
     Refactorization is driven by measured representation growth — the
     fill ratio exceeding [fill_limit] — plus the periodic residual check
     (every [refactor_every] pivots) for drift, and immediately when an
@@ -52,10 +50,9 @@ type params = {
   refactor_every : int;     (** pivots between residual/drift checks *)
   dual_feas_tol : float;    (** reduced-cost tolerance *)
   primal_feas_tol : float;  (** bound-violation tolerance *)
-  factorization : Basis.kind;  (** basis representation (default updatable) *)
   fill_limit : float;       (** factor-size growth ratio before a forced
-                                refactorization ({!Basis.Updatable_lu}
-                                only; fresh factorization = 1.0) *)
+                                refactorization (fresh factorization
+                                = 1.0) *)
   partial_pricing : bool;   (** candidate-list pricing (default on) *)
 }
 

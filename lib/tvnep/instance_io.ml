@@ -68,9 +68,12 @@ type parser_state = {
 
 let fail line msg = raise (Parse_error (line, msg))
 
+(* Finite only: the range checks of [Instance.make], [Substrate.make] and
+   [Request.make] compare with [<]/[<=], which a nan passes silently. *)
 let float_of line s =
   match float_of_string_opt s with
-  | Some f -> f
+  | Some f when Float.is_finite f -> f
+  | Some _ -> fail line (Printf.sprintf "expected a finite number, got %S" s)
   | None -> fail line (Printf.sprintf "expected a number, got %S" s)
 
 let int_of line s =

@@ -198,7 +198,7 @@ let yen_properties =
     List.length (List.sort_uniq compare nodes) = List.length nodes
   in
   [
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:5101
       (QCheck2.Test.make
          ~name:"yen: simple, ascending, distinct, head = dijkstra" ~count:40
          QCheck2.Gen.(int_bound 100_000)
@@ -230,7 +230,7 @@ let yen_properties =
              | _ -> false
            in
            all_simple && ascending ps && List.length ps <= k && head_ok));
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:5102
       (QCheck2.Test.make ~name:"yen: deterministic across calls" ~count:20
          QCheck2.Gen.(int_bound 100_000)
          (fun seed ->
@@ -253,7 +253,7 @@ let yen_properties =
 
 let path_properties =
   [
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:5103
       (QCheck2.Test.make ~name:"FW(unit weights) equals BFS distances"
          ~count:30
          QCheck2.Gen.(int_bound 100_000)

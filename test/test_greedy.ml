@@ -313,14 +313,14 @@ let flow_lp_tests =
 
 let properties =
   [
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:4101
       (QCheck2.Test.make ~name:"greedy solutions are always feasible" ~count:15
          QCheck2.Gen.(int_bound 100_000)
          (fun seed ->
            let inst = scenario ~k:5 ~flex:2.0 (Int64.of_int (seed + 7)) in
            let sol, _ = Tvnep.Greedy.run inst in
            Tvnep.Validator.is_feasible inst sol));
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:4102
       (QCheck2.Test.make ~name:"greedy never beats the exact optimum" ~count:6
          QCheck2.Gen.(int_bound 10_000)
          (fun seed ->
@@ -331,7 +331,7 @@ let properties =
            | Some opt when exact.Tvnep.Solver.status = Tvnep.Solver.Optimal ->
              sol.Tvnep.Solution.objective <= opt +. 1e-5
            | _ -> true));
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:4103
       (QCheck2.Test.make
          ~name:"greedy objective matches recomputed revenue" ~count:15
          QCheck2.Gen.(int_bound 100_000)
@@ -342,7 +342,7 @@ let properties =
              (sol.Tvnep.Solution.objective
              -. Tvnep.Solution.access_control_value inst sol)
            < 1e-9));
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:4104
       (QCheck2.Test.make
          ~name:"rejected requests still carry window-respecting times"
          ~count:15

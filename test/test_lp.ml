@@ -189,7 +189,7 @@ let random_lp rng ~n ~m_rows =
 
 let simplex_properties =
   [
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:2101
       (QCheck2.Test.make ~name:"optimum dominates random feasible points"
          ~count:40
          QCheck2.Gen.(int_bound 100_000)
@@ -227,7 +227,7 @@ let simplex_properties =
              done;
              !ok
            end));
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:2102
       (QCheck2.Test.make ~name:"strong duality on random LPs" ~count:40
          QCheck2.Gen.(int_bound 100_000)
          (fun seed ->
@@ -313,7 +313,7 @@ let session_tests =
 (* Session vs cold equivalence across many random bound changes. *)
 let session_properties =
   [
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:2103
       (QCheck2.Test.make ~name:"session equals cold under random rebounds"
          ~count:25
          QCheck2.Gen.(int_bound 100_000)
@@ -345,9 +345,9 @@ let session_properties =
            !ok));
   ]
 
-(* Basis representations: the Forrest–Tomlin-updated sparse LU must be
-   numerically interchangeable with the explicit dense inverse, the test
-   reference. *)
+(* The Forrest–Tomlin-updated basis: its solves must reproduce their
+   right-hand sides through the ground-truth basis and agree with a dense
+   LU of it ([Dense_lu]). *)
 
 let basis_tests =
   [
@@ -369,17 +369,16 @@ let basis_tests =
               c.(pos) <- c.(pos) +. 4.0;
               c)
         in
-        let factorize rep =
-          let b =
-            Lina.Csc.of_dense
-              (Array.init m (fun i -> Array.init m (fun pos -> cols.(pos).(i))))
-          in
-          Lp.Basis.factorize rep b ~unit_sign:[||] (Array.init m Fun.id)
+        let b_rows () =
+          Array.init m (fun i -> Array.init m (fun pos -> cols.(pos).(i)))
         in
-        let rep = Lp.Basis.create Lp.Basis.Updatable_lu m in
-        let dense = Lp.Basis.create Lp.Basis.Dense_inverse m in
-        factorize rep;
-        factorize dense;
+        let rep = Lp.Basis.create m in
+        let factorize () =
+          Lp.Basis.factorize rep
+            (Lina.Csc.of_dense (b_rows ()))
+            ~unit_sign:[||] (Array.init m Fun.id)
+        in
+        factorize ();
         let mul_b x =
           let y = Array.make m 0.0 in
           Array.iteri
@@ -399,24 +398,24 @@ let basis_tests =
             cols
         in
         (* Each solve must reproduce its right-hand side through the
-           ground-truth B and agree with the dense inverse, which is
-           updated in lockstep. *)
+           ground-truth B and agree with a dense LU of B (of Bᵀ for
+           BTRAN), which follows every pivot. *)
         let check_roundtrip tag =
-          let solve_both name solve rhs =
-            let x = Array.copy rhs and xd = Array.copy rhs in
+          let solve_checked name solve rows rhs =
+            let x = Array.copy rhs in
             ignore (solve rep x : int);
-            ignore (solve dense xd : int);
             Array.iteri
               (fun i v ->
                 Alcotest.(check (float 1e-6))
-                  (Printf.sprintf "%s: %s agrees with dense" tag name) v x.(i))
-              xd;
+                  (Printf.sprintf "%s: %s agrees with dense LU" tag name)
+                  v x.(i))
+              (Dense_lu.solve (Dense_lu.factorize rows) rhs);
             x
           in
           let b =
             Array.init m (fun _ -> Workload.Rng.float_range rng (-2.0) 2.0)
           in
-          let x = solve_both "ftran" Lp.Basis.ftran_in_place b in
+          let x = solve_checked "ftran" Lp.Basis.ftran_in_place (b_rows ()) b in
           Array.iteri
             (fun i v ->
               Alcotest.(check (float 1e-5)) (tag ^ ": B.(ftran b) = b")
@@ -425,7 +424,7 @@ let basis_tests =
           let c =
             Array.init m (fun _ -> Workload.Rng.float_range rng (-2.0) 2.0)
           in
-          let y = solve_both "btran" Lp.Basis.btran_in_place c in
+          let y = solve_checked "btran" Lp.Basis.btran_in_place cols c in
           Array.iteri
             (fun pos v ->
               Alcotest.(check (float 1e-5)) (tag ^ ": Bt.(btran c) = c")
@@ -435,7 +434,7 @@ let basis_tests =
         check_roundtrip "fresh factorization";
         (* 40 pivots absorbed in place; a rejected update mirrors the
            simplex policy — refactorize from the already-swapped basis. *)
-        let w = Array.make m 0.0 and wd = Array.make m 0.0 in
+        let w = Array.make m 0.0 in
         let pivots = ref 0 and rejections = ref 0 in
         while !pivots < 40 do
           let a =
@@ -444,21 +443,16 @@ let basis_tests =
                   Workload.Rng.float_range rng (-2.0) 2.0
                 else 0.0)
           in
-          let ftran rep w =
-            Array.fill w 0 m 0.0;
-            ignore
-              (Lp.Basis.ftran_col rep
-                 (Lina.Csc.of_dense (Array.map (fun v -> [| v |]) a))
-                 ~unit_sign:[||] 0 w
-                : int)
-          in
-          ftran rep w;
-          ftran dense wd;
+          Array.fill w 0 m 0.0;
+          ignore
+            (Lp.Basis.ftran_col rep
+               (Lina.Csc.of_dense (Array.map (fun v -> [| v |]) a))
+               ~unit_sign:[||] 0 w
+              : int);
           let r = Workload.Rng.int rng m in
           if Float.abs w.(r) > 1e-3 then begin
             cols.(r) <- a;
-            ignore (Lp.Basis.update dense ~r ~w:wd : bool);
-            if Lp.Basis.update rep ~r ~w then begin
+            if Lp.Basis.update rep ~r then begin
               Alcotest.(check bool) "positive update work" true
                 (Lp.Basis.update_work rep > 0);
               Alcotest.(check bool) "non-negative fill" true
@@ -466,7 +460,7 @@ let basis_tests =
             end
             else begin
               incr rejections;
-              factorize rep
+              factorize ()
             end;
             incr pivots;
             if !pivots mod 8 = 0 then
@@ -478,44 +472,26 @@ let basis_tests =
         if !rejections = 0 then
           Alcotest.(check int) "all 40 pivots absorbed as updates" 40
             (Lp.Basis.update_count rep);
-        Alcotest.(check int) "the dense reference absorbs no updates" 0
-          (Lp.Basis.update_count dense);
         Alcotest.(check bool) "fill ratio meaningful" true
           (Lp.Basis.fill_ratio rep > 0.0);
         check_roundtrip "after 40 pivots");
     Alcotest.test_case "update telemetry reaches solve stats" `Quick
       (fun () ->
-        (* One mid-sized LP under each representation: the update form
-           reports FT updates and their fill, the dense reference none —
-           the counters the bench telemetry is built on — and both reach
-           the same optimum. *)
+        (* A mid-sized LP reports its Forrest–Tomlin updates — the
+           counters the bench telemetry is built on. *)
         let rng = Workload.Rng.create 404L in
         let model, _, _ = random_lp rng ~n:8 ~m_rows:8 in
-        let run kind =
-          let stats = Runtime.Stats.create () in
-          let params =
-            { Lp.Simplex.default_params with
-              Lp.Simplex.factorization = kind }
-          in
-          let r = Lp.Simplex.solve ~params ~stats (Lp.Std_form.of_model model) in
-          Alcotest.(check bool) "solved" true
-            (r.Lp.Simplex.status = Lp.Simplex.Optimal);
-          (r.Lp.Simplex.objective, stats)
-        in
-        let upd_obj, upd = run Lp.Basis.Updatable_lu in
-        let dense_obj, dense = run Lp.Basis.Dense_inverse in
-        Alcotest.(check (float 1e-6)) "same optimum" dense_obj upd_obj;
+        let stats = Runtime.Stats.create () in
+        let r = Lp.Simplex.solve ~stats (Lp.Std_form.of_model model) in
+        Alcotest.(check bool) "solved" true
+          (r.Lp.Simplex.status = Lp.Simplex.Optimal);
         Alcotest.(check bool) "update form counts updates" true
-          (upd.Runtime.Stats.basis_updates > 0);
-        Alcotest.(check int) "dense reference counts no updates" 0
-          dense.Runtime.Stats.basis_updates;
-        Alcotest.(check int) "dense reference records no fill" 0
-          dense.Runtime.Stats.spike_fill);
+          (stats.Runtime.Stats.basis_updates > 0));
   ]
 
 let basis_properties =
   let agree name count seed_salt params_a params_b =
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:seed_salt
       (QCheck2.Test.make ~name ~count
          QCheck2.Gen.(int_bound 100_000)
          (fun seed ->
@@ -538,9 +514,6 @@ let basis_properties =
     agree "partial pricing finds the same optimum as full sweeps" 30 424
       { dflt with Lp.Simplex.partial_pricing = false }
       dflt;
-    agree "Forrest–Tomlin updates agree with the dense inverse" 30 662
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Dense_inverse }
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Updatable_lu };
     agree "tiny fill limit forces refactorizations without changing optima"
       30 733 dflt
       { dflt with Lp.Simplex.fill_limit = 1.01; refactor_every = 3 };

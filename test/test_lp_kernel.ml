@@ -91,9 +91,9 @@ let fingerprint (r : Simplex.result) ~ticks stats =
 
 let clock () = Budget.create ~deterministic:1.0 ()
 
-let cold_solve ?params sf =
+let cold_solve sf =
   let budget = clock () and stats = Rstats.create () in
-  let r = Simplex.solve ?params ~budget ~stats sf in
+  let r = Simplex.solve ~budget ~stats sf in
   fingerprint r ~ticks:(Budget.ticks budget) stats
 
 let root_bounds sf =
@@ -195,37 +195,6 @@ let colgen_continuation sf =
   let r = Simplex.session_solve session ~budget ~stats ~primal:true ~lb:lb' ~ub:ub' () in
   fingerprint r ~ticks:(Budget.ticks budget) stats
 
-(* A small random LP on the dense explicit-inverse reference basis. *)
-let dense_inverse_solve () =
-  let rng = Workload.Rng.create 11L in
-  let m = Lp.Model.create () in
-  let vars =
-    Array.init 30 (fun _ ->
-        Lp.Model.add_var m ~ub:(Workload.Rng.float_range rng 1.0 4.0))
-  in
-  for _ = 1 to 20 do
-    Lp.Model.add_le m
-      (Lp.Expr.of_terms
-         (Array.to_list
-            (Array.map
-               (fun (x : Lp.Model.var) ->
-                 ((x :> int), Workload.Rng.float_range rng 0.0 2.0))
-               vars)))
-      (Workload.Rng.float_range rng 2.0 8.0)
-  done;
-  Lp.Model.add_ge m
-    (Lp.Expr.of_terms
-       (Array.to_list (Array.map (fun (x : Lp.Model.var) -> ((x :> int), 1.0)) vars)))
-    3.0;
-  Lp.Model.set_objective m Lp.Model.Maximize
-    (Lp.Expr.sum
-       (Array.to_list
-          (Array.map (fun (x : Lp.Model.var) -> Lp.Expr.var (x :> int)) vars)));
-  let params =
-    { Simplex.default_params with factorization = Lp.Basis.Dense_inverse }
-  in
-  cold_solve ~params (Lp.Std_form.of_model m)
-
 (* --- allocation gates ---------------------------------------------------- *)
 
 (* A representation holds no factors until the first solve installs
@@ -236,7 +205,7 @@ let create_gate () =
   let m = (offline_root_sf ()).Lp.Std_form.n_rows in
   let words =
     Gc_probe.allocated_words (fun () ->
-        ignore (Lp.Basis.create Lp.Basis.Updatable_lu m : Lp.Basis.t))
+        ignore (Lp.Basis.create m : Lp.Basis.t))
   in
   if words > float_of_int (25 * m) then
     Alcotest.failf "Basis.create allocated %.0f words for m = %d (limit %d)"
@@ -317,9 +286,6 @@ let suite =
         pinned "colgen primal continuation"
           "optimal it=90 ticks=1121172 x=8361416dfff21382f018f5ac7e842ee2 basis=63124d39b34b6b71f97f10ed76d01db3 simplex_iterations=249,refactorizations=1,lp_solves=2,ftran_nnz=24625,btran_nnz=150,basis_updates=240,spike_fill=3442,refactor_fill=1,pricing_hits=208,pricing_sweeps=41"
           (fun () -> colgen_continuation (offline_root_sf ()));
-        pinned "dense inverse reference solve"
-          "optimal it=20 ticks=19606 x=4d0c8780ae89f6bbacf1644c1158e6fa basis=3ab53cb2fb7d032826d8266152e2c7ac simplex_iterations=20,lp_solves=1,ftran_nnz=378,btran_nnz=17,pricing_hits=9,pricing_sweeps=11"
-          (fun () -> dense_inverse_solve ());
       ] );
     ( "lp.kernel.alloc",
       [

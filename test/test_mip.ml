@@ -39,7 +39,7 @@ let heap_properties =
   in
   let keys_gen = QCheck2.Gen.(list_size (0 -- 60) (float_range (-1e3) 1e3)) in
   [
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:3101
       (QCheck2.Test.make ~name:"heap pops keys in ascending order" ~count:200
          keys_gen
          (fun keys ->
@@ -52,7 +52,7 @@ let heap_properties =
            in
            Mip.Heap.is_empty h
            && List.sort compare keys = popped));
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:3102
       (QCheck2.Test.make ~name:"pop_k equals k repeated pops"
          ~count:200
          QCheck2.Gen.(pair keys_gen (0 -- 70))
@@ -67,7 +67,7 @@ let heap_properties =
            List.map fst via_pop_k = List.map fst via_pops
            && List.length via_pop_k = min k (List.length keys)
            && Mip.Heap.size a = List.length keys - List.length via_pop_k));
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:3103
       (QCheck2.Test.make ~name:"fold conserves the stored elements" ~count:200
          keys_gen
          (fun keys ->
@@ -178,7 +178,7 @@ let bb_tests =
 
 let bb_properties =
   [
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:3104
       (QCheck2.Test.make ~name:"B&B equals brute force on random knapsacks"
          ~count:30
          QCheck2.Gen.(int_bound 100_000)
@@ -198,7 +198,7 @@ let bb_properties =
            | Some o ->
              Float.abs (o -. brute_knapsack values weights capacity) < 1e-6
            | None -> false));
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:3105
       (QCheck2.Test.make
          ~name:"B&B equals brute force on random bounded IPs" ~count:25
          QCheck2.Gen.(int_bound 100_000)
@@ -497,7 +497,7 @@ let same_bits a b =
 
 let propagate_properties =
   [
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 4242 |])
+    Seeded.to_alcotest ~seed:4242
       (QCheck2.Test.make
          ~name:"propagation matches the closure-based oracle" ~count:500
          QCheck2.Gen.(int_bound 1_000_000)

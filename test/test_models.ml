@@ -136,7 +136,7 @@ let link_bottleneck_tests =
    property of the three formulations. *)
 let cross_model_properties =
   [
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:6101
       (QCheck2.Test.make ~name:"delta = sigma = csigma on random instances"
          ~count:6
          QCheck2.Gen.(int_bound 10_000)
@@ -164,7 +164,7 @@ let cross_model_properties =
              in
              close a b && close b c
            | _ -> false));
-    QCheck_alcotest.to_alcotest
+    Seeded.to_alcotest ~seed:6102
       (QCheck2.Test.make
          ~name:"csigma solutions always pass the validator" ~count:8
          QCheck2.Gen.(int_bound 10_000)

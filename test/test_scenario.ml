@@ -99,12 +99,29 @@ let io_tests =
         let inst = Tvnep.Instance_io.of_string text in
         Alcotest.(check int) "one request" 1 (Tvnep.Instance.num_requests inst));
     Alcotest.test_case "parse errors carry line numbers" `Quick (fun () ->
-        let bad = "tvnep 1\nhorizon oops\n" in
-        (match Tvnep.Instance_io.of_string bad with
-        | exception Tvnep.Instance_io.Parse_error (2, _) -> ()
-        | exception Tvnep.Instance_io.Parse_error (n, m) ->
-          Alcotest.fail (Printf.sprintf "wrong line %d: %s" n m)
-        | _ -> Alcotest.fail "expected parse error"));
+        (* Non-finite numbers are malformed too: the range checks of the
+           instance constructors compare with [<], which nan passes. *)
+        let file ~horizon ~cap ~duration =
+          Printf.sprintf
+            "tvnep 1\nhorizon %s\nsubstrate-nodes 1\nnode-cap 0 %s\n\
+             request r duration %s window 0.0 2.0\n  vnode 0 0.5\nend\n"
+            horizon cap duration
+        in
+        List.iter
+          (fun (line, bad) ->
+            match Tvnep.Instance_io.of_string bad with
+            | exception Tvnep.Instance_io.Parse_error (n, _) when n = line -> ()
+            | exception Tvnep.Instance_io.Parse_error (n, m) ->
+              Alcotest.failf "wrong line %d (expected %d): %s" n line m
+            | _ -> Alcotest.failf "expected parse error: %S" bad)
+          [
+            (2, "tvnep 1\nhorizon oops\n");
+            (2, file ~horizon:"nan" ~cap:"1.0" ~duration:"1.0");
+            (2, file ~horizon:"inf" ~cap:"1.0" ~duration:"1.0");
+            (4, file ~horizon:"2.0" ~cap:"nan" ~duration:"1.0");
+            (4, file ~horizon:"2.0" ~cap:"inf" ~duration:"1.0");
+            (5, file ~horizon:"2.0" ~cap:"1.0" ~duration:"nan");
+          ]);
     Alcotest.test_case "unterminated request rejected" `Quick (fun () ->
         let bad =
           "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 0 1.0\n\
