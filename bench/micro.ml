@@ -210,11 +210,15 @@ let node_lp_case () =
 
 (* On Forrest–Tomlin factors of the node-LP instance's optimal basis
    (fresh from a refactorization, as every simplex solve starts), the
-   reach-based [ft_btran]/[ft_ftran] must beat their dense-scan fallback
+   reach-based solves must beat their dense-scan fallback
    [ft_btran_dense]/[ft_ftran_dense] by >= [kernel_ab_floor] on median
-   per-solve wall, at the RHS sparsity the dual simplex actually feeds
-   them (a unit vector: one [unit_row] BTRAN per pivot).  Both kernels
-   run over the same factors, and every pair of solves is checked for
+   per-solve wall, fed as the simplex feeds them: BTRAN of a unit row
+   ([Basis.unit_row], one per dual pivot) and FTRAN of a column of A
+   scattered from the CSC ([Basis.ftran_col], one per pivot), each
+   handed its RHS pattern ([ft_btran_roots]/[ft_ftran_roots]) and its
+   buffer cleared afterwards over the support the solve reported — the
+   dense path, which reports none, over all of it.  Both kernels run
+   over the same factors, and every pair of solves is checked for
    agreement, so the gate also pins the semantics. *)
 let kernel_ab_floor = 2.0
 
@@ -222,58 +226,85 @@ let kernel_ab_case () =
   let module Slu = Lina.Lu.Sparse in
   let sf, basic = node_basis () in
   let n = Array.length basic in
+  let a = sf.Lp.Std_form.a in
+  let ptr = a.Lina.Csc.col_ptr in
   let scratch = Slu.scratch n in
   let ft =
-    Slu.ft_of_factors
-      (Slu.factorize_basis scratch sf.Lp.Std_form.a ~unit_sign:[||] basic)
+    Slu.ft_of_factors (Slu.factorize_basis scratch a ~unit_sign:[||] basic)
   in
   let b = Array.make n 0.0 and c = Array.make n 0.0 in
-  let run solve v = ignore (solve ft scratch v : int) in
-  (* Each RHS position is solved [inner] times back to back so the
-     per-solve wall rises above clock resolution; the median is over
-     positions. *)
-  let inner = 20 in
-  let median_us solve =
+  let unit = [| 0 |] in
+  let unit_row solve k v =
+    v.(k) <- 1.0;
+    unit.(0) <- k;
+    solve v ~roots:unit ~first:0 ~len:1
+  in
+  let column solve j v =
+    for e = ptr.(j) to ptr.(j + 1) - 1 do
+      v.(a.Lina.Csc.row_idx.(e)) <- a.Lina.Csc.value.(e)
+    done;
+    solve v ~roots:a.Lina.Csc.row_idx ~first:ptr.(j)
+      ~len:(ptr.(j + 1) - ptr.(j))
+  in
+  (* The dense scans take no pattern. *)
+  let dense solve v ~roots:_ ~first:_ ~len:_ = solve ft scratch v in
+  let btran_reach = unit_row (Slu.ft_btran_roots ft scratch)
+  and btran_dense = unit_row (dense Slu.ft_btran_dense)
+  and ftran_reach = column (Slu.ft_ftran_roots ft scratch)
+  and ftran_dense = column (dense Slu.ft_ftran_dense) in
+  let clear v =
+    let k = Slu.support_len scratch in
+    if k < 0 then Array.fill v 0 n 0.0
+    else
+      for t = 0 to k - 1 do
+        v.((Slu.support scratch).(t)) <- 0.0
+      done
+  in
+  (* Each RHS (unit row or column) is solved [inner] times back to back
+     so the per-solve wall rises well above clock resolution (a
+     support-fed solve takes a fraction of a microsecond); the median is
+     over the RHS. *)
+  let inner = 200 in
+  let median_us count solve =
     let samples =
-      List.init n (fun k ->
+      List.init count (fun k ->
           let t0 = Unix.gettimeofday () in
           for _ = 1 to inner do
-            Array.fill b 0 n 0.0;
-            b.(k) <- 1.0;
-            solve b
+            ignore (solve k b : int);
+            clear b
           done;
           (Unix.gettimeofday () -. t0) /. float_of_int inner *. 1e6)
     in
     Statsutil.Stats.median samples
   in
-  (* Agreement check at existing tolerances, every position, both
+  (* Agreement check at existing tolerances, every RHS, both
      directions. *)
-  let check name reach dense =
-    for k = 0 to n - 1 do
+  let check name count reach dense =
+    for k = 0 to count - 1 do
       Array.fill b 0 n 0.0;
-      b.(k) <- 1.0;
-      reach b;
+      ignore (reach k b : int);
       Array.fill c 0 n 0.0;
-      c.(k) <- 1.0;
-      dense c;
+      ignore (dense k c : int);
       for i = 0 to n - 1 do
         if Float.abs (b.(i) -. c.(i)) > 1e-9 then begin
           Printf.eprintf
-            "KERNEL AB MISMATCH: %s unit %d row %d: reach %g dense %g\n" name
+            "KERNEL AB MISMATCH: %s rhs %d row %d: reach %g dense %g\n" name
             k i b.(i) c.(i);
           exit 1
         end
       done
-    done
+    done;
+    Array.fill b 0 n 0.0
   in
-  check "btran" (run Slu.ft_btran) (run Slu.ft_btran_dense);
-  check "ftran" (run Slu.ft_ftran) (run Slu.ft_ftran_dense);
+  let ncols = Lina.Csc.cols a in
+  check "btran" n btran_reach btran_dense;
+  check "ftran" ncols ftran_reach ftran_dense;
   (* Warm the caches once before timing. *)
-  ignore (median_us (run Slu.ft_btran));
-  let btran_reach = median_us (run Slu.ft_btran) in
-  let btran_dense = median_us (run Slu.ft_btran_dense) in
-  let ftran_reach = median_us (run Slu.ft_ftran) in
-  let ftran_dense = median_us (run Slu.ft_ftran_dense) in
+  ignore (median_us n btran_reach);
+  let btran_reach = median_us n btran_reach in
+  let btran_dense = median_us n btran_dense in
+  let ftran_reach = median_us ncols ftran_reach in
+  let ftran_dense = median_us ncols ftran_dense in
   [
     ("btran_reach_us", btran_reach);
     ("btran_dense_us", btran_dense);
@@ -350,7 +381,7 @@ let run ~json_dir () =
     (c "refactor_drift") (c "refactor_forced");
   Printf.printf
     "\n== Sparse-kernel A/B (Forrest–Tomlin factors of the node-LP optimal \
-     basis, unit RHS) ==\n";
+     basis, unit-row BTRAN, column FTRAN) ==\n";
   let ab = kernel_ab_record () in
   let btran, ftran = kernel_speedups ab in
   let us k = Record.counter ab k in

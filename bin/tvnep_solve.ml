@@ -16,6 +16,20 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"Instance file (see Tvnep.Instance_io).")
 
+(* Reads an instance file; a malformed or unreadable one is a usage
+   error, reported as one [FILE:LINE: message] line ([FILE: message] for
+   a fault of the file as a whole, such as a missing header, or a read
+   that fails). *)
+let load_instance file =
+  try Tvnep.Instance_io.load file with
+  | Tvnep.Instance_io.Parse_error (line, msg) ->
+    if line > 0 then Printf.eprintf "%s:%d: %s\n%!" file line msg
+    else Printf.eprintf "%s: %s\n%!" file msg;
+    exit Cmd.Exit.cli_error
+  | Sys_error msg ->
+    Printf.eprintf "%s: %s\n%!" file msg;
+    exit Cmd.Exit.cli_error
+
 let time_limit_arg =
   Arg.(
     value & opt float 60.0
@@ -189,7 +203,7 @@ let solve_cmd =
   let run file model objective no_cuts flow_form seed_greedy slot time_limit
       jobs verbose gantt json profile =
     setup_logs verbose;
-    let inst = Tvnep.Instance_io.load file in
+    let inst = load_instance file in
     let mip =
       { Mip.Branch_bound.default_params with time_limit; jobs }
     in
@@ -245,7 +259,7 @@ let solve_cmd =
 let greedy_cmd =
   let run file verbose gantt json profile =
     setup_logs verbose;
-    let inst = Tvnep.Instance_io.load file in
+    let inst = load_instance file in
     let prof = Option.map (fun _ -> Runtime.Span.create ()) profile in
     let o =
       Tvnep.Solver.run inst
@@ -386,7 +400,7 @@ let serve_cmd =
     setup_logs verbose;
     let inst =
       match file with
-      | Some f -> Tvnep.Instance_io.load f
+      | Some f -> load_instance f
       | None ->
         let rng = Workload.Rng.create (Int64.of_int seed) in
         Tvnep.Scenario.generate rng
@@ -519,7 +533,7 @@ let explain_cmd =
     setup_logs verbose;
     let inst =
       match file with
-      | Some f -> Tvnep.Instance_io.load f
+      | Some f -> load_instance f
       | None ->
         let rng = Workload.Rng.create (Int64.of_int seed) in
         Tvnep.Scenario.generate rng
@@ -660,7 +674,7 @@ let generate_cmd =
 
 let show_cmd =
   let run file =
-    let inst = Tvnep.Instance_io.load file in
+    let inst = load_instance file in
     Format.printf "%a@." Tvnep.Instance.pp inst;
     0
   in

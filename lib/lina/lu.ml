@@ -474,9 +474,11 @@ module Sparse = struct
       !top
     end
 
-  (* Gathers the nonzero positions of [b] into the scratch root buffer.
-     Exact zeros are excluded from the pattern — they contribute nothing
-     numerically, and the scan keeps the kernels allocation-free. *)
+  (* Gathers the nonzero positions of [b] into the scratch root buffer,
+     ascending: the RHS pattern of a solve whose caller does not know it
+     (a dense right-hand side).  Exact zeros are excluded from the
+     pattern — they contribute nothing numerically, and the scan keeps
+     the kernels allocation-free. *)
   let gather_roots s b =
     let n = Array.length b in
     let k = ref 0 in
@@ -812,17 +814,19 @@ module Sparse = struct
      RHS support, the row-eta file, then U pass over the reach of the
      L-solution's pattern; eta targets entering the pattern become extra
      U-pass roots.  [b] is indexed by original row on input and by basis
-     position (the original column slot) on output.  Falls back to
-     {!ft_ftran_dense} when the RHS support is above {!dense_threshold}.
-     The vector entering the U solve (the spike) is stashed so a
-     following {!ft_update} can consume it, and the result's support is
-     left in the scratch.  Returns the work performed (touched pattern
-     entries plus the O(n) support scan), which the caller bills to the
-     deterministic clock. *)
-  let ft_ftran f s b =
+     position (the original column slot) on output; its nonzeros are
+     exactly [roots.(first .. first+len-1)], ascending, which seed the
+     reach in that order (so the result is bitwise the one a scan of
+     [b] would give).  Falls back to {!ft_ftran_dense} when the RHS
+     support is above {!dense_threshold}.  The vector entering the U
+     solve (the spike) is stashed so a following {!ft_update} can
+     consume it, and the result's support is left in the scratch.
+     Returns the work performed (touched pattern entries plus the n of
+     the support scan, billed whether or not the scan ran), which the
+     caller bills to the deterministic clock. *)
+  let ft_ftran_roots f s b ~roots ~first ~len:nroots =
     let n = f.ft_n in
     let base = f.base in
-    let nroots = gather_roots s b in
     if float_of_int nroots > dense_threshold *. float_of_int n then
       ft_ftran_dense f s b
     else begin
@@ -831,12 +835,12 @@ module Sparse = struct
       let w = s.sw in
       s.sstamp <- s.sstamp + 1;
       let ltop = ref n in
-      for k = 0 to nroots - 1 do
+      for k = first to first + nroots - 1 do
         ltop :=
-          dfs_reach base.l_ptr base.l_idx s base.pinv.(s.sroots.(k)) s.sr1 !ltop
+          dfs_reach base.l_ptr base.l_idx s base.pinv.(roots.(k)) s.sr1 !ltop
       done;
-      for k = 0 to nroots - 1 do
-        let r = s.sroots.(k) in
+      for k = first to first + nroots - 1 do
+        let r = roots.(k) in
         w.(base.pinv.(r)) <- b.(r);
         b.(r) <- 0.0
       done;
@@ -919,6 +923,9 @@ module Sparse = struct
       !work
     end
 
+  let ft_ftran f s b =
+    ft_ftran_roots f s b ~roots:s.sroots ~first:0 ~len:(gather_roots s b)
+
   (* Dense-scan BTRAN, used above {!dense_threshold}: Uᵀ pass in
      triangular order, row etas transposed in reverse creation order,
      Lᵀ pass, permute out. *)
@@ -964,12 +971,12 @@ module Sparse = struct
   (* Bᵀ y = c on the updated factors ([c] indexed by basis position,
      the result by original row): Uᵀ pass over the dynamic row
      adjacency, row etas transposed in reverse creation order (targets
-     they wake become extra Lᵀ roots), then the static Lᵀ pass.  Leaves
+     they wake become extra Lᵀ roots), then the static Lᵀ pass.  The
+     RHS pattern comes from [roots] as in {!ft_ftran_roots}.  Leaves
      the result's support in the scratch; returns the work performed. *)
-  let ft_btran f s c =
+  let ft_btran_roots f s c ~roots ~first ~len:nroots =
     let n = f.ft_n in
     let base = f.base in
-    let nroots = gather_roots s c in
     if float_of_int nroots > dense_threshold *. float_of_int n then
       ft_btran_dense f s c
     else begin
@@ -978,11 +985,11 @@ module Sparse = struct
       let w = s.sw in
       s.sstamp <- s.sstamp + 1;
       let utop = ref n in
-      for k = 0 to nroots - 1 do
-        utop := dfs_reach_ul f.ur s base.qinv.(s.sroots.(k)) s.sr1 !utop
+      for k = first to first + nroots - 1 do
+        utop := dfs_reach_ul f.ur s base.qinv.(roots.(k)) s.sr1 !utop
       done;
-      for k = 0 to nroots - 1 do
-        let sl = s.sroots.(k) in
+      for k = first to first + nroots - 1 do
+        let sl = roots.(k) in
         w.(base.qinv.(sl)) <- c.(sl);
         c.(sl) <- 0.0
       done;
@@ -1043,6 +1050,9 @@ module Sparse = struct
       finish_support s c (n - top);
       !work
     end
+
+  let ft_btran f s c =
+    ft_btran_roots f s c ~roots:s.sroots ~first:0 ~len:(gather_roots s c)
 
   (* Appends one row eta (target [t], multipliers [w.(k)] over the
      nonzero entries of [sr1.(mtop .. n-1)]) to the flat file. *)

@@ -76,7 +76,10 @@ module Sparse : sig
       {e nonzeros}, not the basis dimension.  Above {!dense_threshold}
       RHS density they run the dense-scan passes ({!ft_ftran_dense},
       {!ft_btran_dense}), whose sequential sweeps win once most
-      positions are touched anyway. *)
+      positions are touched anyway.  {!ft_ftran} and {!ft_btran} find
+      the RHS support by one scan of all [n] entries; a caller that
+      already knows it (an entering column, a unit vector) passes it to
+      {!ft_ftran_roots}/{!ft_btran_roots} and skips that scan. *)
 
   val dense_threshold : float
   (** RHS density (support / dimension) above which {!ft_ftran} and
@@ -137,10 +140,10 @@ module Sparse : sig
   (** [ft_ftran f s b] overwrites [b] (indexed by original row on input,
       basis position on output) with the solution of [B x = b] against
       the updated factors and returns the work performed (pattern
-      entries touched plus the O(n) support scan), for deterministic
-      clock billing.  The vector entering the [U] solve (the spike of
-      [b]'s column) is stashed so an immediately following {!ft_update}
-      can consume it.  Reports the result's support (see
+      entries touched plus the O(n) scan that gathers [b]'s nonzeros),
+      for deterministic clock billing.  The vector entering the [U]
+      solve (the spike of [b]'s column) is stashed so an immediately
+      following {!ft_update} can consume it.  Reports the result's support (see
       {!support_len}). *)
 
   val ft_btran : ft -> scratch -> float array -> int
@@ -148,6 +151,30 @@ module Sparse : sig
       input, original row on output) with the solution of [Bᵀ y = c]
       over the transposed factor adjacency; returns the work performed
       and reports the result's support. *)
+
+  val ft_ftran_roots :
+    ft -> scratch -> float array -> roots:int array -> first:int -> len:int
+    -> int
+  (** [ft_ftran_roots f s b ~roots ~first ~len] is {!ft_ftran} with the
+      RHS pattern supplied by the caller instead of gathered by a scan
+      of all [n] entries of [b]: [roots.(first .. first+len-1)] must
+      list the nonzero positions of [b] exactly — ascending, each once,
+      every other entry of [b] zero — which is the list the scan would
+      build, so the result, the spike, the support and the returned
+      work are bitwise those of {!ft_ftran}.  A CSC column's row indices
+      satisfy this by {!Csc}'s contract (ascending, no stored zeros).
+      The returned work still counts the [n] of the skipped scan: it is
+      part of the deterministic bill, and dropping it would re-price
+      every solve (a clock calibration, not a kernel change).  The dense
+      fallback and the [len] threshold apply as in {!ft_ftran}. *)
+
+  val ft_btran_roots :
+    ft -> scratch -> float array -> roots:int array -> first:int -> len:int
+    -> int
+  (** [ft_btran_roots f s c ~roots ~first ~len] is {!ft_btran} with the
+      RHS pattern supplied by the caller, under the contract of
+      {!ft_ftran_roots}: bitwise the result, support and work of
+      {!ft_btran} on the same [c]. *)
 
   val ft_ftran_dense : ft -> scratch -> float array -> int
   (** [ft_ftran_dense f s b] — {!ft_ftran} by dense-scan passes over all

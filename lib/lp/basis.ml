@@ -9,12 +9,16 @@ type t = {
   uscratch : Slu.scratch;
       (* factorization and reach-solve workspace, one per basis; also
          carries the support of the last solve's result *)
+  unit_root : int array;
+      (* the one-entry RHS pattern of a unit-column FTRAN or a unit-row
+         BTRAN *)
 }
 
 (* No factors until the first [load_identity] or [factorize]: every
    solver path installs one of those before its first solve, so an
    identity built here would only be thrown away. *)
-let create m = { m; ft = Slu.ft_create m; uscratch = Slu.scratch m }
+let create m =
+  { m; ft = Slu.ft_create m; uscratch = Slu.scratch m; unit_root = [| 0 |] }
 
 let update_count t = Slu.ft_updates t.ft
 let fill_ratio t = Slu.ft_fill_ratio t.ft
@@ -29,25 +33,32 @@ let factorize t a ~unit_sign basic =
 
 let ftran_in_place t b = Slu.ft_ftran t.ft t.uscratch b
 
+(* The RHS pattern goes to the solve with the RHS: a column's CSC row
+   indices (ascending, no stored zeros) or the unit column's one row —
+   exactly what a scan of the zeroed-then-scattered [w] would gather. *)
 let ftran_col t a ~unit_sign j w =
   let ncols = Lina.Csc.cols a in
-  if j < ncols then
-    for e = a.Lina.Csc.col_ptr.(j) to a.Lina.Csc.col_ptr.(j + 1) - 1 do
-      let i = a.Lina.Csc.row_idx.(e) in
-      w.(i) <- w.(i) +. a.Lina.Csc.value.(e)
-    done
+  if j < ncols then begin
+    let first = a.Lina.Csc.col_ptr.(j) and last = a.Lina.Csc.col_ptr.(j + 1) in
+    for e = first to last - 1 do
+      w.(a.Lina.Csc.row_idx.(e)) <- a.Lina.Csc.value.(e)
+    done;
+    Slu.ft_ftran_roots t.ft t.uscratch w ~roots:a.Lina.Csc.row_idx ~first
+      ~len:(last - first)
+  end
   else begin
     let i = j - ncols in
-    w.(i) <- w.(i) +. unit_sign.(i)
-  end;
-  Slu.ft_ftran t.ft t.uscratch w
+    w.(i) <- unit_sign.(i);
+    t.unit_root.(0) <- i;
+    Slu.ft_ftran_roots t.ft t.uscratch w ~roots:t.unit_root ~first:0 ~len:1
+  end
 
 let btran_in_place t c = Slu.ft_btran t.ft t.uscratch c
 
 let unit_row t r out =
-  Array.fill out 0 t.m 0.0;
   out.(r) <- 1.0;
-  btran_in_place t out
+  t.unit_root.(0) <- r;
+  Slu.ft_btran_roots t.ft t.uscratch out ~roots:t.unit_root ~first:0 ~len:1
 
 let support_len t = Slu.support_len t.uscratch
 let support t = Slu.support t.uscratch

@@ -54,12 +54,24 @@ val factorize : t -> Lina.Csc.t -> unit_sign:float array -> int array -> unit
 
 val ftran_col :
   t -> Lina.Csc.t -> unit_sign:float array -> int -> float array -> int
-(** [ftran_col t a ~unit_sign j w] accumulates [B⁻¹ a_j] into [w]
-    (length [m], caller-zeroed), column [j] of [[a | diag unit_sign]] as
-    in {!factorize}.  Returns the work performed by the reach-bounded
-    sparse solves — a deterministic function of the basis and the RHS,
-    suitable for clock billing.  The solve also stashes the column's
-    spike, which a following {!update} consumes. *)
+(** [ftran_col t a ~unit_sign j w] writes [B⁻¹ a_j] into [w], column
+    [j] of [[a | diag unit_sign]] as in {!factorize} ([unit_sign] holds
+    no zeros).  Precondition: [w] (length [m]) is all zero on entry —
+    the column is scattered into it and its pattern (the CSC row
+    indices, or the unit column's row) is handed to the solve
+    ({!Lina.Lu.Sparse.ft_ftran_roots}), so no O(m) pass scans or clears
+    [w].  A caller reusing one buffer restores the precondition by
+    zeroing it over the {!support} of the solve that last wrote it, or
+    entirely when that solve reported none.  A [-0.0] that a solve left
+    outside its support counts as zero: off the pattern the buffer
+    enters the solve (on the dense path only) as zeros, so the nonzeros
+    of the result are bitwise those on a fresh buffer and only the sign
+    of a zero can differ.  Returns the work performed by the
+    reach-bounded sparse solves — a deterministic function of
+    the basis and the RHS, suitable for clock billing, and still
+    counting the [m] of the skipped scan so the bill is unchanged.  The
+    solve also stashes the column's spike, which a following {!update}
+    consumes. *)
 
 val ftran_in_place : t -> float array -> int
 (** [ftran_in_place t b] overwrites the dense [b] (indexed by row) with
@@ -72,9 +84,12 @@ val btran_in_place : t -> float array -> int
     performed. *)
 
 val unit_row : t -> int -> float array -> int
-(** [unit_row t r out] fills [out] (length [m]) with row [r] of [B⁻¹] —
-    the BTRAN of [e_r], i.e. the pivot row of the dual simplex.  Returns
-    the work performed. *)
+(** [unit_row t r out] writes row [r] of [B⁻¹] into [out] — the BTRAN
+    of [e_r], i.e. the pivot row of the dual simplex.  Precondition, as
+    for {!ftran_col}: [out] (length [m]) is all zero on entry; the solve
+    is fed the pattern [[r]] and makes no O(m) pass when its result is
+    sparse.  Returns the work performed (with the [m] of the skipped
+    scan, as for {!ftran_col}). *)
 
 (** {2 Result support}
 

@@ -98,6 +98,13 @@ type state = {
   w : float array;  (* FTRAN result *)
   y : float array;  (* duals *)
   rho : float array;  (* inverse-row scratch (dual pivot row, expulsion) *)
+  (* Where [w] and [rho] can be nonzero: the support their last solve
+     reported ([-1]: everywhere), which the next solve zeroes instead of
+     the whole buffer. *)
+  wsup : int array;
+  mutable wsup_n : int;
+  rhosup : int array;
+  mutable rhosup_n : int;
   rowbuf : float array;  (* row-space scratch (RHS recompute, residual) *)
   fout : float array;
       (* float results of the per-column and per-pivot helpers — slot 0 a
@@ -226,15 +233,45 @@ let result_nnz st v =
   done;
   !nnz
 
+(* Zeroes [v], which the solve that last wrote it left nonzero only over
+   [sup.(0 .. n-1)] (everywhere when [n = -1]): the zeroed buffer that
+   {!Basis.ftran_col} and {!Basis.unit_row} require. *)
+let clear_over st v sup n =
+  if n < 0 then Array.fill v 0 st.m 0.0
+  else
+    for t = 0 to n - 1 do
+      v.(sup.(t)) <- 0.0
+    done
+
+(* Copies the support the last solve reported into [sup]; returns its
+   length, [-1] after a dense-path solve. *)
+let keep_support st sup =
+  let ns = Basis.support_len st.rep in
+  if ns > 0 then Array.blit (Basis.support st.rep) 0 sup 0 ns;
+  ns
+
 (* w <- B^-1 A_j.  Bills one solve of the current representation to the
-   budget clock and the result's nonzero count to the stats. *)
+   budget clock and the result's nonzero count to the stats.  [wsup_n]
+   reads -1 while the solve runs, so one that raises leaves [w] to a
+   full clear. *)
 let ftran st j =
-  Array.fill st.w 0 st.m 0.0;
+  clear_over st st.w st.wsup st.wsup_n;
+  st.wsup_n <- -1;
   let work =
     Basis.ftran_col st.rep st.sf.Std_form.a ~unit_sign:st.art_sign j st.w
   in
+  st.wsup_n <- keep_support st st.wsup;
   st.stats.Rstats.ftran_nnz <- st.stats.Rstats.ftran_nnz + result_nnz st st.w;
   tick_ftran st work
+
+(* rho <- row r of B^-1, on the support discipline of {!ftran}; returns
+   the work for the caller to bill to its category. *)
+let unit_row st r =
+  clear_over st st.rho st.rhosup st.rhosup_n;
+  st.rhosup_n <- -1;
+  let work = Basis.unit_row st.rep r st.rho in
+  st.rhosup_n <- keep_support st st.rhosup;
+  work
 
 (* --- (re)factorization ---------------------------------------------- *)
 
@@ -668,7 +705,7 @@ let devex_primal_update st ~q ~r =
     if Float.abs alpha_q > Lina.Tol.pivot then begin
       let gq = Float.max 1.0 st.refw.(q) in
       let rho = st.rho in
-      tick_pricing st (Basis.unit_row st.rep r rho);
+      tick_pricing st (unit_row st r);
       (* Incremental dual step while ρ and y are both pre-pivot, over ρ's
          support (read before the scatter below; both precede any other
          solve). *)
@@ -836,7 +873,7 @@ let expel_artificials st =
     if st.basis.(r) >= st.n_total then begin
       (* Row r of the inverse gives the pivot weights of every column. *)
       let rho = st.rho in
-      tick_btran st (Basis.unit_row st.rep r rho);
+      tick_btran st (unit_row st r);
       let best = ref (-1) and best_w = ref Lina.Tol.pivot in
       for j = 0 to st.n_total - 1 do
         if st.vstat.(j) <> Basic then begin
@@ -1107,7 +1144,7 @@ let dual_optimize st =
          that rho touches over the cached Aᵀ, so only columns actually
          meeting the row are visited (rho is sparse under the factored
          basis). *)
-      tick_btran st (Basis.unit_row st.rep r rho);
+      tick_btran st (unit_row st r);
       st.stats.Rstats.btran_nnz <- st.stats.Rstats.btran_nnz + result_nnz st rho;
       let ws = dual_ws st in
       let ntouch = pivot_row_scatter st ws rho in
@@ -1330,6 +1367,10 @@ let fresh_state sf params budget stats prof lb ub =
     w = Array.make m 0.0;
     y = Array.make m 0.0;
     rho = Array.make m 0.0;
+    wsup = Array.make m 0;
+    wsup_n = 0;
+    rhosup = Array.make m 0;
+    rhosup_n = 0;
     rowbuf = Array.make m 0.0;
     fout = Array.make 2 0.0;
     enter_dir = 1;

@@ -122,6 +122,7 @@ type search = {
   root_ub : float array;
   wlb : float array array;  (* per-worker bound scratch, resident across *)
   wub : float array array;  (* rounds like the sessions they feed *)
+  wprop : Propagate.scratch array;  (* per-worker propagation worklist *)
   mutable round_batch : int;
       (* nodes selected next round; grows geometrically (up to
          [8 × batch_size]) each time a round fills, purely as a function
@@ -281,7 +282,8 @@ let eval_node s ~worker ~fork ~fstats ~fprof node =
   Span.with_ fprof fork "eval" @@ fun () ->
   let lb, ub = node_bounds s ~worker node in
   match
-    if s.params.propagate then Propagate.run s.prop ~lb ~ub
+    if s.params.propagate then
+      Propagate.run s.prop s.wprop.(worker) ~lb ~ub
     else Propagate.Tightened 0
   with
   | Propagate.Infeasible_node -> Prop_infeasible
@@ -484,10 +486,11 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?prof sf =
        once. *)
     max 1 (min requested (batch_cap params))
   in
+  let prop = Propagate.prepare sf in
   let s =
     {
       sf;
-      prop = Propagate.prepare sf;
+      prop;
       sessions =
         Array.init jobs (fun _ ->
             Lp.Simplex.create_session ~params:params.lp_params sf);
@@ -507,6 +510,7 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?prof sf =
       root_ub = Array.append (Array.sub sf.Lp.Std_form.ub 0 n_total) [||];
       wlb = Array.init jobs (fun _ -> Array.make n_total 0.0);
       wub = Array.init jobs (fun _ -> Array.make n_total 0.0);
+      wprop = Array.init jobs (fun _ -> Propagate.scratch prop);
       round_batch = max 1 params.batch_size;
     }
   in

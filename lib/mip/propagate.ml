@@ -36,6 +36,15 @@ let prepare sf =
   done;
   { sf; row_ptr; row_col; row_coef }
 
+(* Per-worker worklist state: [dirty.(i)] is set when a column of row
+   [i] changed bound after the row's last processing began. *)
+type scratch = { dirty : Bytes.t; mutable skipped : int }
+
+let scratch p =
+  { dirty = Bytes.make p.sf.Lp.Std_form.n_rows '\000'; skipped = 0 }
+
+let skipped sc = sc.skipped
+
 type outcome = Infeasible_node | Tightened of int
 
 exception Dead
@@ -71,15 +80,85 @@ let[@inline] tighten_lb lb ub j integer new_lb =
   end
   else false
 
-let run ?(max_rounds = 10) p ~lb ~ub =
+(* Marks every row of column [j], whose bound just moved. *)
+let touch sf dirty j =
+  let a = sf.Lp.Std_form.a in
+  for e = a.Lina.Csc.col_ptr.(j) to a.Lina.Csc.col_ptr.(j + 1) - 1 do
+    Bytes.unsafe_set dirty a.Lina.Csc.row_idx.(e) '\001'
+  done
+
+(* Processes row [i] under the current bounds: raises [Dead] when its
+   activity range misses the row range, else tightens its columns from
+   the residual activities, marks the rows of every column it moved in
+   [dirty] and returns the number of bound changes. *)
+let process_row p dirty ~lb ~ub i =
   let sf = p.sf in
   let n_struct = sf.Lp.Std_form.n_struct in
-  let n_rows = sf.Lp.Std_form.n_rows in
   let is_integer = sf.Lp.Std_form.integer in
-  let row_ptr = p.row_ptr and row_col = p.row_col and row_coef = p.row_coef in
+  let row_col = p.row_col and row_coef = p.row_coef in
+  let first = p.row_ptr.(i) and last = p.row_ptr.(i + 1) - 1 in
+  let lo = lb.(n_struct + i) and hi = ub.(n_struct + i) in
+  (* Minimal and maximal row activity under current bounds. *)
+  let minact = ref 0.0 and maxact = ref 0.0 in
+  for k = first to last do
+    let j = row_col.(k) and a = row_coef.(k) in
+    if a > 0.0 then begin
+      minact := !minact +. (a *. lb.(j));
+      maxact := !maxact +. (a *. ub.(j))
+    end
+    else begin
+      minact := !minact +. (a *. ub.(j));
+      maxact := !maxact +. (a *. lb.(j))
+    end
+  done;
+  let scale = Float.max 1.0 (Float.max (Float.abs lo) (Float.abs hi)) in
+  if !minact > hi +. (tol *. scale) || !maxact < lo -. (tol *. scale) then
+    raise Dead;
+  (* Per-column tightening from the residual activities. *)
+  let changes = ref 0 in
+  for k = first to last do
+    let j = row_col.(k) and a = row_coef.(k) in
+    let integer = is_integer.(j) in
+    let before = !changes in
+    if a > 0.0 then begin
+      (* a·x_j <= hi - (minact - a·lb_j) *)
+      let rest_min = !minact -. (a *. lb.(j)) in
+      if hi < infinity && rest_min > neg_infinity
+         && tighten_ub lb ub j integer ((hi -. rest_min) /. a)
+      then incr changes;
+      let rest_max = !maxact -. (a *. ub.(j)) in
+      if lo > neg_infinity && rest_max < infinity
+         && tighten_lb lb ub j integer ((lo -. rest_max) /. a)
+      then incr changes
+    end
+    else begin
+      let rest_min = !minact -. (a *. ub.(j)) in
+      if hi < infinity && rest_min > neg_infinity
+         && tighten_lb lb ub j integer ((hi -. rest_min) /. a)
+      then incr changes;
+      let rest_max = !maxact -. (a *. lb.(j)) in
+      if lo > neg_infinity && rest_max < infinity
+         && tighten_ub lb ub j integer ((lo -. rest_max) /. a)
+      then incr changes
+    end;
+    if !changes > before then touch sf dirty j
+  done;
+  !changes
+
+(* Round 1 processes every row; later rounds only the dirty ones.  A
+   clean row would recompute the activities of its last processing from
+   the same bounds, which then tightened nothing and proved nothing, so
+   skipping it leaves bounds, counts and rounds as a full sweep's.  Each
+   row's flag is cleared as its processing begins, so the changes it
+   makes itself re-mark it. *)
+let run ?(max_rounds = 10) p sc ~lb ~ub =
+  let n_struct = p.sf.Lp.Std_form.n_struct in
+  let n_rows = p.sf.Lp.Std_form.n_rows in
+  let dirty = sc.dirty in
   let changes = ref 0 in
   let round_changes = ref 1 in
   let rounds = ref 0 in
+  sc.skipped <- 0;
   try
     (* Bounds may already be crossed by the branching itself. *)
     for j = 0 to n_struct - 1 do
@@ -89,52 +168,12 @@ let run ?(max_rounds = 10) p ~lb ~ub =
       round_changes := 0;
       incr rounds;
       for i = 0 to n_rows - 1 do
-        let first = row_ptr.(i) and last = row_ptr.(i + 1) - 1 in
-        let lo = lb.(n_struct + i) and hi = ub.(n_struct + i) in
-        (* Minimal and maximal row activity under current bounds. *)
-        let minact = ref 0.0 and maxact = ref 0.0 in
-        for k = first to last do
-          let j = row_col.(k) and a = row_coef.(k) in
-          if a > 0.0 then begin
-            minact := !minact +. (a *. lb.(j));
-            maxact := !maxact +. (a *. ub.(j))
-          end
-          else begin
-            minact := !minact +. (a *. ub.(j));
-            maxact := !maxact +. (a *. lb.(j))
-          end
-        done;
-        let scale =
-          Float.max 1.0 (Float.max (Float.abs lo) (Float.abs hi))
-        in
-        if !minact > hi +. (tol *. scale) || !maxact < lo -. (tol *. scale)
-        then raise Dead;
-        (* Per-column tightening from the residual activities. *)
-        for k = first to last do
-          let j = row_col.(k) and a = row_coef.(k) in
-          let integer = is_integer.(j) in
-          if a > 0.0 then begin
-            (* a·x_j <= hi - (minact - a·lb_j) *)
-            let rest_min = !minact -. (a *. lb.(j)) in
-            if hi < infinity && rest_min > neg_infinity
-               && tighten_ub lb ub j integer ((hi -. rest_min) /. a)
-            then incr round_changes;
-            let rest_max = !maxact -. (a *. ub.(j)) in
-            if lo > neg_infinity && rest_max < infinity
-               && tighten_lb lb ub j integer ((lo -. rest_max) /. a)
-            then incr round_changes
-          end
-          else begin
-            let rest_min = !minact -. (a *. ub.(j)) in
-            if hi < infinity && rest_min > neg_infinity
-               && tighten_lb lb ub j integer ((hi -. rest_min) /. a)
-            then incr round_changes;
-            let rest_max = !maxact -. (a *. lb.(j)) in
-            if lo > neg_infinity && rest_max < infinity
-               && tighten_ub lb ub j integer ((lo -. rest_max) /. a)
-            then incr round_changes
-          end
-        done
+        if !rounds > 1 && Bytes.unsafe_get dirty i = '\000' then
+          sc.skipped <- sc.skipped + 1
+        else begin
+          Bytes.unsafe_set dirty i '\000';
+          round_changes := !round_changes + process_row p dirty ~lb ~ub i
+        end
       done;
       changes := !changes + !round_changes
     done;

@@ -14,13 +14,35 @@ type t
 val prepare : Lp.Std_form.t -> t
 (** Precomputes the row-wise view of the constraint matrix. *)
 
+type scratch
+(** Per-worker worklist state: one dirty flag per row.  Not domain-safe —
+    parallel workers need one each. *)
+
+val scratch : t -> scratch
+(** Allocates the worklist state for [run] on this form, once per
+    worker. *)
+
 type outcome =
   | Infeasible_node
   | Tightened of int  (** number of bound changes applied in place *)
 
 val run :
-  ?max_rounds:int -> t -> lb:float array -> ub:float array -> outcome
+  ?max_rounds:int -> t -> scratch -> lb:float array -> ub:float array ->
+  outcome
 (** Propagates to (bounded) fixpoint, mutating [lb]/[ub] (full column
     space: structurals then logicals).  Logical column bounds are treated
     as the row ranges and are never modified.  [max_rounds] defaults
-    to 10. *)
+    to 10.
+
+    Event-driven: round 1 processes every row; a later round processes
+    a row only when a bound of one of its columns changed after the
+    row's own last processing began (changes the row made itself
+    included; each change marks its column's rows through the CSC of
+    the form).  A skipped row would recompute the same activities from
+    the same bounds and change nothing, so the bounds, the [Tightened]
+    count and the number of rounds are those of sweeping every row
+    every round.  Allocates nothing beyond what [scratch] holds. *)
+
+val skipped : scratch -> int
+(** Rows the last [run] on this scratch skipped as clean (0 when it
+    ended in round 1). *)

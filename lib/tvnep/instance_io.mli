@@ -20,7 +20,12 @@
     mappings are all-or-nothing per instance, as in {!Instance.t}). *)
 
 exception Parse_error of int * string
-(** Line number and message. *)
+(** Line number and message.  The line is that of the directive at
+    fault, also for checks made once the whole file is read (an id out
+    of range, a negative capacity, a self-loop, vnode ids out of order,
+    a partial host mapping, an unterminated request); it is [0] only
+    for a fault of the file as a whole: a missing [tvnep 1] header,
+    [horizon] or [substrate-nodes]. *)
 
 val to_string : Instance.t -> string
 

@@ -535,6 +535,193 @@ let support_tests =
         then Alcotest.fail "a random right-hand side breaks the contract");
   ]
 
+(* --- the roots-fed solves ------------------------------------------------ *)
+
+(* Twin copies of one factorization, [a] driven through the gathering
+   [ft_ftran]/[ft_btran] and [b] through [ft_ftran_roots]/
+   [ft_btran_roots] handed the exact pattern of the right-hand side:
+   result bits, returned work and reported support must agree.  Updates
+   are applied to both, so a spike stashed in another order would show
+   in the solves that follow. *)
+type twin = { fa : Slu.ft; sa : Slu.scratch; fb : Slu.ft; sb : Slu.scratch }
+
+let twin n factor =
+  {
+    fa = Slu.ft_of_factors (factor ());
+    sa = Slu.scratch n;
+    fb = Slu.ft_of_factors (factor ());
+    sb = Slu.scratch n;
+  }
+
+let twin_solve ~trans t rhs roots first len =
+  let x = Array.copy rhs and y = Array.copy rhs in
+  let wa, wb =
+    if trans then
+      ( Slu.ft_btran t.fa t.sa x,
+        Slu.ft_btran_roots t.fb t.sb y ~roots ~first ~len )
+    else
+      ( Slu.ft_ftran t.fa t.sa x,
+        Slu.ft_ftran_roots t.fb t.sb y ~roots ~first ~len )
+  in
+  let sup s = Array.sub (Slu.support s) 0 (max 0 (Slu.support_len s)) in
+  ( wa = wb
+    && Slu.support_len t.sa = Slu.support_len t.sb
+    && sup t.sa = sup t.sb
+    && Array.for_all2
+         (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
+         x y,
+    x )
+
+(* The pattern of [b], ascending: what a caller hands the roots entries. *)
+let pattern b =
+  let l = ref [] in
+  for i = Array.length b - 1 downto 0 do
+    if b.(i) <> 0.0 then l := i :: !l
+  done;
+  Array.of_list !l
+
+let twin_agrees ~trans t b =
+  let roots = pattern b in
+  fst (twin_solve ~trans t b roots 0 (Array.length roots))
+
+(* Swaps the column [b] into slot [r] of both twins (FTRAN then update);
+   [None] when the twins disagree, else whether the update was taken. *)
+let twin_update t b r =
+  let roots = pattern b in
+  let same, _ = twin_solve ~trans:false t b roots 0 (Array.length roots) in
+  let ua = Slu.ft_update t.fa t.sa ~r and ub = Slu.ft_update t.fb t.sb ~r in
+  if same && ua = ub
+     && ((not ua)
+        || Slu.ft_update_work t.fa = Slu.ft_update_work t.fb
+           && Slu.ft_update_added t.fa = Slu.ft_update_added t.fb)
+  then Some ua
+  else None
+
+(* A random basis through [updates] Forrest–Tomlin updates; after each,
+   the twins agree on unit, sparse, dense and zero right-hand sides, in
+   both directions. *)
+let roots_through_updates ~cols_of rng n updates =
+  let cols = cols_of rng n in
+  let t = twin n (fun () -> factorize_cols n cols) in
+  (* Besides the contract's right-hand sides, one as crowded as the
+     reach path takes: entries fed by three or more terms are where the
+     seeding order of the roots would show in the bits. *)
+  let crowded () =
+    let b = Array.make n 0.0 in
+    for _ = 1 to n / 4 do
+      b.(Workload.Rng.int rng n) <- Workload.Rng.float_range rng (-2.0) 2.0
+    done;
+    b
+  in
+  let all_agree () =
+    List.for_all
+      (fun b -> twin_agrees ~trans:false t b && twin_agrees ~trans:true t b)
+      (crowded () :: contract_rhs rng n)
+  in
+  let ok = ref (all_agree ()) in
+  for _ = 1 to updates do
+    if !ok then begin
+      let r = Workload.Rng.int rng n in
+      let entries = replacement_col rng n r in
+      cols.(r) <- entries;
+      let w = Array.make n 0.0 in
+      List.iter (fun (i, v) -> w.(i) <- w.(i) +. v) entries;
+      ok := twin_update t w r = Some true && all_agree ()
+    end
+  done;
+  !ok
+
+(* Columns with up to eight off-diagonal entries: L fills, so the reach
+   of several roots overlaps and the order they seed it in decides the
+   order in which entries accumulate their updates. *)
+let fill_cols rng n =
+  Array.init n (fun j ->
+      let entries = ref [ (j, Workload.Rng.float_range rng 3.0 8.0) ] in
+      for _ = 1 to Workload.Rng.int rng 9 do
+        let i = Workload.Rng.int rng n in
+        if i <> j && not (List.mem_assoc i !entries) then
+          entries := (i, Workload.Rng.float_range rng (-1.0) 1.0) :: !entries
+      done;
+      !entries)
+
+let roots_tests =
+  let property ~seed ~name ~cols_of =
+    Seeded.to_alcotest ~seed
+      (QCheck2.Test.make ~name ~count:60
+         QCheck2.Gen.(pair (int_range 1 60) (int_bound 100_000))
+         (fun (n, seed) ->
+           let rng = Workload.Rng.create (Int64.of_int (seed + 53)) in
+           roots_through_updates ~cols_of rng n (Workload.Rng.int rng 15)))
+  in
+  [
+    property ~seed:1601 ~cols_of:random_sparse_cols
+      ~name:"roots-fed solves equal the gathering ones after FT updates";
+    property ~seed:1602 ~cols_of:fill_cols
+      ~name:"... and on bases whose L fills";
+    Alcotest.test_case
+      "every column of A and every unit row on the node-LP basis" `Quick
+      (fun () ->
+        (* The simplex's two sparse solves — FTRAN of a column scattered
+           from the CSC, whose row indices are the pattern, and BTRAN of
+           a unit row — on the fresh factors, then again after pivots
+           that bring columns of A into the basis. *)
+        let sf, basic = Bench_harness.Micro.node_basis () in
+        let n = Array.length basic in
+        let a = sf.Lp.Std_form.a in
+        let t =
+          twin n (fun () ->
+              Slu.factorize_basis (Slu.scratch n) a ~unit_sign:[||] basic)
+        in
+        let column j =
+          let b = Array.make n 0.0 in
+          for e = a.Lina.Csc.col_ptr.(j) to a.Lina.Csc.col_ptr.(j + 1) - 1 do
+            b.(a.Lina.Csc.row_idx.(e)) <- a.Lina.Csc.value.(e)
+          done;
+          b
+        in
+        let check_all tag =
+          for j = 0 to Lina.Csc.cols a - 1 do
+            let first = a.Lina.Csc.col_ptr.(j) in
+            let len = a.Lina.Csc.col_ptr.(j + 1) - first in
+            if
+              not
+                (fst
+                   (twin_solve ~trans:false t (column j) a.Lina.Csc.row_idx
+                      first len))
+            then Alcotest.failf "%s: column %d, roots-fed FTRAN differs" tag j
+          done;
+          for r = 0 to n - 1 do
+            let e = Array.make n 0.0 in
+            e.(r) <- 1.0;
+            if not (fst (twin_solve ~trans:true t e [| r |] 0 1)) then
+              Alcotest.failf "%s: unit row %d, roots-fed BTRAN differs" tag r
+          done
+        in
+        check_all "fresh factors";
+        let rng = Workload.Rng.create 11L in
+        let updates = ref 0 in
+        while !updates < 25 do
+          let j = Workload.Rng.int rng (Lina.Csc.cols a) in
+          let b = column j in
+          (* Leave at the entry of largest magnitude, as a ratio test
+             would favour. *)
+          let _, x =
+            let roots = pattern b in
+            twin_solve ~trans:false t b roots 0 (Array.length roots)
+          in
+          let r = ref 0 in
+          Array.iteri
+            (fun i v -> if Float.abs v > Float.abs x.(!r) then r := i)
+            x;
+          if Float.abs x.(!r) > 1e-3 then
+            match twin_update t b !r with
+            | None -> Alcotest.failf "pivot %d: the twins disagree" !updates
+            | Some true -> incr updates
+            | Some false -> Alcotest.fail "an update was rejected"
+        done;
+        check_all "after 25 updates");
+  ]
+
 let ft_tests =
   [
     Alcotest.test_case "singular spike is rejected and flags stale" `Quick
@@ -1025,5 +1212,6 @@ let suite =
     ("lina.lu.reach", reach_properties);
     ("lina.lu.ft", ft_tests @ ft_properties);
     ("lina.lu.support", support_tests);
+    ("lina.lu.roots", roots_tests);
     ("lina.lu.factorize", factorize_properties @ factorize_alloc_tests);
   ]

@@ -523,11 +523,86 @@ let basis_properties =
       { dflt with Lp.Simplex.refactor_every = 1 };
   ]
 
+(* [Basis.ftran_col] and [Basis.unit_row] write into a buffer that must
+   be all zero on entry; they neither scan nor clear it.  The simplex
+   reuses one buffer per solve kind and re-zeroes it over the support
+   the last solve reported (everywhere after a dense-path solve). *)
+let zeroed_buffer_tests =
+  [
+    Alcotest.test_case "a buffer cleared over the last support is fresh"
+      `Quick (fun () ->
+        let sf, basic = Bench_harness.Micro.node_basis () in
+        let a = sf.Lp.Std_form.a in
+        let m = Array.length basic in
+        let unit_sign =
+          Array.init m (fun i -> if i mod 3 = 0 then -1.0 else 1.0)
+        in
+        let rep = Lp.Basis.create m in
+        Lp.Basis.factorize rep a ~unit_sign basic;
+        let rng = Workload.Rng.create 3L in
+        let buf = Array.make m 0.0 and sup = Array.make m 0 in
+        let sup_n = ref 0 in
+        for step = 1 to 400 do
+          if !sup_n < 0 then Array.fill buf 0 m 0.0
+          else for t = 0 to !sup_n - 1 do buf.(sup.(t)) <- 0.0 done;
+          if not (Array.for_all (fun v -> v = 0.0) buf) then
+            Alcotest.failf "step %d: the support missed a nonzero" step;
+          let solve =
+            if Workload.Rng.bool rng then
+              Lp.Basis.unit_row rep (Workload.Rng.int rng m)
+            else
+              Lp.Basis.ftran_col rep a ~unit_sign
+                (Workload.Rng.int rng (Lina.Csc.cols a + m))
+          in
+          let fresh = Array.make m 0.0 in
+          let want = solve fresh in
+          let got = solve buf in
+          sup_n := Lp.Basis.support_len rep;
+          if !sup_n > 0 then Array.blit (Lp.Basis.support rep) 0 sup 0 !sup_n;
+          (* Zeros may differ in sign: a -0.0 a solve left outside its
+             support survives the clear, and compares equal to 0.0. *)
+          if got <> want
+             || not
+                  (Array.for_all2
+                     (fun u v ->
+                       if v = 0.0 then u = 0.0
+                       else Int64.bits_of_float u = Int64.bits_of_float v)
+                     buf fresh)
+          then
+            Alcotest.failf "step %d: the reused buffer gives another result"
+              step
+        done);
+    Alcotest.test_case "a dirty buffer is not cleared by the solve" `Quick
+      (fun () ->
+        (* The precondition is load-bearing: no O(m) pass hides a stale
+           entry, so the caller must zero the buffer. *)
+        let sf, basic = Bench_harness.Micro.node_basis () in
+        let a = sf.Lp.Std_form.a in
+        let m = Array.length basic in
+        let rep = Lp.Basis.create m in
+        Lp.Basis.factorize rep a ~unit_sign:[||] basic;
+        let fresh = Array.make m 0.0 in
+        ignore (Lp.Basis.unit_row rep 0 fresh : int);
+        let listed = Array.make m false in
+        for t = 0 to Lp.Basis.support_len rep - 1 do
+          listed.((Lp.Basis.support rep).(t)) <- true
+        done;
+        let stale = ref (-1) in
+        Array.iteri
+          (fun i l -> if (not l) && !stale < 0 then stale := i)
+          listed;
+        let dirty = Array.make m 0.0 in
+        dirty.(!stale) <- 1.0;
+        ignore (Lp.Basis.unit_row rep 0 dirty : int);
+        Alcotest.(check (float 0.0)) "stale entry survives" 1.0
+          dirty.(!stale));
+  ]
+
 let suite =
   [
     ("lp.expr", expr_tests);
     ("lp.model", model_tests);
     ("lp.simplex", simplex_tests @ simplex_properties);
     ("lp.session", session_tests @ session_properties);
-    ("lp.basis", basis_tests @ basis_properties);
+    ("lp.basis", basis_tests @ basis_properties @ zeroed_buffer_tests);
   ]

@@ -283,7 +283,7 @@ let propagate_tests =
         let n = Lp.Std_form.n_total sf in
         let lb = Array.sub sf.Lp.Std_form.lb 0 n in
         let ub = Array.sub sf.Lp.Std_form.ub 0 n in
-        (match Mip.Propagate.run p ~lb ~ub with
+        (match Mip.Propagate.run p (Mip.Propagate.scratch p) ~lb ~ub with
         | Mip.Propagate.Infeasible_node -> ()
         | Mip.Propagate.Tightened _ -> Alcotest.fail "expected infeasible"));
     Alcotest.test_case "fixes partners in an exactly-one row" `Quick (fun () ->
@@ -298,7 +298,7 @@ let propagate_tests =
         let lb = Array.sub sf.Lp.Std_form.lb 0 n in
         let ub = Array.sub sf.Lp.Std_form.ub 0 n in
         lb.(0) <- 1.0;  (* branch x = 1 *)
-        (match Mip.Propagate.run p ~lb ~ub with
+        (match Mip.Propagate.run p (Mip.Propagate.scratch p) ~lb ~ub with
         | Mip.Propagate.Infeasible_node -> Alcotest.fail "should be feasible"
         | Mip.Propagate.Tightened changes ->
           Alcotest.(check bool) "some tightening" true (changes >= 2);
@@ -312,7 +312,7 @@ let propagate_tests =
         let n = Lp.Std_form.n_total sf in
         let lb = Array.sub sf.Lp.Std_form.lb 0 n in
         let ub = Array.sub sf.Lp.Std_form.ub 0 n in
-        match Mip.Propagate.run p ~lb ~ub with
+        match Mip.Propagate.run p (Mip.Propagate.scratch p) ~lb ~ub with
         | Mip.Propagate.Infeasible_node -> Alcotest.fail "feasible model"
         | Mip.Propagate.Tightened _ ->
           (* optimal point must still be inside the tightened box *)
@@ -505,7 +505,8 @@ let propagate_properties =
            let sf, lb, ub = random_propagation_case seed in
            let lb' = Array.copy lb and ub' = Array.copy ub in
            let got =
-             match Mip.Propagate.run (Mip.Propagate.prepare sf) ~lb ~ub with
+             let p = Mip.Propagate.prepare sf in
+             match Mip.Propagate.run p (Mip.Propagate.scratch p) ~lb ~ub with
              | Mip.Propagate.Infeasible_node -> None
              | Mip.Propagate.Tightened c -> Some c
            in
@@ -514,6 +515,86 @@ let propagate_properties =
            in
            got = want && same_bits lb lb' && same_bits ub ub'));
   ]
+
+(* Real Σ and cΣ standard forms of seeded scaled instances (access
+   control), each compiled once for all the boxes drawn on it. *)
+let real_forms =
+  lazy
+    (List.concat_map
+       (fun seed ->
+         let rng = Workload.Rng.create (Int64.of_int seed) in
+         let inst =
+           Tvnep.Scenario.generate rng
+             {
+               Tvnep.Scenario.scaled with
+               num_requests = 3 + (seed mod 3);
+               flexibility = float_of_int (seed mod 3);
+             }
+         in
+         List.map
+           (fun build ->
+             let fm = build inst in
+             ignore (Tvnep.Objective.apply fm Tvnep.Objective.Access_control);
+             let sf = Lp.Std_form.of_model fm.Tvnep.Formulation.model in
+             (sf, Mip.Propagate.prepare sf, Old_propagate.prepare sf))
+           [
+             (fun i -> Tvnep.Sigma_model.build i);
+             (fun i -> Tvnep.Csigma_model.build i);
+           ])
+       [ 1; 2; 3; 4 ])
+
+(* A branching box on a real form: a few binaries fixed either way (the
+   B&B's branchings) and, sometimes, a continuous column narrowed. *)
+let real_box rng sf =
+  let total = Lp.Std_form.n_total sf in
+  let lb = Array.sub sf.Lp.Std_form.lb 0 total in
+  let ub = Array.sub sf.Lp.Std_form.ub 0 total in
+  let n_struct = sf.Lp.Std_form.n_struct in
+  for _ = 1 to 1 + Workload.Rng.int rng 6 do
+    let j = Workload.Rng.int rng n_struct in
+    if sf.Lp.Std_form.integer.(j) then
+      if Workload.Rng.bool rng then lb.(j) <- Float.max lb.(j) 1.0
+      else ub.(j) <- Float.min ub.(j) 0.0
+    else if ub.(j) < infinity && lb.(j) > neg_infinity then
+      lb.(j) <- lb.(j) +. (0.5 *. (ub.(j) -. lb.(j)))
+  done;
+  (lb, ub)
+
+(* The worklist against the full-sweep oracle on real forms: bounds,
+   count and outcome bit for bit, with the rows it skipped counted so
+   the skip path is shown to run. *)
+let real_form_property =
+  let skipped = ref 0 and runs = ref 0 in
+  let name, speed, run =
+    Seeded.to_alcotest ~seed:4243
+      (QCheck2.Test.make
+         ~name:"worklist matches the full sweep on \xce\xa3/c\xce\xa3 forms"
+         ~count:400
+         QCheck2.Gen.(pair (int_bound 7) (int_bound 1_000_000))
+         (fun (form, seed) ->
+           let sf, p, old = List.nth (Lazy.force real_forms) form in
+           let rng = Workload.Rng.create (Int64.of_int (seed + 977)) in
+           let lb, ub = real_box rng sf in
+           let lb' = Array.copy lb and ub' = Array.copy ub in
+           let sc = Mip.Propagate.scratch p in
+           let got =
+             match Mip.Propagate.run p sc ~lb ~ub with
+             | Mip.Propagate.Infeasible_node -> None
+             | Mip.Propagate.Tightened c -> Some c
+           in
+           skipped := !skipped + Mip.Propagate.skipped sc;
+           incr runs;
+           got = Old_propagate.run old ~lb:lb' ~ub:ub'
+           && same_bits lb lb' && same_bits ub ub'))
+  in
+  ( name,
+    speed,
+    fun () ->
+      skipped := 0;
+      runs := 0;
+      run ();
+      Printf.printf "%d rows skipped over %d runs\n" !skipped !runs;
+      if !skipped = 0 then Alcotest.fail "the worklist never skipped a row" )
 
 let propagate_alloc_tests =
   [
@@ -528,6 +609,7 @@ let propagate_alloc_tests =
         ignore (Tvnep.Objective.apply fm Tvnep.Objective.Access_control);
         let sf = Lp.Std_form.of_model fm.Tvnep.Formulation.model in
         let p = Mip.Propagate.prepare sf in
+        let sc = Mip.Propagate.scratch p in
         let total = Lp.Std_form.n_total sf in
         let lb = Array.sub sf.Lp.Std_form.lb 0 total in
         let ub = Array.sub sf.Lp.Std_form.ub 0 total in
@@ -538,7 +620,7 @@ let propagate_alloc_tests =
         let outcome = ref (Mip.Propagate.Tightened 0) in
         let bytes =
           Gc_probe.allocated_bytes (fun () ->
-              outcome := Mip.Propagate.run p ~lb ~ub)
+              outcome := Mip.Propagate.run p sc ~lb ~ub)
         in
         (match !outcome with
         | Mip.Propagate.Tightened c when c > 0 -> ()
@@ -696,6 +778,43 @@ let parallel_tests =
         let par = solve 4 in
         if par <> base then
           Alcotest.failf "jobs=4 diverges from jobs=1 on the contended instance");
+    Alcotest.test_case "jobs 1/2/4 byte-identical with propagation on" `Quick
+      (fun () ->
+        (* Each worker propagates on its own worklist scratch; the search
+           must not see which worker evaluated a node.  Propagation must
+           matter here: switching it off changes the search. *)
+        let rng = Workload.Rng.create 5L in
+        let inst =
+          Tvnep.Scenario.generate rng
+            { Tvnep.Scenario.scaled with num_requests = 5; flexibility = 1.0 }
+        in
+        let fm = Tvnep.Csigma_model.build inst in
+        ignore (Tvnep.Objective.apply fm Tvnep.Objective.Access_control);
+        let sf = Lp.Std_form.of_model fm.Tvnep.Formulation.model in
+        let solve ~propagate jobs =
+          let budget =
+            Runtime.Budget.create ~deterministic:2e9 ~time_limit:0.05 ()
+          in
+          let stats = Runtime.Stats.create () in
+          let params =
+            { Mip.Branch_bound.default_params with jobs; propagate }
+          in
+          let r = Mip.Branch_bound.solve_form ~params ~budget ~stats sf in
+          ( ( Mip.Branch_bound.status_to_string r.Mip.Branch_bound.status,
+              r.Mip.Branch_bound.objective,
+              r.Mip.Branch_bound.best_bound,
+              r.Mip.Branch_bound.nodes,
+              r.Mip.Branch_bound.lp_iterations ),
+            (Runtime.Budget.ticks budget, Runtime.Stats.to_string stats) )
+        in
+        let base = solve ~propagate:true 1 in
+        if solve ~propagate:false 1 = base then
+          Alcotest.fail "propagation left the search unchanged";
+        List.iter
+          (fun jobs ->
+            if solve ~propagate:true jobs <> base then
+              Alcotest.failf "jobs=%d diverges from jobs=1" jobs)
+          [ 2; 4 ]);
   ]
 
 let suite =
@@ -703,7 +822,8 @@ let suite =
     ("mip.heap", heap_tests @ heap_properties);
     ("mip.branch_bound", bb_tests @ bb_properties);
     ("mip.propagate",
-     propagate_tests @ propagate_properties @ propagate_alloc_tests);
+     propagate_tests @ propagate_properties @ propagate_alloc_tests
+     @ [ real_form_property ]);
     ("mip.warm_sessions", warm_session_tests);
     ("mip.parallel", parallel_tests);
   ]

@@ -121,6 +121,46 @@ let io_tests =
             (4, file ~horizon:"2.0" ~cap:"nan" ~duration:"1.0");
             (4, file ~horizon:"2.0" ~cap:"inf" ~duration:"1.0");
             (5, file ~horizon:"2.0" ~cap:"1.0" ~duration:"nan");
+            (* Checks made once the whole file is read name the line of
+               the directive they reject too. *)
+            (4, file ~horizon:"2.0" ~cap:"-1.0" ~duration:"1.0");
+            (2, file ~horizon:"0.0" ~cap:"1.0" ~duration:"1.0");
+            (5, file ~horizon:"2.0" ~cap:"1.0" ~duration:"3.0");
+            (4, "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 5 1.0\n");
+            ( 5,
+              "tvnep 1\nhorizon 2.0\nsubstrate-nodes 2\nnode-cap 0 1.0\n\
+               link 0 1 -1.0\n" );
+            ( 5,
+              "tvnep 1\nhorizon 2.0\nsubstrate-nodes 2\nnode-cap 0 1.0\n\
+               link 0 2 1.0\n" );
+            ( 6,
+              "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 0 1.0\n\
+               request r duration 1.0 window 0.0 2.0\n  vnode 1 0.5\nend\n" );
+            ( 7,
+              "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 0 1.0\n\
+               request r duration 1.0 window 0.0 2.0\n  vnode 0 0.5\n\
+              \  vlink 0 0 0.25\nend\n" );
+            ( 7,
+              "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 0 1.0\n\
+               request r duration 1.0 window 0.0 2.0\n  vnode 0 0.5\n\
+              \  vlink 0 1 0.25\nend\n" );
+            ( 9,
+              "tvnep 1\nhorizon 2.0\nsubstrate-nodes 2\nnode-cap 0 1.0\n\
+               node-cap 1 1.0\nlink 0 1 1.0\n\
+               request r duration 1.0 window 0.0 2.0\n  vnode 0 0.5 host 0\n\
+              \  vnode 1 0.5\n  vlink 0 1 0.25\nend\n" );
+            ( 6,
+              "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 0 1.0\n\
+               request r duration 1.0 window 0.0 2.0\n  vnode 0 0.5 host 3\n\
+               end\n" );
+            ( 8,
+              "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 0 1.0\n\
+               request r duration 1.0 window 0.0 2.0\n  vnode 0 0.5 host 0\n\
+               end\nrequest s duration 1.0 window 0.0 2.0\n  vnode 0 0.5\n\
+               end\n" );
+            ( 5,
+              "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 0 1.0\n\
+               request r duration 1.0 window 0.0 2.0\n  vnode 0 0.5\n" );
           ]);
     Alcotest.test_case "unterminated request rejected" `Quick (fun () ->
         let bad =
