@@ -15,18 +15,12 @@ let small_lp () =
   in
   for _ = 1 to 20 do
     Lp.Model.add_le m
-      (Lp.Expr.of_terms
-         (Array.to_list
-            (Array.map
-               (fun (x : Lp.Model.var) ->
-                 ((x :> int), Workload.Rng.float_range rng 0.0 2.0))
-               vars)))
+      (Array.to_list
+         (Array.map (fun x -> (x, Workload.Rng.float_range rng 0.0 2.0)) vars))
       (Workload.Rng.float_range rng 2.0 8.0)
   done;
   Lp.Model.set_objective m Lp.Model.Maximize
-    (Lp.Expr.sum
-       (Array.to_list
-          (Array.map (fun (x : Lp.Model.var) -> Lp.Expr.var (x :> int)) vars)));
+    (Array.to_list (Array.map (fun x -> (x, 1.0)) vars));
   Lp.Std_form.of_model m
 
 let bench_instance () =

@@ -3,10 +3,14 @@
     The formulation modules of the TVNEP core construct one of these and
     compile it with {!Std_form.of_model} for {!Simplex} (continuous
     relaxation) or the [Mip] library (integer optimization).  Variables
-    are identified by dense integer ids in creation order; those ids are
-    what {!Expr} expressions refer to.  Rows are kept flat — each row's
-    cleaned, summed terms in one shared term store, next to its bounds —
-    so compiling replays them without rebuilding any expression. *)
+    are identified by dense integer ids in creation order.
+
+    A row or the objective is handed over as a plain term list
+    [(variable, coefficient)] and kept in canonical form: terms in
+    ascending variable order, a repeated variable's coefficients summed
+    in the order given, sums that [Lina.Tol.is_zero] accepts dropped.
+    Rows are stored flat — each row's canonical terms in one shared term
+    store, next to its bounds — so compiling replays them as they are. *)
 
 type t
 
@@ -15,7 +19,7 @@ type sense = Minimize | Maximize
 type var_kind = Continuous | Integer | Binary
 
 type var = private int
-(** Variable handle; also usable directly as an {!Expr} variable id. *)
+(** Variable handle; its id is its structural column. *)
 
 val create : unit -> t
 
@@ -24,21 +28,22 @@ val add_var : ?lb:float -> ?ub:float -> ?kind:var_kind -> t -> var
     [kind = Continuous].  [Binary] forces bounds into [0,1] (intersected
     with any given bounds).  @raise Invalid_argument when [lb > ub]. *)
 
-val add_le : t -> Expr.t -> float -> unit
-(** [add_le m e rhs] adds the row [e <= rhs] (the expression's constant is
-    moved to the right-hand side). *)
+val add_le : t -> (var * float) list -> float -> unit
+(** [add_le m terms rhs] adds the row [Σ c·x <= rhs].
+    @raise Invalid_argument when a term's variable is not in [m]. *)
 
-val add_ge : t -> Expr.t -> float -> unit
+val add_ge : t -> (var * float) list -> float -> unit
 
-val add_eq : t -> Expr.t -> float -> unit
+val add_eq : t -> (var * float) list -> float -> unit
 
-val add_range : t -> lo:float -> hi:float -> Expr.t -> unit
-(** [lo <= e <= hi].  @raise Invalid_argument when [lo > hi]. *)
+val add_range : t -> lo:float -> hi:float -> (var * float) list -> unit
+(** [lo <= Σ c·x <= hi].  @raise Invalid_argument when [lo > hi]. *)
 
-val set_objective : t -> sense -> Expr.t -> unit
-(** The expression's constant becomes the objective offset. *)
+val set_objective : t -> sense -> ?offset:float -> (var * float) list -> unit
+(** Replaces the objective with [Σ c·x + offset] (default offset 0). *)
 
-val objective : t -> sense * Expr.t
+val objective : t -> sense * (var * float) list * float
+(** Sense, canonical terms and offset of the objective. *)
 
 val fix_var : t -> var -> float -> unit
 (** Sets both bounds to the given value. *)
@@ -57,12 +62,11 @@ val var_ub : t -> var -> float
 
 val add_row_terms : t -> Lina.Csc.Builder.b -> unit
 (** Adds every row term to the builder at (row index, variable id): rows
-    in insertion order, each row's terms ascending by variable, as
-    {!Expr.iter_terms} handed them over (no zero and no repeated
-    variable within a row). *)
+    in insertion order, each row's terms in canonical form (ascending by
+    variable, no zero and no repeated variable within a row). *)
 
+val row_terms : t -> int -> (var * float) list
 val row_lo : t -> int -> float
 val row_hi : t -> int -> float
-(** Bounds of the row with the given insertion index, with the
-    expression's constant already folded in.
-    @raise Invalid_argument when the index is out of range. *)
+(** Canonical terms and bounds of the row with the given insertion
+    index.  @raise Invalid_argument when the index is out of range. *)

@@ -23,10 +23,10 @@ let of_model m =
     ub.(n + i) <- Model.row_hi m i
   done;
   let a = Lina.Csc.Builder.finish b in
-  let sense, obj = Model.objective m in
+  let sense, obj, obj_const = Model.objective m in
   let obj_factor = match sense with Model.Minimize -> 1.0 | Model.Maximize -> -1.0 in
   let cost = Array.make total 0.0 in
-  Expr.iter_terms (fun v c -> cost.(v) <- obj_factor *. c) obj;
+  List.iter (fun ((v : Model.var), c) -> cost.((v :> int)) <- obj_factor *. c) obj;
   let integer = Array.make n false in
   for v = 0 to n - 1 do
     let hv = Model.var_of_id m v in
@@ -43,7 +43,7 @@ let of_model m =
     cost;
     lb;
     ub;
-    obj_const = Expr.constant obj;
+    obj_const;
     obj_factor;
     integer;
   }

@@ -38,7 +38,7 @@ val build :
     [?embeddings] swaps the per-request embedding layer: the factory is
     called once on the fresh model and must return one {!Embedding.t} per
     request.  The temporal machinery only consumes the
-    [node_alloc]/[link_alloc] expressions (plus [x_r]), so an alternative
+    [node_alloc]/[link_alloc] terms (plus [x_r]), so an alternative
     flow formulation — e.g. {!Colgen_model}'s path-based restricted
     master — plugs in here without touching the cΣ layer.  Default:
     {!Formulation.add_embeddings} (the paper's arc-flow form). *)

@@ -57,74 +57,57 @@ let build ?(options = default_options) inst =
      this granularity is simply forced out. *)
   Array.iteri
     (fun req slots ->
-      let emb = embeddings.(req) in
-      let lhs =
-        Lp.Expr.sum
-          (Array.to_list
-             (Array.map
-                (fun ((_, z) : int * Lp.Model.var) -> Lp.Expr.var (z :> int))
-                slots))
-      in
       Lp.Model.add_eq model
-        (Lp.Expr.sub lhs (Lp.Expr.var ((emb.Embedding.x_r :> int))))
+        (Array.fold_right
+           (fun (_, z) acc -> (z, 1.0) :: acc)
+           slots
+           [ (embeddings.(req).Embedding.x_r, -1.0) ])
         0.0)
     start_slot;
   (* Activity indicator per slot, then the usual big-M state allocations
      and per-slot capacity rows. *)
-  let slot_node_load = Array.make_matrix n_slots n_nodes Lp.Expr.zero in
-  let slot_link_load = Array.make_matrix n_slots n_links Lp.Expr.zero in
+  let slot_node_load = Array.make_matrix n_slots n_nodes [] in
+  let slot_link_load = Array.make_matrix n_slots n_links [] in
   for req = 0 to k - 1 do
     let r = Instance.request inst req in
     let emb = embeddings.(req) in
     let len = occupied_length options r in
     for slot = 0 to n_slots - 1 do
       let active =
-        Lp.Expr.sum
-          (Array.to_list start_slot.(req)
-          |> List.filter_map (fun ((s, z) : int * Lp.Model.var) ->
-                 if s <= slot && slot < s + len then
-                   Some (Lp.Expr.var (z :> int))
-                 else None))
+        Array.to_list start_slot.(req)
+        |> List.filter_map (fun (s, z) ->
+               if s <= slot && slot < s + len then Some (z, 1.0) else None)
       in
-      if Lp.Expr.num_terms active > 0 then begin
-        let add_alloc cap alloc =
-          let a = Lp.Model.add_var model ~lb:0.0 ~ub:cap in
-          Lp.Model.add_ge model
-            (Lp.Expr.sub
-               (Lp.Expr.var (a :> int))
-               (Lp.Expr.sub alloc
-                  (Lp.Expr.scale cap
-                     (Lp.Expr.sub (Lp.Expr.const 1.0) active))))
-            0.0;
-          Lp.Expr.var (a :> int)
-        in
+      if active <> [] then begin
         for s = 0 to n_nodes - 1 do
-          if Lp.Expr.num_terms emb.Embedding.node_alloc.(s) > 0 then
-            slot_node_load.(slot).(s) <-
-              Lp.Expr.add
-                slot_node_load.(slot).(s)
-                (add_alloc (Substrate.node_cap sub s)
-                   emb.Embedding.node_alloc.(s))
+          let alloc = emb.Embedding.node_alloc.(s) in
+          if alloc <> [] then
+            let a =
+              Formulation.add_alloc_var model ~cap:(Substrate.node_cap sub s)
+                ~alloc ~active
+            in
+            slot_node_load.(slot).(s) <- (a, 1.0) :: slot_node_load.(slot).(s)
         done;
         for l = 0 to n_links - 1 do
-          if Lp.Expr.num_terms emb.Embedding.link_alloc.(l) > 0 then
-            slot_link_load.(slot).(l) <-
-              Lp.Expr.add
-                slot_link_load.(slot).(l)
-                (add_alloc (Substrate.link_cap sub l)
-                   emb.Embedding.link_alloc.(l))
+          let alloc = emb.Embedding.link_alloc.(l) in
+          if alloc <> [] then
+            let a =
+              Formulation.add_alloc_var model ~cap:(Substrate.link_cap sub l)
+                ~alloc ~active
+            in
+            slot_link_load.(slot).(l) <- (a, 1.0) :: slot_link_load.(slot).(l)
         done
       end
     done
   done;
   for slot = 0 to n_slots - 1 do
     for s = 0 to n_nodes - 1 do
-      if Lp.Expr.num_terms slot_node_load.(slot).(s) > 0 then
+      if slot_node_load.(slot).(s) <> [] then
         Lp.Model.add_le model slot_node_load.(slot).(s)
           (Substrate.node_cap sub s)
     done;
     for l = 0 to n_links - 1 do
-      if Lp.Expr.num_terms slot_link_load.(slot).(l) > 0 then
+      if slot_link_load.(slot).(l) <> [] then
         Lp.Model.add_le model slot_link_load.(slot).(l)
           (Substrate.link_cap sub l)
     done
@@ -151,12 +134,10 @@ let solve ?(options = default_options) ?(mip = Mip.Branch_bound.default_params)
       (Array.mapi
          (fun req (emb : Embedding.t) ->
            let r = Instance.request inst req in
-           Lp.Expr.var
-             ~coeff:(r.Request.duration *. Request.total_node_demand r)
-             ((emb.Embedding.x_r :> int)))
+           (emb.Embedding.x_r, r.Request.duration *. Request.total_node_demand r))
          dm.embeddings)
   in
-  Lp.Model.set_objective dm.model Lp.Model.Maximize (Lp.Expr.sum terms);
+  Lp.Model.set_objective dm.model Lp.Model.Maximize terms;
   let result =
     Mip.Branch_bound.solve ~params:mip ~budget ?stats dm.model
   in

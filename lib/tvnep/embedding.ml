@@ -1,21 +1,11 @@
 type t = {
   req_index : int;
   x_r : Lp.Model.var;
-  x_v : (int * int -> Lp.Expr.t) option;
+  x_v : Lp.Model.var array array option;
   x_e : Lp.Model.var array array;
-  node_alloc : Lp.Expr.t array;
-  link_alloc : Lp.Expr.t array;
+  node_alloc : (Lp.Model.var * float) list array;
+  link_alloc : (Lp.Model.var * float) list array;
 }
-
-let node_indicator inst emb ~vnode ~snode =
-  match emb.x_v with
-  | Some f -> f (vnode, snode)
-  | None ->
-    (match Instance.node_mapping inst emb.req_index with
-    | Some fixed ->
-      if fixed.(vnode) = snode then Lp.Expr.var (emb.x_r :> int)
-      else Lp.Expr.zero
-    | None -> assert false)
 
 let build model inst ~req ~relax_integrality =
   let r = Instance.request inst req in
@@ -29,7 +19,7 @@ let build model inst ~req ~relax_integrality =
   let x_r = Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind in
   let fixed = Instance.node_mapping inst req in
   (* x_V variables only in the free-mapping case. *)
-  let x_v_vars =
+  let x_v =
     match fixed with
     | Some _ -> None
     | None ->
@@ -38,76 +28,69 @@ let build model inst ~req ~relax_integrality =
              Array.init n_sub (fun _ ->
                  Lp.Model.add_var model ~lb:0.0 ~ub:1.0 ~kind)))
   in
-  let x_v_expr (v, s) =
-    match (x_v_vars, fixed) with
-    | Some vars, _ -> Lp.Expr.var (vars.(v).(s) :> int)
-    | None, Some map ->
-      if map.(v) = s then Lp.Expr.var (x_r :> int) else Lp.Expr.zero
+  (* The mapping indicator x_V(v, s) with coefficient [c], as terms: under
+     fixed mappings it is x_R at the prescribed host and 0 elsewhere. *)
+  let x_v_term c (v, s) =
+    match (x_v, fixed) with
+    | Some vars, _ -> [ (vars.(v).(s), c) ]
+    | None, Some map -> if map.(v) = s then [ (x_r, c) ] else []
     | None, None -> assert false
   in
   (* Constraint (1): each virtual node maps to exactly one substrate node
      iff the request is embedded.  Trivially satisfied under fixed maps. *)
-  (match x_v_vars with
-  | None -> ()
-  | Some vars ->
-    Array.iter
-      (fun row ->
-        let lhs =
-          Lp.Expr.sum
-            (Array.to_list
-               (Array.map (fun (var : Lp.Model.var) -> Lp.Expr.var (var :> int)) row))
-        in
-        Lp.Model.add_eq model
-          (Lp.Expr.sub lhs (Lp.Expr.var (x_r :> int)))
-          0.0)
-      vars);
+  Option.iter
+    (Array.iter (fun row ->
+         Lp.Model.add_eq model
+           (Array.fold_right (fun var acc -> (var, 1.0) :: acc) row
+              [ (x_r, -1.0) ])
+           0.0))
+    x_v;
   let x_e =
     Array.init n_vlinks (fun _ ->
         Array.init n_slinks (fun _ -> Lp.Model.add_var model ~lb:0.0 ~ub:1.0))
   in
   (* Constraint (2): per virtual link, a unit splittable flow from the host
-     of its tail to the host of its head. *)
+     of its tail to the host of its head:
+     outflow − inflow − x_V(src, s) + x_V(dst, s) = 0. *)
   List.iter
     (fun (lv : Graphs.Digraph.edge) ->
+      let flow c edges =
+        List.map (fun (e : Graphs.Digraph.edge) -> (x_e.(lv.id).(e.id), c)) edges
+      in
       for s = 0 to n_sub - 1 do
-        let outflow =
-          Lp.Expr.sum
-            (List.map
-               (fun (e : Graphs.Digraph.edge) ->
-                 Lp.Expr.var (x_e.(lv.id).(e.id) :> int))
-               (Graphs.Digraph.out_edges sgraph s))
-        in
-        let inflow =
-          Lp.Expr.sum
-            (List.map
-               (fun (e : Graphs.Digraph.edge) ->
-                 Lp.Expr.var (x_e.(lv.id).(e.id) :> int))
-               (Graphs.Digraph.in_edges sgraph s))
-        in
-        let rhs = Lp.Expr.sub (x_v_expr (lv.src, s)) (x_v_expr (lv.dst, s)) in
         Lp.Model.add_eq model
-          (Lp.Expr.sub (Lp.Expr.sub outflow inflow) rhs)
+          (flow 1.0 (Graphs.Digraph.out_edges sgraph s)
+          @ flow (-1.0) (Graphs.Digraph.in_edges sgraph s)
+          @ x_v_term (-1.0) (lv.src, s)
+          @ x_v_term 1.0 (lv.dst, s))
           0.0
       done)
     (Graphs.Digraph.edges r.Request.graph);
-  (* Table V macros as expressions. *)
+  (* Table V macros as terms.  A zero demand contributes no term, so a
+     resource the request cannot load has an empty allocation, which the
+     models use to skip its allocation variables and rows. *)
+  let alloc demands term =
+    List.concat
+      (List.mapi
+         (fun i d -> if Lina.Tol.is_zero d then [] else term i d)
+         (Array.to_list demands))
+  in
   let node_alloc =
     Array.init n_sub (fun s ->
-        Lp.Expr.sum
-          (List.init n_vnodes (fun v ->
-               Lp.Expr.scale r.Request.node_demand.(v) (x_v_expr (v, s)))))
+        match fixed with
+        | None -> alloc r.Request.node_demand (fun v d -> x_v_term d (v, s))
+        | Some map ->
+          (* The demands hosted on [s], summed in virtual-node order. *)
+          let hosted =
+            alloc r.Request.node_demand (fun v d ->
+                if map.(v) = s then [ d ] else [])
+          in
+          if hosted = [] then []
+          else [ (x_r, List.fold_left ( +. ) 0.0 hosted) ])
   in
   let link_alloc =
     Array.init n_slinks (fun ls ->
-        Lp.Expr.sum
-          (List.init n_vlinks (fun lv ->
-               Lp.Expr.scale r.Request.link_demand.(lv)
-                 (Lp.Expr.var (x_e.(lv).(ls) :> int)))))
-  in
-  let x_v =
-    match x_v_vars with
-    | None -> None
-    | Some _ -> Some x_v_expr
+        alloc r.Request.link_demand (fun lv d -> [ (x_e.(lv).(ls), d) ]))
   in
   { req_index = req; x_r; x_v; x_e; node_alloc; link_alloc }
 
@@ -116,22 +99,23 @@ let extract inst ~req emb value_of =
   let accepted = value_of (emb.x_r :> int) > 0.5 in
   if not accepted then Solution.rejected r
   else begin
-    let n_vnodes = Request.num_vnodes r in
     let node_map =
-      match Instance.node_mapping inst req with
-      | Some fixed -> Array.copy fixed
-      | None ->
-        Array.init n_vnodes (fun v ->
-            let n_sub = Substrate.num_nodes inst.Instance.substrate in
+      match emb.x_v with
+      | None -> Option.get (Instance.node_mapping inst req)
+      | Some x_v ->
+        Array.map
+          (fun hosts ->
             let best = ref (-1) and best_v = ref 0.5 in
-            for s = 0 to n_sub - 1 do
-              let x = Lp.Expr.eval (node_indicator inst emb ~vnode:v ~snode:s) value_of in
-              if x > !best_v then begin
-                best := s;
-                best_v := x
-              end
-            done;
+            Array.iteri
+              (fun s (var : Lp.Model.var) ->
+                let x = value_of (var :> int) in
+                if x > !best_v then begin
+                  best := s;
+                  best_v := x
+                end)
+              hosts;
             !best)
+          x_v
     in
     let link_flows =
       Array.map

@@ -13,19 +13,18 @@
 type t = {
   req_index : int;
   x_r : Lp.Model.var;  (** accept/reject indicator of the request *)
-  x_v : (int * int -> Lp.Expr.t) option;
-      (** [(virtual node, substrate node) -> mapping indicator]; [None]
-          exactly when mappings are fixed (use {!node_indicator}) *)
+  x_v : Lp.Model.var array array option;
+      (** [x_v.(vnode).(snode)] — mapping indicator variables; [None]
+          exactly when mappings are fixed *)
   x_e : Lp.Model.var array array;
       (** [x_e.(vlink).(sedge)] — flow fraction variables in [0,1] *)
-  node_alloc : Lp.Expr.t array;
-      (** per substrate node: the allocᵥ macro of Table V *)
-  link_alloc : Lp.Expr.t array;  (** per substrate link: alloc_E *)
+  node_alloc : (Lp.Model.var * float) list array;
+      (** per substrate node: the allocᵥ macro of Table V as terms,
+          empty when the request cannot load the node (zero demands
+          contribute no term) *)
+  link_alloc : (Lp.Model.var * float) list array;
+      (** per substrate link: alloc_E, empty likewise *)
 }
-
-val node_indicator : Instance.t -> t -> vnode:int -> snode:int -> Lp.Expr.t
-(** The mapping indicator [x_V(vnode, snode)] as an expression, valid in
-    both the fixed and the free-mapping case. *)
 
 val build :
   Lp.Model.t -> Instance.t -> req:int -> relax_integrality:bool -> t

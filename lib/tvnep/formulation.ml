@@ -9,8 +9,8 @@ type t = {
   t_event : Lp.Model.var array;
   chi_start : (int * Lp.Model.var) array array;
   chi_end : (int * Lp.Model.var) array array;
-  state_node_load : Lp.Expr.t array array;
-  state_link_load : Lp.Expr.t array array;
+  state_node_load : (Lp.Model.var * float) list array array;
+  state_link_load : (Lp.Model.var * float) list array array;
   lift : Solution.t -> float array;
 }
 
@@ -26,11 +26,7 @@ let add_temporal_vars model inst ~n_events =
   in
   (* Constraint (13): weakly monotone event times. *)
   for i = 0 to n_events - 2 do
-    Lp.Model.add_le model
-      (Lp.Expr.sub
-         (Lp.Expr.var (t_event.(i) :> int))
-         (Lp.Expr.var (t_event.(i + 1) :> int)))
-      0.0
+    Lp.Model.add_le model [ (t_event.(i), 1.0); (t_event.(i + 1), -1.0) ] 0.0
   done;
   (* Zero-flexibility windows make [latest_start = end_max - d] equal to
      [start_min] only up to floating round-off; clamp so the bounds never
@@ -52,9 +48,7 @@ let add_temporal_vars model inst ~n_events =
   for req = 0 to k - 1 do
     let r = Instance.request inst req in
     Lp.Model.add_eq model
-      (Lp.Expr.sub
-         (Lp.Expr.var (t_end.(req) :> int))
-         (Lp.Expr.var (t_start.(req) :> int)))
+      [ (t_end.(req), 1.0); (t_start.(req), -1.0) ]
       r.Request.duration
   done;
   (t_event, t_start, t_end)
@@ -69,44 +63,18 @@ let add_chi model inst ~ranges ~relax_integrality =
       in
       (* Constraints (10)/(11): exactly one event per request endpoint. *)
       Lp.Model.add_eq model
-        (Lp.Expr.sum
-           (Array.to_list
-              (Array.map
-                 (fun ((_, v) : int * Lp.Model.var) -> Lp.Expr.var (v :> int))
-                 vars)))
+        (Array.to_list (Array.map (fun (_, v) -> (v, 1.0)) vars))
         1.0;
       vars)
 
-(* The χ prefix and suffix sums of one request endpoint, built once:
-   [until.(i - lo)] is [Σ_{j<=i} χ_j] and [from.(i - lo)] is
-   [Σ_{j>=i} χ_j] over the endpoint's contiguous index range [lo, hi]. *)
-type sums = { lo : int; until : Lp.Expr.t array; from : Lp.Expr.t array }
+(* The χ slices of one request endpoint as terms with coefficient [c]:
+   [Σ_{j<=i} c·χ_j] and [Σ_{j>=i} c·χ_j] over its allowed index range
+   (empty when no allowed index qualifies). *)
+let chi_until chi i c =
+  Array.fold_right (fun (j, v) acc -> if j <= i then (v, c) :: acc else acc) chi []
 
-let sums chi =
-  let n = Array.length chi in
-  let until = Array.make n Lp.Expr.zero and from = Array.make n Lp.Expr.zero in
-  let acc = ref Lp.Expr.zero in
-  let add i =
-    acc := Lp.Expr.add_term !acc ((snd chi.(i) : Lp.Model.var) :> int) 1.0
-  in
-  for i = 0 to n - 1 do
-    add i;
-    until.(i) <- !acc
-  done;
-  acc := Lp.Expr.zero;
-  for i = n - 1 downto 0 do
-    add i;
-    from.(i) <- !acc
-  done;
-  { lo = fst chi.(0); until; from }
-
-let cumulative_until s i =
-  let n = Array.length s.until in
-  if i < s.lo then Lp.Expr.zero else s.until.(min (i - s.lo) (n - 1))
-
-let cumulative_from s i =
-  let n = Array.length s.from in
-  if i >= s.lo + n then Lp.Expr.zero else s.from.(max (i - s.lo) 0)
+let chi_from chi i c =
+  Array.fold_right (fun (j, v) acc -> if j >= i then (v, c) :: acc else acc) chi []
 
 let chi_min chi = fst chi.(0)
 let chi_max chi = fst chi.(Array.length chi - 1)
@@ -114,65 +82,50 @@ let chi_max chi = fst chi.(Array.length chi - 1)
 (* Constraints (14)/(15): the request time equals the time of its event. *)
 let link_time_exact model ~horizon ~(t_event : Lp.Model.var array)
     ~(t_var : Lp.Model.var) ~chi =
-  let lo = chi_min chi and hi = chi_max chi in
-  let chi = sums chi in
-  let tv = Lp.Expr.var ((t_var : Lp.Model.var) :> int) in
   (* Indices outside [lo, hi] yield constraints implied by event-time
      monotonicity (even in the relaxation), so only the range is posted. *)
-  for i = lo to hi do
-    (* t <= t_{e_i} + (1 - sum_{j<=i} chi_j) * T *)
-    let sum = cumulative_until chi i in
+  for i = chi_min chi to chi_max chi do
+    (* t <= t_{e_i} + (1 - Σ_{j<=i} χ_j)·T *)
     Lp.Model.add_le model
-      (Lp.Expr.sub tv
-         (Lp.Expr.add
-            (Lp.Expr.var (t_event.(i) :> int))
-            (Lp.Expr.scale horizon
-               (Lp.Expr.sub (Lp.Expr.const 1.0) sum))))
-      0.0
+      ((t_var, 1.0) :: (t_event.(i), -1.0) :: chi_until chi i horizon)
+      horizon
   done;
-  for i = lo to hi do
-    (* t >= t_{e_i} - (1 - sum_{j>=i} chi_j) * T *)
-    let sum = cumulative_from chi i in
+  for i = chi_min chi to chi_max chi do
+    (* t >= t_{e_i} - (1 - Σ_{j>=i} χ_j)·T *)
     Lp.Model.add_ge model
-      (Lp.Expr.sub tv
-         (Lp.Expr.sub
-            (Lp.Expr.var (t_event.(i) :> int))
-            (Lp.Expr.scale horizon
-               (Lp.Expr.sub (Lp.Expr.const 1.0) sum))))
-      0.0
+      ((t_var, 1.0) :: (t_event.(i), -1.0) :: chi_from chi i (-.horizon))
+      (-.horizon)
   done
 
 (* Constraints (16)/(17): an end mapped on e_i happened within
    [t_{e_{i-1}}, t_{e_i}]. *)
 let link_time_interval model ~horizon ~(t_event : Lp.Model.var array)
     ~(t_var : Lp.Model.var) ~chi =
-  let lo = chi_min chi and hi = chi_max chi in
-  let chi = sums chi in
-  let tv = Lp.Expr.var ((t_var : Lp.Model.var) :> int) in
-  for i = lo to hi do
-    let sum = cumulative_until chi i in
+  for i = chi_min chi to chi_max chi do
     Lp.Model.add_le model
-      (Lp.Expr.sub tv
-         (Lp.Expr.add
-            (Lp.Expr.var (t_event.(i) :> int))
-            (Lp.Expr.scale horizon
-               (Lp.Expr.sub (Lp.Expr.const 1.0) sum))))
-      0.0
+      ((t_var, 1.0) :: (t_event.(i), -1.0) :: chi_until chi i horizon)
+      horizon
   done;
-  for i = max 1 lo to hi do
-    let sum = cumulative_from chi i in
+  for i = max 1 (chi_min chi) to chi_max chi do
     Lp.Model.add_ge model
-      (Lp.Expr.sub tv
-         (Lp.Expr.sub
-            (Lp.Expr.var (t_event.(i - 1) :> int))
-            (Lp.Expr.scale horizon
-               (Lp.Expr.sub (Lp.Expr.const 1.0) sum))))
-      0.0
+      ((t_var, 1.0) :: (t_event.(i - 1), -1.0) :: chi_from chi i (-.horizon))
+      (-.horizon)
   done
 
 (* Σ(R, e_i): [start <= i] - [end <= i], i.e. 1 exactly while active. *)
-let activity_expr ~start ~end_ ~state =
-  Lp.Expr.sub (cumulative_until start state) (cumulative_until end_ state)
+let activity ~start ~end_ ~state =
+  chi_until start state 1.0 @ chi_until end_ state (-1.0)
+
+(* a >= alloc - cap·(1 - σ), posted as a - alloc - cap·σ >= -cap.  The
+   bound is written [0 - cap] so a zero capacity gives +0, the bits the
+   row has always had. *)
+let add_alloc_var model ~cap ~alloc ~active =
+  let a = Lp.Model.add_var model ~lb:0.0 ~ub:cap in
+  Lp.Model.add_ge model
+    (((a, 1.0) :: List.map (fun (v, c) -> (v, -.c)) alloc)
+    @ List.map (fun (v, c) -> (v, -.cap *. c)) active)
+    (0.0 -. cap);
+  a
 
 let add_two_k_event_skeleton model inst ~relax_integrality =
   let k = Instance.num_requests inst in
@@ -188,12 +141,9 @@ let add_two_k_event_skeleton model inst ~relax_integrality =
       |> List.concat_map (fun arr ->
              Array.to_list arr
              |> List.filter_map (fun (j, v) ->
-                    if j = i then Some (Lp.Expr.var ((v : Lp.Model.var) :> int))
-                    else None))
+                    if j = i then Some (v, 1.0) else None))
     in
-    Lp.Model.add_eq model
-      (Lp.Expr.sum (pick chi_start @ pick chi_end))
-      1.0
+    Lp.Model.add_eq model (pick chi_start @ pick chi_end) 1.0
   done;
   let t_event, t_start, t_end = add_temporal_vars model inst ~n_events in
   let horizon = inst.Instance.horizon in
@@ -206,27 +156,23 @@ let add_two_k_event_skeleton model inst ~relax_integrality =
   (n_events, chi_start, chi_end, t_event, t_start, t_end)
 
 let add_pairwise_cuts model inst fm =
-  let cuts = Depgraph.pairwise_cuts inst in
-  let start_sums = Array.map sums fm.chi_start
-  and end_sums = Array.map sums fm.chi_end in
-  let sums_for (v : Depgraph.vertex) =
+  let chi_of (v : Depgraph.vertex) =
     match v.Depgraph.kind with
-    | Depgraph.Start -> start_sums.(v.Depgraph.req)
-    | Depgraph.End -> end_sums.(v.Depgraph.req)
+    | Depgraph.Start -> fm.chi_start.(v.Depgraph.req)
+    | Depgraph.End -> fm.chi_end.(v.Depgraph.req)
   in
-  let hi s = s.lo + Array.length s.until - 1 in
   List.iter
     (fun { Depgraph.before; after; min_gap } ->
-      let v = sums_for before and w = sums_for after in
+      let v = chi_of before and w = chi_of after in
       (* sum_{j<=i} chi_w <= sum_{j<=i-d} chi_v, skipping indices where the
          inequality is vacuous (LHS surely 0 or RHS surely 1). *)
-      for i = max w.lo (v.lo + min_gap) to min (hi w) (hi v + min_gap - 1) do
+      for i = max (chi_min w) (chi_min v + min_gap)
+          to min (chi_max w) (chi_max v + min_gap - 1) do
         Lp.Model.add_le model
-          (Lp.Expr.sub (cumulative_until w i)
-             (cumulative_until v (i - min_gap)))
+          (chi_until w i 1.0 @ chi_until v (i - min_gap) (-1.0))
           0.0
       done)
-    cuts
+    (Depgraph.pairwise_cuts inst)
 
 (* --- lifting helpers --------------------------------------------------- *)
 
@@ -249,28 +195,18 @@ let alloc_values inst ~req (a : Solution.assignment) =
   end;
   (node, link)
 
-let set_expr_var arr expr value =
-  match Lp.Expr.terms expr with
-  | [ (id, c) ] when Float.abs (c -. 1.0) < 1e-12 -> arr.(id) <- value
-  | _ -> ()
-
-let lift_embedding inst ~req (emb : Embedding.t) (a : Solution.assignment) arr =
+let lift_embedding (emb : Embedding.t) (a : Solution.assignment) arr =
   let accepted = if a.Solution.accepted then 1.0 else 0.0 in
   arr.((emb.Embedding.x_r :> int)) <- accepted;
-  let r = Instance.request inst req in
-  let n_sub = Substrate.num_nodes inst.Instance.substrate in
-  (match emb.Embedding.x_v with
-  | None -> ()
-  | Some x_v ->
-    for v = 0 to Request.num_vnodes r - 1 do
-      for s = 0 to n_sub - 1 do
-        let value =
-          if a.Solution.accepted && a.Solution.node_map.(v) = s then 1.0
-          else 0.0
-        in
-        set_expr_var arr (x_v (v, s)) value
-      done
-    done);
+  Option.iter
+    (Array.iteri (fun v hosts ->
+         Array.iteri
+           (fun s (var : Lp.Model.var) ->
+             arr.((var :> int)) <-
+               (if a.Solution.accepted && a.Solution.node_map.(v) = s then 1.0
+                else 0.0))
+           hosts))
+    emb.Embedding.x_v;
   (* Path-form embeddings carry no per-arc variables ([x_e = [||]]); their
      aggregated flow/path columns cannot be reconstructed from a solution's
      arc flows, so the lift leaves them at zero (the MIP layer re-verifies

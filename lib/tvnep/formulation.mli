@@ -20,10 +20,11 @@ type t = {
       (** per request: (event index, χ⁺ variable), restricted to the
           allowed event range *)
   chi_end : (int * Lp.Model.var) array array;
-  state_node_load : Lp.Expr.t array array;
-      (** [state][substrate node] — total allocation expression, used by
-          the capacity rows and by the load-balancing objective *)
-  state_link_load : Lp.Expr.t array array;
+  state_node_load : (Lp.Model.var * float) list array array;
+      (** [state][substrate node] — total allocation terms (empty when
+          nothing can load the node in that state), used by the capacity
+          rows and by the load-balancing objective *)
+  state_link_load : (Lp.Model.var * float) list array array;
   lift : Solution.t -> float array;
       (** Maps a feasible TVNEP solution to a full assignment of this
           model's variables (event permutation, event times, auxiliary
@@ -74,18 +75,25 @@ val link_time_interval :
 (** cΣ end semantics (Constraints (16)/(17)): mapping an end onto event
     [e_i] confines it to [[t_{e_{i-1}}, t_{e_i}]]. *)
 
-type sums
-(** The cumulative χ sums of one request endpoint: [Σ_{j<=i} χ_j] and
-    [Σ_{j>=i} χ_j] for every event index [i], built once. *)
+val activity :
+  start:(int * Lp.Model.var) array ->
+  end_:(int * Lp.Model.var) array ->
+  state:int ->
+  (Lp.Model.var * float) list
+(** The Σ(R, e_i) macro (Table VIII, corrected form) as terms over the
+    request's start and end χ arrays: [+1] on the start's χ with index
+    [<= state], [-1] on the end's, so it is 1 exactly on states where the
+    request is active. *)
 
-val sums : (int * Lp.Model.var) array -> sums
-(** The sums of a χ array as {!add_chi} returns it (one variable per
-    index of a contiguous range). *)
-
-val activity_expr : start:sums -> end_:sums -> state:int -> Lp.Expr.t
-(** The Σ(R, e_i) macro (Table VIII, corrected form) from the request's
-    start and end sums: 1 exactly on states where the request is
-    active. *)
+val add_alloc_var :
+  Lp.Model.t ->
+  cap:float ->
+  alloc:(Lp.Model.var * float) list ->
+  active:(Lp.Model.var * float) list ->
+  Lp.Model.var
+(** A state allocation variable [a ∈ [0, cap]] with the big-M row
+    [a >= alloc - cap·(1 - active)] (Tables VIII/IX): [a] carries the
+    allocation whenever the 0/1 activity terms [active] sum to 1. *)
 
 val add_two_k_event_skeleton :
   Lp.Model.t ->
@@ -117,12 +125,7 @@ val alloc_values :
 (** Concrete (node, link) allocation vectors of one assignment: what the
     alloc macros of Table V evaluate to on a fixed solution. *)
 
-val set_expr_var : float array -> Lp.Expr.t -> float -> unit
-(** Writes [value] into the variable underlying a single-variable
-    expression; silently ignores constants and compound expressions. *)
-
-val lift_embedding :
-  Instance.t -> req:int -> Embedding.t -> Solution.assignment -> float array -> unit
+val lift_embedding : Embedding.t -> Solution.assignment -> float array -> unit
 (** Fills [x_R], [x_V] (when mappings are free) and [x_E] for one
     request. *)
 

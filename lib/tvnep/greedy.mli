@@ -44,8 +44,8 @@ val flow_lp : Instance.t -> (int * float * float) list -> Lp.Std_form.t
       whose rows would all be empty emits none;
     - logicals follow, one per row, as in {!Lp.Std_form}.
 
-    The form equals [Lp.Std_form.of_model] of the same LP written with
-    {!Lp.Model} and {!Lp.Expr}, bit for bit. *)
+    The form equals [Lp.Std_form.of_model] of the same LP written as
+    {!Lp.Model} term rows, bit for bit. *)
 
 val run :
   ?lp_params:Lp.Simplex.params ->

@@ -41,14 +41,12 @@ let access_terms (fm : Formulation.t) =
     (Array.mapi
        (fun req (emb : Embedding.t) ->
          let r = Instance.request inst req in
-         Lp.Expr.var
-           ~coeff:(r.Request.duration *. Request.total_node_demand r)
-           ((emb.Embedding.x_r :> int)))
+         (emb.Embedding.x_r, r.Request.duration *. Request.total_node_demand r))
        fm.Formulation.embeddings)
 
 let access_control (fm : Formulation.t) =
   Lp.Model.set_objective fm.Formulation.model Lp.Model.Maximize
-    (Lp.Expr.sum (access_terms fm));
+    (access_terms fm);
   no_extras
 
 (* Access control with a linear move penalty: one auxiliary continuous
@@ -72,39 +70,37 @@ let access_with_move_cost (fm : Formulation.t) ~weight ~reference =
           invalid_arg "Objective: request referenced twice in move cost";
         Hashtbl.replace seen req ();
         let mv = Lp.Model.add_var model ~lb:0.0 ~ub:inst.Instance.horizon in
-        let t = Lp.Expr.var ((fm.Formulation.t_start.(req) :> int)) in
-        let m = Lp.Expr.var ((mv :> int)) in
-        Lp.Model.add_le model (Lp.Expr.sub t m) ref_start;
-        Lp.Model.add_le model
-          (Lp.Expr.sub (Lp.Expr.scale (-1.0) t) m)
-          (-.ref_start);
-        Lp.Expr.var ~coeff:(-.weight) ((mv :> int)))
+        let t = fm.Formulation.t_start.(req) in
+        Lp.Model.add_le model [ (t, 1.0); (mv, -1.0) ] ref_start;
+        (* [0 - ref] keeps a zero reference's bound at +0. *)
+        Lp.Model.add_le model [ (t, -1.0); (mv, -1.0) ] (0.0 -. ref_start);
+        (mv, -.weight))
       reference
   in
-  Lp.Model.set_objective model Lp.Model.Maximize
-    (Lp.Expr.sum (access_terms fm @ move_terms));
+  Lp.Model.set_objective model Lp.Model.Maximize (access_terms fm @ move_terms);
   no_extras
 
 let max_earliness (fm : Formulation.t) =
   fix_all_embedded fm;
   let inst = fm.Formulation.inst in
-  let terms =
+  (* Per request a constant and at most one t⁺ term; the constants are
+     summed in request order. *)
+  let parts =
     Array.to_list
       (Array.mapi
-         (fun req (tplus : Lp.Model.var) ->
+         (fun req tplus ->
            let r = Instance.request inst req in
            let d = r.Request.duration in
            let flex = Request.flexibility r in
-           if flex <= 1e-9 then Lp.Expr.const d
+           if flex <= 1e-9 then (d, [])
            else
              (* d (1 - (t⁺ - t^s)/flex) = d + d·t^s/flex - (d/flex)·t⁺ *)
-             Lp.Expr.of_terms
-               ~const:(d +. (d *. r.Request.start_min /. flex))
-               [ ((tplus :> int), -.d /. flex) ])
+             (d +. (d *. r.Request.start_min /. flex), [ (tplus, -.d /. flex) ]))
          fm.Formulation.t_start)
   in
   Lp.Model.set_objective fm.Formulation.model Lp.Model.Maximize
-    (Lp.Expr.sum terms);
+    ~offset:(List.fold_left (fun acc (c, _) -> acc +. c) 0.0 parts)
+    (List.concat_map snd parts);
   no_extras
 
 let balance_node_load (fm : Formulation.t) fraction =
@@ -123,17 +119,12 @@ let balance_node_load (fm : Formulation.t) fraction =
     let c = Substrate.node_cap sub s in
     for i = 0 to fm.Formulation.n_states - 1 do
       let load = fm.Formulation.state_node_load.(i).(s) in
-      if Lp.Expr.num_terms load > 0 then
-        Lp.Model.add_le model
-          (Lp.Expr.add load
-             (Lp.Expr.var ~coeff:((1.0 -. fraction) *. c) ((free.(s) :> int))))
-          c
+      if load <> [] then
+        Lp.Model.add_le model ((free.(s), (1.0 -. fraction) *. c) :: load) c
     done
   done;
   Lp.Model.set_objective model Lp.Model.Maximize
-    (Lp.Expr.sum
-       (Array.to_list
-          (Array.map (fun (v : Lp.Model.var) -> Lp.Expr.var (v :> int)) free)));
+    (Array.to_list (Array.map (fun v -> (v, 1.0)) free));
   { no_extras with free_nodes = Some free }
 
 let disable_links (fm : Formulation.t) =
@@ -166,28 +157,19 @@ let disable_links (fm : Formulation.t) =
   in
   for l = 0 to n_links - 1 do
     let total_flow =
-      Lp.Expr.sum
-        (Array.to_list fm.Formulation.embeddings
-        |> List.concat_map (fun (emb : Embedding.t) ->
-               if Array.length emb.Embedding.x_e = 0 then
-                 [ emb.Embedding.link_alloc.(l) ]
-               else
-                 Array.to_list emb.Embedding.x_e
-                 |> List.map (fun row ->
-                        Lp.Expr.var ((row.(l) : Lp.Model.var) :> int))))
+      Array.to_list fm.Formulation.embeddings
+      |> List.concat_map (fun (emb : Embedding.t) ->
+             if Array.length emb.Embedding.x_e = 0 then
+               emb.Embedding.link_alloc.(l)
+             else
+               Array.to_list emb.Embedding.x_e
+               |> List.map (fun row -> (row.(l), 1.0)))
     in
     (* Σ x_E <= M (1 - D): any flow on the link forbids disabling it. *)
-    Lp.Model.add_le model
-      (Lp.Expr.add total_flow
-         (Lp.Expr.var ~coeff:big_m ((disabled.(l) :> int))))
-      big_m
+    Lp.Model.add_le model (total_flow @ [ (disabled.(l), big_m) ]) big_m
   done;
   Lp.Model.set_objective model Lp.Model.Maximize
-    (Lp.Expr.sum
-       (Array.to_list
-          (Array.map
-             (fun (v : Lp.Model.var) -> Lp.Expr.var (v :> int))
-             disabled)));
+    (Array.to_list (Array.map (fun v -> (v, 1.0)) disabled));
   { no_extras with disabled_links = Some disabled }
 
 let min_makespan (fm : Formulation.t) =
@@ -204,11 +186,9 @@ let min_makespan (fm : Formulation.t) =
   let t_max = Lp.Model.add_var model ~lb:lower ~ub:inst.Instance.horizon in
   Array.iter
     (fun (t_end : Lp.Model.var) ->
-      Lp.Model.add_le model
-        (Lp.Expr.sub (Lp.Expr.var (t_end :> int)) (Lp.Expr.var (t_max :> int)))
-        0.0)
+      Lp.Model.add_le model [ (t_end, 1.0); (t_max, -1.0) ] 0.0)
     fm.Formulation.t_end;
-  Lp.Model.set_objective model Lp.Model.Minimize (Lp.Expr.var (t_max :> int));
+  Lp.Model.set_objective model Lp.Model.Minimize [ (t_max, 1.0) ];
   { no_extras with makespan = Some t_max }
 
 let apply fm = function

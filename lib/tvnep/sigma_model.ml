@@ -17,56 +17,47 @@ let build ?(options = default_options) inst =
       ~relax_integrality:options.relax_integrality
   in
   let n_states = n_events - 1 in
-  let state_node_load = Array.make_matrix n_states n_nodes Lp.Expr.zero in
-  let state_link_load = Array.make_matrix n_states n_links Lp.Expr.zero in
+  let state_node_load = Array.make_matrix n_states n_nodes [] in
+  let state_link_load = Array.make_matrix n_states n_links [] in
   let a_records = ref [] in
   for req = 0 to k - 1 do
     let emb = embeddings.(req) in
-    let start = Formulation.sums chi_start.(req)
-    and end_ = Formulation.sums chi_end.(req) in
     for i = 0 to n_states - 1 do
-      let sigma = Formulation.activity_expr ~start ~end_ ~state:i in
-      let add_alloc_var cap alloc =
-        let a = Lp.Model.add_var model ~lb:0.0 ~ub:cap in
-        Lp.Model.add_ge model
-          (Lp.Expr.sub
-             (Lp.Expr.var (a :> int))
-             (Lp.Expr.sub alloc
-                (Lp.Expr.scale cap (Lp.Expr.sub (Lp.Expr.const 1.0) sigma))))
-          0.0;
-        a
+      let active =
+        Formulation.activity ~start:chi_start.(req) ~end_:chi_end.(req)
+          ~state:i
       in
       for s = 0 to n_nodes - 1 do
-        if Lp.Expr.num_terms emb.Embedding.node_alloc.(s) > 0 then begin
+        let alloc = emb.Embedding.node_alloc.(s) in
+        if alloc <> [] then begin
           let a =
-            add_alloc_var (Substrate.node_cap sub s)
-              emb.Embedding.node_alloc.(s)
+            Formulation.add_alloc_var model ~cap:(Substrate.node_cap sub s)
+              ~alloc ~active
           in
           a_records := (req, i, `Node s, a) :: !a_records;
-          state_node_load.(i).(s) <-
-            Lp.Expr.add state_node_load.(i).(s) (Lp.Expr.var (a :> int))
+          state_node_load.(i).(s) <- (a, 1.0) :: state_node_load.(i).(s)
         end
       done;
       for l = 0 to n_links - 1 do
-        if Lp.Expr.num_terms emb.Embedding.link_alloc.(l) > 0 then begin
+        let alloc = emb.Embedding.link_alloc.(l) in
+        if alloc <> [] then begin
           let a =
-            add_alloc_var (Substrate.link_cap sub l)
-              emb.Embedding.link_alloc.(l)
+            Formulation.add_alloc_var model ~cap:(Substrate.link_cap sub l)
+              ~alloc ~active
           in
           a_records := (req, i, `Link l, a) :: !a_records;
-          state_link_load.(i).(l) <-
-            Lp.Expr.add state_link_load.(i).(l) (Lp.Expr.var (a :> int))
+          state_link_load.(i).(l) <- (a, 1.0) :: state_link_load.(i).(l)
         end
       done
     done
   done;
   for i = 0 to n_states - 1 do
     for s = 0 to n_nodes - 1 do
-      if Lp.Expr.num_terms state_node_load.(i).(s) > 0 then
+      if state_node_load.(i).(s) <> [] then
         Lp.Model.add_le model state_node_load.(i).(s) (Substrate.node_cap sub s)
     done;
     for l = 0 to n_links - 1 do
-      if Lp.Expr.num_terms state_link_load.(i).(l) > 0 then
+      if state_link_load.(i).(l) <> [] then
         Lp.Model.add_le model state_link_load.(i).(l) (Substrate.link_cap sub l)
     done
   done;
@@ -74,8 +65,7 @@ let build ?(options = default_options) inst =
     let arr = Array.make (Lp.Model.num_vars model) 0.0 in
     Array.iteri
       (fun req emb ->
-        Formulation.lift_embedding inst ~req emb
-          sol.Solution.assignments.(req) arr)
+        Formulation.lift_embedding emb sol.Solution.assignments.(req) arr)
       embeddings;
     Array.iteri
       (fun req (a : Solution.assignment) ->

@@ -67,8 +67,6 @@ let bottleneck_instance () =
   Tvnep.Instance.make ~node_mappings:[| [| 0; 1 |] |] ~substrate
     ~requests:[| r |] ~horizon:3.0 ()
 
-let v (x : Lp.Model.var) = Lp.Expr.var (x :> int)
-
 let lp_column_tests =
   [
     Alcotest.test_case "append_columns == of_model with the column last"
@@ -79,16 +77,14 @@ let lp_column_tests =
            variable. *)
         let build ~with_z =
           let m = Lp.Model.create () in
-          let x = v (Lp.Model.add_var m ~lb:0.0 ~ub:10.0) in
-          let y = v (Lp.Model.add_var m ~lb:0.0 ~ub:10.0) in
-          let z =
-            if with_z then v (Lp.Model.add_var m ~lb:0.0 ~ub:10.0)
-            else Lp.Expr.zero
-          in
-          Lp.Model.add_le m (Lp.Expr.sum [ x; y; z ]) 4.0;
-          Lp.Model.add_le m (Lp.Expr.add x z) 3.0;
+          let x = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 in
+          let y = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 in
+          let z = if with_z then [ Lp.Model.add_var m ~lb:0.0 ~ub:10.0 ] else [] in
+          let z_term c = List.map (fun z -> (z, c)) z in
+          Lp.Model.add_le m ([ (x, 1.0); (y, 1.0) ] @ z_term 1.0) 4.0;
+          Lp.Model.add_le m ((x, 1.0) :: z_term 1.0) 3.0;
           Lp.Model.set_objective m Lp.Model.Maximize
-            (Lp.Expr.sum [ x; Lp.Expr.scale 2.0 y; Lp.Expr.scale 3.0 z ]);
+            ([ (x, 1.0); (y, 2.0) ] @ z_term 3.0);
           Lp.Std_form.of_model m
         in
         let spliced =
@@ -131,12 +127,8 @@ let lp_column_tests =
         let m = Lp.Model.create () in
         let x = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 in
         let y = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 in
-        Lp.Model.add_le m
-          (Lp.Expr.add (Lp.Expr.var (x :> int)) (Lp.Expr.var (y :> int)))
-          4.0;
-        Lp.Model.set_objective m Lp.Model.Maximize
-          (Lp.Expr.add (Lp.Expr.var (x :> int))
-             (Lp.Expr.scale 2.0 (Lp.Expr.var (y :> int))));
+        Lp.Model.add_le m [ (x, 1.0); (y, 1.0) ] 4.0;
+        Lp.Model.set_objective m Lp.Model.Maximize [ (x, 1.0); (y, 2.0) ];
         let sf0 = Lp.Std_form.of_model m in
         let session = Lp.Simplex.create_session sf0 in
         let solve sf =

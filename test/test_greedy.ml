@@ -87,9 +87,9 @@ let unit_tests =
           (Tvnep.Validator.is_feasible flexible sol_flex));
   ]
 
-(* Verbatim copy of the feasibility-LP assembly [Greedy] used before it
-   built the standard form directly: every row and the objective go
-   through [Lp.Model] / [Lp.Expr] and [Lp.Std_form.of_model].  The
+(* The feasibility-LP assembly [Greedy] used before it built the
+   standard form directly, written as [Lp.Model] term rows: every row and
+   the objective go through [Lp.Model] and [Lp.Std_form.of_model].  The
    differential tests below hold [Greedy.flow_lp] to it bit for bit. *)
 module Reference = struct
   open Tvnep
@@ -141,17 +141,14 @@ module Reference = struct
         List.iter
           (fun (lv : Graphs.Digraph.edge) ->
             for s = 0 to n_sub - 1 do
-              let sum_over edges =
-                Lp.Expr.sum
-                  (List.map
-                     (fun (e : Graphs.Digraph.edge) ->
-                       Lp.Expr.var ((x_e.(lv.id).(e.id) : Lp.Model.var) :> int))
-                     edges)
+              let sum_over c edges =
+                List.map
+                  (fun (e : Graphs.Digraph.edge) -> (x_e.(lv.id).(e.id), c))
+                  edges
               in
               let balance =
-                Lp.Expr.sub
-                  (sum_over (Graphs.Digraph.out_edges sgraph s))
-                  (sum_over (Graphs.Digraph.in_edges sgraph s))
+                sum_over 1.0 (Graphs.Digraph.out_edges sgraph s)
+                @ sum_over (-1.0) (Graphs.Digraph.in_edges sgraph s)
               in
               let rhs =
                 (if mapping.(lv.src) = s then 1.0 else 0.0)
@@ -165,18 +162,16 @@ module Reference = struct
       (fun active ->
         for ls = 0 to n_slinks - 1 do
           let load =
-            Lp.Expr.sum
-              (List.concat_map
-                 (fun req ->
-                   let r = Instance.request inst req in
-                   let x_e = Hashtbl.find flows req in
-                   List.init (Request.num_vlinks r) (fun lv ->
-                       Lp.Expr.var
-                         ~coeff:r.Request.link_demand.(lv)
-                         ((x_e.(lv).(ls) : Lp.Model.var) :> int)))
-                 active)
+            List.concat_map
+              (fun req ->
+                let r = Instance.request inst req in
+                let x_e = Hashtbl.find flows req in
+                List.init (Request.num_vlinks r) (fun lv ->
+                    (x_e.(lv).(ls), r.Request.link_demand.(lv))))
+              active
+            |> List.filter (fun (_, d) -> not (Lina.Tol.is_zero d))
           in
-          if Lp.Expr.num_terms load > 0 then
+          if load <> [] then
             Lp.Model.add_le model load (Substrate.link_cap sub ls)
         done)
       active_sets;
@@ -185,12 +180,9 @@ module Reference = struct
         (fun _ x_e acc ->
           Array.fold_left
             (fun acc row ->
-              Array.fold_left
-                (fun acc (v : Lp.Model.var) ->
-                  Lp.Expr.add_term acc (v :> int) 1.0)
-                acc row)
+              Array.fold_left (fun acc v -> (v, 1.0) :: acc) acc row)
             acc x_e)
-        flows Lp.Expr.zero
+        flows []
     in
     Lp.Model.set_objective model Lp.Model.Minimize total;
     Lp.Std_form.of_model model

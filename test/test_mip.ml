@@ -3,7 +3,7 @@
 
 let feq = Alcotest.(check (float 1e-6))
 
-let v (x : Lp.Model.var) = Lp.Expr.var (x :> int)
+let v (x : Lp.Model.var) = (x, 1.0)
 
 let bb_status = Alcotest.testable
     (fun ppf s ->
@@ -87,12 +87,10 @@ let knapsack_model values weights capacity =
     Array.init n (fun _ -> Lp.Model.add_var m ~kind:Lp.Model.Binary)
   in
   Lp.Model.add_le m
-    (Lp.Expr.of_terms
-       (Array.to_list (Array.mapi (fun i (x : Lp.Model.var) -> ((x :> int), weights.(i))) vars)))
+    (Array.to_list (Array.mapi (fun i x -> (x, weights.(i))) vars))
     capacity;
   Lp.Model.set_objective m Lp.Model.Maximize
-    (Lp.Expr.of_terms
-       (Array.to_list (Array.mapi (fun i (x : Lp.Model.var) -> ((x :> int), values.(i))) vars)));
+    (Array.to_list (Array.mapi (fun i x -> (x, values.(i))) vars));
   m
 
 let brute_knapsack values weights capacity =
@@ -116,15 +114,15 @@ let bb_tests =
         let m = Lp.Model.create () in
         let x = Lp.Model.add_var m ~ub:3.0 ~kind:Lp.Model.Integer in
         let y = Lp.Model.add_var m ~ub:3.0 ~kind:Lp.Model.Integer in
-        Lp.Model.add_eq m (Lp.Expr.add (v x) (v y)) 1.5;
-        Lp.Model.set_objective m Lp.Model.Minimize (v x);
+        Lp.Model.add_eq m [ v x; v y ] 1.5;
+        Lp.Model.set_objective m Lp.Model.Minimize [ v x ];
         let r = Mip.Branch_bound.solve m in
         Alcotest.check bb_status "status" Mip.Branch_bound.Infeasible
           r.Mip.Branch_bound.status);
     Alcotest.test_case "pure LP passes through" `Quick (fun () ->
         let m = Lp.Model.create () in
         let x = Lp.Model.add_var m ~ub:2.5 in
-        Lp.Model.set_objective m Lp.Model.Maximize (v x);
+        Lp.Model.set_objective m Lp.Model.Maximize [ v x ];
         let r = Mip.Branch_bound.solve m in
         (match r.Mip.Branch_bound.objective with
         | Some o -> feq "obj" 2.5 o
@@ -143,9 +141,8 @@ let bb_tests =
         let m = Lp.Model.create () in
         let x = Lp.Model.add_var m ~ub:2.9 ~kind:Lp.Model.Integer in
         let y = Lp.Model.add_var m ~ub:10.0 ~kind:Lp.Model.Integer in
-        Lp.Model.add_le m (Lp.Expr.add (Lp.Expr.scale 2.0 (v x)) (v y)) 7.5;
-        Lp.Model.set_objective m Lp.Model.Maximize
-          (Lp.Expr.add (Lp.Expr.scale 3.0 (v x)) (v y));
+        Lp.Model.add_le m [ (x, 2.0); v y ] 7.5;
+        Lp.Model.set_objective m Lp.Model.Maximize [ (x, 3.0); v y ];
         let r = Mip.Branch_bound.solve m in
         (match r.Mip.Branch_bound.objective with
         | Some o -> feq "obj" 9.0 o
@@ -227,15 +224,11 @@ let bb_properties =
            Array.iteri
              (fun i row ->
                Lp.Model.add_le m
-                 (Lp.Expr.of_terms
-                    (Array.to_list
-                       (Array.mapi (fun j (x : Lp.Model.var) -> ((x :> int), row.(j))) vars)))
+                 (Array.to_list (Array.mapi (fun j x -> (x, row.(j))) vars))
                  b.(i))
              a;
            Lp.Model.set_objective m Lp.Model.Maximize
-             (Lp.Expr.of_terms
-                (Array.to_list
-                   (Array.mapi (fun j (x : Lp.Model.var) -> ((x :> int), c.(j))) vars)));
+             (Array.to_list (Array.mapi (fun j x -> (x, c.(j))) vars));
            let r = Mip.Branch_bound.solve m in
            (* brute force over 3^n points *)
            let best = ref neg_infinity in
@@ -277,7 +270,7 @@ let propagate_tests =
         let m = Lp.Model.create () in
         let x = Lp.Model.add_var m ~ub:1.0 in
         let y = Lp.Model.add_var m ~ub:1.0 in
-        Lp.Model.add_ge m (Lp.Expr.add (v x) (v y)) 3.0;
+        Lp.Model.add_ge m [ v x; v y ] 3.0;
         let sf = Lp.Std_form.of_model m in
         let p = Mip.Propagate.prepare sf in
         let n = Lp.Std_form.n_total sf in
@@ -291,7 +284,7 @@ let propagate_tests =
         let x = Lp.Model.add_var m ~kind:Lp.Model.Binary in
         let y = Lp.Model.add_var m ~kind:Lp.Model.Binary in
         let z = Lp.Model.add_var m ~kind:Lp.Model.Binary in
-        Lp.Model.add_eq m (Lp.Expr.sum [ v x; v y; v z ]) 1.0;
+        Lp.Model.add_eq m [ v x; v y; v z ] 1.0;
         let sf = Lp.Std_form.of_model m in
         let p = Mip.Propagate.prepare sf in
         let n = Lp.Std_form.n_total sf in
@@ -463,11 +456,10 @@ let random_propagation_case seed =
   for _ = 1 to Workload.Rng.int rng 6 do
     let e =
       Array.fold_left
-        (fun e (x : Lp.Model.var) ->
+        (fun e x ->
           if Workload.Rng.int rng 3 = 0 then e
-          else Lp.Expr.add e (Lp.Expr.var ~coeff:(Workload.Rng.pick rng coefs)
-                                (x :> int)))
-        Lp.Expr.zero vars
+          else (x, Workload.Rng.pick rng coefs) :: e)
+        [] vars
     in
     let rhs = Workload.Rng.float_range rng (-2.0) 4.0 in
     match Workload.Rng.int rng 4 with

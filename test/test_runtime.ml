@@ -146,18 +146,12 @@ let medium_lp () =
   in
   for _ = 1 to 20 do
     Lp.Model.add_le m
-      (Lp.Expr.of_terms
-         (Array.to_list
-            (Array.map
-               (fun (x : Lp.Model.var) ->
-                 ((x :> int), Workload.Rng.float_range rng 0.0 2.0))
-               vars)))
+      (Array.to_list
+         (Array.map (fun x -> (x, Workload.Rng.float_range rng 0.0 2.0)) vars))
       (Workload.Rng.float_range rng 2.0 8.0)
   done;
   Lp.Model.set_objective m Lp.Model.Maximize
-    (Lp.Expr.sum
-       (Array.to_list
-          (Array.map (fun (x : Lp.Model.var) -> Lp.Expr.var (x :> int)) vars)));
+    (Array.to_list (Array.map (fun x -> (x, 1.0)) vars));
   m
 
 let simplex_tests =
@@ -205,12 +199,7 @@ let knapsack () =
   let b = v () in
   let c = v () in
   let d = v () in
-  let terms coeffs =
-    Lp.Expr.of_terms
-      (List.map2
-         (fun (x : Lp.Model.var) k -> ((x :> int), k))
-         [ a; b; c; d ] coeffs)
-  in
+  let terms coeffs = List.combine [ a; b; c; d ] coeffs in
   Lp.Model.add_le m (terms [ 5.0; 7.0; 4.0; 3.0 ]) 14.0;
   Lp.Model.set_objective m Lp.Model.Maximize (terms [ 8.0; 11.0; 6.0; 4.0 ]);
   m
