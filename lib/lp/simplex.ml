@@ -23,25 +23,25 @@ type vstat = Basic | At_lower | At_upper | Free_nb
 type basis = { basic : int array; stat : vstat array }
 
 type params = {
-  max_iters : int;
   time_limit : float;
   refactor_every : int;
-  dual_feas_tol : float;
-  primal_feas_tol : float;
   fill_limit : float;
   partial_pricing : bool;
 }
 
 let default_params =
   {
-    max_iters = 200_000;
     time_limit = infinity;
     refactor_every = 100;
-    dual_feas_tol = 1e-7;
-    primal_feas_tol = Lina.Tol.feas;
     fill_limit = 3.0;
     partial_pricing = true;
   }
+
+(* Pivot cap per solve, and the reduced-cost and bound-violation
+   tolerances. *)
+let max_iters = 200_000
+let dual_feas_tol = 1e-7
+let primal_feas_tol = Lina.Tol.feas
 
 type result = {
   status : status;
@@ -418,7 +418,7 @@ let compute_duals st =
 let entering_dir st j =
   if st.vstat.(j) = Basic || st.lb.(j) >= st.ub.(j) then 0
   else begin
-    let tol = st.params.dual_feas_tol in
+    let tol = dual_feas_tol in
     dot_col st j st.y;
     let d = st.cost.(j) -. st.fout.(0) in
     st.fout.(0) <- d;
@@ -773,7 +773,7 @@ let do_pivot st q r hit =
 
 let check_limits st =
   if
-    st.iterations >= st.params.max_iters
+    st.iterations >= max_iters
     || Budget.iters_exhausted st.budget st.stats.Rstats.simplex_iterations
   then raise (Solver_stop Iter_limit);
   if st.iterations land 15 = 0 && Budget.out_of_time st.budget then
@@ -906,7 +906,7 @@ let phase1 st ~any_artificial =
     for i = 0 to st.m - 1 do
       infeas := !infeas +. st.xval.(st.n_total + i)
     done;
-    if !infeas > st.params.primal_feas_tol *. float_of_int (st.m + 1) then
+    if !infeas > primal_feas_tol *. float_of_int (st.m + 1) then
       raise (Solver_stop Infeasible);
     expel_artificials st
   end;
@@ -1049,7 +1049,7 @@ let install_warm_basis st (warm : basis) =
   end
 
 let basics_primal_feasible st =
-  let tol = st.params.primal_feas_tol in
+  let tol = primal_feas_tol in
   Array.for_all
     (fun j -> st.xval.(j) >= st.lb.(j) -. tol && st.xval.(j) <= st.ub.(j) +. tol)
     st.basis
@@ -1058,7 +1058,7 @@ let basics_primal_feasible st =
    dual simplex's "no entering candidate" verdict proves infeasibility)? *)
 let dual_feasible st =
   compute_duals st;
-  let tol = 10.0 *. st.params.dual_feas_tol in
+  let tol = 10.0 *. dual_feas_tol in
   let ok = ref true in
   for j = 0 to st.n_total - 1 do
     if st.vstat.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
@@ -1081,7 +1081,7 @@ let dual_feasible st =
    feasibility.  Raises [Solver_stop Infeasible] when the dual is
    unbounded, i.e. the primal is infeasible. *)
 let dual_optimize st =
-  let tol = st.params.primal_feas_tol in
+  let tol = primal_feas_tol in
   let piv_tol = Lina.Tol.pivot in
   let rho = st.rho in
   (* Duals are maintained incrementally across dual pivots
@@ -1320,12 +1320,12 @@ let extract st status =
 (* Bounds crossed by more than the feasibility tolerance: the LP is
    infeasible before any basis exists.  Crossings within the tolerance
    (propagation round-off) are collapsed later ([repair_crossed_bounds]). *)
-let crossed_bounds params lb ub n_total =
+let crossed_bounds lb ub n_total =
   let crossed = ref false in
   for j = 0 to n_total - 1 do
     if lb.(j) > ub.(j) then begin
       let scale = Float.max 1.0 (Float.abs lb.(j)) in
-      if lb.(j) -. ub.(j) > params.primal_feas_tol *. scale then
+      if lb.(j) -. ub.(j) > primal_feas_tol *. scale then
         crossed := true
     end
   done;
@@ -1555,7 +1555,7 @@ let session_call session ?time_limit ?budget ?stats ~lb ~ub () =
   let budget = budget_of_params ?budget params in
   let stats = match stats with Some s -> s | None -> Rstats.create () in
   stats.Rstats.lp_solves <- stats.Rstats.lp_solves + 1;
-  (params, budget, stats, crossed_bounds params lb ub n_total)
+  (params, budget, stats, crossed_bounds lb ub n_total)
 
 (* The session's one state, under this call's settings: allocated on the
    first solve, afterwards the carried one with its per-solve counters

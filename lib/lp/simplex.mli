@@ -45,11 +45,8 @@ type basis = { basic : int array; stat : vstat array }
     column of the (logical-extended) matrix. *)
 
 type params = {
-  max_iters : int;
   time_limit : float;       (** seconds of wall-clock; [infinity] = none *)
   refactor_every : int;     (** pivots between residual/drift checks *)
-  dual_feas_tol : float;    (** reduced-cost tolerance *)
-  primal_feas_tol : float;  (** bound-violation tolerance *)
   fill_limit : float;       (** factor-size growth ratio before a forced
                                 refactorization (fresh factorization
                                 = 1.0) *)
@@ -57,6 +54,10 @@ type params = {
 }
 
 val default_params : params
+(** [time_limit = infinity], [refactor_every = 100], [fill_limit = 3.0],
+    partial pricing on.  Fixed for every solve: at most 200 000 pivots
+    ([Iter_limit] beyond), reduced-cost tolerance 1e-7, bound-violation
+    tolerance {!Lina.Tol.feas}. *)
 
 type result = {
   status : status;

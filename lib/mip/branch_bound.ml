@@ -25,8 +25,6 @@ let status_to_string = function
 type params = {
   time_limit : float;
   node_limit : int;
-  gap_tol : float;
-  int_tol : float;
   lp_params : Lp.Simplex.params;
   log_every : int;
   propagate : bool;       (* node-level domain propagation *)
@@ -39,8 +37,6 @@ let default_params =
   {
     time_limit = infinity;
     node_limit = 1_000_000;
-    gap_tol = 1e-6;
-    int_tol = 1e-6;
     lp_params = Lp.Simplex.default_params;
     log_every = 0;
     propagate = true;
@@ -56,6 +52,11 @@ let default_params =
        parallelism levels. *)
     batch_size = 8;
   }
+
+(* Stop once the relative gap is this small; integrality tolerance on LP
+   values. *)
+let gap_tol = 1e-6
+let int_tol = 1e-6
 
 type result = {
   status : status;
@@ -159,7 +160,7 @@ let fractional_vars s (x : float array) =
     if sf.Lp.Std_form.integer.(j) then begin
       let v = x.(j) in
       let frac = Float.abs (v -. Float.round v) in
-      if frac > s.params.int_tol then acc := (j, v, frac) :: !acc
+      if frac > int_tol then acc := (j, v, frac) :: !acc
     end
   done;
   !acc
@@ -464,7 +465,7 @@ let run_round s dispatch =
       in
       (* Gap-based early stop; the rest of the batch is discarded — a
          deterministic decision, since the merge order is fixed. *)
-      if gap <= s.params.gap_tol then raise (Stop Optimal)
+      if gap <= gap_tol then raise (Stop Optimal)
     done
   end
 
@@ -520,7 +521,7 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?prof sf =
          && Lp.Std_form.is_feasible_point sf x
          && Array.for_all2
               (fun is_int v ->
-                (not is_int) || Float.abs (v -. Float.round v) <= params.int_tol)
+                (not is_int) || Float.abs (v -. Float.round v) <= int_tol)
               sf.Lp.Std_form.integer x ->
     s.incumbent_obj <- structural_objective sf x;
     s.incumbent_x <- Some (Array.copy x);

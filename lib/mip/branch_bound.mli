@@ -33,8 +33,6 @@ type params = {
       (** budget-clock seconds, [infinity] = none; ignored when an
           explicit budget is passed to {!solve} / {!solve_form} *)
   node_limit : int;
-  gap_tol : float;       (** stop when the relative gap drops below *)
-  int_tol : float;       (** integrality tolerance on LP values *)
   lp_params : Lp.Simplex.params;
   log_every : int;       (** nodes between progress log lines; 0 = quiet *)
   propagate : bool;      (** node-level domain propagation (default on) *)
@@ -57,6 +55,10 @@ type params = {
 }
 
 val default_params : params
+(** No time limit, 10⁶ nodes, propagation and warm sessions on, one job,
+    batches of 8.  Fixed for every search: it stops as optimal once the
+    relative gap is at most 1e-6, and an LP value within 1e-6 of an
+    integer counts as integral. *)
 
 type result = {
   status : status;

@@ -29,11 +29,6 @@
 
 type params = {
   seed_paths : int;         (** initial columns per commodity (Yen k), >= 1 *)
-  max_rounds : int;         (** pricing rounds per {!generate} call *)
-  tailing_off_rounds : int;
-      (** stop after this many consecutive rounds whose master objective
-          moved by at most [tailing_off_tol] (relative) *)
-  tailing_off_tol : float;
   price_at_nodes : bool;
       (** branch-and-price-lite: after the branch-and-bound pass,
           re-price against the incumbent-fixed master LP and re-run the
@@ -41,8 +36,9 @@ type params = {
 }
 
 val default_params : params
-(** [seed_paths = 2], [max_rounds = 50], tailing off after 4 flat rounds
-    at relative tolerance 1e-9, no node pricing. *)
+(** [seed_paths = 2], no node pricing.  Fixed for every {!generate}
+    call: at most 50 pricing rounds, and a stop after 4 consecutive rounds
+    whose master objective moved by at most 1e-9 (relative). *)
 
 type t
 
@@ -86,7 +82,7 @@ val generate :
 (** The generation loop: solve the master LP (persistent session, primal
     continuation after column splices) → recover internal duals → price
     every commodity → splice entering columns → repeat, until no column
-    prices in, the objective tails off, [max_rounds] is hit, or the
+    prices in, the objective tails off, the round cap is hit, or the
     budget dies.
 
     Pricing runs one Dijkstra per commodity, in commodity order, each

@@ -179,13 +179,18 @@ let build_instance st =
       links
   in
   let node_cap = Array.make n_sub 0.0 in
+  let first_line = Array.make n_sub 0 in
   List.iter
     (fun (line, v, c) ->
       if v < 0 || v >= n_sub then fail line "node-cap id out of range";
-      if c < 0.0 then fail line "Substrate.make: negative capacity")
+      if first_line.(v) > 0 then
+        fail line
+          (Printf.sprintf "node-cap %d repeated (first set on line %d)" v
+             first_line.(v));
+      if c < 0.0 then fail line "Substrate.make: negative capacity";
+      first_line.(v) <- line;
+      node_cap.(v) <- c)
     (List.rev st.node_caps);
-  (* Applied last line first: of repeated ids, the first line wins. *)
-  List.iter (fun (_, v, c) -> node_cap.(v) <- c) st.node_caps;
   let link_cap = Array.make (List.length link_caps) 0.0 in
   List.iter (fun (id, c) -> link_cap.(id) <- c) link_caps;
   let substrate =

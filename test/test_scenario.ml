@@ -128,6 +128,9 @@ let io_tests =
             (5, file ~horizon:"2.0" ~cap:"1.0" ~duration:"3.0");
             (4, "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 5 1.0\n");
             ( 5,
+              "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 0 1.0\n\
+               node-cap 0 2.0\n" );
+            ( 5,
               "tvnep 1\nhorizon 2.0\nsubstrate-nodes 2\nnode-cap 0 1.0\n\
                link 0 1 -1.0\n" );
             ( 5,
