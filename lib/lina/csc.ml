@@ -199,9 +199,14 @@ let mult_trans_vec m y =
    scatter, slot [i] holds the end of column [i], and one shift restores
    the starts.  Columns of [m] are visited in order, so rows stay sorted
    within every column of the result. *)
-let transpose m =
+let transpose_into m ~col_ptr ~row_idx ~value =
   let n = nnz m and rows = m.cols and cols = m.rows in
-  let col_ptr = Array.make (cols + 1) 0 in
+  if
+    Array.length col_ptr < cols + 1
+    || Array.length row_idx < n
+    || Array.length value < n
+  then invalid_arg "Csc.transpose_into: buffer too short";
+  Array.fill col_ptr 0 (cols + 1) 0;
   for k = 0 to n - 1 do
     let i = m.row_idx.(k) in
     col_ptr.(i + 1) <- col_ptr.(i + 1) + 1
@@ -209,7 +214,6 @@ let transpose m =
   for i = 1 to cols do
     col_ptr.(i) <- col_ptr.(i) + col_ptr.(i - 1)
   done;
-  let row_idx = Array.make n 0 and value = Array.create_float n in
   for j = 0 to rows - 1 do
     for k = m.col_ptr.(j) to m.col_ptr.(j + 1) - 1 do
       let i = m.row_idx.(k) in
@@ -222,5 +226,11 @@ let transpose m =
   for i = cols downto 1 do
     col_ptr.(i) <- col_ptr.(i - 1)
   done;
-  col_ptr.(0) <- 0;
-  { rows; cols; col_ptr; row_idx; value }
+  col_ptr.(0) <- 0
+
+let transpose m =
+  let n = nnz m in
+  let col_ptr = Array.make (m.rows + 1) 0 in
+  let row_idx = Array.make n 0 and value = Array.create_float n in
+  transpose_into m ~col_ptr ~row_idx ~value;
+  { rows = m.cols; cols = m.rows; col_ptr; row_idx; value }

@@ -63,3 +63,13 @@ val col_dot : t -> int -> float array -> float
 val transpose : t -> t
 (** Direct counting transpose in O(nnz + rows + cols) time; it allocates
     only the result.  Values are copied unchanged. *)
+
+val transpose_into :
+  t -> col_ptr:int array -> row_idx:int array -> value:float array -> unit
+(** [transpose_into m ~col_ptr ~row_idx ~value] writes {!transpose}[ m]'s
+    arrays into the given buffers, in the same entry order, allocating
+    nothing: column [i] of the transpose (row [i] of [m]) lists its
+    entries at [col_ptr.(i) .. col_ptr.(i+1) - 1].  The buffers may be
+    longer than needed ([rows m + 1] pointers, [nnz m] entries); the
+    rest is left as it was.
+    @raise Invalid_argument when one is shorter. *)

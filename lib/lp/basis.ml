@@ -4,7 +4,7 @@ module Slu = Lina.Lu.Sparse
    (Lina.Lu.Sparse.ft_update), so there is no product-form file to pay
    on later solves — only the bounded row-eta multipliers inside. *)
 type t = {
-  m : int;
+  mutable m : int;  (* logical dimension, at most the capacity *)
   ft : Slu.ft;
   uscratch : Slu.scratch;
       (* factorization and reach-solve workspace, one per basis; also
@@ -20,14 +20,18 @@ type t = {
 let create m =
   { m; ft = Slu.ft_create m; uscratch = Slu.scratch m; unit_root = [| 0 |] }
 
+let reset t m =
+  Slu.ft_reset t.ft m;
+  t.m <- m
+
 let update_count t = Slu.ft_updates t.ft
 let fill_ratio t = Slu.ft_fill_ratio t.ft
 let fill_exceeds t limit = Slu.ft_fill_exceeds t.ft limit
 let solve_cost t = Slu.ft_nnz t.ft + t.m
-let load_identity t signs = Slu.ft_refresh t.ft (Slu.of_diagonal signs)
+let load_identity t signs = Slu.ft_load_diagonal t.ft signs
 
 let factorize t a ~unit_sign basic =
-  Slu.ft_refresh t.ft (Slu.factorize_basis t.uscratch a ~unit_sign basic)
+  Slu.ft_factorize t.ft t.uscratch a ~unit_sign basic
 
 (* --- solves ------------------------------------------------------------ *)
 

@@ -17,7 +17,15 @@ val create : int -> t
 (** [create m] allocates the factors and workspace of a dimension-[m]
     basis — O(m) words — holding no basis yet: install one with
     {!load_identity} or {!factorize} before the first solve (a solve
-    before that raises [Invalid_argument]). *)
+    before that raises [Invalid_argument]).  [m] is also the capacity:
+    the largest dimension {!reset} accepts. *)
+
+val reset : t -> int -> unit
+(** [reset t m] makes [t] a dimension-[m] basis holding no basis, as
+    {!create} [m] would, keeping every buffer it has grown: a solver
+    state recycled for another LP reuses its representation this way.
+    Every index range then runs to [m], whatever the buffers' lengths.
+    @raise Invalid_argument when [m] exceeds the capacity. *)
 
 val update_count : t -> int
 (** Forrest–Tomlin updates absorbed since the last (re)factorization. *)
@@ -39,18 +47,22 @@ val solve_cost : t -> int
     simplex bills to the budget clock. *)
 
 val load_identity : t -> float array -> unit
-(** [load_identity t signs] installs the basis [diag signs] (signs are
-    ±1: the cold-start basis of logical and artificial columns),
-    clearing any absorbed updates. *)
+(** [load_identity t signs] installs the basis [diag signs] over the
+    first [m] entries of [signs] (signs are ±1: the cold-start basis of
+    logical and artificial columns), clearing any absorbed updates.
+    Allocates nothing once the factors have been installed before. *)
 
 val factorize : t -> Lina.Csc.t -> unit_sign:float array -> int array -> unit
 (** [factorize t a ~unit_sign basic] refactorizes from scratch the basis
     whose column [pos] is column [basic.(pos)] of [[a | diag unit_sign]]
     (a column of [a], or past [Csc.cols a] a signed unit column — the
-    simplex's artificials), read straight from the CSC arrays.  Clears
-    the absorbed updates, reuses the scratch for all working storage and
-    allocates only the new factors.
-    @raise Lina.Lu.Singular on a (numerically) singular basis. *)
+    simplex's artificials), read straight from the CSC arrays; [basic]
+    may be longer than [m].  Clears the absorbed updates.  The factors
+    are written in place into storage the representation owns, so once
+    that storage has grown to the basis' size a refactorization
+    allocates nothing.
+    @raise Lina.Lu.Singular on a (numerically) singular basis, leaving
+    the factors installed before the call usable. *)
 
 val ftran_col :
   t -> Lina.Csc.t -> unit_sign:float array -> int -> float array -> int

@@ -71,7 +71,13 @@ type prof_ticks = {
 (* Internal solver state.  Columns 0 .. n_total-1 are the structural and
    logical columns of the standard form; columns n_total .. n_total+m-1 are
    phase-1 artificials (one per row, sign [art_sign.(i)], unused ones kept
-   fixed at zero). *)
+   fixed at zero).
+
+   A state is recycled across LPs (see [fresh_state]), so its buffers may
+   be longer than the LP it holds: row-space buffers have at least [m]
+   entries, column-space ones at least [n_total + m], [real_cost] at
+   least [n_total].  Every loop runs to the logical dimensions, never to
+   a buffer's length. *)
 type state = {
   sf : Std_form.t;
   m : int;
@@ -118,7 +124,7 @@ type state = {
   mutable cand_n : int;
   top_j : int array;  (* restock heap: the [max_cand] strongest columns *)
   top_s : float array;
-  mutable dualw : dual_ws option;  (* dual pricing workspace, built lazily *)
+  dualw : dual_ws;  (* dual pricing workspace, built lazily *)
   (* devex reference-framework weights: [refw] per column (primal
      pricing), [drefw] per basis position (dual row selection).  Reset to
      the unit framework at every solve start. *)
@@ -127,13 +133,20 @@ type state = {
 }
 
 (* Row-scatter workspace of the dual simplex's pivot-row computation:
-   [d_at] is Aᵀ, so the alphas touch only the columns that actually meet
-   the (sparse) inverse row instead of dotting every column. *)
+   [d_ptr]/[d_col]/[d_val] hold Aᵀ (row i's entries at
+   [d_ptr.(i) .. d_ptr.(i+1)-1]), so the alphas touch only the columns
+   that actually meet the (sparse) inverse row instead of dotting every
+   column.  Aᵀ is rebuilt into these buffers on first need after the
+   columns change or the state is recycled ([d_ready] false); the
+   buffers only ever grow. *)
 and dual_ws = {
-  d_at : Lina.Csc.t;
-  d_alpha : float array;  (* length n_total *)
-  d_mark : int array;
-  d_touch : int array;
+  mutable d_ready : bool;
+  mutable d_ptr : int array;
+  mutable d_col : int array;
+  mutable d_val : float array;
+  mutable d_alpha : float array;  (* at least n_total *)
+  mutable d_mark : int array;
+  mutable d_touch : int array;
   mutable d_stamp : int;
 }
 
@@ -306,7 +319,9 @@ let nonbasic_rhs st =
 let recompute_basics st =
   let rhs = nonbasic_rhs st in
   tick_ftran st (Basis.ftran_in_place st.rep rhs);
-  Array.iteri (fun pos j -> st.xval.(j) <- rhs.(pos)) st.basis
+  for pos = 0 to st.m - 1 do
+    st.xval.(st.basis.(pos)) <- rhs.(pos)
+  done
 
 (* Max-norm of A·x over all columns — exact feasibility residual of the
    equality system, O(nnz). *)
@@ -346,7 +361,9 @@ let full_refactorize st =
   tick_factor st (Basis.solve_cost st.rep);
   let rhs = nonbasic_rhs st in
   tick_ftran st (Basis.ftran_in_place st.rep rhs);
-  Array.iteri (fun pos j -> st.xval.(j) <- rhs.(pos)) st.basis
+  for pos = 0 to st.m - 1 do
+    st.xval.(st.basis.(pos)) <- rhs.(pos)
+  done
 
 (* Periodic hygiene: recompute basics through the current inverse and only
    pay for a full LU refactorization when the equation residual shows real
@@ -407,7 +424,9 @@ let commit_pivot st ~r =
 
 (* y = B⁻ᵀ c_B (BTRAN), billed like any other basis solve. *)
 let compute_duals st =
-  Array.iteri (fun pos j -> st.y.(pos) <- st.cost.(j)) st.basis;
+  for pos = 0 to st.m - 1 do
+    st.y.(pos) <- st.cost.(st.basis.(pos))
+  done;
   let work = Basis.btran_in_place st.rep st.y in
   st.stats.Rstats.btran_nnz <- st.stats.Rstats.btran_nnz + result_nnz st st.y;
   tick_btran st work
@@ -628,25 +647,50 @@ let ratio_test st dir =
 
 (* --- dual pricing workspace ------------------------------------------ *)
 
+(* Capacity for [need] entries: [len] when it suffices, else half again
+   as much at least, so a form that keeps growing (column generation)
+   reallocates a logarithmic number of times. *)
+let grown len need = if need <= len then len else max need (len + (len / 2))
+
+(* [a] when it holds [need] entries, else a longer copy of its first
+   [keep]. *)
+let widen a ~keep ~need fill =
+  if Array.length a >= need then a
+  else begin
+    let b = Array.make (grown (Array.length a) need) fill in
+    Array.blit a 0 b 0 keep;
+    b
+  end
+
 (* Lazily-built Aᵀ plus scatter scratch; cached on the state so session
    re-solves pay the transpose once.  Shared by the dual simplex's pivot
    row and the primal devex weight propagation (both need the same
-   α_j = ρ·A_j row scatter). *)
+   α_j = ρ·A_j row scatter).  A rebuild grows the buffers as needed; the
+   marks stay below the stamp, which only increases, so no reset is
+   needed. *)
 let dual_ws st =
-  match st.dualw with
-  | Some ws -> ws
-  | None ->
-    let ws =
-      {
-        d_at = Lina.Csc.transpose st.sf.Std_form.a;
-        d_alpha = Array.make st.n_total 0.0;
-        d_mark = Array.make st.n_total (-1);
-        d_touch = Array.make st.n_total 0;
-        d_stamp = 0;
-      }
-    in
-    st.dualw <- Some ws;
-    ws
+  let ws = st.dualw in
+  if not ws.d_ready then begin
+    let a = st.sf.Std_form.a in
+    let nnz = Lina.Csc.nnz a in
+    if Array.length ws.d_ptr < st.m + 1 then
+      ws.d_ptr <- Array.make (st.m + 1) 0;
+    if Array.length ws.d_col < nnz then begin
+      let len = grown (Array.length ws.d_col) nnz in
+      ws.d_col <- Array.make len 0;
+      ws.d_val <- Array.make len 0.0
+    end;
+    if Array.length ws.d_alpha < st.n_total then begin
+      let len = grown (Array.length ws.d_alpha) st.n_total in
+      ws.d_alpha <- Array.make len 0.0;
+      ws.d_mark <- Array.make len (-1);
+      ws.d_touch <- Array.make len 0
+    end;
+    Lina.Csc.transpose_into a ~col_ptr:ws.d_ptr ~row_idx:ws.d_col
+      ~value:ws.d_val;
+    ws.d_ready <- true
+  end;
+  ws
 
 (* Scatters the pivot row α_j = ρ·A_j over the cached Aᵀ, so only the
    columns actually meeting the (sparse) inverse row are visited.  Direct
@@ -658,9 +702,7 @@ let pivot_row_scatter st ws rho =
   ws.d_stamp <- ws.d_stamp + 1;
   let stamp = ws.d_stamp in
   let ntouch = ref 0 in
-  let ptr = ws.d_at.Lina.Csc.col_ptr in
-  let ridx = ws.d_at.Lina.Csc.row_idx in
-  let rval = ws.d_at.Lina.Csc.value in
+  let ptr = ws.d_ptr and ridx = ws.d_col and rval = ws.d_val in
   (* Rows in ascending order, over ρ's support when the BTRAN reported
      one: the sums and the touch order of a full scan. *)
   let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
@@ -733,7 +775,7 @@ let devex_primal_update st ~q ~r =
         end
       done;
       st.refw.(st.basis.(r)) <- Float.max 1.0 (gq /. (alpha_q *. alpha_q));
-      if !overflow then Array.fill st.refw 0 (Array.length st.refw) 1.0;
+      if !overflow then Array.fill st.refw 0 (st.n_total + st.m) 1.0;
       true
     end
     else false
@@ -746,7 +788,7 @@ let devex_primal_update st ~q ~r =
    basis, and carrying them across unrelated solves or phases degrades
    them into noise. *)
 let reset_devex st =
-  Array.fill st.refw 0 (Array.length st.refw) 1.0;
+  Array.fill st.refw 0 (st.n_total + st.m) 1.0;
   Array.fill st.drefw 0 st.m 1.0
 
 (* --- pivot application ----------------------------------------------- *)
@@ -925,12 +967,26 @@ let phase1 st ~any_artificial =
 
 (* --- initial basis construction --------------------------------------- *)
 
-let nearest_bound lo hi =
-  if lo = neg_infinity && hi = infinity then (0.0, Free_nb)
-  else if lo = neg_infinity then (hi, At_upper)
-  else if hi = infinity then (lo, At_lower)
-  else if Float.abs lo <= Float.abs hi then (lo, At_lower)
-  else (hi, At_upper)
+(* The status of a nonbasic column placed at its bound nearest zero
+   (free columns at zero).  Inlined: a float argument of a call would be
+   boxed. *)
+let[@inline] nearest_stat lo hi =
+  if lo = neg_infinity && hi = infinity then Free_nb
+  else if lo = neg_infinity then At_upper
+  else if hi = infinity then At_lower
+  else if Float.abs lo <= Float.abs hi then At_lower
+  else At_upper
+
+(* Places nonbasic column [j] at its nearest bound.  Writing the value
+   here, rather than returning it, keeps the float unboxed. *)
+let place_nearest st j =
+  let s = nearest_stat st.lb.(j) st.ub.(j) in
+  st.vstat.(j) <- s;
+  st.xval.(j) <-
+    (match s with
+    | At_lower -> st.lb.(j)
+    | At_upper -> st.ub.(j)
+    | Free_nb | Basic -> 0.0)
 
 (* Cold start: structurals at their nearest bound, logicals basic where the
    initial activity is inside the row range, artificials elsewhere. *)
@@ -938,9 +994,7 @@ let cold_start st =
   let n_struct = st.sf.Std_form.n_struct in
   let any_artificial = ref false in
   for j = 0 to n_struct - 1 do
-    let v, s = nearest_bound st.lb.(j) st.ub.(j) in
-    st.xval.(j) <- v;
-    st.vstat.(j) <- s
+    place_nearest st j
   done;
   (* Row activities from structural columns only. *)
   let act = st.rowbuf in
@@ -955,7 +1009,8 @@ let cold_start st =
       done
     end
   done;
-  let signs = Array.make st.m 1.0 in
+  (* Once row i's activity is read, [act.(i)] takes the sign of its
+     basis column: the diagonal of the cold-start basis. *)
   for i = 0 to st.m - 1 do
     let slack = n_struct + i in
     let art = st.n_total + i in
@@ -969,14 +1024,13 @@ let cold_start st =
       st.lb.(art) <- 0.0;
       st.ub.(art) <- 0.0;
       st.cost.(art) <- 0.0;
-      signs.(i) <- -1.0
+      act.(i) <- -1.0
     end
     else begin
-      let target, s =
-        if act.(i) < st.lb.(slack) then (st.lb.(slack), At_lower)
-        else (st.ub.(slack), At_upper)
-      in
-      st.vstat.(slack) <- s;
+      (* The logical sits on the bound its activity violates. *)
+      let below = act.(i) < st.lb.(slack) in
+      let target = if below then st.lb.(slack) else st.ub.(slack) in
+      st.vstat.(slack) <- (if below then At_lower else At_upper);
       st.xval.(slack) <- target;
       let resid = target -. act.(i) in
       let sign = if resid >= 0.0 then 1.0 else -1.0 in
@@ -988,10 +1042,10 @@ let cold_start st =
       st.ub.(art) <- infinity;
       st.cost.(art) <- 1.0;
       any_artificial := true;
-      signs.(i) <- sign
+      act.(i) <- sign
     end
   done;
-  Basis.load_identity st.rep signs;
+  Basis.load_identity st.rep act;
   st.cand_n <- 0;
   reset_devex st;
   if !any_artificial then
@@ -1048,11 +1102,15 @@ let install_warm_basis st (warm : basis) =
     else false
   end
 
+(* Whether the first [st.m] entries of [st.basis] all satisfy [ok]. *)
+let all_basic st ok =
+  let rec from pos = pos >= st.m || (ok st.basis.(pos) && from (pos + 1)) in
+  from 0
+
 let basics_primal_feasible st =
   let tol = primal_feas_tol in
-  Array.for_all
-    (fun j -> st.xval.(j) >= st.lb.(j) -. tol && st.xval.(j) <= st.ub.(j) +. tol)
-    st.basis
+  all_basic st (fun j ->
+      st.xval.(j) >= st.lb.(j) -. tol && st.xval.(j) <= st.ub.(j) +. tol)
 
 (* One pricing pass: is the installed basis dual feasible (so that the
    dual simplex's "no entering candidate" verdict proves infeasibility)? *)
@@ -1256,9 +1314,12 @@ let dual_optimize st =
 (* --- result extraction ------------------------------------------------ *)
 
 (* The result record from the primal values [xval] (column space, at
-   least [n_total] long) and the row duals [y] (internal sense). *)
+   least [n_total] long) and the row duals [y] (internal sense, at least
+   [n_rows] long).  Everything it keeps is copied out of the two
+   buffers. *)
 let result_of sf status ~xval ~y ~iterations ~final_basis =
   let n_struct = sf.Std_form.n_struct in
+  let m = sf.Std_form.n_rows in
   let x = Array.sub xval 0 n_struct in
   let internal =
     let acc = ref 0.0 in
@@ -1270,7 +1331,10 @@ let result_of sf status ~xval ~y ~iterations ~final_basis =
   (* Internal duals are in minimization sense; expose them in the model's
      objective sense so that a user dual is d(user obj)/d(rhs). *)
   let factor = sf.Std_form.obj_factor in
-  let duals = Array.map (fun yi -> factor *. yi) y in
+  let duals = Array.make m 0.0 in
+  for i = 0 to m - 1 do
+    duals.(i) <- factor *. y.(i)
+  done;
   let reduced =
     (* Lazy: the O(nnz(A)) pricing of every structural column is wasted
        work on the branch-and-bound hot path, which only reads bounds and
@@ -1279,7 +1343,7 @@ let result_of sf status ~xval ~y ~iterations ~final_basis =
        standard form. *)
     let a = sf.Std_form.a in
     let cost = sf.Std_form.cost in
-    let y = Array.copy y in
+    let y = Array.sub y 0 m in
     lazy
       (Array.init n_struct (fun j ->
            factor *. (cost.(j) -. Lina.Csc.col_dot a j y)))
@@ -1305,10 +1369,10 @@ let extract st status =
     match status with
     | Optimal | Iter_limit | Time_limit ->
       (* Only meaningful when no artificial remains basic. *)
-      if Array.for_all (fun j -> j < st.n_total) st.basis then
+      if all_basic st (fun j -> j < st.n_total) then
         Some
           {
-            basic = Array.copy st.basis;
+            basic = Array.sub st.basis 0 st.m;
             stat = Array.sub st.vstat 0 st.n_total;
           }
       else None
@@ -1339,19 +1403,22 @@ let crossed_result sf =
     ~xval:(Array.make (Std_form.n_total sf) 0.0)
     ~y:(Array.make m 0.0) ~iterations:0 ~final_basis:None
 
-let fresh_state sf params budget stats prof lb ub =
-  let m = sf.Std_form.n_rows in
-  let n_total = Std_form.n_total sf in
+(* --- solver states: allocation and recycling ---------------------------- *)
+
+(* Buffers for an LP of up to [m] rows and [n_total] columns; their
+   contents are set by [install_lp]. *)
+let alloc_state sf params budget stats prof ~m ~n_total =
+  let nc = n_total + m in
   {
     sf;
     m;
     n_total;
-    lb = Array.append lb (Array.make m 0.0);
-    ub = Array.append ub (Array.make m 0.0);
-    cost = Array.append sf.Std_form.cost (Array.make m 0.0);
-    real_cost = Array.copy sf.Std_form.cost;
-    xval = Array.make (n_total + m) 0.0;
-    vstat = Array.make (n_total + m) At_lower;
+    lb = Array.make nc 0.0;
+    ub = Array.make nc 0.0;
+    cost = Array.make nc 0.0;
+    real_cost = Array.make n_total 0.0;
+    xval = Array.make nc 0.0;
+    vstat = Array.make nc At_lower;
     basis = Array.make m (-1);
     art_sign = Array.make m 1.0;
     rep = Basis.create m;
@@ -1375,15 +1442,150 @@ let fresh_state sf params budget stats prof lb ub =
     fout = Array.make 2 0.0;
     enter_dir = 1;
     leave_hit = At_lower;
-    cand = Array.make (n_total + m) 0;
-    cand_score = Array.make (n_total + m) 0.0;
+    cand = Array.make nc 0;
+    cand_score = Array.make nc 0.0;
     cand_n = 0;
     top_j = Array.make max_cand 0;
     top_s = Array.make max_cand 0.0;
-    dualw = None;
-    refw = Array.make (n_total + m) 1.0;
+    dualw =
+      {
+        d_ready = false;
+        d_ptr = [||];
+        d_col = [||];
+        d_val = [||];
+        d_alpha = [||];
+        d_mark = [||];
+        d_touch = [||];
+        d_stamp = 0;
+      };
+    refw = Array.make nc 1.0;
     drefw = Array.make m 1.0;
   }
+
+(* Whether [st]'s buffers hold an LP of [m] rows and [n_total] columns
+   (every column-space buffer has [lb]'s length, every row-space one
+   [basis]'s). *)
+let fits st ~m ~n_total =
+  m <= Array.length st.basis
+  && n_total <= Array.length st.real_cost
+  && n_total + m <= Array.length st.lb
+
+(* Sets [st]'s buffers to exactly what a solve of [sf] under [lb]/[ub]
+   finds in a freshly allocated state — bounds and costs (artificials at
+   zero), values, statuses, basis, artificial signs, the representation
+   (no factors), the zeroed FTRAN/dual/inverse-row buffers, the devex
+   weights, an empty candidate list, a dual workspace to rebuild, zero
+   counters — and returns the state for [sf].  Beyond the logical
+   dimensions nothing is read; the row buffer, the support lists, the
+   candidate and restock arrays and [fout] are written before they are
+   read. *)
+let install_lp st sf params budget stats prof lb ub =
+  let m = sf.Std_form.n_rows in
+  let n_total = Std_form.n_total sf in
+  let nc = n_total + m in
+  Array.blit lb 0 st.lb 0 n_total;
+  Array.fill st.lb n_total m 0.0;
+  Array.blit ub 0 st.ub 0 n_total;
+  Array.fill st.ub n_total m 0.0;
+  Array.blit sf.Std_form.cost 0 st.cost 0 n_total;
+  Array.fill st.cost n_total m 0.0;
+  Array.blit sf.Std_form.cost 0 st.real_cost 0 n_total;
+  Array.fill st.xval 0 nc 0.0;
+  Array.fill st.vstat 0 nc At_lower;
+  Array.fill st.basis 0 m (-1);
+  Array.fill st.art_sign 0 m 1.0;
+  Basis.reset st.rep m;
+  reset_ptk st.ptk;
+  Array.fill st.w 0 m 0.0;
+  Array.fill st.y 0 m 0.0;
+  Array.fill st.rho 0 m 0.0;
+  Array.fill st.refw 0 nc 1.0;
+  Array.fill st.drefw 0 m 1.0;
+  st.dualw.d_ready <- false;
+  {
+    st with
+    sf;
+    m;
+    n_total;
+    params;
+    budget;
+    stats;
+    prof;
+    pivots_since_refactor = 0;
+    iterations = 0;
+    bland = false;
+    degenerate_run = 0;
+    wsup_n = 0;
+    rhosup_n = 0;
+    enter_dir = 1;
+    leave_hit = At_lower;
+    cand_n = 0;
+  }
+
+(* One spare state per domain: a session its owner has finished with
+   ({!session_release}) leaves its state here, and the next state this
+   domain needs takes it when it is large enough, so the buffers, the
+   factor storage and Aᵀ's arrays of one LP serve the next instead of
+   churning the major heap.  A state belongs to at most one session or is
+   the spare; results copy what they keep, so nothing else refers to its
+   buffers. *)
+let spare : state option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* What a spare refers to besides its buffers: nothing of the LP it last
+   held, so the spare keeps no standard form, budget or stats alive. *)
+let idle_form =
+  {
+    Std_form.n_struct = 0;
+    n_rows = 0;
+    a = Lina.Csc.Builder.finish (Lina.Csc.Builder.create ~rows:0 ~cols:0);
+    cost = [||];
+    lb = [||];
+    ub = [||];
+    obj_const = 0.0;
+    obj_factor = 1.0;
+    integer = [||];
+  }
+
+let idle_budget = Budget.create ~deterministic:1.0 ()
+let idle_stats = Rstats.create ()
+
+(* Keeps the larger of [st] and the current spare. *)
+let store_spare st =
+  let slot = Domain.DLS.get spare in
+  let keep =
+    match !slot with
+    | Some sp ->
+      fits st ~m:(Array.length sp.basis) ~n_total:(Array.length sp.real_cost)
+    | None -> true
+  in
+  if keep then
+    slot :=
+      Some
+        {
+          st with
+          sf = idle_form;
+          m = 0;
+          n_total = 0;
+          budget = idle_budget;
+          stats = idle_stats;
+          prof = None;
+        }
+
+(* The state of a session's first solve: the domain's spare when it is
+   large enough, else new buffers — either way set up by [install_lp]. *)
+let fresh_state sf params budget stats prof lb ub =
+  let m = sf.Std_form.n_rows in
+  let n_total = Std_form.n_total sf in
+  let slot = Domain.DLS.get spare in
+  let st =
+    match !slot with
+    | Some sp when fits sp ~m ~n_total ->
+      slot := None;
+      sp
+    | _ -> alloc_state sf params budget stats prof ~m ~n_total
+  in
+  install_lp st sf params budget stats prof lb ub
 
 (* Collapses within-tolerance crossed bounds (propagation round-off) on
    the installed state arrays.  True crossings were already rejected by
@@ -1486,30 +1688,36 @@ let session_add_columns session ?budget ?stats cols =
       let n = st.sf.Std_form.n_struct in
       let m = st.m in
       let n_total' = st.n_total + k in
-      let splice old mk_new =
-        Array.init
-          (n_total' + m)
-          (fun j ->
-            if j < n then old.(j)
-            else if j < n + k then mk_new (j - n)
-            else old.(j - k))
+      let nc = st.n_total + m and nc' = n_total' + m in
+      (* Column-space buffers, widened when they cannot hold the grown
+         form: logicals and artificials shift up by [k] in place, opening
+         the entrants' slots after the structurals. *)
+      let shift a fill =
+        let a = widen a ~keep:nc ~need:nc' fill in
+        Array.blit a n a (n + k) (nc - n);
+        a
       in
-      let lb = splice st.lb (fun i -> sf'.Std_form.lb.(n + i)) in
-      let ub = splice st.ub (fun i -> sf'.Std_form.ub.(n + i)) in
+      let lb = shift st.lb 0.0 and ub = shift st.ub 0.0 in
       (* After a finished solve [cost] equals [real_cost] on real columns
-         and 0 on artificials; splicing both keeps that alignment. *)
-      let cost = splice st.cost (fun i -> sf'.Std_form.cost.(n + i)) in
-      let real_cost =
-        Array.init n_total' (fun j ->
-            if j < n then st.real_cost.(j)
-            else if j < n + k then sf'.Std_form.cost.(j)
-            else st.real_cost.(j - k))
-      in
-      let xval = splice st.xval (fun i -> fst (nearest_bound lb.(n + i) ub.(n + i))) in
-      let vstat =
-        splice st.vstat (fun i -> snd (nearest_bound lb.(n + i) ub.(n + i)))
-      in
-      let basis = Array.map (fun j -> if j < n then j else j + k) st.basis in
+         and 0 on artificials; shifting both keeps that alignment. *)
+      let cost = shift st.cost 0.0 in
+      let real_cost = widen st.real_cost ~keep:st.n_total ~need:n_total' 0.0 in
+      Array.blit real_cost n real_cost (n + k) (st.n_total - n);
+      for j = n to n + k - 1 do
+        lb.(j) <- sf'.Std_form.lb.(j);
+        ub.(j) <- sf'.Std_form.ub.(j);
+        cost.(j) <- sf'.Std_form.cost.(j);
+        real_cost.(j) <- sf'.Std_form.cost.(j)
+      done;
+      (* The entrants are placed on their nearest bound below. *)
+      let xval = shift st.xval 0.0 and vstat = shift st.vstat At_lower in
+      let refw = widen st.refw ~keep:0 ~need:nc' 1.0 in
+      Array.fill refw 0 nc' 1.0;
+      let basis = st.basis in
+      for pos = 0 to m - 1 do
+        if basis.(pos) >= n then basis.(pos) <- basis.(pos) + k
+      done;
+      st.dualw.d_ready <- false;
       let st' =
         {
           st with
@@ -1524,17 +1732,19 @@ let session_add_columns session ?budget ?stats cols =
           basis;
           budget = (match budget with Some b -> b | None -> st.budget);
           stats = (match stats with Some s -> s | None -> st.stats);
-          cand = Array.make (n_total' + m) 0;
-          cand_score = Array.make (n_total' + m) 0.0;
+          cand = widen st.cand ~keep:0 ~need:nc' 0;
+          cand_score = widen st.cand_score ~keep:0 ~need:nc' 0.0;
           cand_n = 0;
-          dualw = None;
-          refw = Array.make (n_total' + m) 1.0;
+          refw;
         }
       in
+      for j = n to n + k - 1 do
+        place_nearest st' j
+      done;
       session.s_state <- Some st';
       (* Bill the price-in: one basis solve per entrant (skipped when the
          session never built a basis — nothing to price against). *)
-      if Array.for_all (fun j -> j >= 0) st'.basis then
+      if all_basic st' (fun j -> j >= 0) then
         List.iteri (fun i _ -> ftran st' (n + i)) cols);
     session.s_sf <- sf';
     sf'
@@ -1587,10 +1797,20 @@ let session_cold_solve session ?budget ?stats ?prof ~lb ~ub () =
     let st, _ = session_state session params budget stats prof lb ub in
     finish st (cold_solve_in st lb ub)
 
+let session_release session =
+  match session.s_state with
+  | None -> ()
+  | Some st ->
+    session.s_state <- None;
+    store_spare st
+
 let solve ?(params = default_params) ?budget ?stats ?prof ?lb ?ub sf =
   let lb = Option.value lb ~default:sf.Std_form.lb in
   let ub = Option.value ub ~default:sf.Std_form.ub in
-  session_cold_solve (create_session ~params sf) ?budget ?stats ?prof ~lb ~ub ()
+  let session = create_session ~params sf in
+  let r = session_cold_solve session ?budget ?stats ?prof ~lb ~ub () in
+  session_release session;
+  r
 
 let solve_model ?params ?budget ?stats ?prof m =
   let sf = Std_form.of_model m in
@@ -1650,8 +1870,7 @@ let session_solve session ?time_limit ?budget ?stats ?prof ?warm
             cold ()
           | s -> finish st s
         in
-        if not (Array.for_all (fun j -> j >= 0 && j < st.n_total) st.basis)
-        then cold ()
+        if not (all_basic st (fun j -> j >= 0 && j < st.n_total)) then cold ()
         else begin
           recompute_basics st;
           (* [~primal] is the column-generation continuation: freshly

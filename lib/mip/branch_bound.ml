@@ -550,6 +550,9 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?prof sf =
       Pool.with_pool ~jobs (fun pool ->
           search (fun f n -> Pool.run pool f (Array.init n (fun i -> i))))
   in
+  (* The search is over: the workers' solver states go to the next LP
+     solved on this domain. *)
+  Array.iter Lp.Simplex.session_release s.sessions;
   let internal_bound =
     match status with
     | Optimal -> if s.incumbent_obj = infinity then infinity else s.incumbent_obj

@@ -184,16 +184,7 @@ let build ?(options = Csigma_model.default_options) ?(params = default_params)
                    paths.(cm))
               0.0)
           req_cms;
-        let node_coeff = Array.make n_nodes 0.0 in
-        Array.iteri
-          (fun v host ->
-            node_coeff.(host) <- node_coeff.(host) +. r.Request.node_demand.(v))
-          map;
-        let node_alloc =
-          Array.map
-            (fun c -> if Lina.Tol.is_zero c then [] else [ (x_r, c) ])
-            node_coeff
-        in
+        let node_alloc = Embedding.fixed_node_alloc r map x_r ~n_sub:n_nodes in
         {
           Embedding.req_index = req;
           x_r;
@@ -232,6 +223,8 @@ let session_of t lp_params =
     let s = Lp.Simplex.create_session ?params:lp_params sf in
     t.session <- Some s;
     s
+
+let release t = Option.iter Lp.Simplex.session_release t.session
 
 let std_form t =
   match t.session with

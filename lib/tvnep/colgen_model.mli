@@ -96,6 +96,12 @@ val generate :
     Calling [generate] again continues on the same session and path
     registry; columns accumulate. *)
 
+val release : t -> unit
+(** Hands the master session's solver state on ({!Lp.Simplex.session_release})
+    once its owner is done generating: the basis it carries is dropped,
+    so a later {!generate} starts cold.  The registry, the columns and
+    {!std_form} are unaffected. *)
+
 val std_form : t -> Lp.Std_form.t
 (** The current standard form — enlarged by every column generated so
     far.  Feed this to {!Mip.Branch_bound.solve_form} for the exact

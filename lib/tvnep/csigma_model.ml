@@ -155,11 +155,7 @@ let build ?(options = default_options) ?prof ?budget ?embeddings inst =
       (fun req emb ->
         Formulation.lift_embedding emb sol.Solution.assignments.(req) arr)
       embeddings;
-    Array.iteri
-      (fun req (a : Solution.assignment) ->
-        arr.((t_start.(req) :> int)) <- a.Solution.t_start;
-        arr.((t_end.(req) :> int)) <- a.Solution.t_end)
-      sol.Solution.assignments;
+    Formulation.lift_times ~t_start ~t_end sol arr;
     let order = List.init k (fun i -> i) in
     let order =
       List.sort

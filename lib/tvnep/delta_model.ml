@@ -95,11 +95,7 @@ let build ?(options = default_options) inst =
       (fun req emb ->
         Formulation.lift_embedding emb sol.Solution.assignments.(req) arr)
       embeddings;
-    Array.iteri
-      (fun req (a : Solution.assignment) ->
-        arr.((t_start.(req) :> int)) <- a.Solution.t_start;
-        arr.((t_end.(req) :> int)) <- a.Solution.t_end)
-      sol.Solution.assignments;
+    Formulation.lift_times ~t_start ~t_end sol arr;
     let start_pos, end_pos, ev_time =
       Formulation.endpoint_order sol ~n_events
     in

@@ -129,15 +129,8 @@ let solve ?(options = default_options) ?(mip = Mip.Branch_bound.default_params)
   let t0 = Runtime.Budget.elapsed budget in
   let dm = build ~options inst in
   (* Access-control objective, as in the continuous model comparison. *)
-  let terms =
-    Array.to_list
-      (Array.mapi
-         (fun req (emb : Embedding.t) ->
-           let r = Instance.request inst req in
-           (emb.Embedding.x_r, r.Request.duration *. Request.total_node_demand r))
-         dm.embeddings)
-  in
-  Lp.Model.set_objective dm.model Lp.Model.Maximize terms;
+  Lp.Model.set_objective dm.model Lp.Model.Maximize
+    (Objective.revenue_terms inst dm.embeddings);
   let result =
     Mip.Branch_bound.solve ~params:mip ~budget ?stats dm.model
   in

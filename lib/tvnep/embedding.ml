@@ -7,6 +7,24 @@ type t = {
   link_alloc : (Lp.Model.var * float) list array;
 }
 
+(* Table V macros as terms.  A zero demand contributes no term, so a
+   resource the request cannot load has an empty allocation, which the
+   models use to skip its allocation variables and rows. *)
+let alloc demands term =
+  List.concat
+    (List.mapi
+       (fun i d -> if Lina.Tol.is_zero d then [] else term i d)
+       (Array.to_list demands))
+
+let fixed_node_alloc (r : Request.t) map x_r ~n_sub =
+  Array.init n_sub (fun s ->
+      (* The demands hosted on [s], summed in virtual-node order. *)
+      let hosted =
+        alloc r.Request.node_demand (fun v d ->
+            if map.(v) = s then [ d ] else [])
+      in
+      if hosted = [] then [] else [ (x_r, List.fold_left ( +. ) 0.0 hosted) ])
+
 let build model inst ~req ~relax_integrality =
   let r = Instance.request inst req in
   let sub = inst.Instance.substrate in
@@ -66,27 +84,12 @@ let build model inst ~req ~relax_integrality =
           0.0
       done)
     (Graphs.Digraph.edges r.Request.graph);
-  (* Table V macros as terms.  A zero demand contributes no term, so a
-     resource the request cannot load has an empty allocation, which the
-     models use to skip its allocation variables and rows. *)
-  let alloc demands term =
-    List.concat
-      (List.mapi
-         (fun i d -> if Lina.Tol.is_zero d then [] else term i d)
-         (Array.to_list demands))
-  in
   let node_alloc =
-    Array.init n_sub (fun s ->
-        match fixed with
-        | None -> alloc r.Request.node_demand (fun v d -> x_v_term d (v, s))
-        | Some map ->
-          (* The demands hosted on [s], summed in virtual-node order. *)
-          let hosted =
-            alloc r.Request.node_demand (fun v d ->
-                if map.(v) = s then [ d ] else [])
-          in
-          if hosted = [] then []
-          else [ (x_r, List.fold_left ( +. ) 0.0 hosted) ])
+    match fixed with
+    | None ->
+      Array.init n_sub (fun s ->
+          alloc r.Request.node_demand (fun v d -> x_v_term d (v, s)))
+    | Some map -> fixed_node_alloc r map x_r ~n_sub
   in
   let link_alloc =
     Array.init n_slinks (fun ls ->

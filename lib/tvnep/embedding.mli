@@ -33,6 +33,15 @@ val build :
     [relax_integrality] makes [x_R]/[x_V] continuous in [0,1] (used by the
     greedy's inner LPs where acceptance is already decided). *)
 
+val fixed_node_alloc :
+  Request.t -> int array -> Lp.Model.var -> n_sub:int ->
+  (Lp.Model.var * float) list array
+(** [fixed_node_alloc r map x_r ~n_sub] is [node_alloc] under the fixed
+    mapping [map]: per substrate node, [x_R] times the demands hosted
+    there summed in virtual-node order, zero demands ({!Lina.Tol.is_zero})
+    dropped first; empty where nothing is hosted.  Shared by every
+    embedding layer with fixed mappings, so they agree bit for bit. *)
+
 val extract :
   Instance.t -> req:int -> t -> (int -> float) -> Solution.assignment
 (** Reads a solved variable valuation back into a solution assignment.

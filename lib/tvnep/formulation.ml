@@ -220,11 +220,11 @@ let lift_embedding (emb : Embedding.t) (a : Solution.assignment) arr =
           flows)
       a.Solution.link_flows
 
-let lift_times fm (sol : Solution.t) arr =
+let lift_times ~t_start ~t_end (sol : Solution.t) arr =
   Array.iteri
     (fun req (a : Solution.assignment) ->
-      arr.((fm.t_start.(req) :> int)) <- a.Solution.t_start;
-      arr.((fm.t_end.(req) :> int)) <- a.Solution.t_end)
+      arr.((t_start.(req) : Lp.Model.var :> int)) <- a.Solution.t_start;
+      arr.((t_end.(req) : Lp.Model.var :> int)) <- a.Solution.t_end)
     sol.Solution.assignments
 
 let set_chi chi event arr =

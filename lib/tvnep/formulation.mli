@@ -130,8 +130,11 @@ val lift_embedding : Embedding.t -> Solution.assignment -> float array -> unit
     request. *)
 
 val lift_times :
-  t -> Solution.t -> float array -> unit
-(** Fills the per-request [t⁺]/[t⁻] variables from the solution times. *)
+  t_start:Lp.Model.var array -> t_end:Lp.Model.var array -> Solution.t ->
+  float array -> unit
+(** Fills the per-request [t⁺]/[t⁻] variables ([t_start], [t_end], as in
+    {!t}) from the solution times — callable from a model's [lift]
+    closure before its handle exists. *)
 
 val set_chi : (int * Lp.Model.var) array -> int -> float array -> bool
 (** Sets the χ variable of the given event index to 1 (others stay 0);

@@ -35,14 +35,16 @@ let fix_all_embedded (fm : Formulation.t) =
       Lp.Model.fix_var fm.Formulation.model emb.Embedding.x_r 1.0)
     fm.Formulation.embeddings
 
-let access_terms (fm : Formulation.t) =
-  let inst = fm.Formulation.inst in
+let revenue_terms inst (embeddings : Embedding.t array) =
   Array.to_list
     (Array.mapi
        (fun req (emb : Embedding.t) ->
          let r = Instance.request inst req in
          (emb.Embedding.x_r, r.Request.duration *. Request.total_node_demand r))
-       fm.Formulation.embeddings)
+       embeddings)
+
+let access_terms (fm : Formulation.t) =
+  revenue_terms fm.Formulation.inst fm.Formulation.embeddings
 
 let access_control (fm : Formulation.t) =
   Lp.Model.set_objective fm.Formulation.model Lp.Model.Maximize

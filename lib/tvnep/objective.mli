@@ -33,6 +33,12 @@ type t =
           [MV_R ≥ |t⁺_R − ref_R|] entering the objective at [−weight];
           acceptance stays free, exactly as under plain access control. *)
 
+val revenue_terms :
+  Instance.t -> Embedding.t array -> (Lp.Model.var * float) list
+(** The access-control revenue [Σ x_R · d_R · Σ_v c_R(v)] as objective
+    terms: [(x_R, d_R · Σ_v c_R(v))] per request, in request order —
+    the one builder behind every model's access-control objective. *)
+
 val name : t -> string
 
 val requires_full_embedding : t -> bool

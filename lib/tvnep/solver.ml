@@ -330,6 +330,12 @@ let reprice r (o : Options.t) ~budget ~stats x =
     if gen.Colgen_model.generated = 0 then None else Some gen.Colgen_model.sf
   | _ -> None
 
+(* Once no more generation runs over a path-form master, its solver state
+   goes to the next LP this domain solves. *)
+let release = function
+  | Arc_form _ -> ()
+  | Path_form p -> Colgen_model.release p.cg
+
 (* Greedy seeding lifts the heuristic's per-arc flows into the model's
    variables; the path master's column space cannot express them. *)
 let seed_lift = function
@@ -423,16 +429,22 @@ let run_exact inst (o : Options.t) ~budget ~stats =
     Mip.Branch_bound.solve_form ~params:o.Options.mip ?initial ~budget
       ~stats ?prof sf
   in
-  let result = search (search_form r o ~budget ~stats) initial in
-  let result =
+  let sf = search_form r o ~budget ~stats in
+  (* Without node pricing the master is done before the search starts. *)
+  if not o.Options.colgen.Colgen_model.price_at_nodes then release r;
+  let result = search sf initial in
+  let repriced =
     match result.Mip.Branch_bound.incumbent with
+    | None -> None
+    | Some x -> Option.map (fun sf -> (x, sf)) (reprice r o ~budget ~stats x)
+  in
+  release r;
+  let result =
+    match repriced with
     | None -> result
-    | Some x -> (
-      match reprice r o ~budget ~stats x with
-      | None -> result
-      | Some sf ->
-        let pad = sf.Lp.Std_form.n_struct - Array.length x in
-        search sf (Some (Array.append x (Array.make pad 0.0))))
+    | Some (x, sf) ->
+      let pad = sf.Lp.Std_form.n_struct - Array.length x in
+      search sf (Some (Array.append x (Array.make pad 0.0)))
   in
   let objective = result.Mip.Branch_bound.objective in
   let solution =
@@ -463,6 +475,7 @@ let run_exact inst (o : Options.t) ~budget ~stats =
 let run_lp_only inst (o : Options.t) ~budget ~stats =
   let r = relax inst o ~budget in
   let lp = root_lp r o ~budget ~stats in
+  release r;
   let status, objective =
     match lp.Lp.Simplex.status with
     | Lp.Simplex.Optimal ->
@@ -532,7 +545,9 @@ let run_rounded inst (o : Options.t) ~budget ~stats =
   let r, lp =
     Span.with_ prof budget "lp_relax" @@ fun () ->
     let r = relax inst o ~budget in
-    (r, root_lp r o ~budget ~stats)
+    let lp = root_lp r o ~budget ~stats in
+    release r;
+    (r, lp)
   in
   let finish ~status ~bound solution =
     {

@@ -67,6 +67,27 @@ let bottleneck_instance () =
   Tvnep.Instance.make ~node_mappings:[| [| 0; 1 |] |] ~substrate
     ~requests:[| r |] ~horizon:3.0 ()
 
+(* Two virtual nodes of one request share host 0, one of them with a
+   demand of 1e-10 — below [Lina.Tol.is_zero], so the arc form drops it
+   from host 0's allocation.  Host 0's capacity of 0.5 binds, so the
+   coefficient decides the LP optimum x_R = 0.5 / coefficient. *)
+let tiny_demand_instance () =
+  let g = Graphs.Digraph.create 2 in
+  ignore (Graphs.Digraph.add_edge g ~src:0 ~dst:1);
+  ignore (Graphs.Digraph.add_edge g ~src:1 ~dst:0);
+  let substrate =
+    Tvnep.Substrate.make g ~node_cap:[| 0.5; 10.0 |] ~link_cap:[| 5.0; 5.0 |]
+  in
+  let rg =
+    Graphs.Generators.star ~leaves:2 ~orientation:Graphs.Generators.From_center
+  in
+  let r =
+    Tvnep.Request.make ~name:"tiny" ~graph:rg ~node_demand:[| 1.0; 1e-10; 1.0 |]
+      ~link_demand:[| 1.0; 1.0 |] ~duration:1.0 ~start_min:0.0 ~end_max:2.0
+  in
+  Tvnep.Instance.make ~node_mappings:[| [| 0; 0; 1 |] |] ~substrate
+    ~requests:[| r |] ~horizon:3.0 ()
+
 let lp_column_tests =
   [
     Alcotest.test_case "append_columns == of_model with the column last"
@@ -295,6 +316,27 @@ let colgen_tests =
               (Solver.run inst
                  (Solver.Options.make ~method_:Solver.Lp_only
                     ~kind:Solver.Delta ~flow_form:Solver.Path ()))));
+    Alcotest.test_case "a tiny node demand is dropped as in the arc form"
+      `Quick (fun () ->
+        let inst = tiny_demand_instance () in
+        let coefficients (fm : Tvnep.Formulation.t) =
+          Array.map
+            (fun terms -> List.map (fun (_, c) -> Int64.bits_of_float c) terms)
+            fm.Tvnep.Formulation.embeddings.(0).Tvnep.Embedding.node_alloc
+        in
+        let arc = Tvnep.Csigma_model.build inst in
+        let path =
+          Tvnep.Colgen_model.formulation (Tvnep.Colgen_model.build inst)
+        in
+        Alcotest.(check (array (list int64)))
+          "node allocation coefficients" (coefficients arc) (coefficients path);
+        let arc_lp = run_lp Solver.Arc inst
+        and path_lp = run_lp Solver.Path inst in
+        Alcotest.(check bool) "converged" true
+          (Option.get path_lp.Solver.colgen).Solver.colgen_converged;
+        Alcotest.(check int64) "LP optimum"
+          (Int64.bits_of_float (objective "arc" arc_lp))
+          (Int64.bits_of_float (objective "path" path_lp)));
   ]
 
 let json_tests =

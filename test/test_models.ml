@@ -356,13 +356,8 @@ let csigma ~cuts inst =
    [Discrete_model.solve] installs. *)
 let discrete_sf inst =
   let dm = Tvnep.Discrete_model.build inst in
-  let revenue req (emb : Tvnep.Embedding.t) =
-    let r = Tvnep.Instance.request inst req in
-    ( emb.Tvnep.Embedding.x_r,
-      r.Tvnep.Request.duration *. Tvnep.Request.total_node_demand r )
-  in
   Lp.Model.set_objective dm.Tvnep.Discrete_model.model Lp.Model.Maximize
-    (Array.to_list (Array.mapi revenue dm.Tvnep.Discrete_model.embeddings));
+    (Tvnep.Objective.revenue_terms inst dm.Tvnep.Discrete_model.embeddings);
   Lp.Std_form.of_model dm.Tvnep.Discrete_model.model
 
 let path_master ?(seed_paths = 2) inst =
