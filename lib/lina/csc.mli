@@ -8,9 +8,15 @@ type t = private {
   rows : int;
   cols : int;
   col_ptr : int array;  (** length [cols + 1] *)
-  row_idx : int array;  (** length [nnz], row index of each entry *)
+  row_idx : int array;
+      (** length [nnz], row index of each entry; strictly ascending
+          within each column, whichever function built the matrix *)
   value : float array;  (** length [nnz] *)
 }
+(** Row order is an invariant the simplex relies on: a dot of column [j]
+    with a vector adds its terms in ascending row order, so the
+    row-wise scatter of a vector over the transpose, which walks the rows
+    in ascending order, computes the same sums bit for bit. *)
 
 module Builder : sig
   (** Mutable triplet accumulator.  Triplets are kept in insertion order

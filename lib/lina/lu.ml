@@ -29,13 +29,18 @@ module Sparse = struct
 
   let grow_make () = { g_idx = [||]; g_val = [||]; g_len = 0 }
 
+  let copy_ints (src : int array) (dst : int array) n =
+    for k = 0 to n - 1 do
+      dst.(k) <- src.(k)
+    done
+
   (* Appends an entry with index [i] and returns its slot; the caller
      stores the value there (a float argument would be boxed per entry). *)
   let grow_slot g i =
     if g.g_len = Array.length g.g_idx then begin
       let cap = max 64 (2 * g.g_len) in
       let idx = Array.make cap 0 and value = Array.make cap 0.0 in
-      Array.blit g.g_idx 0 idx 0 g.g_len;
+      copy_ints g.g_idx idx g.g_len;
       Array.blit g.g_val 0 value 0 g.g_len;
       g.g_idx <- idx;
       g.g_val <- value
@@ -241,7 +246,7 @@ module Sparse = struct
     if l.ul_len = cap then begin
       let cap' = max 4 (2 * cap) in
       let idx = Array.make cap' 0 and value = Array.make cap' 0.0 in
-      Array.blit l.ul_idx 0 idx 0 cap;
+      copy_ints l.ul_idx idx cap;
       Array.blit l.ul_val 0 value 0 cap;
       l.ul_idx <- idx;
       l.ul_val <- value
@@ -479,10 +484,10 @@ module Sparse = struct
      lists them in. *)
   let install f s =
     let n = f.ft_n in
-    Array.blit s.ep 0 f.p 0 n;
-    Array.blit s.eq 0 f.q 0 n;
-    Array.blit s.epinv 0 f.pinv 0 n;
-    Array.blit s.el_ptr 0 f.l_ptr 0 (n + 1);
+    copy_ints s.ep f.p n;
+    copy_ints s.eq f.q n;
+    copy_ints s.epinv f.pinv n;
+    copy_ints s.el_ptr f.l_ptr (n + 1);
     let lg = s.lgrow in
     let nl = lg.g_len in
     if Array.length f.l_idx < nl then begin
@@ -1129,8 +1134,8 @@ module Sparse = struct
     if k = Array.length f.re_rt then begin
       let cap = max 8 (2 * k) in
       let rt = Array.make cap 0 and ptr = Array.make (cap + 1) 0 in
-      Array.blit f.re_rt 0 rt 0 k;
-      Array.blit f.re_ptr 0 ptr 0 (k + 1);
+      copy_ints f.re_rt rt k;
+      copy_ints f.re_ptr ptr (k + 1);
       f.re_rt <- rt;
       f.re_ptr <- ptr
     end;
@@ -1138,7 +1143,7 @@ module Sparse = struct
     if lo + msup > Array.length f.re_idx then begin
       let cap = max 64 (2 * (lo + msup)) in
       let idx = Array.make cap 0 and value = Array.make cap 0.0 in
-      Array.blit f.re_idx 0 idx 0 lo;
+      copy_ints f.re_idx idx lo;
       Array.blit f.re_val 0 value 0 lo;
       f.re_idx <- idx;
       f.re_val <- value

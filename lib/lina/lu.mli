@@ -243,4 +243,17 @@ module Sparse : sig
   val ft_update_added : ft -> int
   (** Entries the last accepted {!ft_update} appended (spike fill plus
       eta multipliers), for fill telemetry. *)
+
+  (** {3 Index-array helpers}
+
+      Also used by the simplex on its own index lists. *)
+
+  val sort_prefix : int array -> int -> unit
+  (** [sort_prefix a len] sorts [a.(0 .. len-1)], distinct entries,
+      ascending, in place and without allocating. *)
+
+  val copy_ints : int array -> int array -> int -> unit
+  (** [copy_ints src dst n] copies [src.(0 .. n-1)] into [dst] by a typed
+      loop: [Array.blit] of an int array into the major heap runs the
+      write barrier once per element. *)
 end

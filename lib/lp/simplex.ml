@@ -84,8 +84,10 @@ type state = {
   n_total : int;
   lb : float array;  (* length n_total + m *)
   ub : float array;
-  cost : float array;  (* current phase objective *)
+  cost : float array;  (* current phase objective; written by [install_costs] *)
   real_cost : float array;
+  csup : int array;  (* the columns of nonzero [cost], in [csup.(0 .. csup_n-1)] *)
+  mutable csup_n : int;
   xval : float array;
   vstat : vstat array;
   basis : int array;
@@ -260,7 +262,7 @@ let clear_over st v sup n =
    length, [-1] after a dense-path solve. *)
 let keep_support st sup =
   let ns = Basis.support_len st.rep in
-  if ns > 0 then Array.blit (Basis.support st.rep) 0 sup 0 ns;
+  if ns > 0 then Lina.Lu.Sparse.copy_ints (Basis.support st.rep) sup ns;
   ns
 
 (* w <- B^-1 A_j.  Bills one solve of the current representation to the
@@ -420,6 +422,122 @@ let commit_pivot st ~r =
     try full_refactorize st
     with Lina.Lu.Singular _ -> raise (Solver_stop Numerical_failure))
 
+(* --- dual pricing workspace ------------------------------------------ *)
+
+(* Capacity for [need] entries: [len] when it suffices, else half again
+   as much at least, so a form that keeps growing (column generation)
+   reallocates a logarithmic number of times. *)
+let grown len need = if need <= len then len else max need (len + (len / 2))
+
+(* [a] when it holds [need] entries, else a longer copy of its first
+   [keep]. *)
+let widen a ~keep ~need fill =
+  if Array.length a >= need then a
+  else begin
+    let b = Array.make (grown (Array.length a) need) fill in
+    Array.blit a 0 b 0 keep;
+    b
+  end
+
+(* Lazily-built Aᵀ plus scatter scratch; cached on the state so session
+   re-solves pay the transpose once.  Shared by the dual simplex's pivot
+   row, the primal devex weight propagation (both need the same
+   α_j = ρ·A_j row scatter) and the pricing sweeps (a_j·y).  A rebuild grows the buffers as needed; the
+   marks stay below the stamp, which only increases, so no reset is
+   needed. *)
+let dual_ws st =
+  let ws = st.dualw in
+  if not ws.d_ready then begin
+    let a = st.sf.Std_form.a in
+    let nnz = Lina.Csc.nnz a in
+    if Array.length ws.d_ptr < st.m + 1 then
+      ws.d_ptr <- Array.make (st.m + 1) 0;
+    if Array.length ws.d_col < nnz then begin
+      let len = grown (Array.length ws.d_col) nnz in
+      ws.d_col <- Array.make len 0;
+      ws.d_val <- Array.make len 0.0
+    end;
+    if Array.length ws.d_alpha < st.n_total then begin
+      let len = grown (Array.length ws.d_alpha) st.n_total in
+      ws.d_alpha <- Array.make len 0.0;
+      ws.d_mark <- Array.make len (-1);
+      ws.d_touch <- Array.make len 0
+    end;
+    Lina.Csc.transpose_into a ~col_ptr:ws.d_ptr ~row_idx:ws.d_col
+      ~value:ws.d_val;
+    ws.d_ready <- true
+  end;
+  ws
+
+(* Scatters the row vector [v] over the cached Aᵀ: α_j = v·A_j for
+   every column meeting a nonzero of [v], visiting only those columns.
+   The rows of [v] are walked in ascending order — over
+   [sup.(0 .. ns-1)] when [ns >= 0], all m otherwise — so each α_j adds
+   its terms in the order a dot with column j adds them (rows ascend
+   within a CSC column), and skips only zero products; α_j is bitwise
+   that dot.  Direct CSC traversal: an [iter_col] callback would
+   allocate a closure per touched row and box every coefficient.
+   Returns the touched-column count; the alphas and touch list live in
+   the workspace under the new stamp. *)
+let scatter_rows st ws v ~ns ~sup =
+  ws.d_stamp <- ws.d_stamp + 1;
+  let stamp = ws.d_stamp in
+  let ntouch = ref 0 in
+  let ptr = ws.d_ptr and ridx = ws.d_col and rval = ws.d_val in
+  for s = 0 to (if ns >= 0 then ns else st.m) - 1 do
+    let i = if ns >= 0 then sup.(s) else s in
+    let ri = v.(i) in
+    if ri <> 0.0 then
+      for k = ptr.(i) to ptr.(i + 1) - 1 do
+        let j = ridx.(k) in
+        if ws.d_mark.(j) <> stamp then begin
+          ws.d_mark.(j) <- stamp;
+          ws.d_alpha.(j) <- 0.0;
+          ws.d_touch.(!ntouch) <- j;
+          incr ntouch
+        end;
+        ws.d_alpha.(j) <- ws.d_alpha.(j) +. (ri *. rval.(k))
+      done
+  done;
+  !ntouch
+
+(* The pivot row α_j = ρ·A_j, over ρ's support when the BTRAN reported
+   one — on every dual pivot and every devex weight update. *)
+let pivot_row_scatter st ws rho =
+  scatter_rows st ws rho ~ns:(Basis.support_len st.rep)
+    ~sup:(Basis.support st.rep)
+
+(* --- objective ---------------------------------------------------------- *)
+
+(* The one writer of [cost], which also records its support for the
+   pricing sweeps.  Structural and logical columns take the real
+   objective, or 0 in phase 1.  An artificial costs 1 exactly while it is
+   a phase-1 artificial, i.e. while its upper bound is infinite; fixed
+   out (bounds [0, 0]) it costs 0.  So every artificial that is not
+   fixed is in the support.  Callers set the artificials' bounds first. *)
+let install_costs st ~phase1 =
+  let n = st.n_total in
+  let k = ref 0 in
+  if phase1 then Array.fill st.cost 0 n 0.0
+  else
+    for j = 0 to n - 1 do
+      let c = st.real_cost.(j) in
+      st.cost.(j) <- c;
+      if c <> 0.0 then begin
+        st.csup.(!k) <- j;
+        incr k
+      end
+    done;
+  for j = n to n + st.m - 1 do
+    if st.ub.(j) = infinity then begin
+      st.cost.(j) <- 1.0;
+      st.csup.(!k) <- j;
+      incr k
+    end
+    else st.cost.(j) <- 0.0
+  done;
+  st.csup_n <- !k
+
 (* --- pricing --------------------------------------------------------- *)
 
 (* y = B⁻ᵀ c_B (BTRAN), billed like any other basis solve. *)
@@ -431,21 +549,32 @@ let compute_duals st =
   st.stats.Rstats.btran_nnz <- st.stats.Rstats.btran_nnz + result_nnz st st.y;
   tick_btran st work
 
+(* Whether column [j] is nonbasic and not fixed: the columns pricing
+   considers. *)
+let[@inline] movable st j =
+  not (st.vstat.(j) = Basic || st.lb.(j) >= st.ub.(j))
+
+(* Direction in which movable column [j] would improve the objective —
+   [1] (increase), [-1] (decrease) or [0] (none beyond [tol]) — given
+   a_j·y in [fout.(0)], which it replaces by the reduced cost
+   d_j = c_j − a_j·y. *)
+let[@inline] reduced_dir st j tol =
+  let d = st.cost.(j) -. st.fout.(0) in
+  st.fout.(0) <- d;
+  match st.vstat.(j) with
+  | At_lower -> if d < -.tol then 1 else 0
+  | At_upper -> if d > tol then -1 else 0
+  | Free_nb -> if d < -.tol then 1 else if d > tol then -1 else 0
+  | Basic -> 0
+
 (* Entering direction of column [j] under the current duals — [1]
    (increase), [-1] (decrease) or [0] (not eligible) — with its reduced
    cost d_j left in [fout.(0)]. *)
 let entering_dir st j =
-  if st.vstat.(j) = Basic || st.lb.(j) >= st.ub.(j) then 0
+  if not (movable st j) then 0
   else begin
-    let tol = dual_feas_tol in
     dot_col st j st.y;
-    let d = st.cost.(j) -. st.fout.(0) in
-    st.fout.(0) <- d;
-    match st.vstat.(j) with
-    | At_lower -> if d < -.tol then 1 else 0
-    | At_upper -> if d > tol then -1 else 0
-    | Free_nb -> if d < -.tol then 1 else if d > tol then -1 else 0
-    | Basic -> 0
+    reduced_dir st j dual_feas_tol
   end
 
 (* Candidate-list size bound of a restock. *)
@@ -513,6 +642,39 @@ let restock st found target =
   done;
   st.cand_n <- target
 
+(* Full sweeps are hypersparse (row-wise PRICE): y is scattered over Aᵀ
+   ([scatter_rows]), and a sweep visits only the columns whose reduced
+   cost can be nonzero — the structurals meeting a nonzero dual, with
+   a_j·y from the scatter, then the columns of nonzero cost the scatter
+   did not touch.  Every other column has d_j = 0 − 0 and is never
+   eligible; an artificial that is not fixed costs 1 ([install_costs]),
+   so no artificial is missed.  [sweep_col st ws ntouch t] is the
+   sweep's [t]-th column, with a_j·y in [fout.(0)] — bitwise the column
+   dot [dot_col] computes — or [-1] for a cost-support column already
+   visited among the touched ones. *)
+let sweep_col st ws ntouch t =
+  if t < ntouch then begin
+    let j = ws.d_touch.(t) in
+    st.fout.(0) <- ws.d_alpha.(j);
+    j
+  end
+  else begin
+    let j = st.csup.(t - ntouch) in
+    if j >= st.n_total then begin
+      let i = j - st.n_total in
+      st.fout.(0) <- st.art_sign.(i) *. st.y.(i);
+      j
+    end
+    else if ws.d_mark.(j) = ws.d_stamp then -1
+    else begin
+      st.fout.(0) <- 0.0;
+      j
+    end
+  end
+
+(* Scatters the duals for a sweep; returns the touched-column count. *)
+let scatter_duals st ws = scatter_rows st ws st.y ~ns:(-1) ~sup:st.wsup
+
 (* Returns the entering column, its direction of movement in [enter_dir]
    (+1 increase, -1 decrease), or [-1] at (phase) optimality.
 
@@ -520,7 +682,12 @@ let restock st found target =
    winner and restocks the list with the strongest columns; subsequent
    iterations re-price only the survivors (most stay attractive for
    several pivots), and the next sweep runs when the list dries up — so
-   optimality is only ever declared by a full sweep.  Bland's
+   optimality is only ever declared by a full sweep.  The sweep visits
+   its columns out of index order ([sweep_col]) and reproduces the
+   ascending scan: the winner is the highest score, the smallest index
+   on ties, and a list kept whole is sorted by index (its order breaks
+   the re-pricing's ties); a restock ranks by score, then index, so its
+   order is already fixed.  A sweep bills every column.  Bland's
    anti-cycling rule remains a full first-eligible-index scan. *)
 let price st =
   let ncols = st.n_total + st.m in
@@ -571,24 +738,33 @@ let price st =
       (* Full sweep; every eligible column is scored for the restock. *)
       st.stats.Rstats.pricing_sweeps <- st.stats.Rstats.pricing_sweeps + 1;
       tick_pricing st ncols;
+      let ws = dual_ws st in
+      let ntouch = scatter_duals st ws in
       let found = ref 0 in
-      for j = 0 to ncols - 1 do
-        let dir = entering_dir st j in
-        if dir <> 0 then begin
-          let d = st.fout.(0) in
-          let score = d *. d /. Float.max 1.0 st.refw.(j) in
-          st.cand.(!found) <- j;
-          st.cand_score.(!found) <- score;
-          incr found;
-          if score > !best_score then begin
-            best := j;
-            best_score := score;
-            st.enter_dir <- dir
+      for t = 0 to ntouch + st.csup_n - 1 do
+        let j = sweep_col st ws ntouch t in
+        if j >= 0 && movable st j then begin
+          let dir = reduced_dir st j dual_feas_tol in
+          if dir <> 0 then begin
+            let d = st.fout.(0) in
+            let score = d *. d /. Float.max 1.0 st.refw.(j) in
+            st.cand.(!found) <- j;
+            st.cand_score.(!found) <- score;
+            incr found;
+            if score > !best_score || (score = !best_score && j < !best)
+            then begin
+              best := j;
+              best_score := score;
+              st.enter_dir <- dir
+            end
           end
         end
       done;
       let target = max 16 (min max_cand (ncols / 8)) in
-      if !found <= target then st.cand_n <- !found
+      if !found <= target then begin
+        Lina.Lu.Sparse.sort_prefix st.cand !found;
+        st.cand_n <- !found
+      end
       else restock st !found target;
       !best
     end
@@ -644,84 +820,6 @@ let ratio_test st dir =
   st.fout.(1) <- !t_best;
   st.leave_hit <- !leave_hit;
   !leave
-
-(* --- dual pricing workspace ------------------------------------------ *)
-
-(* Capacity for [need] entries: [len] when it suffices, else half again
-   as much at least, so a form that keeps growing (column generation)
-   reallocates a logarithmic number of times. *)
-let grown len need = if need <= len then len else max need (len + (len / 2))
-
-(* [a] when it holds [need] entries, else a longer copy of its first
-   [keep]. *)
-let widen a ~keep ~need fill =
-  if Array.length a >= need then a
-  else begin
-    let b = Array.make (grown (Array.length a) need) fill in
-    Array.blit a 0 b 0 keep;
-    b
-  end
-
-(* Lazily-built Aᵀ plus scatter scratch; cached on the state so session
-   re-solves pay the transpose once.  Shared by the dual simplex's pivot
-   row and the primal devex weight propagation (both need the same
-   α_j = ρ·A_j row scatter).  A rebuild grows the buffers as needed; the
-   marks stay below the stamp, which only increases, so no reset is
-   needed. *)
-let dual_ws st =
-  let ws = st.dualw in
-  if not ws.d_ready then begin
-    let a = st.sf.Std_form.a in
-    let nnz = Lina.Csc.nnz a in
-    if Array.length ws.d_ptr < st.m + 1 then
-      ws.d_ptr <- Array.make (st.m + 1) 0;
-    if Array.length ws.d_col < nnz then begin
-      let len = grown (Array.length ws.d_col) nnz in
-      ws.d_col <- Array.make len 0;
-      ws.d_val <- Array.make len 0.0
-    end;
-    if Array.length ws.d_alpha < st.n_total then begin
-      let len = grown (Array.length ws.d_alpha) st.n_total in
-      ws.d_alpha <- Array.make len 0.0;
-      ws.d_mark <- Array.make len (-1);
-      ws.d_touch <- Array.make len 0
-    end;
-    Lina.Csc.transpose_into a ~col_ptr:ws.d_ptr ~row_idx:ws.d_col
-      ~value:ws.d_val;
-    ws.d_ready <- true
-  end;
-  ws
-
-(* Scatters the pivot row α_j = ρ·A_j over the cached Aᵀ, so only the
-   columns actually meeting the (sparse) inverse row are visited.  Direct
-   CSC traversal: an [iter_col] callback would allocate a closure per
-   touched row and box every coefficient — this runs on every dual pivot
-   and every devex weight update.  Returns the touched-column count; the
-   alphas and touch list live in the workspace under the new stamp. *)
-let pivot_row_scatter st ws rho =
-  ws.d_stamp <- ws.d_stamp + 1;
-  let stamp = ws.d_stamp in
-  let ntouch = ref 0 in
-  let ptr = ws.d_ptr and ridx = ws.d_col and rval = ws.d_val in
-  (* Rows in ascending order, over ρ's support when the BTRAN reported
-     one: the sums and the touch order of a full scan. *)
-  let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
-  for s = 0 to (if ns >= 0 then ns else st.m) - 1 do
-    let i = if ns >= 0 then sup.(s) else s in
-    let ri = rho.(i) in
-    if ri <> 0.0 then
-      for k = ptr.(i) to ptr.(i + 1) - 1 do
-        let j = ridx.(k) in
-        if ws.d_mark.(j) <> stamp then begin
-          ws.d_mark.(j) <- stamp;
-          ws.d_alpha.(j) <- 0.0;
-          ws.d_touch.(!ntouch) <- j;
-          incr ntouch
-        end;
-        ws.d_alpha.(j) <- ws.d_alpha.(j) +. (ri *. rval.(k))
-      done
-  done;
-  !ntouch
 
 (* Primal devex reference-framework propagation: after row [r] is chosen
    for entering column [q], the pivot-row alphas carry the entering
@@ -957,10 +1055,9 @@ let phase1 st ~any_artificial =
     let j = st.n_total + i in
     st.lb.(j) <- 0.0;
     st.ub.(j) <- 0.0;
-    st.xval.(j) <- 0.0;
-    st.cost.(j) <- 0.0
+    st.xval.(j) <- 0.0
   done;
-  Array.blit st.real_cost 0 st.cost 0 st.n_total;
+  install_costs st ~phase1:false;
   (* Phase-1 pivots skewed the devex framework against the wrong
      objective; phase 2 restarts from the unit reference. *)
   reset_devex st
@@ -1023,7 +1120,6 @@ let cold_start st =
       st.xval.(art) <- 0.0;
       st.lb.(art) <- 0.0;
       st.ub.(art) <- 0.0;
-      st.cost.(art) <- 0.0;
       act.(i) <- -1.0
     end
     else begin
@@ -1040,7 +1136,6 @@ let cold_start st =
       st.xval.(art) <- Float.abs resid;
       st.lb.(art) <- 0.0;
       st.ub.(art) <- infinity;
-      st.cost.(art) <- 1.0;
       any_artificial := true;
       act.(i) <- sign
     end
@@ -1048,10 +1143,9 @@ let cold_start st =
   Basis.load_identity st.rep act;
   st.cand_n <- 0;
   reset_devex st;
-  if !any_artificial then
-    (* phase-1 objective: zero on real columns *)
-    Array.fill st.cost 0 st.n_total 0.0
-  else Array.blit st.real_cost 0 st.cost 0 st.n_total;
+  (* phase-1 objective (artificials at 1, zero on real columns) when an
+     artificial is basic *)
+  install_costs st ~phase1:!any_artificial;
   !any_artificial
 
 (* Installs a caller-provided basis over the real columns: nonbasics onto
@@ -1089,11 +1183,10 @@ let install_warm_basis st (warm : basis) =
         st.vstat.(art) <- At_lower;
         st.xval.(art) <- 0.0;
         st.lb.(art) <- 0.0;
-        st.ub.(art) <- 0.0;
-        st.cost.(art) <- 0.0
+        st.ub.(art) <- 0.0
       done;
-      Array.blit warm.basic 0 st.basis 0 st.m;
-      Array.blit st.real_cost 0 st.cost 0 st.n_total;
+      Lina.Lu.Sparse.copy_ints warm.basic st.basis st.m;
+      install_costs st ~phase1:false;
       reset_devex st;
       match full_refactorize st with
       | () -> true
@@ -1112,22 +1205,24 @@ let basics_primal_feasible st =
   all_basic st (fun j ->
       st.xval.(j) >= st.lb.(j) -. tol && st.xval.(j) <= st.ub.(j) +. tol)
 
+(* Reduced-cost tolerance of the dual-feasibility check. *)
+let dual_check_tol = 10.0 *. dual_feas_tol
+
 (* One pricing pass: is the installed basis dual feasible (so that the
-   dual simplex's "no entering candidate" verdict proves infeasibility)? *)
+   dual simplex's "no entering candidate" verdict proves infeasibility)?
+   A hypersparse sweep over the real columns, as [price]'s. *)
 let dual_feasible st =
   compute_duals st;
-  let tol = 10.0 *. dual_feas_tol in
+  let ws = dual_ws st in
+  let ntouch = scatter_duals st ws in
   let ok = ref true in
-  for j = 0 to st.n_total - 1 do
-    if st.vstat.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
-      dot_col st j st.y;
-      let d = st.cost.(j) -. st.fout.(0) in
-      match st.vstat.(j) with
-      | At_lower -> if d < -.tol then ok := false
-      | At_upper -> if d > tol then ok := false
-      | Free_nb -> if Float.abs d > tol then ok := false
-      | Basic -> ()
-    end
+  for t = 0 to ntouch + st.csup_n - 1 do
+    let j = sweep_col st ws ntouch t in
+    if
+      j >= 0 && j < st.n_total && st.vstat.(j) <> Basic
+      && st.lb.(j) < st.ub.(j)
+      && reduced_dir st j dual_check_tol <> 0
+    then ok := false
   done;
   !ok
 
@@ -1363,7 +1458,9 @@ let extract st status =
   (* Tighten values with one final refactorization when the basis is sane. *)
   (if status = Optimal then
      try refactorize st with Lina.Lu.Singular _ -> ());
-  Array.blit st.real_cost 0 st.cost 0 st.n_total;
+  (* Real costs; an artificial a stopped phase 1 left in play keeps its
+     phase-1 cost. *)
+  install_costs st ~phase1:false;
   compute_duals st;
   let final_basis =
     match status with
@@ -1417,6 +1514,8 @@ let alloc_state sf params budget stats prof ~m ~n_total =
     ub = Array.make nc 0.0;
     cost = Array.make nc 0.0;
     real_cost = Array.make n_total 0.0;
+    csup = Array.make nc 0;
+    csup_n = 0;
     xval = Array.make nc 0.0;
     vstat = Array.make nc At_lower;
     basis = Array.make m (-1);
@@ -1487,8 +1586,6 @@ let install_lp st sf params budget stats prof lb ub =
   Array.fill st.lb n_total m 0.0;
   Array.blit ub 0 st.ub 0 n_total;
   Array.fill st.ub n_total m 0.0;
-  Array.blit sf.Std_form.cost 0 st.cost 0 n_total;
-  Array.fill st.cost n_total m 0.0;
   Array.blit sf.Std_form.cost 0 st.real_cost 0 n_total;
   Array.fill st.xval 0 nc 0.0;
   Array.fill st.vstat 0 nc At_lower;
@@ -1502,25 +1599,29 @@ let install_lp st sf params budget stats prof lb ub =
   Array.fill st.refw 0 nc 1.0;
   Array.fill st.drefw 0 m 1.0;
   st.dualw.d_ready <- false;
-  {
-    st with
-    sf;
-    m;
-    n_total;
-    params;
-    budget;
-    stats;
-    prof;
-    pivots_since_refactor = 0;
-    iterations = 0;
-    bland = false;
-    degenerate_run = 0;
-    wsup_n = 0;
-    rhosup_n = 0;
-    enter_dir = 1;
-    leave_hit = At_lower;
-    cand_n = 0;
-  }
+  let st =
+    {
+      st with
+      sf;
+      m;
+      n_total;
+      params;
+      budget;
+      stats;
+      prof;
+      pivots_since_refactor = 0;
+      iterations = 0;
+      bland = false;
+      degenerate_run = 0;
+      wsup_n = 0;
+      rhosup_n = 0;
+      enter_dir = 1;
+      leave_hit = At_lower;
+      cand_n = 0;
+    }
+  in
+  install_costs st ~phase1:false;
+  st
 
 (* One spare state per domain: a session its owner has finished with
    ({!session_release}) leaves its state here, and the next state this
@@ -1698,17 +1799,16 @@ let session_add_columns session ?budget ?stats cols =
         a
       in
       let lb = shift st.lb 0.0 and ub = shift st.ub 0.0 in
-      (* After a finished solve [cost] equals [real_cost] on real columns
-         and 0 on artificials; shifting both keeps that alignment. *)
-      let cost = shift st.cost 0.0 in
       let real_cost = widen st.real_cost ~keep:st.n_total ~need:n_total' 0.0 in
       Array.blit real_cost n real_cost (n + k) (st.n_total - n);
       for j = n to n + k - 1 do
         lb.(j) <- sf'.Std_form.lb.(j);
         ub.(j) <- sf'.Std_form.ub.(j);
-        cost.(j) <- sf'.Std_form.cost.(j);
         real_cost.(j) <- sf'.Std_form.cost.(j)
       done;
+      (* [cost] is re-installed below from the real costs, which a
+         finished solve's [cost] already equals on real columns. *)
+      let cost = widen st.cost ~keep:0 ~need:nc' 0.0 in
       (* The entrants are placed on their nearest bound below. *)
       let xval = shift st.xval 0.0 and vstat = shift st.vstat At_lower in
       let refw = widen st.refw ~keep:0 ~need:nc' 1.0 in
@@ -1727,6 +1827,7 @@ let session_add_columns session ?budget ?stats cols =
           ub;
           cost;
           real_cost;
+          csup = widen st.csup ~keep:0 ~need:nc' 0;
           xval;
           vstat;
           basis;
@@ -1738,6 +1839,7 @@ let session_add_columns session ?budget ?stats cols =
           refw;
         }
       in
+      install_costs st' ~phase1:false;
       for j = n to n + k - 1 do
         place_nearest st' j
       done;

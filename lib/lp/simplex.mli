@@ -25,7 +25,13 @@
     restarted from the unit framework each solve — over a candidate list
     refreshed by periodic full sweeps ([partial_pricing], on by default;
     optimality is only ever declared by a full sweep), with an automatic
-    switch to Bland's full-scan rule after a run of degenerate pivots. *)
+    switch to Bland's full-scan rule after a run of degenerate pivots.
+    A full sweep is hypersparse: it scatters the duals over the cached
+    Aᵀ and visits only the columns meeting a nonzero dual and the
+    columns of nonzero cost (every other reduced cost is zero), with
+    values bitwise equal to the column dots and the decisions of a scan
+    in index order.  It bills one tick per column of the form all the
+    same, the list re-pricing one per candidate. *)
 
 type status =
   | Optimal

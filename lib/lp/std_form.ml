@@ -113,17 +113,30 @@ let append_columns sf cols =
 
 let user_objective sf internal = (sf.obj_factor *. internal) +. sf.obj_const
 
-let row_activity sf x =
+(* Row activities into [act.(0 .. n_rows-1)]: columns ascending, each
+   over its CSC entries in order.  Reads the CSC arrays directly, since
+   an [iter_col] callback would allocate a closure and box every
+   coefficient. *)
+let activity_into sf x act =
   if Array.length x <> sf.n_struct then invalid_arg "Std_form.row_activity";
-  let act = Array.make sf.n_rows 0.0 in
+  Array.fill act 0 sf.n_rows 0.0;
+  let ptr = sf.a.Lina.Csc.col_ptr and ri = sf.a.Lina.Csc.row_idx
+  and va = sf.a.Lina.Csc.value in
   for j = 0 to sf.n_struct - 1 do
     let xj = x.(j) in
     if xj <> 0.0 then
-      Lina.Csc.iter_col sf.a j (fun i v -> act.(i) <- act.(i) +. (v *. xj))
-  done;
+      for e = ptr.(j) to ptr.(j + 1) - 1 do
+        let i = ri.(e) in
+        act.(i) <- act.(i) +. (va.(e) *. xj)
+      done
+  done
+
+let row_activity sf x =
+  let act = Array.make sf.n_rows 0.0 in
+  activity_into sf x act;
   act
 
-let is_feasible_point ?(tol = Lina.Tol.feas) sf ?lb ?ub x =
+let is_feasible_point ?(tol = Lina.Tol.feas) ?act sf ?lb ?ub x =
   let lbs = match lb with Some l -> l | None -> sf.lb in
   let ubs = match ub with Some u -> u | None -> sf.ub in
   let ok = ref true in
@@ -131,7 +144,13 @@ let is_feasible_point ?(tol = Lina.Tol.feas) sf ?lb ?ub x =
     if x.(j) < lbs.(j) -. tol || x.(j) > ubs.(j) +. tol then ok := false
   done;
   if !ok then begin
-    let act = row_activity sf x in
+    let act =
+      match act with
+      | Some act ->
+        activity_into sf x act;
+        act
+      | None -> row_activity sf x
+    in
     for i = 0 to sf.n_rows - 1 do
       let scale = Float.max 1.0 (Float.abs act.(i)) in
       if

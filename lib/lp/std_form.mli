@@ -59,6 +59,9 @@ val row_activity : t -> float array -> float array
     (length [n_struct]). *)
 
 val is_feasible_point :
-  ?tol:float -> t -> ?lb:float array -> ?ub:float array -> float array -> bool
+  ?tol:float -> ?act:float array -> t -> ?lb:float array -> ?ub:float array ->
+  float array -> bool
 (** Checks structural bounds and row ranges on a candidate structural
-    point; [?lb]/[?ub] override structural bounds (as in a MIP node). *)
+    point; [?lb]/[?ub] override structural bounds (as in a MIP node).
+    The row activities go to [?act] (at least [n_rows] long) when given,
+    so that a caller checking many points allocates nothing per check. *)

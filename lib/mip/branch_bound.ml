@@ -124,6 +124,8 @@ type search = {
   wlb : float array array;  (* per-worker bound scratch, resident across *)
   wub : float array array;  (* rounds like the sessions they feed *)
   wprop : Propagate.scratch array;  (* per-worker propagation worklist *)
+  wround : float array array;  (* per-worker rounded point (n_struct) *)
+  wact : float array array;  (* per-worker row activities (n_rows) *)
   mutable round_batch : int;
       (* nodes selected next round; grows geometrically (up to
          [8 × batch_size]) each time a round fills, purely as a function
@@ -167,15 +169,19 @@ let fractional_vars s (x : float array) =
 
 (* Nearest-integer rounding probe: cheap primal heuristic applied to every
    fractional LP optimum.  Pure — the candidate is compared against the
-   incumbent only during the sequential merge. *)
-let rounding_candidate s (x : float array) =
+   incumbent only during the sequential merge.  The point is rounded and
+   checked in the worker's buffers and copied out only when feasible. *)
+let rounding_candidate s ~worker (x : float array) =
   let sf = s.sf in
-  let cand = Array.copy x in
+  let cand = s.wround.(worker) in
   for j = 0 to sf.Lp.Std_form.n_struct - 1 do
-    if sf.Lp.Std_form.integer.(j) then cand.(j) <- Float.round cand.(j)
+    cand.(j) <-
+      (if sf.Lp.Std_form.integer.(j) then Float.round x.(j) else x.(j))
   done;
-  if Lp.Std_form.is_feasible_point sf cand then
+  if Lp.Std_form.is_feasible_point ~act:s.wact.(worker) sf cand then begin
+    let cand = Array.copy cand in
     Some (cand, structural_objective sf cand)
+  end
   else None
 
 let accept_incumbent s (x : float array) obj =
@@ -308,7 +314,8 @@ let eval_node s ~worker ~fork ~fstats ~fprof node =
     in
     let rounding =
       match (r.Lp.Simplex.status, branch) with
-      | Lp.Simplex.Optimal, Some _ -> rounding_candidate s r.Lp.Simplex.x
+      | Lp.Simplex.Optimal, Some _ ->
+        rounding_candidate s ~worker r.Lp.Simplex.x
       | _ -> None
     in
     Lp_result
@@ -512,6 +519,8 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?prof sf =
       wlb = Array.init jobs (fun _ -> Array.make n_total 0.0);
       wub = Array.init jobs (fun _ -> Array.make n_total 0.0);
       wprop = Array.init jobs (fun _ -> Propagate.scratch prop);
+      wround = Array.init jobs (fun _ -> Array.make sf.Lp.Std_form.n_struct 0.0);
+      wact = Array.init jobs (fun _ -> Array.make sf.Lp.Std_form.n_rows 0.0);
       round_batch = max 1 params.batch_size;
     }
   in

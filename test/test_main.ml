@@ -8,4 +8,4 @@ let () =
    @ Test_extensions.suite @ Test_runtime.suite
    @ Test_service.suite @ Test_span.suite
    @ Test_colgen.suite @ Test_rounding.suite @ Test_golden.suite
-   @ Test_lp_kernel.suite @ Test_bench_record.suite)
+   @ Test_lp_kernel.suite @ Test_pricing.suite @ Test_bench_record.suite)
