@@ -123,6 +123,27 @@ module Builder = struct
     { rows; cols; col_ptr; row_idx; value }
 end
 
+let of_arrays ~rows ~cols ~col_ptr ~row_idx ~value =
+  let nnz = Array.length row_idx in
+  let bad () = invalid_arg "Csc.of_arrays" in
+  if
+    rows < 0 || cols < 0
+    || Array.length col_ptr <> cols + 1
+    || Array.length value <> nnz
+    || col_ptr.(0) <> 0 || col_ptr.(cols) <> nnz
+  then bad ();
+  for j = 0 to cols - 1 do
+    let lo = col_ptr.(j) and hi = col_ptr.(j + 1) in
+    if hi < lo then bad ();
+    let prev = ref (-1) in
+    for k = lo to hi - 1 do
+      let r = row_idx.(k) in
+      if r <= !prev || r >= rows || value.(k) = 0.0 then bad ();
+      prev := r
+    done
+  done;
+  { rows; cols; col_ptr; row_idx; value }
+
 let rows m = m.rows
 let cols m = m.cols
 let nnz m = Array.length m.value

@@ -2,7 +2,8 @@
 
     The simplex solver stores the constraint matrix in this format: pricing
     and column extraction (FTRAN input) need fast access to whole columns.
-    Matrices are immutable once built; assemble them with {!Builder}. *)
+    Matrices are immutable once built; assemble them with {!Builder}, or
+    hand over arrays that already meet the invariants ({!of_arrays}). *)
 
 type t = private {
   rows : int;
@@ -39,6 +40,17 @@ module Builder : sig
       [Tol.is_zero] accepts is dropped.  Rows are ascending within each
       column. *)
 end
+
+val of_arrays :
+  rows:int -> cols:int -> col_ptr:int array -> row_idx:int array ->
+  value:float array -> t
+(** The matrix whose column [j] holds rows [row_idx.(k)] with values
+    [value.(k)] for [k] in [col_ptr.(j) .. col_ptr.(j+1) - 1].  The arrays
+    become the matrix's own (nothing is copied).  Checked in O(nnz +
+    cols): [col_ptr] has [cols + 1] nondecreasing entries from 0 to the
+    arrays' common length, and every column's rows are in range, strictly
+    ascending and hold no exact zero.
+    @raise Invalid_argument otherwise. *)
 
 val rows : t -> int
 val cols : t -> int

@@ -69,29 +69,25 @@ module Sparse = struct
       start.(c) <- start.(c) + 1
     done
 
-  (* Prefixes up to this length are sorted by insertion, longer ones by
-     an in-place heapsort; neither allocates. *)
-  let insertion_cutoff = 32
+  (* Lists up to this length are sorted by insertion; longer ones
+     through a bitmap.  Neither allocates. *)
+  let insertion_cutoff = 16
 
-  let sift_down (a : int array) start len =
-    let root = ref start and go = ref true in
-    while !go do
-      let c = (2 * !root) + 1 in
-      if c >= len then go := false
-      else begin
-        let c = if c + 1 < len && a.(c) < a.(c + 1) then c + 1 else c in
-        if a.(!root) < a.(c) then begin
-          let t = a.(!root) in
-          a.(!root) <- a.(c);
-          a.(c) <- t;
-          root := c
-        end
-        else go := false
-      end
-    done
+  (* Bit index of a 32-bit power of two b: the top five bits of the
+     32-bit product of b and a de Bruijn constant are distinct for the 32
+     possible b and index this table. *)
+  let debruijn =
+    [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13;
+       23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
-  (* Ascending sort of [a.(0 .. len-1)], distinct entries. *)
-  let sort_prefix (a : int array) len =
+  let bitmap n = Array.make ((n lsr 5) + 1) 0
+
+  (* Ascending sort of [a.(0 .. len-1)], distinct non-negative entries.
+     A long list sets one bit per entry in [bits] (32 positions per word,
+     all-zero on entry) and reads them back word by word over the words
+     it touched, lowest bit first, clearing each word as it goes: O(len)
+     plus one step per word between the smallest and the largest entry. *)
+  let sort_prefix ~bits (a : int array) len =
     if len <= insertion_cutoff then
       for t = 1 to len - 1 do
         let v = a.(t) in
@@ -103,14 +99,28 @@ module Sparse = struct
         a.(!s + 1) <- v
       done
     else begin
-      for start = (len / 2) - 1 downto 0 do
-        sift_down a start len
+      let lo = ref max_int and hi = ref 0 in
+      for t = 0 to len - 1 do
+        let i = a.(t) in
+        let w = i lsr 5 in
+        bits.(w) <- bits.(w) lor (1 lsl (i land 31));
+        if w < !lo then lo := w;
+        if w > !hi then hi := w
       done;
-      for last = len - 1 downto 1 do
-        let t = a.(0) in
-        a.(0) <- a.(last);
-        a.(last) <- t;
-        sift_down a 0 last
+      let c = ref 0 in
+      for w = !lo to !hi do
+        let b = ref bits.(w) in
+        if !b <> 0 then begin
+          bits.(w) <- 0;
+          while !b <> 0 do
+            let low = !b land (- !b) in
+            a.(!c) <-
+              (w lsl 5)
+              lor debruijn.(((low * 0x077CB531) land 0xFFFFFFFF) lsr 27);
+            incr c;
+            b := !b lxor low
+          done
+        end
       done
     end
 
@@ -126,7 +136,9 @@ module Sparse = struct
      [sr2] doubles as the support report of the Forrest–Tomlin solves:
      after {!ft_ftran} or {!ft_btran} takes the reach path its first
      [sup_n] entries list the result's possibly-nonzero positions in
-     ascending order ([sup_n = -1] after a dense-path solve).
+     ascending order ([sup_n = -1] after a dense-path solve).  [sbits]
+     is the all-zero bitmap that orders them, and the factorization's
+     reaches, through {!sort_prefix}.
 
      The factorization stages its output here too — permutations, L and
      U pointers, the diagonal and the L and U entry stores — and copies
@@ -143,6 +155,7 @@ module Sparse = struct
     sr2 : int array;
     sr3 : int array;  (* eta-extension roots of the Forrest–Tomlin solves *)
     sroots : int array;
+    sbits : int array;
     mutable sstamp : int;
     mutable sup_n : int;
     mutable ep : int array;       (* factor row i is original row ep.(i) *)
@@ -166,6 +179,7 @@ module Sparse = struct
       sr2 = Array.make n 0;
       sr3 = Array.make n 0;
       sroots = Array.make n 0;
+      sbits = bitmap n;
       sstamp = 0;
       sup_n = -1;
       ep = [||];
@@ -313,8 +327,15 @@ module Sparse = struct
     uc : ulist array;           (* U by factor column: rows i, pos i < pos j *)
     ur : ulist array;           (* U by factor row: columns j, pos j > pos i *)
     udiag : float array;
-    uorder : int array;         (* triangular position -> factor index *)
-    upos : int array;           (* factor index -> triangular position *)
+    (* The triangular order, append-only: [uorder.(0 .. uend-1)] lists the
+       factor columns in order, with holes (-1) where an update moved a
+       column to the end; [upos] maps a column to its slot and the
+       Fenwick tree [ufen] (1-based, over the 2n slots) counts the live
+       slots, so a column's logical position is a prefix sum. *)
+    mutable uorder : int array;
+    mutable upos : int array;
+    mutable ufen : int array;
+    mutable uend : int;
     mutable re_rt : int array;
     mutable re_ptr : int array;
     mutable re_idx : int array;
@@ -380,8 +401,10 @@ module Sparse = struct
       uc = Array.init n (fun _ -> ul_make ());
       ur = Array.init n (fun _ -> ul_make ());
       udiag = Array.make n 0.0;
-      uorder = Array.make n 0;
-      upos = Array.make n 0;
+      uorder = [||];
+      upos = [||];
+      ufen = [||];
+      uend = 0;
       re_rt = [||];
       re_ptr = [| 0 |];
       re_idx = [||];
@@ -424,8 +447,52 @@ module Sparse = struct
       f.pinv <- Array.make cap 0;
       f.qinv <- Array.make cap 0;
       f.l_ptr <- Array.make (cap + 1) 0;
-      f.lr_ptr <- Array.make (cap + 1) 0
+      f.lr_ptr <- Array.make (cap + 1) 0;
+      f.uorder <- Array.make (2 * cap) 0;
+      f.upos <- Array.make cap 0;
+      f.ufen <- Array.make ((2 * cap) + 1) 0
     end
+
+  (* The Fenwick tree of the triangular order when its first [ft_n]
+     slots are live and the rest empty: node j counts the live slots
+     among j - lowbit(j) + 1 .. j. *)
+  let fen_fill f =
+    let n = f.ft_n in
+    for j = 1 to 2 * n do
+      let lo = j - (j land (-j)) in
+      f.ufen.(j) <- (if j <= n then j - lo else if lo < n then n - lo else 0)
+    done
+
+  (* Live slots of the triangular order before slot [k]. *)
+  let fen_prefix f k =
+    let acc = ref 0 and i = ref k in
+    while !i > 0 do
+      acc := !acc + f.ufen.(!i);
+      i := !i - (!i land (- !i))
+    done;
+    !acc
+
+  let fen_add f k d =
+    let lim = 2 * f.ft_n in
+    let i = ref (k + 1) in
+    while !i <= lim do
+      f.ufen.(!i) <- f.ufen.(!i) + d;
+      i := !i + (!i land (- !i))
+    done
+
+  (* Closes the holes of a full triangular order, keeping its order. *)
+  let compact_order f =
+    let k = ref 0 in
+    for sl = 0 to f.uend - 1 do
+      let j = f.uorder.(sl) in
+      if j >= 0 then begin
+        f.uorder.(!k) <- j;
+        f.upos.(j) <- !k;
+        incr k
+      end
+    done;
+    f.uend <- !k;
+    fen_fill f
 
   (* Arms the updatable factors around the factors just installed: the
      identity triangular order, no row etas, no spike, no updates. *)
@@ -435,6 +502,8 @@ module Sparse = struct
       f.uorder.(j) <- j;
       f.upos.(j) <- j
     done;
+    f.uend <- n;
+    fen_fill f;
     f.n_reta <- 0;
     f.reta_nnz <- 0;
     ft_clear_spike f;
@@ -604,7 +673,7 @@ module Sparse = struct
          sees its updates in the same order, bit for bit.  x.(p.(kf)) is
          final once step kf is reached, so the U entries are harvested on
          the fly. *)
-      sort_prefix reach !nreach;
+      sort_prefix ~bits:s.sbits reach !nreach;
       for t = 0 to !nreach - 1 do
         let kf = reach.(t) in
         let ukj = x.(p.(kf)) in
@@ -726,25 +795,31 @@ module Sparse = struct
      Nodes marked with the current stamp (from earlier roots) are
      skipped, so the total cost is O(edges of the reach). *)
   let dfs_reach ptr idx s root reach top =
-    if s.smark.(root) = s.sstamp then top
+    let mark = s.smark and stack = s.sstack and edge = s.sedge
+    and stamp = s.sstamp in
+    if mark.(root) = stamp then top
     else begin
       let top = ref top in
       let depth = ref 0 in
-      s.sstack.(0) <- root;
-      s.sedge.(0) <- ptr.(root);
-      s.smark.(root) <- s.sstamp;
+      stack.(0) <- root;
+      edge.(0) <- ptr.(root);
+      mark.(root) <- stamp;
       while !depth >= 0 do
-        let j = s.sstack.(!depth) in
-        let e = s.sedge.(!depth) in
-        if e < ptr.(j + 1) then begin
-          s.sedge.(!depth) <- e + 1;
-          let i = idx.(e) in
-          if s.smark.(i) <> s.sstamp then begin
-            s.smark.(i) <- s.sstamp;
-            incr depth;
-            s.sstack.(!depth) <- i;
-            s.sedge.(!depth) <- ptr.(i)
-          end
+        let j = stack.(!depth) in
+        let stop = ptr.(j + 1) in
+        (* Marked children are skipped here, without a trip around the
+           outer loop (CSparse's [cs_reach]). *)
+        let e = ref edge.(!depth) in
+        while !e < stop && mark.(idx.(!e)) = stamp do
+          incr e
+        done;
+        if !e < stop then begin
+          edge.(!depth) <- !e + 1;
+          let i = idx.(!e) in
+          mark.(i) <- stamp;
+          incr depth;
+          stack.(!depth) <- i;
+          edge.(!depth) <- ptr.(i)
         end
         else begin
           decr depth;
@@ -772,26 +847,30 @@ module Sparse = struct
 
   (* {!dfs_reach} over a dynamic (growable-list) adjacency. *)
   let dfs_reach_ul (lists : ulist array) s root reach top =
-    if s.smark.(root) = s.sstamp then top
+    let mark = s.smark and stack = s.sstack and edge = s.sedge
+    and stamp = s.sstamp in
+    if mark.(root) = stamp then top
     else begin
       let top = ref top in
       let depth = ref 0 in
-      s.sstack.(0) <- root;
-      s.sedge.(0) <- 0;
-      s.smark.(root) <- s.sstamp;
+      stack.(0) <- root;
+      edge.(0) <- 0;
+      mark.(root) <- stamp;
       while !depth >= 0 do
-        let j = s.sstack.(!depth) in
-        let e = s.sedge.(!depth) in
+        let j = stack.(!depth) in
         let lj = lists.(j) in
-        if e < lj.ul_len then begin
-          s.sedge.(!depth) <- e + 1;
-          let i = lj.ul_idx.(e) in
-          if s.smark.(i) <> s.sstamp then begin
-            s.smark.(i) <- s.sstamp;
-            incr depth;
-            s.sstack.(!depth) <- i;
-            s.sedge.(!depth) <- 0
-          end
+        let stop = lj.ul_len and idx = lj.ul_idx in
+        let e = ref edge.(!depth) in
+        while !e < stop && mark.(idx.(!e)) = stamp do
+          incr e
+        done;
+        if !e < stop then begin
+          edge.(!depth) <- !e + 1;
+          let i = idx.(!e) in
+          mark.(i) <- stamp;
+          incr depth;
+          stack.(!depth) <- i;
+          edge.(!depth) <- 0
         end
         else begin
           decr depth;
@@ -808,26 +887,13 @@ module Sparse = struct
         (name ^ ": no usable factors (never factorized, or stale after a \
                  rejected update)")
 
-  (* Orders the support of a reach solve's result.  On entry
+  (* Orders the support of a reach solve's result: on entry
      [sr2.(0 .. k-1)] lists the result positions the reach touched, in
-     reach order; [x] is the result (zero everywhere else).  Short lists
-     are sorted; once a sort would cost more than one ordered pass over
-     [x], the pass lists the nonzeros instead. *)
-  let finish_support s x n k =
-    if k <= insertion_cutoff || k <= n / 16 then begin
-      sort_prefix s.sr2 k;
-      s.sup_n <- k
-    end
-    else begin
-      let c = ref 0 in
-      for i = 0 to n - 1 do
-        if x.(i) <> 0.0 then begin
-          s.sr2.(!c) <- i;
-          incr c
-        end
-      done;
-      s.sup_n <- !c
-    end
+     reach order.  All of them are kept, so positions whose value
+     cancelled to zero stay listed. *)
+  let finish_support s k =
+    sort_prefix ~bits:s.sbits s.sr2 k;
+    s.sup_n <- k
 
   (* Dense-scan FTRAN, used when the RHS support is above
      {!dense_threshold}: permute, unit-L pass, row etas in creation
@@ -866,16 +932,18 @@ module Sparse = struct
       end
     done;
     f.spike_n <- !m;
-    for pi = n - 1 downto 0 do
-      let j = f.uorder.(pi) in
-      let x = w.(j) /. f.udiag.(j) in
-      w.(j) <- x;
-      if x <> 0.0 then begin
-        let cj = f.uc.(j) in
-        for e = 0 to cj.ul_len - 1 do
-          let i = cj.ul_idx.(e) in
-          w.(i) <- w.(i) -. (cj.ul_val.(e) *. x)
-        done
+    for sl = f.uend - 1 downto 0 do
+      let j = f.uorder.(sl) in
+      if j >= 0 then begin
+        let x = w.(j) /. f.udiag.(j) in
+        w.(j) <- x;
+        if x <> 0.0 then begin
+          let cj = f.uc.(j) in
+          for e = 0 to cj.ul_len - 1 do
+            let i = cj.ul_idx.(e) in
+            w.(i) <- w.(i) -. (cj.ul_val.(e) *. x)
+          done
+        end
       end
     done;
     for jf = 0 to n - 1 do
@@ -993,7 +1061,7 @@ module Sparse = struct
         w.(j) <- 0.0;
         s.sr2.(t - top) <- pos
       done;
-      finish_support s b n (n - top);
+      finish_support s (n - top);
       !work
     end
 
@@ -1011,14 +1079,16 @@ module Sparse = struct
     for jf = 0 to n - 1 do
       w.(jf) <- c.(f.q.(jf))
     done;
-    for pi = 0 to n - 1 do
-      let j = f.uorder.(pi) in
-      let acc = ref w.(j) in
-      let cj = f.uc.(j) in
-      for e = 0 to cj.ul_len - 1 do
-        acc := !acc -. (cj.ul_val.(e) *. w.(cj.ul_idx.(e)))
-      done;
-      w.(j) <- !acc /. f.udiag.(j)
+    for sl = 0 to f.uend - 1 do
+      let j = f.uorder.(sl) in
+      if j >= 0 then begin
+        let acc = ref w.(j) in
+        let cj = f.uc.(j) in
+        for e = 0 to cj.ul_len - 1 do
+          acc := !acc -. (cj.ul_val.(e) *. w.(cj.ul_idx.(e)))
+        done;
+        w.(j) <- !acc /. f.udiag.(j)
+      end
     done;
     for k = f.n_reta - 1 downto 0 do
       let yt = w.(f.re_rt.(k)) in
@@ -1119,7 +1189,7 @@ module Sparse = struct
         w.(i) <- 0.0;
         s.sr2.(t - top) <- row
       done;
-      finish_support s c n (n - top);
+      finish_support s (n - top);
       !work
     end
 
@@ -1256,15 +1326,19 @@ module Sparse = struct
       for tt = !mtop to n - 1 do
         w.(s.sr1.(tt)) <- 0.0
       done;
-      (* Column t logically moves to the end of the triangular order. *)
-      let pt = f.upos.(t) in
-      for k = pt to n - 2 do
-        let j = f.uorder.(k + 1) in
-        f.uorder.(k) <- j;
-        f.upos.(j) <- k
-      done;
-      f.uorder.(n - 1) <- t;
-      f.upos.(t) <- n - 1;
+      (* Column t moves to the end of the triangular order: its slot
+         becomes a hole and t is appended (the order is compacted first
+         when its 2n slots are used up).  The bill is still the shift of
+         a dense order, n − 1 − pt for t's logical position pt. *)
+      if f.uend = 2 * n then compact_order f;
+      let sl = f.upos.(t) in
+      let pt = fen_prefix f sl in
+      f.uorder.(sl) <- -1;
+      fen_add f sl (-1);
+      f.uorder.(f.uend) <- t;
+      f.upos.(t) <- f.uend;
+      fen_add f f.uend 1;
+      f.uend <- f.uend + 1;
       work := !work + (n - 1 - pt);
       f.updates <- f.updates + 1;
       ft_clear_spike f;

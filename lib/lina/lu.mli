@@ -104,10 +104,11 @@ module Sparse : sig
       @raise Singular when no acceptable pivot exists ([s] is left
       consistent).
 
-      Cost: O(n + nnz + flops + Σ reach·log reach), where nnz counts the
-      input entries and the factors, flops the elimination updates, and
-      reach, per column, the earlier factor columns that its pattern
-      reaches through L.  The column order is a stable counting sort on
+      Cost: O(n + nnz + flops + Σ reach), where nnz counts the input
+      entries and the factors, flops the elimination updates, and reach,
+      per column, the earlier factor columns that its pattern reaches
+      through L (sorted by {!sort_prefix}, plus one step per bitmap word
+      a long reach spans).  The column order is a stable counting sort on
       the nonzero count.  Each column is eliminated against its reach
       in ascending factor order, the order of a scan over every earlier
       column, so each entry receives its updates in the same sequence
@@ -238,7 +239,10 @@ module Sparse : sig
 
   val ft_update_work : ft -> int
   (** Work performed by the last accepted {!ft_update}, for clock
-      billing. *)
+      billing.  It still counts the [n − 1 − pt] slots that moving the
+      replaced column (at triangular position [pt]) to the end would
+      shift in a dense order, although the order is append-only and the
+      move costs O(log n). *)
 
   val ft_update_added : ft -> int
   (** Entries the last accepted {!ft_update} appended (spike fill plus
@@ -248,9 +252,18 @@ module Sparse : sig
 
       Also used by the simplex on its own index lists. *)
 
-  val sort_prefix : int array -> int -> unit
-  (** [sort_prefix a len] sorts [a.(0 .. len-1)], distinct entries,
-      ascending, in place and without allocating. *)
+  val bitmap : int -> int array
+  (** [bitmap n] is an all-zero bitmap for positions [0 .. n-1] (32 per
+      word), the scratch {!sort_prefix} orders them in. *)
+
+  val sort_prefix : bits:int array -> int array -> int -> unit
+  (** [sort_prefix ~bits a len] sorts [a.(0 .. len-1)], distinct
+      non-negative entries, ascending, in place and without allocating.
+      [bits] must be all-zero and cover every entry ({!bitmap} of a bound
+      above them); it is all-zero again on return.  Up to 16 entries are
+      sorted by insertion; a longer list sets one bit per entry and reads
+      the bits back in order, in O(len) plus one step per bitmap word
+      between its smallest and largest entry. *)
 
   val copy_ints : int array -> int array -> int -> unit
   (** [copy_ints src dst n] copies [src.(0 .. n-1)] into [dst] by a typed

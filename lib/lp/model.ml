@@ -173,12 +173,7 @@ let var_ub m v =
   check_var m v;
   m.v_ub.(v)
 
-let add_row_terms m b =
-  for i = 0 to m.n_rows - 1 do
-    for p = m.row_start.(i) to m.row_start.(i + 1) - 1 do
-      Lina.Csc.Builder.add b ~row:i ~col:m.t_var.(p) m.t_coeff.(p)
-    done
-  done
+let row_store m = (m.row_start, m.t_var, m.t_coeff)
 
 let check_row m i =
   if i < 0 || i >= m.n_rows then invalid_arg "Model: unknown row"

@@ -10,7 +10,8 @@
     ascending variable order, a repeated variable's coefficients summed
     in the order given, sums that [Lina.Tol.is_zero] accepts dropped.
     Rows are stored flat — each row's canonical terms in one shared term
-    store, next to its bounds — so compiling replays them as they are. *)
+    store, next to its bounds — so compiling transposes them as they
+    are. *)
 
 type t
 
@@ -60,10 +61,13 @@ val var_ub : t -> var -> float
 
 (** {2 Rows, for compilation} *)
 
-val add_row_terms : t -> Lina.Csc.Builder.b -> unit
-(** Adds every row term to the builder at (row index, variable id): rows
-    in insertion order, each row's terms in canonical form (ascending by
-    variable, no zero and no repeated variable within a row). *)
+val row_store : t -> int array * int array * float array
+(** [(row_start, var, coeff)]: the row with insertion index [i] holds the
+    terms [(var.(p), coeff.(p))] for [p] in
+    [row_start.(i) .. row_start.(i + 1) - 1], in canonical form
+    (ascending by variable, no zero and no repeated variable within a
+    row).  These are the model's own arrays, longer than the terms they
+    hold: read them, do not keep or write them. *)
 
 val row_terms : t -> int -> (var * float) list
 val row_lo : t -> int -> float

@@ -124,6 +124,7 @@ type state = {
   cand : int array;
   cand_score : float array;
   mutable cand_n : int;
+  cand_bits : int array;  (* all-zero bitmap over the columns: orders [cand] *)
   top_j : int array;  (* restock heap: the [max_cand] strongest columns *)
   top_s : float array;
   dualw : dual_ws;  (* dual pricing workspace, built lazily *)
@@ -132,6 +133,12 @@ type state = {
      the unit framework at every solve start. *)
   refw : float array;
   drefw : float array;
+  (* The dual simplex's primal-infeasible basis rows, in no particular
+     order: [inf_rows.(0 .. inf_n-1)], with [inf_pos.(i)] row i's place
+     in that list or -1. *)
+  inf_rows : int array;
+  inf_pos : int array;
+  mutable inf_n : int;
 }
 
 (* Row-scatter workspace of the dual simplex's pivot-row computation:
@@ -215,6 +222,11 @@ let emit_prof_leaves st =
     leaf "ftran" p.pf_ftran;
     leaf "btran" p.pf_btran;
     leaf "pricing" p.pf_pricing
+
+(* [Float.max c x] for a constant [c] that is +0 or positive, without the
+   Stdlib call (not inlined across modules, and its sign checks reach C):
+   a NaN [x] stays NaN, and a −0 [x] gives [c], as [Float.max] does. *)
+let[@inline] at_least (c : float) (x : float) = if x > c || x <> x then x else c
 
 (* --- column access -------------------------------------------------- *)
 
@@ -720,7 +732,7 @@ let price st =
           st.cand.(!kept) <- j;
           incr kept;
           let d = st.fout.(0) in
-          let score = d *. d /. Float.max 1.0 st.refw.(j) in
+          let score = d *. d /. at_least 1.0 st.refw.(j) in
           if score > !best_score then begin
             best := j;
             best_score := score;
@@ -747,7 +759,7 @@ let price st =
           let dir = reduced_dir st j dual_feas_tol in
           if dir <> 0 then begin
             let d = st.fout.(0) in
-            let score = d *. d /. Float.max 1.0 st.refw.(j) in
+            let score = d *. d /. at_least 1.0 st.refw.(j) in
             st.cand.(!found) <- j;
             st.cand_score.(!found) <- score;
             incr found;
@@ -762,7 +774,7 @@ let price st =
       done;
       let target = max 16 (min max_cand (ncols / 8)) in
       if !found <= target then begin
-        Lina.Lu.Sparse.sort_prefix st.cand !found;
+        Lina.Lu.Sparse.sort_prefix ~bits:st.cand_bits st.cand !found;
         st.cand_n <- !found
       end
       else restock st !found target;
@@ -792,10 +804,10 @@ let ratio_test st dir =
       let t =
         if rate < 0.0 then
           if st.lb.(bj) > neg_infinity then
-            Float.max 0.0 ((st.xval.(bj) -. st.lb.(bj)) /. -.rate)
+            at_least 0.0 ((st.xval.(bj) -. st.lb.(bj)) /. -.rate)
           else infinity
         else if st.ub.(bj) < infinity then
-          Float.max 0.0 ((st.ub.(bj) -. st.xval.(bj)) /. rate)
+          at_least 0.0 ((st.ub.(bj) -. st.xval.(bj)) /. rate)
         else infinity
       in
       if t < infinity then begin
@@ -809,7 +821,8 @@ let ratio_test st dir =
             || (t <= !t_best +. 1e-12 && Float.abs st.w.(i) > Float.abs !leave_piv)
         in
         if better then begin
-          t_best := Float.min t !t_best;
+          (* [Float.min]: neither is NaN or −0 here *)
+          if t < !t_best then t_best := t;
           leave := i;
           leave_hit := (if rate < 0.0 then At_lower else At_upper);
           leave_piv := st.w.(i)
@@ -843,7 +856,7 @@ let devex_primal_update st ~q ~r =
   if not st.bland then begin
     let alpha_q = st.w.(r) in
     if Float.abs alpha_q > Lina.Tol.pivot then begin
-      let gq = Float.max 1.0 st.refw.(q) in
+      let gq = at_least 1.0 st.refw.(q) in
       let rho = st.rho in
       tick_pricing st (unit_row st r);
       (* Incremental dual step while ρ and y are both pre-pivot, over ρ's
@@ -872,7 +885,7 @@ let devex_primal_update st ~q ~r =
           if cand > 1e12 then overflow := true
         end
       done;
-      st.refw.(st.basis.(r)) <- Float.max 1.0 (gq /. (alpha_q *. alpha_q));
+      st.refw.(st.basis.(r)) <- at_least 1.0 (gq /. (alpha_q *. alpha_q));
       if !overflow then Array.fill st.refw 0 (st.n_total + st.m) 1.0;
       true
     end
@@ -962,7 +975,8 @@ let optimize st ~allow_unbounded =
       in
       let r = ratio_test st dir in
       let t_leave = st.fout.(1) in
-      let t = Float.min t_flip t_leave in
+      (* [Float.min]: neither is NaN or −0 *)
+      let t = if t_flip < t_leave then t_flip else t_leave in
       if t = infinity then
         if allow_unbounded then raise (Solver_stop Unbounded)
         else raise (Solver_stop Numerical_failure)
@@ -1228,13 +1242,46 @@ let dual_feasible st =
 
 (* --- dual simplex ------------------------------------------------------ *)
 
+(* Whether basis row [i]'s variable is off its bounds by more than the
+   primal tolerance: [Float.max below above > tol], written out — a NaN
+   difference never qualifies, as [Float.max] would return NaN. *)
+let[@inline] row_infeasible st i =
+  let bj = st.basis.(i) in
+  let below = st.lb.(bj) -. st.xval.(bj)
+  and above = st.xval.(bj) -. st.ub.(bj) in
+  (below > primal_feas_tol || above > primal_feas_tol)
+  && below = below && above = above
+
+let[@inline] add_infeasible st i =
+  st.inf_pos.(i) <- st.inf_n;
+  st.inf_rows.(st.inf_n) <- i;
+  st.inf_n <- st.inf_n + 1
+
+(* The infeasible rows by one scan of every row. *)
+let list_infeasible st =
+  st.inf_n <- 0;
+  for i = 0 to st.m - 1 do
+    if row_infeasible st i then add_infeasible st i else st.inf_pos.(i) <- -1
+  done
+
+(* Row [i]'s membership after its value or its variable changed. *)
+let[@inline] refresh_infeasible st i =
+  let k = st.inf_pos.(i) in
+  if row_infeasible st i then (if k < 0 then add_infeasible st i)
+  else if k >= 0 then begin
+    let last = st.inf_rows.(st.inf_n - 1) in
+    st.inf_rows.(k) <- last;
+    st.inf_pos.(last) <- k;
+    st.inf_pos.(i) <- -1;
+    st.inf_n <- st.inf_n - 1
+  end
+
 (* Bounded-variable dual simplex: starting from a dual-feasible basis
    (typically the parent LP optimum in branch-and-bound, with child bounds
    installed), repairs primal feasibility while maintaining dual
    feasibility.  Raises [Solver_stop Infeasible] when the dual is
    unbounded, i.e. the primal is infeasible. *)
 let dual_optimize st =
-  let tol = primal_feas_tol in
   let piv_tol = Lina.Tol.pivot in
   let rho = st.rho in
   (* Duals are maintained incrementally across dual pivots
@@ -1255,6 +1302,7 @@ let dual_optimize st =
   let stall = ref 0 and bland = ref false in
   let budget = 500 + (5 * st.m) in
   let pivots = ref 0 in
+  list_infeasible st;
   while !continue_ do
     check_limits st;
     count_iteration st;
@@ -1268,24 +1316,30 @@ let dual_optimize st =
     (* Leaving variable: the basic with the worst bound violation, scored
        through the dual devex reference framework (violation²/δ_i — the
        row analogue of the primal's d²/γ_j) unless Bland's rule is
-       active, which takes the plain violation. *)
+       active, which takes the plain violation.  Only the infeasible
+       rows are scored (Hall & McKinnon's hypersparse CHUZR): they are
+       listed by a scan of every row at entry and whenever the basic
+       values were recomputed, and otherwise kept by each pivot for the
+       rows it changes.  The highest score wins, the smallest row on
+       ties — the row an ascending scan keeping strict improvements
+       picks.  A score is never below zero, and a NaN one never wins. *)
     let r = ref (-1) and best_sc = ref 0.0 and too_high = ref false in
-    for i = 0 to st.m - 1 do
+    for k = 0 to st.inf_n - 1 do
+      let i = st.inf_rows.(k) in
       let bj = st.basis.(i) in
       let below = st.lb.(bj) -. st.xval.(bj)
       and above = st.xval.(bj) -. st.ub.(bj) in
-      let viol = Float.max below above in
-      if viol > tol then begin
-        let sc =
-          if not !bland then
-            viol *. viol /. Float.max 1.0 st.drefw.(i)
-          else viol
-        in
-        if sc > !best_sc then begin
-          best_sc := sc;
-          r := i;
-          too_high := above > below
-        end
+      (* [Float.max below above], inline: neither difference is NaN in
+         an infeasible row, nor are both zeros. *)
+      let viol = if below > above then below else above in
+      let sc =
+        if not !bland then viol *. viol /. at_least 1.0 st.drefw.(i)
+        else viol
+      in
+      if sc > !best_sc || (sc = !best_sc && !r >= 0 && i < !r) then begin
+        best_sc := sc;
+        r := i;
+        too_high := above > below
       end
     done;
     if !r < 0 then continue_ := false
@@ -1319,7 +1373,7 @@ let dual_optimize st =
           if admissible then begin
             dot_col st j st.y;
             let d = st.cost.(j) -. st.fout.(0) in
-            let ratio = Float.max 0.0 (d /. alpha') in
+            let ratio = at_least 0.0 (d /. alpha') in
             let better =
               if !bland then
                 ratio < !best_ratio -. 1e-12
@@ -1369,7 +1423,7 @@ let dual_optimize st =
         let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
         let nw = if ns >= 0 then ns else st.m in
         if not !bland then begin
-          let dr = Float.max 1.0 st.drefw.(r) in
+          let dr = at_least 1.0 st.drefw.(r) in
           let overflow = ref false in
           for s = 0 to nw - 1 do
             let i = if ns >= 0 then sup.(s) else s in
@@ -1380,17 +1434,20 @@ let dual_optimize st =
               if cand > 1e12 then overflow := true
             end
           done;
-          st.drefw.(r) <- Float.max 1.0 (dr /. (alpha_q *. alpha_q));
+          st.drefw.(r) <- at_least 1.0 (dr /. (alpha_q *. alpha_q));
           if !overflow then Array.fill st.drefw 0 st.m 1.0
         end;
         (* Primal update: x_q moves off its bound by delta_q; every basic
            moves by -w_i · delta_q (which lands the leaving variable
-           exactly on its violated bound). *)
+           exactly on its violated bound).  The rows that moved, and row
+           r, which q takes over, are the only ones whose infeasibility
+           can change. *)
         for s = 0 to nw - 1 do
           let i = if ns >= 0 then sup.(s) else s in
           if st.w.(i) <> 0.0 then begin
             let bj = st.basis.(i) in
-            st.xval.(bj) <- st.xval.(bj) -. (st.w.(i) *. delta_q)
+            st.xval.(bj) <- st.xval.(bj) -. (st.w.(i) *. delta_q);
+            refresh_infeasible st i
           end
         done;
         st.xval.(q) <- st.xval.(q) +. delta_q;
@@ -1398,10 +1455,16 @@ let dual_optimize st =
         st.vstat.(leaving) <- (if !too_high then At_upper else At_lower);
         st.basis.(r) <- q;
         st.vstat.(q) <- Basic;
+        refresh_infeasible st r;
         commit_pivot st ~r;
-        (* Any refactorization/hygiene pass resets the counter; re-anchor
-           the incremental duals against the fresh factors. *)
-        if st.pivots_since_refactor = 0 then compute_duals st
+        (* Any refactorization/hygiene pass resets the counter and
+           recomputes the basic values; re-anchor the incremental duals
+           against the fresh factors, and list the infeasible rows
+           anew. *)
+        if st.pivots_since_refactor = 0 then begin
+          compute_duals st;
+          list_infeasible st
+        end
       end
     end
   done
@@ -1544,6 +1607,7 @@ let alloc_state sf params budget stats prof ~m ~n_total =
     cand = Array.make nc 0;
     cand_score = Array.make nc 0.0;
     cand_n = 0;
+    cand_bits = Lina.Lu.Sparse.bitmap nc;
     top_j = Array.make max_cand 0;
     top_s = Array.make max_cand 0.0;
     dualw =
@@ -1559,6 +1623,9 @@ let alloc_state sf params budget stats prof ~m ~n_total =
       };
     refw = Array.make nc 1.0;
     drefw = Array.make m 1.0;
+    inf_rows = Array.make m 0;
+    inf_pos = Array.make m (-1);
+    inf_n = 0;
   }
 
 (* Whether [st]'s buffers hold an LP of [m] rows and [n_total] columns
@@ -1836,6 +1903,8 @@ let session_add_columns session ?budget ?stats cols =
           cand = widen st.cand ~keep:0 ~need:nc' 0;
           cand_score = widen st.cand_score ~keep:0 ~need:nc' 0.0;
           cand_n = 0;
+          cand_bits =
+            widen st.cand_bits ~keep:0 ~need:((Array.length lb lsr 5) + 1) 0;
           refw;
         }
       in

@@ -10,19 +10,54 @@ type t = {
   integer : bool array;
 }
 
+(* A counting transpose of the model's row store: column counts, then
+   every row's terms in row order — so rows ascend within each column —
+   and row i's logical −1 in column n + i.  [col_ptr] doubles as the fill
+   cursor: after the scatter slot [j] holds the end of column [j], and
+   one shift restores the starts.  Canonical rows repeat no variable and
+   hold no zero, so this is entry for entry the matrix a [Csc.Builder]
+   assembles from the same terms. *)
 let of_model m =
   let n = Model.num_vars m in
   let nr = Model.num_constrs m in
   let total = n + nr in
-  let b = Lina.Csc.Builder.create ~rows:nr ~cols:total in
-  let lb = Array.make total 0.0 and ub = Array.make total 0.0 in
-  Model.add_row_terms m b;
+  let row_start, t_var, t_coeff = Model.row_store m in
+  let nt = row_start.(nr) in
+  let col_ptr = Array.make (total + 1) 0 in
+  for p = 0 to nt - 1 do
+    let v = t_var.(p) in
+    col_ptr.(v + 1) <- col_ptr.(v + 1) + 1
+  done;
   for i = 0 to nr - 1 do
-    Lina.Csc.Builder.add b ~row:i ~col:(n + i) (-1.0);
+    col_ptr.(n + i + 1) <- 1
+  done;
+  for j = 1 to total do
+    col_ptr.(j) <- col_ptr.(j) + col_ptr.(j - 1)
+  done;
+  let row_idx = Array.make (nt + nr) 0 and value = Array.create_float (nt + nr) in
+  for i = 0 to nr - 1 do
+    for p = row_start.(i) to row_start.(i + 1) - 1 do
+      let v = t_var.(p) in
+      let q = col_ptr.(v) in
+      row_idx.(q) <- i;
+      value.(q) <- t_coeff.(p);
+      col_ptr.(v) <- q + 1
+    done;
+    let q = col_ptr.(n + i) in
+    row_idx.(q) <- i;
+    value.(q) <- -1.0;
+    col_ptr.(n + i) <- q + 1
+  done;
+  for j = total downto 1 do
+    col_ptr.(j) <- col_ptr.(j - 1)
+  done;
+  col_ptr.(0) <- 0;
+  let a = Lina.Csc.of_arrays ~rows:nr ~cols:total ~col_ptr ~row_idx ~value in
+  let lb = Array.make total 0.0 and ub = Array.make total 0.0 in
+  for i = 0 to nr - 1 do
     lb.(n + i) <- Model.row_lo m i;
     ub.(n + i) <- Model.row_hi m i
   done;
-  let a = Lina.Csc.Builder.finish b in
   let sense, obj, obj_const = Model.objective m in
   let obj_factor = match sense with Model.Minimize -> 1.0 | Model.Maximize -> -1.0 in
   let cost = Array.make total 0.0 in

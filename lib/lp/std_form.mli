@@ -5,9 +5,13 @@
     where [x] stacks the structural variables followed by one logical
     variable per row: the row [lo <= e <= hi] becomes [e - y = 0] with
     [y ∈ [lo, hi]].  A maximization objective is negated ([obj_factor]
-    restores the user-facing value).  Compilation replays the model's
-    flat row terms ({!Model.add_row_terms}) and the logical [-1] entries
-    into one {!Lina.Csc.Builder}; columns are identified by index only.
+    restores the user-facing value).  Compilation is one counting
+    transpose of the model's canonical row store ({!Model.row_store}) plus
+    the logical [-1] entries, straight into the CSC arrays of [a] — the
+    matrix a {!Lina.Csc.Builder} would assemble from the same terms, bit
+    for bit, without its chunks, sorts and duplicate merge; columns are
+    identified by index only.  The form does not carry [Aᵀ]: every solver
+    session transposes [a] into buffers it recycles.
 
     The MIP search reuses one compiled form for every node, overriding
     structural bounds per node. *)

@@ -40,6 +40,26 @@ let csc_tests =
         Alcotest.check_raises "bad row"
           (Invalid_argument "Csc.Builder.add: index out of bounds") (fun () ->
             Lina.Csc.Builder.add b ~row:1 ~col:0 1.0));
+    Alcotest.test_case "of_arrays checks the CSC invariants" `Quick (fun () ->
+        let make col_ptr row_idx value =
+          Lina.Csc.of_arrays ~rows:3 ~cols:2 ~col_ptr ~row_idx ~value
+        in
+        let m = make [| 0; 2; 3 |] [| 0; 2; 1 |] [| 1.0; -2.0; 3.0 |] in
+        feq "(2,0)" (-2.0) (Lina.Csc.get m 2 0);
+        feq "(1,1)" 3.0 (Lina.Csc.get m 1 1);
+        List.iter
+          (fun (name, col_ptr, row_idx, value) ->
+            Alcotest.check_raises name (Invalid_argument "Csc.of_arrays")
+              (fun () -> ignore (make col_ptr row_idx value : Lina.Csc.t)))
+          [
+            ("descending rows", [| 0; 2; 3 |], [| 2; 0; 1 |], [| 1.0; 2.0; 3.0 |]);
+            ("repeated row", [| 0; 2; 3 |], [| 1; 1; 1 |], [| 1.0; 2.0; 3.0 |]);
+            ("row out of range", [| 0; 1; 3 |], [| 0; 1; 3 |], [| 1.0; 2.0; 3.0 |]);
+            ("stored zero", [| 0; 1; 3 |], [| 0; 1; 2 |], [| 1.0; 0.0; 3.0 |]);
+            ("pointers past the entries", [| 0; 2; 4 |], [| 0; 1; 2 |], [| 1.0; 2.0; 3.0 |]);
+            ("pointers out of order", [| 0; 3; 2 |], [| 0; 1; 2 |], [| 1.0; 2.0; 3.0 |]);
+            ("value length", [| 0; 1; 3 |], [| 0; 1; 2 |], [| 1.0; 2.0 |]);
+          ]);
   ]
 
 (* Oracle: the list-and-sort triplet assembly the counting-sort builder
@@ -444,6 +464,68 @@ let ft_properties =
            !ok));
   ]
 
+(* More than 2n updates on one factorization, none rejected and no
+   refactorization in between, so the triangular order of U is rebuilt
+   many times over.  After each update: the work it returned, then FTRAN
+   and BTRAN of a sparse and a dense right-hand side, each by the reach
+   (or dense) path that [ft_ftran]/[ft_btran] choose and by the dense-scan
+   passes, with their work.  The digest of all of it was recorded before
+   the triangular order became append-only. *)
+let long_update_digest () =
+  let b = Buffer.create 65536 in
+  let bits x =
+    Array.iter
+      (fun v ->
+        Buffer.add_string b (Int64.to_string (Int64.bits_of_float v));
+        Buffer.add_char b ',')
+      x
+  in
+  let int k = Buffer.add_string b (string_of_int k ^ ";") in
+  let total = ref 0 in
+  for case = 0 to 15 do
+    let rng = Workload.Rng.create (Int64.of_int (case + 503)) in
+    let n = 2 + Workload.Rng.int rng 70 in
+    let cols = random_sparse_cols rng n in
+    let ft = factorize_cols n cols in
+    let s = Slu.scratch n in
+    let updates = (2 * n) + 1 + Workload.Rng.int rng n in
+    let solve f rhs =
+      let x = Array.copy rhs in
+      int (f ft s x);
+      bits x
+    in
+    (try
+       for _ = 1 to updates do
+         let r = Workload.Rng.int rng n in
+         let w = Array.make n 0.0 in
+         List.iter (fun (i, v) -> w.(i) <- w.(i) +. v) (replacement_col rng n r);
+         ignore (Slu.ft_ftran ft s w : int);
+         if not (Slu.ft_update ft s ~r) then raise Exit;
+         incr total;
+         int (Slu.ft_update_work ft);
+         let sparse =
+           Array.init n (fun _ ->
+               if Workload.Rng.int rng 8 = 0 then
+                 Workload.Rng.float_range rng (-2.0) 2.0
+               else 0.0)
+         in
+         let dense =
+           Array.init n (fun _ -> Workload.Rng.float_range rng (-2.0) 2.0)
+         in
+         List.iter
+           (fun rhs ->
+             solve Slu.ft_ftran rhs;
+             solve Slu.ft_ftran_dense rhs;
+             solve Slu.ft_btran rhs;
+             solve Slu.ft_btran_dense rhs)
+           [ sparse; dense ]
+       done
+     with Exit -> Buffer.add_string b "rejected;");
+    if Slu.ft_updates ft <= 2 * n then
+      Alcotest.failf "case %d: %d updates for n = %d" case (Slu.ft_updates ft) n
+  done;
+  Printf.sprintf "updates=%d %s" !total (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --- the support contract of the Forrest–Tomlin solves ----------------- *)
 
 (* After a reach-path solve, the reported support lists every nonzero of
@@ -511,8 +593,80 @@ let support_through_updates rng n updates =
   done;
   (!ok, Slu.ft_eta_nnz ft)
 
+(* [sort_prefix] against a plain sort, on position sets that straddle
+   32-bit word boundaries (31, 32, 63 and 64 are forced in), over
+   dimensions that are mostly not multiples of 32, short lists and long,
+   one scratch reused by every call. *)
+let sort_prefix_property =
+  let bits = Slu.bitmap 300 in
+  Seeded.to_alcotest ~seed:1503
+    (QCheck2.Test.make ~name:"sort_prefix sorts as List.sort" ~count:200
+       QCheck2.Gen.(pair (int_range 1 300) (int_bound 100_000))
+       (fun (n, seed) ->
+         let rng = Workload.Rng.create (Int64.of_int (seed + 13)) in
+         let take = Array.init n (fun _ -> Workload.Rng.int rng 3 = 0) in
+         List.iter (fun i -> if i < n then take.(i) <- true) [ 31; 32; 63; 64 ];
+         let set = List.filter (fun i -> take.(i)) (List.init n Fun.id) in
+         let a = Array.of_list set in
+         for i = Array.length a - 1 downto 1 do
+           let k = Workload.Rng.int rng (i + 1) in
+           let t = a.(i) in
+           a.(i) <- a.(k);
+           a.(k) <- t
+         done;
+         let len = Workload.Rng.int rng (Array.length a + 1) in
+         let expect = List.sort compare (Array.to_list (Array.sub a 0 len)) in
+         Slu.sort_prefix ~bits a len;
+         Array.to_list (Array.sub a 0 len) = expect))
+
+(* A solve whose reach is wide but whose values cancel: B = I plus a
+   column 0 with a 1 on [rows] (positions 31, 32, 63 and 64 among them,
+   n = 171).  FTRAN of e_0 + Σ e_rows gives 1 at 0 and exact zeros on
+   [rows]; BTRAN of |rows|·e_0 + Σ e_rows gives 1 on [rows] and an exact
+   zero at 0.  Each support is ascending, lists every nonzero, and lists
+   nothing outside the reach. *)
+let cancelled_support_test () =
+  let n = 171 in
+  let rows = [ 3; 17; 30; 31; 32; 33; 40; 62; 63; 64; 65; 90; 95; 96; 97;
+               100; 120; 127; 128; 129; 150; 160; 169; 170 ] in
+  let cols =
+    Array.init n (fun j ->
+        if j = 0 then (0, 1.0) :: List.map (fun i -> (i, 1.0)) rows
+        else [ (j, 1.0) ])
+  in
+  let s = Slu.scratch n in
+  let ft = factors_of s (csc_of_cols n cols) (Array.init n Fun.id) in
+  let check name solve b =
+    let rhs_nnz = Array.fold_left (fun c v -> if v <> 0.0 then c + 1 else c) 0 b in
+    ignore (solve ft s b : int);
+    if not (support_holds s n ~rhs_nnz b) then
+      Alcotest.failf "%s breaks the support contract" name;
+    let sup = Array.sub (Slu.support s) 0 (Slu.support_len s) in
+    Array.iter
+      (fun i ->
+        if i <> 0 && not (List.mem i rows) then
+          Alcotest.failf "%s lists %d outside the reach" name i)
+      sup;
+    b
+  in
+  let b = Array.make n 0.0 in
+  b.(0) <- 1.0;
+  List.iter (fun i -> b.(i) <- 1.0) rows;
+  let x = check "FTRAN" Slu.ft_ftran b in
+  Alcotest.(check bool) "FTRAN cancels on the rows" true
+    (x.(0) = 1.0 && List.for_all (fun i -> x.(i) = 0.0) rows);
+  let c = Array.make n 0.0 in
+  c.(0) <- float_of_int (List.length rows);
+  List.iter (fun i -> c.(i) <- 1.0) rows;
+  let y = check "BTRAN" Slu.ft_btran c in
+  Alcotest.(check bool) "BTRAN cancels at 0" true
+    (y.(0) = 0.0 && List.for_all (fun i -> y.(i) = 1.0) rows)
+
 let support_tests =
   [
+    sort_prefix_property;
+    Alcotest.test_case "supports of cancelling solves stay ordered" `Quick
+      cancelled_support_test;
     Seeded.to_alcotest ~seed:1501
       (QCheck2.Test.make
          ~name:"reach solves report every nonzero once, ascending" ~count:60
@@ -1325,7 +1479,15 @@ let suite =
     ("lina.lu", lu_tests @ lu_properties);
     ("lina.lu.reach", reach_properties);
     ( "lina.lu.ft",
-      ft_tests @ ft_properties @ [ singular_refactorization_test ] );
+      ft_tests @ ft_properties
+      @ [
+          singular_refactorization_test;
+          Alcotest.test_case "more than 2n updates without a refactorization"
+            `Quick (fun () ->
+              Alcotest.(check string) "digest"
+                "updates=1505 efda98c34694301588238b037e5a4c5f"
+                (long_update_digest ()));
+        ] );
     ("lina.lu.support", support_tests);
     ("lina.lu.roots", roots_tests);
     ("lina.lu.factorize", factorize_properties @ factorize_alloc_tests);

@@ -70,6 +70,66 @@ let canonical_row_tests =
         feq "obj_const" 2.5 (Lp.Std_form.of_model m).Lp.Std_form.obj_const);
   ]
 
+(* The standard form's matrix as it was assembled before [of_model]
+   transposed the model's row store itself: every row's canonical terms,
+   then the row's logical −1, replayed into a [Csc.Builder]. *)
+let builder_matrix m =
+  let n = Lp.Model.num_vars m and nr = Lp.Model.num_constrs m in
+  let b = Lina.Csc.Builder.create ~rows:nr ~cols:(n + nr) in
+  for i = 0 to nr - 1 do
+    List.iter
+      (fun ((x : Lp.Model.var), c) -> Lina.Csc.Builder.add b ~row:i ~col:(x :> int) c)
+      (Lp.Model.row_terms m i);
+    Lina.Csc.Builder.add b ~row:i ~col:(n + i) (-1.0)
+  done;
+  Lina.Csc.Builder.finish b
+
+let same_matrix (a : Lina.Csc.t) (b : Lina.Csc.t) =
+  let bits v = Array.map Int64.bits_of_float v in
+  a.Lina.Csc.rows = b.Lina.Csc.rows
+  && a.Lina.Csc.cols = b.Lina.Csc.cols
+  && a.Lina.Csc.col_ptr = b.Lina.Csc.col_ptr
+  && a.Lina.Csc.row_idx = b.Lina.Csc.row_idx
+  && bits a.Lina.Csc.value = bits b.Lina.Csc.value
+
+(* A random model: up to 40 variables and 30 rows of unsorted terms with
+   repeats, exact and tiny zeros, sums that cancel, and empty rows. *)
+let random_model rng =
+  let module R = Workload.Rng in
+  let m = Lp.Model.create () in
+  let n = R.int rng 41 in
+  let x = Array.init n (fun _ -> Lp.Model.add_var m ~lb:(-1.0) ~ub:3.0) in
+  let coefs = [| 1.0; -1.0; 0.5; 1e-12; 0.0; 0.1; 0.2; 0.3; -0.3; 2.5 |] in
+  for _ = 1 to (if n = 0 then 0 else R.int rng 31) do
+    let terms =
+      List.init (R.int rng 12) (fun _ -> (x.(R.int rng n), coefs.(R.int rng 10)))
+    in
+    match R.int rng 3 with
+    | 0 -> Lp.Model.add_le m terms 4.0
+    | 1 -> Lp.Model.add_ge m terms (-1.0)
+    | _ -> Lp.Model.add_range m ~lo:(-2.0) ~hi:2.0 terms
+  done;
+  if n > 0 then
+    Lp.Model.set_objective m Lp.Model.Maximize [ (x.(R.int rng n), 1.0) ];
+  m
+
+let std_form_tests =
+  [
+    Seeded.to_alcotest ~seed:1601
+      (QCheck2.Test.make ~name:"of_model's matrix is the Builder's, bit for bit"
+         ~count:200 QCheck2.Gen.(int_bound 100_000)
+         (fun seed ->
+           (* Three models in a row, so each is built after another one
+              was compiled. *)
+           let rng = Workload.Rng.create (Int64.of_int (seed + 7)) in
+           List.for_all
+             (fun _ ->
+               let m = random_model rng in
+               same_matrix (Lp.Std_form.of_model m).Lp.Std_form.a
+                 (builder_matrix m))
+             [ 1; 2; 3 ]));
+  ]
+
 let status = Alcotest.testable
     (fun ppf s -> Format.pp_print_string ppf (Lp.Simplex.status_to_string s))
     ( = )
@@ -601,7 +661,7 @@ let zeroed_buffer_tests =
 
 let suite =
   [
-    ("lp.model", model_tests @ canonical_row_tests);
+    ("lp.model", model_tests @ canonical_row_tests @ std_form_tests);
     ("lp.simplex", simplex_tests @ simplex_properties);
     ("lp.session", session_tests @ session_properties);
     ("lp.basis", basis_tests @ basis_properties @ zeroed_buffer_tests);

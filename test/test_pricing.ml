@@ -165,6 +165,75 @@ let tie_digest () =
     (sum (fun st -> st.Rstats.pricing_hits))
     (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
+(* --- warm dual re-solves ------------------------------------------------- *)
+
+(* A dive of warm dual re-solves on one tie-prone LP, as branch-and-bound
+   runs them: each step moves one bound of the structural whose value
+   sits farthest from it — on odd steps the upper bound to one unit
+   below the value, on even steps the lower bound to one unit above —
+   and re-solves from the last optimal basis, installed explicitly on
+   even steps and carried by the session on odd ones.  A child that is
+   not optimal is undone.  The leaving rows of these dual pivots tie
+   often (small integer data, unit devex weights at every start). *)
+let dual_chain sf =
+  let session = Simplex.create_session sf in
+  let budget = Test_lp_kernel.clock () and stats = Rstats.create () in
+  let lb, ub = Test_lp_kernel.root_bounds sf in
+  let r = ref (Simplex.session_solve session ~budget ~stats ~lb ~ub ()) in
+  let basis = ref !r.Simplex.final_basis in
+  let steps = Buffer.create 256 in
+  for step = 1 to 8 do
+    if !r.Simplex.status = Simplex.Optimal then begin
+      let x = !r.Simplex.x in
+      let pick = ref (-1) and gap = ref 0.5 in
+      Array.iteri
+        (fun j v ->
+          let g = if step mod 2 = 1 then v -. lb.(j) else ub.(j) -. v in
+          if g < infinity && g > !gap then begin
+            pick := j;
+            gap := g
+          end)
+        x;
+      if !pick >= 0 then begin
+        let j = !pick in
+        let lo = lb.(j) and hi = ub.(j) in
+        if step mod 2 = 1 then ub.(j) <- Float.max lo (x.(j) -. 1.0)
+        else lb.(j) <- Float.min hi (x.(j) +. 1.0);
+        let child =
+          if step mod 2 = 0 then
+            Simplex.session_solve session ~budget ~stats ?warm:!basis ~lb ~ub ()
+          else Simplex.session_solve session ~budget ~stats ~lb ~ub ()
+        in
+        Buffer.add_string steps
+          (Printf.sprintf "%d:%s/%d/%d/%s/%s;" j
+             (Simplex.status_to_string child.Simplex.status)
+             child.Simplex.iterations (Budget.ticks budget)
+             (Test_lp_kernel.digest_floats child.Simplex.x)
+             (Test_lp_kernel.digest_basis child.Simplex.final_basis));
+        if child.Simplex.status = Simplex.Optimal then begin
+          r := child;
+          basis := child.Simplex.final_basis
+        end
+        else begin
+          lb.(j) <- lo;
+          ub.(j) <- hi
+        end
+      end
+    end
+  done;
+  Simplex.session_release session;
+  (Buffer.contents steps, stats)
+
+(* Pivots, ticks, x and bases of every step of every dive, digested. *)
+let dual_chain_digest () =
+  let rng = Rng.create 4040L in
+  let runs = List.init 80 (fun _ -> dual_chain (tie_form rng)) in
+  let sum field = List.fold_left (fun acc (_, st) -> acc + field st) 0 runs in
+  Printf.sprintf "solves=%d pivots=%d %s"
+    (sum (fun st -> st.Rstats.lp_solves))
+    (sum (fun st -> st.Rstats.simplex_iterations))
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map fst runs))))
+
 (* --- row order ----------------------------------------------------------- *)
 
 let check_ascending label sf =
@@ -239,5 +308,8 @@ let suite =
           tie_digest;
         Alcotest.test_case "every priced matrix has ascending rows" `Quick
           row_order_test;
+        Test_lp_kernel.pinned "warm dual re-solves on tie-prone LPs"
+          "solves=283 pivots=1301 83bdf1782b03659e4dec7b02bc812074"
+          dual_chain_digest;
       ] );
   ]
