@@ -50,6 +50,8 @@ let tests () =
   let lp = small_lp () in
   let inst = bench_instance () in
   let grid = Graphs.Generators.grid ~rows:4 ~cols:5 in
+  let grid78 = Graphs.Generators.grid ~rows:7 ~cols:8 in
+  let n78 = Graphs.Digraph.num_nodes grid78 in
   [
     Test.make ~name:"lu-sparse-factorize-node-basis"
       (Staged.stage (fun () ->
@@ -60,6 +62,19 @@ let tests () =
     Test.make ~name:"floyd-warshall-grid-4x5"
       (Staged.stage (fun () ->
            ignore (Graphs.Paths.floyd_warshall grid ~weight:(fun _ -> 1.0))));
+    (* The path master's seeding: Yen's two cheapest hop-count paths,
+       for every ordered pair of distinct hosts of grid-relax's 7x8
+       substrate. *)
+    Test.make ~name:"yen-k2-seeding-grid-7x8-all-pairs"
+      (Staged.stage (fun () ->
+           for src = 0 to n78 - 1 do
+             for dst = 0 to n78 - 1 do
+               if src <> dst then
+                 ignore
+                   (Graphs.Paths.k_shortest_paths grid78
+                      ~weight:(fun _ -> 1.0) ~src ~dst ~k:2)
+             done
+           done));
     Test.make ~name:"csigma-build-k4"
       (Staged.stage (fun () -> ignore (Tvnep.Csigma_model.build inst)));
     Test.make ~name:"depgraph-ranges-k4"

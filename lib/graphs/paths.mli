@@ -8,8 +8,6 @@
 val bfs_distances : Digraph.t -> int -> int array
 (** Hop distances from a source; [-1] marks unreachable nodes. *)
 
-val is_reachable : Digraph.t -> src:int -> dst:int -> bool
-
 val reachability : Digraph.t -> bool array array
 (** [reachability g] is the transitive closure: [(closure.(u)).(v)] is true
     iff there is a (possibly empty) path u→v.  Diagonal entries are true. *)
@@ -41,7 +39,15 @@ val shortest_path : Digraph.t -> src:int -> dst:int -> int list option
     the smallest node id inside Dijkstra, and candidate paths order by
     (cost, then edge-id sequence lexicographically) — so generated
     columns are a pure function of the graph and the weights, whatever
-    the parallel schedule. *)
+    the parallel schedule.
+
+    All three searches run one Dijkstra kernel: a binary heap keyed by
+    (distance, node) over {!Digraph.csr}, with stamped per-domain
+    scratch, that stops once the destination is settled.  Because of
+    that early exit, each entry point checks {e every} edge's weight
+    before it searches: one negative weight anywhere in the graph raises
+    [Invalid_argument "Paths: negative arc weight"], even on an edge no
+    path to the destination uses. *)
 
 type weighted_path = {
   edges : int list;  (** edge ids in path order; [[]] iff src = dst *)
@@ -54,13 +60,6 @@ val path_nodes : Digraph.t -> weighted_path -> src:int -> int list
 val compare_paths : weighted_path -> weighted_path -> int
 (** Total order: cost, then edge ids lexicographically. *)
 
-val dijkstra :
-  Digraph.t -> weight:(Digraph.edge -> float) -> src:int -> float array * int array
-(** Single-source shortest distances and the parent {e edge} id per node
-    ([-1] = unreached/source).  Deterministic smallest-node-id
-    tie-breaking.
-    @raise Invalid_argument on a negative arc weight or bad source. *)
-
 val shortest_weighted_path :
   Digraph.t ->
   weight:(Digraph.edge -> float) ->
@@ -68,7 +67,10 @@ val shortest_weighted_path :
   dst:int ->
   weighted_path option
 (** Cheapest path under nonnegative arc weights; [None] if unreachable.
-    [src = dst] yields the empty path of cost 0. *)
+    [src = dst] yields the empty path of cost 0.  [weight] is called once
+    per edge, in id order.
+    @raise Invalid_argument on a bad endpoint or a negative weight on any
+    edge. *)
 
 val k_shortest_paths :
   Digraph.t ->
@@ -79,7 +81,9 @@ val k_shortest_paths :
   weighted_path list
 (** Yen's algorithm: up to [k] {e simple} paths in ascending
     [compare_paths] order (fewer when the graph runs out).  Deterministic
-    by the same tie-breaks.  [src = dst] yields just the empty path. *)
+    by the same tie-breaks.  [src = dst] yields just the empty path.
+    @raise Invalid_argument on a bad endpoint or, when [k > 0] and
+    [src <> dst], a negative weight on any edge. *)
 
 (** Reduced-cost shortest-path pricing for the restricted master of the
     path-form flow layer: a commodity is one virtual link with
@@ -89,7 +93,10 @@ module Pricer : sig
   type commodity = {
     src : int;
     dst : int;
-    arc_cost : int -> float;  (** dual-adjusted cost per edge id, >= 0 *)
+    arc_cost : float array;
+        (** dual-adjusted cost per edge id, >= 0; at least
+            [Digraph.num_edges] long.  Only read during {!price}, so one
+            buffer can serve every commodity in turn. *)
     threshold : float;
         (** a path prices in when [cost(p) - threshold < -eps] *)
   }
@@ -102,7 +109,9 @@ module Pricer : sig
   }
 
   val price : Digraph.t -> commodity -> verdict
-  (** The cheapest path under [arc_cost] and its reduced cost. *)
+  (** The cheapest path under [arc_cost] and its reduced cost.
+      @raise Invalid_argument on a bad endpoint, a short [arc_cost] or a
+      negative entry among its first [Digraph.num_edges]. *)
 
   val improves : eps:float -> verdict -> bool
   (** Whether the verdict's column strictly prices in ([reduced_cost <

@@ -97,7 +97,9 @@ type column = {
    downstream survives unchanged: logicals stay the last [n_rows]
    columns, [x = xval[0..n_struct)] still extracts the structurals, and a
    basis over the old form maps to the new one by shifting indices
-   >= old [n_struct] up by [k]. *)
+   >= old [n_struct] up by [k].  The columns are spliced straight into
+   new CSC arrays, entry for entry the matrix a [Csc.Builder] assembles
+   from the old columns followed by the new entries. *)
 let append_columns sf cols =
   let k = List.length cols in
   if k = 0 then sf
@@ -119,18 +121,68 @@ let append_columns sf cols =
       carr;
     let n' = n + k in
     let total' = n' + nr in
-    let b = Lina.Csc.Builder.create ~rows:nr ~cols:total' in
-    for j = 0 to n + nr - 1 do
-      let j' = if j < n then j else j + k in
-      Lina.Csc.iter_col sf.a j (fun i v -> Lina.Csc.Builder.add b ~row:i ~col:j' v)
+    (* Each new column's entries ordered by row, repeats newest first:
+       the order [Csc.Builder.finish] sums them in. *)
+    let sorted =
+      Array.map
+        (fun c ->
+          List.stable_sort
+            (fun (i, _) (i', _) -> Int.compare i i')
+            (List.rev c.col_entries))
+        carr
+    in
+    let ptr = sf.a.Lina.Csc.col_ptr and ri = sf.a.Lina.Csc.row_idx
+    and va = sf.a.Lina.Csc.value in
+    let cap =
+      Array.fold_left (fun acc l -> acc + List.length l) ptr.(n + nr) sorted
+    in
+    let col_ptr = Array.make (total' + 1) 0 in
+    let row_idx = Array.make cap 0 and value = Array.create_float cap in
+    let out = ref 0 in
+    (* Old column [j] as column [j']; like the Builder, it drops an entry
+       that [Tol.is_zero] accepts. *)
+    let copy j j' =
+      col_ptr.(j') <- !out;
+      for p = ptr.(j) to ptr.(j + 1) - 1 do
+        if not (Lina.Tol.is_zero va.(p)) then begin
+          row_idx.(!out) <- ri.(p);
+          value.(!out) <- va.(p);
+          incr out
+        end
+      done
+    in
+    for j = 0 to n - 1 do
+      copy j j
     done;
     Array.iteri
-      (fun idx c ->
-        List.iter
-          (fun (i, v) -> Lina.Csc.Builder.add b ~row:i ~col:(n + idx) v)
-          c.col_entries)
-      carr;
-    let a = Lina.Csc.Builder.finish b in
+      (fun idx entries ->
+        col_ptr.(n + idx) <- !out;
+        let rec merge = function
+          | [] -> ()
+          | (i, v) :: rest ->
+            let rec sum v = function
+              | (i', v') :: rest when i' = i -> sum (v +. v') rest
+              | rest -> (v, rest)
+            in
+            let v, rest = sum v rest in
+            if not (Lina.Tol.is_zero v) then begin
+              row_idx.(!out) <- i;
+              value.(!out) <- v;
+              incr out
+            end;
+            merge rest
+        in
+        merge entries)
+      sorted;
+    for j = n to n + nr - 1 do
+      copy j (j + k)
+    done;
+    col_ptr.(total') <- !out;
+    let row_idx = if !out = cap then row_idx else Array.sub row_idx 0 !out in
+    let value = if !out = cap then value else Array.sub value 0 !out in
+    let a =
+      Lina.Csc.of_arrays ~rows:nr ~cols:total' ~col_ptr ~row_idx ~value
+    in
     let splice old mk_new =
       Array.init total' (fun j ->
           if j < n then old.(j)

@@ -50,8 +50,10 @@ val append_columns : t -> column list -> t
     of the old form maps onto the new one by shifting every index
     [>= n_struct] up by [k] ({!Simplex.session_add_columns} does this
     in-place on a live session).  New columns are continuous.  The
-    original form is not mutated; the sparse matrix is rebuilt in
-    O(nnz).
+    original form is not mutated; the sparse matrix is copied in O(nnz)
+    with the new columns spliced in, each as {!Lina.Csc.Builder.finish}
+    would assemble it: rows ascending, repeated rows summed, sums that
+    [Tol.is_zero] accepts dropped.
     @raise Invalid_argument on a bad row index or crossed bounds. *)
 
 val user_objective : t -> float -> float

@@ -265,8 +265,11 @@ let generate ?lp_params ?stats ?prof ?fixed ~budget t =
   let n_nodes = Substrate.num_nodes sub in
   let n_edges = Graphs.Digraph.num_edges g in
   let eps = 1e-7 in
-  (* Deterministic pricing cost: one array-scan Dijkstra is O(n² + E). *)
+  (* Deterministic pricing cost, billed as an O(n² + E) array-scan
+     Dijkstra (the heap kernel that runs does less). *)
   let price_cost = (n_nodes * n_nodes) + n_edges in
+  (* One arc-cost buffer, refilled per commodity. *)
+  let arc_cost = Array.make n_edges 0.0 in
   let rounds0 = t.rounds and gen0 = t.generated in
   let converged = ref false in
   let last_obj = ref nan and tail = ref 0 in
@@ -312,7 +315,10 @@ let generate ?lp_params ?stats ?prof ?fixed ~budget t =
             (fun cm req ->
               let demand = t.cm_demand.(cm) in
               let rows = t.coup_row.(req) in
-              let arc_cost ls = Float.max 0.0 (-.demand *. y_int rows.(ls)) in
+              for ls = 0 to n_edges - 1 do
+                arc_cost.(ls) <-
+                  Float.max 0.0 (-.demand *. (factor *. duals.(rows.(ls))))
+              done;
               let c =
                 {
                   Paths.Pricer.src = t.cm_src.(cm);

@@ -92,31 +92,48 @@ let lp_column_tests =
   [
     Alcotest.test_case "append_columns == of_model with the column last"
       `Quick (fun () ->
-        (* max x + 2y (+ 3z) st x + y (+ z) <= 4, x (+ z) <= 3.  Splicing
-           z into the form of the model without it must give, bit for
-           bit, the form of the model that declares z as its last
-           variable. *)
+        (* max x + 2y (+ 3z + w + u/2) st x + y (+ z + 2w) <= 4,
+           x (+ z + 3/4 w + 3u) <= 3.  Splicing z, w and u into the form
+           of the model without them must give, bit for bit, the form of
+           the model that declares them as its last variables.  w's
+           entries repeat row 1 (0.5 + 0.25), and u's cancel in row 0
+           (1 - 1): the splice must sum repeats and drop the zero as the
+           model does. *)
         let build ~with_z =
           let m = Lp.Model.create () in
           let x = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 in
           let y = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 in
-          let z = if with_z then [ Lp.Model.add_var m ~lb:0.0 ~ub:10.0 ] else [] in
-          let z_term c = List.map (fun z -> (z, c)) z in
-          Lp.Model.add_le m ([ (x, 1.0); (y, 1.0) ] @ z_term 1.0) 4.0;
-          Lp.Model.add_le m ((x, 1.0) :: z_term 1.0) 3.0;
+          let extra =
+            if with_z then
+              List.init 3 (fun _ -> Lp.Model.add_var m ~lb:0.0 ~ub:10.0)
+            else []
+          in
+          (* [cs] lists each extra variable's coefficients in the row. *)
+          let terms cs =
+            if extra = [] then []
+            else
+              List.concat
+                (List.map2 (fun v c -> List.map (fun c -> (v, c)) c) extra cs)
+          in
+          Lp.Model.add_le m
+            ([ (x, 1.0); (y, 1.0) ] @ terms [ [ 1.0 ]; [ 2.0 ]; [ 1.0; -1.0 ] ])
+            4.0;
+          Lp.Model.add_le m
+            ((x, 1.0) :: terms [ [ 1.0 ]; [ 0.5; 0.25 ]; [ 3.0 ] ])
+            3.0;
           Lp.Model.set_objective m Lp.Model.Maximize
-            ([ (x, 1.0); (y, 2.0) ] @ z_term 3.0);
+            ([ (x, 1.0); (y, 2.0) ] @ terms [ [ 3.0 ]; [ 1.0 ]; [ 0.5 ] ]);
           Lp.Std_form.of_model m
+        in
+        let column col_cost col_entries =
+          { Lp.Std_form.col_cost; col_lb = 0.0; col_ub = 10.0; col_entries }
         in
         let spliced =
           Lp.Std_form.append_columns (build ~with_z:false)
             [
-              {
-                Lp.Std_form.col_cost = 3.0;
-                col_lb = 0.0;
-                col_ub = 10.0;
-                col_entries = [ (0, 1.0); (1, 1.0) ];
-              };
+              column 3.0 [ (0, 1.0); (1, 1.0) ];
+              column 1.0 [ (1, 0.5); (0, 2.0); (1, 0.25) ];
+              column 0.5 [ (0, 1.0); (1, 3.0); (0, -1.0) ];
             ]
         in
         let declared = build ~with_z:true in
@@ -140,8 +157,12 @@ let lp_column_tests =
           [| spliced.obj_const; spliced.obj_factor |];
         Alcotest.(check (array bool)) "integer" declared.integer
           spliced.integer;
+        ints "u's cancelled row 0 is gone" [| 1 |]
+          (let p = spliced.a.Lina.Csc.col_ptr in
+           [| p.(5) - p.(4) |]);
         (* z enters both rows: z = 3 binds the second row, leaving y = 1
-           in the first — objective 3·3 + 2·1 = 11. *)
+           in the first — objective 3·3 + 2·1 = 11 (duals 2 and 1 price
+           w and u out). *)
         Alcotest.(check (float 1e-9))
           "value" 11.0 (Lp.Simplex.solve spliced).Lp.Simplex.objective);
     Alcotest.test_case "session splice reuses the basis" `Quick (fun () ->

@@ -127,15 +127,48 @@ let yen_tests =
           +. 0.5
         in
         let fw = Graphs.Paths.floyd_warshall g ~weight in
-        let dist, _ = Graphs.Paths.dijkstra g ~weight ~src:0 in
+        let dist, _ = Path_oracle.dijkstra g ~weight ~src:0 in
         Array.iteri
-          (fun t d -> Alcotest.(check (float 1e-9)) "dist" fw.(0).(t) d)
+          (fun t d ->
+            Alcotest.(check (float 1e-9)) "oracle dist" fw.(0).(t) d;
+            match Graphs.Paths.shortest_weighted_path g ~weight ~src:0 ~dst:t with
+            | Some p ->
+              Alcotest.(check (float 1e-9)) "kernel cost" fw.(0).(t)
+                p.Graphs.Paths.cost
+            | None -> Alcotest.fail "grid is connected")
           dist);
     Alcotest.test_case "dijkstra rejects negative weights" `Quick (fun () ->
         let g = Graphs.Generators.ring 3 in
+        let negative () =
+          ignore
+            (Graphs.Paths.shortest_weighted_path g ~weight:(fun _ -> -1.0)
+               ~src:0 ~dst:1)
+        in
         Alcotest.check_raises "raise"
-          (Invalid_argument "Paths: negative arc weight") (fun () ->
-            ignore (Graphs.Paths.dijkstra g ~weight:(fun _ -> -1.0) ~src:0)));
+          (Invalid_argument "Paths: negative arc weight") negative;
+        (* The search would stop at node 1 before it reached edge 2 -> 0;
+           the weight check does not depend on the search. *)
+        let weight (e : Graphs.Digraph.edge) =
+          if e.Graphs.Digraph.src = 2 then -1.0 else 1.0
+        in
+        let far () =
+          ignore (Graphs.Paths.shortest_weighted_path g ~weight ~src:0 ~dst:1)
+        in
+        Alcotest.check_raises "unreached edge"
+          (Invalid_argument "Paths: negative arc weight") far;
+        let k2 () =
+          ignore (Graphs.Paths.k_shortest_paths g ~weight ~src:0 ~dst:1 ~k:2)
+        in
+        Alcotest.check_raises "yen"
+          (Invalid_argument "Paths: negative arc weight") k2;
+        let price () =
+          ignore
+            (Graphs.Paths.Pricer.price g
+               { Graphs.Paths.Pricer.src = 0; dst = 1;
+                 arc_cost = [| 1.0; 1.0; -1.0 |]; threshold = 0.0 })
+        in
+        Alcotest.check_raises "pricer"
+          (Invalid_argument "Paths: negative arc weight") price);
     Alcotest.test_case "yen on a diamond finds both paths" `Quick (fun () ->
         (* 0->1->3 (cost 2), 0->2->3 (cost 3): exactly two simple paths,
            asking for ten returns two, in cost order. *)
@@ -171,7 +204,7 @@ let yen_tests =
         (* 0->1->2 with unit arc costs: path cost 2. *)
         let c t =
           { Graphs.Paths.Pricer.src = 0; dst = 2;
-            arc_cost = (fun _ -> 1.0); threshold = t }
+            arc_cost = [| 1.0; 1.0 |]; threshold = t }
         in
         let v = Graphs.Paths.Pricer.price g (c 3.0) in
         Alcotest.(check (float 1e-9)) "reduced" (-1.0)
@@ -185,7 +218,7 @@ let yen_tests =
         let v =
           Graphs.Paths.Pricer.price g
             { Graphs.Paths.Pricer.src = 2; dst = 0;
-              arc_cost = (fun _ -> 1.0); threshold = 100.0 }
+              arc_cost = [| 1.0; 1.0 |]; threshold = 100.0 }
         in
         Alcotest.(check bool) "unreachable" true
           (v.Graphs.Paths.Pricer.path = None
@@ -251,6 +284,138 @@ let yen_properties =
            run () = run ()));
   ]
 
+(* The heap kernel against the array scan it replaced ([Path_oracle]):
+   the same edge lists and bit-identical costs from
+   [shortest_weighted_path], [k_shortest_paths] at k = 1..4 and
+   [Pricer.price], on seeded graphs built to stress the tie-breaks —
+   integer weights from {0, 1, 2} (zero-weight cycles included), parallel
+   edges and self-loops, sparse graphs with unreachable targets, and
+   bidirected grids with unit and integer weights. *)
+let oracle_tests =
+  let bits = Int64.bits_of_float in
+  let same_path (p : Graphs.Paths.weighted_path)
+      (q : Graphs.Paths.weighted_path) =
+    p.Graphs.Paths.edges = q.Graphs.Paths.edges
+    && bits p.Graphs.Paths.cost = bits q.Graphs.Paths.cost
+  in
+  let same_opt a b =
+    match (a, b) with
+    | None, None -> true
+    | Some p, Some q -> same_path p q
+    | _ -> false
+  in
+  (* Random multigraph: [m] edges with uniform endpoints. *)
+  let multigraph rng n m =
+    let g = Graphs.Digraph.create n in
+    for _ = 1 to m do
+      ignore
+        (Graphs.Digraph.add_edge g ~src:(Workload.Rng.int rng n)
+           ~dst:(Workload.Rng.int rng n))
+    done;
+    g
+  in
+  let graph rng case =
+    match case mod 4 with
+    | 0 ->
+      let n = 2 + Workload.Rng.int rng 11 in
+      Graphs.Generators.random_gnp ~n ~p:0.35 ~uniform:(fun () ->
+          Workload.Rng.float rng)
+    | 1 ->
+      let n = 2 + Workload.Rng.int rng 11 in
+      multigraph rng n (Workload.Rng.int rng (3 * n))
+    | 2 ->
+      let n = 2 + Workload.Rng.int rng 11 in
+      Graphs.Generators.random_gnp ~n ~p:0.12 ~uniform:(fun () ->
+          Workload.Rng.float rng)
+    | _ ->
+      Graphs.Generators.grid ~rows:(1 + Workload.Rng.int rng 5)
+        ~cols:(2 + Workload.Rng.int rng 6)
+  in
+  let weights rng g case =
+    let m = Graphs.Digraph.num_edges g in
+    match case mod 3 with
+    | 0 -> Array.init m (fun _ -> float_of_int (Workload.Rng.int rng 3))
+    | 1 -> Array.make m 1.0
+    | _ -> Array.init m (fun _ -> Workload.Rng.float rng *. 4.0)
+  in
+  [
+    Alcotest.test_case "kernel equals the array-scan oracle" `Quick (fun () ->
+        let rng = Workload.Rng.create 5104L in
+        let checked = ref 0 and unreachable = ref 0 in
+        for case = 0 to 5999 do
+          let g = graph rng case in
+          let w = weights rng g (case / 4) in
+          let weight (e : Graphs.Digraph.edge) = w.(e.Graphs.Digraph.id) in
+          let n = Graphs.Digraph.num_nodes g in
+          let src = Workload.Rng.int rng n and dst = Workload.Rng.int rng n in
+          let fail what =
+            Alcotest.failf "case %d (%s): %d nodes, %d edges, %d -> %d" case
+              what n (Graphs.Digraph.num_edges g) src dst
+          in
+          let p = Graphs.Paths.shortest_weighted_path g ~weight ~src ~dst in
+          if p = None then incr unreachable;
+          if not (same_opt p (Path_oracle.shortest_weighted_path g ~weight ~src ~dst))
+          then fail "shortest_weighted_path";
+          for k = 1 to 4 do
+            let ps = Graphs.Paths.k_shortest_paths g ~weight ~src ~dst ~k
+            and qs = Path_oracle.k_shortest_paths g ~weight ~src ~dst ~k in
+            if not (List.length ps = List.length qs && List.for_all2 same_path ps qs)
+            then fail (Printf.sprintf "k_shortest_paths k=%d" k)
+          done;
+          let threshold = float_of_int (Workload.Rng.int rng 6) in
+          let v =
+            Graphs.Paths.Pricer.price g
+              { Graphs.Paths.Pricer.src; dst; arc_cost = w; threshold }
+          and o =
+            Path_oracle.Pricer.price g
+              { Path_oracle.Pricer.src; dst; arc_cost = Array.get w; threshold }
+          in
+          if
+            not
+              (same_opt v.Graphs.Paths.Pricer.path o.Path_oracle.Pricer.path
+              && bits v.Graphs.Paths.Pricer.reduced_cost
+                 = bits o.Path_oracle.Pricer.reduced_cost)
+          then fail "Pricer.price";
+          incr checked
+        done;
+        Printf.printf "kernel = oracle on %d cases (%d unreachable)\n" !checked
+          !unreachable;
+        Alcotest.(check bool) "some targets unreachable" true (!unreachable > 0);
+        Alcotest.(check int) "cases" 6000 !checked);
+  ]
+
+(* Once built, the adjacency views and the CSR view cost nothing to
+   read, and a search on a warm scratch allocates only the path it
+   returns. *)
+let allocation_tests =
+  [
+    Alcotest.test_case "views and searches allocate only results" `Quick
+      (fun () ->
+        let g = Graphs.Generators.grid ~rows:7 ~cols:8 in
+        let n = Graphs.Digraph.num_nodes g in
+        let read () =
+          ignore (Graphs.Digraph.edges g);
+          ignore (Graphs.Digraph.out_edges g 5);
+          ignore (Graphs.Digraph.in_edges g 5);
+          ignore (Graphs.Digraph.csr g)
+        in
+        read ();
+        Alcotest.(check (float 0.0)) "views" 0.0 (Gc_probe.allocated_words read);
+        let c =
+          { Graphs.Paths.Pricer.src = 0; dst = n - 1;
+            arc_cost = Array.make (Graphs.Digraph.num_edges g) 1.0;
+            threshold = 0.0 }
+        in
+        let price () = ignore (Graphs.Paths.Pricer.price g c) in
+        price ();
+        (* The 13-edge path: its list, record, option and verdict, with
+           two boxed floats. *)
+        let words = Gc_probe.allocated_words price in
+        Printf.printf "Pricer.price on the 7x8 grid: %.0f words\n" words;
+        if words > float_of_int ((3 * 13) + 16) then
+          Alcotest.failf "Pricer.price allocated %.0f words" words);
+  ]
+
 let path_properties =
   [
     Seeded.to_alcotest ~seed:5103
@@ -278,8 +443,8 @@ let path_properties =
 
 let suite =
   [
-    ("graphs.digraph", digraph_tests);
+    ("graphs.digraph", digraph_tests @ allocation_tests);
     ("graphs.generators", generator_tests);
     ("graphs.paths", paths_tests @ path_properties);
-    ("graphs.yen", yen_tests @ yen_properties);
+    ("graphs.yen", yen_tests @ yen_properties @ oracle_tests);
   ]
