@@ -2,8 +2,9 @@
 
     The simplex solver stores the constraint matrix in this format: pricing
     and column extraction (FTRAN input) need fast access to whole columns.
-    Matrices are immutable once built; assemble them with {!Builder}, or
-    hand over arrays that already meet the invariants ({!of_arrays}). *)
+    Matrices are immutable once built.  Assemblers write the arrays in
+    final order and hand them over with {!of_arrays}, which checks the
+    invariants. *)
 
 type t = private {
   rows : int;
@@ -18,28 +19,6 @@ type t = private {
     with a vector adds its terms in ascending row order, so the
     row-wise scatter of a vector over the transpose, which walks the rows
     in ascending order, computes the same sums bit for bit. *)
-
-module Builder : sig
-  (** Mutable triplet accumulator.  Triplets are kept in insertion order
-      in fixed-size chunks, so adding never copies. *)
-
-  type b
-
-  val create : rows:int -> cols:int -> b
-
-  val add : b -> row:int -> col:int -> float -> unit
-  (** Records a coefficient.  Near-zero values are kept (they may cancel
-      or accumulate); cancellation is resolved at {!finish}.
-      @raise Invalid_argument when out of bounds. *)
-
-  val finish : b -> t
-  (** Assembles the matrix in O(nnz + rows + cols) time with two stable
-      counting sorts.  Contract: duplicate (row, col) entries are summed
-      left to right starting from the {e most recently added} one
-      ([((v_n +. v_(n-1)) +. ...) +. v_1]), and a sum that
-      [Tol.is_zero] accepts is dropped.  Rows are ascending within each
-      column. *)
-end
 
 val of_arrays :
   rows:int -> cols:int -> col_ptr:int array -> row_idx:int array ->
@@ -57,7 +36,8 @@ val cols : t -> int
 val nnz : t -> int
 
 val of_dense : float array array -> t
-(** [of_dense m] from a row-major dense matrix (rows of equal length). *)
+(** [of_dense m] from a row-major dense matrix (rows of equal length);
+    entries that [Tol.is_zero] accepts are not stored. *)
 
 val to_dense : t -> float array array
 

@@ -158,6 +158,7 @@ module Sparse = struct
     sbits : int array;
     mutable sstamp : int;
     mutable sup_n : int;
+    mutable out_nnz : int;  (* nonzeros the last FT solve scattered out *)
     mutable ep : int array;       (* factor row i is original row ep.(i) *)
     mutable eq : int array;       (* the static column order *)
     mutable epinv : int array;    (* original row -> factor row, or -1 *)
@@ -182,6 +183,7 @@ module Sparse = struct
       sbits = bitmap n;
       sstamp = 0;
       sup_n = -1;
+      out_nnz = 0;
       ep = [||];
       eq = [||];
       epinv = [||];
@@ -208,6 +210,7 @@ module Sparse = struct
 
   let support_len s = s.sup_n
   let support s = s.sr2
+  let result_nnz s = s.out_nnz
 
   let touch (mark : int array) (touched : int array) nt stamp i =
     if mark.(i) <> stamp then begin
@@ -946,10 +949,14 @@ module Sparse = struct
         end
       end
     done;
+    let nz = ref 0 in
     for jf = 0 to n - 1 do
-      b.(f.q.(jf)) <- w.(jf);
+      let x = w.(jf) in
+      if x <> 0.0 then incr nz;
+      b.(f.q.(jf)) <- x;
       w.(jf) <- 0.0
     done;
+    s.out_nnz <- !nz;
     n + ft_nnz f
 
   (* B x = b on the updated factors with work proportional to the
@@ -1053,14 +1060,17 @@ module Sparse = struct
       done;
       (* Scatter out; the result positions are compacted to the front of
          [sr2] as they are read (position t − utop never overtakes t). *)
-      let top = !utop in
+      let top = !utop and nz = ref 0 in
       for t = top to n - 1 do
         let j = s.sr2.(t) in
         let pos = f.q.(j) in
-        b.(pos) <- w.(j);
+        let x = w.(j) in
+        if x <> 0.0 then incr nz;
+        b.(pos) <- x;
         w.(j) <- 0.0;
         s.sr2.(t - top) <- pos
       done;
+      s.out_nnz <- !nz;
       finish_support s (n - top);
       !work
     end
@@ -1105,10 +1115,14 @@ module Sparse = struct
       done;
       w.(jf) <- !acc
     done;
+    let nz = ref 0 in
     for jf = 0 to n - 1 do
-      c.(f.p.(jf)) <- w.(jf);
+      let x = w.(jf) in
+      if x <> 0.0 then incr nz;
+      c.(f.p.(jf)) <- x;
       w.(jf) <- 0.0
     done;
+    s.out_nnz <- !nz;
     n + ft_nnz f
 
   (* Bᵀ y = c on the updated factors ([c] indexed by basis position,
@@ -1181,14 +1195,17 @@ module Sparse = struct
             w.(f.lr_idx.(e)) <- w.(f.lr_idx.(e)) -. (f.lr_val.(e) *. x)
           done
       done;
-      let top = !ltop in
+      let top = !ltop and nz = ref 0 in
       for t = top to n - 1 do
         let i = s.sr2.(t) in
         let row = f.p.(i) in
-        c.(row) <- w.(i);
+        let x = w.(i) in
+        if x <> 0.0 then incr nz;
+        c.(row) <- x;
         w.(i) <- 0.0;
         s.sr2.(t - top) <- row
       done;
+      s.out_nnz <- !nz;
       finish_support s (n - top);
       !work
     end

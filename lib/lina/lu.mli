@@ -225,6 +225,11 @@ module Sparse : sig
       Valid until the next solve, factorization or update on the
       scratch. *)
 
+  val result_nnz : scratch -> int
+  (** Nonzeros of the result of the last {!ft_ftran}/{!ft_btran} (any
+      of their forms, reach or dense path) on this scratch, counted as
+      the solve scattered them out. *)
+
   val ft_update : ft -> scratch -> r:int -> bool
   (** [ft_update f s ~r] swaps basis slot [r]'s factor column for the
       spike stashed by the last {!ft_ftran}.  Returns [false] when the

@@ -66,6 +66,7 @@ let unit_row t r out =
 
 let support_len t = Slu.support_len t.uscratch
 let support t = Slu.support t.uscratch
+let result_nnz t = Slu.result_nnz t.uscratch
 
 (* --- pivot update ------------------------------------------------------ *)
 

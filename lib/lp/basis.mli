@@ -119,6 +119,9 @@ val support : t -> int array
 (** The buffer holding that support in its first {!support_len}
     entries; overwritten by the next solve, factorization or update. *)
 
+val result_nnz : t -> int
+(** Nonzeros of the last solve's result, counted by the solve itself. *)
+
 val update : t -> r:int -> bool
 (** [update t ~r] makes the column of the last FTRAN basic at position
     [r] by a Forrest–Tomlin in-place update: it consumes the spike

@@ -7,7 +7,8 @@ type var = int
    [p] in [row_start.(i) .. row_start.(i + 1) - 1], in canonical form
    (ascending by variable, each variable once, no zero coefficient),
    with the bounds [row_lo.(i)], [row_hi.(i)].  Every array grows by
-   doubling. *)
+   doubling, and may be longer than its contents: a model can start on
+   the arrays of a released one. *)
 type t = {
   mutable v_lb : float array;
   mutable v_ub : float array;
@@ -23,25 +24,76 @@ type t = {
   mutable obj_sense : sense;
   mutable obj_terms : (var * float) list;
   mutable obj_offset : float;
+  mutable released : bool;
 }
 
+(* One spare store per domain: {!release} leaves a finished model's
+   arrays here and the next {!create} on the domain starts on them, so a
+   model build stops regrowing them by doubling from scratch.  The spare
+   is a model record of its own with nothing in it; a released record
+   keeps no array, so a stale handle cannot alias the next model. *)
+let spare : t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
 let create () =
-  {
-    v_lb = Array.make 16 0.0;
-    v_ub = Array.make 16 0.0;
-    v_kind = Array.make 16 Continuous;
-    n_vars = 0;
-    t_var = Array.make 64 0;
-    t_coeff = Array.make 64 0.0;
-    n_terms = 0;
-    row_start = Array.make 17 0;
-    row_lo = Array.make 16 0.0;
-    row_hi = Array.make 16 0.0;
-    n_rows = 0;
-    obj_sense = Minimize;
-    obj_terms = [];
-    obj_offset = 0.0;
-  }
+  let slot = Domain.DLS.get spare in
+  match !slot with
+  | Some m ->
+    slot := None;
+    m
+  | None ->
+    {
+      v_lb = Array.make 16 0.0;
+      v_ub = Array.make 16 0.0;
+      v_kind = Array.make 16 Continuous;
+      n_vars = 0;
+      t_var = Array.make 64 0;
+      t_coeff = Array.make 64 0.0;
+      n_terms = 0;
+      row_start = Array.make 17 0;
+      row_lo = Array.make 16 0.0;
+      row_hi = Array.make 16 0.0;
+      n_rows = 0;
+      obj_sense = Minimize;
+      obj_terms = [];
+      obj_offset = 0.0;
+      released = false;
+    }
+
+let live m = if m.released then invalid_arg "Model: released model"
+
+(* Keeps the arrays of the larger term store of [m] and the current
+   spare; [m] is left empty. *)
+let release m =
+  live m;
+  let slot = Domain.DLS.get spare in
+  (match !slot with
+  | Some sp when Array.length sp.t_var >= Array.length m.t_var -> ()
+  | _ ->
+    slot :=
+      Some
+        {
+          m with
+          n_vars = 0;
+          n_terms = 0;
+          n_rows = 0;
+          obj_sense = Minimize;
+          obj_terms = [];
+          obj_offset = 0.0;
+        });
+  m.v_lb <- [||];
+  m.v_ub <- [||];
+  m.v_kind <- [||];
+  m.n_vars <- 0;
+  m.t_var <- [||];
+  m.t_coeff <- [||];
+  m.n_terms <- 0;
+  m.row_start <- [||];
+  m.row_lo <- [||];
+  m.row_hi <- [||];
+  m.n_rows <- 0;
+  m.obj_terms <- [];
+  m.released <- true
 
 let grow a len fill =
   let bigger = Array.make (2 * Array.length a) fill in
@@ -54,6 +106,7 @@ let add_var ?(lb = 0.0) ?(ub = infinity) ?(kind = Continuous) m =
     | Binary -> (Float.max lb 0.0, Float.min ub 1.0)
     | Continuous | Integer -> (lb, ub)
   in
+  live m;
   let id = m.n_vars in
   if lb > ub then invalid_arg (Printf.sprintf "Model.add_var %d: lb > ub" id);
   if id = Array.length m.v_lb then begin
@@ -81,6 +134,7 @@ let push_term m v c =
    variable, a repeated variable's coefficients summed in the order
    given, sums that [Tol.is_zero] accepts dropped. *)
 let push_canonical m terms =
+  live m;
   let rec ascending = function
     | (a, _) :: ((b, _) :: _ as rest) -> (a : int) <= b && ascending rest
     | [ _ ] | [] -> true
@@ -144,9 +198,12 @@ let set_objective m sense ?(offset = 0.0) terms =
   m.obj_sense <- sense;
   m.obj_offset <- offset
 
-let objective m = (m.obj_sense, m.obj_terms, m.obj_offset)
+let objective m =
+  live m;
+  (m.obj_sense, m.obj_terms, m.obj_offset)
 
 let check_var m v =
+  live m;
   if v < 0 || v >= m.n_vars then invalid_arg "Model: unknown variable"
 
 let fix_var m v x =
@@ -154,8 +211,13 @@ let fix_var m v x =
   m.v_lb.(v) <- x;
   m.v_ub.(v) <- x
 
-let num_vars m = m.n_vars
-let num_constrs m = m.n_rows
+let num_vars m =
+  live m;
+  m.n_vars
+
+let num_constrs m =
+  live m;
+  m.n_rows
 
 let var_of_id m id =
   check_var m id;
@@ -173,9 +235,12 @@ let var_ub m v =
   check_var m v;
   m.v_ub.(v)
 
-let row_store m = (m.row_start, m.t_var, m.t_coeff)
+let row_store m =
+  live m;
+  (m.row_start, m.t_var, m.t_coeff)
 
 let check_row m i =
+  live m;
   if i < 0 || i >= m.n_rows then invalid_arg "Model: unknown row"
 
 let row_terms m i =

@@ -23,6 +23,17 @@ type var = private int
 (** Variable handle; its id is its structural column. *)
 
 val create : unit -> t
+(** An empty model.  It starts on the arrays of the last model
+    {!release}d on this domain when there is one, so building it
+    regrows nothing that model had already grown; the contents never
+    depend on which arrays it starts on. *)
+
+val release : t -> unit
+(** Hands the model's arrays to the next {!create} on this domain (the
+    domain keeps the larger term store of this model and the one it
+    already holds) and empties the model: every later use of it raises
+    [Invalid_argument].  Call it only on a model nothing reads any more.
+    @raise Invalid_argument when the model was already released. *)
 
 val add_var : ?lb:float -> ?ub:float -> ?kind:var_kind -> t -> var
 (** Adds a variable.  Defaults: [lb = 0.], [ub = infinity],

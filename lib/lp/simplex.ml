@@ -250,16 +250,6 @@ let dot_col st j v =
   end
   else st.fout.(0) <- st.art_sign.(j - st.n_total) *. v.(j - st.n_total)
 
-(* Nonzeros of [v], the result of the representation's last solve: over
-   the support the solve reported, else by a scan of all m positions. *)
-let result_nnz st v =
-  let ns = Basis.support_len st.rep and sup = Basis.support st.rep in
-  let nnz = ref 0 in
-  for t = 0 to (if ns >= 0 then ns else st.m) - 1 do
-    if v.(if ns >= 0 then sup.(t) else t) <> 0.0 then incr nnz
-  done;
-  !nnz
-
 (* Zeroes [v], which the solve that last wrote it left nonzero only over
    [sup.(0 .. n-1)] (everywhere when [n = -1]): the zeroed buffer that
    {!Basis.ftran_col} and {!Basis.unit_row} require. *)
@@ -288,7 +278,8 @@ let ftran st j =
     Basis.ftran_col st.rep st.sf.Std_form.a ~unit_sign:st.art_sign j st.w
   in
   st.wsup_n <- keep_support st st.wsup;
-  st.stats.Rstats.ftran_nnz <- st.stats.Rstats.ftran_nnz + result_nnz st st.w;
+  st.stats.Rstats.ftran_nnz <-
+    st.stats.Rstats.ftran_nnz + Basis.result_nnz st.rep;
   tick_ftran st work
 
 (* rho <- row r of B^-1, on the support discipline of {!ftran}; returns
@@ -558,7 +549,8 @@ let compute_duals st =
     st.y.(pos) <- st.cost.(st.basis.(pos))
   done;
   let work = Basis.btran_in_place st.rep st.y in
-  st.stats.Rstats.btran_nnz <- st.stats.Rstats.btran_nnz + result_nnz st st.y;
+  st.stats.Rstats.btran_nnz <-
+    st.stats.Rstats.btran_nnz + Basis.result_nnz st.rep;
   tick_btran st work
 
 (* Whether column [j] is nonbasic and not fixed: the columns pricing
@@ -1352,7 +1344,8 @@ let dual_optimize st =
          meeting the row are visited (rho is sparse under the factored
          basis). *)
       tick_btran st (unit_row st r);
-      st.stats.Rstats.btran_nnz <- st.stats.Rstats.btran_nnz + result_nnz st rho;
+      st.stats.Rstats.btran_nnz <-
+        st.stats.Rstats.btran_nnz + Basis.result_nnz st.rep;
       let ws = dual_ws st in
       let ntouch = pivot_row_scatter st ws rho in
       tick_pricing st (max 1 ntouch);
@@ -1496,14 +1489,15 @@ let result_of sf status ~xval ~y ~iterations ~final_basis =
   let reduced =
     (* Lazy: the O(nnz(A)) pricing of every structural column is wasted
        work on the branch-and-bound hot path, which only reads bounds and
-       duals.  The closure snapshots [y] (the state buffer is recycled by
-       the next session re-solve) and prices against the immutable
-       standard form. *)
+       duals.  When forced it rebuilds the internal duals as
+       [factor ·. duals] (exact, since [factor] is ±1) instead of keeping
+       a copy of [y], a state buffer the next session re-solve recycles,
+       and prices against the immutable standard form. *)
     let a = sf.Std_form.a in
     let cost = sf.Std_form.cost in
-    let y = Array.sub y 0 m in
     lazy
-      (Array.init n_struct (fun j ->
+      (let y = Array.map (fun d -> factor *. d) duals in
+       Array.init n_struct (fun j ->
            factor *. (cost.(j) -. Lina.Csc.col_dot a j y)))
   in
   {
@@ -1706,7 +1700,9 @@ let idle_form =
   {
     Std_form.n_struct = 0;
     n_rows = 0;
-    a = Lina.Csc.Builder.finish (Lina.Csc.Builder.create ~rows:0 ~cols:0);
+    a =
+      Lina.Csc.of_arrays ~rows:0 ~cols:0 ~col_ptr:[| 0 |] ~row_idx:[||]
+        ~value:[||];
     cost = [||];
     lb = [||];
     ub = [||];

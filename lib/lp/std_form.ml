@@ -15,8 +15,7 @@ type t = {
    and row i's logical −1 in column n + i.  [col_ptr] doubles as the fill
    cursor: after the scatter slot [j] holds the end of column [j], and
    one shift restores the starts.  Canonical rows repeat no variable and
-   hold no zero, so this is entry for entry the matrix a [Csc.Builder]
-   assembles from the same terms. *)
+   hold no zero, so no entry needs merging or dropping. *)
 let of_model m =
   let n = Model.num_vars m in
   let nr = Model.num_constrs m in
@@ -98,8 +97,8 @@ type column = {
    columns, [x = xval[0..n_struct)] still extracts the structurals, and a
    basis over the old form maps to the new one by shifting indices
    >= old [n_struct] up by [k].  The columns are spliced straight into
-   new CSC arrays, entry for entry the matrix a [Csc.Builder] assembles
-   from the old columns followed by the new entries. *)
+   new CSC arrays: the old columns, then the new entries summed per row
+   (see the mli). *)
 let append_columns sf cols =
   let k = List.length cols in
   if k = 0 then sf
@@ -122,7 +121,7 @@ let append_columns sf cols =
     let n' = n + k in
     let total' = n' + nr in
     (* Each new column's entries ordered by row, repeats newest first:
-       the order [Csc.Builder.finish] sums them in. *)
+       the order they are summed in. *)
     let sorted =
       Array.map
         (fun c ->
@@ -139,8 +138,8 @@ let append_columns sf cols =
     let col_ptr = Array.make (total' + 1) 0 in
     let row_idx = Array.make cap 0 and value = Array.create_float cap in
     let out = ref 0 in
-    (* Old column [j] as column [j']; like the Builder, it drops an entry
-       that [Tol.is_zero] accepts. *)
+    (* Old column [j] as column [j'], dropping an entry that
+       [Tol.is_zero] accepts. *)
     let copy j j' =
       col_ptr.(j') <- !out;
       for p = ptr.(j) to ptr.(j + 1) - 1 do

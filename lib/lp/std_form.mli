@@ -7,9 +7,8 @@
     [y ∈ [lo, hi]].  A maximization objective is negated ([obj_factor]
     restores the user-facing value).  Compilation is one counting
     transpose of the model's canonical row store ({!Model.row_store}) plus
-    the logical [-1] entries, straight into the CSC arrays of [a] — the
-    matrix a {!Lina.Csc.Builder} would assemble from the same terms, bit
-    for bit, without its chunks, sorts and duplicate merge; columns are
+    the logical [-1] entries, straight into the CSC arrays of [a] (rows
+    ascending within each column, no repeated row, no zero); columns are
     identified by index only.  The form does not carry [Aᵀ]: every solver
     session transposes [a] into buffers it recycles.
 
@@ -51,9 +50,10 @@ val append_columns : t -> column list -> t
     [>= n_struct] up by [k] ({!Simplex.session_add_columns} does this
     in-place on a live session).  New columns are continuous.  The
     original form is not mutated; the sparse matrix is copied in O(nnz)
-    with the new columns spliced in, each as {!Lina.Csc.Builder.finish}
-    would assemble it: rows ascending, repeated rows summed, sums that
-    [Tol.is_zero] accepts dropped.
+    with the new columns spliced in, each with its rows ascending, a
+    repeated row's coefficients summed newest first (the order of a
+    triplet accumulator that sorts stably by row over the entries
+    reversed), and sums that [Tol.is_zero] accepts dropped.
     @raise Invalid_argument on a bad row index or crossed bounds. *)
 
 val user_objective : t -> float -> float

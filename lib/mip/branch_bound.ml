@@ -514,8 +514,8 @@ let solve_form ?(params = default_params) ?initial ?budget ?stats ?prof sf =
       stats;
       prof;
       counted_bound = neg_infinity;
-      root_lb = Array.append (Array.sub sf.Lp.Std_form.lb 0 n_total) [||];
-      root_ub = Array.append (Array.sub sf.Lp.Std_form.ub 0 n_total) [||];
+      root_lb = Array.sub sf.Lp.Std_form.lb 0 n_total;
+      root_ub = Array.sub sf.Lp.Std_form.ub 0 n_total;
       wlb = Array.init jobs (fun _ -> Array.make n_total 0.0);
       wub = Array.init jobs (fun _ -> Array.make n_total 0.0);
       wprop = Array.init jobs (fun _ -> Propagate.scratch prop);

@@ -12,7 +12,9 @@
 type t
 
 val prepare : Lp.Std_form.t -> t
-(** Precomputes the row-wise view of the constraint matrix. *)
+(** Precomputes the row-wise view of the constraint matrix, and the rows
+    that tighten a bound or fail when processed alone at the form's own
+    bounds (one pass over the rows). *)
 
 type scratch
 (** Per-worker worklist state: one dirty flag per row.  Not domain-safe —
@@ -34,15 +36,22 @@ val run :
     as the row ranges and are never modified.  [max_rounds] defaults
     to 10.
 
-    Event-driven: round 1 processes every row; a later round processes
+    Event-driven: round 1 processes the rows {!prepare} found active at
+    the form's bounds, the rows of every column (structural, or the
+    row's own logical) whose bound in [lb]/[ub] differs from the form's,
+    and the rows its own changes mark; a later round processes
     a row only when a bound of one of its columns changed after the
     row's own last processing began (changes the row made itself
     included; each change marks its column's rows through the CSC of
-    the form).  A skipped row would recompute the same activities from
-    the same bounds and change nothing, so the bounds, the [Tightened]
-    count and the number of rounds are those of sweeping every row
-    every round.  Allocates nothing beyond what [scratch] holds. *)
+    the form).  A skipped row would recompute the activities of the
+    form's bounds or of its last processing and change nothing, so the
+    bounds, the [Tightened] count and the number of rounds are those of
+    sweeping every row every round.  Allocates nothing beyond what
+    [scratch] holds. *)
 
 val skipped : scratch -> int
-(** Rows the last [run] on this scratch skipped as clean (0 when it
-    ended in round 1). *)
+(** Row visits the last [run] on this scratch skipped as clean, over
+    all its rounds. *)
+
+val skipped_first_round : scratch -> int
+(** The part of {!skipped} in round 1. *)

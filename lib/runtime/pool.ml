@@ -45,8 +45,13 @@ let worker_loop t wid =
     end
   done
 
+(* A spawned domain starts with backtrace recording off, whatever its
+   parent's setting; each worker takes the setting of the domain that
+   created the pool, so a failure on a worker re-raises with the trace a
+   failure on the caller would have. *)
 let create ~jobs =
   let size = max 1 (if jobs <= 0 then recommended_jobs () else jobs) in
+  let record = Printexc.backtrace_status () in
   let t =
     {
       size;
@@ -63,7 +68,9 @@ let create ~jobs =
   t.domains <-
     Array.init (size - 1) (fun i ->
         let wid = i + 1 in
-        Domain.spawn (fun () -> worker_loop t wid));
+        Domain.spawn (fun () ->
+            Printexc.record_backtrace record;
+            worker_loop t wid));
   t
 
 let size t = t.size

@@ -36,6 +36,8 @@ val create : jobs:int -> t
 (** Spawn a pool with [jobs] workers total ([jobs <= 0] autodetects via
     {!recommended_jobs}).  [jobs - 1] domains are spawned and park idle;
     the caller's domain is worker [0] and participates in every {!run}.
+    Every spawned worker records backtraces exactly when the caller's
+    domain did at creation ({!Printexc.backtrace_status}).
     Must be released with {!shutdown} (or use {!with_pool}). *)
 
 val size : t -> int

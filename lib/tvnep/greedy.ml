@@ -78,14 +78,19 @@ let active_sets_of participants =
     (states_of (List.map (fun (_, s, e) -> (s, e)) participants))
 
 (* The LP of [flow_lp] (layout in the mli), and the first flow column of
-   each participating request. *)
+   each participating request.  The matrix is written column by column in
+   its final order: a flow column's two conservation entries (none for a
+   substrate self-loop, whose +1 and -1 share a row and cancel), then one
+   capacity entry per loaded state the request is active in, in state
+   order; the logical columns' -1 last. *)
 let assemble inst participants active_sets =
   let sub = inst.Instance.substrate in
   let n_sub = Substrate.num_nodes sub in
   let n_slinks = Substrate.num_links sub in
-  let slinks = Graphs.Digraph.edges (Substrate.graph sub) in
+  let slinks = Array.of_list (Graphs.Digraph.edges (Substrate.graph sub)) in
+  let k = Instance.num_requests inst in
   (* First flow column of every participating request (-1 elsewhere). *)
-  let first = Array.make (Instance.num_requests inst) (-1) in
+  let first = Array.make k (-1) in
   let n_struct, n_conserve =
     List.fold_left
       (fun (col, row) (req, _, _) ->
@@ -105,9 +110,37 @@ let assemble inst participants active_sets =
       active
   in
   let loaded_sets = List.filter loaded active_sets in
-  let n_rows = n_conserve + (List.length loaded_sets * n_slinks) in
+  let n_loaded = List.length loaded_sets in
+  let n_rows = n_conserve + (n_loaded * n_slinks) in
   let total = n_struct + n_rows in
-  let b = Lina.Csc.Builder.create ~rows:n_rows ~cols:total in
+  (* The loaded states each request is active in, ascending. *)
+  let in_states = Array.make k [] in
+  List.iteri
+    (fun i active ->
+      let st = n_loaded - 1 - i in
+      List.iter (fun req -> in_states.(req) <- st :: in_states.(req)) active)
+    (List.rev loaded_sets);
+  let col_ptr = Array.make (total + 1) 0 in
+  let count = ref 0 in
+  List.iter
+    (fun (req, _, _) ->
+      let demand = (Instance.request inst req).Request.link_demand in
+      let n_active = List.length in_states.(req) in
+      for lv = 0 to Array.length demand - 1 do
+        let n_cap = if Lina.Tol.is_zero demand.(lv) then 0 else n_active in
+        let base = first.(req) + (lv * n_slinks) in
+        for ls = 0 to n_slinks - 1 do
+          let e = slinks.(ls) in
+          count := !count + (if e.src = e.dst then 0 else 2) + n_cap;
+          col_ptr.(base + ls + 1) <- !count
+        done
+      done)
+    participants;
+  for i = 0 to n_rows - 1 do
+    col_ptr.(n_struct + i + 1) <- !count + i + 1
+  done;
+  let nnz = col_ptr.(total) in
+  let row_idx = Array.make nnz 0 and value = Array.create_float nnz in
   (* Flow columns are [0, 1]; every row sets its logical's bounds below. *)
   let lb = Array.make total 0.0 and ub = Array.make total 1.0 in
   let row = ref 0 in
@@ -119,15 +152,31 @@ let assemble inst participants active_sets =
         | Some m -> m
         | None -> assert false
       in
+      let states = in_states.(req) in
       List.iter
         (fun (lv : Graphs.Digraph.edge) ->
           let base = first.(req) + (lv.id * n_slinks) in
-          List.iter
-            (fun (e : Graphs.Digraph.edge) ->
-              Lina.Csc.Builder.add b ~row:(!row + e.src) ~col:(base + e.id) 1.0;
-              Lina.Csc.Builder.add b ~row:(!row + e.dst) ~col:(base + e.id)
-                (-1.0))
-            slinks;
+          let d = r.Request.link_demand.(lv.id) in
+          for ls = 0 to n_slinks - 1 do
+            let e = slinks.(ls) in
+            let p = ref col_ptr.(base + ls) in
+            if e.src <> e.dst then begin
+              (* +1 at the source row, -1 at the target row. *)
+              let v = if e.src < e.dst then 1.0 else -1.0 in
+              row_idx.(!p) <- !row + min e.src e.dst;
+              value.(!p) <- v;
+              row_idx.(!p + 1) <- !row + max e.src e.dst;
+              value.(!p + 1) <- -.v;
+              p := !p + 2
+            end;
+            if not (Lina.Tol.is_zero d) then
+              List.iter
+                (fun st ->
+                  row_idx.(!p) <- n_conserve + (st * n_slinks) + ls;
+                  value.(!p) <- d;
+                  incr p)
+                states
+          done;
           for s = 0 to n_sub - 1 do
             let rhs =
               (if mapping.(lv.src) = s then 1.0 else 0.0)
@@ -139,33 +188,19 @@ let assemble inst participants active_sets =
           row := !row + n_sub)
         (Graphs.Digraph.edges r.Request.graph))
     participants;
-  List.iter
-    (fun active ->
-      for ls = 0 to n_slinks - 1 do
-        List.iter
-          (fun req ->
-            let demand = (Instance.request inst req).Request.link_demand in
-            Array.iteri
-              (fun lv d ->
-                if not (Lina.Tol.is_zero d) then
-                  Lina.Csc.Builder.add b ~row:!row
-                    ~col:(first.(req) + (lv * n_slinks) + ls)
-                    d)
-              demand)
-          active;
-        lb.(n_struct + !row) <- neg_infinity;
-        ub.(n_struct + !row) <- Substrate.link_cap sub ls;
-        incr row
-      done)
-    loaded_sets;
+  for i = n_conserve to n_rows - 1 do
+    lb.(n_struct + i) <- neg_infinity;
+    ub.(n_struct + i) <- Substrate.link_cap sub ((i - n_conserve) mod n_slinks)
+  done;
   for i = 0 to n_rows - 1 do
-    Lina.Csc.Builder.add b ~row:i ~col:(n_struct + i) (-1.0)
+    row_idx.(col_ptr.(n_struct + i)) <- i;
+    value.(col_ptr.(n_struct + i)) <- -1.0
   done;
   let sf =
     {
       Lp.Std_form.n_struct;
       n_rows;
-      a = Lina.Csc.Builder.finish b;
+      a = Lina.Csc.of_arrays ~rows:n_rows ~cols:total ~col_ptr ~row_idx ~value;
       cost = Array.init total (fun j -> if j < n_struct then 1.0 else 0.0);
       lb;
       ub;
@@ -236,6 +271,8 @@ let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
       (fun (req, start) ->
         if req < 0 || req >= k then
           invalid_arg "Greedy.run: preplaced request out of range";
+        if List.length (List.filter (fun (r, _) -> r = req) preplaced) > 1 then
+          invalid_arg "Greedy.run: request preplaced twice";
         let r = Instance.request inst req in
         if
           start < r.Request.start_min -. 1e-9

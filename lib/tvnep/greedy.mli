@@ -25,10 +25,10 @@ type stats = {
 val flow_lp : Instance.t -> (int * float * float) list -> Lp.Std_form.t
 (** [flow_lp inst participants] is the feasibility LP of one probe, for
     [participants] given as (request, start, end) with fixed times, in
-    the order the probe lists them.  Every participant needs a fixed node
-    mapping.  Its states are the gaps between consecutive interval
-    endpoints, and a request is active in a state when its open interval
-    overlaps it.  The layout is a contract:
+    the order the probe lists them, each request at most once.  Every
+    participant needs a fixed node mapping.  Its states are the gaps
+    between consecutive interval endpoints, and a request is active in a
+    state when its open interval overlaps it.  The layout is a contract:
 
     - columns: one per (participant, virtual link, substrate link), in
       participant order, then virtual link id, then substrate link id;
@@ -44,7 +44,10 @@ val flow_lp : Instance.t -> (int * float * float) list -> Lp.Std_form.t
       whose rows would all be empty emits none;
     - logicals follow, one per row, as in {!Lp.Std_form}.
 
-    The form equals [Lp.Std_form.of_model] of the same LP written as
+    The matrix is written straight into CSC arrays: a flow column lists
+    its two conservation rows ascending (none on a substrate self-loop,
+    whose +1 and -1 cancel), then its capacity rows in state order.  The
+    form equals [Lp.Std_form.of_model] of the same LP written as
     {!Lp.Model} term rows, bit for bit. *)
 
 val run :
@@ -73,5 +76,5 @@ val run :
     {!Solver.run}).  Their link flows are re-optimized together with
     every later admission.
     @raise Invalid_argument when the instance has no fixed node mappings,
-    a pre-placement is out of range or outside its request's window, or
-    the pre-placements are jointly infeasible. *)
+    a pre-placement is out of range, repeated or outside its request's
+    window, or the pre-placements are jointly infeasible. *)

@@ -373,9 +373,15 @@ let colgen_stats = function
         colgen_converged = p.converged;
       }
 
-(* An outcome carrying the relaxation's model size and colgen counters. *)
+(* An outcome carrying the relaxation's model size and colgen counters.
+   Every method builds it once, after extracting its solution, so this is
+   the last read of an arc-form model: its arrays go to the next model
+   this domain builds. *)
 let relaxed_outcome method_used r stats =
   let model_vars, model_rows = size r in
+  (match r with
+  | Arc_form fm -> Lp.Model.release fm.Formulation.model
+  | Path_form _ -> ());
   { (blank method_used stats) with
     model_vars; model_rows; colgen = colgen_stats r }
 

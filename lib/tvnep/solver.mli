@@ -259,7 +259,10 @@ val build :
     built exactly as [run] builds it: objective applied, [pinned]
     requests' acceptance and start variables fixed, [forced] requests'
     acceptance fixed.  [?budget] only timestamps the build spans when the
-    options carry a profiler. *)
+    options carry a profiler.  The model stays with the caller: [run]
+    hands the model of its own arc-form relaxation to
+    {!Lp.Model.release} once its outcome is extracted, never one built
+    here. *)
 
 (** {2 Versioned JSON encoding}
 

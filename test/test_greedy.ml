@@ -26,6 +26,13 @@ let unit_tests =
         Alcotest.check_raises "raise"
           (Invalid_argument "Greedy.run: fixed node mappings required")
           (fun () -> ignore (Tvnep.Greedy.run inst)));
+    Alcotest.test_case "a repeated pre-placement is rejected" `Quick (fun () ->
+        let inst = scenario ~k:3 1L in
+        let start = (Tvnep.Instance.request inst 0).Tvnep.Request.start_min in
+        Alcotest.check_raises "raise"
+          (Invalid_argument "Greedy.run: request preplaced twice") (fun () ->
+            ignore
+              (Tvnep.Greedy.run ~preplaced:[ (0, start); (0, start) ] inst)));
     Alcotest.test_case "accepts everything on an uncontended instance" `Quick
       (fun () ->
         let g = Graphs.Generators.grid ~rows:2 ~cols:2 in
@@ -188,6 +195,83 @@ module Reference = struct
     Lp.Std_form.of_model model
 end
 
+(* [Greedy]'s matrix as it was assembled before it wrote CSC arrays in
+   final order: the same entries, kept verbatim, replayed into the
+   [Csc_builder] oracle, which sums and drops what cancels (a substrate
+   self-loop's +1 and -1) and sorts every column by row. *)
+module Builder_reference = struct
+  open Tvnep
+
+  let matrix inst participants =
+    let sub = inst.Instance.substrate in
+    let n_sub = Substrate.num_nodes sub in
+    let n_slinks = Substrate.num_links sub in
+    let slinks = Graphs.Digraph.edges (Substrate.graph sub) in
+    let first = Array.make (Instance.num_requests inst) (-1) in
+    let n_struct, n_conserve =
+      List.fold_left
+        (fun (col, row) (req, _, _) ->
+          let n_vlinks = Request.num_vlinks (Instance.request inst req) in
+          first.(req) <- col;
+          (col + (n_vlinks * n_slinks), row + (n_vlinks * n_sub)))
+        (0, 0) participants
+    in
+    let active_sets =
+      List.map
+        (fun (lo, hi) ->
+          List.filter_map
+            (fun (req, s, e) ->
+              if Reference.overlaps s e lo hi then Some req else None)
+            participants)
+        (Reference.states_of (List.map (fun (_, s, e) -> (s, e)) participants))
+    in
+    let loaded active =
+      List.exists
+        (fun req ->
+          Array.exists
+            (fun d -> not (Lina.Tol.is_zero d))
+            (Instance.request inst req).Request.link_demand)
+        active
+    in
+    let loaded_sets = List.filter loaded active_sets in
+    let n_rows = n_conserve + (List.length loaded_sets * n_slinks) in
+    let b = Csc_builder.create ~rows:n_rows ~cols:(n_struct + n_rows) in
+    let row = ref 0 in
+    List.iter
+      (fun (req, _, _) ->
+        List.iter
+          (fun (lv : Graphs.Digraph.edge) ->
+            let base = first.(req) + (lv.id * n_slinks) in
+            List.iter
+              (fun (e : Graphs.Digraph.edge) ->
+                Csc_builder.add b ~row:(!row + e.src) ~col:(base + e.id) 1.0;
+                Csc_builder.add b ~row:(!row + e.dst) ~col:(base + e.id) (-1.0))
+              slinks;
+            row := !row + n_sub)
+          (Graphs.Digraph.edges (Instance.request inst req).Request.graph))
+      participants;
+    List.iter
+      (fun active ->
+        for ls = 0 to n_slinks - 1 do
+          List.iter
+            (fun req ->
+              Array.iteri
+                (fun lv d ->
+                  if not (Lina.Tol.is_zero d) then
+                    Csc_builder.add b ~row:!row
+                      ~col:(first.(req) + (lv * n_slinks) + ls)
+                      d)
+                (Instance.request inst req).Request.link_demand)
+            active;
+          incr row
+        done)
+      loaded_sets;
+    for i = 0 to n_rows - 1 do
+      Csc_builder.add b ~row:i ~col:(n_struct + i) (-1.0)
+    done;
+    Csc_builder.finish b
+end
+
 let bits a = Array.map Int64.bits_of_float a
 
 let check_flow_lp label inst participants =
@@ -204,6 +288,18 @@ let check_flow_lp label inst participants =
   ints "col_ptr" (fun sf -> sf.Lp.Std_form.a.Lina.Csc.col_ptr);
   ints "row_idx" (fun sf -> sf.Lp.Std_form.a.Lina.Csc.row_idx);
   floats "value" (fun sf -> sf.Lp.Std_form.a.Lina.Csc.value);
+  let built = Builder_reference.matrix inst participants in
+  let csc what f =
+    Alcotest.(check (array int))
+      (label ^ " Builder " ^ what)
+      (f built) (f got.Lp.Std_form.a)
+  in
+  csc "col_ptr" (fun a -> a.Lina.Csc.col_ptr);
+  csc "row_idx" (fun a -> a.Lina.Csc.row_idx);
+  Alcotest.(check (array int64)) (label ^ " Builder value")
+    (bits built.Lina.Csc.value) (bits got.Lp.Std_form.a.Lina.Csc.value);
+  Alcotest.(check int) (label ^ " Builder rows") built.Lina.Csc.rows
+    got.Lp.Std_form.a.Lina.Csc.rows;
   floats "lb" (fun sf -> sf.Lp.Std_form.lb);
   floats "ub" (fun sf -> sf.Lp.Std_form.ub);
   floats "cost" (fun sf -> sf.Lp.Std_form.cost);
@@ -232,6 +328,55 @@ let zero_demand_instance () =
     ~substrate
     ~requests:[| mk "a" [| 1.5; 0.0 |]; mk "z" [| 0.0; 0.0 |]; mk "b" [| 0.7; 1.2 |] |]
     ~horizon:4.0 ()
+
+(* A triangle with two substrate self-loops (links 1 and 4) under three
+   2-link stars: [a]'s second link demands nothing, [b] maps both ends of
+   its first link onto one host. *)
+let self_loop_instance () =
+  let g = Graphs.Digraph.create 3 in
+  List.iter
+    (fun (src, dst) -> ignore (Graphs.Digraph.add_edge g ~src ~dst))
+    [ (0, 1); (1, 1); (1, 2); (2, 0); (2, 2) ];
+  let substrate = Tvnep.Substrate.uniform g ~node_cap:10.0 ~link_cap:2.0 in
+  let rg =
+    Graphs.Generators.star ~leaves:2
+      ~orientation:Graphs.Generators.From_center
+  in
+  let mk name link_demand =
+    Tvnep.Request.make ~name ~graph:rg ~node_demand:[| 0.5; 0.5; 0.5 |]
+      ~link_demand ~duration:1.0 ~start_min:0.0 ~end_max:4.0
+  in
+  Tvnep.Instance.make
+    ~node_mappings:[| [| 0; 1; 2 |]; [| 1; 1; 2 |]; [| 2; 0; 1 |] |]
+    ~substrate
+    ~requests:
+      [| mk "a" [| 1.0; 0.0 |]; mk "b" [| 0.5; 0.5 |]; mk "c" [| 0.3; 0.2 |] |]
+    ~horizon:4.0 ()
+
+(* [inst] with a self-loop appended at every third substrate node. *)
+let with_self_loops inst =
+  let sub = inst.Tvnep.Instance.substrate in
+  let g = Tvnep.Substrate.graph sub in
+  let n = Graphs.Digraph.num_nodes g in
+  let g' = Graphs.Digraph.create n in
+  List.iter
+    (fun (e : Graphs.Digraph.edge) ->
+      ignore (Graphs.Digraph.add_edge g' ~src:e.src ~dst:e.dst))
+    (Graphs.Digraph.edges g);
+  for v = 0 to n - 1 do
+    if v mod 3 = 0 then ignore (Graphs.Digraph.add_edge g' ~src:v ~dst:v)
+  done;
+  let m = Graphs.Digraph.num_edges g in
+  let substrate =
+    Tvnep.Substrate.make g'
+      ~node_cap:(Array.init n (Tvnep.Substrate.node_cap sub))
+      ~link_cap:
+        (Array.init (Graphs.Digraph.num_edges g') (fun e ->
+             if e < m then Tvnep.Substrate.link_cap sub e else 1.0))
+  in
+  Tvnep.Instance.make ?node_mappings:inst.Tvnep.Instance.node_mappings
+    ~substrate ~requests:inst.Tvnep.Instance.requests
+    ~horizon:inst.Tvnep.Instance.horizon ()
 
 (* Every request once, in a seeded order, each at a seeded start inside its
    window; the prefixes of this list are probe-shaped participant sets. *)
@@ -267,6 +412,30 @@ let flow_lp_tests =
             ( "several participants, reversed",
               [ (1, 0.2, 1.2); (0, 0.5, 1.5); (2, 0.0, 1.0) ] );
           ]);
+    Alcotest.test_case "self-loop substrate links" `Quick (fun () ->
+        (* [a] spans three loaded states; the loops' flow columns carry
+           no conservation entry, only capacity entries. *)
+        let inst = self_loop_instance () in
+        List.iter
+          (fun (label, participants) -> check_flow_lp label inst participants)
+          [
+            ("one participant", [ (1, 0.0, 1.0) ]);
+            ( "several loaded states",
+              [ (0, 0.0, 3.0); (1, 0.0, 1.0); (2, 2.0, 3.0) ] );
+            ( "overlapping, reversed",
+              [ (2, 1.5, 2.5); (1, 0.5, 1.5); (0, 0.0, 3.0) ] );
+          ];
+        List.iter
+          (fun seed ->
+            let inst = with_self_loops (scenario ~k:5 ~flex:2.0 seed) in
+            List.iter
+              (fun participants ->
+                check_flow_lp
+                  (Printf.sprintf "looped seed %Ld, %d participants" seed
+                     (List.length participants))
+                  inst participants)
+              (prefixes (seeded_participants inst (Int64.add seed 50L))))
+          [ 5L; 23L ]);
     Alcotest.test_case "seeded scaled scenarios" `Quick (fun () ->
         List.iter
           (fun seed ->

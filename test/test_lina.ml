@@ -11,16 +11,16 @@ let csc_tests =
         let back = Lina.Csc.to_dense m in
         Alcotest.(check bool) "roundtrip" true (back = dense));
     Alcotest.test_case "duplicate entries summed" `Quick (fun () ->
-        let b = Lina.Csc.Builder.create ~rows:2 ~cols:2 in
-        Lina.Csc.Builder.add b ~row:0 ~col:1 1.5;
-        Lina.Csc.Builder.add b ~row:0 ~col:1 2.5;
-        let m = Lina.Csc.Builder.finish b in
+        let b = Csc_builder.create ~rows:2 ~cols:2 in
+        Csc_builder.add b ~row:0 ~col:1 1.5;
+        Csc_builder.add b ~row:0 ~col:1 2.5;
+        let m = Csc_builder.finish b in
         feq "summed" 4.0 (Lina.Csc.get m 0 1));
     Alcotest.test_case "cancelling entries dropped" `Quick (fun () ->
-        let b = Lina.Csc.Builder.create ~rows:1 ~cols:1 in
-        Lina.Csc.Builder.add b ~row:0 ~col:0 1.0;
-        Lina.Csc.Builder.add b ~row:0 ~col:0 (-1.0);
-        let m = Lina.Csc.Builder.finish b in
+        let b = Csc_builder.create ~rows:1 ~cols:1 in
+        Csc_builder.add b ~row:0 ~col:0 1.0;
+        Csc_builder.add b ~row:0 ~col:0 (-1.0);
+        let m = Csc_builder.finish b in
         Alcotest.(check int) "nnz" 0 (Lina.Csc.nnz m));
     Alcotest.test_case "mult_vec / mult_trans_vec" `Quick (fun () ->
         let m = Lina.Csc.of_dense [| [| 1.; 2. |]; [| 3.; 4. |] |] in
@@ -36,10 +36,10 @@ let csc_tests =
         feq "t(1,0)" 2.0 (Lina.Csc.get t 1 0);
         feq "t(0,1)" 0.0 (Lina.Csc.get t 0 1));
     Alcotest.test_case "out of bounds rejected" `Quick (fun () ->
-        let b = Lina.Csc.Builder.create ~rows:1 ~cols:1 in
+        let b = Csc_builder.create ~rows:1 ~cols:1 in
         Alcotest.check_raises "bad row"
-          (Invalid_argument "Csc.Builder.add: index out of bounds") (fun () ->
-            Lina.Csc.Builder.add b ~row:1 ~col:0 1.0));
+          (Invalid_argument "Csc_builder.add: index out of bounds") (fun () ->
+            Csc_builder.add b ~row:1 ~col:0 1.0));
     Alcotest.test_case "of_arrays checks the CSC invariants" `Quick (fun () ->
         let make col_ptr row_idx value =
           Lina.Csc.of_arrays ~rows:3 ~cols:2 ~col_ptr ~row_idx ~value
@@ -100,9 +100,9 @@ let oracle_finish ~cols triplets =
   (col_ptr, row_idx, value)
 
 let build ~rows ~cols triplets =
-  let b = Lina.Csc.Builder.create ~rows ~cols in
-  List.iter (fun (r, c, v) -> Lina.Csc.Builder.add b ~row:r ~col:c v) triplets;
-  Lina.Csc.Builder.finish b
+  let b = Csc_builder.create ~rows ~cols in
+  List.iter (fun (r, c, v) -> Csc_builder.add b ~row:r ~col:c v) triplets;
+  Csc_builder.finish b
 
 (* Structural equality with floats compared bit for bit. *)
 let same_csc (m : Lina.Csc.t) (col_ptr, row_idx, value) =
@@ -175,13 +175,13 @@ let csc_alloc_tests =
     Alcotest.test_case "transpose allocates only its result" `Quick (fun () ->
         let rng = Workload.Rng.create 7L in
         let rows = 300 and cols = 500 in
-        let b = Lina.Csc.Builder.create ~rows ~cols in
+        let b = Csc_builder.create ~rows ~cols in
         for _ = 1 to 4000 do
-          Lina.Csc.Builder.add b ~row:(Workload.Rng.int rng rows)
+          Csc_builder.add b ~row:(Workload.Rng.int rng rows)
             ~col:(Workload.Rng.int rng cols)
             (Workload.Rng.float_range rng 1.0 2.0)
         done;
-        let m = Lina.Csc.Builder.finish b in
+        let m = Csc_builder.finish b in
         let words =
           Gc_probe.allocated_words (fun () -> ignore (Lina.Csc.transpose m : Lina.Csc.t))
         in
@@ -343,12 +343,12 @@ let factors_of s a basic =
 
 (* [cols] as a CSC matrix (no duplicate entries). *)
 let csc_of_cols n cols =
-  let b = Lina.Csc.Builder.create ~rows:n ~cols:n in
+  let b = Csc_builder.create ~rows:n ~cols:n in
   Array.iteri
     (fun j entries ->
-      List.iter (fun (i, v) -> Lina.Csc.Builder.add b ~row:i ~col:j v) entries)
+      List.iter (fun (i, v) -> Csc_builder.add b ~row:i ~col:j v) entries)
     cols;
-  Lina.Csc.Builder.finish b
+  Csc_builder.finish b
 
 (* A replacement column with a dominant entry on row [r]: keeps the basis
    diagonally dominant, so the updated diagonal stays healthy and the
@@ -531,9 +531,13 @@ let long_update_digest () =
 (* After a reach-path solve, the reported support lists every nonzero of
    the result exactly once, in ascending order (it may list cancelled
    zeros too); after a dense-path solve — an RHS above the density
-   threshold — there is none. *)
+   threshold — there is none.  On either path the solve's own count of
+   the nonzeros it scattered out is the result's. *)
 let support_holds s n ~rhs_nnz x =
   let k = Slu.support_len s in
+  let nnz = Array.fold_left (fun c v -> if v <> 0.0 then c + 1 else c) 0 x in
+  Slu.result_nnz s = nnz
+  &&
   if float_of_int rhs_nnz > Slu.dense_threshold *. float_of_int n then k = -1
   else
     k >= 0

@@ -72,17 +72,17 @@ let canonical_row_tests =
 
 (* The standard form's matrix as it was assembled before [of_model]
    transposed the model's row store itself: every row's canonical terms,
-   then the row's logical −1, replayed into a [Csc.Builder]. *)
+   then the row's logical −1, replayed into the [Csc_builder] oracle. *)
 let builder_matrix m =
   let n = Lp.Model.num_vars m and nr = Lp.Model.num_constrs m in
-  let b = Lina.Csc.Builder.create ~rows:nr ~cols:(n + nr) in
+  let b = Csc_builder.create ~rows:nr ~cols:(n + nr) in
   for i = 0 to nr - 1 do
     List.iter
-      (fun ((x : Lp.Model.var), c) -> Lina.Csc.Builder.add b ~row:i ~col:(x :> int) c)
+      (fun ((x : Lp.Model.var), c) -> Csc_builder.add b ~row:i ~col:(x :> int) c)
       (Lp.Model.row_terms m i);
-    Lina.Csc.Builder.add b ~row:i ~col:(n + i) (-1.0)
+    Csc_builder.add b ~row:i ~col:(n + i) (-1.0)
   done;
-  Lina.Csc.Builder.finish b
+  Csc_builder.finish b
 
 let same_matrix (a : Lina.Csc.t) (b : Lina.Csc.t) =
   let bits v = Array.map Int64.bits_of_float v in
@@ -128,6 +128,95 @@ let std_form_tests =
                same_matrix (Lp.Std_form.of_model m).Lp.Std_form.a
                  (builder_matrix m))
              [ 1; 2; 3 ]));
+  ]
+
+(* Everything [Std_form] keeps, floats as bits. *)
+let form_bits (sf : Lp.Std_form.t) =
+  let bits v = Array.map Int64.bits_of_float v in
+  ( (sf.Lp.Std_form.n_struct, sf.Lp.Std_form.n_rows),
+    (sf.Lp.Std_form.a.Lina.Csc.col_ptr, sf.Lp.Std_form.a.Lina.Csc.row_idx,
+     bits sf.Lp.Std_form.a.Lina.Csc.value),
+    (bits sf.Lp.Std_form.cost, bits sf.Lp.Std_form.lb, bits sf.Lp.Std_form.ub),
+    ( Int64.bits_of_float sf.Lp.Std_form.obj_const,
+      Int64.bits_of_float sf.Lp.Std_form.obj_factor,
+      sf.Lp.Std_form.integer ) )
+
+(* A model far larger than [random_model]'s, its arrays full of values
+   the next model must not see. *)
+let large_model () =
+  let m = Lp.Model.create () in
+  let x =
+    Array.init 300 (fun i -> Lp.Model.add_var m ~lb:(-7.0) ~ub:(float_of_int i))
+  in
+  for i = 0 to 399 do
+    Lp.Model.add_range m ~lo:(-3.0) ~hi:9.5
+      (List.init 9 (fun t ->
+           (x.(((i * 7) + (t * 31)) mod 300), 0.25 +. float_of_int t)))
+  done;
+  Lp.Model.set_objective m Lp.Model.Minimize [ (x.(3), 2.0) ];
+  m
+
+let small_model () =
+  let m = Lp.Model.create () in
+  let x = Lp.Model.add_var m ~ub:5.0 in
+  Lp.Model.add_le m [ (x, 3.0) ] 1.0;
+  m
+
+(* [f ()] on a domain of its own, whose spare store starts empty. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let recycle_tests =
+  [
+    Seeded.to_alcotest ~seed:1602
+      (QCheck2.Test.make
+         ~name:"a model on recycled arrays compiles as on a fresh domain"
+         ~count:40 QCheck2.Gen.(int_bound 100_000)
+         (fun seed ->
+           let form () =
+             form_bits
+               (Lp.Std_form.of_model
+                  (random_model (Workload.Rng.create (Int64.of_int seed))))
+           in
+           let after prior =
+             on_fresh_domain (fun () ->
+                 Lp.Model.release (prior ());
+                 form ())
+           in
+           let want = on_fresh_domain form in
+           after large_model = want && after small_model = want));
+    Alcotest.test_case "a released model raises on every use" `Quick
+      (fun () ->
+        on_fresh_domain (fun () ->
+            let m = Lp.Model.create () in
+            let x = Lp.Model.add_var m ~ub:2.0 in
+            Lp.Model.add_le m [ (x, 1.0) ] 1.0;
+            Lp.Model.set_objective m Lp.Model.Maximize [ (x, 1.0) ];
+            Lp.Model.release m;
+            let released name f =
+              Alcotest.check_raises name
+                (Invalid_argument "Model: released model") (fun () ->
+                  ignore (f ()))
+            in
+            released "num_vars" (fun () -> Lp.Model.num_vars m);
+            released "num_constrs" (fun () -> Lp.Model.num_constrs m);
+            released "var_lb" (fun () -> Lp.Model.var_lb m x);
+            released "var_ub" (fun () -> Lp.Model.var_ub m x);
+            released "var_kind" (fun () -> Lp.Model.var_kind m x);
+            released "var_of_id" (fun () -> Lp.Model.var_of_id m 0);
+            released "row_terms" (fun () -> Lp.Model.row_terms m 0);
+            released "row_lo" (fun () -> Lp.Model.row_lo m 0);
+            released "row_store" (fun () -> Lp.Model.row_store m);
+            released "objective" (fun () -> Lp.Model.objective m);
+            released "of_model" (fun () -> Lp.Std_form.of_model m);
+            released "add_var" (fun () -> Lp.Model.add_var m);
+            released "add_le" (fun () -> Lp.Model.add_le m [] 1.0);
+            released "set_objective" (fun () ->
+                Lp.Model.set_objective m Lp.Model.Minimize []);
+            released "fix_var" (fun () -> Lp.Model.fix_var m x 1.0);
+            released "release" (fun () -> Lp.Model.release m);
+            (* The next model starts empty on the released arrays. *)
+            let m' = Lp.Model.create () in
+            Alcotest.(check int) "next model empty" 0 (Lp.Model.num_vars m')));
   ]
 
 let status = Alcotest.testable
@@ -661,7 +750,8 @@ let zeroed_buffer_tests =
 
 let suite =
   [
-    ("lp.model", model_tests @ canonical_row_tests @ std_form_tests);
+    ("lp.model",
+     model_tests @ canonical_row_tests @ std_form_tests @ recycle_tests);
     ("lp.simplex", simplex_tests @ simplex_properties);
     ("lp.session", session_tests @ session_properties);
     ("lp.basis", basis_tests @ basis_properties @ zeroed_buffer_tests);

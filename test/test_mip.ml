@@ -435,7 +435,8 @@ module Old_propagate = struct
 end
 
 (* A small mixed binary/continuous model (rows of every sense, some
-   unbounded columns) and a random branching box over its columns. *)
+   unbounded columns) and a random branching box over its columns and
+   some of its row ranges. *)
 let random_propagation_case seed =
   let rng = Workload.Rng.create (Int64.of_int (seed + 313)) in
   let m = Lp.Model.create () in
@@ -480,6 +481,13 @@ let random_propagation_case seed =
       ub.(j) <- side
     | 1 -> lb.(j) <- lb.(j) +. Workload.Rng.float_range rng 0.0 1.0
     | 2 -> ub.(j) <- Float.min ub.(j) (Workload.Rng.float_range rng 0.0 2.0)
+    | _ -> ()
+  done;
+  (* Some row ranges narrowed too: a logical bound off the form's. *)
+  for j = n to total - 1 do
+    match Workload.Rng.int rng 5 with
+    | 0 when ub.(j) < infinity -> ub.(j) <- ub.(j) -. 0.5
+    | 1 when lb.(j) > neg_infinity -> lb.(j) <- lb.(j) +. 0.5
     | _ -> ()
   done;
   (sf, lb, ub)
@@ -553,10 +561,10 @@ let real_box rng sf =
   (lb, ub)
 
 (* The worklist against the full-sweep oracle on real forms: bounds,
-   count and outcome bit for bit, with the rows it skipped counted so
-   the skip path is shown to run. *)
+   count and outcome bit for bit, with the rows it skipped counted, in
+   all rounds and in round 1, so both skip paths are shown to run. *)
 let real_form_property =
-  let skipped = ref 0 and runs = ref 0 in
+  let skipped = ref 0 and first = ref 0 and runs = ref 0 in
   let name, speed, run =
     Seeded.to_alcotest ~seed:4243
       (QCheck2.Test.make
@@ -575,6 +583,7 @@ let real_form_property =
              | Mip.Propagate.Tightened c -> Some c
            in
            skipped := !skipped + Mip.Propagate.skipped sc;
+           first := !first + Mip.Propagate.skipped_first_round sc;
            incr runs;
            got = Old_propagate.run old ~lb:lb' ~ub:ub'
            && same_bits lb lb' && same_bits ub ub'))
@@ -583,10 +592,14 @@ let real_form_property =
     speed,
     fun () ->
       skipped := 0;
+      first := 0;
       runs := 0;
       run ();
-      Printf.printf "%d rows skipped over %d runs\n" !skipped !runs;
-      if !skipped = 0 then Alcotest.fail "the worklist never skipped a row" )
+      Printf.printf "%d rows skipped over %d runs, %d of them in round 1\n"
+        !skipped !runs !first;
+      if !skipped = !first then
+        Alcotest.fail "the worklist never skipped a row after round 1";
+      if !first = 0 then Alcotest.fail "round 1 never skipped a row" )
 
 let propagate_alloc_tests =
   [

@@ -509,6 +509,50 @@ let pool_tests =
                 "backtrace lost the original raise site (wanted %S):\n%s"
                 needle s
           end);
+    Alcotest.test_case "a failure on a spawned worker keeps its backtrace"
+      `Quick (fun () ->
+        Printexc.record_backtrace true;
+        let raise_line = ref 0 in
+        let boom =
+          Sys.opaque_identity (fun () ->
+              raise_line := __LINE__ + 1;
+              1 + Sys.opaque_identity (failwith "worker-boom"))
+        in
+        (* Worker 0 (the caller) holds its task until a spawned worker
+           has raised on the other one, so the failure always comes from
+           a spawned domain. *)
+        let raised = Atomic.make false in
+        let task ~worker i =
+          if worker = 0 then begin
+            while not (Atomic.get raised) do
+              Domain.cpu_relax ()
+            done;
+            i
+          end
+          else begin
+            Atomic.set raised true;
+            boom ()
+          end
+        in
+        match
+          Runtime.Pool.with_pool ~jobs:2 (fun p ->
+              Runtime.Pool.run p task [| 0; 1 |])
+        with
+        | _ -> Alcotest.fail "expected the batch to fail"
+        | exception Failure msg ->
+          let trace =
+            Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
+          in
+          Alcotest.(check string) "message" "worker-boom" msg;
+          let needle = Printf.sprintf "line %d" !raise_line in
+          let ln = String.length needle in
+          let found = ref false in
+          for i = 0 to String.length trace - ln do
+            if String.sub trace i ln = needle then found := true
+          done;
+          if not !found then
+            Alcotest.failf "the worker's trace lost its raise site (%S):\n%s"
+              needle trace);
     Alcotest.test_case "shutdown is idempotent; jobs clamp to >= 1" `Quick
       (fun () ->
         let p = Runtime.Pool.create ~jobs:2 in
